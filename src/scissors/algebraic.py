@@ -9,7 +9,7 @@ every operation and comparison is decided exactly.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.densearith import dup_neg
@@ -63,13 +63,6 @@ def _canonical_factors(f_dup):
             g = dup_neg(g, ZZ)
         out.append(_from_dup(g))
     return out
-
-
-def _int_gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 _BINARY_CACHE: dict = {}
@@ -331,9 +324,7 @@ class AlgebraicReal:
                 nxt[p] -= q * cs
             nxt[0] += f[i]
             acc = nxt
-        den = 1
-        for c in acc:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in acc))
         coeffs = tuple(int(c * den) for c in acc)
         lo, hi = q + s * self._lo, q + s * self._hi
         if lo > hi:

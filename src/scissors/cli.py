@@ -213,6 +213,20 @@ def _render_text(report: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
+def _int_at_least(lo):
+    """argparse type: an integer no smaller than `lo`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="scissors",
@@ -239,21 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_int_at_least(1), default=25)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("hochschild", help="HH dimension table")
     p.add_argument("--algebra", required=True,
                    help="builtin name (Q, QI, quat, mat2, mat4) "
                         "or an algebra JSON file")
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=2)
     p.set_defaults(fn=cmd_hochschild)
 
     p = sub.add_parser("homology", help="chain-complex or group homology")
     p.add_argument("--complex")
     p.add_argument("--group")
     p.add_argument("--module", default="trivialZ")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=3)
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("phi", help="length·dcos/sin image of tensor terms")

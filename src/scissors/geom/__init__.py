@@ -9,7 +9,7 @@ same algorithms.
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from ..algebraic import (
     AlgebraicReal,
@@ -62,23 +62,26 @@ def is_rational_point(p) -> bool:
     return all(isinstance(c, Fraction) for c in p)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def to_homog(p) -> tuple:
     """Integer homogeneous coordinates of a rational point (weight last)."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p))
     return tuple(int(c * den) for c in p) + (den,)
 
 
 def from_homog(h) -> tuple:
     w = h[-1]
     return tuple(Fraction(c, w) for c in h[:-1])
+
+
+def canon_plane(func):
+    """Primitive integer form of a plane functional with its first nonzero
+    coefficient positive; None for the zero functional."""
+    g = gcd(*func)
+    if g == 0:
+        return None
+    if next(c for c in func if c) < 0:
+        g = -g
+    return tuple(c // g for c in func)
 
 
 # -- simplices and chains -----------------------------------------------------

@@ -15,15 +15,13 @@ from . import (
     Polytope,
     Simplex,
     SimplexChain,
+    canon_plane,
+    from_homog,
     make_point,
     orientation_sign,
     to_homog,
 )
 from . import predicates as hp
-
-
-def _homog(points):
-    return [to_homog(p) for p in points]
 
 
 def _facet_planes_3d(hpts):
@@ -33,7 +31,7 @@ def _facet_planes_3d(hpts):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 func = hp.hyperplane([hpts[i], hpts[j], hpts[k]])
-                canon = _canon(func)
+                canon = canon_plane(func)
                 if canon is None or canon in planes or _neg(canon) in planes:
                     continue
                 sides = [hp.side(func, p) for p in hpts]
@@ -44,29 +42,8 @@ def _facet_planes_3d(hpts):
     return list(planes.values())
 
 
-def _canon(func):
-    g = 0
-    for c in func:
-        g = _gcd(g, c)
-    if g == 0:
-        return None
-    for c in func:
-        if c != 0:
-            if c < 0:
-                g = -g
-            break
-    return tuple(c // g for c in func)
-
-
 def _neg(func):
     return tuple(-c for c in func)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _order_cycle_3d(pts_h, func):
@@ -147,7 +124,7 @@ def convex_polytope_3d(points, name: str = "") -> Polytope:
         if p not in seen:
             seen.add(p)
             uniq.append(p)
-    hpts = _homog(uniq)
+    hpts = [to_homog(p) for p in uniq]
     planes = _facet_planes_3d(hpts)
     if not planes:
         raise InvalidPolytope("points not full-dimensional")
@@ -161,7 +138,7 @@ def convex_polytope_3d(points, name: str = "") -> Polytope:
         v0 = cycle[0]
         for t in range(1, len(cycle) - 1):
             tri = (v0, cycle[t], cycle[t + 1])
-            tet = tuple(_dehomog(q) for q in (apex,) + tri)
+            tet = tuple(from_homog(q) for q in (apex,) + tri)
             s = Simplex(3, tet)
             sgn = orientation_sign(s)
             if sgn == 0:
@@ -170,11 +147,6 @@ def convex_polytope_3d(points, name: str = "") -> Polytope:
                 s = Simplex(3, tet[:2] + (tet[3], tet[2]))
             tets.append((1, s))
     return Polytope(SimplexChain(3, tets), name=name)
-
-
-def _dehomog(h):
-    w = h[-1]
-    return tuple(Fraction(c, w) for c in h[:-1])
 
 
 def convex_polygon_2d(points, name: str = "") -> Polytope:
@@ -186,7 +158,7 @@ def convex_polygon_2d(points, name: str = "") -> Polytope:
         if p not in seen:
             seen.add(p)
             uniq.append(p)
-    hpts = _homog(uniq)
+    hpts = [to_homog(p) for p in uniq]
     c = hp.centroid(hpts)
     hull = []
     n = len(hpts)
@@ -202,7 +174,7 @@ def convex_polygon_2d(points, name: str = "") -> Polytope:
     if len(verts) < 3:
         raise InvalidPolytope("points not full-dimensional")
     order = _angular_order_2d([hpts[i] for i in verts], c)
-    cycle = [_dehomog(h) for h in order]
+    cycle = [from_homog(h) for h in order]
     tris = []
     v0 = cycle[0]
     for t in range(1, len(cycle) - 1):
@@ -265,7 +237,7 @@ def split_convex_points_3d(points, func):
     edges crossed by the plane.
     """
     pts = [make_point(p) for p in points]
-    hpts = _homog(pts)
+    hpts = [to_homog(p) for p in pts]
     planes = _facet_planes_3d(hpts)
     edges = set()
     for f in planes:
@@ -282,7 +254,7 @@ def split_convex_points_3d(points, func):
     side_b = [pts[i] for i, v in enumerate(vals) if v <= 0]
     for (i, j) in edges:
         if (vals[i] > 0 and vals[j] < 0) or (vals[i] < 0 and vals[j] > 0):
-            cut = _dehomog(hp.cut_point(vals[i], vals[j], hpts[i], hpts[j]))
+            cut = from_homog(hp.cut_point(vals[i], vals[j], hpts[i], hpts[j]))
             side_a.append(cut)
             side_b.append(cut)
     return side_a, side_b

@@ -19,6 +19,7 @@ from . import (
     SimplexChain,
     _flip_last_two,
     _scalar_det,
+    canon_plane,
     orientation_sign,
     to_homog,
 )
@@ -57,19 +58,7 @@ class _HomogBackend:
                 out.append(canon)
         return out
 
-    @staticmethod
-    def canon(func):
-        g = 0
-        for c in func:
-            g = _int_gcd(g, c)
-        if g == 0:
-            return None
-        for c in func:
-            if c != 0:
-                if c < 0:
-                    g = -g
-                break
-        return tuple(c // g for c in func)
+    canon = staticmethod(canon_plane)
 
     @staticmethod
     def apply(func, p):
@@ -154,13 +143,6 @@ class _ScalarBackend:
     @staticmethod
     def sign(v):
         return scalar_sign(v)
-
-
-def _int_gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _proportional(f, g, B) -> bool:

@@ -8,6 +8,7 @@ from ..linalg import (
     nullspace_sparse,
     rank_sparse,
     smith_normal_form_dense,
+    smith_normal_form_sparse,
 )
 
 
@@ -90,12 +91,10 @@ class SparseIntMatrix:
         return U, D, V
 
     def elementary_divisors(self):
-        _, D, _ = self.smith()
-        out = []
-        for i in range(min(self.rows, self.cols)):
-            if D[i][i]:
-                out.append(D[i][i])
-        return out
+        rows = [dict() for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            rows[i][j] = v
+        return smith_normal_form_sparse(rows, self.cols)[1]
 
     def __repr__(self):
         return (f"SparseIntMatrix({self.rows}x{self.cols}, "

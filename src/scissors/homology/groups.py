@@ -7,6 +7,7 @@ entry renormalizes by h₁⁻¹ and twists the coefficient through the action.
 
 from itertools import product
 
+from ..linalg import mat_mul
 from . import ChainComplex, HomologyResult, SizeCap, SparseIntMatrix
 
 MAX_GROUP_ORDER = 16
@@ -20,6 +21,8 @@ class FiniteGroup:
         self.table = [list(map(int, row)) for row in table]
         self.n = len(self.table)
         self.name = name or f"group({self.n})"
+        if not self.table:
+            raise ValueError("empty group table")
         if any(len(r) != self.n for r in self.table):
             raise ValueError("table must be square")
         if any(self.table[0][j] != j or self.table[j][0] != j
@@ -82,7 +85,7 @@ class GModule:
             raise ValueError("identity must act as the identity matrix")
         for a in range(group.n):
             for b in range(group.n):
-                if _mat_mul(self.action[a], self.action[b]) != \
+                if mat_mul(self.action[a], self.action[b]) != \
                         self.action[group.mul(a, b)]:
                     raise ValueError("action is not a homomorphism")
 
@@ -90,12 +93,6 @@ class GModule:
         M = self.action[g]
         return tuple(sum(M[i][j] * vec[j] for j in range(self.rank))
                      for i in range(self.rank))
-
-
-def _mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
 
 
 def trivial_module(group: FiniteGroup, rank: int = 1) -> GModule:

@@ -84,9 +84,12 @@ def group_from_spec(spec: str) -> FiniteGroup:
     spec = spec.strip()
     if spec.startswith("Z/"):
         try:
-            return cyclic_group(int(spec[2:]))
+            m = int(spec[2:])
         except ValueError as exc:
             raise ParseError(f"bad cyclic group {spec!r}") from exc
+        if m < 1:
+            raise ParseError(f"cyclic group order must be >= 1: {spec!r}")
+        return cyclic_group(m)
     if spec in ("S3", "Sigma3"):
         return symmetric_group_3()
     if spec == "1":

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra for the homology kernels.
 
-Smith normal form runs on dense big-integer rows with smallest-pivot
-selection (the minimum-|entry| pivot keeps intermediate growth tame at desk
-scale); rational elimination runs on sparse Fraction rows and provides rank,
-RREF and kernel bases.
+Smith normal form runs on sparse integer rows: smallest-|entry| pivots
+(which keep intermediate growth tame at desk scale) are cleared by
+floor-division row and column operations, then one gcd/lcm pass over the
+diagonal gives the divisibility chain.  Rational elimination runs on sparse
+Fraction rows and provides rank, RREF and kernel bases.
 """
 
 from fractions import Fraction
@@ -23,243 +24,123 @@ def _xgcd(a, b):
     return x, y, g
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _axpy(dst, src, f):
+    """dst -= f·src on sparse integer rows, in place (f nonzero)."""
+    for j, v in src.items():
+        nv = dst.get(j, 0) - f * v
+        if nv:
+            dst[j] = nv
+        else:
+            del dst[j]
+
+
+def _combine(r1, r2, s, t):
+    """The sparse row s·r1 + t·r2."""
+    out = {}
+    for row, f in ((r1, s), (r2, t)):
+        if f:
+            _axpy(out, row, -f)
+    return out
+
+
+def _min_entry(rows, among):
+    """(i, j) of a smallest-|entry| nonzero entry in the rows `among`."""
+    best = at = None
+    for i in among:
+        for j, v in rows[i].items():
+            if best is None or abs(v) < best:
+                best, at = abs(v), (i, j)
+                if best == 1:
+                    return at
+    return at
+
+
+def smith_normal_form_sparse(rows, ncols):
+    """Smith normal form of the integer matrix A whose row i is the sparse
+    dict rows[i] (column -> nonzero int); `rows` is consumed.
+
+    Returns (U, diag, Vt): U (len(rows) rows) and Vt (ncols rows) are
+    unimodular sparse row lists with U·A·Vtᵀ = D, where D is zero apart
+    from D[k][k] = diag[k] > 0 and each diag[k] divides the next.
+    """
+    D = rows
+    U = [{i: 1} for i in range(len(D))]
+    Vt = [{j: 1} for j in range(ncols)]
+    pivots = []
+    active = [i for i in range(len(D)) if D[i]]
+    while active:
+        p, q = _min_entry(D, active)
+        while True:
+            a = D[p][q]
+            # clear column q by row operations; remainders smaller than |a|
+            # become the next pivot
+            rest = []
+            for i in active:
+                if i != p and q in D[i]:
+                    f = D[i][q] // a
+                    if f:
+                        _axpy(D[i], D[p], f)
+                        _axpy(U[i], U[p], f)
+                    if q in D[i]:
+                        rest.append(i)
+            if rest:
+                p = min(rest, key=lambda i: abs(D[i][q]))
+                continue
+            # clear row p by column operations (V kept transposed); column q
+            # is clear, so they change only row p of D
+            for j in [j for j in D[p] if j != q]:
+                f = D[p][j] // a
+                if f:
+                    _axpy(Vt[j], Vt[q], f)
+                r = D[p][j] - f * a
+                if r:
+                    D[p][j] = r
+                else:
+                    del D[p][j]
+            if len(D[p]) == 1:
+                break
+            q = min((j for j in D[p] if j != q), key=lambda j: abs(D[p][j]))
+        if a < 0:
+            D[p][q] = -a
+            U[p] = {j: -v for j, v in U[p].items()}
+        pivots.append((p, q))
+        active = [i for i in active if i != p and D[i]]
+    # divisibility: diag(a, b) -> diag(g, ab/g) by unimodular L and R
+    diag = [D[p][q] for p, q in pivots]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a == 0:
+                continue
+            x, y, g = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            (pi, qi), (pj, qj) = pivots[i], pivots[j]
+            U[pi], U[pj] = (_combine(U[pi], U[pj], x, y),
+                            _combine(U[pi], U[pj], -bg, ag))
+            Vt[qi], Vt[qj] = (_combine(Vt[qi], Vt[qj], 1, 1),
+                              _combine(Vt[qi], Vt[qj], -y * bg, x * ag))
+            diag[i], diag[j] = g, ag * b
+    used_rows = {p for p, _ in pivots}
+    used_cols = {q for _, q in pivots}
+    U = [U[p] for p, _ in pivots] + [
+        U[i] for i in range(len(U)) if i not in used_rows]
+    Vt = [Vt[q] for _, q in pivots] + [
+        Vt[j] for j in range(ncols) if j not in used_cols]
+    return U, diag, Vt
 
 
 def smith_normal_form_dense(A, nrows, ncols):
     """(U, D, V) with U·A·V = D diagonal, d₁ | d₂ | ..., U, V unimodular."""
-    D = [row[:] for row in A]
-    U = identity_matrix(nrows)
-    V = identity_matrix(ncols)
-
-    def row_op(i1, i2, j0):
-        # zero D[i2][j0] against pivot row i1 with a unimodular 2-row op
-        a, b = D[i1][j0], D[i2][j0]
-        if b == 0:
-            return
-        if a == 0:
-            D[i1], D[i2] = D[i2], D[i1]
-            U[i1], U[i2] = U[i2], U[i1]
-            return
-        if b % a == 0:
-            q = -(b // a)
-            _add_row(D, i2, i1, q)
-            _add_row(U, i2, i1, q)
-            return
-        x, y, g = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        for M in (D, U):
-            r1, r2 = M[i1], M[i2]
-            for jj in range(len(r1)):
-                u, v = r1[jj], r2[jj]
-                r1[jj] = x * u + y * v
-                r2[jj] = -bg * u + ag * v
-
-    def col_op(j1, j2, i0):
-        a, b = D[i0][j1], D[i0][j2]
-        if b == 0:
-            return
-        if a == 0:
-            _swap_col(D, j1, j2)
-            _swap_col(V, j1, j2)
-            return
-        if b % a == 0:
-            q = -(b // a)
-            _add_col(D, j2, j1, q)
-            _add_col(V, j2, j1, q)
-            return
-        x, y, g = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        for M in (D, V):
-            for row in M:
-                u, v = row[j1], row[j2]
-                row[j1] = x * u + y * v
-                row[j2] = -bg * u + ag * v
-
-    def _add_row(M, dst, src, q):
-        rd, rs = M[dst], M[src]
-        for jj in range(len(rd)):
-            if rs[jj]:
-                rd[jj] += q * rs[jj]
-
-    def _add_col(M, dst, src, q):
-        for row in M:
-            if row[src]:
-                row[dst] += q * row[src]
-
-    def _swap_col(M, j1, j2):
-        for row in M:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    rank_bound = min(nrows, ncols)
-    for k in range(rank_bound):
-        # smallest-magnitude pivot in the remaining block
-        piv = None
-        best = None
-        for i in range(k, nrows):
-            row = D[i]
-            for j in range(k, ncols):
-                v = row[j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        if i != k:
-            D[k], D[i] = D[i], D[k]
-            U[k], U[i] = U[i], U[k]
-        if j != k:
-            _swap_col(D, k, j)
-            _swap_col(V, k, j)
-        while True:
-            for i in range(k + 1, nrows):
-                row_op(k, i, k)
-            if all(D[k][j] == 0 for j in range(k + 1, ncols)):
-                if all(D[i][k] == 0 for i in range(k + 1, nrows)):
-                    break
-            for j in range(k + 1, ncols):
-                col_op(k, j, k)
-            if all(D[i][k] == 0 for i in range(k + 1, nrows)):
-                if all(D[k][j] == 0 for j in range(k + 1, ncols)):
-                    break
-        # pivot must divide the rest of the block
-        pk = D[k][k]
-        fixed = True
-        for i in range(k + 1, nrows):
-            if any(v % pk for v in D[i][k + 1:]):
-                _add_row(D, k, i, 1)
-                _add_row(U, k, i, 1)
-                fixed = False
-                break
-        if not fixed:
-            # redo this pivot with the merged row
-            for i in range(k + 1, nrows):
-                row_op(k, i, k)
-            while True:
-                for j in range(k + 1, ncols):
-                    col_op(k, j, k)
-                if all(D[i][k] == 0 for i in range(k + 1, nrows)):
-                    if all(D[k][j] == 0 for j in range(k + 1, ncols)):
-                        break
-                for i in range(k + 1, nrows):
-                    row_op(k, i, k)
-                if all(D[k][j] == 0 for j in range(k + 1, ncols)):
-                    if all(D[i][k] == 0 for i in range(k + 1, nrows)):
-                        break
-            pk = D[k][k]
-            for i in range(k + 1, nrows):
-                if any(v % pk for v in D[i][k + 1:]):
-                    # rare: iterate until stable
-                    return _snf_restart(A, nrows, ncols, U, D, V, k)
-        if D[k][k] < 0:
-            for jj in range(ncols):
-                D[k][jj] = -D[k][jj]
-            for jj in range(nrows):
-                U[k][jj] = -U[k][jj]
-    _fix_divisibility(D, U, V, nrows, ncols)
-    return U, D, V
-
-
-def _snf_restart(A, nrows, ncols, U, D, V, k):
-    # conservative fallback: recompute from the current transformed matrix
-    U2, D2, V2 = smith_normal_form_dense(D, nrows, ncols)
-    U3 = mat_mul(U2, U)
-    V3 = mat_mul(V, V2)
-    return U3, D2, V3
-
-
-def _fix_divisibility(D, U, V, nrows, ncols):
-    r = min(nrows, ncols)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(r - 1):
-            a, b = D[k][k], D[k + 1][k + 1]
-            if a == 0 and b != 0:
-                D[k][k], D[k + 1][k + 1] = b, a
-                U[k], U[k + 1] = U[k + 1], U[k]
-                for row in V:
-                    row[k], row[k + 1] = row[k + 1], row[k]
-                changed = True
-                continue
-            if b == 0 or a == 0 or b % a == 0:
-                continue
-            # classic 2x2 glue: diag(a,b) -> diag(g, lcm)
-            x, y, g = _xgcd(a, b)
-            # col k += col k+1
-            for row in (D[k], D[k + 1]):
-                pass
-            _two_by_two(D, U, V, k, a, b, x, y, g)
-            changed = True
-
-
-def _two_by_two(D, U, V, k, a, b, x, y, g):
-    # row k += row k+1; then standard gcd reduction on columns k, k+1
-    n = len(D[k])
-    for jj in range(n):
-        D[k][jj] += D[k + 1][jj]
-    for jj in range(len(U[k])):
-        U[k][jj] += U[k + 1][jj]
-    # now rows: [a, b; 0, b]; column ops to reach [g, 0; *, *] then clean
-    # col op on (k, k+1): [a b] -> [g 0]
-    for M, is_v in ((D, False), (V, True)):
-        rows = M if is_v else M
-        for row in rows:
-            u, v = row[k], row[k + 1]
-            row[k] = x * u + y * v
-            row[k + 1] = (-b // g) * u + (a // g) * v
-    # rows k, k+1 now have junk in the off-diagonals; re-diagonalize block
-    # using general row/col gcd steps limited to the 2x2 block
-    while D[k + 1][k] != 0 or D[k][k + 1] != 0:
-        if D[k + 1][k] != 0:
-            aa, bb = D[k][k], D[k + 1][k]
-            if aa != 0 and bb % aa == 0:
-                q = -(bb // aa)
-                for jj in range(len(D[k])):
-                    D[k + 1][jj] += q * D[k][jj]
-                for jj in range(len(U[k])):
-                    U[k + 1][jj] += q * U[k][jj]
-            else:
-                xx, yy, gg = _xgcd(aa, bb)
-                ag, bg = aa // gg, bb // gg
-                for M in (D, U):
-                    r1, r2 = M[k], M[k + 1]
-                    for jj in range(len(r1)):
-                        u, v = r1[jj], r2[jj]
-                        r1[jj] = xx * u + yy * v
-                        r2[jj] = -bg * u + ag * v
-        if D[k][k + 1] != 0:
-            aa, bb = D[k][k], D[k][k + 1]
-            if aa != 0 and bb % aa == 0:
-                q = -(bb // aa)
-                for row in D:
-                    row[k + 1] += q * row[k]
-                for row in V:
-                    row[k + 1] += q * row[k]
-            else:
-                xx, yy, gg = _xgcd(aa, bb)
-                ag, bg = aa // gg, bb // gg
-                for M in (D, V):
-                    for row in M:
-                        u, v = row[k], row[k + 1]
-                        row[k] = xx * u + yy * v
-                        row[k + 1] = -bg * u + ag * v
-    if D[k][k] < 0:
-        for jj in range(len(D[k])):
-            D[k][jj] = -D[k][jj]
-        for jj in range(len(U[k])):
-            U[k][jj] = -U[k][jj]
-    if D[k + 1][k + 1] < 0:
-        for jj in range(len(D[k + 1])):
-            D[k + 1][jj] = -D[k + 1][jj]
-        for jj in range(len(U[k + 1])):
-            U[k + 1][jj] = -U[k + 1][jj]
+    U, diag, Vt = smith_normal_form_sparse(
+        [{j: v for j, v in enumerate(row) if v} for row in A], ncols)
+    D = [[0] * ncols for _ in range(nrows)]
+    for k, d in enumerate(diag):
+        D[k][k] = d
+    V = [[0] * ncols for _ in range(ncols)]
+    for j, row in enumerate(Vt):
+        for i, v in row.items():
+            V[i][j] = v
+    return [[row.get(j, 0) for j in range(nrows)] for row in U], D, V
 
 
 def mat_mul(A, B):

@@ -123,6 +123,19 @@ def test_cli_exit_codes(fixtures):
     assert run_cli("polytope-info", str(bad)).returncode == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("homology", "--group", "Z/0"),
+    ("homology", "--group", "Z/-3"),
+    ("homology", "--group", "Z/2", "--max-degree", "-1"),
+    ("hochschild", "--algebra", "Q", "--max-degree", "-1"),
+    ("verify", "torus", "--cases", "-3"),
+])
+def test_cli_rejects_out_of_range(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_phi(fixtures):
     proc = run_cli("phi", "--tensor", str(fixtures / "t.json"),
                    "--tower", "t; s: s^2 = 1 - t^2")

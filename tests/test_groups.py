@@ -118,3 +118,5 @@ def test_size_caps():
 def test_bad_table_rejected():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])
+    with pytest.raises(ValueError):
+        FiniteGroup([])

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from scissors.linalg import (
     det_small,
@@ -8,6 +10,12 @@ from scissors.linalg import (
     rref_sparse,
     smith_normal_form_dense,
 )
+from scissors.homology.groups import (
+    bar_complex,
+    symmetric_group_3,
+    trivial_module,
+)
+from scissors.homology.simplicial import torus_complex
 from scissors.rng import SplitMix64
 
 
@@ -68,6 +76,39 @@ def test_snf_random_matrices():
             for v in diag:
                 prod *= v
             assert abs(d) == abs(prod)
+
+
+def _minor_gcd(A, k):
+    g = 0
+    for rs in combinations(range(len(A)), k):
+        for cs in combinations(range(len(A[0])), k):
+            g = gcd(g, int(det_small([[A[i][j] for j in cs] for i in rs])))
+    return g
+
+
+def test_snf_determinantal_divisors():
+    # d₁⋯d_k equals the gcd of all k×k minors: an oracle that shares no
+    # code with the elimination
+    for case in range(25):
+        rng = SplitMix64.stream(29, case)
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        A = [[rng.randint(-12, 12) if rng.randint(0, 2) == 0 else 0
+              for _ in range(n)] for _ in range(m)]
+        diag = check_snf(A, m, n)
+        prod = 1
+        for k in range(1, min(m, n) + 1):
+            prod *= diag[k - 1]
+            assert prod == _minor_gcd(A, k), (case, k)
+
+
+def test_elementary_divisors_match_dense_snf():
+    s3 = symmetric_group_3()
+    mats = [bar_complex(s3, trivial_module(s3), 3).boundaries[3]]
+    mats += torus_complex(3).boundaries.values()
+    for mat in mats:
+        _, D, _ = smith_normal_form_dense(mat.to_dense(), mat.rows, mat.cols)
+        diag = [D[i][i] for i in range(min(mat.rows, mat.cols))]
+        assert mat.elementary_divisors() == [d for d in diag if d]
 
 
 def test_snf_torsion_example():
