@@ -4,15 +4,19 @@ The core primitive splits a simplex along one hyperplane by repeatedly
 cutting a strictly crossing edge at its intersection point (each cut removes
 at least one crossing pair, so the recursion terminates with sub-simplices
 weakly on one side).  Splitting every cell of a chain by every facet
-hyperplane of the chain yields pieces whose interiors avoid all facet planes;
-the chain's signed measure is zero iff the signed indicator vanishes at every
-piece centroid.  Rational inputs run on the integer homogeneous kernel.
+hyperplane of the chain yields pieces whose interiors avoid all facet planes,
+and the split records each piece's strict side of every plane.  A cell is an
+intersection of half-spaces of those planes, so the side vectors of its
+pieces are exactly the arrangement regions inside it.  The chain's signed
+measure is zero iff, for every region, the coefficients of the cells that
+hold it sum to zero.  Rational inputs run on the integer homogeneous kernel.
 """
 
 import os
 from fractions import Fraction
 
 from ..algebraic import scalar_sign
+from ..numbers import ParseError
 from . import (
     Polytope,
     Simplex,
@@ -33,7 +37,18 @@ class RefinementTooLarge(RuntimeError):
 
 
 def cell_cap() -> int:
-    return int(os.environ.get("SCISSORS_CELL_CAP", DEFAULT_CELL_CAP))
+    """The refinement cap from SCISSORS_CELL_CAP, DEFAULT_CELL_CAP if unset."""
+    raw = os.environ.get("SCISSORS_CELL_CAP")
+    if raw is None:
+        return DEFAULT_CELL_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(
+            f"SCISSORS_CELL_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 # -- backends -----------------------------------------------------------------
@@ -47,18 +62,16 @@ class _HomogBackend:
     def from_simplex(self, s: Simplex):
         return tuple(to_homog(v) for v in s.vertices)
 
-    def facet_planes(self, pts):
-        n1 = len(pts)
-        out = []
-        for i in range(n1):
-            sub = [pts[j] for j in range(n1) if j != i]
-            func = hp.hyperplane(sub)
-            canon = self.canon(func)
-            if canon is not None:
-                out.append(canon)
-        return out
-
-    canon = staticmethod(canon_plane)
+    @staticmethod
+    def planes(cells):
+        """Distinct facet planes of the cells, each in canonical form."""
+        out = {}
+        for pts in cells:
+            for i in range(len(pts)):
+                canon = canon_plane(hp.hyperplane(pts[:i] + pts[i + 1:]))
+                if canon is not None:
+                    out.setdefault(canon)
+        return list(out)
 
     @staticmethod
     def apply(func, p):
@@ -67,14 +80,6 @@ class _HomogBackend:
     @staticmethod
     def cut(alpha, beta, a, b):
         return hp.cut_point(alpha, beta, a, b)
-
-    @staticmethod
-    def centroid(pts):
-        return hp.centroid(pts)
-
-    @staticmethod
-    def orient(pts):
-        return hp.orient(list(pts))
 
     @staticmethod
     def sign(v):
@@ -90,14 +95,16 @@ class _ScalarBackend:
     def from_simplex(self, s: Simplex):
         return tuple(v + (Fraction(1),) for v in s.vertices)
 
-    def facet_planes(self, pts):
-        n1 = len(pts)
+    @staticmethod
+    def planes(cells):
+        """Facet planes of the cells, one per class of proportional ones."""
         out = []
-        for i in range(n1):
-            sub = [pts[j] for j in range(n1) if j != i]
-            func = self._hyperplane(sub)
-            if any(scalar_sign(c) != 0 for c in func):
-                out.append(tuple(func))
+        for pts in cells:
+            for i in range(len(pts)):
+                func = _ScalarBackend._hyperplane(pts[:i] + pts[i + 1:])
+                if (any(scalar_sign(c) != 0 for c in func)
+                        and not any(_proportional(func, g) for g in out)):
+                    out.append(func)
         return out
 
     @staticmethod
@@ -107,7 +114,7 @@ class _ScalarBackend:
         for col in range(n1):
             sub = [[p[j] for j in range(n1) if j != col] for p in points]
             out.append((-1) ** ((n1 - 1) + col) * _scalar_det(sub))
-        return out
+        return tuple(out)
 
     @staticmethod
     def apply(func, p):
@@ -118,45 +125,29 @@ class _ScalarBackend:
 
     @staticmethod
     def cut(alpha, beta, a, b):
+        # the weight β·w_a − α·w_b is positive when α < 0 < β; keeping it
+        # positive lets the raw sign of a functional give a vertex's side
+        if scalar_sign(alpha) > 0:
+            alpha, beta, a, b = beta, alpha, b, a
         return tuple(beta * ai - alpha * bi for ai, bi in zip(a, b))
-
-    @staticmethod
-    def centroid(pts):
-        n1 = len(pts[0])
-        out = []
-        for i in range(n1):
-            acc = Fraction(0)
-            for p in pts:
-                acc = acc + p[i] * (Fraction(1) / p[-1])
-            out.append(acc)
-        return tuple(out)
-
-    def orient(self, pts):
-        rows = [[p[i] * (Fraction(1) / p[-1]) for i in range(self.dim)]
-                for p in pts]
-        base = rows[0]
-        mat = [[r[i] - base[i] for i in range(self.dim)] for r in rows[1:]]
-        return scalar_sign(_scalar_det(mat))
-
-    canon = staticmethod(lambda func: None)
 
     @staticmethod
     def sign(v):
         return scalar_sign(v)
 
 
-def _proportional(f, g, B) -> bool:
+def _proportional(f, g) -> bool:
     n = len(f)
     for i in range(n):
         for j in range(i + 1, n):
-            if B.sign(f[i] * g[j] - f[j] * g[i]) != 0:
+            if scalar_sign(f[i] * g[j] - f[j] * g[i]) != 0:
                 return False
     return True
 
 
 # -- the splitting engine -------------------------------------------------------
 
-def _split_one(pts, func, B, out):
+def _split_one(pts, func, B, out, sides):
     vals = [B.apply(func, p) for p in pts]
     signs = [B.sign(v) for v in vals]
     for i in range(len(pts)):
@@ -166,15 +157,22 @@ def _split_one(pts, func, B, out):
             if signs[j] == 0 or signs[j] == signs[i]:
                 continue
             cut = B.cut(vals[i], vals[j], pts[i], pts[j])
-            _split_one(pts[:i] + (cut,) + pts[i + 1:], func, B, out)
-            _split_one(pts[:j] + (cut,) + pts[j + 1:], func, B, out)
+            _split_one(pts[:i] + (cut,) + pts[i + 1:], func, B, out, sides)
+            _split_one(pts[:j] + (cut,) + pts[j + 1:], func, B, out, sides)
             return
     out.append(pts)
+    # no vertex pair straddles the plane and a full-dimensional piece does
+    # not lie in it, so any vertex off the plane gives the piece's side
+    sides.append(1 in signs)
 
 
-def split_simplex(pts, func, B):
+def split_simplex(pts, func, B, sides=None):
+    """Sub-simplices of `pts`, each weakly on one side of the plane `func`.
+
+    When `sides` is a list, each piece's strict side is appended to it
+    (True for func > 0)."""
     out = []
-    _split_one(tuple(pts), func, B, out)
+    _split_one(tuple(pts), func, B, out, sides if sides is not None else [])
     return out
 
 
@@ -197,79 +195,62 @@ def _backend_for(terms, dim):
     return _ScalarBackend(dim)
 
 
-def _point_in_cell(x, cell, base_sign, B) -> bool:
-    for i in range(len(cell)):
-        if B.orient(cell[:i] + (x,) + cell[i + 1:]) != base_sign:
-            return False
-    return True
-
-
 def refinement_pieces(chain: SimplexChain, cap=None):
-    """Pieces of every cell split by every facet plane of the whole chain."""
+    """Every cell split by every facet plane of the whole chain.
+
+    Returns (pieces, cells, B): `cells` holds (coefficient, homogeneous
+    points) per positively oriented cell, and each piece is (k, sides) for
+    a piece of cell k, where bit p of `sides` is set when the piece lies on
+    the positive side of the p-th plane.  No piece meets a plane in its
+    interior, so `sides` names the region of the plane arrangement that
+    holds the piece."""
     terms = _normalized_terms(chain)
     if not terms:
         return [], [], None
     B = _backend_for(terms, chain.dim_ambient)
     cells = [(c, B.from_simplex(s)) for c, s in terms]
-    planes = []
-    seen = set()
-    for _, pts in cells:
-        for func in B.facet_planes(pts):
-            canon = B.canon(func)
-            if canon is not None:
-                if canon not in seen:
-                    seen.add(canon)
-                    planes.append(func)
-            elif not any(_proportional(func, g, B) for g in planes):
-                planes.append(func)
+    planes = B.planes([pts for _, pts in cells])
     cap = cap if cap is not None else cell_cap()
     pieces = []
-    for _, pts in cells:
-        frontier = [pts]
-        for func in planes:
+    for k, (_, pts) in enumerate(cells):
+        frontier = [(pts, 0)]
+        for bit, func in enumerate(planes):
             nxt = []
-            for piece in frontier:
-                nxt.extend(split_simplex(piece, func, B))
+            for piece, mask in frontier:
+                sides = []
+                subs = split_simplex(piece, func, B, sides)
+                nxt.extend((sub, mask | (pos << bit))
+                           for sub, pos in zip(subs, sides))
                 if len(nxt) + len(pieces) > cap:
                     raise RefinementTooLarge(
                         f"refinement exceeded {cap} cells")
             frontier = nxt
-        pieces.extend(frontier)
+        pieces.extend((k, mask) for _, mask in frontier)
     return pieces, cells, B
+
+
+def _coverage(chain: SimplexChain, cap):
+    """Σ c_k over the cells k holding each arrangement region in the chain.
+
+    Every cell is an intersection of half-spaces of the arrangement, so a
+    region lies in cell k exactly when some piece of cell k has the
+    region's sides."""
+    pieces, cells, _ = refinement_pieces(chain, cap)
+    totals = {}
+    for k, sides in set(pieces):
+        totals[sides] = totals.get(sides, 0) + cells[k][0]
+    return totals.values()
 
 
 def chain_vanishes(chain: SimplexChain, cap=None) -> bool:
     """Exact decision: the signed measure of the chain is identically zero."""
-    pieces, cells, B = refinement_pieces(chain, cap)
-    if B is None:
-        return True
-    orient_of = [B.orient(pts) for _, pts in cells]
-    for piece in pieces:
-        x = B.centroid(piece)
-        total = 0
-        for (c, pts), base in zip(cells, orient_of):
-            if _point_in_cell(x, pts, base, B):
-                total += c
-        if total != 0:
-            return False
-    return True
+    return all(t == 0 for t in _coverage(chain, cap))
 
 
 def chain_covers_once(chain: SimplexChain, cap=None) -> bool:
-    """Every refinement piece of the chain is covered exactly once."""
-    pieces, cells, B = refinement_pieces(chain, cap)
-    if B is None:
-        return True
-    orient_of = [B.orient(pts) for _, pts in cells]
-    for piece in pieces:
-        x = B.centroid(piece)
-        total = 0
-        for (c, pts), base in zip(cells, orient_of):
-            if _point_in_cell(x, pts, base, B):
-                total += c
-        if total != 1:
-            return False
-    return True
+    """Every point off the arrangement inside some cell of the chain is
+    covered with total coefficient exactly 1."""
+    return all(t == 1 for t in _coverage(chain, cap))
 
 
 # -- spec-level operations --------------------------------------------------------

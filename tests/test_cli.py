@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -134,6 +135,17 @@ def test_cli_rejects_out_of_range(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-5", ""])
+def test_cli_rejects_bad_cell_cap(cap):
+    env = dict(os.environ, SCISSORS_CELL_CAP=cap)
+    proc = subprocess.run(
+        [sys.executable, "-m", "scissors.cli", "verify", "phi-boundary",
+         "--cases", "1"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "SCISSORS_CELL_CAP" in proc.stderr
 
 
 def test_cli_phi(fixtures):

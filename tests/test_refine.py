@@ -1,21 +1,31 @@
 from fractions import Fraction
+from itertools import permutations
 
-from scissors.geom import Polytope, Simplex, SimplexChain, simplex
+from scissors.algebraic import sqrt_nonneg
+from scissors.geom import Polytope, Simplex, SimplexChain, make_point, simplex
 from scissors.geom.convex import (
     box,
     convex_polytope_3d,
     split_convex_points_3d,
     tetrahedron,
+    transformed,
     unit_cube,
 )
 from scissors.geom.refine import (
+    chain_covers_once,
     chain_vanishes,
+    phi_boundary_chain,
     phi_boundary_check,
     split_simplex,
     verify_dissection,
     _HomogBackend,
 )
 from scissors.rng import SplitMix64
+from scissors.suites import (
+    random_box_corners,
+    random_cutting_plane,
+    random_tet_corners,
+)
 
 
 def test_split_simplex_volume_preserved():
@@ -110,3 +120,73 @@ def test_chain_vanishes_trivial():
     ch = SimplexChain(3, [(1, s), (-1, s)])
     assert chain_vanishes(ch)
     assert not chain_vanishes(SimplexChain(3, [(1, s)]))
+
+
+def _negate_first(chain):
+    (c, s), *rest = list(chain)
+    return SimplexChain(chain.dim_ambient, [(-c, s)] + rest)
+
+
+def _phi_chains(dim, shift=None, cases=6):
+    """Seeded φ-boundary chains in E^dim; `shift` moves one coordinate."""
+    for case in range(cases):
+        rng = SplitMix64.stream(71 + dim, case)
+        pts = [tuple(rng.fraction(8, 3) for _ in range(dim))
+               for _ in range(dim + 2)]
+        if shift is not None:
+            pts[0] = (pts[0][0] + shift,) + pts[0][1:]
+        yield phi_boundary_chain([make_point(p) for p in pts], dim)
+
+
+def test_phi_boundary_chains_vanish_until_negated():
+    for dim in (1, 2, 3):
+        for chain in _phi_chains(dim):
+            assert chain_vanishes(chain)
+            assert not chain_vanishes(_negate_first(chain))
+
+
+def test_phi_boundary_chains_vanish_with_algebraic_coordinate():
+    # irrational vertices take the generic-scalar backend
+    shift = sqrt_nonneg(2) / 3
+    for dim in (1, 2):
+        for chain in _phi_chains(dim, shift, cases=4):
+            assert chain_vanishes(chain)
+            assert not chain_vanishes(_negate_first(chain))
+
+
+def test_chain_covers_once_hull_triangulation():
+    rng = SplitMix64.stream(17, 0)
+    hull = convex_polytope_3d(
+        [tuple(rng.fraction(6, 2) for _ in range(3)) for _ in range(8)])
+    assert chain_covers_once(hull.chain)
+    (_, s), *rest = list(hull.chain)
+    assert not chain_covers_once(SimplexChain(3, [(2, s)] + rest))
+    moved = Simplex(3, tuple((x + Fraction(1, 7), y, z)
+                             for x, y, z in s.vertices))
+    assert not chain_covers_once(
+        SimplexChain(3, list(hull.chain) + [(-1, moved)]))
+
+
+def _dissection_case(case):
+    """Whole, part A and part B of dissection-suite case `case` at seed 303."""
+    rng = SplitMix64.stream(303, case)
+    corners = (random_box_corners(rng) if case % 2 == 0
+               else random_tet_corners(rng))
+    a_pts, b_pts = split_convex_points_3d(
+        corners, random_cutting_plane(rng, corners))
+    return [convex_polytope_3d(p) for p in (corners, a_pts, b_pts)]
+
+
+def test_dissection_survives_isometry_not_a_moved_part():
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for case in (1, 2):  # a tet and a box that refine in under a second
+        rng = SplitMix64.stream(909, case)
+        perm = rng.choice(list(permutations(range(3))))
+        matrix = [tuple(rng.choice((-1, 1)) if j == perm[i] else 0
+                        for j in range(3)) for i in range(3)]
+        shift = tuple(rng.fraction(5, 4) for _ in range(3))
+        whole, a, b = (transformed(p, matrix, shift)
+                       for p in _dissection_case(case))
+        assert verify_dissection(whole, [a, b])
+        kick = (Fraction(rng.randint(1, 5), 7), rng.fraction(5, 4), 0)
+        assert not verify_dissection(whole, [transformed(a, identity, kick), b])
