@@ -9,6 +9,7 @@ same algorithms.
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm
 
 from ..algebraic import (
@@ -20,6 +21,8 @@ from ..algebraic import (
 )
 from ..angles import AnglePair
 from . import predicates as hp
+# cofactor formulas on +, − and ×: exact on Fraction and AlgebraicReal alike
+from ._predicates_py import hdet
 
 log = logging.getLogger("scissors.geom")
 
@@ -86,8 +89,11 @@ def canon_plane(func):
 
 # -- simplices and chains -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Simplex:
+    """Ordered vertex tuple; equal and hashed by its exact key, computed
+    once on first use (an irrational coordinate's key needs its root index)."""
+
     dim_ambient: int
     vertices: tuple
 
@@ -108,8 +114,24 @@ class Simplex:
     def is_top(self) -> bool:
         return self.k == self.dim_ambient
 
-    def key(self):
+    @cached_property
+    def _key(self):
         return tuple(point_key(v) for v in self.vertices)
+
+    @cached_property
+    def _hash(self):
+        return hash(self._key)
+
+    def key(self):
+        return self._key
+
+    def __eq__(self, other):
+        if not isinstance(other, Simplex):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def is_rational(self) -> bool:
         return all(is_rational_point(v) for v in self.vertices)
@@ -132,13 +154,10 @@ class SimplexChain:
     def reduce(self) -> "SimplexChain":
         """Merge equal ordered simplices and drop zero coefficients."""
         acc = {}
-        rep = {}
         for c, s in self.terms:
-            k = s.key()
-            acc[k] = acc.get(k, 0) + c
-            rep[k] = s
+            acc[s] = acc.get(s, 0) + c
         return SimplexChain(self.dim_ambient,
-                            [(c, rep[k]) for k, c in acc.items() if c != 0])
+                            [(c, s) for s, c in acc.items() if c != 0])
 
     def drop_degenerate_top(self) -> "SimplexChain":
         """Remove top-dimensional terms of zero volume."""
@@ -179,24 +198,11 @@ def _edge_matrix(s: Simplex):
             for v in s.vertices[1:]]
 
 
-def _scalar_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return (a * (e * i - f * h) - b * (d * i - f * g)
-                + c * (d * h - e * g))
-    raise ValueError("det size > 3")
-
-
 def simplex_volume(s: Simplex):
     """Signed volume det(a₁-a₀, ..., a_n-a₀)/n! of a top simplex."""
     if not s.is_top():
         raise DimensionMismatch("volume needs a top-dimensional simplex")
-    det = _scalar_det(_edge_matrix(s))
+    det = hdet(_edge_matrix(s))
     return det * Fraction(1, factorial(s.dim_ambient))
 
 
@@ -205,7 +211,7 @@ def orientation_sign(s: Simplex) -> int:
         raise DimensionMismatch("orientation needs a top simplex")
     if s.is_rational():
         return hp.orient([to_homog(v) for v in s.vertices])
-    return scalar_sign(_scalar_det(_edge_matrix(s)))
+    return scalar_sign(hdet(_edge_matrix(s)))
 
 
 def boundary(chain: SimplexChain) -> SimplexChain:
@@ -523,7 +529,7 @@ def _orientation_tests(s: Simplex, x):
     out = []
     for i in range(len(vs)):
         sub = Simplex(s.dim_ambient, vs[:i] + (x,) + vs[i + 1:])
-        out.append(scalar_sign(_scalar_det(_edge_matrix(sub))))
+        out.append(scalar_sign(hdet(_edge_matrix(sub))))
     return out
 
 

@@ -22,11 +22,11 @@ from . import (
     Simplex,
     SimplexChain,
     _flip_last_two,
-    _scalar_det,
     canon_plane,
     orientation_sign,
     to_homog,
 )
+from . import _predicates_py
 from . import predicates as hp
 
 DEFAULT_CELL_CAP = 50000
@@ -101,20 +101,12 @@ class _ScalarBackend:
         out = []
         for pts in cells:
             for i in range(len(pts)):
-                func = _ScalarBackend._hyperplane(pts[:i] + pts[i + 1:])
+                # the pure kernel's cofactor formula is exact on any scalars
+                func = _predicates_py.hyperplane(pts[:i] + pts[i + 1:])
                 if (any(scalar_sign(c) != 0 for c in func)
                         and not any(_proportional(func, g) for g in out)):
                     out.append(func)
         return out
-
-    @staticmethod
-    def _hyperplane(points):
-        n1 = len(points[0])
-        out = []
-        for col in range(n1):
-            sub = [[p[j] for j in range(n1) if j != col] for p in points]
-            out.append((-1) ** ((n1 - 1) + col) * _scalar_det(sub))
-        return tuple(out)
 
     @staticmethod
     def apply(func, p):

@@ -94,7 +94,7 @@ class SparseIntMatrix:
         rows = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
-        return smith_normal_form_sparse(rows, self.cols)[1]
+        return smith_normal_form_sparse(rows, self.cols, transforms=False)[1]
 
     def __repr__(self):
         return (f"SparseIntMatrix({self.rows}x{self.cols}, "

@@ -136,10 +136,13 @@ class FlagComplex:
         for s in self.pool:
             self.members.append(tuple(
                 i for i, p in enumerate(self.points) if s.contains_point(p)))
+        # every pool subspace is the span of its members, so B ⊆ A exactly
+        # when members(B) ⊆ members(A)
+        member_sets = [frozenset(m) for m in self.members]
         self.contains = {}
         for i, a in enumerate(self.pool):
             for j, b in enumerate(self.pool):
-                if i != j and a.dim > b.dim and a.contains_subspace(b):
+                if a.dim > b.dim and member_sets[j] <= member_sets[i]:
                     self.contains.setdefault(i, []).append(j)
         self.flags = {p: [] for p in range(p_max + 1)}
         self.flag_index = {}

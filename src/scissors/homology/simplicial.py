@@ -112,68 +112,123 @@ def simplicial_complex_of(points, max_degree: int,
 
 # -- barycentric subdivision ------------------------------------------------------
 
-def _barycenter(vertices):
-    n = len(vertices)
-    return tuple(
-        sum(v[i] for v in vertices) * Fraction(1, n)
-        for i in range(len(vertices[0])))
+def _accumulate(out, chain, image):
+    """out += Σ c·image(t) over the id-tuple chain {t: c}."""
+    for t, c in chain.items():
+        for u, cu in image(t).items():
+            out[u] = out.get(u, 0) + c * cu
+    return out
 
 
-def _cone(b, chain: SimplexChain) -> SimplexChain:
-    terms = [(c, Simplex(chain.dim_ambient, (b,) + s.vertices))
-             for c, s in chain]
-    return SimplexChain(chain.dim_ambient, terms)
+class _Subdivision:
+    """sd and the homotopy H on ordered vertex-id tuples over one vertex table.
+
+    Points get ids once; a barycenter is interned by the multiset of ids it
+    averages, then by its point, so equal points always share an id and
+    id-tuple chains need no reduction by point.  sd(τ) and H(τ) of each
+    ordered face τ are computed once per table.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.points = []
+        self._ids = {}
+        self._bary = {}
+        self._sd = {}
+        self._h = {}
+
+    def _id(self, p) -> int:
+        i = self._ids.get(p)
+        if i is None:
+            i = self._ids[p] = len(self.points)
+            self.points.append(p)
+        return i
+
+    def _barycenter(self, t) -> int:
+        key = tuple(sorted(t))
+        b = self._bary.get(key)
+        if b is None:
+            pts = [self.points[i] for i in t]
+            b = self._bary[key] = self._id(tuple(
+                sum(p[k] for p in pts) * Fraction(1, len(t))
+                for k in range(self.dim)))
+        return b
+
+    def intern(self, chain: SimplexChain) -> dict:
+        out = {}
+        for c, s in chain:
+            t = tuple(self._id(v) for v in s.vertices)
+            out[t] = out.get(t, 0) + c
+        return out
+
+    def chain(self, terms: dict) -> SimplexChain:
+        pts = self.points
+        return SimplexChain(self.dim, [
+            (c, Simplex(self.dim, tuple(pts[i] for i in t)))
+            for t, c in terms.items() if c])
+
+    def sd(self, t) -> dict:
+        """sd(σ) = b_σ * sd(∂σ); identity on vertices."""
+        hit = self._sd.get(t)
+        if hit is None:
+            if len(t) == 1:
+                hit = {t: 1}
+            else:
+                b = self._barycenter(t)
+                hit = {}
+                for i in range(len(t)):
+                    for u, c in self.sd(t[:i] + t[i + 1:]).items():
+                        u = (b,) + u
+                        hit[u] = hit.get(u, 0) + (-c if i % 2 else c)
+            self._sd[t] = hit
+        return hit
+
+    def h(self, t) -> dict:
+        """H(σ) = −b_σ * (σ + H(∂σ)), H = 0 on vertices; ∂H + H∂ = sd − id."""
+        hit = self._h.get(t)
+        if hit is None:
+            hit = {}
+            if len(t) > 1:
+                b = self._barycenter(t)
+                hit[(b,) + t] = -1
+                for i in range(len(t)):
+                    for u, c in self.h(t[:i] + t[i + 1:]).items():
+                        u = (b,) + u
+                        hit[u] = hit.get(u, 0) + (c if i % 2 else -c)
+            self._h[t] = hit
+        return hit
+
+
+def _check_rounds(rounds: int):
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
 
 
 def barycentric_sd(chain: SimplexChain) -> SimplexChain:
     """sd(σ) = b_σ * sd(∂σ) recursively; identity on vertices."""
-    from ..geom import boundary
-    out = SimplexChain(chain.dim_ambient, [])
-    for c, s in chain:
-        if s.k == 0:
-            out = out + SimplexChain(chain.dim_ambient, [(c, s)])
-            continue
-        b = _barycenter(s.vertices)
-        inner = barycentric_sd(boundary(SimplexChain(chain.dim_ambient,
-                                                     [(1, s)])))
-        coned = _cone(b, inner)
-        out = out + SimplexChain(chain.dim_ambient,
-                                 [(c * cc, ss) for cc, ss in coned])
-    return out.reduce()
-
-
-def _homotopy_once(chain: SimplexChain) -> SimplexChain:
-    """H with ∂H + H∂ = sd − id: H(σ) = −b_σ * (σ + H(∂σ)), H = 0 on points."""
-    from ..geom import boundary
-    out = SimplexChain(chain.dim_ambient, [])
-    for c, s in chain:
-        if s.k == 0:
-            continue
-        b = _barycenter(s.vertices)
-        inner = SimplexChain(chain.dim_ambient, [(1, s)])
-        arg = inner + _homotopy_once(boundary(inner))
-        coned = _cone(b, arg)
-        out = out + SimplexChain(chain.dim_ambient,
-                                 [(-c * cc, ss) for cc, ss in coned])
-    return out.reduce()
+    return sd_power(chain, 1)
 
 
 def sd_power(chain: SimplexChain, rounds: int) -> SimplexChain:
+    _check_rounds(rounds)
+    sub = _Subdivision(chain.dim_ambient)
+    terms = sub.intern(chain)
     for _ in range(rounds):
-        chain = barycentric_sd(chain)
-    return chain
+        terms = _accumulate({}, terms, sub.sd)
+    return sub.chain(terms)
 
 
 def subdivision_homotopy(chain: SimplexChain, rounds: int) -> SimplexChain:
     """H_r = Σ_{i<r} H∘sd^i, satisfying ∂H_r + H_r∂ = sd^r − id exactly."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    total = SimplexChain(chain.dim_ambient, [])
-    current = chain
-    for _ in range(rounds):
-        total = total + _homotopy_once(current)
-        current = barycentric_sd(current)
-    return total.reduce()
+    _check_rounds(rounds)
+    sub = _Subdivision(chain.dim_ambient)
+    terms = sub.intern(chain)
+    total = {}
+    for i in range(rounds):
+        if i:
+            terms = _accumulate({}, terms, sub.sd)
+        _accumulate(total, terms, sub.h)
+    return sub.chain(total)
 
 
 # -- torus model -------------------------------------------------------------------

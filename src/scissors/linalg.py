@@ -55,17 +55,20 @@ def _min_entry(rows, among):
     return at
 
 
-def smith_normal_form_sparse(rows, ncols):
+def smith_normal_form_sparse(rows, ncols, *, transforms=True):
     """Smith normal form of the integer matrix A whose row i is the sparse
     dict rows[i] (column -> nonzero int); `rows` is consumed.
 
     Returns (U, diag, Vt): U (len(rows) rows) and Vt (ncols rows) are
     unimodular sparse row lists with U·A·Vtᵀ = D, where D is zero apart
-    from D[k][k] = diag[k] > 0 and each diag[k] divides the next.
+    from D[k][k] = diag[k] > 0 and each diag[k] divides the next.  With
+    transforms=False, U and Vt are neither built nor updated and come back
+    as None.
     """
     D = rows
-    U = [{i: 1} for i in range(len(D))]
-    Vt = [{j: 1} for j in range(ncols)]
+    if transforms:
+        U = [{i: 1} for i in range(len(D))]
+        Vt = [{j: 1} for j in range(ncols)]
     pivots = []
     active = [i for i in range(len(D)) if D[i]]
     while active:
@@ -80,7 +83,8 @@ def smith_normal_form_sparse(rows, ncols):
                     f = D[i][q] // a
                     if f:
                         _axpy(D[i], D[p], f)
-                        _axpy(U[i], U[p], f)
+                        if transforms:
+                            _axpy(U[i], U[p], f)
                     if q in D[i]:
                         rest.append(i)
             if rest:
@@ -90,7 +94,7 @@ def smith_normal_form_sparse(rows, ncols):
             # is clear, so they change only row p of D
             for j in [j for j in D[p] if j != q]:
                 f = D[p][j] // a
-                if f:
+                if f and transforms:
                     _axpy(Vt[j], Vt[q], f)
                 r = D[p][j] - f * a
                 if r:
@@ -102,7 +106,8 @@ def smith_normal_form_sparse(rows, ncols):
             q = min((j for j in D[p] if j != q), key=lambda j: abs(D[p][j]))
         if a < 0:
             D[p][q] = -a
-            U[p] = {j: -v for j, v in U[p].items()}
+            if transforms:
+                U[p] = {j: -v for j, v in U[p].items()}
         pivots.append((p, q))
         active = [i for i in active if i != p and D[i]]
     # divisibility: diag(a, b) -> diag(g, ab/g) by unimodular L and R
@@ -114,12 +119,15 @@ def smith_normal_form_sparse(rows, ncols):
                 continue
             x, y, g = _xgcd(a, b)
             ag, bg = a // g, b // g
-            (pi, qi), (pj, qj) = pivots[i], pivots[j]
-            U[pi], U[pj] = (_combine(U[pi], U[pj], x, y),
-                            _combine(U[pi], U[pj], -bg, ag))
-            Vt[qi], Vt[qj] = (_combine(Vt[qi], Vt[qj], 1, 1),
-                              _combine(Vt[qi], Vt[qj], -y * bg, x * ag))
+            if transforms:
+                (pi, qi), (pj, qj) = pivots[i], pivots[j]
+                U[pi], U[pj] = (_combine(U[pi], U[pj], x, y),
+                                _combine(U[pi], U[pj], -bg, ag))
+                Vt[qi], Vt[qj] = (_combine(Vt[qi], Vt[qj], 1, 1),
+                                  _combine(Vt[qi], Vt[qj], -y * bg, x * ag))
             diag[i], diag[j] = g, ag * b
+    if not transforms:
+        return None, diag, None
     used_rows = {p for p, _ in pivots}
     used_cols = {q for _, q in pivots}
     U = [U[p] for p, _ in pivots] + [

@@ -104,3 +104,20 @@ def test_random_configs_nullhomotopy():
                for _ in range(npts)]
         fc = flag_double_complex(pts, dim, dim - 1, 1)
         assert verify_flag_nullhomotopy(fc)
+
+
+def test_containment_from_members_matches_subspace_test():
+    # small coordinates make collinear, coplanar and repeated points common
+    for case in range(12):
+        rng = SplitMix64.stream(37, case)
+        dim = 2 if case % 2 == 0 else 3
+        npts = rng.randint(3, 5)
+        pts = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+               for _ in range(npts)]
+        fc = flag_double_complex(pts, dim, dim - 1, 1)
+        got = {(i, j) for i, js in fc.contains.items() for j in js}
+        want = {(i, j)
+                for i, a in enumerate(fc.pool)
+                for j, b in enumerate(fc.pool)
+                if a.dim > b.dim and a.contains_subspace(b)}
+        assert got == want, case

@@ -1,7 +1,18 @@
 from fractions import Fraction
 from math import comb, factorial
 
-from scissors.geom import Simplex, SimplexChain, boundary, simplex, simplex_volume
+import pytest
+
+from scissors.algebraic import AlgebraicReal, sqrt_nonneg
+from scissors.geom import (
+    Simplex,
+    SimplexChain,
+    boundary,
+    orientation_sign,
+    signed_indicator,
+    simplex,
+    simplex_volume,
+)
 from scissors.homology import ChainComplex, SparseIntMatrix
 from scissors.homology.simplicial import (
     affine_span_dim,
@@ -100,6 +111,69 @@ def test_homotopy_zero_rounds():
     s = simplex(2, (0, 0), (1, 0), (0, 1))
     ch = SimplexChain(2, [(1, s)])
     assert subdivision_homotopy(ch, 0).is_zero()
+
+
+def test_sd_power_rejects_negative_rounds():
+    ch = SimplexChain(1, [(1, simplex(1, (0,), (1,)))])
+    for op in (sd_power, subdivision_homotopy):
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            op(ch, -1)
+
+
+def _engine_cases():
+    """Seeded positively oriented top simplices in E¹–E³, rational and with
+    one coordinate shifted by √2/3, at rounds 0, 1 and 2, each with a point
+    inside it."""
+    shift = sqrt_nonneg(2) / 3
+    for dim in (1, 2, 3):
+        for rounds in (0, 1, 2):
+            rng = SplitMix64.stream(29, 10 * dim + rounds)
+            s = rand_simplex(rng, dim)
+            v0 = s.vertices[0]
+            v0 = (v0[0] + shift,) + v0[1:]
+            moved = Simplex(dim, (v0,) + s.vertices[1:])
+            # positive barycentric weights with large denominators keep the
+            # point off the hyperplanes of sd^r
+            w = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
+                 for _ in range(dim + 1)]
+            w = [c / sum(w) for c in w]
+            for t in (s, moved):
+                if orientation_sign(t) < 0:
+                    vs = t.vertices
+                    t = Simplex(dim, vs[:-2] + (vs[-1], vs[-2]))
+                x = tuple(sum((c * v[i] for c, v in zip(w, t.vertices)),
+                              start=Fraction(0)) for i in range(dim))
+                yield dim, rounds, t, x
+
+
+def test_chain_engine_identities():
+    for dim, rounds, s, x in _engine_cases():
+        ch = SimplexChain(dim, [(1, s)])
+        sd = sd_power(ch, rounds)
+        lhs = boundary(subdivision_homotopy(ch, rounds)) + \
+            subdivision_homotopy(boundary(ch), rounds)
+        assert (lhs - (sd - ch)).is_zero(), (dim, rounds)
+        assert boundary(boundary(sd)).is_zero()
+        assert len(sd) == factorial(dim + 1) ** rounds
+        # sd² of the shifted tetrahedron has 576 simplices, each needing six
+        # algebraic determinant signs: too slow for a unit test
+        if s.is_rational() or (dim, rounds) != (3, 2):
+            assert signed_indicator(sd, x) == 1
+
+
+def test_simplex_equal_across_number_types():
+    q = AlgebraicReal.from_fraction
+    as_int = Simplex(2, ((0, 1), (2, 0), (1, 1)))
+    as_frac = simplex(2, (0, 1), (2, 0), (1, 1))
+    as_alg = Simplex(2, ((q(0), q(1)), (q(2), q(0)), (q(1), q(1))))
+    assert as_int == as_frac == as_alg
+    assert hash(as_int) == hash(as_frac) == hash(as_alg)
+    merged = SimplexChain(
+        2, [(1, as_int), (2, as_frac), (-4, as_alg)]).reduce()
+    assert [c for c, _ in merged] == [-1]
+    other = simplex(2, (0, 1), (1, 1), (2, 0))
+    assert other != as_int
+    assert SimplexChain(2, [(1, as_alg), (-1, as_int)]).is_zero()
 
 
 def test_torus_counts_n3():
