@@ -182,7 +182,13 @@ def _tower_number(value):
 
 def cmd_recheck(args) -> dict:
     report = load_json(args.report)
-    outcome = recheck_certificates(report)
+    if not isinstance(report, dict):
+        raise ParseError(f"{args.report}: a report is a JSON object")
+    try:
+        outcome = recheck_certificates(report)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ParseError(f"{args.report}: malformed certificate: "
+                         f"{exc!r}") from exc
     exit_code = EXIT_OK if outcome["recheck_passed"] else EXIT_SUITE_FAILED
     return {"results": outcome, "certificates": [],
             "inputs": [args.report], "exit_code": exit_code}

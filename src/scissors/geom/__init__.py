@@ -22,7 +22,7 @@ from ..algebraic import (
 from ..angles import AnglePair
 from . import predicates as hp
 # cofactor formulas on +, − and ×: exact on Fraction and AlgebraicReal alike
-from ._predicates_py import hdet
+from .predicates import hdet
 
 log = logging.getLogger("scissors.geom")
 

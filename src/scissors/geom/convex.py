@@ -15,6 +15,7 @@ from . import (
     Polytope,
     Simplex,
     SimplexChain,
+    _flip_last_two,
     canon_plane,
     from_homog,
     make_point,
@@ -61,37 +62,7 @@ def _order_cycle_3d(pts_h, func):
         return (p[keep[0]], p[keep[1]], p[3])
 
     pts2 = [project(p) for p in pts_h]
-    c = hp.centroid(pts2)
-
-    def half_and_cross(a):
-        # classify around the centroid; exact angular comparator
-        ax = a[0] * c[2] - c[0] * a[2]
-        ay = a[1] * c[2] - c[1] * a[2]
-        upper = (ay > 0) or (ay == 0 and ax > 0)
-        return upper, ax, ay
-
-    idx = list(range(len(pts_h)))
-
-    def cmp_key(i):
-        upper, ax, ay = half_and_cross(pts2[i])
-        return (0 if upper else 1,)
-
-    # sort within halves by cross-product sign using an insertion comparator
-    def less(i, j):
-        ui, xi, yi = half_and_cross(pts2[i])
-        uj, xj, yj = half_and_cross(pts2[j])
-        if ui != uj:
-            return ui  # upper half first
-        cross = xi * yj - xj * yi
-        return cross > 0
-
-    order = []
-    for i in idx:
-        lo = 0
-        while lo < len(order) and less(order[lo], i):
-            lo += 1
-        order.insert(lo, i)
-    cycle = [pts_h[i] for i in order]
+    cycle = [pts_h[i] for i in _angular_order_2d(pts2, hp.centroid(pts2))]
     # orient the cycle so the induced normal points to the positive side
     for a in range(len(cycle)):
         b, cc = (a + 1) % len(cycle), (a + 2) % len(cycle)
@@ -113,18 +84,24 @@ def _cycle_normal_agrees(probe, func) -> int:
     return 0
 
 
+def _fan(dim, cycle, apex=()):
+    """Cells fanning a convex cycle from its first vertex, each coned from
+    the apex vertices; degenerate cells are dropped, negative ones flipped."""
+    cells = []
+    for t in range(1, len(cycle) - 1):
+        s = Simplex(dim, apex + (cycle[0], cycle[t], cycle[t + 1]))
+        sgn = orientation_sign(s)
+        if sgn:
+            cells.append((1, s if sgn > 0 else _flip_last_two(s)))
+    return cells
+
+
 def convex_polytope_3d(points, name: str = "") -> Polytope:
     """Conforming tetrahedralization of the hull of rational points in E³."""
     pts = [make_point(p) for p in points]
     if not all(len(p) == 3 for p in pts):
         raise ValueError("need 3D points")
-    uniq = []
-    seen = set()
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    hpts = [to_homog(p) for p in uniq]
+    hpts = [to_homog(p) for p in dict.fromkeys(pts)]
     planes = _facet_planes_3d(hpts)
     if not planes:
         raise InvalidPolytope("points not full-dimensional")
@@ -134,31 +111,14 @@ def convex_polytope_3d(points, name: str = "") -> Polytope:
         if hp.apply_functional(func, apex) == 0:
             continue  # cone over facets not containing the apex
         on = [p for p in hpts if hp.apply_functional(func, p) == 0]
-        cycle = _order_cycle_3d(on, func)
-        v0 = cycle[0]
-        for t in range(1, len(cycle) - 1):
-            tri = (v0, cycle[t], cycle[t + 1])
-            tet = tuple(from_homog(q) for q in (apex,) + tri)
-            s = Simplex(3, tet)
-            sgn = orientation_sign(s)
-            if sgn == 0:
-                continue
-            if sgn < 0:
-                s = Simplex(3, tet[:2] + (tet[3], tet[2]))
-            tets.append((1, s))
+        cycle = [from_homog(q) for q in _order_cycle_3d(on, func)]
+        tets.extend(_fan(3, cycle, (from_homog(apex),)))
     return Polytope(SimplexChain(3, tets), name=name)
 
 
 def convex_polygon_2d(points, name: str = "") -> Polytope:
     """Fan triangulation of the convex hull of rational points in E²."""
-    pts = [make_point(p) for p in points]
-    uniq = []
-    seen = set()
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    hpts = [to_homog(p) for p in uniq]
+    hpts = [to_homog(p) for p in dict.fromkeys(make_point(p) for p in points)]
     c = hp.centroid(hpts)
     hull = []
     n = len(hpts)
@@ -170,26 +130,16 @@ def convex_polygon_2d(points, name: str = "") -> Polytope:
             sides = [hp.side(func, p) for p in hpts]
             if all(s <= 0 for s in sides):
                 hull.append((i, j))
-    verts = sorted({i for e in hull for i in e})
+    verts = [hpts[i] for i in sorted({i for e in hull for i in e})]
     if len(verts) < 3:
         raise InvalidPolytope("points not full-dimensional")
-    order = _angular_order_2d([hpts[i] for i in verts], c)
-    cycle = [from_homog(h) for h in order]
-    tris = []
-    v0 = cycle[0]
-    for t in range(1, len(cycle) - 1):
-        tri = (v0, cycle[t], cycle[t + 1])
-        s = Simplex(2, tri)
-        sgn = orientation_sign(s)
-        if sgn == 0:
-            continue
-        if sgn < 0:
-            s = Simplex(2, (tri[0], tri[2], tri[1]))
-        tris.append((1, s))
-    return Polytope(SimplexChain(2, tris), name=name)
+    cycle = [from_homog(verts[i]) for i in _angular_order_2d(verts, c)]
+    return Polytope(SimplexChain(2, _fan(2, cycle)), name=name)
 
 
 def _angular_order_2d(hpts, c):
+    """Indices of homogeneous points in E² sorted by exact angle around the
+    homogeneous point c, starting from the direction of the positive x-axis."""
     def half_and_cross(a):
         ax = a[0] * c[2] - c[0] * a[2]
         ay = a[1] * c[2] - c[1] * a[2]
@@ -200,7 +150,7 @@ def _angular_order_2d(hpts, c):
         ui, xi, yi = half_and_cross(hpts[i])
         uj, xj, yj = half_and_cross(hpts[j])
         if ui != uj:
-            return ui
+            return ui  # upper half first
         return xi * yj - xj * yi > 0
 
     order = []
@@ -209,24 +159,13 @@ def _angular_order_2d(hpts, c):
         while lo < len(order) and less(order[lo], i):
             lo += 1
         order.insert(lo, i)
-    return [hpts[i] for i in order]
+    return order
 
 
 def polygon_from_cycle(points, name: str = "") -> Polytope:
     """Fan triangulation of an explicitly ordered convex polygon (any scalars)."""
-    pts = [make_point(p) for p in points]
-    tris = []
-    v0 = pts[0]
-    for t in range(1, len(pts) - 1):
-        tri = (v0, pts[t], pts[t + 1])
-        s = Simplex(2, tri)
-        sgn = orientation_sign(s)
-        if sgn == 0:
-            continue
-        if sgn < 0:
-            s = Simplex(2, (tri[0], tri[2], tri[1]))
-        tris.append((1, s))
-    return Polytope(SimplexChain(2, tris), name=name)
+    cycle = [make_point(p) for p in points]
+    return Polytope(SimplexChain(2, _fan(2, cycle)), name=name)
 
 
 def split_convex_points_3d(points, func):
@@ -280,8 +219,7 @@ def unit_cube() -> Polytope:
 def tetrahedron(a, b, c, d, name: str = "tetra") -> Polytope:
     s = Simplex(3, tuple(make_point(p) for p in (a, b, c, d)))
     if orientation_sign(s) < 0:
-        vs = s.vertices
-        s = Simplex(3, vs[:2] + (vs[3], vs[2]))
+        s = _flip_last_two(s)
     return Polytope(SimplexChain(3, [(1, s)]), name=name)
 
 

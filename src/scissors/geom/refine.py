@@ -26,7 +26,6 @@ from . import (
     orientation_sign,
     to_homog,
 )
-from . import _predicates_py
 from . import predicates as hp
 
 DEFAULT_CELL_CAP = 50000
@@ -101,8 +100,8 @@ class _ScalarBackend:
         out = []
         for pts in cells:
             for i in range(len(pts)):
-                # the pure kernel's cofactor formula is exact on any scalars
-                func = _predicates_py.hyperplane(pts[:i] + pts[i + 1:])
+                # the kernel's cofactor formula is exact on any scalars
+                func = hp.hyperplane(pts[:i] + pts[i + 1:])
                 if (any(scalar_sign(c) != 0 for c in func)
                         and not any(_proportional(func, g) for g in out)):
                     out.append(func)

@@ -23,20 +23,35 @@ def load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _integer(value, what: str, lo=None, hi=None) -> int:
+    """A JSON integer (or decimal-string integer) with lo <= value < hi,
+    either bound optional.  Booleans and floats are rejected, not truncated."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            raise ParseError(f"{what} must be an integer: {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer: {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        span = f"[{lo}, {hi})" if hi is not None else f"[{lo}, ∞)"
+        raise ParseError(f"{what} {value} out of range {span}")
+    return value
+
+
 def polytope_from_json(obj, validate: bool = True,
                        exact_strict: bool = False) -> Polytope:
-    """{"dim": 2|3, "vertices": [[num,..],..], "cells": [[i,..],..]}."""
+    """{"dim": 1|2|3, "vertices": [[num,..],..], "cells": [[i,..],..]}."""
     try:
-        dim = int(obj["dim"])
+        dim = _integer(obj["dim"], "dim", 1, 4)
         vertices = [tuple(parse_number(c) for c in v)
                     for v in obj["vertices"]]
-        cells = [list(map(int, cell)) for cell in obj["cells"]]
+        cells = [[_integer(i, "cell index", 0, len(vertices)) for i in cell]
+                 for cell in obj["cells"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad polytope JSON: {exc}") from exc
     terms = []
     for cell in cells:
-        if any(not 0 <= i < len(vertices) for i in cell):
-            raise ParseError(f"cell index out of range: {cell}")
         if len(cell) != dim + 1:
             raise ParseError(f"cell {cell} is not a top simplex in E{dim}")
         terms.append((1, Simplex(dim, tuple(vertices[i] for i in cell))))
@@ -66,15 +81,18 @@ def polytope_to_json(p: Polytope) -> dict:
 def complex_from_json(obj) -> ChainComplex:
     """{"ranks": {deg: int}, "boundaries": {deg: [[r, c, "int"], ...]}}."""
     try:
-        ranks = {int(k): int(v) for k, v in obj["ranks"].items()}
+        ranks = {_integer(k, "degree"): _integer(v, "rank", 0)
+                 for k, v in obj["ranks"].items()}
         boundaries = {}
         for k, entries in obj.get("boundaries", {}).items():
-            k = int(k)
+            k = _integer(k, "degree")
             mat = SparseIntMatrix(ranks.get(k - 1, 0), ranks.get(k, 0))
             for r, c, v in entries:
-                mat[int(r), int(c)] = int(v)
+                r = _integer(r, f"boundary {k} row", 0, mat.rows)
+                c = _integer(c, f"boundary {k} column", 0, mat.cols)
+                mat[r, c] = _integer(v, "entry")
             boundaries[k] = mat
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex JSON: {exc}") from exc
     return ChainComplex(ranks, boundaries)
 
@@ -106,23 +124,34 @@ def module_from_spec(group: FiniteGroup, spec: str) -> GModule:
         return trivial_module(group)
     obj = load_json(spec)
     try:
-        rank = int(obj["rank"])
+        rank = _integer(obj["rank"], "module rank", 0)
         action = [obj["action"][str(g)] for g in range(group.n)]
+        for m in action:
+            if len(m) != rank or any(len(row) != rank for row in m):
+                raise ParseError(f"action matrices must be {rank}x{rank}")
+        action = [[[_integer(x, "action entry") for x in row] for row in m]
+                  for m in action]
+        # GModule raises ValueError when the matrices are not an action
+        return GModule(group, rank, action, name=obj.get("name", spec))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad module JSON {spec!r}: {exc}") from exc
-    return GModule(group, rank, action, name=obj.get("name", spec))
 
 
 def tensor_terms_from_json(obj):
     """Terms of a tensor file; cos/sin may be tower-expression strings."""
-    try:
-        raw = obj["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("tensor JSON needs a 'terms' list") from exc
+    raw = obj.get("terms") if isinstance(obj, dict) else None
+    if not isinstance(raw, list):
+        raise ParseError("tensor JSON needs a 'terms' list")
     out = []
     for term in raw:
-        length = term.get("length", "rat:1/1")
-        cos = term["cos"]
-        sin = term.get("sin")
+        if not isinstance(term, dict) or "cos" not in term:
+            raise ParseError(f"tensor term needs a 'cos' entry: {term!r}")
+        length, cos, sin = (term.get("length", "rat:1/1"), term["cos"],
+                            term.get("sin"))
+        for value in (length, cos) if sin is None else (length, cos, sin):
+            if isinstance(value, bool) or \
+                    not isinstance(value, (str, int, dict)):
+                raise ParseError("tensor entries are expressions or number "
+                                 f"literals: {value!r}")
         out.append((length, cos, sin))
     return out

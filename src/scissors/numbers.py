@@ -41,7 +41,7 @@ def parse_number(value):
         if value.startswith("rat:"):
             return parse_fraction(value[4:])
         raise ParseError(f"unknown number literal {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, dict):
         try:

@@ -124,17 +124,58 @@ def test_cli_exit_codes(fixtures):
     assert run_cli("polytope-info", str(bad)).returncode == 3
 
 
+TOWER = "t; s: s^2 = 1 - t^2"
+TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 @pytest.mark.parametrize("argv", [
     ("homology", "--group", "Z/0"),
     ("homology", "--group", "Z/-3"),
     ("homology", "--group", "Z/2", "--max-degree", "-1"),
     ("hochschild", "--algebra", "Q", "--max-degree", "-1"),
     ("verify", "torus", "--cases", "-3"),
+    # non-string arguments are written to a JSON file passed by path
+    ("phi", "--tensor", {"terms": 5}, "--tower", TOWER),
+    ("phi", "--tensor", {"terms": [5]}, "--tower", TOWER),
+    ("phi", "--tensor", {"terms": [{}]}, "--tower", TOWER),
+    ("phi", "--tensor", {"terms": [{"cos": "t", "length": [1]}]},
+     "--tower", TOWER),
+    ("recheck", [{"certificates": []}]),
+    ("recheck", {"certificates": [{"type": "nonzero-dehn"}]}),
+    ("homology", "--complex",
+     {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[5, 0, 1]]}}),
+    ("homology", "--complex",
+     {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[0, 1, 1]]}}),
+    ("homology", "--complex", {"ranks": {"0": -1}}),
+    ("homology", "--complex", {"ranks": {"0": True}}),
+    ("homology", "--complex",
+     {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[1, 0, 2.5]]}}),
+    ("polytope-info", {"dim": 3.9, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3.9]]}),
+    ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, True]]}),
+    ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 4]]}),
+    ("polytope-info", {"dim": 4, "vertices": TET, "cells": []}),
+    ("polytope-info", {"dim": 3, "vertices": TET[:3] + [[0, 0, True]],
+                       "cells": [[0, 1, 2, 3]]}),
+    ("homology", "--group", "Z/2", "--module",
+     {"rank": 1, "action": {"0": [[1]], "1": [[1.5]]}}),
+    ("homology", "--group", "Z/2", "--module",
+     {"rank": 1, "action": {"0": [[1]], "1": [[2]]}}),
+    ("homology", "--group", "Z/2", "--module",
+     {"rank": 2, "action": {"0": [[1]], "1": [[1]]}}),
 ])
-def test_cli_rejects_out_of_range(argv):
-    proc = run_cli(*argv)
+def test_cli_rejects_out_of_range(argv, tmp_path):
+    args = []
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg)
+    proc = run_cli(*args)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr.strip().splitlines()[-1]
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", ""])
