@@ -29,6 +29,7 @@ from .kahler import FieldTower, NotExpressible, NotFiniteDimensional, phi_map
 from .numbers import ParseError, format_number
 from .report import (
     ReportTimer,
+    check_report_shape,
     digest_inputs,
     make_report,
     recheck_certificates,
@@ -182,13 +183,8 @@ def _tower_number(value):
 
 def cmd_recheck(args) -> dict:
     report = load_json(args.report)
-    if not isinstance(report, dict):
-        raise ParseError(f"{args.report}: a report is a JSON object")
-    try:
-        outcome = recheck_certificates(report)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ParseError(f"{args.report}: malformed certificate: "
-                         f"{exc!r}") from exc
+    check_report_shape(report, args.report)
+    outcome = recheck_certificates(report)
     exit_code = EXIT_OK if outcome["recheck_passed"] else EXIT_SUITE_FAILED
     return {"results": outcome, "certificates": [],
             "inputs": [args.report], "exit_code": exit_code}

@@ -1,6 +1,7 @@
 """Wire formats: polytope, tensor, chain-complex and group JSON."""
 
 import json
+import re
 
 from .geom import Polytope, Simplex, SimplexChain
 from .homology import ChainComplex, SparseIntMatrix
@@ -24,19 +25,22 @@ def load_json(path: str):
 
 
 def _integer(value, what: str, lo=None, hi=None) -> int:
-    """A JSON integer (or decimal-string integer) with lo <= value < hi,
-    either bound optional.  Booleans and floats are rejected, not truncated."""
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            raise ParseError(f"{what} must be an integer: {value!r}") from None
+    """A JSON integer with lo <= value < hi, either bound optional.
+    Strings, booleans and floats are rejected, not converted or truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be an integer: {value!r}")
     if (lo is not None and value < lo) or (hi is not None and value >= hi):
         span = f"[{lo}, {hi})" if hi is not None else f"[{lo}, ∞)"
         raise ParseError(f"{what} {value} out of range {span}")
     return value
+
+
+def _degree(key: str) -> int:
+    """A degree, which JSON can only carry as an object key: a decimal
+    integer string such as "0" or "-1"."""
+    if not re.fullmatch(r"-?[0-9]+", key):
+        raise ParseError(f"degree must be a decimal integer: {key!r}")
+    return int(key)
 
 
 def polytope_from_json(obj, validate: bool = True,
@@ -79,13 +83,13 @@ def polytope_to_json(p: Polytope) -> dict:
 
 
 def complex_from_json(obj) -> ChainComplex:
-    """{"ranks": {deg: int}, "boundaries": {deg: [[r, c, "int"], ...]}}."""
+    """{"ranks": {"deg": int}, "boundaries": {"deg": [[r, c, int], ...]}}."""
     try:
-        ranks = {_integer(k, "degree"): _integer(v, "rank", 0)
+        ranks = {_degree(k): _integer(v, "rank", 0)
                  for k, v in obj["ranks"].items()}
         boundaries = {}
         for k, entries in obj.get("boundaries", {}).items():
-            k = _integer(k, "degree")
+            k = _degree(k)
             mat = SparseIntMatrix(ranks.get(k - 1, 0), ranks.get(k, 0))
             for r, c, v in entries:
                 r = _integer(r, f"boundary {k} row", 0, mat.rows)
@@ -131,9 +135,13 @@ def module_from_spec(group: FiniteGroup, spec: str) -> GModule:
                 raise ParseError(f"action matrices must be {rank}x{rank}")
         action = [[[_integer(x, "action entry") for x in row] for row in m]
                   for m in action]
-        # GModule raises ValueError when the matrices are not an action
-        return GModule(group, rank, action, name=obj.get("name", spec))
-    except (KeyError, TypeError, ValueError) as exc:
+        name = obj.get("name", spec)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad module JSON {spec!r}: {exc}") from exc
+    try:
+        return GModule(group, rank, action, name=name)
+    except ValueError as exc:
+        # the matrices are well-formed but do not define an action
         raise ParseError(f"bad module JSON {spec!r}: {exc}") from exc
 
 

@@ -69,6 +69,67 @@ def verify_report_digest(report: dict) -> bool:
 
 # -- certificate rechecking ---------------------------------------------------------
 
+_NUMBER = (str, int, dict)   # the JSON types a number literal can take
+
+
+def check_report_shape(report, source: str) -> None:
+    """Raise ParseError unless `report` is an object whose certificates have
+    every field, of the right JSON type, that recheck_certificates reads.
+
+    Only the shape is checked here, so that the exact re-verification runs on
+    well-formed input and any exception it raises is a fault of its own."""
+    from .numbers import ParseError
+
+    def need(obj, key, kind, where):
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ParseError(f"{source}: {where} needs a {key!r} field "
+                             f"of type {'/'.join(k.__name__ for k in kind)}")
+        return value
+
+    def optional_list(obj, key, where):
+        return need({key: [], **obj}, key, (list,), where)
+
+    def angle(obj, where):
+        need(obj, "cos", _NUMBER, where)
+        need(obj, "sin", _NUMBER, where)
+
+    if not isinstance(report, dict):
+        raise ParseError(f"{source}: a report must be a JSON object")
+    certificates = report.get("certificates", [])
+    if not isinstance(certificates, list):
+        raise ParseError(f"{source}: 'certificates' must be a list")
+    for i, cert in enumerate(certificates):
+        where = f"certificate {i}"
+        if not isinstance(cert, dict):
+            raise ParseError(f"{source}: {where} is not a JSON object")
+        kind = cert.get("type")
+        if kind == "angle-relations":
+            for j, rel in enumerate(optional_list(cert, "relations", where)):
+                at = f"{where} relation {j}"
+                angles = need(need(rel, "witness", (dict,), at), "angles",
+                              (list,), at + " witness")
+                for a in angles:
+                    angle(a, at + " angle")
+                coefficients = need(rel, "coefficients", (list,), at)
+                if len(coefficients) != len(angles) or any(
+                        isinstance(m, bool) or not isinstance(m, int)
+                        for m in coefficients):
+                    raise ParseError(f"{source}: {at} needs one integer "
+                                     "coefficient per angle")
+        elif kind == "rational-angles":
+            for j, drop in enumerate(optional_list(cert, "dropped", where)):
+                need(drop, "cos", _NUMBER, f"{where} dropped {j}")
+                need(drop, "q", _NUMBER, f"{where} dropped {j}")
+        elif kind == "nonzero-dehn":
+            angle(need(cert, "angle", (dict,), where), where + " angle")
+            need(cert, "length", _NUMBER, where)
+            need(cert, "two_cos_minpoly", (list,), where)
+        elif kind == "volume-mismatch":
+            need(cert, "volume_a", _NUMBER, where)
+            need(cert, "volume_b", _NUMBER, where)
+
+
 def recheck_certificates(report: dict):
     """Re-verify every embedded certificate with exact arithmetic only."""
     from .angles import AnglePair, is_rational_angle, verify_relation

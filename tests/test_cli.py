@@ -14,7 +14,12 @@ from scissors.geom.convex import (
     unit_cube,
 )
 from scissors.io import polytope_from_json, polytope_to_json
-from scissors.report import recheck_certificates, verify_report_digest
+from scissors.report import (
+    check_report_shape,
+    make_report,
+    recheck_certificates,
+    verify_report_digest,
+)
 
 
 def run_cli(*argv):
@@ -80,6 +85,7 @@ def test_cli_compare_hilbert(fixtures):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["verdict"]["tag"] == "NotCongruent_Dehn"
+    check_report_shape(report, "report")
     recheck = recheck_certificates(report)
     assert recheck["recheck_passed"]
 
@@ -96,6 +102,7 @@ def test_cli_compare_volume(fixtures):
                    str(fixtures / "cube.json"))
     report = json.loads(proc.stdout)
     assert report["results"]["verdict"]["tag"] == "NotCongruent_Volume"
+    check_report_shape(report, "report")
     recheck = recheck_certificates(report)
     assert recheck["recheck_passed"]
 
@@ -142,15 +149,30 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
      "--tower", TOWER),
     ("recheck", [{"certificates": []}]),
     ("recheck", {"certificates": [{"type": "nonzero-dehn"}]}),
+    ("recheck", {"certificates": {"type": "volume-mismatch"}}),
+    ("recheck", {"certificates": [{"type": "angle-relations",
+                                   "relations": [{"coefficients": [1]}]}]}),
+    ("recheck", {"certificates": [{"type": "angle-relations", "relations": [
+        {"witness": {"angles": [{"cos": "rat:0/1", "sin": "rat:1/1"}]},
+         "coefficients": ["2"]}]}]}),
+    ("recheck", {"certificates": [{"type": "rational-angles",
+                                   "dropped": [{"cos": "rat:1/2"}]}]}),
     ("homology", "--complex",
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[5, 0, 1]]}}),
     ("homology", "--complex",
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[0, 1, 1]]}}),
     ("homology", "--complex", {"ranks": {"0": -1}}),
+    ("homology", "--complex", {"ranks": {"0": "1"}}),
+    ("homology", "--complex", {"ranks": {"1_0": 1}}),
+    ("homology", "--complex", {"ranks": {" 0 ": 1}}),
+    ("homology", "--complex",
+     {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[1, 0, "2"]]}}),
     ("homology", "--complex", {"ranks": {"0": True}}),
     ("homology", "--complex",
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[1, 0, 2.5]]}}),
     ("polytope-info", {"dim": 3.9, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    ("polytope-info", {"dim": "3", "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, "3"]]}),
     ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3.9]]}),
     ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, True]]}),
     ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 4]]}),
@@ -163,6 +185,8 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
      {"rank": 1, "action": {"0": [[1]], "1": [[2]]}}),
     ("homology", "--group", "Z/2", "--module",
      {"rank": 2, "action": {"0": [[1]], "1": [[1]]}}),
+    ("homology", "--group", "Z/2", "--module",
+     {"rank": "1", "action": {"0": [[1]], "1": [[1]]}}),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -234,8 +258,21 @@ def test_cli_hexagon_prism_info(tmp_path):
     dropped = [c for c in report["certificates"]
                if c["type"] == "rational-angles"][0]["dropped"]
     assert any(d["q"] == "rat:2/3" for d in dropped)  # hexagon corner angle
+    check_report_shape(report, "report")
     recheck = recheck_certificates(report)
     assert recheck["recheck_passed"]
+
+
+def test_report_shape_accepts_angle_relations():
+    # the tetrahedral and octahedral dihedral angles sum to π
+    from fractions import Fraction
+    from scissors.angles import AnglePair, certified_relation
+    rel = certified_relation([AnglePair.from_cos(Fraction(1, 3)),
+                              AnglePair.from_cos(Fraction(-1, 3))], [1, 1])
+    report = make_report(["test"], "", {}, [
+        {"type": "angle-relations", "relations": [rel.to_json()]}])
+    check_report_shape(report, "report")
+    assert recheck_certificates(report)["recheck_passed"]
 
 
 def test_cli_recheck_roundtrip(fixtures, tmp_path):
