@@ -9,15 +9,8 @@ every operation and comparison is decided exactly.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.densearith import dup_neg
-from sympy.polys.densebasic import dup_degree, dup_strip
-from sympy.polys.densetools import dup_eval, dup_primitive
-from sympy.polys.factortools import dup_zz_factor
-from sympy.polys.rootisolation import dup_sturm
-from sympy.polys.sqfreetools import dup_sqf_part
 
 class NoRootInInterval(ValueError):
     pass
@@ -35,34 +28,49 @@ class NegativeSqrt(ValueError):
     pass
 
 
-# -- integer polynomial helpers (constant-first tuples at the boundary, -----
-# -- sympy "dup" lists, highest degree first, internally) -------------------
+# -- integer polynomials: tuples of ints, constant coefficient first ---------
+# sympy is imported only where a polynomial is factored or a resultant taken.
 
-def _to_dup(coeffs):
-    return dup_strip([ZZ(int(c)) for c in reversed(list(coeffs))])
+def _strip(coeffs) -> tuple:
+    """Drop zero leading coefficients; the zero polynomial is ()."""
+    f = [int(c) for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
 
-def _from_dup(f):
-    return tuple(int(c) for c in reversed(f))
 
-def _eval_frac(coeffs, x: Fraction) -> Fraction:
-    """Exact Horner evaluation of a constant-first integer polynomial."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _div_content(f) -> tuple:
+    """f divided by the (positive) gcd of its coefficients."""
+    g = gcd(*f)
+    return f if g == 1 else tuple(c // g for c in f)
 
-def _canonical_factors(f_dup):
+
+def _canonical_single(coeffs) -> tuple:
+    """Primitive positive-lc form for a polynomial already irreducible."""
+    f = _div_content(_strip(coeffs))
+    return tuple(-c for c in f) if f and f[-1] < 0 else f
+
+
+def _sign_at(f, num: int, den: int) -> int:
+    """Sign of f(num/den) for den > 0, by Horner on den^deg·f(num/den)."""
+    if not f:
+        return 0
+    acc, dpow = f[-1], 1
+    for c in f[-2::-1]:
+        dpow *= den
+        acc = acc * num + c * dpow
+    return (acc > 0) - (acc < 0)
+
+
+def _canonical_factors(coeffs):
     """Irreducible primitive factors with positive leading coefficient."""
-    f_dup = dup_sqf_part(f_dup, ZZ)
-    _, factors = dup_zz_factor(f_dup, ZZ)
-    out = []
-    for g, _mult in factors:
-        if dup_degree(g) < 1:
-            continue
-        if g[0] < 0:
-            g = dup_neg(g, ZZ)
-        out.append(_from_dup(g))
-    return out
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_factor
+    from sympy.polys.sqfreetools import dup_sqf_part
+
+    f = dup_sqf_part([ZZ(c) for c in reversed(coeffs)], ZZ)
+    _, factors = dup_zz_factor(f, ZZ)
+    return [_canonical_single(g[::-1]) for g, _mult in factors if len(g) > 1]
 
 
 _BINARY_CACHE: dict = {}
@@ -81,6 +89,7 @@ def _binary_candidates(f, g, op):
     from math import comb
 
     from sympy.polys.densebasic import dmp_normal
+    from sympy.polys.domains import ZZ
     from sympy.polys.euclidtools import dmp_resultant
 
     dg = len(g) - 1
@@ -103,11 +112,64 @@ def _binary_candidates(f, g, op):
             rows.append([g[power]] + [0] * power)
     G = dmp_normal(rows, 1, ZZ)
     R = dmp_resultant(F, G, 1, ZZ)
-    cands = _canonical_factors(R)
+    cands = _canonical_factors(R[::-1])
     if len(_BINARY_CACHE) > 2048:
         _BINARY_CACHE.clear()
     _BINARY_CACHE[key] = cands
     return cands
+
+
+# -- Sturm sequences ---------------------------------------------------------
+
+def _neg_rem(a, b) -> tuple:
+    """A positive multiple of −(a mod b), by pseudo-division over ℤ."""
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    flip = False  # r holds lb^k·(a mod b) with k scaling steps
+    while len(r) > db:
+        lr, k = r[-1], len(r) - 1 - db
+        if lr:
+            r = [lb * c for c in r]
+            for i, c in enumerate(b):
+                r[i + k] -= lr * c
+            flip ^= lb < 0
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return ()
+    return _div_content(tuple(r) if flip else tuple(-c for c in r))
+
+
+def _exact_quotient(a, b) -> tuple:
+    """a/b for b dividing a over ℚ, scaled to an integer polynomial."""
+    r = [Fraction(c) for c in a]
+    db = len(b) - 1
+    q = [Fraction(0)] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] / b[-1]
+        for i, bc in enumerate(b):
+            r[i + k] -= c * bc
+    den = lcm(*(c.denominator for c in q))
+    return _div_content(tuple(int(c * den) for c in q))
+
+
+def _sturm_chain(f) -> list:
+    """Sturm sequence of the squarefree part of f: f, f′, then minus each
+    remainder, every term scaled by a positive integer."""
+    chain = [f]
+    df = tuple(i * c for i, c in enumerate(f))[1:]
+    if df:
+        chain.append(_div_content(df))
+    while len(chain) > 1 and len(chain[-1]) > 1:
+        r = _neg_rem(chain[-2], chain[-1])
+        if not r:
+            # chain[-1] is gcd(f, f′) of positive degree: f has a repeated
+            # factor, so restart on f / gcd(f, f′)
+            return _sturm_chain(_exact_quotient(f, chain[-1]))
+        chain.append(r)
+    return chain
+
 
 def _variations(signs):
     v, prev = 0, 0
@@ -123,18 +185,18 @@ def _sign(q) -> int:
     return (q > 0) - (q < 0)
 
 def _sturm_at(chain, x: Fraction) -> int:
-    vals = [dup_eval(s, QQ(x.numerator, x.denominator), QQ) for s in chain]
-    return _variations([_sign(v) for v in vals])
+    num, den = x.numerator, x.denominator
+    return _variations([_sign_at(s, num, den) for s in chain])
 
 def _sturm_at_neg_inf(chain) -> int:
-    return _variations([_sign(s[0]) * (-1) ** dup_degree(s) for s in chain])
+    return _variations([_sign(s[-1]) * (-1) ** (len(s) - 1) for s in chain])
 
 _CHAIN_CACHE: dict = {}
 
 def _chain_for(coeffs):
     chain = _CHAIN_CACHE.get(coeffs)
     if chain is None:
-        chain = dup_sturm([QQ(int(c)) for c in reversed(coeffs)], QQ)
+        chain = _sturm_chain(_strip(coeffs))
         if len(_CHAIN_CACHE) > 4096:
             _CHAIN_CACHE.clear()
         _CHAIN_CACHE[coeffs] = chain
@@ -205,10 +267,10 @@ class AlgebraicReal:
         if self._rat is not None:
             return
         lo, hi, f = self._lo, self._hi, self._poly
-        slo = _sign(_eval_frac(f, lo))
+        slo = _sign_at(f, lo.numerator, lo.denominator)
         for _ in range(steps):
             mid = (lo + hi) / 2
-            sm = _sign(_eval_frac(f, mid))
+            sm = _sign_at(f, mid.numerator, mid.denominator)
             # irreducible of degree >= 2 has no rational roots
             if sm == slo:
                 lo = mid
@@ -302,11 +364,10 @@ class AlgebraicReal:
     def __neg__(self):
         if self._rat is not None:
             return AlgebraicReal.from_fraction(-self._rat)
-        f = _to_dup(self._poly)
-        g = [c if (dup_degree(f) - i) % 2 == 0 else -c for i, c in enumerate(f)]
-        if g[0] < 0:
-            g = dup_neg(g, ZZ)
-        return AlgebraicReal(_from_dup(g), -self._hi, -self._lo)
+        g = [-c if i % 2 else c for i, c in enumerate(self._poly)]  # f(−x)
+        if g[-1] < 0:
+            g = [-c for c in g]
+        return AlgebraicReal(g, -self._hi, -self._lo)
 
     def _shift_scale(self, q: Fraction, s: Fraction):
         """Exact value q + s*self for rational q, s (s != 0)."""
@@ -434,15 +495,6 @@ class AlgebraicReal:
                 f"~{float(self):.10g})")
 
 
-def _canonical_single(coeffs):
-    """Primitive positive-lc form for a polynomial already irreducible."""
-    f = _to_dup(coeffs)
-    _, f = dup_primitive(f, ZZ)
-    if f[0] < 0:
-        f = dup_neg(f, ZZ)
-    return _from_dup(f)
-
-
 def _select_root(candidates, window, operands):
     """Pick the unique (factor, root) hit by refining the operand windows."""
     for _ in range(20000):
@@ -485,7 +537,7 @@ def make_algebraic(coeffs, interval) -> AlgebraicReal:
     owning the root is selected automatically.  Raises NoRootInInterval or
     MultipleRootsInInterval when the interval does not pin down one root.
     """
-    f = _to_dup(coeffs)
+    f = _strip(coeffs)
     if not f:
         raise ValueError("zero polynomial")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
@@ -539,7 +591,7 @@ def sqrt_nonneg(x):
     for c in f:
         doubled.append(c)
         doubled.append(0)
-    cands = _canonical_factors(_to_dup(doubled[:-1]))
+    cands = _canonical_factors(doubled[:-1])
 
     def window():
         lo, hi = x.interval()

@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import mpmath as mp
-import sympy
-
 from .algebraic import (
     AlgebraicReal,
     as_scalar,
@@ -72,7 +69,9 @@ class AnglePair:
         """θ = 0 or θ = π (both vanish in the length⊗angle tensor)."""
         return scalar_sign(self.sin) == 0
 
-    def radians(self, bits: int = 64) -> mp.mpf:
+    def radians(self, bits: int = 64) -> "mpmath.mpf":
+        import mpmath as mp
+
         with mp.workprec(bits + 16):
             c = scalar_approx(self.cos, bits + 16)
             return mp.acos(mp.mpf(c.numerator) / c.denominator)
@@ -88,7 +87,59 @@ class AnglePair:
         return f"AnglePair(cos~{float(scalar_approx(self.cos, 40)):.6g})"
 
 
-# -- minimal polynomials of 2cos(2π/n) ---------------------------------------
+# -- cyclotomic polynomials and minimal polynomials of 2cos(2π/n) -----------
+
+def _prime_factors(n: int) -> list:
+    """[(p, e), ...] with n = ∏ p^e, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _totient(n: int) -> int:
+    for p, _e in _prime_factors(n):
+        n -= n // p
+    return n
+
+
+def _mobius(n: int) -> int:
+    factors = _prime_factors(n)
+    if any(e > 1 for _p, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def _cyclotomic(n: int) -> tuple:
+    """Constant-first Φ_n = ∏_{d|n} (x^d − 1)^{μ(n/d)}.
+
+    For n > 1 the exponents sum to 0, so Φ_n = ∏ (1 − x^d)^{μ(n/d)}: power
+    series multiplications and divisions by 1 − x^d, truncated at φ(n).
+    """
+    if n == 1:
+        return (-1, 1)
+    size = _totient(n) + 1
+    out = [1] + [0] * (size - 1)
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = _mobius(n // d)
+        if mu == 1:
+            for i in range(size - 1, d - 1, -1):
+                out[i] -= out[i - d]
+        elif mu == -1:
+            for i in range(d, size):
+                out[i] += out[i - d]
+    return tuple(out)
+
 
 _TWO_COS_CACHE: dict = {}
 
@@ -104,8 +155,7 @@ def _two_cos_minpoly(n: int) -> tuple:
     else:
         # Φ_n(z) = z^m Ψ_n(z + 1/z) with m = φ(n)/2; expand with the
         # Chebyshev-like basis p_k(x) = z^k + z^-k.
-        cyc = sympy.polys.specialpolys.cyclotomic_poly(
-            n, sympy.Symbol("z"), polys=True).all_coeffs()[::-1]
+        cyc = _cyclotomic(n)
         m = (len(cyc) - 1) // 2
         # p_0 = 2, p_1 = x, p_{k+1} = x p_k - p_{k-1), as coefficient tuples
         p = [(2,), (0, 1)]
@@ -155,7 +205,7 @@ def is_rational_angle(pair: AnglePair):
     target = 2 * d
     limit = 4 * d * d + 7
     for n in range(3, limit + 1):
-        if sympy.totient(n) != target:
+        if _totient(n) != target:
             continue
         if _two_cos_minpoly(n) != m:
             continue
@@ -170,6 +220,8 @@ def is_rational_angle(pair: AnglePair):
 
 def mpf_to_fraction(v) -> Fraction:
     """Exact rational value of an mpmath float (dyadic)."""
+    import mpmath as mp
+
     sign, man, exp, _ = mp.mpf(v)._mpf_
     if man == 0:
         return Fraction(0)
@@ -181,6 +233,8 @@ def mpf_to_fraction(v) -> Fraction:
 
 def _identify_two_cos(minpoly: tuple, n: int, j: int) -> AlgebraicReal:
     """Exact AlgebraicReal for 2cos(2πj/n) given its minimal polynomial."""
+    import mpmath as mp
+
     bits = 80
     while True:
         with mp.workprec(bits):
@@ -290,6 +344,8 @@ def find_angle_relations(angles, height_bound: int = 20):
 
 
 def _propose_and_verify(angles, height_bound, bits):
+    import mpmath as mp
+
     k = len(angles)
     with mp.workprec(bits):
         thetas = [a.radians(bits) for a in angles]

@@ -25,7 +25,6 @@ from .io import (
     polytope_from_json,
     tensor_terms_from_json,
 )
-from .kahler import FieldTower, NotExpressible, NotFiniteDimensional, phi_map
 from .numbers import ParseError, format_number
 from .report import (
     ReportTimer,
@@ -151,6 +150,8 @@ def cmd_homology(args) -> dict:
 
 
 def cmd_phi(args) -> dict:
+    from .kahler import FieldTower, phi_map
+
     tower = FieldTower(args.tower)
     terms = tensor_terms_from_json(load_json(args.tensor))
     parsed = []
@@ -175,6 +176,7 @@ def _tower_number(value):
         from .numbers import parse_fraction
         return parse_fraction(value[4:])
     if isinstance(value, dict):
+        from .kahler import NotExpressible
         raise NotExpressible(
             "irrational algebraic literals contribute 0; write the term "
             "with a tower expression instead")
@@ -239,14 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope-info", help="volume, edges, Dehn invariant")
     p.add_argument("file")
-    p.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
+    p.add_argument("--height-bound", type=_int_at_least(1),
+                   default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--exact-strict", action="store_true")
     p.set_defaults(fn=cmd_polytope_info)
 
     p = sub.add_parser("compare", help="scissors-congruence verdict")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
+    p.add_argument("--height-bound", type=_int_at_least(1),
+                   default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--exact-strict", action="store_true")
     p.add_argument("--recheck", action="store_true",
                    help="immediately re-verify the emitted certificates")
@@ -305,8 +309,7 @@ def main(argv=None) -> int:
             report["recheck"] = recheck_certificates(report)
             if not report["recheck"]["recheck_passed"]:
                 exit_code = EXIT_INTERNAL
-    except (ParseError, UnknownSuite, NotExpressible,
-            NotFiniteDimensional) as exc:
+    except (ParseError, UnknownSuite) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeometryError as exc:
@@ -318,6 +321,10 @@ def main(argv=None) -> int:
     except (InvalidComplex, DegreeOutOfRange, AssertionError,
             RuntimeError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # anything else is a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -118,7 +118,10 @@ def group_from_spec(spec: str) -> FiniteGroup:
         return trivial_group()
     obj = load_json(spec)
     try:
-        return FiniteGroup(obj["table"], name=obj.get("name", spec))
+        n = len(obj["table"])
+        table = [[_integer(x, "group table entry", 0, n) for x in row]
+                 for row in obj["table"]]
+        return FiniteGroup(table, name=obj.get("name", spec))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad group JSON {spec!r}: {exc}") from exc
 

@@ -10,6 +10,7 @@ polynomials, so d lands in the free module on the transcendental symbols.
 """
 
 from fractions import Fraction
+from tokenize import TokenError
 
 import sympy
 from sympy.parsing.sympy_parser import (
@@ -25,16 +26,20 @@ _TRANSFORMS = standard_transformations + (convert_xor,)
 
 
 def _parse(text, local_dict):
-    return parse_expr(text, local_dict=local_dict,
-                      transformations=_TRANSFORMS)
+    """parse_expr, with malformed text raised as ParseError."""
+    try:
+        return parse_expr(text, local_dict=local_dict,
+                          transformations=_TRANSFORMS)
+    except (SyntaxError, TokenError, TypeError) as exc:
+        raise ParseError(f"cannot parse {text!r}") from exc
 
 
-class NotExpressible(ValueError):
-    pass
+class NotExpressible(ParseError):
+    """An input the tower cannot express (an input error, exit 2)."""
 
 
-class NotFiniteDimensional(ValueError):
-    pass
+class NotFiniteDimensional(ParseError):
+    """A presented algebra that is not finite-dimensional (exit 2)."""
 
 
 class FieldTower:
@@ -60,7 +65,7 @@ class FieldTower:
                 known[name] = sym
                 try:
                     rel = (_parse(lhs, known) - _parse(rhs, known))
-                except (SyntaxError, TypeError) as exc:
+                except (ParseError, TypeError) as exc:
                     raise ParseError(f"bad tower entry {part!r}") from exc
                 rel = sympy.expand(rel)
                 poly = sympy.Poly(rel, sym)
@@ -107,7 +112,7 @@ class FieldTower:
         if isinstance(text_or_expr, str):
             try:
                 expr = _parse(text_or_expr, dict(self.symbols))
-            except (SyntaxError, TypeError) as exc:
+            except ParseError as exc:
                 raise NotExpressible(
                     f"cannot parse {text_or_expr!r}") from exc
         else:

@@ -50,7 +50,6 @@ from .hochschild.involution import (
     unit_quaternion,
     wedge_rank_of_minus,
 )
-from .kahler import hkr_degree1_check
 from .rng import SplitMix64
 
 SUITES = {}
@@ -350,6 +349,8 @@ def spin_suite(seed: int, cases: int):
 
 @suite("hkr")
 def hkr_suite(seed: int, cases: int):
+    from .kahler import hkr_degree1_check
+
     corpus = [
         (["x"], ["x^2"]),
         (["x"], ["x^3"]),

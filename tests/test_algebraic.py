@@ -237,3 +237,69 @@ def test_negation_of_root_index():
     assert n.minpoly() == (-2, 0, 1)
     assert n.sign() == -1
     assert (n + r).as_fraction() == 0
+
+
+def _sympy_poly(coeffs):
+    import sympy
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(coeffs)), x)
+
+
+def _random_poly(rng, squarefree=True):
+    """Seeded integer polynomial, constant first; with squarefree=False a
+    product that repeats a random linear factor, and that factor's root."""
+    while True:
+        deg = rng.randint(1, 6)
+        f = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-3, -1, 1, 2, 5))]
+        if squarefree:
+            if _sympy_poly(f).is_sqf:
+                return tuple(f)
+            continue
+        g = [rng.randint(-3, 3), rng.choice((-2, 1, 3))]
+        p = _sympy_poly(f) * _sympy_poly(g) ** 2
+        return tuple(int(c) for c in reversed(p.all_coeffs())), \
+            Fraction(-g[0], g[1])
+
+
+def test_native_sturm_matches_sympy():
+    # oracle: sympy's count_roots on the closed interval, with endpoints
+    # that are no roots, and its isolating intervals in increasing order
+    from scissors.algebraic import count_roots
+    from scissors.rng import SplitMix64
+    for case in range(60):
+        rng = SplitMix64.stream(2027, case)
+        if case % 4 == 3:
+            # a repeated root r: counted in (lo, r], not in (r, hi]
+            f, r = _random_poly(rng, squarefree=False)
+            ref = _sympy_poly(f)
+            lo, hi = r - rng.randint(1, 9), r + rng.randint(1, 9)
+            if ref.eval(lo) and ref.eval(hi):
+                assert count_roots(f, lo, r) == ref.count_roots(lo, r)
+                assert count_roots(f, r, hi) == ref.count_roots(r, hi) - 1
+            continue
+        f = _random_poly(rng)
+        ref = _sympy_poly(f)
+        for _ in range(4):
+            lo, hi = sorted((rng.fraction(40, 7), rng.fraction(40, 7)))
+            if ref.eval(lo) == 0 or ref.eval(hi) == 0:
+                continue
+            assert count_roots(f, lo, hi) == ref.count_roots(lo, hi)
+        for i, ((a, b), _mult) in enumerate(ref.intervals()):
+            a, b = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+            if a == b or ref.eval(a) == 0:
+                continue  # a rational root, or an endpoint on a root
+            assert AlgebraicReal(f, a, b).root_index() == i
+
+
+def test_canonical_single_matches_sympy():
+    from scissors.algebraic import _canonical_single
+    from scissors.rng import SplitMix64
+    for case in range(40):
+        rng = SplitMix64.stream(2028, case)
+        scale = rng.choice((-6, -1, 1, 4, 15))
+        f = tuple(scale * c for c in _random_poly(rng)) + (0,) * (case % 3)
+        _, prim = _sympy_poly(f).primitive()
+        if prim.LC() < 0:
+            prim = -prim
+        ref = tuple(int(c) for c in reversed(prim.all_coeffs()))
+        assert _canonical_single(f) == ref

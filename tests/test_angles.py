@@ -34,6 +34,15 @@ def test_two_cos_minpolys_against_sympy():
         assert list(ours) == [int(c) for c in sympy.Poly(ref, x).all_coeffs()[::-1]]
 
 
+def test_cyclotomic_and_totient_against_sympy():
+    from scissors.angles import _cyclotomic, _totient
+    x = sympy.Symbol("x")
+    for n in range(1, 201):
+        ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert _cyclotomic(n) == tuple(int(c) for c in ref)
+        assert _totient(n) == sympy.totient(n)
+
+
 def test_rational_angle_pi_over_3():
     a = angle_from_cos(Fraction(1, 2))
     assert is_rational_angle(a) == Fraction(1, 3)

@@ -187,6 +187,22 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
      {"rank": 2, "action": {"0": [[1]], "1": [[1]]}}),
     ("homology", "--group", "Z/2", "--module",
      {"rank": "1", "action": {"0": [[1]], "1": [[1]]}}),
+    ("homology", "--group", {"table": [[0, True], [True, 0]]}),
+    ("homology", "--group", {"table": [[0, 1, 2], [1, 0, 3], [2, 3, 0]]}),
+    ("phi", "--tensor", {"terms": [{"cos": "t", "sin": "s"}]},
+     "--tower", "t; s: s^2 = (("),
+    ("phi", "--tensor", {"terms": [{"cos": "((", "sin": "s"}]},
+     "--tower", TOWER),
+    ("polytope-info", "--height-bound", "0",
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    ("polytope-info", "--height-bound", "-1",
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    ("compare", "--height-bound", "0",
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]},
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    ("compare", "--height-bound", "-1",
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]},
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -291,3 +307,97 @@ def test_cli_recheck_roundtrip(fixtures, tmp_path):
     bad.write_text(json.dumps(report))
     rc2 = run_cli("recheck", str(bad))
     assert rc2.returncode == 1
+
+
+def test_cli_internal_error_is_one_line(monkeypatch, capsys):
+    from scissors import cli
+
+    def boom(args):
+        raise KeyError("no such entry")
+
+    monkeypatch.setattr(cli, "cmd_homology", boom)
+    assert cli.main(["homology", "--group", "Z/2"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: KeyError: 'no such entry'"]
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_homology", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["homology", "--group", "Z/2"])
+
+
+# a fresh interpreter in which importing sympy or mpmath fails
+_NO_SYMPY = ("import sys\n"
+             "sys.modules['sympy'] = sys.modules['mpmath'] = None\n"
+             "from scissors.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+
+def test_rational_commands_run_without_sympy(fixtures):
+    cube, rot, tall = (str(fixtures / name) for name in
+                       ("cube.json", "cube_rot.json", "box112.json"))
+    for argv in (["polytope-info", cube], ["compare", cube, rot],
+                 ["compare", cube, tall], ["homology", "--group", "S3"],
+                 ["hochschild", "--algebra", "mat2"]):
+        blocked = subprocess.run([sys.executable, "-c", _NO_SYMPY, *argv],
+                                 capture_output=True, text=True)
+        assert blocked.returncode == 0, blocked.stderr
+        plain = run_cli(*argv)
+        assert json.loads(blocked.stdout)["digest"] == \
+            json.loads(plain.stdout)["digest"]
+
+
+def _placement(rng):
+    """Seeded signed permutation, then a 3-4-5 rotation in a coordinate
+    plane, then a rational translation: (matrix rows, shift)."""
+    from fractions import Fraction
+    perm = [0, 1, 2]
+    for i in (2, 1):
+        j = rng.randint(0, i)
+        perm[i], perm[j] = perm[j], perm[i]
+    signed = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        signed[i][perm[i]] = rng.choice((-1, 1))
+    a = rng.randint(0, 2)
+    b = (a + rng.randint(1, 2)) % 3
+    rot = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    rot[a][a], rot[a][b] = Fraction(3, 5), Fraction(-4, 5)
+    rot[b][a], rot[b][b] = Fraction(4, 5), Fraction(3, 5)
+    rows = [[sum(rot[i][k] * signed[k][j] for k in range(3))
+             for j in range(3)] for i in range(3)]
+    return rows, [rng.fraction(6, 3) for _ in range(3)]
+
+
+def test_placement_keeps_volume_verdict_and_congruence(tmp_path, capsys):
+    # metamorphic: a seeded rational hull and its image under an isometry
+    from scissors.cli import main
+    from scissors.geom import GeometryError
+    from scissors.geom.convex import convex_polytope_3d
+    from scissors.rng import SplitMix64
+
+    def report(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    for case in range(6):
+        rng = SplitMix64.stream(707, case)
+        while True:
+            pts = [tuple(rng.randint(0, 3) for _ in range(3))
+                   for _ in range(rng.randint(4, 6))]
+            try:
+                hull = convex_polytope_3d(pts)
+                break
+            except GeometryError:
+                continue  # flat point sets have no hull; draw again
+        a, b = tmp_path / f"a{case}.json", tmp_path / f"b{case}.json"
+        a.write_text(json.dumps(polytope_to_json(hull)))
+        b.write_text(json.dumps(polytope_to_json(
+            transformed(hull, *_placement(rng)))))
+        info_a = report("polytope-info", str(a))
+        info_b = report("polytope-info", str(b))
+        assert info_a["volume"] == info_b["volume"]
+        assert info_a["dehn_verdict"] == info_b["dehn_verdict"]
+        verdict = report("compare", str(a), str(b))["verdict"]
+        assert verdict["tag"] == "Congruent_DSJ"
