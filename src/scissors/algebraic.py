@@ -1,15 +1,22 @@
 """Exact real algebraic numbers: minimal polynomial + isolating interval.
 
-A value is either a plain ``Fraction`` (the degree-1 case collapses there) or
-an ``AlgebraicReal`` carrying a primitive irreducible integer polynomial with
-positive leading coefficient, constant term first, together with a rational
-interval containing exactly one of its real roots.  Arithmetic goes through
-resultants with interval refinement until the result's root is isolated, so
-every operation and comparison is decided exactly.
+A value is a plain ``Fraction`` (the degree-1 case collapses there), an
+element of a number field (``numberfield.Num``), or an ``AlgebraicReal``
+carrying a primitive irreducible integer polynomial with positive leading
+coefficient, constant term first, together with a rational interval
+containing exactly one of its real roots.  ``lift`` puts the literals of one
+input into one field ℚ(α); geometry then runs on field arithmetic, and square
+roots of field elements stay in quadratic extensions.  ``AlgebraicReal``
+arithmetic goes through resultants with interval refinement until the
+result's root is isolated; it serves values read back from reports, radicands
+that cannot be certified, and values whose fields do not combine.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+
+from . import numberfield
+from .numberfield import Num, SimpleField
 
 
 class NoRootInInterval(ValueError):
@@ -527,6 +534,10 @@ def as_algebraic(x) -> AlgebraicReal:
         return x
     if isinstance(x, (int, Fraction)):
         return AlgebraicReal.from_fraction(Fraction(x))
+    if isinstance(x, Num):
+        if x._alg is None:
+            x._alg = AlgebraicReal(x.minpoly(), *x.interval())
+        return x._alg
     raise TypeError(f"cannot coerce {x!r} to AlgebraicReal")
 
 
@@ -567,20 +578,16 @@ def make_algebraic(coeffs, interval) -> AlgebraicReal:
 
 
 def sqrt_nonneg(x):
-    """Exact square root of a nonnegative scalar; Fraction when perfect."""
+    """Exact square root of a nonnegative scalar: a Fraction when perfect,
+    else in the quadratic extension of the radicand's field."""
     x = as_scalar(x)
-    if isinstance(x, Fraction):
-        if x < 0:
-            raise NegativeSqrt(f"sqrt of negative rational {x}")
-        if x == 0:
-            return Fraction(0)
-        np_, dp = x.numerator, x.denominator
-        rn, rd = isqrt(np_), isqrt(dp)
-        if rn * rn == np_ and rd * rd == dp:
-            return Fraction(rn, rd)
-        # positive root of d*t^2 - n
-        u = _isqrt_floor_frac(x)
-        return AlgebraicReal(_canonical_single((-np_, 0, dp)), u, u + 1)
+    if isinstance(x, (Fraction, Num)):
+        if scalar_sign(x) < 0:
+            raise NegativeSqrt(f"sqrt of negative value {x}")
+        root = numberfield.sqrt(x)
+        if root is not None:
+            return root
+        x = as_algebraic(x)  # uncertified radicand
     if x.sign() < 0:
         raise NegativeSqrt("sqrt of negative algebraic number")
     if x.sign() == 0:
@@ -606,8 +613,9 @@ def sqrt_nonneg(x):
 # -- scalar helpers: geometry works over Fraction | AlgebraicReal ------------
 
 def as_scalar(x):
-    """Normalize to Fraction (rationals) or irrational AlgebraicReal."""
-    if isinstance(x, Fraction):
+    """Normalize to Fraction (rationals), a field element, or an irrational
+    AlgebraicReal."""
+    if isinstance(x, (Fraction, Num)):
         return x
     if isinstance(x, int):
         return Fraction(x)
@@ -617,9 +625,9 @@ def as_scalar(x):
 
 
 def scalar_sign(x) -> int:
-    if isinstance(x, AlgebraicReal):
-        return x.sign()
-    return _sign(x)
+    if isinstance(x, (int, Fraction)):
+        return _sign(x)
+    return x.sign()
 
 
 def scalar_key(x):
@@ -672,3 +680,112 @@ def field_ops(a, b, op: str):
         c = a.compare(b)
         return "Less" if c < 0 else ("Equal" if c == 0 else "Greater")
     raise ValueError(f"unknown op {op!r}")
+
+
+# -- one number field per input ------------------------------------------------
+# Literals are embedded here and nowhere else; this is where factoring (in
+# make_algebraic and the compositum's resultant) and sympy/mpmath may run.
+
+def lift(values) -> list:
+    """The scalars `values`, with every irrational AlgebraicReal among them
+    written in one number field ℚ(α) together with the field elements already
+    there.  Values that cannot share a field are returned unchanged, and
+    keep to the resultant path."""
+    values = [as_scalar(v) for v in values]
+    literals = {}
+    for v in values:
+        if isinstance(v, AlgebraicReal):
+            literals.setdefault(v.key(), v)
+    if not literals:
+        return values
+    fields = {v.field for v in values if isinstance(v, Num)}
+    if len(fields) > 1 or not all(isinstance(F, SimpleField) for F in fields):
+        return values
+    K = fields.pop() if fields else None
+    image = {}
+    for k, lit in literals.items():
+        if K is None:
+            K = SimpleField(lit.minpoly(), *lit.interval())
+            image[k] = _generator(K)
+            continue
+        x = _express(lit, K)
+        if x is None:
+            grown = _compositum(K, lit)
+            if grown is None:
+                return values
+            K, alpha, x = grown
+            image = {j: _substitute(y, alpha) for j, y in image.items()}
+            values = [_substitute(v, alpha) for v in values]
+        image[k] = x
+    return [image[v.key()] if isinstance(v, AlgebraicReal) else v
+            for v in values]
+
+
+def _generator(K):
+    return K.make((0, 1) + (0,) * (K.n - 2))
+
+
+def _substitute(y, alpha):
+    """An element of ℚ(α), given by its coefficients, evaluated at alpha."""
+    if not isinstance(y, Num) or not isinstance(y.field, SimpleField):
+        return y
+    acc = Fraction(0)
+    for c in reversed(y.data):
+        acc = acc * alpha + c
+    return acc
+
+
+def _express(x: AlgebraicReal, K):
+    """x as an element of K = ℚ(α), or None: an integer relation among x, 1,
+    α, …, α^{n−1} proposed by PSLQ and checked exactly."""
+    import mpmath as mp
+
+    alpha = _generator(K)
+    for bits in (128, 512):
+        with mp.workprec(bits + 32):
+            def mpf(q):
+                return mp.mpf(q.numerator) / q.denominator
+            a = mpf(alpha.approx(bits))
+            vec = [mpf(x.approx(bits))] + [a ** i for i in range(K.n)]
+            rel = mp.pslq(vec, maxcoeff=1 << (bits // 4), maxsteps=10 ** 4)
+        if rel and rel[0]:
+            y = K.make(tuple(Fraction(-c, rel[0]) for c in rel[1:]))
+            if _is_root_at(y, x):
+                return y
+    return None
+
+
+def _is_root_at(y, x: AlgebraicReal) -> bool:
+    """Whether the field element y equals x: a root of x's minimal
+    polynomial inside the interval that isolates x."""
+    if not isinstance(y, Num):
+        return False
+    acc = Fraction(0)
+    for c in reversed(x.minpoly()):
+        acc = acc * y + c
+    if acc != 0:
+        return False
+    lo, hi = x.interval()
+    bits = 16
+    while True:
+        a, b = numberfield.enclose(y, bits)
+        if lo <= a and b <= hi:
+            return True
+        if b < lo or hi < a:
+            return False
+        bits *= 2
+
+
+def _compositum(K, x: AlgebraicReal):
+    """ℚ(α, x) as ℚ(γ) for γ = x + kα: (the field, α in it, x in it), or
+    None."""
+    alpha = as_algebraic(_generator(K))
+    for k in (1, 2, 3):
+        g = x + k * alpha
+        if g.is_rational():
+            continue
+        L = SimpleField(g.minpoly(), *g.interval())
+        a = _express(alpha, L)
+        if a is not None:
+            return L, a, _generator(L) - k * a
+    return None

@@ -8,6 +8,7 @@ invariant violation.
 
 import argparse
 import json
+import os
 import sys
 
 from .algebraic import as_scalar
@@ -326,10 +327,19 @@ def main(argv=None) -> int:
         # anything else is a fault of the program, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_text(report))
+    try:
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print(_render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the final
+        # flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: stdout was closed before the report was "
+              "written", file=sys.stderr)
+        return EXIT_INTERNAL
     return exit_code
 
 

@@ -85,7 +85,9 @@ def tensor_normalize(raw_terms, height_bound: int = DEFAULT_HEIGHT_BOUND,
     """Canonical form of a raw (length, angle) term list."""
     terms, drops = _merge(raw_terms)
     used = []
-    while _search and len(terms) >= 1:
+    # _merge keeps only angles certified irrational over π, so a lone angle
+    # has no relation m·θ ≡ 0 (mod π) to find
+    while _search and len(terms) >= 2:
         angles = [a for _, a in terms]
         rels = find_angle_relations(angles, height_bound)
         if not rels:

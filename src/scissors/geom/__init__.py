@@ -1,6 +1,6 @@
 """Exact polytope geometry in E¹, E², E³.
 
-Points are tuples of exact scalars (Fraction, or AlgebraicReal when
+Points are tuples of exact scalars (Fraction, or a number-field element when
 irrational).  Rational-only inputs run on the integer homogeneous predicate
 kernel; algebraic coordinates take the generic exact-scalar path through the
 same algorithms.
@@ -21,7 +21,7 @@ from ..algebraic import (
 )
 from ..angles import AnglePair
 from . import predicates as hp
-# cofactor formulas on +, − and ×: exact on Fraction and AlgebraicReal alike
+# cofactor formulas on +, − and ×: exact on every scalar type
 from .predicates import hdet
 
 log = logging.getLogger("scissors.geom")
@@ -472,9 +472,13 @@ def dihedral_edges(p: Polytope):
         n2 = _cross3(_sub(b2, a2), _sub(r2, a2))
         d = _sub(b1, a1)
         length = sqrt_nonneg(_dot(d, d))
+        # cos² stays in the coordinates' field; cos and sin are square roots
+        # over it
         dot12 = _dot(n1, n2)
-        norms = _dot(n1, n1) * _dot(n2, n2)
-        cos_between = dot12 / sqrt_nonneg(norms)
+        cos_between = sqrt_nonneg(dot12 * dot12
+                                  / (_dot(n1, n1) * _dot(n2, n2)))
+        if scalar_sign(dot12) < 0:
+            cos_between = -cos_between
         bend = scalar_sign(_dot(n1, _sub(r2, a1)))
         if bend < 0:  # convex edge: θ = π - angle(n1, n2)
             cos_t = as_scalar(-cos_between)

@@ -9,7 +9,7 @@ dissection is conforming (no hanging interfaces between cells).
 
 from fractions import Fraction
 
-from ..algebraic import sqrt_nonneg
+from ..algebraic import lift, sqrt_nonneg
 from . import (
     InvalidPolytope,
     Polytope,
@@ -239,11 +239,23 @@ def regular_octahedron(name: str = "regular octahedron") -> Polytope:
     return convex_polytope_3d(pts, name=name)
 
 
+def _lifted(p: Polytope, extra):
+    """The vertex tuples of p's cells and the scalars `extra`, all lifted
+    into one number field."""
+    cells = [s.vertices for _, s in p.chain]
+    flat = iter(lift(list(extra) + [x for vs in cells for v in vs
+                                     for x in v]))
+    extra = [next(flat) for _ in extra]
+    cells = [tuple(tuple(next(flat) for _ in v) for v in vs) for vs in cells]
+    return cells, extra
+
+
 def scaled_simplices(p: Polytope, factor) -> Polytope:
     """Polytope scaled about the origin by an exact positive factor."""
+    cells, (factor,) = _lifted(p, [factor])
     terms = []
-    for c, s in p.chain:
-        verts = tuple(tuple(x * factor for x in v) for v in s.vertices)
+    for (c, _), vs in zip(p.chain, cells):
+        verts = tuple(tuple(x * factor for x in v) for v in vs)
         terms.append((c, Simplex(p.dim, verts)))
     return Polytope(SimplexChain(p.dim, terms), name=f"{p.name} scaled",
                     validate=False)
@@ -252,13 +264,15 @@ def scaled_simplices(p: Polytope, factor) -> Polytope:
 def transformed(p: Polytope, matrix, shift=None) -> Polytope:
     """Image of a polytope under an exact affine map (matrix rows)."""
     dim = p.dim
-    shift = make_point(shift) if shift is not None else tuple(
-        Fraction(0) for _ in range(dim))
-    rows = [make_point(r) for r in matrix]
+    shift = list(shift) if shift is not None else [0] * dim
+    entries = [x for r in matrix for x in r] + shift
+    cells, entries = _lifted(p, entries)
+    rows = [entries[i * dim:(i + 1) * dim] for i in range(dim)]
+    shift = entries[dim * dim:]
     terms = []
-    for c, s in p.chain:
+    for (c, _), vs in zip(p.chain, cells):
         verts = []
-        for v in s.vertices:
+        for v in vs:
             img = tuple(
                 sum((rows[i][j] * v[j] for j in range(dim)),
                     start=Fraction(0)) + shift[i]

@@ -36,6 +36,7 @@ def format_fraction(q: Fraction) -> str:
 def parse_number(value):
     """Parse a number literal into Fraction or AlgebraicReal."""
     from .algebraic import AlgebraicReal, make_algebraic
+    from .numberfield import Num
 
     if isinstance(value, str):
         if value.startswith("rat:"):
@@ -52,7 +53,7 @@ def parse_number(value):
             raise ParseError(f"bad algebraic literal {value!r}") from exc
         x = make_algebraic(coeffs, (lo, hi))
         return x.as_fraction() if x.is_rational() else x
-    if isinstance(value, (Fraction, AlgebraicReal)):
+    if isinstance(value, (Fraction, AlgebraicReal, Num)):
         return value
     raise ParseError(f"unknown number literal {value!r}")
 
@@ -60,12 +61,13 @@ def parse_number(value):
 def format_number(x):
     """Inverse of parse_number; emits the canonical literal for a scalar."""
     from .algebraic import AlgebraicReal
+    from .numberfield import Num
 
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
         return "rat:" + format_fraction(x)
-    if isinstance(x, AlgebraicReal):
+    if isinstance(x, (AlgebraicReal, Num)):
         if x.is_rational():
             return "rat:" + format_fraction(x.as_fraction())
         lo, hi = x.interval()

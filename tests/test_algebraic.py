@@ -303,3 +303,95 @@ def test_canonical_single_matches_sympy():
             prim = -prim
         ref = tuple(int(c) for c in reversed(prim.all_coeffs()))
         assert _canonical_single(f) == ref
+
+
+# -- number-field arithmetic against the resultant path ---------------------
+
+def _field_pairs():
+    """Seeded elements of ℚ(α) for α = ∛(3/8), of ℚ(√2), and of the tower
+    ℚ(α)(√(8α²)), each built twice: with field arithmetic and, from
+    AlgebraicReal generators, with resultants."""
+    from scissors.algebraic import lift
+    from scissors.rng import SplitMix64
+
+    ref_alpha = make_algebraic([-3, 0, 0, 8], (0, 1))
+    (alpha,) = lift([ref_alpha])
+    ref_sq = ref_alpha * ref_alpha
+    ref_r2 = make_algebraic([-2, 0, 1], (1, 2))
+    root = sqrt_nonneg(8 * alpha * alpha)
+    ref_root = sqrt_nonneg(8 * ref_sq)
+    out = {"cubic": [], "quadratic": [], "tower": []}
+    for case in range(6):
+        rng = SplitMix64.stream(2029, case)
+        q = [rng.fraction(5, 4) for _ in range(4)]
+        if q[1] == q[2] == 0:
+            q[1] = Fraction(1)
+        out["cubic"].append((q[0] + q[1] * alpha + q[2] * alpha * alpha,
+                             q[0] + q[1] * ref_alpha + q[2] * ref_sq))
+        b = q[3] or Fraction(1)
+        out["quadratic"].append((q[0] + b * sqrt_nonneg(2),
+                                 q[0] + b * ref_r2))
+    for x, ref_x in out["cubic"][:2]:
+        out["tower"].append((x + 3 * root, ref_x + 3 * ref_root))
+    return out
+
+
+def _same_value(got, ref):
+    from scissors.algebraic import scalar_key
+    return scalar_key(got) == scalar_key(as_scalar(ref))
+
+
+def test_field_arithmetic_matches_resultants():
+    from scissors.algebraic import scalar_cmp
+    pairs = _field_pairs()
+    for kind, elems in pairs.items():
+        for x, ref_x in elems:
+            assert x.minpoly() == ref_x.minpoly(), kind
+            assert x.root_index() == ref_x.root_index(), kind
+            assert x.sign() == ref_x.sign()
+            back = parse_number(format_number(x))
+            assert back.minpoly() == ref_x.minpoly()
+            assert back.root_index() == ref_x.root_index()
+        count = 2 if kind == "tower" else len(elems)
+        for i in range(count):
+            (x, ref_x), (y, ref_y) = elems[i], elems[(i + 1) % len(elems)]
+            assert _same_value(x + y, ref_x + ref_y), kind
+            assert _same_value(x - y, ref_x - ref_y), kind
+            assert _same_value(x * y, ref_x * ref_y), kind
+            assert _same_value(x / y, ref_x / ref_y), kind
+            assert scalar_cmp(x, y) == ref_x.compare(ref_y), kind
+            assert _same_value(x - x, Fraction(0))
+    # values of the tower against values of its base field
+    (t, ref_t), (x, ref_x) = pairs["tower"][0], pairs["cubic"][3]
+    assert _same_value(t * x, ref_t * ref_x)
+    assert _same_value(t - x, ref_t - ref_x)
+
+
+def test_nonsquare_certificates_agree_with_factoring():
+    # a certified non-square r of a field F is no square in ℚ(r) ⊆ F, so
+    # m_r(t²) is irreducible; a square x² has its root found in F
+    import sympy
+
+    from scissors.numberfield import NONSQUARE, Num, sqrt_in
+    t = sympy.Symbol("t")
+    checked = 0
+    for elems in _field_pairs().values():
+        for x, _ref in elems:
+            root = sqrt_in(x.field, x * x)
+            assert root is not NONSQUARE
+            if root is not None:
+                assert _same_value(abs(root), abs(x))
+            for r in (abs(x), abs(x) + 1, 2 * abs(x), x * x):
+                F = r.field if isinstance(r, Num) else None
+                got = sqrt_in(F, r)
+                m = r.minpoly() if isinstance(r, Num) else \
+                    (-r.numerator, r.denominator)
+                doubled = sum(c * t ** (2 * i) for i, c in enumerate(m))
+                factors = sympy.factor_list(doubled)[1]
+                irreducible = len(factors) == 1 and factors[0][1] == 1
+                if got is NONSQUARE:
+                    assert irreducible, (m, r)
+                    checked += 1
+                elif got is not None:
+                    assert _same_value(got * got, r)
+    assert checked >= 20

@@ -8,6 +8,7 @@ import pytest
 from scissors.algebraic import make_algebraic
 from scissors.geom.convex import (
     box,
+    regular_octahedron,
     regular_tetrahedron,
     scaled_simplices,
     transformed,
@@ -38,6 +39,9 @@ def fixtures(tmp_path_factory):
     tet = root / "tetra_vol1.json"
     tet.write_text(json.dumps(polytope_to_json(
         scaled_simplices(regular_tetrahedron(), s))))
+    for name, shape in (("tetra", regular_tetrahedron()),
+                        ("octa", regular_octahedron())):
+        (root / f"{name}.json").write_text(json.dumps(polytope_to_json(shape)))
     tall = root / "box112.json"
     tall.write_text(json.dumps(polytope_to_json(
         box((0, 0, 0), (1, 1, 2)))))
@@ -328,6 +332,19 @@ def test_cli_internal_error_is_one_line(monkeypatch, capsys):
         cli.main(["homology", "--group", "Z/2"])
 
 
+def test_closed_stdout_is_one_line(fixtures):
+    # the reader is gone before the report is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scissors.cli", "polytope-info",
+         str(fixtures / "cube.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 5
+    assert err.splitlines() == [
+        "output error: stdout was closed before the report was written"]
+
+
 # a fresh interpreter in which importing sympy or mpmath fails
 _NO_SYMPY = ("import sys\n"
              "sys.modules['sympy'] = sys.modules['mpmath'] = None\n"
@@ -336,10 +353,16 @@ _NO_SYMPY = ("import sys\n"
 
 
 def test_rational_commands_run_without_sympy(fixtures):
-    cube, rot, tall = (str(fixtures / name) for name in
-                       ("cube.json", "cube_rot.json", "box112.json"))
+    # the tetrahedron and the octahedron have irrational lengths and sines,
+    # which stay in quadratic fields
+    cube, rot, tall, tetra, octa = (
+        str(fixtures / name) for name in ("cube.json", "cube_rot.json",
+                                          "box112.json", "tetra.json",
+                                          "octa.json"))
     for argv in (["polytope-info", cube], ["compare", cube, rot],
-                 ["compare", cube, tall], ["homology", "--group", "S3"],
+                 ["compare", cube, tall], ["polytope-info", tetra],
+                 ["polytope-info", octa], ["compare", tetra, octa],
+                 ["homology", "--group", "S3"],
                  ["hochschild", "--algebra", "mat2"]):
         blocked = subprocess.run([sys.executable, "-c", _NO_SYMPY, *argv],
                                  capture_output=True, text=True)
@@ -401,3 +424,56 @@ def test_placement_keeps_volume_verdict_and_congruence(tmp_path, capsys):
         assert info_a["dehn_verdict"] == info_b["dehn_verdict"]
         verdict = report("compare", str(a), str(b))["verdict"]
         assert verdict["tag"] == "Congruent_DSJ"
+
+
+def _dehn_terms(results):
+    """Dehn terms as (length, cos, sin), algebraic literals as (minimal
+    polynomial, root index): the form that does not depend on placement."""
+    from fractions import Fraction
+
+    from scissors.numbers import parse_number
+
+    def canon(literal):
+        x = parse_number(literal)
+        if isinstance(x, Fraction):
+            return str(x)
+        return x.minpoly(), x.root_index()
+
+    return sorted((canon(t["length"]), canon(t["cos"]), canon(t["sin"]))
+                  for t in results["dehn_invariant"]["terms"])
+
+
+def test_stock_shapes_keep_invariants_under_placement(tmp_path, capsys):
+    # metamorphic: each stock shape, tetra_vol1 in ℚ(∛(3/8)) included, and
+    # its image under a seeded isometry
+    from scissors.cli import main
+    from scissors.rng import SplitMix64
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    vol1 = make_algebraic([-3, 0, 0, 8], (0, 1))
+    shapes = {"cube": unit_cube(), "tetra": regular_tetrahedron(),
+              "tetra_vol1": scaled_simplices(regular_tetrahedron(), vol1),
+              "octa": regular_octahedron(), "box112": box((0, 0, 0), (1, 1, 2))}
+    for case, (name, shape) in enumerate(shapes.items()):
+        rng = SplitMix64.stream(808, case)
+        a, b = tmp_path / f"{name}.json", tmp_path / f"{name}_moved.json"
+        a.write_text(json.dumps(polytope_to_json(shape)))
+        b.write_text(json.dumps(polytope_to_json(
+            transformed(shape, *_placement(rng)))))
+        infos = []
+        for path in (a, b):
+            report = run("polytope-info", str(path))
+            saved = tmp_path / f"info_{path.name}"
+            saved.write_text(json.dumps(report))
+            assert run("recheck", str(saved))["results"]["recheck_passed"]
+            infos.append(report["results"])
+        assert infos[0]["volume"] == infos[1]["volume"], name
+        assert infos[0]["dehn_verdict"] == infos[1]["dehn_verdict"], name
+        assert _dehn_terms(infos[0]) == _dehn_terms(infos[1]), name
+        for other in (a, b):
+            report = run("compare", "--recheck", str(a), str(other))
+            assert report["results"]["verdict"]["tag"] == "Congruent_DSJ"
+            assert report["recheck"]["recheck_passed"]

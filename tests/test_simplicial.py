@@ -155,10 +155,7 @@ def test_chain_engine_identities():
         assert (lhs - (sd - ch)).is_zero(), (dim, rounds)
         assert boundary(boundary(sd)).is_zero()
         assert len(sd) == factorial(dim + 1) ** rounds
-        # sd² of the shifted tetrahedron has 576 simplices, each needing six
-        # algebraic determinant signs: too slow for a unit test
-        if s.is_rational() or (dim, rounds) != (3, 2):
-            assert signed_indicator(sd, x) == 1
+        assert signed_indicator(sd, x) == 1
 
 
 def test_simplex_equal_across_number_types():
