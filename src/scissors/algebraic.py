@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import numberfield
-from .numberfield import Num, SimpleField
+from .numberfield import Num, SimpleField, _sign, scalar_sign
 
 
 class NoRootInInterval(ValueError):
@@ -70,7 +70,24 @@ def _sign_at(f, num: int, den: int) -> int:
 
 
 def _canonical_factors(coeffs):
-    """Irreducible primitive factors with positive leading coefficient."""
+    """Irreducible primitive factors with positive leading coefficient.
+
+    Up to degree 3 natively: the squarefree part, less its rational roots,
+    has no factor left but itself.  Above, sympy's squarefree part and
+    Zassenhaus factoring."""
+    f = _strip(coeffs)
+    if len(f) <= 4:
+        df = _div_content(tuple(i * c for i, c in enumerate(f))[1:])
+        g = f
+        while df:  # g ends as gcd(f, f′), up to a constant
+            g, df = df, _neg_rem(g, df)
+        f = _exact_quotient(f, g) if len(g) > 1 else _canonical_single(f)
+        out = []
+        for r in _rational_roots(f):
+            lin = (-r.numerator, r.denominator)
+            out.append(lin)
+            f = _exact_quotient(f, lin)
+        return out + ([_canonical_single(f)] if len(f) > 1 else [])
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_zz_factor
     from sympy.polys.sqfreetools import dup_sqf_part
@@ -188,9 +205,6 @@ def _variations(signs):
         prev = s
     return v
 
-def _sign(q) -> int:
-    return (q > 0) - (q < 0)
-
 def _sturm_at(chain, x: Fraction) -> int:
     num, den = x.numerator, x.denominator
     return _variations([_sign_at(s, num, den) for s in chain])
@@ -215,6 +229,26 @@ def count_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
         return 0
     chain = _chain_for(tuple(coeffs))
     return _sturm_at(chain, lo) - _sturm_at(chain, hi)
+
+
+def _rational_roots(f) -> list:
+    """Rational roots of a squarefree integer polynomial.  Each is k/lc for
+    an integer k, so isolating the real roots below width 1/lc leaves at
+    most one candidate k per root to test."""
+    lc = abs(f[-1])
+    bound = 1 + max((abs(Fraction(c, lc)) for c in f[:-1]), default=0)
+    roots, stack = [], [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = count_roots(f, lo, hi)  # roots in (lo, hi]
+        if n == 1 and (hi - lo) * lc < 1:
+            k = (hi.numerator * lc) // hi.denominator  # floor(hi·lc)
+            if Fraction(k, lc) > lo and _sign_at(f, k, lc) == 0:
+                roots.append(Fraction(k, lc))
+        elif n:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return roots
 
 
 def _isqrt_floor_frac(q: Fraction) -> Fraction:
@@ -624,12 +658,6 @@ def as_scalar(x):
     raise TypeError(f"not a scalar: {x!r}")
 
 
-def scalar_sign(x) -> int:
-    if isinstance(x, (int, Fraction)):
-        return _sign(x)
-    return x.sign()
-
-
 def scalar_key(x):
     x = as_scalar(x)
     if isinstance(x, Fraction):
@@ -686,6 +714,10 @@ def field_ops(a, b, op: str):
 # Literals are embedded here and nowhere else; this is where factoring (in
 # make_algebraic and the compositum's resultant) and sympy/mpmath may run.
 
+# literals whose field would exceed this degree keep to the resultant path:
+# a failed relation search in 8 unknowns already takes about a second
+MAX_LIFT_DEGREE = 8
+
 def lift(values) -> list:
     """The scalars `values`, with every irrational AlgebraicReal among them
     written in one number field ℚ(α) together with the field elements already
@@ -740,6 +772,8 @@ def _express(x: AlgebraicReal, K):
     α, …, α^{n−1} proposed by PSLQ and checked exactly."""
     import mpmath as mp
 
+    if K.n > MAX_LIFT_DEGREE:
+        return None
     alpha = _generator(K)
     for bits in (128, 512):
         with mp.workprec(bits + 32):
@@ -747,7 +781,9 @@ def _express(x: AlgebraicReal, K):
                 return mp.mpf(q.numerator) / q.denominator
             a = mpf(alpha.approx(bits))
             vec = [mpf(x.approx(bits))] + [a ** i for i in range(K.n)]
-            rel = mp.pslq(vec, maxcoeff=1 << (bits // 4), maxsteps=10 ** 4)
+            # a bound that leaves the precision room to tell a true relation
+            rel = mp.pslq(vec, maxcoeff=1 << (bits // (2 * K.n + 4)),
+                          maxsteps=10 ** 4)
         if rel and rel[0]:
             y = K.make(tuple(Fraction(-c, rel[0]) for c in rel[1:]))
             if _is_root_at(y, x):
@@ -782,7 +818,7 @@ def _compositum(K, x: AlgebraicReal):
     alpha = as_algebraic(_generator(K))
     for k in (1, 2, 3):
         g = x + k * alpha
-        if g.is_rational():
+        if g.is_rational() or g.degree() > MAX_LIFT_DEGREE:
             continue
         L = SimpleField(g.minpoly(), *g.interval())
         a = _express(alpha, L)

@@ -13,7 +13,6 @@ from functools import cached_property
 from math import factorial, gcd, lcm
 
 from ..algebraic import (
-    AlgebraicReal,
     as_scalar,
     scalar_key,
     scalar_sign,

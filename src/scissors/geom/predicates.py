@@ -3,7 +3,7 @@
 Points with rational coordinates are handled as integer homogeneous tuples
 (x_1, ..., x_n, w) with w > 0; all predicates are exact big-integer signs.
 The cofactor formulas (`hdet`, `hyperplane`) use only +, − and ×, so they
-are exact on Fraction and AlgebraicReal entries as well.
+are exact on Fraction and other exact scalar entries as well.
 """
 
 from math import gcd

@@ -86,7 +86,7 @@ class _HomogBackend:
 
 
 class _ScalarBackend:
-    """Generic exact scalars (mixture of Fraction and AlgebraicReal)."""
+    """Generic exact scalars (Fraction, field elements, AlgebraicReal)."""
 
     def __init__(self, dim: int):
         self.dim = dim
