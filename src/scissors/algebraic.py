@@ -714,10 +714,6 @@ def field_ops(a, b, op: str):
 # Literals are embedded here and nowhere else; this is where factoring (in
 # make_algebraic and the compositum's resultant) and sympy/mpmath may run.
 
-# literals whose field would exceed this degree keep to the resultant path:
-# a failed relation search in 8 unknowns already takes about a second
-MAX_LIFT_DEGREE = 8
-
 def lift(values) -> list:
     """The scalars `values`, with every irrational AlgebraicReal among them
     written in one number field ℚ(α) together with the field elements already
@@ -738,7 +734,7 @@ def lift(values) -> list:
     for k, lit in literals.items():
         if K is None:
             K = SimpleField(lit.minpoly(), *lit.interval())
-            image[k] = _generator(K)
+            image[k] = K.generator()
             continue
         x = _express(lit, K)
         if x is None:
@@ -753,10 +749,6 @@ def lift(values) -> list:
             for v in values]
 
 
-def _generator(K):
-    return K.make((0, 1) + (0,) * (K.n - 2))
-
-
 def _substitute(y, alpha):
     """An element of ℚ(α), given by its coefficients, evaluated at alpha."""
     if not isinstance(y, Num) or not isinstance(y.field, SimpleField):
@@ -768,27 +760,8 @@ def _substitute(y, alpha):
 
 
 def _express(x: AlgebraicReal, K):
-    """x as an element of K = ℚ(α), or None: an integer relation among x, 1,
-    α, …, α^{n−1} proposed by PSLQ and checked exactly."""
-    import mpmath as mp
-
-    if K.n > MAX_LIFT_DEGREE:
-        return None
-    alpha = _generator(K)
-    for bits in (128, 512):
-        with mp.workprec(bits + 32):
-            def mpf(q):
-                return mp.mpf(q.numerator) / q.denominator
-            a = mpf(alpha.approx(bits))
-            vec = [mpf(x.approx(bits))] + [a ** i for i in range(K.n)]
-            # a bound that leaves the precision room to tell a true relation
-            rel = mp.pslq(vec, maxcoeff=1 << (bits // (2 * K.n + 4)),
-                          maxsteps=10 ** 4)
-        if rel and rel[0]:
-            y = K.make(tuple(Fraction(-c, rel[0]) for c in rel[1:]))
-            if _is_root_at(y, x):
-                return y
-    return None
+    """x as an element of K, or None."""
+    return K.search(x.approx, lambda y: _is_root_at(y, x))
 
 
 def _is_root_at(y, x: AlgebraicReal) -> bool:
@@ -815,13 +788,13 @@ def _is_root_at(y, x: AlgebraicReal) -> bool:
 def _compositum(K, x: AlgebraicReal):
     """ℚ(α, x) as ℚ(γ) for γ = x + kα: (the field, α in it, x in it), or
     None."""
-    alpha = as_algebraic(_generator(K))
+    alpha = as_algebraic(K.generator())
     for k in (1, 2, 3):
         g = x + k * alpha
-        if g.is_rational() or g.degree() > MAX_LIFT_DEGREE:
+        if g.is_rational() or g.degree() > numberfield.MAX_SEARCH_DEGREE:
             continue
         L = SimpleField(g.minpoly(), *g.interval())
         a = _express(alpha, L)
         if a is not None:
-            return L, a, _generator(L) - k * a
+            return L, a, L.generator() - k * a
     return None

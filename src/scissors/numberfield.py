@@ -13,9 +13,16 @@ and its coefficients are unique.
 solves one linear system.  The sign of a + b√r follows from the signs of a, b
 and a² − b²r in F; in ℚ(α) it comes from interval evaluation at α, refined by
 Newton steps with a sign-change check.  The minimal polynomial over ℚ is the
-first linear relation among 1, x, x², …, so nothing is factored.  A radicand
-that cannot be certified, and two values whose towers do not combine, go
-through the resultant path of `algebraic.AlgebraicReal`.
+first linear relation among 1, x, x², …, so nothing is factored.
+
+A square root of r in F is found exactly, certified absent (F(√r) is then
+built once per radicand), or left undecided.  In ℚ(α), r is certified no
+square when its norm is no rational square; otherwise a root is looked for by
+an integer relation (PSLQ) and accepted only when it squares to r.  Values of
+two towers combine when one tower can be rebuilt over the other's field one
+square root at a time.  An undecided radicand, and values whose fields do not
+combine (two different ℚ(α)), take the resultant path of
+`algebraic.AlgebraicReal`.
 """
 
 from fractions import Fraction
@@ -26,6 +33,9 @@ NONSQUARE = object()
 # towers above this degree over ℚ are not built; such values take the
 # resultant path instead
 MAX_DEGREE = 32
+# no relation search in fields above this degree: a failed search in 8
+# unknowns already takes about a second
+MAX_SEARCH_DEGREE = 8
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -103,20 +113,37 @@ class SimpleField:
     def lift(self, q):
         return (q,) + (0,) * (self.n - 1)
 
+    def generator(self):
+        return Num(self, (0, 1) + (0,) * (self.n - 2))
+
+    def search(self, approx, check):
+        """An element y of this field with check(y), for the real number
+        that approx(bits) gives within 2^−bits: an integer relation among
+        it and 1, α, …, α^{n−1}, proposed by PSLQ and accepted only when
+        `check` confirms it exactly; None when none is found."""
+        import mpmath as mp
+
+        if self.n > MAX_SEARCH_DEGREE:
+            return None
+        alpha = self.generator()
+        for bits in (128, 512):
+            with mp.workprec(bits + 32):
+                def mpf(q):
+                    return mp.mpf(q.numerator) / q.denominator
+                a = mpf(alpha.approx(bits))
+                vec = [mpf(approx(bits))] + [a ** i for i in range(self.n)]
+                # a bound that leaves the precision room to tell a true
+                # relation from a chance one
+                rel = mp.pslq(vec, maxcoeff=1 << (bits // (2 * self.n + 4)),
+                              maxsteps=10 ** 4)
+            if rel and rel[0]:
+                y = self.make(tuple(Fraction(-c, rel[0]) for c in rel[1:]))
+                if check(y):
+                    return y
+        return None
+
     def make(self, data):
         return Num(self, data) if any(data[1:]) else Fraction(data[0])
-
-    @staticmethod
-    def add(u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
-    @staticmethod
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
-    @staticmethod
-    def neg(u):
-        return tuple(-a for a in u)
 
     def mul(self, u, v):
         n = self.n
@@ -224,6 +251,7 @@ class QuadField:
         self.chain = (self,) + (base.chain if base else (None,))
         self.degree = 2 * (base.degree if base else 1)
         self.quads = {}
+        self.over = {}  # see _tower_over
 
     @staticmethod
     def lift(x):
@@ -233,18 +261,6 @@ class QuadField:
         if data[1]:
             return Num(self, data)
         return data[0] if isinstance(data[0], Num) else Fraction(data[0])
-
-    @staticmethod
-    def add(u, v):
-        return (u[0] + v[0], u[1] + v[1])
-
-    @staticmethod
-    def sub(u, v):
-        return (u[0] - v[0], u[1] - v[1])
-
-    @staticmethod
-    def neg(u):
-        return (-u[0], -u[1])
 
     def mul(self, u, v):
         a, b = u
@@ -305,7 +321,7 @@ class Num:
         if c is None:
             return _fallback(self, other, "__add__")
         F, u, v = c
-        return F.make(F.add(u, v))
+        return F.make(tuple(a + b for a, b in zip(u, v)))
 
     __radd__ = __add__
 
@@ -314,14 +330,14 @@ class Num:
         if c is None:
             return _fallback(self, other, "__sub__")
         F, u, v = c
-        return F.make(F.sub(u, v))
+        return F.make(tuple(a - b for a, b in zip(u, v)))
 
     def __rsub__(self, other):
         c = _common(self, other)
         if c is None:
             return _fallback(self, other, "__rsub__")
         F, u, v = c
-        return F.make(F.sub(v, u))
+        return F.make(tuple(b - a for a, b in zip(u, v)))
 
     def __mul__(self, other):
         c = _common(self, other)
@@ -333,7 +349,7 @@ class Num:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Num(self.field, self.field.neg(self.data))
+        return Num(self.field, tuple(-a for a in self.data))
 
     def inverse(self):
         return self.field.make(self.field.inv(self.data))
@@ -532,16 +548,37 @@ def _common(x, y):
 
 
 def _rebase(y, F):
-    """y ∈ D(√r) with D below F, rewritten as a + b·√r with √r taken over
-    F: a scalar of F or of F(√r); None when F cannot take √r."""
-    G = y.field
-    if not isinstance(G, QuadField) or G.base not in F.chain:
+    """y rewritten over F: a scalar of F or of a tower of square roots over
+    F; None when a square root on the way cannot be certified."""
+    if not isinstance(y, Num) or y.field in F.chain:
+        return y
+    over = _tower_over(y.field, F)
+    if over is None:
         return None
-    s = sqrt_over(F, G.r)
-    if s is None:
+    a, b = (_rebase(c, F) for c in y.data)
+    return None if a is None or b is None else a + b * over[1]
+
+
+def _tower_over(G, F):
+    """G's tower rebuilt over F one square root at a time: (its top field,
+    which has F in its chain, and the image of G's √r there), or None.  Kept
+    per field, so that every element of G lands in the same tower."""
+    if not isinstance(G, QuadField):
         return None
-    a, b = y.data
-    return a + b * s
+    if F not in G.over:
+        G.over[F] = None
+        if G.base in F.chain:
+            top = F
+        else:
+            below = _tower_over(G.base, F)
+            top = below[0] if below else None
+        r = _rebase(G.r, F) if top is not None else None
+        root = sqrt_over(top, r) if r is not None else None
+        if root is not None:
+            if isinstance(root, Num) and top in root.field.chain:
+                top = root.field
+            G.over[F] = (top, root)
+    return G.over[F]
 
 
 def _fallback(x, y, op):
@@ -567,13 +604,13 @@ def sqrt_in(F, r):
             return NONSQUARE
         if isinstance(F, SimpleField):
             # [ℚ(√r):ℚ] = 2 divides no odd degree
-            return NONSQUARE if F.n % 2 else None
+            return NONSQUARE if F.n % 2 else _search_sqrt(F, r)
     elif r.field is F:
         if isinstance(F, SimpleField):
             # r = t² would make N(r) = N(t)² a rational square
             if _rational_sqrt(F.norm(r.data)) is None:
                 return NONSQUARE
-            return None
+            return _search_sqrt(F, r)
         a, b = r.data
         n = sqrt_in(F.base, a * a - b * b * F.r)
         if n is None or n is NONSQUARE:
@@ -597,6 +634,15 @@ def sqrt_in(F, r):
     if y is not None and y is not NONSQUARE:
         return F.make((0, y / F.r))
     return NONSQUARE if x is NONSQUARE and y is NONSQUARE else None
+
+
+def _search_sqrt(F, r):
+    """A square root of r in ℚ(α) found by a relation search, or None."""
+    def approx(bits):
+        a = r.approx(2 * bits + 8) if isinstance(r, Num) else Fraction(r)
+        return Fraction(isqrt((a.numerator << (2 * bits)) // a.denominator),
+                        1 << bits)
+    return F.search(approx, lambda y: y * y == r)
 
 
 def _structure_key(x):

@@ -369,7 +369,7 @@ def test_field_arithmetic_matches_resultants():
 
 def test_nonsquare_certificates_agree_with_factoring():
     # a certified non-square r of a field F is no square in ℚ(r) ⊆ F, so
-    # m_r(t²) is irreducible; a square x² has its root found in F
+    # m_r(t²) is irreducible; a square x² has its root found in x's field
     import sympy
 
     from scissors.numberfield import NONSQUARE, Num, sqrt_in
@@ -378,9 +378,8 @@ def test_nonsquare_certificates_agree_with_factoring():
     for elems in _field_pairs().values():
         for x, _ref in elems:
             root = sqrt_in(x.field, x * x)
-            assert root is not NONSQUARE
-            if root is not None:
-                assert _same_value(abs(root), abs(x))
+            assert root is not None and root is not NONSQUARE
+            assert _same_value(abs(root), abs(x))
             for r in (abs(x), abs(x) + 1, 2 * abs(x), x * x):
                 F = r.field if isinstance(r, Num) else None
                 got = sqrt_in(F, r)
@@ -395,3 +394,21 @@ def test_nonsquare_certificates_agree_with_factoring():
                 elif got is not None:
                     assert _same_value(got * got, r)
     assert checked >= 20
+
+
+def test_field_generator_refines_to_its_root():
+    # a Newton step from the middle of an isolating interval can head for
+    # another root; it is kept only when f changes sign across its result
+    from scissors.algebraic import lift
+    for coeffs, interval in (([-2, 0, 0, 1], (0, 100)),
+                             ([-5, 0, 1], (1, 1000)),
+                             ([-4, -24, -24, 5], (Fraction(-35, 32),
+                                                  Fraction(-21, 32))),
+                             ([1, -18, -23, 6], (Fraction(-5, 16),
+                                                 Fraction(1, 16))),
+                             ([1, 8, -14, 9], (Fraction(-3, 16),
+                                               Fraction(3, 16)))):
+        lit = make_algebraic(coeffs, interval)
+        (alpha,) = lift([lit])
+        assert abs(alpha.approx(60) - lit.approx(60)) < Fraction(1, 1 << 58)
+        assert alpha.key() == lit.key()
