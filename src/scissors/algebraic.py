@@ -569,9 +569,7 @@ def as_algebraic(x) -> AlgebraicReal:
     if isinstance(x, (int, Fraction)):
         return AlgebraicReal.from_fraction(Fraction(x))
     if isinstance(x, Num):
-        if x._alg is None:
-            x._alg = AlgebraicReal(x.minpoly(), *x.interval())
-        return x._alg
+        return AlgebraicReal(x.minpoly(), *x.interval())
     raise TypeError(f"cannot coerce {x!r} to AlgebraicReal")
 
 

@@ -304,12 +304,12 @@ class QuadField:
 class Num:
     """An irrational element of a number field (see the module docstring)."""
 
-    __slots__ = ("field", "data", "_sign", "_poly", "_iv", "_index", "_alg")
+    __slots__ = ("field", "data", "_sign", "_poly", "_iv", "_index")
 
     def __init__(self, field, data):
         self.field = field
         self.data = data
-        self._sign = self._poly = self._iv = self._index = self._alg = None
+        self._sign = self._poly = self._iv = self._index = None
 
     def __bool__(self):
         return True  # a Num is never zero

@@ -412,3 +412,28 @@ def test_field_generator_refines_to_its_root():
         (alpha,) = lift([lit])
         assert abs(alpha.approx(60) - lit.approx(60)) < Fraction(1, 1 << 58)
         assert alpha.key() == lit.key()
+
+
+def test_low_degree_factors_match_sympy():
+    # up to degree 3 the factors come from the squarefree part and its
+    # rational roots, without sympy; compare with sympy's factoring
+    import sympy
+
+    from scissors.algebraic import _canonical_factors
+    from scissors.rng import SplitMix64
+    x = sympy.Symbol("x")
+    for case in range(300):
+        rng = SplitMix64.stream(2030, case)
+        if case % 2:
+            f = [rng.randint(-20, 20) for _ in range(rng.randint(1, 3))]
+            f.append(rng.choice((-6, -1, 1, 2, 9)))
+        else:  # products of small linear factors, repeats included
+            p = sympy.Integer(rng.choice((-2, 1, 3)))
+            for _ in range(rng.randint(1, 3)):
+                p *= rng.randint(-5, 5) + rng.choice((-3, -1, 1, 2, 4)) * x
+            f = [int(c) for c in reversed(sympy.Poly(p, x).all_coeffs())]
+        ref = []
+        for g, _ in sympy.Poly(list(reversed(f)), x).sqf_part().factor_list()[1]:
+            c = [int(v) for v in reversed(g.all_coeffs())]
+            ref.append(tuple(-v for v in c) if c[-1] < 0 else tuple(c))
+        assert sorted(_canonical_factors(f)) == sorted(ref), f
