@@ -51,13 +51,13 @@ def polytope_from_json(obj, validate: bool = True,
         dim = _integer(obj["dim"], "dim", 1, 4)
         vertices = [tuple(parse_number(c) for c in v)
                     for v in obj["vertices"]]
-        # one number field for all of the polytope's literals
-        flat = iter(lift([c for v in vertices for c in v]))
-        vertices = [tuple(next(flat) for _ in v) for v in vertices]
         cells = [[_integer(i, "cell index", 0, len(vertices)) for i in cell]
                  for cell in obj["cells"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad polytope JSON: {exc}") from exc
+    # one number field for all of the polytope's literals
+    flat = iter(lift([c for v in vertices for c in v]))
+    vertices = [tuple(next(flat) for _ in v) for v in vertices]
     terms = []
     for cell in cells:
         if len(cell) != dim + 1:

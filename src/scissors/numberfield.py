@@ -364,18 +364,6 @@ class Num:
     def __rtruediv__(self, other):
         return other * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out, base = Fraction(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
@@ -418,16 +406,10 @@ class Num:
     def is_rational(self) -> bool:
         return False
 
-    def as_fraction(self):
-        raise ValueError("not a rational value")
-
     def minpoly(self) -> tuple:
         if self._poly is None:
             self._poly = _minpoly(self)
         return self._poly
-
-    def degree(self) -> int:
-        return len(self.minpoly()) - 1
 
     def interval(self):
         """Rational bounds that isolate this root of the minimal polynomial;
