@@ -111,9 +111,14 @@ def cmd_compare(args) -> dict:
 
 def cmd_verify(args) -> dict:
     outcome = run_suite(args.suite, args.seed, args.cases)
-    exit_code = EXIT_OK if outcome["all_pass"] else EXIT_SUITE_FAILED
-    return {"results": outcome, "certificates": [], "inputs": [],
-            "seed": args.seed, "exit_code": exit_code}
+    out = {"results": outcome, "certificates": [], "inputs": [],
+           "seed": args.seed}
+    if not outcome["all_pass"]:
+        failed = outcome["cases"] - outcome["passed"]
+        out["exit_code"] = EXIT_SUITE_FAILED
+        out["failure"] = (f"suite failed: {failed} of {outcome['cases']} "
+                          f"cases of {args.suite}")
+    return out
 
 
 def cmd_hochschild(args) -> dict:
@@ -188,9 +193,20 @@ def cmd_recheck(args) -> dict:
     report = load_json(args.report)
     check_report_shape(report, args.report)
     outcome = recheck_certificates(report)
-    exit_code = EXIT_OK if outcome["recheck_passed"] else EXIT_SUITE_FAILED
-    return {"results": outcome, "certificates": [],
-            "inputs": [args.report], "exit_code": exit_code}
+    out = {"results": outcome, "certificates": [], "inputs": [args.report]}
+    if not outcome["recheck_passed"]:
+        out["exit_code"] = EXIT_SUITE_FAILED
+        out["failure"] = _recheck_failure(outcome)
+    return out
+
+
+def _recheck_failure(outcome: dict) -> str:
+    """The one stderr line of a failed recheck."""
+    failed = sum(1 for c in outcome["checks"] if not c["pass"])
+    what = [f"{failed} of {len(outcome['checks'])} certificates failed"]
+    if not outcome["digest_ok"]:
+        what.append("the digest does not match")
+    return "recheck failed: " + "; ".join(what)
 
 
 def _render_text(report: dict, indent: str = "") -> str:
@@ -297,6 +313,7 @@ def main(argv=None) -> int:
             raise ParseError("homology needs --complex or --group")
         out = args.fn(args)
         exit_code = out.pop("exit_code", EXIT_OK)
+        failure = out.pop("failure", None)
         inputs = out.pop("inputs", [])
         seed = out.pop("seed", getattr(args, "seed", None))
         report = make_report(
@@ -309,7 +326,8 @@ def main(argv=None) -> int:
         if args.command == "compare" and args.recheck:
             report["recheck"] = recheck_certificates(report)
             if not report["recheck"]["recheck_passed"]:
-                exit_code = EXIT_INTERNAL
+                exit_code = EXIT_SUITE_FAILED
+                failure = _recheck_failure(report["recheck"])
     except (ParseError, UnknownSuite) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -340,6 +358,8 @@ def main(argv=None) -> int:
         print("output error: stdout was closed before the report was "
               "written", file=sys.stderr)
         return EXIT_INTERNAL
+    if failure:
+        print(failure, file=sys.stderr)
     return exit_code
 
 

@@ -9,7 +9,6 @@ same algorithms.
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial, gcd, lcm
 
 from ..algebraic import (
@@ -88,23 +87,66 @@ def canon_plane(func):
 
 # -- simplices and chains -----------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+def _coord_id(c):
+    c = as_scalar(c)
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    return c.key()
+
+
+def vertex_key(p) -> tuple:
+    """Exact identity key of a point, by which simplices compare and hash.
+
+    A rational coordinate is keyed by its (numerator, denominator) pair,
+    which compares and hashes as ints, an irrational one by its scalar key.
+    Unlike point_key, it does not order points by value.
+    """
+    return tuple(map(_coord_id, p))
+
+
 class Simplex:
-    """Ordered vertex tuple; equal and hashed by its exact key, computed
-    once on first use (an irrational coordinate's key needs its root index)."""
+    """Ordered vertex tuple, equal by its exact key (the tuple of its
+    vertices' vertex_key) and hashed by the hashes of those keys.
 
-    dim_ambient: int
-    vertices: tuple
+    The keys are computed once, on first use (an irrational coordinate's key
+    needs its root index); a face or a subdivision piece built by `_keyed`
+    inherits them from the simplex or vertex table it comes from, so no
+    coordinate is keyed twice.
+    """
 
-    def __post_init__(self):
-        if self.dim_ambient not in (1, 2, 3):
+    __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash")
+
+    def __init__(self, dim_ambient: int, vertices: tuple):
+        if dim_ambient not in (1, 2, 3):
             raise DimensionMismatch("ambient dimension must be 1, 2 or 3")
-        for v in self.vertices:
-            if len(v) != self.dim_ambient:
+        for v in vertices:
+            if len(v) != dim_ambient:
                 raise DimensionMismatch("vertex dimension mismatch")
         # vertex tuples longer than dim+1 are allowed as formal chain
         # generators (the subdivision homotopy raises degree by one); they
         # are necessarily degenerate and excluded from geometric operations
+        self.dim_ambient = dim_ambient
+        self.vertices = vertices
+        self._keys = self._hashes = self._hash = None
+
+    @classmethod
+    def _keyed(cls, dim_ambient, vertices, keys, hashes) -> "Simplex":
+        """A simplex on already checked vertices with known keys and key
+        hashes, e.g. a face of a checked simplex."""
+        s = object.__new__(cls)
+        s.dim_ambient = dim_ambient
+        s.vertices = vertices
+        s._keys = keys
+        s._hashes = hashes
+        s._hash = hash(hashes)
+        return s
+
+    def vertex_keys(self) -> tuple:
+        """(keys, hashes) of the vertices, computed on the first call."""
+        if self._keys is None:
+            self._keys = tuple(map(vertex_key, self.vertices))
+            self._hashes = tuple(map(hash, self._keys))
+        return self._keys, self._hashes
 
     @property
     def k(self) -> int:
@@ -113,24 +155,22 @@ class Simplex:
     def is_top(self) -> bool:
         return self.k == self.dim_ambient
 
-    @cached_property
-    def _key(self):
-        return tuple(point_key(v) for v in self.vertices)
-
-    @cached_property
-    def _hash(self):
-        return hash(self._key)
-
     def key(self):
-        return self._key
+        return self.vertex_keys()[0]
 
     def __eq__(self, other):
         if not isinstance(other, Simplex):
             return NotImplemented
-        return self._key == other._key
+        return self.key() == other.key()
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.vertex_keys()[1])
         return self._hash
+
+    def __repr__(self):
+        return (f"Simplex(dim_ambient={self.dim_ambient!r}, "
+                f"vertices={self.vertices!r})")
 
     def is_rational(self) -> bool:
         return all(is_rational_point(v) for v in self.vertices)
@@ -150,13 +190,22 @@ class SimplexChain:
             if s.dim_ambient != dim_ambient:
                 raise DimensionMismatch("mixed ambient dimensions in chain")
 
+    @classmethod
+    def _checked(cls, dim_ambient: int, terms: list) -> "SimplexChain":
+        """A chain on terms already known to be nonzero int coefficients on
+        simplices of this ambient dimension."""
+        ch = object.__new__(cls)
+        ch.dim_ambient = dim_ambient
+        ch.terms = terms
+        return ch
+
     def reduce(self) -> "SimplexChain":
         """Merge equal ordered simplices and drop zero coefficients."""
         acc = {}
         for c, s in self.terms:
             acc[s] = acc.get(s, 0) + c
-        return SimplexChain(self.dim_ambient,
-                            [(c, s) for s, c in acc.items() if c != 0])
+        return SimplexChain._checked(
+            self.dim_ambient, [(c, s) for s, c in acc.items() if c != 0])
 
     def drop_degenerate_top(self) -> "SimplexChain":
         """Remove top-dimensional terms of zero volume."""
@@ -165,13 +214,17 @@ class SimplexChain:
             if s.is_top() and orientation_sign(s) == 0:
                 continue
             keep.append((c, s))
-        return SimplexChain(self.dim_ambient, keep)
+        return SimplexChain._checked(self.dim_ambient, keep)
 
     def __add__(self, other):
-        return SimplexChain(self.dim_ambient, self.terms + other.terms).reduce()
+        if other.dim_ambient != self.dim_ambient:
+            raise DimensionMismatch("mixed ambient dimensions in chain")
+        return SimplexChain._checked(
+            self.dim_ambient, self.terms + other.terms).reduce()
 
     def __neg__(self):
-        return SimplexChain(self.dim_ambient, [(-c, s) for c, s in self.terms])
+        return SimplexChain._checked(self.dim_ambient,
+                                     [(-c, s) for c, s in self.terms])
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -215,13 +268,17 @@ def orientation_sign(s: Simplex) -> int:
 
 def boundary(chain: SimplexChain) -> SimplexChain:
     """Alternating-sum face chain; satisfies ∂∂ = 0 after reduction."""
+    dim = chain.dim_ambient
+    keyed = Simplex._keyed
     out = []
     for c, s in chain:
         vs = s.vertices
+        keys, hashes = s.vertex_keys()
         for i in range(len(vs)):
-            face = Simplex(s.dim_ambient, vs[:i] + vs[i + 1:])
-            out.append((c * (-1) ** i, face))
-    return SimplexChain(chain.dim_ambient, out).reduce()
+            face = keyed(dim, vs[:i] + vs[i + 1:], keys[:i] + keys[i + 1:],
+                         hashes[:i] + hashes[i + 1:])
+            out.append((-c if i % 2 else c, face))
+    return SimplexChain._checked(dim, out).reduce()
 
 
 def _flip_last_two(s: Simplex) -> Simplex:

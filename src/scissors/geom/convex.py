@@ -62,6 +62,11 @@ def _order_cycle_3d(pts_h, func):
         return (p[keep[0]], p[keep[1]], p[3])
 
     pts2 = [project(p) for p in pts_h]
+    # only corners: a point inside the facet, or inside an edge that the
+    # fans of both facets at it need not split alike, is no fan vertex
+    corners = _corners_2d(pts2)
+    pts_h = [pts_h[i] for i in corners]
+    pts2 = [pts2[i] for i in corners]
     cycle = [pts_h[i] for i in _angular_order_2d(pts2, hp.centroid(pts2))]
     # orient the cycle so the induced normal points to the positive side
     for a in range(len(cycle)):
@@ -120,21 +125,37 @@ def convex_polygon_2d(points, name: str = "") -> Polytope:
     """Fan triangulation of the convex hull of rational points in E²."""
     hpts = [to_homog(p) for p in dict.fromkeys(make_point(p) for p in points)]
     c = hp.centroid(hpts)
-    hull = []
-    n = len(hpts)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            func = hp.hyperplane([hpts[i], hpts[j]])
-            sides = [hp.side(func, p) for p in hpts]
-            if all(s <= 0 for s in sides):
-                hull.append((i, j))
-    verts = [hpts[i] for i in sorted({i for e in hull for i in e})]
+    verts = [hpts[i] for i in _corners_2d(hpts)]
     if len(verts) < 3:
         raise InvalidPolytope("points not full-dimensional")
     cycle = [from_homog(verts[i]) for i in _angular_order_2d(verts, c)]
     return Polytope(SimplexChain(2, _fan(2, cycle)), name=name)
+
+
+def _corners_2d(hpts):
+    """Indices, in input order, of the corners of the hull of distinct
+    homogeneous points in E² (weights positive): points inside the hull or
+    inside one of its edges are left out."""
+    def towards(a, b):
+        return (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])
+
+    def within(k, i, j):  # k, collinear with i and j, lies in [i, j]
+        ik, ij = towards(hpts[i], hpts[k]), towards(hpts[i], hpts[j])
+        jk, ji = towards(hpts[j], hpts[k]), towards(hpts[j], hpts[i])
+        return (ik[0] * ij[0] + ik[1] * ij[1] >= 0
+                and jk[0] * ji[0] + jk[1] * ji[1] >= 0)
+
+    corners = set()
+    n = len(hpts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            func = hp.hyperplane([hpts[i], hpts[j]])
+            sides = [hp.side(func, p) for p in hpts]
+            if not (all(t <= 0 for t in sides) or all(t >= 0 for t in sides)):
+                continue
+            if all(within(k, i, j) for k in range(n) if sides[k] == 0):
+                corners.update((i, j))
+    return sorted(corners)
 
 
 def _angular_order_2d(hpts, c):

@@ -14,10 +14,18 @@ MAX_GROUP_ORDER = 16
 MAX_DEGREE = 4
 
 
+def check_group_order(n: int) -> None:
+    """Refuse a group of order above MAX_GROUP_ORDER before its table is
+    built or checked: the table has n² entries and associativity n³."""
+    if n > MAX_GROUP_ORDER:
+        raise SizeCap(f"group order {n} > {MAX_GROUP_ORDER}")
+
+
 class FiniteGroup:
     """Multiplication table group; elements are indices 0..n−1, 0 = identity."""
 
     def __init__(self, table, name: str = ""):
+        check_group_order(len(table))
         self.table = [list(map(int, row)) for row in table]
         self.n = len(self.table)
         self.name = name or f"group({self.n})"
@@ -49,6 +57,7 @@ class FiniteGroup:
 
 
 def cyclic_group(m: int) -> FiniteGroup:
+    check_group_order(m)
     table = [[(a + b) % m for b in range(m)] for a in range(m)]
     return FiniteGroup(table, name=f"Z/{m}")
 
@@ -172,8 +181,6 @@ def restrict_module(group: FiniteGroup, elements,
 def bar_complex(group: FiniteGroup, module: GModule,
                 degree_cap: int, _slack: int = 0) -> ChainComplex:
     """Coinvariant bar complex with basis G^k × basis(M) in degree k."""
-    if group.n > MAX_GROUP_ORDER:
-        raise SizeCap(f"group order {group.n} > {MAX_GROUP_ORDER}")
     if degree_cap > MAX_DEGREE + _slack:
         raise SizeCap(f"degree cap {degree_cap} > {MAX_DEGREE}")
     if group.n ** degree_cap * module.rank > 300_000:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from ..algebraic import scalar_sign
-from ..geom import Simplex, SimplexChain, make_point
+from ..geom import Simplex, SimplexChain, make_point, vertex_key
 from . import ChainComplex, SizeCap, SparseIntMatrix
 
 MAX_POINTS = 8
@@ -123,25 +123,28 @@ def _accumulate(out, chain, image):
 class _Subdivision:
     """sd and the homotopy H on ordered vertex-id tuples over one vertex table.
 
-    Points get ids once; a barycenter is interned by the multiset of ids it
-    averages, then by its point, so equal points always share an id and
-    id-tuple chains need no reduction by point.  sd(τ) and H(τ) of each
-    ordered face τ are computed once per table.
+    Points get ids once, by their vertex key; a barycenter is interned by
+    the multiset of ids it averages, then by its key, so equal points always
+    share an id and id-tuple chains need no reduction by point.  sd(τ) and
+    H(τ) of each ordered face τ are computed once per table.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.points = []
+        self.keys = []
         self._ids = {}
         self._bary = {}
         self._sd = {}
         self._h = {}
 
     def _id(self, p) -> int:
-        i = self._ids.get(p)
+        k = vertex_key(p)
+        i = self._ids.get(k)
         if i is None:
-            i = self._ids[p] = len(self.points)
+            i = self._ids[k] = len(self.points)
             self.points.append(p)
+            self.keys.append(k)
         return i
 
     def _barycenter(self, t) -> int:
@@ -162,9 +165,15 @@ class _Subdivision:
         return out
 
     def chain(self, terms: dict) -> SimplexChain:
-        pts = self.points
-        return SimplexChain(self.dim, [
-            (c, Simplex(self.dim, tuple(pts[i] for i in t)))
+        """The id-tuple chain as simplices, which inherit the keys of the
+        table's points."""
+        pts, keys, dim = self.points, self.keys, self.dim
+        hashes = [hash(k) for k in keys]
+        keyed = Simplex._keyed
+        return SimplexChain._checked(dim, [
+            (c, keyed(dim, tuple([pts[i] for i in t]),
+                      tuple([keys[i] for i in t]),
+                      tuple([hashes[i] for i in t])))
             for t, c in terms.items() if c])
 
     def sd(self, t) -> dict:

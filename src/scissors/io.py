@@ -9,6 +9,7 @@ from .homology import ChainComplex, SparseIntMatrix
 from .homology.groups import (
     FiniteGroup,
     GModule,
+    check_group_order,
     cyclic_group,
     symmetric_group_3,
     trivial_group,
@@ -123,6 +124,7 @@ def group_from_spec(spec: str) -> FiniteGroup:
     obj = load_json(spec)
     try:
         n = len(obj["table"])
+        check_group_order(n)  # before n² entries are parsed
         table = [[_integer(x, "group table entry", 0, n) for x in row]
                  for row in obj["table"]]
         return FiniteGroup(table, name=obj.get("name", spec))

@@ -311,6 +311,9 @@ def test_cli_recheck_roundtrip(fixtures, tmp_path):
     bad.write_text(json.dumps(report))
     rc2 = run_cli("recheck", str(bad))
     assert rc2.returncode == 1
+    [line] = rc2.stderr.splitlines()
+    assert line.startswith("recheck failed: ")
+    assert line.endswith("; the digest does not match")
 
 
 def test_cli_internal_error_is_one_line(monkeypatch, capsys):
@@ -330,6 +333,56 @@ def test_cli_internal_error_is_one_line(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_homology", interrupt)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["homology", "--group", "Z/2"])
+
+
+def test_group_order_cap_is_checked_first(tmp_path, capsys):
+    # the cap applies before the m×m table is built, or a JSON table's
+    # entries are parsed, or associativity is checked in O(n³)
+    import time
+
+    from scissors import cli
+
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"table": [["x"] * 17] * 17}))
+    for spec, order in (("Z/17", 17), ("Z/100000000", 100000000),
+                        (str(big), 17)):
+        t0 = time.perf_counter()
+        assert cli.main(["homology", "--group", spec]) == cli.EXIT_CAP
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"resource cap: group order {order} > 16"]
+    assert cli.main(["homology", "--group", "Z/16", "--max-degree", "1"]) == 0
+
+
+def test_compare_recheck_failure_is_exit_1_with_one_line(fixtures,
+                                                         monkeypatch, capsys):
+    from scissors import cli
+
+    def failing(report):
+        return {"digest_ok": True, "recheck_passed": False,
+                "checks": [{"certificate": "nonzero-dehn", "pass": False}]}
+
+    monkeypatch.setattr(cli, "recheck_certificates", failing)
+    rc = cli.main(["compare", "--recheck", str(fixtures / "cube.json"),
+                   str(fixtures / "box112.json")])
+    assert rc == cli.EXIT_SUITE_FAILED == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["recheck"]["recheck_passed"] is False
+    assert out.err.splitlines() == [
+        "recheck failed: 1 of 1 certificates failed"]
+
+
+def test_failed_suite_is_exit_1_with_one_line(monkeypatch, capsys):
+    from scissors import cli
+
+    def failing(name, seed, cases):
+        return {"suite": name, "seed": seed, "cases": 3, "passed": 1,
+                "all_pass": False, "results": [], "failures": []}
+
+    monkeypatch.setattr(cli, "run_suite", failing)
+    assert cli.main(["verify", "torus"]) == cli.EXIT_SUITE_FAILED
+    assert capsys.readouterr().err.splitlines() == [
+        "suite failed: 2 of 3 cases of torus"]
 
 
 def test_closed_stdout_is_one_line(fixtures):

@@ -148,3 +148,47 @@ def test_tensor_round_trip():
     for (l1, a1), (l2, a2) in zip(back.terms, t.terms):
         assert a1 == a2
         assert scalar_sign(l1 - l2) == 0
+
+
+def _seeded_order(rng, pts):
+    """A seeded permutation of pts (Fisher-Yates on SplitMix64)."""
+    pts = list(pts)
+    for i in range(len(pts) - 1, 0, -1):
+        j = rng.randint(0, i)
+        pts[i], pts[j] = pts[j], pts[i]
+    return pts
+
+
+def _cells(p):
+    return {frozenset(s.vertices) for s in p.simplices()}
+
+
+def _two_triangulations(rng):
+    """One seeded rational hull, tetrahedralized from two point orders that
+    give different cells (the hull is coned from its first point)."""
+    from scissors.geom import GeometryError
+    from scissors.geom.convex import convex_polytope_3d
+
+    while True:
+        pts = list(dict.fromkeys(tuple(rng.randint(0, 3) for _ in range(3))
+                                 for _ in range(rng.randint(5, 7))))
+        try:
+            a = convex_polytope_3d(pts)
+        except GeometryError:
+            continue  # flat point sets have no hull; draw again
+        for _ in range(4):
+            b = convex_polytope_3d(_seeded_order(rng, pts))
+            if _cells(b) != _cells(a):
+                return a, b
+
+
+def test_retriangulation_keeps_volume_and_dehn():
+    # metamorphic: volume and D(P) do not depend on the triangulation
+    from scissors.rng import SplitMix64
+
+    for case in range(3):
+        a, b = _two_triangulations(SplitMix64.stream(808, case))
+        assert a.volume() == b.volume()
+        diff = tensor_add(dehn_invariant(a), tensor_neg(dehn_invariant(b)))
+        assert is_zero(diff) == "Zero"
+        assert compare_polytopes(a, b).tag == "Congruent_DSJ"

@@ -11,6 +11,7 @@ from scissors.geom import (
     SimplexChain,
     boundary,
     dihedral_edges,
+    make_point,
     orientation_sign,
     prism,
     signed_indicator,
@@ -18,6 +19,7 @@ from scissors.geom import (
     simplex_volume,
 )
 from scissors.geom.convex import (
+    _corners_2d,
     box,
     convex_polygon_2d,
     convex_polytope_3d,
@@ -232,3 +234,18 @@ def test_rational_angle_of_cube_edges():
     for e in dihedral_edges(c):
         q = is_rational_angle(e.angle)
         assert q in (Fraction(1, 2), Fraction(1))
+
+
+def test_hull_cells_skip_points_inside_facets_and_edges():
+    # a pyramid of volume 2 over a base quadrilateral that holds one point
+    # inside it and one inside an edge; cone it from every point in turn
+    pts = [(0, 0, 1), (0, 1, 0), (2, 1, 0), (3, 1, 3), (1, 1, 3),
+           (2, 1, 2), (1, 1, 0)]
+    corners = set(pts[:5])
+    for i in range(len(pts)):
+        p = convex_polytope_3d(pts[i:] + pts[:i])
+        assert p.volume() == 2
+        used = {v for s in p.simplices() for v in s.vertices}
+        assert used <= {make_point(v) for v in corners | {pts[i]}}
+    square = [(0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 2, 1), (1, 1, 1), (0, 2, 1)]
+    assert _corners_2d(square) == [0, 2, 3, 5]

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from scissors.algebraic import AlgebraicReal, sqrt_nonneg
+from scissors.algebraic import AlgebraicReal, make_algebraic, sqrt_nonneg
 from scissors.geom import (
     Simplex,
     SimplexChain,
@@ -23,6 +23,7 @@ from scissors.homology.simplicial import (
     torus_complex,
     torus_homology,
 )
+from scissors.numbers import format_number, parse_number
 from scissors.rng import SplitMix64
 
 
@@ -118,6 +119,78 @@ def test_sd_power_rejects_negative_rounds():
     for op in (sd_power, subdivision_homotopy):
         with pytest.raises(ValueError, match="rounds must be >= 0"):
             op(ch, -1)
+
+
+def _same_simplex(a, b):
+    """a and b are one chain generator: equal, equal hashes, and they
+    cancel under reduce."""
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert not SimplexChain(a.dim_ambient, [(1, a), (-1, b)]).reduce().terms
+
+
+def _retyped(p, kind, field_elt):
+    """The point p with each rational coordinate given as another scalar."""
+    if kind == "int":
+        return tuple(int(c) if c.denominator == 1 else c for c in p)
+    if kind == "algebraic":  # a rational AlgebraicReal
+        return tuple(make_algebraic([-c.numerator, c.denominator],
+                                    (c - 1, c + 1)) for c in p)
+    # rationals reached by arithmetic in a number field
+    return tuple((c + field_elt) - field_elt for c in p)
+
+
+def _bary(pts):
+    return tuple(sum(p[k] for p in pts) / len(pts)
+                 for k in range(len(pts[0])))
+
+
+def test_simplex_identity_across_construction_paths():
+    # one ordered simplex built fresh, as a face, out of sd and H, and from
+    # every scalar type is one chain generator
+    root2 = sqrt_nonneg(2)
+    for dim in (1, 2, 3):
+        for case in range(3):
+            rng = SplitMix64.stream(41, 10 * dim + case)
+            verts = rand_simplex(rng, dim).vertices
+            if case == 2:  # one irrational field coordinate
+                v0 = (verts[0][0] + root2 / 3,) + verts[0][1:]
+                verts = (v0,) + verts[1:]
+            fresh = simplex(dim, *verts)
+            _same_simplex(fresh, Simplex(dim, verts))
+            # a face of a longer formal generator, at every position
+            extra = tuple(rng.fraction(6, 2) + 13 for _ in range(dim))
+            for i in range(dim + 2):
+                parent = Simplex(dim, verts[:i] + (extra,) + verts[i:])
+                faces = {s.vertices: (c, s)
+                         for c, s in boundary(SimplexChain(dim, [(1, parent)]))}
+                c, face = faces[verts]
+                assert c == (-1) ** i
+                _same_simplex(face, fresh)
+            # out of the subdivision engine
+            ch = SimplexChain(dim, [(1, fresh)])
+            [(c, s)] = sd_power(ch, 0)
+            assert c == 1
+            _same_simplex(s, fresh)
+            flag = simplex(dim, *(_bary(verts[:j]) for j in
+                                  range(dim + 1, 0, -1)))
+            sd = {s: c for c, s in sd_power(ch, 1)}
+            assert sd[flag] == (-1) ** (dim * (dim + 1) // 2)
+            cone = simplex(dim, _bary(verts), *verts)
+            assert {s: c for c, s in subdivision_homotopy(ch, 1)}[cone] == -1
+            for _, s in sd_power(ch, 1):
+                _same_simplex(s, simplex(dim, *s.vertices))
+            # the same points in other scalar types
+            if case == 2:
+                lit = parse_number(format_number(verts[0][0]))
+                assert isinstance(lit, AlgebraicReal)
+                _same_simplex(fresh, Simplex(dim, ((lit,) + verts[0][1:],)
+                                             + verts[1:]))
+                continue
+            for kind in ("int", "algebraic", "field"):
+                pts = tuple(_retyped(p, kind, root2) for p in verts)
+                _same_simplex(simplex(dim, *pts), fresh)
+                _same_simplex(Simplex(dim, pts), fresh)
 
 
 def _engine_cases():
