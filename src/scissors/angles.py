@@ -17,6 +17,7 @@ from .algebraic import (
     AlgebraicReal,
     as_scalar,
     count_roots,
+    lift,
     make_algebraic,
     scalar_approx,
     scalar_key,
@@ -81,7 +82,10 @@ class AnglePair:
 
     @classmethod
     def from_json(cls, obj) -> "AnglePair":
-        return cls(parse_number(obj["cos"]), parse_number(obj["sin"]))
+        # cos and sin in one number field where they share one, as in the
+        # polytope they were computed from
+        return cls(*lift([parse_number(obj["cos"]),
+                          parse_number(obj["sin"])]))
 
     def __repr__(self):
         return f"AnglePair(cos~{float(scalar_approx(self.cos, 40)):.6g})"

@@ -43,6 +43,8 @@ EXIT_GEOMETRY = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
+MAX_CASES = 1000  # `verify --cases`; the acceptance runs use up to 200
+
 
 def _tensor_certificates(tensor):
     certs = []
@@ -234,8 +236,9 @@ def _render_text(report: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _int_at_least(lo):
-    """argparse type: an integer no smaller than `lo`."""
+def _int_in(lo, hi=None):
+    """argparse type: an integer no smaller than `lo` and, if `hi` is given,
+    no larger than it."""
     def parse(text):
         try:
             value = int(text)
@@ -244,6 +247,8 @@ def _int_at_least(lo):
                 f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
     return parse
 
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope-info", help="volume, edges, Dehn invariant")
     p.add_argument("file")
-    p.add_argument("--height-bound", type=_int_at_least(1),
+    p.add_argument("--height-bound", type=_int_in(1),
                    default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--exact-strict", action="store_true")
     p.set_defaults(fn=cmd_polytope_info)
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="scissors-congruence verdict")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--height-bound", type=_int_at_least(1),
+    p.add_argument("--height-bound", type=_int_in(1),
                    default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--exact-strict", action="store_true")
     p.add_argument("--recheck", action="store_true",
@@ -276,21 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_int_at_least(1), default=25)
+    p.add_argument("--cases", type=_int_in(1, MAX_CASES), default=25)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("hochschild", help="HH dimension table")
     p.add_argument("--algebra", required=True,
                    help="builtin name (Q, QI, quat, mat2, mat4) "
                         "or an algebra JSON file")
-    p.add_argument("--max-degree", type=_int_at_least(0), default=2)
+    p.add_argument("--max-degree", type=_int_in(0), default=2)
     p.set_defaults(fn=cmd_hochschild)
 
     p = sub.add_parser("homology", help="chain-complex or group homology")
     p.add_argument("--complex")
     p.add_argument("--group")
     p.add_argument("--module", default="trivialZ")
-    p.add_argument("--max-degree", type=_int_at_least(0), default=3)
+    p.add_argument("--max-degree", type=_int_in(0), default=3)
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("phi", help="length·dcos/sin image of tensor terms")

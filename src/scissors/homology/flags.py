@@ -34,7 +34,6 @@ class AffineSubspace:
         # directions: list of vectors; reduce to RREF over ℚ
         rows = [list(d) for d in directions]
         cols = len(base)
-        rref = []
         pivots = []
         r = 0
         for col in range(cols):
@@ -53,9 +52,9 @@ class AffineSubspace:
                     f = rows[i][col]
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
             pivots.append(col)
-            rref.append(tuple(rows[r]))
             r += 1
-        self.directions = tuple(rref)
+        # the pivot rows once every later pivot column is cleared from them
+        self.directions = tuple(tuple(row) for row in rows[:r])
         self.pivots = tuple(pivots)
         # canonical base: zero out the pivot coordinates
         b = [Fraction(c) for c in base]
@@ -105,19 +104,30 @@ def span_of_points(points) -> AffineSubspace:
     return AffineSubspace(base, dirs)
 
 
-def subspace_pool(points, dim: int):
-    """All proper affine spans of subsets of the configuration."""
-    pool = {}
+def subspace_pool(points, dim: int, spans=None):
+    """All proper affine spans of subsets of the configuration.
+
+    A proper span is spanned by at most `dim` of the points, so only subsets
+    of that size are enumerated.  If `spans` is a dict, it receives the pool
+    index of the span of each of them, keyed by its sorted index tuple, or
+    −1 where the span is the whole space.
+    """
+    pool = []
+    index = {}
     n = len(points)
     for size in range(1, min(n, dim) + 1):
         for subset in combinations(range(n), size):
             sub = span_of_points([points[i] for i in subset])
-            if sub.dim >= dim:
-                continue  # the whole space is excluded
-            pool[sub.key()] = sub
-            if len(pool) > POOL_CAP:
-                raise PoolExplosion(f"more than {POOL_CAP} subspaces")
-    return list(pool.values())
+            j = -1
+            if sub.dim < dim:  # the whole space is excluded
+                j = index.setdefault(sub.key(), len(pool))
+                if j == len(pool):
+                    pool.append(sub)
+                    if len(pool) > POOL_CAP:
+                        raise PoolExplosion(f"more than {POOL_CAP} subspaces")
+            if spans is not None:
+                spans[subset] = j
+    return pool
 
 
 class FlagComplex:
@@ -130,19 +140,24 @@ class FlagComplex:
         self.dim = dim
         self.p_max = p_max
         self.q_max = q_max
-        self.pool = subspace_pool(self.points, dim)
-        self.pool_index = {s.key(): i for i, s in enumerate(self.pool)}
-        self.members = []  # per subspace: sorted point indices inside
-        for s in self.pool:
-            self.members.append(tuple(
-                i for i, p in enumerate(self.points) if s.contains_point(p)))
+        # span table: pool index of the span of a sorted index tuple
+        self._spans = {}
+        self.pool = subspace_pool(self.points, dim, self._spans)
+        # per subspace: the point indices inside.  A point of a span of
+        # dimension k < dim lies, with k others, in a subset of k + 1 points
+        # that spans it, so the table's subsets cover every member.
+        self._member_sets = [set() for _ in self.pool]
+        for subset, j in self._spans.items():
+            if j >= 0:
+                self._member_sets[j].update(subset)
+        self.members = [tuple(sorted(m)) for m in self._member_sets]
         # every pool subspace is the span of its members, so B ⊆ A exactly
         # when members(B) ⊆ members(A)
-        member_sets = [frozenset(m) for m in self.members]
         self.contains = {}
         for i, a in enumerate(self.pool):
             for j, b in enumerate(self.pool):
-                if a.dim > b.dim and member_sets[j] <= member_sets[i]:
+                if a.dim > b.dim and \
+                        self._member_sets[j] <= self._member_sets[i]:
                     self.contains.setdefault(i, []).append(j)
         self.flags = {p: [] for p in range(p_max + 1)}
         self.flag_index = {}
@@ -150,8 +165,8 @@ class FlagComplex:
             self._grow_flags((i,))
         for p, fl in self.flags.items():
             self.flag_index[p] = {f: k for k, f in enumerate(fl)}
-        # span cache for tuples
-        self._span_cache = {}
+        self._tuple_spans = {}  # raw point tuple -> pool index or −1
+        self._faces = {}  # flag -> ((face, sign), ...) for dprime
 
     def _grow_flags(self, flag):
         p = len(flag) - 1
@@ -161,16 +176,28 @@ class FlagComplex:
         for nxt in self.contains.get(flag[-1], ()):
             self._grow_flags(flag + (nxt,))
 
+    def _span_index(self, tup) -> int:
+        """Pool index of the span of a point tuple, −1 for the whole space."""
+        hit = self._tuple_spans.get(tup)
+        if hit is None:
+            key = tuple(sorted(set(tup)))
+            hit = self._spans.get(key)
+            if hit is None:
+                # more than dim distinct points: their span is the least
+                # pool subspace holding them all, if one does
+                pts = set(key)
+                hit = self._spans[key] = min(
+                    (j for j, m in enumerate(self._member_sets) if pts <= m),
+                    key=lambda j: self.pool[j].dim, default=-1)
+            self._tuple_spans[tup] = hit
+        return hit
+
     def tuple_span_index(self, tup) -> int:
         """Pool index of the span of a point tuple; raises if missing."""
-        key = tuple(sorted(set(tup)))
-        hit = self._span_cache.get(key)
-        if hit is None:
-            sub = span_of_points([self.points[i] for i in key])
-            hit = self.pool_index.get(sub.key(), -1)
-            self._span_cache[key] = hit
+        hit = self._span_index(tup)
         if hit < 0:
-            raise SpanMissingFromPool(f"span of {key} not in pool")
+            raise SpanMissingFromPool(
+                f"span of {tuple(sorted(set(tup)))} not in pool")
         return hit
 
     # -- basis enumeration ----------------------------------------------
@@ -186,27 +213,26 @@ class FlagComplex:
 
     def augmentation_basis(self, q: int):
         """Tuples with proper span (the p = −1 augmentation column)."""
-        n = len(self.points)
-        out = []
-        for tup in product(range(n), repeat=q + 1):
-            sub = span_of_points([self.points[i] for i in set(tup)])
-            if sub.dim < self.dim:
-                out.append(tup)
-        return out
+        return [tup for tup in product(range(len(self.points)), repeat=q + 1)
+                if self._span_index(tup) >= 0]
 
     # -- operators on formal vectors (dict basis-key -> int) -------------
 
     def dprime(self, p: int, flag, tup, corrupt_sign: bool = False):
         """Horizontal differential of a basis element at column level p."""
+        faces = self._faces.get(flag)
+        if faces is None:
+            faces = self._faces[flag] = tuple(
+                (flag[:i] + flag[i + 1:], -1 if i % 2 else 1)
+                for i in range(len(flag)))
+        # the faces of a strict flag are distinct, so no sign cancels
         out = {}
-        for i in range(len(flag)):
-            sign = (-1) ** i
-            if corrupt_sign and i == len(flag) - 1:
-                sign = -sign
-            sub = flag[:i] + flag[i + 1:]
-            key = ("aug", tup) if not sub else (len(sub) - 1, sub, tup)
-            out[key] = out.get(key, 0) + sign
-        return {k: v for k, v in out.items() if v}
+        for sub, sign in faces:
+            key = (len(sub) - 1, sub, tup) if sub else ("aug", tup)
+            out[key] = sign
+        if corrupt_sign:
+            out[key] = -sign
+        return out
 
     def s_map(self, level, flag, tup):
         """Signed span-appending homotopy; level is p or 'aug' (= −1)."""

@@ -4,6 +4,7 @@ the exterior-algebra betti numbers of free abelian groups at desk scale."""
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
 from ..algebraic import scalar_sign
 from ..geom import Simplex, SimplexChain, make_point, vertex_key
@@ -125,8 +126,12 @@ class _Subdivision:
 
     Points get ids once, by their vertex key; a barycenter is interned by
     the multiset of ids it averages, then by its key, so equal points always
-    share an id and id-tuple chains need no reduction by point.  sd(τ) and
-    H(τ) of each ordered face τ are computed once per table.
+    share an id and id-tuple chains need no reduction by point.  A rational
+    coordinate of a barycenter is the mean of the (numerator, denominator)
+    key pairs it averages, taken in ints over their lcm and reduced by one
+    gcd, so it keys exactly as the `Fraction` mean would; a coordinate with
+    an irrational term is the scalar mean.  sd(τ) and H(τ) of each ordered
+    face τ are computed once per table.
     """
 
     def __init__(self, dim: int):
@@ -138,8 +143,9 @@ class _Subdivision:
         self._sd = {}
         self._h = {}
 
-    def _id(self, p) -> int:
-        k = vertex_key(p)
+    def _id(self, p, k=None) -> int:
+        if k is None:
+            k = vertex_key(p)
         i = self._ids.get(k)
         if i is None:
             i = self._ids[k] = len(self.points)
@@ -151,10 +157,26 @@ class _Subdivision:
         key = tuple(sorted(t))
         b = self._bary.get(key)
         if b is None:
-            pts = [self.points[i] for i in t]
-            b = self._bary[key] = self._id(tuple(
-                sum(p[k] for p in pts) * Fraction(1, len(t))
-                for k in range(self.dim)))
+            m = len(t)
+            coords, ids = [], []
+            for d, col in enumerate(zip(*[self.keys[i] for i in t])):
+                # rational coordinates key as (num, den), irrational ones as
+                # ("a", minimal polynomial, root index)
+                if all(type(c[0]) is int for c in col):
+                    den = lcm(*[q for _, q in col])
+                    num = sum([n * (den // q) for n, q in col])
+                    den *= m
+                    g = gcd(num, den)
+                    num //= g
+                    den //= g
+                    coords.append(Fraction(num, den))
+                    ids.append((num, den))
+                else:
+                    coords.append(sum(self.points[i][d] for i in t)
+                                  * Fraction(1, m))
+                    ids.append(None)
+            b = self._bary[key] = self._id(
+                tuple(coords), None if None in ids else tuple(ids))
         return b
 
     def intern(self, chain: SimplexChain) -> dict:

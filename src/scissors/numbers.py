@@ -33,6 +33,15 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _algebraic_parts(value: dict):
+    """(coefficients, lo, hi) of an algebraic literal."""
+    try:
+        return ([int(c) for c in value["minpoly"]],
+                parse_fraction(value["lo"]), parse_fraction(value["hi"]))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ParseError(f"bad algebraic literal {value!r}") from exc
+
+
 def parse_number(value):
     """Parse a number literal into Fraction or AlgebraicReal."""
     from .algebraic import AlgebraicReal, make_algebraic
@@ -45,17 +54,40 @@ def parse_number(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, dict):
+        coeffs, lo, hi = _algebraic_parts(value)
         try:
-            coeffs = [int(c) for c in value["minpoly"]]
-            lo = parse_fraction(value["lo"])
-            hi = parse_fraction(value["hi"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad algebraic literal {value!r}") from exc
-        x = make_algebraic(coeffs, (lo, hi))
+            x = make_algebraic(coeffs, (lo, hi))
+        except ValueError as exc:  # the interval holds no root, or several
+            raise ParseError(f"bad algebraic literal {value!r}: {exc}") \
+                from exc
         return x.as_fraction() if x.is_rational() else x
     if isinstance(value, (Fraction, AlgebraicReal, Num)):
         return value
     raise ParseError(f"unknown number literal {value!r}")
+
+
+def literal_is_nonzero(value) -> bool:
+    """Whether a number literal is nonzero, decided from the literal itself.
+
+    An algebraic literal is the one root of its polynomial p in [lo, hi];
+    distinct roots are counted with a Sturm chain, so no polynomial is
+    factored (parse_number factors p to find the root's minimal polynomial,
+    which for degree 4 and up takes sympy).  The root is 0 exactly when
+    p(0) = 0 and lo ≤ 0 ≤ hi.
+    """
+    from .algebraic import count_roots
+
+    if not isinstance(value, dict):
+        return parse_number(value) != 0
+    coeffs, lo, hi = _algebraic_parts(value)
+    roots = 0
+    if any(coeffs) and lo <= hi:
+        at_lo = sum(c * lo ** i for i, c in enumerate(coeffs)) == 0
+        roots = count_roots(coeffs, lo, hi) + at_lo
+    if roots != 1:
+        raise ParseError(f"bad algebraic literal {value!r}: {roots} roots "
+                         f"in [{lo}, {hi}]")
+    return coeffs[0] != 0 or not lo <= 0 <= hi
 
 
 def format_number(x):

@@ -133,7 +133,7 @@ def check_report_shape(report, source: str) -> None:
 def recheck_certificates(report: dict):
     """Re-verify every embedded certificate with exact arithmetic only."""
     from .angles import AnglePair, is_rational_angle, verify_relation
-    from .numbers import parse_number
+    from .numbers import literal_is_nonzero, parse_number
 
     checks = []
     for cert in report.get("certificates", []):
@@ -156,10 +156,9 @@ def recheck_certificates(report: dict):
                                "pass": q is not None and q == want})
         elif kind == "nonzero-dehn":
             angle = AnglePair.from_json(cert["angle"])
-            length = parse_number(cert["length"])
-            from .algebraic import as_scalar, scalar_sign
+            from .algebraic import as_scalar
             irrational = is_rational_angle(angle) is None
-            nonzero_len = scalar_sign(as_scalar(length)) != 0
+            nonzero_len = literal_is_nonzero(cert["length"])
             monic_claim = bool(cert.get("monic"))
             two_cos = 2 * as_scalar(angle.cos)
             from fractions import Fraction

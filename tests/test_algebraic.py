@@ -14,7 +14,13 @@ from scissors.algebraic import (
     scalar_sign,
     sqrt_nonneg,
 )
-from scissors.numbers import format_number, parse_number
+from scissors.numbers import (
+    ParseError,
+    format_fraction,
+    format_number,
+    literal_is_nonzero,
+    parse_number,
+)
 
 
 def bisection_root(coeffs, lo, hi, steps=80):
@@ -154,6 +160,46 @@ def test_serialize_round_trip():
     assert back == r
     q = Fraction(-7, 3)
     assert parse_number(format_number(q)) == q
+
+
+def test_literal_nonzero_matches_parse():
+    # seeded literals with 0 among the roots of p, roots on an endpoint and
+    # intervals holding no root or several: the Sturm decision agrees with
+    # parsing the literal, rejection included
+    from scissors.rng import SplitMix64
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return out
+
+    seen = set()
+    for case in range(300):
+        rng = SplitMix64.stream(53, case)
+        p = [rng.randint(-3, 3), 1] if rng.randint(0, 1) else [1]
+        for _ in range(rng.randint(1, 2)):
+            r = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            p = times(p, [-r.numerator, r.denominator])
+        if rng.randint(0, 1):
+            p = times(p, [-rng.randint(2, 3), 0, 1])
+        lo = Fraction(rng.randint(-4, 4), 2)
+        hi = lo + Fraction(rng.randint(0, 6), 2)
+        lit = {"minpoly": [str(c) for c in p],
+               "lo": format_fraction(lo), "hi": format_fraction(hi)}
+        try:
+            value = parse_number(lit)
+        except ParseError:
+            with pytest.raises(ParseError):
+                literal_is_nonzero(lit)
+            seen.add("bad")
+            continue
+        assert literal_is_nonzero(lit) == (value != 0), lit
+        seen.add(value != 0)
+    assert seen == {"bad", True, False}
+    with pytest.raises(ParseError):
+        literal_is_nonzero({"minpoly": ["0"], "lo": "-1", "hi": "1"})
 
 
 def rand_algebraic(rng):

@@ -145,6 +145,8 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ("homology", "--group", "Z/2", "--max-degree", "-1"),
     ("hochschild", "--algebra", "Q", "--max-degree", "-1"),
     ("verify", "torus", "--cases", "-3"),
+    ("verify", "flag-nullhomotopy", "--cases", "1001"),
+    ("verify", "flag-nullhomotopy", "--cases", "100000000"),
     # non-string arguments are written to a JSON file passed by path
     ("phi", "--tensor", {"terms": 5}, "--tower", TOWER),
     ("phi", "--tensor", {"terms": [5]}, "--tower", TOWER),
@@ -161,6 +163,21 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
          "coefficients": ["2"]}]}]}),
     ("recheck", {"certificates": [{"type": "rational-angles",
                                    "dropped": [{"cos": "rat:1/2"}]}]}),
+    # an algebraic literal whose interval holds two roots, or none
+    ("recheck", {"certificates": [{
+        "type": "nonzero-dehn", "two_cos_minpoly": ["-2", "3"],
+        "angle": {"cos": "rat:1/3", "sin": {"minpoly": ["-8", "0", "9"],
+                                            "lo": "11/12", "hi": "23/24"}},
+        "length": {"minpoly": ["-3359232", "0", "0", "0", "0", "0", "1"],
+                   "lo": "-20", "hi": "20"}}]}),
+    ("recheck", {"certificates": [{
+        "type": "nonzero-dehn", "two_cos_minpoly": ["-2", "3"],
+        "angle": {"cos": "rat:1/3", "sin": {"minpoly": ["-8", "0", "9"],
+                                            "lo": "11/12", "hi": "23/24"}},
+        "length": {"minpoly": ["-2", "0", "1"], "lo": "2", "hi": "3"}}]}),
+    ("recheck", {"certificates": [{
+        "type": "volume-mismatch", "volume_a": "rat:1/1",
+        "volume_b": {"minpoly": ["-2", "0", "1"], "lo": "-2", "hi": "2"}}]}),
     ("homology", "--complex",
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[5, 0, 1]]}}),
     ("homology", "--complex",
@@ -398,28 +415,39 @@ def test_closed_stdout_is_one_line(fixtures):
         "output error: stdout was closed before the report was written"]
 
 
-# a fresh interpreter in which importing sympy or mpmath fails
-_NO_SYMPY = ("import sys\n"
-             "sys.modules['sympy'] = sys.modules['mpmath'] = None\n"
-             "from scissors.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))\n")
+def _run_blocking(modules, argv):
+    """The CLI in a fresh interpreter in which importing `modules` fails."""
+    code = ("import sys\n"
+            f"sys.modules.update(dict.fromkeys({modules!r}))\n"
+            "from scissors.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True)
 
 
-def test_rational_commands_run_without_sympy(fixtures):
+def test_rational_commands_run_without_sympy(fixtures, tmp_path):
     # the tetrahedron and the octahedron have irrational lengths and sines,
     # which stay in quadratic fields
-    cube, rot, tall, tetra, octa = (
+    cube, rot, tall, tetra, octa, vol1 = (
         str(fixtures / name) for name in ("cube.json", "cube_rot.json",
                                           "box112.json", "tetra.json",
-                                          "octa.json"))
-    for argv in (["polytope-info", cube], ["compare", cube, rot],
-                 ["compare", cube, tall], ["polytope-info", tetra],
-                 ["polytope-info", octa], ["compare", tetra, octa],
-                 ["homology", "--group", "S3"],
-                 ["hochschild", "--algebra", "mat2"]):
-        blocked = subprocess.run([sys.executable, "-c", _NO_SYMPY, *argv],
-                                 capture_output=True, text=True)
-        assert blocked.returncode == 0, blocked.stderr
+                                          "octa.json", "tetra_vol1.json"))
+    # its nonzero-dehn certificate has a length literal of degree 6
+    report = tmp_path / "cube_vol1.json"
+    report.write_text(run_cli("compare", cube, vol1).stdout)
+    both, no_sympy = ("sympy", "mpmath"), ("sympy",)
+    for blocked_modules, argv in (
+            (both, ["polytope-info", cube]), (both, ["compare", cube, rot]),
+            (both, ["compare", cube, tall]), (both, ["polytope-info", tetra]),
+            (both, ["polytope-info", octa]), (both, ["compare", tetra, octa]),
+            (both, ["homology", "--group", "S3"]),
+            (both, ["hochschild", "--algebra", "mat2"]),
+            (both, ["recheck", str(report)]),
+            # reading the scaled tetrahedron embeds its literals by an
+            # integer relation, which takes mpmath
+            (no_sympy, ["compare", "--recheck", vol1, cube])):
+        blocked = _run_blocking(blocked_modules, argv)
+        assert blocked.returncode == 0, (argv, blocked.stderr)
         plain = run_cli(*argv)
         assert json.loads(blocked.stdout)["digest"] == \
             json.loads(plain.stdout)["digest"]

@@ -1,6 +1,10 @@
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from scissors.homology.flags import (
+    SpanMissingFromPool,
     flag_double_complex,
     span_of_points,
     subspace_pool,
@@ -20,6 +24,12 @@ def test_subspace_canonical_form():
     assert l1.key() == l2.key()
     l3 = span_of_points([P(0, 1), P(1, 2)])
     assert l1.key() != l3.key()
+    # a plane whose first direction row has an entry in the second pivot
+    # column until the second row clears it
+    plane = [P(-1, 1, -2), P(-1, -1, 0), P(-2, -2, 2), P(0, -1, -1)]
+    keys = {span_of_points([plane[i] for i in sub]).key()
+            for sub in ((0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3))}
+    assert len(keys) == 1
 
 
 def test_subspace_containment():
@@ -106,14 +116,22 @@ def test_random_configs_nullhomotopy():
         assert verify_flag_nullhomotopy(fc)
 
 
-def test_containment_from_members_matches_subspace_test():
-    # small coordinates make collinear, coplanar and repeated points common
+def _configurations():
+    """12 seeded configurations, in which small coordinates make collinear,
+    coplanar and repeated points common, and four collinear points with one
+    off their line (their span lies in planes of the pool as well)."""
     for case in range(12):
         rng = SplitMix64.stream(37, case)
         dim = 2 if case % 2 == 0 else 3
         npts = rng.randint(3, 5)
-        pts = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
-               for _ in range(npts)]
+        yield case, dim, [tuple(Fraction(rng.randint(-2, 2))
+                                for _ in range(dim)) for _ in range(npts)]
+    yield "line", 3, [P(t, 2 * t, 1 - t) for t in range(4)] + [P(0, 0, 5)]
+
+
+def test_containment_from_members_matches_subspace_test():
+    for case, dim, pts in _configurations():
+        npts = len(pts)
         fc = flag_double_complex(pts, dim, dim - 1, 1)
         got = {(i, j) for i, js in fc.contains.items() for j in js}
         want = {(i, j)
@@ -121,3 +139,23 @@ def test_containment_from_members_matches_subspace_test():
                 for j, b in enumerate(fc.pool)
                 if a.dim > b.dim and a.contains_subspace(b)}
         assert got == want, case
+        # the span table against the subspace arithmetic used directly
+        for s in fc.pool:
+            assert sum(s.contains_subspace(t) and t.contains_subspace(s)
+                       for t in fc.pool) == 1, case
+        assert fc.members == [
+            tuple(i for i, p in enumerate(pts) if s.contains_point(p))
+            for s in fc.pool], case
+        for q in range(dim + 1):  # tuples of more than dim points too
+            proper = []
+            for tup in product(range(npts), repeat=q + 1):
+                span = span_of_points([pts[i] for i in sorted(set(tup))])
+                if span.dim == dim:
+                    with pytest.raises(SpanMissingFromPool):
+                        fc.tuple_span_index(tup)
+                    continue
+                proper.append(tup)
+                assert fc.pool[fc.tuple_span_index(tup)] == span, (case, tup)
+            assert fc.augmentation_basis(q) == proper, (case, q)
+        assert verify_flag_nullhomotopy(fc), case
+        assert not verify_flag_nullhomotopy(fc, corrupt_sign=True), case

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -12,6 +13,7 @@ from scissors.geom import (
     signed_indicator,
     simplex,
     simplex_volume,
+    vertex_key,
 )
 from scissors.homology import ChainComplex, SparseIntMatrix
 from scissors.homology.simplicial import (
@@ -149,12 +151,17 @@ def test_simplex_identity_across_construction_paths():
     # one ordered simplex built fresh, as a face, out of sd and H, and from
     # every scalar type is one chain generator
     root2 = sqrt_nonneg(2)
+    primes = (999999937, 999999929, 999999893)
     for dim in (1, 2, 3):
-        for case in range(3):
+        for case in range(4):
             rng = SplitMix64.stream(41, 10 * dim + case)
             verts = rand_simplex(rng, dim).vertices
             if case == 2:  # one irrational field coordinate
                 v0 = (verts[0][0] + root2 / 3,) + verts[0][1:]
+                verts = (v0,) + verts[1:]
+            if case == 3:  # large coprime denominators
+                v0 = tuple(c + Fraction(rng.randint(1, q - 1), q)
+                           for c, q in zip(verts[0], primes))
                 verts = (v0,) + verts[1:]
             fresh = simplex(dim, *verts)
             _same_simplex(fresh, Simplex(dim, verts))
@@ -180,6 +187,17 @@ def test_simplex_identity_across_construction_paths():
             assert {s: c for c, s in subdivision_homotopy(ch, 1)}[cone] == -1
             for _, s in sd_power(ch, 1):
                 _same_simplex(s, simplex(dim, *s.vertices))
+            # the vertices of sd² are the Fraction means of the faces of
+            # the pieces of sd¹, keyed as a fresh point is
+            want = {vertex_key(_bary([t.vertices[i] for i in sub]))
+                    for _, t in sd_power(ch, 1)
+                    for n in range(1, dim + 2)
+                    for sub in combinations(range(dim + 1), n)}
+            got = set()
+            for _, s in sd_power(ch, 2):
+                assert s.key() == tuple(map(vertex_key, s.vertices))
+                got.update(s.key())
+            assert got == want, (dim, case)
             # the same points in other scalar types
             if case == 2:
                 lit = parse_number(format_number(verts[0][0]))
