@@ -146,18 +146,17 @@ class FlagComplex:
         # per subspace: the point indices inside.  A point of a span of
         # dimension k < dim lies, with k others, in a subset of k + 1 points
         # that spans it, so the table's subsets cover every member.
-        self._member_sets = [set() for _ in self.pool]
+        member_sets = [set() for _ in self.pool]
         for subset, j in self._spans.items():
             if j >= 0:
-                self._member_sets[j].update(subset)
-        self.members = [tuple(sorted(m)) for m in self._member_sets]
+                member_sets[j].update(subset)
+        self.members = [tuple(sorted(m)) for m in member_sets]
         # every pool subspace is the span of its members, so B ⊆ A exactly
         # when members(B) ⊆ members(A)
         self.contains = {}
         for i, a in enumerate(self.pool):
             for j, b in enumerate(self.pool):
-                if a.dim > b.dim and \
-                        self._member_sets[j] <= self._member_sets[i]:
+                if a.dim > b.dim and member_sets[j] <= member_sets[i]:
                     self.contains.setdefault(i, []).append(j)
         self.flags = {p: [] for p in range(p_max + 1)}
         self.flag_index = {}
@@ -187,7 +186,8 @@ class FlagComplex:
                 # pool subspace holding them all, if one does
                 pts = set(key)
                 hit = self._spans[key] = min(
-                    (j for j, m in enumerate(self._member_sets) if pts <= m),
+                    (j for j, m in enumerate(self.members)
+                     if pts.issubset(m)),
                     key=lambda j: self.pool[j].dim, default=-1)
             self._tuple_spans[tup] = hit
         return hit
