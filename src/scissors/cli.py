@@ -4,6 +4,10 @@ Hochschild tables, differential-form images, and certificate rechecks.
 Exit codes: 0 success (verdicts live in the payload), 1 failed verification
 suite, 2 input error, 3 geometry validation error, 4 resource cap, 5 internal
 invariant violation.
+
+Each command imports the layers it uses when it runs, so that, say,
+`homology` builds no number field and `polytope-info` no Hochschild
+algebra.
 """
 
 import argparse
@@ -11,13 +15,18 @@ import json
 import os
 import sys
 
-from .algebraic import as_scalar
-from .dehn import DEFAULT_HEIGHT_BOUND, compare_polytopes, dehn_invariant, is_zero, nonzero_certificate
-from .geom import GeometryError, dihedral_edges
-from .geom.refine import RefinementTooLarge
-from .homology import DegreeOutOfRange, InvalidComplex, SizeCap
-from .hochschild import SizeCapExceeded, builtin_algebra, hochschild_homology_table
-from .homology.groups import group_homology
+from . import suites  # the registry; each suite imports its layers on use
+from .errors import (
+    DEFAULT_HEIGHT_BOUND,
+    DegreeOutOfRange,
+    GeometryError,
+    InvalidComplex,
+    ParseError,
+    RefinementTooLarge,
+    SizeCap,
+    SizeCapExceeded,
+    UnknownSuite,
+)
 from .io import (
     complex_from_json,
     group_from_spec,
@@ -26,7 +35,7 @@ from .io import (
     polytope_from_json,
     tensor_terms_from_json,
 )
-from .numbers import ParseError, format_number
+from .numbers import format_number, parse_fraction
 from .report import (
     ReportTimer,
     check_report_shape,
@@ -34,7 +43,6 @@ from .report import (
     make_report,
     recheck_certificates,
 )
-from .suites import SUITES, UnknownSuite, run_suite
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -59,6 +67,10 @@ def _tensor_certificates(tensor):
 
 
 def cmd_polytope_info(args) -> dict:
+    from .algebraic import as_scalar
+    from .dehn import dehn_invariant, is_zero, nonzero_certificate
+    from .geom import dihedral_edges
+
     obj = load_json(args.file)
     p = polytope_from_json(obj, exact_strict=args.exact_strict)
     results = {
@@ -84,6 +96,8 @@ def cmd_polytope_info(args) -> dict:
 
 
 def cmd_compare(args) -> dict:
+    from .dehn import compare_polytopes
+
     a = polytope_from_json(load_json(args.file_a),
                            exact_strict=args.exact_strict)
     b = polytope_from_json(load_json(args.file_b),
@@ -112,7 +126,7 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    outcome = run_suite(args.suite, args.seed, args.cases)
+    outcome = suites.run_suite(args.suite, args.seed, args.cases)
     out = {"results": outcome, "certificates": [], "inputs": [],
            "seed": args.seed}
     if not outcome["all_pass"]:
@@ -124,11 +138,16 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_hochschild(args) -> dict:
+    from .hochschild import (
+        algebra_from_json,
+        builtin_algebra,
+        hochschild_homology_table,
+    )
+
     inputs = []
     if args.algebra in ("Q", "QI", "quat", "mat2", "mat4"):
         A = builtin_algebra(args.algebra)
     else:
-        from .hochschild import algebra_from_json
         A = algebra_from_json(load_json(args.algebra))
         inputs.append(args.algebra)
     cap = 2 if A.dim > 4 else 3
@@ -147,6 +166,8 @@ def cmd_homology(args) -> dict:
         values = {str(k): str(cx.homology(k)) for k in cx.degrees()}
         return {"results": {"complex": args.complex, "homology": values},
                 "certificates": [], "inputs": [args.complex]}
+    from .homology.groups import group_homology
+
     group = group_from_spec(args.group)
     module = module_from_spec(group, args.module)
     hs = group_homology(group, module, args.max_degree)
@@ -181,7 +202,6 @@ def cmd_phi(args) -> dict:
 def _tower_number(value):
     """Tensor entries are tower expressions or exact number literals."""
     if isinstance(value, str) and value.startswith("rat:"):
-        from .numbers import parse_fraction
         return parse_fraction(value[4:])
     if isinstance(value, dict):
         from .kahler import NotExpressible
@@ -279,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("verify", help="run a named property suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_int_in(1, MAX_CASES), default=25)
     p.set_defaults(fn=cmd_verify)

@@ -14,10 +14,9 @@ from fractions import Fraction
 
 from .algebraic import as_scalar, scalar_sign
 from .angles import AnglePair, find_angle_relations, is_rational_angle
+from .errors import DEFAULT_HEIGHT_BOUND
 from .geom import Polytope, dihedral_edges
 from .numbers import format_number, parse_number
-
-DEFAULT_HEIGHT_BOUND = 20
 
 
 @dataclass

@@ -1,0 +1,42 @@
+"""The exceptions that `scissors.cli.main` maps to exit codes, and the
+default height bound of the angle-relation search.
+
+They live in this module, which imports nothing, so that the CLI can name
+them before it knows which layers a command needs.  Each layer re-exports
+the ones it raises (`scissors.geom.GeometryError`, `scissors.homology.SizeCap`
+and so on).
+"""
+
+DEFAULT_HEIGHT_BOUND = 20
+
+
+class ParseError(ValueError):
+    """Malformed number literal or input file."""
+
+
+class UnknownSuite(KeyError):
+    pass
+
+
+class GeometryError(ValueError):
+    pass
+
+
+class SizeCap(RuntimeError):
+    """A configured desk-scale resource cap was exceeded."""
+
+
+class SizeCapExceeded(RuntimeError):
+    pass
+
+
+class RefinementTooLarge(RuntimeError):
+    """Piece count exceeded the configured cap; verdict is Unknown."""
+
+
+class InvalidComplex(ValueError):
+    pass
+
+
+class DegreeOutOfRange(IndexError):
+    pass

@@ -18,15 +18,12 @@ from ..algebraic import (
     sqrt_nonneg,
 )
 from ..angles import AnglePair
+from ..errors import GeometryError
 from . import predicates as hp
 # cofactor formulas on +, − and ×: exact on every scalar type
 from .predicates import hdet
 
 log = logging.getLogger("scissors.geom")
-
-
-class GeometryError(ValueError):
-    pass
 
 
 class DimensionMismatch(GeometryError):
@@ -380,29 +377,33 @@ def _sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
 
 
-def _interiors_intersect(sa: Simplex, sb: Simplex) -> bool:
-    """Exact SAT on convex cells: no weak separating axis <=> interiors meet."""
-    pa, pb = sa.vertices, sb.vertices
-    dim = sa.dim_ambient
-    axes = []
+def _sat_axes(pa, pb, dim):
+    """The candidate separating axes of two cells, one at a time: the facet
+    normals of each, then in E³ the cross products of their edges."""
     if dim == 1:
-        axes.append((Fraction(1),))
+        yield (Fraction(1),)
     elif dim == 2:
         for pts in (pa, pb):
             for i in range(3):
                 e = _sub(pts[(i + 1) % 3], pts[i])
-                axes.append((-e[1], e[0]))
+                yield (-e[1], e[0])
     else:
         for pts in (pa, pb):
             for i in range(4):
                 tri = [pts[j] for j in range(4) if j != i]
-                axes.append(_cross3(_sub(tri[1], tri[0]), _sub(tri[2], tri[0])))
+                yield _cross3(_sub(tri[1], tri[0]), _sub(tri[2], tri[0]))
         ea = [_sub(pa[j], pa[i]) for i in range(4) for j in range(i + 1, 4)]
         eb = [_sub(pb[j], pb[i]) for i in range(4) for j in range(i + 1, 4)]
         for u in ea:
             for v in eb:
-                axes.append(_cross3(u, v))
-    for axis in axes:
+                yield _cross3(u, v)
+
+
+def _interiors_intersect(sa: Simplex, sb: Simplex) -> bool:
+    """Exact SAT on convex cells: no weak separating axis <=> interiors meet.
+    Stops at the first separating axis, without building the rest."""
+    pa, pb = sa.vertices, sb.vertices
+    for axis in _sat_axes(pa, pb, sa.dim_ambient):
         if all(scalar_sign(a) == 0 for a in axis):
             continue
         if _separated_on(axis, pa, pb):

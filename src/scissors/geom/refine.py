@@ -16,7 +16,7 @@ import os
 from fractions import Fraction
 
 from ..algebraic import scalar_sign
-from ..numbers import ParseError
+from ..errors import ParseError, RefinementTooLarge
 from . import (
     Polytope,
     Simplex,
@@ -29,10 +29,6 @@ from . import (
 from . import predicates as hp
 
 DEFAULT_CELL_CAP = 50000
-
-
-class RefinementTooLarge(RuntimeError):
-    """Piece count exceeded the configured cap; verdict is Unknown."""
 
 
 def cell_cap() -> int:

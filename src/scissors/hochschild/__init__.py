@@ -11,14 +11,11 @@ differential slots) expands triangularly into pure tensors.
 from fractions import Fraction
 from itertools import product
 
+from ..errors import SizeCapExceeded
 from ..linalg import nullspace_sparse, rank_sparse
 from ..numbers import ParseError, parse_fraction
 
 OMEGA_CAP = 65536
-
-
-class SizeCapExceeded(RuntimeError):
-    pass
 
 
 class NotInOmega(ValueError):

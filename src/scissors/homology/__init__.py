@@ -10,18 +10,7 @@ from ..linalg import (
     smith_normal_form_dense,
     smith_normal_form_sparse,
 )
-
-
-class DegreeOutOfRange(IndexError):
-    pass
-
-
-class SizeCap(RuntimeError):
-    """A configured desk-scale resource cap was exceeded."""
-
-
-class InvalidComplex(ValueError):
-    pass
+from ..errors import DegreeOutOfRange, InvalidComplex, SizeCap
 
 
 class SparseIntMatrix:

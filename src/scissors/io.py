@@ -1,20 +1,12 @@
-"""Wire formats: polytope, tensor, chain-complex and group JSON."""
+"""Wire formats: polytope, tensor, chain-complex and group JSON.
+
+Each reader imports the layer whose objects it builds, so that reading a
+group loads no geometry and reading a polytope no homology.
+"""
 
 import json
 import re
 
-from .algebraic import lift
-from .geom import Polytope, Simplex, SimplexChain
-from .homology import ChainComplex, SparseIntMatrix
-from .homology.groups import (
-    FiniteGroup,
-    GModule,
-    check_group_order,
-    cyclic_group,
-    symmetric_group_3,
-    trivial_group,
-    trivial_module,
-)
 from .numbers import ParseError, format_number, parse_number
 
 
@@ -46,8 +38,12 @@ def _degree(key: str) -> int:
 
 
 def polytope_from_json(obj, validate: bool = True,
-                       exact_strict: bool = False) -> Polytope:
-    """{"dim": 1|2|3, "vertices": [[num,..],..], "cells": [[i,..],..]}."""
+                       exact_strict: bool = False):
+    """{"dim": 1|2|3, "vertices": [[num,..],..], "cells": [[i,..],..]}
+    -> Polytope."""
+    from .algebraic import lift
+    from .geom import Polytope, Simplex, SimplexChain
+
     try:
         dim = _integer(obj["dim"], "dim", 1, 4)
         vertices = [tuple(parse_number(c) for c in v)
@@ -68,7 +64,7 @@ def polytope_from_json(obj, validate: bool = True,
                     validate=validate, exact_strict=exact_strict)
 
 
-def polytope_to_json(p: Polytope) -> dict:
+def polytope_to_json(p) -> dict:
     verts = []
     index = {}
     cells = []
@@ -87,8 +83,11 @@ def polytope_to_json(p: Polytope) -> dict:
     return out
 
 
-def complex_from_json(obj) -> ChainComplex:
-    """{"ranks": {"deg": int}, "boundaries": {"deg": [[r, c, int], ...]}}."""
+def complex_from_json(obj):
+    """{"ranks": {"deg": int}, "boundaries": {"deg": [[r, c, int], ...]}}
+    -> ChainComplex."""
+    from .homology import ChainComplex, SparseIntMatrix
+
     try:
         ranks = {_degree(k): _integer(v, "rank", 0)
                  for k, v in obj["ranks"].items()}
@@ -106,8 +105,17 @@ def complex_from_json(obj) -> ChainComplex:
     return ChainComplex(ranks, boundaries)
 
 
-def group_from_spec(spec: str) -> FiniteGroup:
-    """"Z/m", "S3", "1", or a JSON file path with an explicit table."""
+def group_from_spec(spec: str):
+    """"Z/m", "S3", "1", or a JSON file path with an explicit table
+    -> FiniteGroup."""
+    from .homology.groups import (
+        FiniteGroup,
+        check_group_order,
+        cyclic_group,
+        symmetric_group_3,
+        trivial_group,
+    )
+
     spec = spec.strip()
     if spec.startswith("Z/"):
         try:
@@ -132,7 +140,10 @@ def group_from_spec(spec: str) -> FiniteGroup:
         raise ParseError(f"bad group JSON {spec!r}: {exc}") from exc
 
 
-def module_from_spec(group: FiniteGroup, spec: str) -> GModule:
+def module_from_spec(group, spec: str):
+    """"trivialZ" or a JSON module file over `group` -> GModule."""
+    from .homology.groups import GModule, trivial_module
+
     if spec in ("trivialZ", "trivial"):
         return trivial_module(group)
     obj = load_json(spec)

@@ -11,9 +11,7 @@ Rationals are plain ``fractions.Fraction`` everywhere inside the package.
 
 from fractions import Fraction
 
-
-class ParseError(ValueError):
-    """Malformed number literal or input file."""
+from .errors import ParseError
 
 
 def parse_fraction(text: str) -> Fraction:

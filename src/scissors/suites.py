@@ -8,55 +8,13 @@ randomness comes from SplitMix64 streams keyed by (seed, case index), so a
 
 from fractions import Fraction
 
-from .dehn import dehn_invariant, is_zero, tensor_add, tensor_neg
-from .geom import Simplex, SimplexChain, boundary, simplex
-from .geom.convex import convex_polytope_3d, split_convex_points_3d
-from .geom.refine import phi_boundary_check, verify_dissection
-from .homology.flags import flag_double_complex, verify_flag_nullhomotopy
-from .homology.groups import (
-    cyclic_group,
-    cyclic_homology_oracle,
-    group_homology,
-    restricted_group,
-    shapiro_check,
-    symmetric_group_3,
-    trivial_module,
-)
-from .homology.simplicial import (
-    affine_span_dim,
-    sd_power,
-    subdivision_homotopy,
-    torus_homology,
-)
-from .hochschild import (
-    HochschildChain,
-    builtin_algebra,
-    d_basis_chain,
-    d_basis_tuples,
-    hochschild_boundary,
-    hochschild_homology_table,
-    in_omega,
-    omega_basis,
-)
-from .hochschild.involution import (
-    eigenspace_split,
-    i2_equals_b2_minus,
-    ses_audit,
-    spin_action,
-    tau,
-    tau_chain,
-    tau_slotwise,
-    tensor_square_basis,
-    unit_quaternion,
-    wedge_rank_of_minus,
-)
+from .errors import UnknownSuite
 from .rng import SplitMix64
 
+# Each suite imports the layers it checks when it runs, so that importing
+# this module for the registry (the CLI's parser lists the `verify` choices
+# for every command) loads none of them.
 SUITES = {}
-
-
-class UnknownSuite(KeyError):
-    pass
 
 
 def suite(name):
@@ -93,6 +51,8 @@ def random_box_corners(rng):
 
 
 def random_tet_corners(rng):
+    from .homology.simplicial import affine_span_dim
+
     while True:
         pts = [tuple(rng.fraction(6, 2) for _ in range(3)) for _ in range(4)]
         if affine_span_dim(pts) == 3:
@@ -124,6 +84,10 @@ def random_cutting_plane(rng, corners):
 
 @suite("dissection")
 def dissection_suite(seed: int, cases: int):
+    from .dehn import dehn_invariant, is_zero, tensor_add, tensor_neg
+    from .geom.convex import convex_polytope_3d, split_convex_points_3d
+    from .geom.refine import verify_dissection
+
     out = []
     for case in range(cases):
         rng = SplitMix64.stream(seed, case)
@@ -154,6 +118,8 @@ def dissection_suite(seed: int, cases: int):
 
 @suite("phi-boundary")
 def phi_boundary_suite(seed: int, cases: int):
+    from .geom.refine import phi_boundary_check
+
     out = []
     for case in range(cases):
         rng = SplitMix64.stream(seed, case)
@@ -169,6 +135,13 @@ def phi_boundary_suite(seed: int, cases: int):
 
 @suite("sd-homotopy")
 def sd_homotopy_suite(seed: int, cases: int):
+    from .geom import SimplexChain, boundary, simplex
+    from .homology.simplicial import (
+        affine_span_dim,
+        sd_power,
+        subdivision_homotopy,
+    )
+
     out = []
     for case in range(cases):
         rng = SplitMix64.stream(seed, case)
@@ -190,6 +163,8 @@ def sd_homotopy_suite(seed: int, cases: int):
 
 @suite("flag-nullhomotopy")
 def flag_suite(seed: int, cases: int):
+    from .homology.flags import flag_double_complex, verify_flag_nullhomotopy
+
     out = []
     for case in range(cases):
         rng = SplitMix64.stream(seed, case)
@@ -205,6 +180,16 @@ def flag_suite(seed: int, cases: int):
 
 @suite("bar-shapiro")
 def bar_shapiro_suite(seed: int, cases: int):
+    from .homology.groups import (
+        cyclic_group,
+        cyclic_homology_oracle,
+        group_homology,
+        restricted_group,
+        shapiro_check,
+        symmetric_group_3,
+        trivial_module,
+    )
+
     out = []
     for m in (2, 3, 4):
         G = cyclic_group(m)
@@ -232,6 +217,9 @@ def bar_shapiro_suite(seed: int, cases: int):
 @suite("torus")
 def torus_suite(seed: int, cases: int):
     from math import comb
+
+    from .homology.simplicial import torus_homology
+
     out = []
     for n in (1, 2, 3):
         hs = torus_homology(n)
@@ -251,6 +239,13 @@ def torus_suite(seed: int, cases: int):
 
 @suite("hochschild")
 def hochschild_suite(seed: int, cases: int):
+    from .hochschild import (
+        builtin_algebra,
+        hochschild_homology,
+        hochschild_homology_table,
+        omega_basis,
+    )
+
     out = []
     expected = {
         "Q": [1, 0, 0, 0],
@@ -263,7 +258,6 @@ def hochschild_suite(seed: int, cases: int):
         got = hochschild_homology_table(A, len(want) - 1)
         out.append({"case": f"HH_*({name})", "pass": got == want,
                     "got": got, "want": want})
-    from .hochschild import hochschild_homology
     got = hochschild_homology(builtin_algebra("mat4"), 0)
     out.append({"case": "HH_0(mat4)", "pass": got == 1, "got": got})
     # Ω_n dimension law: dim A · (dim A − 1)^n
@@ -276,6 +270,8 @@ def hochschild_suite(seed: int, cases: int):
 
 
 def _random_omega_chain(A, n, rng, terms=4):
+    from .hochschild import HochschildChain, d_basis_chain, d_basis_tuples
+
     basis = d_basis_tuples(A.dim, n)
     chain = HochschildChain(A, n)
     for _ in range(terms):
@@ -286,6 +282,17 @@ def _random_omega_chain(A, n, rng, terms=4):
 
 @suite("tau")
 def tau_suite(seed: int, cases: int):
+    from .hochschild import builtin_algebra, hochschild_boundary
+    from .hochschild.involution import (
+        eigenspace_split,
+        i2_equals_b2_minus,
+        tau,
+        tau_chain,
+        tau_slotwise,
+        tensor_square_basis,
+        wedge_rank_of_minus,
+    )
+
     H = builtin_algebra("quat")
     out = []
     rng = SplitMix64.stream(seed, 0)
@@ -316,6 +323,14 @@ def tau_suite(seed: int, cases: int):
 
 @suite("spin")
 def spin_suite(seed: int, cases: int):
+    from .hochschild import (
+        builtin_algebra,
+        hochschild_boundary,
+        in_omega,
+        pure_tensor,
+    )
+    from .hochschild.involution import spin_action, unit_quaternion
+
     H = builtin_algebra("quat")
     out = []
     one = unit_quaternion(H, (1, 0, 0, 0))
@@ -324,7 +339,6 @@ def spin_suite(seed: int, cases: int):
     out.append({"case": "(1,1) acts as identity",
                 "pass": spin_action(one, one, 2, c) == c})
     qi = unit_quaternion(H, (0, 1, 0, 0))
-    from .hochschild import pure_tensor
     pinned = spin_action(qi, one, 1, pure_tensor(H, 0, 2))
     out.append({"case": "pinned value (i,1)·(1⊗j) = i⊗k",
                 "pass": pinned.coeffs == {(1, 3): Fraction(1)}})
@@ -370,6 +384,9 @@ def hkr_suite(seed: int, cases: int):
 
 @suite("ses-audit")
 def ses_audit_suite(seed: int, cases: int):
+    from .hochschild import builtin_algebra
+    from .hochschild.involution import ses_audit
+
     H = builtin_algebra("quat")
     report = ses_audit(H)
     checks = {

@@ -396,7 +396,8 @@ def test_failed_suite_is_exit_1_with_one_line(monkeypatch, capsys):
         return {"suite": name, "seed": seed, "cases": 3, "passed": 1,
                 "all_pass": False, "results": [], "failures": []}
 
-    monkeypatch.setattr(cli, "run_suite", failing)
+    # `verify` looks `run_suite` up in the suites module when it runs
+    monkeypatch.setattr("scissors.suites.run_suite", failing)
     assert cli.main(["verify", "torus"]) == cli.EXIT_SUITE_FAILED
     assert capsys.readouterr().err.splitlines() == [
         "suite failed: 2 of 3 cases of torus"]
@@ -451,6 +452,68 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
         plain = run_cli(*argv)
         assert json.loads(blocked.stdout)["digest"] == \
             json.loads(plain.stdout)["digest"]
+
+
+# layers that only some commands use
+_GEOMETRY = ("scissors.geom", "scissors.algebraic", "scissors.numberfield",
+             "scissors.angles", "scissors.dehn")
+_HOMOLOGY = ("scissors.homology", "scissors.hochschild", "scissors.kahler")
+
+
+def test_commands_load_only_their_layers(fixtures):
+    cube, rot = str(fixtures / "cube.json"), str(fixtures / "cube_rot.json")
+    no_geometry = _GEOMETRY + ("scissors.kahler",)
+    for blocked_modules, argv in (
+            (no_geometry + ("scissors.hochschild",),
+             ["homology", "--group", "S3"]),
+            (no_geometry + ("scissors.homology",),
+             ["hochschild", "--algebra", "mat2"]),
+            (_HOMOLOGY, ["polytope-info", cube]),
+            (_HOMOLOGY, ["compare", cube, rot])):
+        blocked = _run_blocking(blocked_modules, argv)
+        assert blocked.returncode == 0, (argv, blocked.stderr)
+        plain = run_cli(*argv)
+        assert plain.returncode == 0, (argv, plain.stderr)
+        assert json.loads(blocked.stdout)["digest"] == \
+            json.loads(plain.stdout)["digest"]
+    # the parser, `verify` choices included, needs none of the layers
+    code = ("import sys\n"
+            "import scissors\n"
+            "assert [m for m in sys.modules if m.startswith('scissors.')] "
+            "== []\n"
+            "from scissors.cli import build_parser\n"
+            "build_parser()\n"
+            "import json\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "scissors.suites" in loaded
+    assert loaded.isdisjoint(_GEOMETRY + _HOMOLOGY + ("sympy", "mpmath"))
+
+
+def test_package_root_resolves_names_on_use():
+    import scissors
+    names = ["AlgebraicReal", "AnglePair", "CongruenceVerdict", "DehnTensor",
+             "IntegerRelation", "Polytope", "Simplex", "SimplexChain",
+             "boundary", "compare_polytopes", "dehn_invariant",
+             "dihedral_edges", "field_ops", "find_angle_relations",
+             "is_rational_angle", "is_zero", "make_algebraic",
+             "orientation_sign", "phi_boundary_check", "prism",
+             "signed_indicator", "simplex_volume", "sqrt_nonneg",
+             "tensor_add", "tensor_neg", "tensor_normalize",
+             "verify_dissection"]
+    assert scissors.__all__ == names
+    for name in names:
+        value = getattr(scissors, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+    from scissors import dehn, dehn_invariant
+    assert dehn is sys.modules["scissors.dehn"]
+    assert dehn_invariant is dehn.dehn_invariant
+    assert set(names) <= set(dir(scissors))
+    with pytest.raises(AttributeError):
+        scissors.no_such_name
 
 
 def _placement(rng):

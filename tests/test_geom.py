@@ -249,3 +249,78 @@ def test_hull_cells_skip_points_inside_facets_and_edges():
         assert used <= {make_point(v) for v in corners | {pts[i]}}
     square = [(0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 2, 1), (1, 1, 1), (0, 2, 1)]
     assert _corners_2d(square) == [0, 2, 3, 5]
+
+
+def _all_axes_reference(pa, pb, dim):
+    """Every candidate separating axis, built before any is tested: the
+    overlap check before it learned to stop early."""
+    from scissors.geom import _cross3, _sub
+    axes = []
+    if dim == 2:
+        for pts in (pa, pb):
+            for i in range(3):
+                e = _sub(pts[(i + 1) % 3], pts[i])
+                axes.append((-e[1], e[0]))
+    else:
+        for pts in (pa, pb):
+            for i in range(4):
+                tri = [pts[j] for j in range(4) if j != i]
+                axes.append(_cross3(_sub(tri[1], tri[0]),
+                                    _sub(tri[2], tri[0])))
+        ea = [_sub(pa[j], pa[i]) for i in range(4) for j in range(i + 1, 4)]
+        eb = [_sub(pb[j], pb[i]) for i in range(4) for j in range(i + 1, 4)]
+        axes.extend(_cross3(u, v) for u in ea for v in eb)
+    return axes
+
+
+def _overlap_reference(pa, pb, dim):
+    from scissors.geom import _separated_on
+    return not any(_separated_on(axis, pa, pb)
+                   for axis in _all_axes_reference(pa, pb, dim)
+                   if any(a != 0 for a in axis))
+
+
+def test_overlap_check_stops_early_with_the_same_verdict():
+    from scissors.geom import _interiors_intersect, _sat_axes
+
+    def shifted(pts, d):
+        return tuple(tuple(a + b for a, b in zip(p, d)) for p in pts)
+
+    verdicts = {}
+    for dim in (2, 3):
+        for case in range(25):
+            rng = SplitMix64.stream(71, 100 * dim + case)
+            while True:
+                pa = tuple(tuple(rng.fraction(6, 3) for _ in range(dim))
+                           for _ in range(dim + 1))
+                if orientation_sign(Simplex(dim, pa)) != 0:
+                    break
+            centroid = tuple(sum(c) / (dim + 1) for c in zip(*pa))
+            # the cell through one facet of A and its last vertex mirrored
+            # in that facet's centroid: the two meet only in that facet
+            facet = pa[:-1]
+            mid = tuple(sum(c) / dim for c in zip(*facet))
+            touching = facet + (tuple(2 * m - v for m, v in
+                                      zip(mid, pa[-1])),)
+            nested = tuple(tuple((c + v) / 2 for c, v in zip(centroid, p))
+                           for p in pa)
+            small = tuple(rng.fraction(2, 3) for _ in range(dim))
+            far = (Fraction(13),) + (Fraction(0),) * (dim - 1)
+            other = tuple(tuple(rng.fraction(6, 3) for _ in range(dim))
+                          for _ in range(dim + 1))
+            for kind, pb, want in (("touching", touching, False),
+                                   ("nested", nested, True),
+                                   ("translated", shifted(pa, small), None),
+                                   ("disjoint", shifted(pa, far), False),
+                                   ("random", other, None)):
+                assert list(_sat_axes(pa, pb, dim)) == \
+                    _all_axes_reference(pa, pb, dim)
+                got = _interiors_intersect(Simplex(dim, pa),
+                                           Simplex(dim, pb))
+                assert got == _overlap_reference(pa, pb, dim), (kind, pa, pb)
+                assert want is None or got == want, (kind, pa, pb)
+                verdicts.setdefault((dim, kind), set()).add(got)
+    # the seeded translations and random pairs hit both verdicts
+    for dim in (2, 3):
+        for kind in ("translated", "random"):
+            assert verdicts[dim, kind] == {False, True}, (dim, kind)
