@@ -1,37 +1,37 @@
 """Kähler differentials: presented commutative algebras and field towers.
 
 A tower is an ordered list of generators, each either transcendental or
-algebraic with an irreducible minimal polynomial over the part of the tower
-already built.  Elements are sympy expressions reduced modulo the algebraic
-relations; division goes through exact linear algebra over the rational
-function field.  The universal differential kills everything algebraic over
-ℚ and is determined on algebraic generators by differentiating their minimal
-polynomials, so d lands in the free module on the transcendental symbols.
+algebraic with an irreducible minimal polynomial over the transcendental
+generators before it.  An element is a polynomial in the algebraic generators
+over ℚ(t₁…tₙ), reduced modulo their relations, and kept as one numerator over
+ℤ[t…, s…] and one denominator over ℤ[t…] with no common factor (an exact
+multivariate gcd) and a positive leading coefficient.  So equal elements have
+equal representations, and an element is zero exactly when its numerator is.
+Inverses come from rational elimination over ℚ(t…).  The universal
+differential kills everything algebraic over ℚ and is determined on algebraic
+generators by differentiating their minimal polynomials, so d lands in the
+free module on the transcendental generators.
+
+Tower specs, tensor entries and the relations of a presented algebra are read
+by one small parser: integers, names, + - * / ^ **, parentheses and integer
+exponents.  Exponents, degrees and the size of each product are capped by
+DEGREE_CAP (SizeCap, exit 4).  sympy is loaded only for the Gröbner bases of
+`PresentedAlgebra` and to factor a specialized relation of degree 4 or more.
 """
 
+import re
 from fractions import Fraction
-from tokenize import TokenError
+from heapq import heapify, heappop, heappush
+from itertools import islice, product
+from math import gcd, isqrt, prod
+from operator import add
 
-import sympy
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
+from .errors import ParseError, SizeCap
+from .linalg import rank_sparse, rref_sparse
 
-from .linalg import rank_sparse
-from .numbers import ParseError
-
-_TRANSFORMS = standard_transformations + (convert_xor,)
-
-
-def _parse(text, local_dict):
-    """parse_expr, with malformed text raised as ParseError."""
-    try:
-        return parse_expr(text, local_dict=local_dict,
-                          transformations=_TRANSFORMS)
-    except (SyntaxError, TokenError, TypeError) as exc:
-        raise ParseError(f"cannot parse {text!r}") from exc
+# Exponents and total degrees above DEGREE_CAP, and products of more than
+# DEGREE_CAP³ term pairs or DEGREE_CAP³ coefficient bits, raise SizeCap.
+DEGREE_CAP = 64
 
 
 class NotExpressible(ParseError):
@@ -42,189 +42,754 @@ class NotFiniteDimensional(ParseError):
     """A presented algebra that is not finite-dimensional (exit 2)."""
 
 
-class FieldTower:
+# -- sparse polynomials over ℤ: {exponent tuple: nonzero int} -----------------
+
+def _add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
+def _sub(a, b):
+    return _add(a, b, -1)
+
+
+def _neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
+def _scale(a, k):
+    return {e: k * c for e, c in a.items()} if k else {}
+
+
+def _quo(a, k):
+    return {e: c // k for e, c in a.items()}
+
+
+def _degree(a):
+    return max(map(sum, a), default=0)
+
+
+def _bits(a):
+    return max((c.bit_length() for c in a.values()), default=0)
+
+
+def _capped_mul(a, b):
+    """a·b, refused with SizeCap when the product would be too large."""
+    if _degree(a) + _degree(b) > DEGREE_CAP:
+        raise SizeCap(f"a polynomial of degree above {DEGREE_CAP}")
+    if len(a) * len(b) > DEGREE_CAP ** 3 or \
+            _bits(a) + _bits(b) > DEGREE_CAP ** 3:
+        raise SizeCap(f"a product of polynomials larger than the cap "
+                      f"{DEGREE_CAP}³")
+    return _mul(a, b)
+
+
+def _is_constant(a):
+    return len(a) == 1 and not any(next(iter(a)))
+
+
+def _is_one(a):
+    return _is_constant(a) and next(iter(a.values())) == 1
+
+
+def _diff(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
+
+
+def _split(a, i):
+    """a as {degree in x_i: coefficient free of x_i}."""
+    out = {}
+    for e, c in a.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return out
+
+
+def _join(parts, i):
+    return {e[:i] + (k,) + e[i + 1:]: c
+            for k, part in parts.items() for e, c in part.items()}
+
+
+def _prem(a, b, i):
+    """(r, k): r = lc(b)^k·a − q·b with deg r < deg b, degrees and lc in x_i."""
+    B = _split(b, i)
+    db = max(B)
+    lb = B.pop(db)
+    A = _split(a, i)
+    k = 0
+    while A:
+        da = max(A)
+        if da < db:
+            break
+        la = A.pop(da)
+        if not _is_one(lb):
+            A = {d: _mul(lb, c) for d, c in A.items()}
+            k += 1
+        for d, c in B.items():
+            v = _sub(A.get(d + da - db, {}), _mul(la, c))
+            if v:
+                A[d + da - db] = v
+            else:
+                A.pop(d + da - db, None)
+    return _join(A, i), k
+
+
+def _quotient(a, b):
+    """a/b over ℤ[x…], or None when b does not divide a.  Leading terms in
+    lex order come off a heap: each step adds only smaller terms."""
+    if _is_constant(b):
+        c = next(iter(b.values()))
+        if any(v % c for v in a.values()):
+            return None
+        return _quo(a, c)
+    lb = max(b)
+    cb = b[lb]
+    rest = [(e, v) for e, v in b.items() if e != lb]
+    r, q = dict(a), {}
+    heap = [tuple(-x for x in e) for e in r]
+    heapify(heap)
+    while heap:
+        la = tuple(-x for x in heappop(heap))
+        c = r.pop(la, 0)
+        if not c:
+            continue
+        e = tuple(x - y for x, y in zip(la, lb))
+        if min(e) < 0 or c % cb:
+            return None
+        c = q[e] = c // cb
+        for eb, v in rest:
+            k = tuple(map(add, e, eb))
+            if k not in r:
+                heappush(heap, tuple(-x for x in k))
+            nv = r.get(k, 0) - c * v
+            if nv:
+                r[k] = nv
+            else:
+                del r[k]
+    return q
+
+
+def _positive(a):
+    return _neg(a) if a and a[max(a)] < 0 else a
+
+
+def _content(a, i):
+    """(c, p) with a = c·p, c free of x_i, p primitive in x_i, lc(p) > 0."""
+    c = {}
+    for part in _split(a, i).values():
+        c = _gcd(c, part)[0]
+        if _is_one(c):
+            break
+    p = _quotient(a, c)
+    if p[max(p)] < 0:
+        c, p = _neg(c), _neg(p)
+    return c, p
+
+
+def _gcd(a, b):
+    """(g, a/g, b/g): g the gcd over ℤ[x…], with a positive leading
+    coefficient."""
+    if not a or not b:
+        g = _positive(a or b)
+        return g, _quotient(a, g) if a else {}, _quotient(b, g) if b else {}
+    if _is_constant(a) or _is_constant(b):
+        g = gcd(*a.values(), *b.values())
+        return {(0,) * len(next(iter(a))): g}, _quo(a, g), _quo(b, g)
+    found = _heuristic_gcd(a, b)
+    if found is None:
+        g = _prs_gcd(a, b)
+        found = g, _quotient(a, g), _quotient(b, g)
+        if found[1] is None or found[2] is None:
+            raise ArithmeticError("the gcd does not divide its arguments")
+    return found
+
+
+def _heuristic_gcd(a, b):
+    """(g, a/g, b/g) for nonzero a, b by evaluating a variable at a large
+    integer ξ, a gcd one variable down and ξ-adic reconstruction (Char,
+    Geddes and Gonnet's GCDHEU).  A candidate that divides both is the gcd;
+    None when six values of ξ give none."""
+    zero = (0,) * len(next(iter(a)))
+    used = [i for i in range(len(zero))
+            if any(e[i] for e in a) or any(e[i] for e in b)]
+    common = gcd(gcd(*a.values()), gcd(*b.values()))
+    if not used:
+        return {zero: common}, _quo(a, common), _quo(b, common)
+    i = used[-1]
+    a, b = _quo(a, common), _quo(b, common)
+    norm_a, norm_b = max(map(abs, a.values())), max(map(abs, b.values()))
+    bound = 2 * min(norm_a, norm_b) + 29
+    xi = max(min(bound, 99 * isqrt(bound)),
+             2 * min(norm_a // abs(a[max(a)]), norm_b // abs(b[max(b)])) + 2)
+    for _ in range(6):
+        at_a, at_b = _evaluate(a, i, xi), _evaluate(b, i, xi)
+        if at_a and at_b:
+            found = _heuristic_gcd(at_a, at_b)
+            if found is None:
+                return None
+            parts = {}
+            for e, c in found[0].items():
+                k = 0
+                while c:
+                    digit = c % xi
+                    if digit > xi // 2:
+                        digit -= xi
+                    if digit:
+                        parts[e[:i] + (k,) + e[i + 1:]] = digit
+                    c, k = (c - digit) // xi, k + 1
+            if parts:
+                g = _positive(_quo(parts, gcd(*parts.values())))
+                qa = _quotient(a, g)
+                qb = None if qa is None else _quotient(b, g)
+                if qb is not None:
+                    return _scale(g, common), qa, qb
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(a, i, xi):
+    """a with x_i = xi."""
+    out = {}
+    for e, c in a.items():
+        key = e[:i] + (0,) + e[i + 1:]
+        v = out.get(key, 0) + c * xi ** e[i]
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+    return out
+
+
+def _prs_gcd(a, b):
+    """gcd by contents and a primitive remainder sequence in the last
+    variable either polynomial uses."""
+    used = [i for i in range(len(next(iter(a))))
+            if any(e[i] for e in a) or any(e[i] for e in b)]
+    i = used[-1]
+    ca, a = _content(a, i)
+    cb, b = _content(b, i)
+    c = _gcd(ca, cb)[0]
+    if max(_split(a, i)) < max(_split(b, i)):
+        a, b = b, a
+    while any(e[i] for e in b):
+        r, _ = _prem(a, b, i)
+        if not r:
+            return _positive(_mul(c, b))
+        a, b = b, _content(r, i)[1]
+    return c  # b is ±1: the primitive parts are coprime
+
+
+def _sqrt(p):
+    """h ∈ ℤ[x…] with h² = p, or None; the terms of h come in decreasing
+    order, each the leading term of the remainder over 2·lt(h)."""
+    lead = max(p)
+    root = isqrt(p[lead]) if p[lead] > 0 else -1
+    if root * root != p[lead] or any(x % 2 for x in lead):
+        return None
+    bound = [max(e[i] for e in p) // 2 for i in range(len(lead))]
+    top = tuple(x // 2 for x in lead)
+    h = {top: root}
+    r = _sub(p, _mul(h, h))
+    while r:
+        e = max(r)
+        m = tuple(x - y for x, y in zip(e, top))
+        if min(m) < 0 or any(x > b for x, b in zip(m, bound)) or \
+                r[e] % (2 * root):
+            return None
+        term = {m: r[e] // (2 * root)}
+        r = _sub(r, _mul(term, {**_scale(h, 2), **term}))
+        h[m] = term[m]
+    return h
+
+
+def _is_rational_square(p):
+    """Whether p ∈ ℤ[x…] is the square of a polynomial over ℚ."""
+    if not p:
+        return True
+    c = gcd(*p.values())
+    if p[max(p)] < 0:
+        c = -c
+    return c > 0 and isqrt(c) ** 2 == c and \
+        _sqrt(_quo(p, c)) is not None
+
+
+# -- rings of tower elements ------------------------------------------------------
+
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*/^()])")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class _Ring:
+    """ℚ(x…)[s…]/(relations) on named generators.  With no relations these
+    are rational functions, in which the relations of a tower are parsed."""
+
+    def __init__(self, names):
+        self.names = list(names)
+        self.index = {n: i for i, n in enumerate(self.names)}
+        self._unit = {(0,) * len(self.names): 1}
+        self._relations = []  # (generator index, relation, its lc)
+        self._basis = [next(iter(self._unit))]  # of the algebraic part
+        order = sorted(range(len(self.names)), key=self.names.__getitem__)
+        self._print_key = lambda e: tuple(e[i] for i in order)
+
+    def _make(self, num, den, reduce=False):
+        """The element num/den; den is free of the algebraic generators."""
+        if not den:
+            raise ZeroDivisionError("division by zero in the tower")
+        if reduce:
+            for i, rel, lc in self._relations:
+                num, k = _prem(num, rel, i)
+                for _ in range(k):
+                    den = _capped_mul(den, lc)
+        if not num:
+            return TowerElement(self, {}, self._unit)
+        _, num, den = _gcd(num, den)
+        if den[max(den, key=self._print_key)] < 0:
+            num, den = _neg(num), _neg(den)
+        return TowerElement(self, num, den)
+
+    def const(self, q) -> "TowerElement":
+        q = Fraction(q)
+        zero = next(iter(self._unit))
+        return self._make({zero: q.numerator} if q else {},
+                          {zero: q.denominator})
+
+    def generator(self, name) -> "TowerElement":
+        e = [0] * len(self.names)
+        e[self.index[name]] = 1
+        return TowerElement(self, {tuple(e): 1}, self._unit)
+
+    def reduce(self, x) -> "TowerElement":
+        """An element, int, Fraction or expression string as an element in
+        normal form."""
+        if isinstance(x, TowerElement) and x.ring is self:
+            return x
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            return self.const(x)
+        if isinstance(x, str):
+            return self.parse(x)
+        raise NotExpressible(f"not an element of the tower: {x!r}")
+
+    def _inverse(self, x) -> "TowerElement":
+        algebraic = [i for i, _, _ in self._relations]
+        if not any(e[i] for e in x.num for i in algebraic):
+            return self._make(x.den, x.num)
+        # solve (x.num)·y = 1 over ℚ(t…) in the monomial basis
+        basis = self._basis
+        at = {m: k for k, m in enumerate(basis)}
+        rows = [{} for _ in basis]
+        for k, m in enumerate(basis):
+            col = self._make(_mul(x.num, {m: 1}), self._unit, reduce=True)
+            for i, part in self._coords(col.num, algebraic).items():
+                rows[at[i]][k] = self._make(part, col.den)
+        rows[0][len(basis)] = self.const(1)
+        pivots, reduced = rref_sparse(rows, len(basis) + 1)
+        if pivots != list(range(len(basis))):
+            raise NotExpressible(f"cannot invert {x}: the tower has zero "
+                                 "divisors")
+        out = self.const(0)
+        for m, row in zip(basis, reduced):
+            if len(basis) in row:
+                out += row[len(basis)] * TowerElement(self, {m: 1}, self._unit)
+        return out * TowerElement(self, x.den, self._unit)
+
+    @staticmethod
+    def _coords(num, algebraic):
+        """num as {algebraic monomial: coefficient over ℤ[t…]}."""
+        out = {}
+        for e, c in num.items():
+            mono = tuple(x if i in algebraic else 0 for i, x in enumerate(e))
+            rest = tuple(0 if i in algebraic else x for i, x in enumerate(e))
+            out.setdefault(mono, {})[rest] = c
+        return out
+
+    # -- the parser --------------------------------------------------------------
+
+    def parse(self, text) -> "TowerElement":
+        """Evaluate an expression in integers, the ring's generator names,
+        + - * / ^ ** and parentheses; exponents are integers."""
+        tokens, pos, end = [], 0, len(text.rstrip())
+        while pos < end:
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise ParseError(f"cannot parse {text!r}: unexpected "
+                                 f"{text[pos:].strip()[:12]!r}")
+            tokens.append("**" if m.group(1) == "^" else m.group(1))
+            pos = m.end()
+        tokens.append(None)
+        parser = _Parser(self, tokens, text)
+        try:
+            value = parser.sum()
+        except ZeroDivisionError as exc:
+            raise ParseError(f"division by zero in {text!r}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"{text[:40]!r}… is nested too deeply") from exc
+        if tokens[parser.pos] is not None:
+            raise ParseError(f"cannot parse {text!r}: unexpected "
+                             f"{tokens[parser.pos]!r}")
+        return value
+
+    def render_poly(self, p) -> str:
+        """sympy-style text: terms in lex order over the sorted names."""
+        out = []
+        for e, c in sorted(p.items(), key=lambda ec: self._print_key(ec[0]),
+                           reverse=True):
+            mono = "*".join(n if k == 1 else f"{n}**{k}"
+                            for n, k in sorted(zip(self.names, e)) if k)
+            body = mono if mono and abs(c) == 1 else \
+                f"{abs(c)}*{mono}" if mono else str(abs(c))
+            if not out:
+                out.append("-" + body if c < 0 else body)
+            else:
+                out.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(out) or "0"
+
+
+class _Parser:
+    """Recursive descent over the tokens of one expression."""
+
+    def __init__(self, ring, tokens, text):
+        self.ring, self.tokens, self.text, self.pos = ring, tokens, text, 0
+
+    def _take(self, *ops):
+        if self.tokens[self.pos] in ops:
+            self.pos += 1
+            return self.tokens[self.pos - 1]
+        return None
+
+    def sum(self):
+        value = self.product()
+        while (op := self._take("+", "-")) is not None:
+            rhs = self.product()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def product(self):
+        value = self.unary()
+        while (op := self._take("*", "/")) is not None:
+            rhs = self.unary()
+            value = value * rhs if op == "*" else value / rhs
+        return value
+
+    def unary(self):
+        if self._take("-") is not None:
+            return -self.unary()
+        if self._take("+") is not None:
+            return self.unary()
+        return self.power()
+
+    def power(self):
+        value = self.atom()
+        if self._take("**") is None:
+            return value
+        exponent = self.unary()
+        zero = next(iter(self.ring._unit))
+        if exponent.den != self.ring._unit or any(map(any, exponent.num)):
+            raise ParseError(f"exponent {exponent} in {self.text!r} is not "
+                             "an integer")
+        return value ** exponent.num.get(zero, 0)
+
+    def atom(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "(":
+            value = self.sum()
+            if self._take(")") is None:
+                raise ParseError(f"cannot parse {self.text!r}: missing ')'")
+            return value
+        if tok is not None and tok.isdigit():
+            try:
+                return self.ring.const(int(tok))
+            except ValueError as exc:  # more digits than int() accepts
+                raise ParseError(f"integer too long in {self.text!r}") \
+                    from exc
+        if tok is not None and _NAME.fullmatch(tok):
+            if tok not in self.ring.index:
+                raise ParseError(f"unknown name {tok!r} in {self.text!r}")
+            return self.ring.generator(tok)
+        raise ParseError(f"cannot parse {self.text!r}: unexpected "
+                         f"{'end' if tok is None else repr(tok)}")
+
+
+class TowerElement:
+    """An element num/den of a tower (or of a ring of rational functions)."""
+
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, ring, num, den):
+        self.ring, self.num, self.den = ring, num, den
+
+    def _coerce(self, other):
+        if isinstance(other, TowerElement):
+            return other if other.ring is self.ring else None
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self.ring.const(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.den == other.den:
+            return self.ring._make(_add(self.num, other.num), self.den)
+        return self.ring._make(
+            _add(_capped_mul(self.num, other.den),
+                 _capped_mul(other.num, self.den)),
+            _capped_mul(self.den, other.den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TowerElement(self.ring, _neg(self.num), self.den)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.ring._make(_capped_mul(self.num, other.num),
+                               _capped_mul(self.den, other.den), reduce=True)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero in the tower")
+        return self * self.ring._inverse(other)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or isinstance(n, bool):
+            return NotImplemented
+        if abs(n) > DEGREE_CAP:
+            raise SizeCap(f"an exponent above the cap {DEGREE_CAP}")
+        if n == 0:
+            return self.ring.const(1)
+        base = out = 1 / self if n < 0 else self
+        for bit in bin(abs(n))[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
+        return out
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+
+    def __str__(self):
+        ring = self.ring
+        num = ring.render_poly(self.num)
+        if _is_one(self.den):
+            return num
+        den = ring.render_poly(self.den)
+        if len(self.num) > 1:
+            num = f"({num})"
+        if len(self.den) > 1 or "*" in den.replace("**", ""):
+            den = f"({den})"
+        return f"{num}/{den}"
+
+    def __repr__(self):
+        return f"TowerElement({self})"
+
+
+# -- field towers ------------------------------------------------------------------
+
+class FieldTower(_Ring):
     """ℚ(t₁, …) with algebraic adjunctions, e.g. "t; s: s^2 = 1 - t^2"."""
 
     def __init__(self, spec: str):
         self.spec = spec.strip()
-        self.transcendentals = []
-        self.algebraics = []  # (symbol, minpoly expr in lower gens + itself)
-        self.symbols = {}
+        names, relations = [], {}
         for part in self.spec.split(";"):
             part = part.strip()
             if not part:
                 continue
-            if ":" in part:
-                name, eq = part.split(":", 1)
-                name = name.strip()
-                sym = sympy.Symbol(name)
-                if "=" not in eq:
+            name, colon, eq = part.partition(":")
+            name = name.strip()
+            if not _NAME.fullmatch(name):
+                raise ParseError(f"bad generator name {name!r} in {part!r}")
+            if name in names:
+                raise ParseError(f"generator {name!r} is declared twice")
+            names.append(name)
+            if colon:
+                lhs, equals, rhs = eq.partition("=")
+                if not equals:
                     raise ParseError(f"bad tower entry {part!r}")
-                lhs, rhs = eq.split("=", 1)
-                known = dict(self.symbols)
-                known[name] = sym
-                try:
-                    rel = (_parse(lhs, known) - _parse(rhs, known))
-                except (ParseError, TypeError) as exc:
-                    raise ParseError(f"bad tower entry {part!r}") from exc
-                rel = sympy.expand(rel)
-                poly = sympy.Poly(rel, sym)
-                if poly.degree() < 1:
-                    raise ParseError(f"{name} does not appear in its relation")
-                self._check_irreducible(rel, sym)
-                self.symbols[name] = sym
-                self.algebraics.append((sym, rel, poly.degree()))
-            else:
-                name = part
-                sym = sympy.Symbol(name)
-                self.symbols[name] = sym
-                self.transcendentals.append(sym)
-        self._monomials = self._monomial_basis()
+                ring = _Ring(names)
+                rel = ring.parse(lhs) - ring.parse(rhs)
+                relations[name] = self._minimal_polynomial(
+                    name, rel.num, [names.index(n) for n in relations])
+        super().__init__(names)
+        degrees = []
+        for name, rel in relations.items():
+            i = self.index[name]
+            rel = {e + (0,) * (len(names) - len(e)): c for e, c in rel.items()}
+            degrees.append((i, max(e[i] for e in rel)))
+            self._relations.append((i, rel, _split(rel, i)[degrees[-1][1]]))
+        if prod(d for _, d in degrees) > DEGREE_CAP:
+            raise SizeCap(f"a tower of degree above {DEGREE_CAP} over its "
+                          "transcendental generators")
+        self._basis = []
+        for powers in product(*(range(d) for _, d in degrees)):
+            e = [0] * len(names)
+            for (i, _), k in zip(degrees, powers):
+                e[i] = k
+            self._basis.append(tuple(e))
+        self.transcendentals = [n for n in names if n not in relations]
+        self.algebraics = list(relations)
+        self.symbols = {n: self.generator(n) for n in names}
+        self._generators = {g: n for n, g in self.symbols.items()}
+        self._dgen = {}
 
-    def _check_irreducible(self, rel, sym):
-        # Gauss-lemma style check: factor the defining polynomial as a
-        # multivariate polynomial over ℚ and require a single factor with
-        # positive degree in the new generator.  Complete for adjunctions
-        # whose minimal polynomial has no earlier algebraic generators.
-        uses_algebraic = any(a in rel.free_symbols
-                             for a, _, _ in self.algebraics)
-        _, factors = sympy.factor_list(rel)
-        proper = [f for f, _ in factors
-                  if sympy.Poly(f, sym).degree() >= 1]
-        mults = [m for f, m in factors if sympy.Poly(f, sym).degree() >= 1]
-        if len(proper) != 1 or mults != [1]:
-            raise ParseError(f"relation for {sym} is reducible")
-        if uses_algebraic:
+    @staticmethod
+    def _minimal_polynomial(name, rel, algebraic):
+        """The relation's numerator, primitive in `name`, once it is shown
+        irreducible over ℚ(t…)."""
+        i = len(next(iter(rel), ())) - 1
+        degree = max((e[i] for e in rel), default=0)
+        if degree < 1:
+            raise ParseError(f"{name} does not appear in its relation")
+        if any(e[j] for e in rel for j in range(i) if j in algebraic):
             raise NotExpressible(
                 "nested algebraic adjunctions are not supported; rewrite "
                 "the tower so each minimal polynomial uses only "
                 "transcendental generators")
+        _, rel = _content(rel, i)
+        coeffs = _split(rel, i)
+        if degree == 2:
+            a, b, c = (coeffs.get(k, {}) for k in (2, 1, 0))
+            if _is_rational_square(_sub(_mul(b, b), _scale(_mul(a, c), 4))):
+                raise ParseError(f"relation for {name} is reducible")
+        elif degree >= 3 and not _specialization_irreducible(coeffs, degree,
+                                                             i):
+            raise ParseError(
+                f"relation for {name} is not shown irreducible: no "
+                "specialization of its coefficients at small integers is "
+                "irreducible of the same degree")
+        return rel
 
-    def _monomial_basis(self):
-        basis = [sympy.Integer(1)]
-        for sym, _rel, deg in self.algebraics:
-            basis = [b * sym ** k for k in range(deg) for b in basis]
-        return basis
+    # -- elements ---------------------------------------------------------------
 
-    # -- element arithmetic -------------------------------------------------
-
-    def parse(self, text_or_expr):
-        if isinstance(text_or_expr, str):
-            try:
-                expr = _parse(text_or_expr, dict(self.symbols))
-            except ParseError as exc:
-                raise NotExpressible(
-                    f"cannot parse {text_or_expr!r}") from exc
-        else:
-            expr = sympy.sympify(text_or_expr)
-        bad = expr.free_symbols - set(self.symbols.values())
-        if bad:
-            raise NotExpressible(f"unknown symbols {bad}")
-        return self.reduce(expr)
-
-    def reduce(self, expr):
-        """Canonical form: algebraic powers rewritten by their relations."""
-        expr = sympy.together(sympy.expand(expr))
-        num, den = sympy.fraction(expr)
-        num = self._reduce_poly(num)
-        den = self._reduce_poly(den)
-        if den == 0:
-            raise ZeroDivisionError("division by zero in tower")
-        if num == 0:
-            return sympy.Integer(0)
-        quotient = self._divide(num, den)
-        return quotient
-
-    def _reduce_poly(self, expr):
-        expr = sympy.expand(expr)
-        for sym, rel, deg in reversed(self.algebraics):
-            poly = sympy.Poly(expr, sym)
-            rel_poly = sympy.Poly(rel, sym)
-            expr = sympy.expand(sympy.rem(poly, rel_poly).as_expr())
-        return expr
-
-    def _coords(self, expr):
-        """Coordinates of a reduced polynomial over the monomial basis."""
-        rest = sympy.expand(expr)
-        syms = [s for s, _, _ in self.algebraics]
-        if not syms:
-            return {0: sympy.cancel(rest)}
-        poly = sympy.Poly(rest, *syms)
-        coords = {}
-        for monom, coeff in poly.terms():
-            stride = 1
-            pos = 0
-            for (_sym, _rel, deg), power in zip(self.algebraics, monom):
-                pos += stride * power
-                stride *= deg
-            coords[pos] = sympy.cancel(coeff)
-        return coords
-
-    def _divide(self, num, den):
-        """num/den with den inverted by linear algebra over ℚ(t…)."""
-        syms = [s for s, _, _ in self.algebraics]
-        if not syms:
-            return sympy.cancel(num / den)
-        n = len(self._monomials)
-        # multiplication-by-den matrix in the monomial basis
-        cols = []
-        for mono in self._monomials:
-            prod = self._reduce_poly(sympy.expand(den * mono))
-            cols.append(self._coords(prod))
-        M = sympy.zeros(n, n)
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                M[i, j] = v
-        target = sympy.zeros(n, 1)
-        for i, v in self._coords(self._reduce_poly(num)).items():
-            target[i, 0] = v
-        try:
-            sol = M.LUsolve(target)
-        except Exception as exc:
-            raise NotExpressible(f"cannot invert {den}") from exc
-        out = sympy.Integer(0)
-        for i, mono in enumerate(self._monomials):
-            out += sympy.cancel(sol[i, 0]) * mono
-        return sympy.expand(out)
-
-    def is_zero(self, expr) -> bool:
-        return sympy.simplify(self.reduce(expr)) == 0
+    def is_zero(self, x) -> bool:
+        return not self.reduce(x)
 
     def equal(self, a, b) -> bool:
-        return self.is_zero(sympy.expand(a - b))
+        return self.reduce(a) == self.reduce(b)
+
+    def name_of(self, g) -> str:
+        """The name of a generator given as a name or as an element."""
+        name = g if isinstance(g, str) else self._generators.get(g)
+        if name not in self.index:
+            raise NotExpressible(f"unknown generator {g}")
+        return name
 
     # -- differentials ---------------------------------------------------------
 
-    def dgen(self, sym) -> "KahlerElement":
-        """d of a generator, expressed over the transcendental dt's."""
-        if sym in self.transcendentals:
-            return KahlerElement(self, {sym: sympy.Integer(1)})
-        for s, rel, _deg in self.algebraics:
-            if s == sym:
-                dp_ds = sympy.diff(rel, s)
-                out = KahlerElement(self, {})
-                for t in self.transcendentals:
-                    c = sympy.diff(rel, t)
-                    if c != 0:
-                        out = out + KahlerElement(
-                            self, {t: self.reduce(-c / dp_ds)})
-                return out
-        raise NotExpressible(f"unknown generator {sym}")
+    def _partial(self, x, i) -> TowerElement:
+        dnum, dden = _diff(x.num, i), _diff(x.den, i)
+        if not dden:
+            return self._make(dnum, x.den)
+        return self._make(
+            _sub(_capped_mul(dnum, x.den), _capped_mul(x.num, dden)),
+            _capped_mul(x.den, x.den))
 
-    def differential(self, expr) -> "KahlerElement":
-        """d(expr) = Σ (∂expr/∂g)·dg over all generators, reduced."""
-        expr = self.reduce(expr)
+    def dgen(self, g) -> "KahlerElement":
+        """d of a generator, expressed over the transcendental dt's."""
+        name = self.name_of(g)
+        if name in self.transcendentals:
+            return KahlerElement(self, {name: 1})
+        if name not in self._dgen:
+            i, rel, _ = next(r for r in self._relations
+                             if r[0] == self.index[name])
+            partials = [self._make(_diff(rel, j), self._unit, reduce=True)
+                        for j in range(len(self.names))]
+            self._dgen[name] = KahlerElement(self, {
+                t: -partials[self.index[t]] / partials[i]
+                for t in self.transcendentals})
+        return self._dgen[name]
+
+    def differential(self, x) -> "KahlerElement":
+        """d(x) = Σ (∂x/∂g)·dg over all generators."""
+        x = self.reduce(x)
         out = KahlerElement(self, {})
-        for name, sym in self.symbols.items():
-            part = sympy.diff(expr, sym)
-            if part == 0:
-                continue
-            dg = self.dgen(sym)
-            out = out + dg.scaled(self.reduce(part))
+        for i, name in enumerate(self.names):
+            part = self._partial(x, i)
+            if part:
+                out = out + self.dgen(name).scaled(part)
         return out
 
     def __repr__(self):
         return f"FieldTower({self.spec!r})"
+
+
+def _specialization_irreducible(coeffs, degree, i) -> bool:
+    """Whether the relation Σ coeffs[k]·s^k is irreducible at some point t
+    of small integers where its leading coefficient does not vanish: then it
+    is irreducible over ℚ(t) (Gauss's lemma)."""
+    from .algebraic import _canonical_factors
+
+    free = sorted({j for part in coeffs.values() for e in part
+                   for j, x in enumerate(e) if x and j != i})
+    values = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
+    points = (p for m in range(1, len(values) + 1)
+              for p in product(values[:m], repeat=len(free))
+              if m == 1 or values[m - 1] in p)
+    for point in islice(points, 64):
+        at = dict(zip(free, point))
+
+        def value(part):
+            return sum(c * prod(at[j] ** x for j, x in enumerate(e) if x)
+                       for e, c in part.items())
+        spec = [value(coeffs.get(k, {})) for k in range(degree + 1)]
+        if spec[-1] == 0:
+            continue
+        factors = _canonical_factors(spec)
+        if len(factors) == 1 and len(factors[0]) == degree + 1:
+            return True
+    return False
 
 
 class KahlerElement:
@@ -233,24 +798,25 @@ class KahlerElement:
     def __init__(self, tower: FieldTower, coefficients: dict):
         self.tower = tower
         self.coefficients = {}
-        for sym, c in coefficients.items():
+        for g, c in coefficients.items():
             c = tower.reduce(c)
-            if not tower.is_zero(c):
-                self.coefficients[sym] = c
+            if c:
+                self.coefficients[tower.name_of(g)] = c
 
     def __add__(self, other):
         out = dict(self.coefficients)
-        for sym, c in other.coefficients.items():
-            out[sym] = out.get(sym, sympy.Integer(0)) + c
+        for name, c in other.coefficients.items():
+            out[name] = out[name] + c if name in out else c
         return KahlerElement(self.tower, out)
 
     def scaled(self, factor):
+        factor = self.tower.reduce(factor)
         return KahlerElement(
             self.tower,
-            {sym: factor * c for sym, c in self.coefficients.items()})
+            {name: factor * c for name, c in self.coefficients.items()})
 
     def __neg__(self):
-        return self.scaled(sympy.Integer(-1))
+        return self.scaled(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -264,15 +830,12 @@ class KahlerElement:
     def render(self) -> str:
         if not self.coefficients:
             return "0"
-        parts = []
-        for sym in sorted(self.coefficients, key=str):
-            c = sympy.simplify(self.coefficients[sym])
-            parts.append(f"({c})*d{sym}")
-        return " + ".join(parts)
+        return " + ".join(f"({c})*d{name}"
+                          for name, c in sorted(self.coefficients.items()))
 
     def to_json(self):
-        return {f"d{sym}": str(sympy.simplify(c))
-                for sym, c in sorted(self.coefficients.items(), key=str)}
+        return {f"d{name}": str(c)
+                for name, c in sorted(self.coefficients.items())}
 
     def __repr__(self):
         return f"KahlerElement({self.render()})"
@@ -294,20 +857,18 @@ def phi_map(terms, tower: FieldTower) -> KahlerElement:
         else:
             length, cos = term
             sin = None
-        length = tower.parse(length) if not isinstance(length, (int, Fraction)) \
-            else sympy.Rational(length)
-        cos = tower.parse(cos)
+        length = tower.reduce(length)
+        cos = tower.reduce(cos)
         dcos = tower.differential(cos)
         if dcos.is_zero():
             continue
         if sin is None:
             raise NotExpressible(
                 f"term with non-constant cos {cos} needs an explicit sin")
-        sin = tower.parse(sin)
-        if not tower.is_zero(sin * sin - (1 - cos * cos)):
+        sin = tower.reduce(sin)
+        if sin * sin != 1 - cos * cos:
             raise NotExpressible("sin² != 1 − cos² in the tower")
-        inv_sin = tower.reduce(1 / sin)
-        out = out + dcos.scaled(tower.reduce(length * inv_sin))
+        out = out + dcos.scaled(length / sin)
     return out
 
 
@@ -333,17 +894,30 @@ def phi_of_tensor(tensor, tower: FieldTower, embedding: dict) -> KahlerElement:
 
 # -- presented commutative algebras ------------------------------------------------
 
+def _polynomial_expr(text, gens):
+    """A relation string as a sympy polynomial in the symbols `gens`."""
+    import sympy
+
+    value = _Ring([str(g) for g in gens]).parse(text)
+    if not _is_constant(value.den):
+        raise ParseError(f"relation {text!r} is not a polynomial")
+    den = next(iter(value.den.values()))
+    return sympy.Add(*(sympy.Rational(c, den) * sympy.Mul(
+        *(g ** k for g, k in zip(gens, e))) for e, c in value.num.items()))
+
+
 class PresentedAlgebra:
     """ℚ[x₁..x_m]/(f₁..f_r), finite-dimensional, via a Gröbner basis."""
 
     def __init__(self, gens, relations):
+        import sympy
+
         self.gens = [sympy.Symbol(g) if isinstance(g, str) else g
                      for g in gens]
-        local = {str(g): g for g in self.gens}
         self.relations = []
         for rel in relations:
             if isinstance(rel, str):
-                rel = _parse(rel, local)
+                rel = _polynomial_expr(rel, self.gens)
             self.relations.append(sympy.expand(rel))
         if self.relations:
             self.groebner = sympy.groebner(self.relations, *self.gens,
@@ -354,12 +928,16 @@ class PresentedAlgebra:
         self.index = {m: i for i, m in enumerate(self.basis)}
 
     def _leading_monomials(self):
+        import sympy
+
         if self.groebner is None:
             return []
         return [sympy.Poly(g, *self.gens).LM(order="grevlex")
                 for g in self.groebner.exprs]
 
     def _monomial_basis(self):
+        import sympy
+
         lms = self._leading_monomials()
         lm_exps = [sympy.Poly(m.as_expr(), *self.gens).monoms()[0]
                    for m in lms] if lms else []
@@ -379,8 +957,7 @@ class PresentedAlgebra:
             return all(a >= b for a, b in zip(e, lead))
 
         out = []
-        from itertools import product as iproduct
-        for exps in iproduct(*(range(c) for c in caps)):
+        for exps in product(*(range(c) for c in caps)):
             if any(divisible(exps, lead) for lead in lm_exps):
                 continue
             mono = sympy.Integer(1)
@@ -397,12 +974,16 @@ class PresentedAlgebra:
         return len(self.basis)
 
     def normal_form(self, expr):
+        import sympy
+
         expr = sympy.expand(expr)
         if self.groebner is None:
             return expr
         return self.groebner.reduce(expr)[1]
 
     def coords(self, expr) -> dict:
+        import sympy
+
         nf = sympy.expand(self.normal_form(expr))
         poly = sympy.Poly(nf, *self.gens)
         out = {}
@@ -432,6 +1013,8 @@ class PresentedAlgebra:
 
     def kahler_dim(self) -> int:
         """dim_ℚ Ω¹ = m·dim(A) − rank{u·∂f_j/∂x_i : u basis, j}."""
+        import sympy
+
         m = len(self.gens)
         rows = []
         for rel in self.relations:

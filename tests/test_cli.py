@@ -214,6 +214,17 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
      "--tower", "t; s: s^2 = (("),
     ("phi", "--tensor", {"terms": [{"cos": "((", "sin": "s"}]},
      "--tower", TOWER),
+    # the tower is exact: no decimals, constants, functions, non-integer
+    # exponents or undeclared names, and no division by zero
+    *(("phi", "--tensor", {"terms": [{"length": entry, "cos": "t",
+                                      "sin": "s"}]}, "--tower", TOWER)
+      for entry in ("0.1", "pi", "sqrt(t)", "t^(1/2)", "x", "1/(s^2+t^2-1)")),
+    # nor bad generator names; the term contributes 0, so the tower alone
+    # decides
+    *(("phi", "--tensor", {"terms": [{"cos": "1/3"}]}, "--tower", tower)
+      for tower in ("t; s: s^2 = 1/0", "t; s: s^2 = x", "t; t: t^2 = 2",
+                    "1; s: s^2 = 3", "t; s: s^2 = 1 - 0.5*t^2",
+                    "t; s: s^3 = t^3")),
     ("polytope-info", "--height-bound", "0",
      {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
     ("polytope-info", "--height-bound", "-1",
@@ -261,6 +272,29 @@ def test_cli_phi(fixtures):
     T = FieldTower("t; s: s^2 = 1 - t^2")
     got = T.parse(report["results"]["image"]["dt"])
     assert T.equal(got, T.parse("1/s"))
+
+
+def test_tower_size_is_capped(fixtures, tmp_path):
+    # a huge power in a tensor entry or a relation ends in exit 4 at once
+    # instead of running for minutes
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(
+        {"terms": [{"length": "(1+t)^3000", "cos": "t", "sin": "s"}]}))
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(
+        {"terms": [{"length": "((99^64)^64)^64", "cos": "t", "sin": "s"}]}))
+    for tensor, tower in ((big, TOWER), (nested, TOWER),
+                          (fixtures / "t.json", "t; s: s^2 = 1 - t^(10^9)"),
+                          (fixtures / "t.json", "t; u; s: s^2 = 1 - t^2; "
+                           "x: x^2 = (1 + t + u)^32 * (2 + t - u)^32")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scissors.cli", "phi", "--tensor",
+             str(tensor), "--tower", tower],
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 4, (tower, proc.stderr)
+        assert proc.stderr.strip().splitlines() == [
+            line for line in proc.stderr.strip().splitlines()
+            if line.startswith("resource cap: ")]
 
 
 def test_cli_homology_group():
@@ -443,6 +477,8 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
             (both, ["polytope-info", octa]), (both, ["compare", tetra, octa]),
             (both, ["homology", "--group", "S3"]),
             (both, ["hochschild", "--algebra", "mat2"]),
+            (both, ["phi", "--tensor", str(fixtures / "t.json"),
+                    "--tower", TOWER]),
             (both, ["recheck", str(report)]),
             # reading the scaled tetrahedron embeds its literals by an
             # integer relation, which takes mpmath

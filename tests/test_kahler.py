@@ -1,5 +1,6 @@
+from fractions import Fraction
+
 import pytest
-import sympy
 
 from scissors.kahler import (
     FieldTower,
@@ -12,6 +13,7 @@ from scissors.kahler import (
     phi_map,
 )
 from scissors.numbers import ParseError
+from scissors.rng import SplitMix64
 
 
 def test_tower_parse_and_reduce():
@@ -35,7 +37,7 @@ def test_tower_rejects_reducible():
 
 def test_differential_of_constants_and_algebraics():
     T = FieldTower("t; s: s^2 = 1 - t^2")
-    assert T.differential(sympy.Rational(1, 3)).is_zero()
+    assert T.differential(Fraction(1, 3)).is_zero()
     # algebraic over ℚ dies: adjoin r with r² = 2 in its own tower
     T2 = FieldTower("u; r: r^2 = 2")
     assert T2.differential(T2.symbols["r"]).is_zero()
@@ -134,3 +136,174 @@ def test_structure_algebra_roundtrip():
     assert A.dim == 2
     from scissors.hochschild import hochschild_homology_table
     assert hochschild_homology_table(A, 1) == [2, 0]
+
+
+# -- seeded properties against sympy -------------------------------------------
+
+# (spec, relation as an expression that vanishes in the tower)
+_TOWERS = [
+    ("t; s: s^2 = 1 - t^2", "s**2 + t**2 - 1"),
+    ("t; u; s: s^2 = t^2 + u", "s**2 - t**2 - u"),
+    ("t; c: c^3 = t + 2", "c**3 - t - 2"),
+    ("t; u; c: t*c^3 = u - c", "t*c**3 + c - u"),
+]
+
+
+def _oracle(spec, relation):
+    """The tower, and sympy's view of it: a quotient of polynomials is a
+    pair (P, Q) of sympy Polys with the algebraic generator first, and it
+    vanishes when the pseudo-remainder of P by the relation does."""
+    import sympy
+
+    T = FieldTower(spec)
+    syms = {name: sympy.Symbol(name) for name in T.names}
+    gens = [syms[name] for name in T.algebraics + T.transcendentals]
+    rel = sympy.Poly(sympy.sympify(relation, locals=syms), *gens)
+
+    def poly(text):
+        return sympy.Poly(sympy.sympify(text, locals=syms), *gens)
+
+    def vanishes(pq):
+        return pq[0].prem(rel).is_zero
+
+    def rendered(x):
+        """Our rendering of x, read by sympy."""
+        num, den = sympy.fraction(sympy.sympify(str(x), locals=syms))
+        return poly(num), poly(den)
+
+    return T, poly, vanishes, rendered
+
+
+def _random_poly(rng, T, terms=3):
+    parts = []
+    for _ in range(rng.randint(1, terms)):
+        coeff = rng.randint(-3, 3) or 1
+        mono = [f"{name}**{rng.randint(0, 2 if name in T.transcendentals else 3)}"
+                for name in T.names]
+        parts.append("*".join([str(coeff)] + mono))
+    return " + ".join(parts)
+
+
+def _random_element(rng, T, poly, vanishes):
+    """((P, Q), element) of a random quotient P/Q, nonzero in the tower."""
+    one = poly("1")
+    while True:
+        num, den = _random_poly(rng, T), _random_poly(rng, T, 2)
+        if not vanishes((poly(num), one)) and not vanishes((poly(den), one)):
+            return (poly(num), poly(den)), T.parse(f"({num})/({den})")
+
+
+@pytest.mark.parametrize("spec,relation", _TOWERS)
+def test_tower_arithmetic_matches_sympy(spec, relation):
+    T, poly, vanishes, rendered = _oracle(spec, relation)
+
+    def minus(a, b):
+        return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
+
+    for case in range(6):
+        rng = SplitMix64.stream(1101, case)
+        (xq, x), (yq, y) = (_random_element(rng, T, poly, vanishes)
+                            for _ in range(2))
+        for ours, want in ((x, xq),
+                           (x + y, (xq[0] * yq[1] + yq[0] * xq[1],
+                                    xq[1] * yq[1])),
+                           (x * y, (xq[0] * yq[0], xq[1] * yq[1])),
+                           (x / y, (xq[0] * yq[1], xq[1] * yq[0])),
+                           (1 / y, (yq[1], yq[0]))):
+            # the rendered normal form is the value sympy computes
+            assert vanishes(minus(rendered(ours), want)), (spec, case, ours)
+            # and it is reduced: each algebraic degree below its relation's
+            assert all(e[i] < max(r[i] for r in rel) for e in ours.num
+                       for i, rel, _lc in T._relations)
+        assert (1 / y) * y == 1
+        # is_zero: a multiple of the relation vanishes, a perturbation not
+        vanishing = f"({x})*({relation})"
+        assert T.is_zero(vanishing) and vanishes((poly(relation) * xq[0], xq[1]))
+        assert not T.is_zero(f"{vanishing} + 1")
+        assert not T.is_zero(x) and not vanishes(xq)
+        assert (x == y) == vanishes(minus(xq, yq))
+        assert T.is_zero(x - x * y / y)
+
+
+@pytest.mark.parametrize("spec,relation", _TOWERS)
+def test_differential_is_a_derivation(spec, relation):
+    T, poly, vanishes, _rendered = _oracle(spec, relation)
+    # d kills the relation: Σ ∂f/∂g · dg = 0
+    rel = poly(relation)
+    total = KahlerElement(T, {})
+    for name, gen in zip(T.algebraics + T.transcendentals, rel.gens):
+        total = total + T.dgen(name).scaled(
+            T.parse(str(rel.diff(gen).as_expr())))
+    assert total.is_zero()
+    for case in range(5):
+        rng = SplitMix64.stream(1202, case)
+        (_, x), (_, y) = (_random_element(rng, T, poly, vanishes)
+                          for _ in range(2))
+        dx, dy = T.differential(x), T.differential(y)
+        assert T.differential(x * y) == dx.scaled(y) + dy.scaled(x)
+        assert T.differential(x / y) == \
+            (dx.scaled(y) - dy.scaled(x)).scaled(1 / (y * y))
+        assert T.differential(x + 3) == dx
+        # every rendered coefficient parses back to the same element
+        for image in (dx, T.differential(x / y)):
+            for key, text in image.to_json().items():
+                assert T.parse(text) == image.coefficients[key[1:]]
+        assert T.parse(str(x)) == x
+
+
+def test_circle_euler_identity_on_random_points():
+    T = FieldTower("t; s: s^2 = 1 - t^2")
+    s, t = T.symbols["s"], T.symbols["t"]
+    assert (T.differential(s).scaled(s) + T.differential(t).scaled(t)).is_zero()
+    for case in range(10):
+        rng = SplitMix64.stream(1303, case)
+        f = T.parse(_random_poly(rng, T))
+        # d(f)·s = ∂f/∂t·s·dt − ∂f/∂s·t·dt, from s·ds = −t·dt
+        lhs = T.differential(f).scaled(s)
+        rhs = KahlerElement(T, {t: T._partial(f, 0) * s - T._partial(f, 1) * t})
+        assert lhs == rhs
+
+
+def test_reducible_relations_are_rejected():
+    for case in range(10):
+        rng = SplitMix64.stream(1404, case)
+        a = f"({rng.randint(-3, 3)}*t**2 + {rng.randint(-3, 3)}*t + " \
+            f"{rng.randint(-3, 3)})"
+        b = f"({rng.randint(-3, 3)}*t + {rng.randint(1, 3)})"
+        for rel in (f"(s - {a})*(s - {b})", f"(s - {a})*(s**2 - {b})",
+                    f"(s**2 + {b})*(s**2 - {a})", f"({b})*(s - {a})**2"):
+            with pytest.raises(ParseError):
+                FieldTower(f"t; s: {rel} = 0")
+    # irreducible ones of the same shapes are accepted
+    for rel in ("s**2 - t", "s**3 - t - 2", "t*s**3 + s - 1", "s**2 - 2*t**2"):
+        FieldTower(f"t; s: {rel} = 0")
+
+
+def test_gcd_paths_agree_with_sympy():
+    # the evaluation gcd, the remainder-sequence gcd it falls back on and
+    # sympy's gcd agree on products with a random common factor
+    import sympy
+
+    from scissors.kahler import _gcd, _heuristic_gcd, _mul, _prs_gcd
+
+    gens = sympy.symbols("t u v")
+
+    def random_poly(rng):
+        out = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 2) for _ in gens)
+            out[e] = out.get(e, 0) + (rng.randint(-5, 5) or 1)
+        return {e: c for e, c in out.items() if c} or {(0, 0, 0): 1}
+
+    for case in range(30):
+        rng = SplitMix64.stream(1505, case)
+        common, a, b = (random_poly(rng) for _ in range(3))
+        A, B = _mul(common, a), _mul(common, b)
+        g, qa, qb = _gcd(A, B)
+        assert _mul(g, qa) == A and _mul(g, qb) == B
+        assert _prs_gcd(A, B) == g
+        heuristic = _heuristic_gcd(A, B)
+        assert heuristic is None or heuristic[0] == g
+        want = sympy.Poly(sympy.gcd(*(
+            sympy.Poly.from_dict(p, *gens).as_expr() for p in (A, B))), *gens)
+        assert want.as_dict() == g
