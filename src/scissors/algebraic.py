@@ -4,18 +4,21 @@ A value is a plain ``Fraction`` (the degree-1 case collapses there), an
 element of a number field (``numberfield.Num``), or an ``AlgebraicReal``
 carrying a primitive irreducible integer polynomial with positive leading
 coefficient, constant term first, together with a rational interval
-containing exactly one of its real roots.  ``lift`` puts the literals of one
-input into one field ℚ(α); geometry then runs on field arithmetic, and square
-roots of field elements stay in quadratic extensions.  ``AlgebraicReal``
-arithmetic goes through resultants with interval refinement until the
-result's root is isolated; it serves values read back from reports, radicands
-that cannot be certified, and values whose fields do not combine.
+containing exactly one of its real roots: the form of a literal as parsed.
+``lift`` puts the literals of one input into one field ℚ(α), and all
+arithmetic on irrational values runs there: the operators of
+``AlgebraicReal`` lift their operands, compute in the field and read the
+result back as a literal.  The one resultant of the package grows that
+field when a literal lies outside it: it gives the minimal polynomial of
+γ = x + kα, and α is recovered in ℚ(γ) exactly.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import numberfield
+from .errors import SizeCap
 from .numberfield import Num, SimpleField, _sign, scalar_sign
 
 
@@ -97,17 +100,15 @@ def _canonical_factors(coeffs):
     return [_canonical_single(g[::-1]) for g, _mult in factors if len(g) > 1]
 
 
-_BINARY_CACHE: dict = {}
+_SUM_CACHE: dict = {}
 
 
-def _binary_candidates(f, g, op):
-    """Irreducible factors of the add/mul resultant of two minimal polys.
-
-    Computed with dense bivariate resultants over ℤ: eliminating y from
-    f(y) and g(x−y) (sum) or y^m·g(x/y) (product).
-    """
-    key = (op, f, g)
-    hit = _BINARY_CACHE.get(key)
+def _sum_candidates(f, g):
+    """Irreducible factors of Res_y(f(y), g(x − y)), whose roots are the
+    sums of a root of f and a root of g: the package's one resultant, a
+    dense bivariate one over ℤ."""
+    key = (f, g)
+    hit = _SUM_CACHE.get(key)
     if hit is not None:
         return hit
     from math import comb
@@ -119,27 +120,20 @@ def _binary_candidates(f, g, op):
     dg = len(g) - 1
     # F = f(y): main variable y, coefficients constant in x
     F = dmp_normal([[int(c)] for c in reversed(f)], 1, ZZ)
+    # coefficient of y^k in g(x−y): (−1)^k Σ_{i≥k} g_i C(i,k) x^{i−k}
     rows = []
-    if op == "add":
-        # coefficient of y^k in g(x−y): (−1)^k Σ_{i≥k} g_i C(i,k) x^{i−k}
-        for k in range(dg, -1, -1):
-            cx = [0] * (dg - k + 1)
-            for i in range(k, dg + 1):
-                cx[i - k] += g[i] * comb(i, k)
-            if k % 2:
-                cx = [-c for c in cx]
-            rows.append(list(reversed(cx)))  # dup in x, highest first
-    else:
-        # y^m g(x/y) = Σ_i g_i x^i y^{m−i}: coefficient of y^j is g_{m−j} x^{m−j}
-        for j in range(dg, -1, -1):
-            power = dg - j
-            rows.append([g[power]] + [0] * power)
+    for k in range(dg, -1, -1):
+        cx = [0] * (dg - k + 1)
+        for i in range(k, dg + 1):
+            cx[i - k] += g[i] * comb(i, k)
+        if k % 2:
+            cx = [-c for c in cx]
+        rows.append(list(reversed(cx)))  # dup in x, highest first
     G = dmp_normal(rows, 1, ZZ)
-    R = dmp_resultant(F, G, 1, ZZ)
-    cands = _canonical_factors(R[::-1])
-    if len(_BINARY_CACHE) > 2048:
-        _BINARY_CACHE.clear()
-    _BINARY_CACHE[key] = cands
+    cands = _canonical_factors(dmp_resultant(F, G, 1, ZZ)[::-1])
+    if len(_SUM_CACHE) > 2048:
+        _SUM_CACHE.clear()
+    _SUM_CACHE[key] = cands
     return cands
 
 
@@ -410,101 +404,38 @@ class AlgebraicReal:
             g = [-c for c in g]
         return AlgebraicReal(g, -self._hi, -self._lo)
 
-    def _shift_scale(self, q: Fraction, s: Fraction):
-        """Exact value q + s*self for rational q, s (s != 0)."""
-        if self._rat is not None:
-            return AlgebraicReal.from_fraction(q + s * self._rat)
-        # h(x) = f((x - q)/s) by Horner over Fraction coefficient lists
-        f = self._poly
-        inv = Fraction(1) / Fraction(s)
-        acc = [Fraction(f[-1])]
-        for i in range(len(f) - 2, -1, -1):
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for p, c in enumerate(acc):
-                cs = c * inv
-                nxt[p + 1] += cs
-                nxt[p] -= q * cs
-            nxt[0] += f[i]
-            acc = nxt
-        den = lcm(*(c.denominator for c in acc))
-        coeffs = tuple(int(c * den) for c in acc)
-        lo, hi = q + s * self._lo, q + s * self._hi
-        if lo > hi:
-            lo, hi = hi, lo
-        return AlgebraicReal(_canonical_single(coeffs), lo, hi)
-
     def __add__(self, other):
-        other = as_algebraic(other)
-        if self._rat is not None and other._rat is not None:
-            return AlgebraicReal.from_fraction(self._rat + other._rat)
-        if self._rat is not None:
-            return other._shift_scale(self._rat, Fraction(1))
-        if other._rat is not None:
-            return self._shift_scale(other._rat, Fraction(1))
-        cands = _binary_candidates(self._poly, other._poly, "add")
+        return _in_field(operator.add, self, other)
 
-        def window():
-            return (self._lo + other._lo, self._hi + other._hi)
-
-        return _select_root(cands, window, (self, other))
-
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-as_algebraic(other))
+        return _in_field(operator.sub, self, other)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return _in_field(operator.sub, other, self)
 
     def __mul__(self, other):
-        other = as_algebraic(other)
-        if self._rat is not None and other._rat is not None:
-            return AlgebraicReal.from_fraction(self._rat * other._rat)
-        if self._rat is not None:
-            if self._rat == 0:
-                return AlgebraicReal.from_fraction(0)
-            return other._shift_scale(Fraction(0), self._rat)
-        if other._rat is not None:
-            if other._rat == 0:
-                return AlgebraicReal.from_fraction(0)
-            return self._shift_scale(Fraction(0), other._rat)
-        cands = _binary_candidates(self._poly, other._poly, "mul")
+        return _in_field(operator.mul, self, other)
 
-        def window():
-            corners = [self._lo * other._lo, self._lo * other._hi,
-                       self._hi * other._lo, self._hi * other._hi]
-            return (min(corners), max(corners))
-
-        return _select_root(cands, window, (self, other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def inverse(self):
         if self._rat is not None:
             if self._rat == 0:
                 raise DivisionByZero("1/0")
             return AlgebraicReal.from_fraction(1 / self._rat)
-        s = self.sign()
         coeffs = tuple(reversed(self._poly))  # minpoly of 1/x
         if coeffs[-1] < 0:
             coeffs = tuple(-c for c in coeffs)
-        while self._lo <= 0 <= self._hi or self._lo == 0 or self._hi == 0:
+        while self._lo <= 0 <= self._hi:
             self.refine()
-        lo, hi = 1 / self._hi, 1 / self._lo
-        if lo > hi:
-            lo, hi = hi, lo
-        assert s != 0
-        return AlgebraicReal(coeffs, lo, hi)
+        return AlgebraicReal(coeffs, *sorted((1 / self._hi, 1 / self._lo)))
 
     def __truediv__(self, other):
-        other = as_algebraic(other)
-        if other.sign() == 0:
+        if scalar_sign(as_scalar(other)) == 0:
             raise DivisionByZero("division by zero")
-        if self._rat is not None and other._rat is not None:
-            return AlgebraicReal.from_fraction(self._rat / other._rat)
-        return self.__mul__(other.inverse())
+        return _in_field(operator.truediv, self, other)
 
     def __rtruediv__(self, other):
         return as_algebraic(other).__truediv__(self)
@@ -515,14 +446,14 @@ class AlgebraicReal:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = AlgebraicReal.from_fraction(1)
-        base = self
+        (base,) = lift([self])
+        out = Fraction(1)
         while n:
             if n & 1:
                 out = out * base
             base = base * base if n > 1 else base
             n >>= 1
-        return out
+        return as_algebraic(out)
 
     # -- misc ---------------------------------------------------------------
 
@@ -536,28 +467,37 @@ class AlgebraicReal:
                 f"~{float(self):.10g})")
 
 
-def _select_root(candidates, window, operands):
-    """Pick the unique (factor, root) hit by refining the operand windows."""
+def _in_field(op, x, y):
+    """op(x, y) computed in one number field, read back as a literal."""
+    x, y = lift([x, y])
+    return as_algebraic(op(x, y))
+
+
+def _select_root(factors, window, operands=()):
+    """The one root of the irreducible `factors` in window(), refining the
+    operands, which window() reads, until no other root is left in it.
+    Without operands the window is fixed and must isolate one root."""
     for _ in range(20000):
         lo, hi = window()
-        live = []
-        total = 0
-        for g in candidates:
+        total, root = 0, None
+        for g in factors:
             if len(g) == 2:  # linear factor: rational root
                 r = Fraction(-g[0], g[1])
-                c = 1 if lo <= r <= hi else 0
+                if lo <= r <= hi:
+                    total, root = total + 1, AlgebraicReal.from_fraction(r)
             else:
                 # count_roots uses (lo, hi]; endpoints are never roots of an
                 # irreducible factor of degree >= 2
                 c = count_roots(g, lo, hi)
-            if c:
-                live.append((g, c))
-                total += c
+                if c:
+                    total, root = total + c, AlgebraicReal(g, lo, hi)
         if total == 1:
-            g, _ = live[0]
-            if len(g) == 2:
-                return AlgebraicReal.from_fraction(Fraction(-g[0], g[1]))
-            return AlgebraicReal(g, lo, hi)
+            return root
+        if not operands:
+            if total == 0:
+                raise NoRootInInterval(f"no real root in [{lo}, {hi}]")
+            raise MultipleRootsInInterval(
+                f"{total} roots in [{lo}, {hi}]; refine the interval")
         for op in operands:
             op.refine()
     raise RuntimeError("root selection did not converge")
@@ -586,27 +526,7 @@ def make_algebraic(coeffs, interval) -> AlgebraicReal:
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo > hi:
         raise ValueError("interval endpoints out of order")
-    factors = _canonical_factors(f)
-    total = 0
-    hits = []
-    for g in factors:
-        if len(g) == 2:
-            r = Fraction(-g[0], g[1])
-            c = 1 if lo <= r <= hi else 0
-        else:
-            c = count_roots(g, lo, hi)
-        if c:
-            hits.append((g, c))
-            total += c
-    if total == 0:
-        raise NoRootInInterval(f"no real root in [{lo}, {hi}]")
-    if total > 1:
-        raise MultipleRootsInInterval(
-            f"{total} roots in [{lo}, {hi}]; refine the interval")
-    g, _ = hits[0]
-    if len(g) == 2:
-        return AlgebraicReal.from_fraction(Fraction(-g[0], g[1]))
-    return AlgebraicReal(g, lo, hi)
+    return _select_root(_canonical_factors(f), lambda: (lo, hi))
 
 
 def sqrt_nonneg(x):
@@ -664,11 +584,7 @@ def scalar_key(x):
 
 
 def scalar_eq(a, b) -> bool:
-    return scalar_sign(_scalar_sub(a, b)) == 0
-
-
-def _scalar_sub(a, b):
-    return a - b
+    return scalar_sign(a - b) == 0
 
 
 def scalar_cmp(a, b) -> int:
@@ -714,47 +630,55 @@ def field_ops(a, b, op: str):
 
 def lift(values) -> list:
     """The scalars `values`, with every irrational AlgebraicReal among them
-    written in one number field ℚ(α) together with the field elements already
-    there.  Values that cannot share a field are returned unchanged, and
-    keep to the resultant path."""
+    written in one number field ℚ(α).  Elements of one field ℚ(α) keep their
+    field and the literals join it; elements of several fields, or of a tower
+    of square roots, are read as literals first.  Raises SizeCap when a
+    literal outside the field would grow it above `numberfield.MAX_DEGREE`."""
     values = [as_scalar(v) for v in values]
-    literals = {}
-    for v in values:
-        if isinstance(v, AlgebraicReal):
-            literals.setdefault(v.key(), v)
-    if not literals:
+    if not any(isinstance(v, AlgebraicReal) for v in values):
         return values
     fields = {v.field for v in values if isinstance(v, Num)}
     if len(fields) > 1 or not all(isinstance(F, SimpleField) for F in fields):
-        return values
+        values = [as_algebraic(v) if isinstance(v, Num) else v
+                  for v in values]
+        fields = set()
     K = fields.pop() if fields else None
     image = {}
-    for k, lit in literals.items():
-        if K is None:
-            K = SimpleField(lit.minpoly(), *lit.interval())
-            image[k] = K.generator()
+    for v in values:
+        if not isinstance(v, AlgebraicReal) or v.key() in image:
             continue
-        x = _express(lit, K)
+        if K is None:
+            K = SimpleField(v.minpoly(), *v.interval())
+            image[v.key()] = K.generator()
+            continue
+        x = _express(v, K)
         if x is None:
-            grown = _compositum(K, lit)
-            if grown is None:
-                return values
-            K, alpha, x = grown
-            image = {j: _substitute(y, alpha) for j, y in image.items()}
-            values = [_substitute(v, alpha) for v in values]
-        image[k] = x
+            n = K.n
+            K, alpha, x = _compositum(K, v)
+            into = _embedding(n, alpha)
+            image = {j: into(y) for j, y in image.items()}
+            values = [into(y) for y in values]
+        image[v.key()] = x
     return [image[v.key()] if isinstance(v, AlgebraicReal) else v
             for v in values]
 
 
-def _substitute(y, alpha):
-    """An element of ℚ(α), given by its coefficients, evaluated at alpha."""
-    if not isinstance(y, Num) or not isinstance(y.field, SimpleField):
-        return y
-    acc = Fraction(0)
-    for c in reversed(y.data):
-        acc = acc * alpha + c
-    return acc
+def _embedding(n, alpha):
+    """The map that sends an element of a field ℚ(α) of degree n, given by
+    its coefficients, to alpha's field: each image is a linear combination
+    of the powers of alpha, whose coordinates are computed once."""
+    L, power, columns = alpha.field, Fraction(1), []
+    for _ in range(n):
+        columns.append(power.data if isinstance(power, Num) else
+                       L.lift(power))
+        power = power * alpha
+
+    def into(y):
+        if not isinstance(y, Num):
+            return y
+        return L.make(tuple(sum(c * col[j] for c, col in zip(y.data, columns))
+                            for j in range(L.n)))
+    return into
 
 
 def _express(x: AlgebraicReal, K):
@@ -783,16 +707,62 @@ def _is_root_at(y, x: AlgebraicReal) -> bool:
         bits *= 2
 
 
+# the resultant that grows ℚ(α) by x has degree [ℚ(α):ℚ]·deg x; factoring
+# one of degree 128 takes about 2 s, one of degree 256 about 100 s
+MAX_RESULTANT_DEGREE = 128
+
+
 def _compositum(K, x: AlgebraicReal):
-    """ℚ(α, x) as ℚ(γ) for γ = x + kα: (the field, α in it, x in it), or
-    None."""
+    """ℚ(α, x) as ℚ(γ) for γ = x + kα: (the field, α in it, x in it).
+
+    α is a common root of m_α(X) and m_x(γ − kX), and their only one exactly
+    when γ generates ℚ(α, x), which is when their gcd over ℚ(γ) is linear;
+    otherwise the next k is tried.  Only finitely many k fail.  Raises
+    SizeCap when ℚ(α, x) has a degree above `numberfield.MAX_DEGREE`, or the
+    resultant one above MAX_RESULTANT_DEGREE."""
+    n, f, h = K.n, K.f, x.minpoly()
+    if lcm(n, x.degree()) > numberfield.MAX_DEGREE:
+        raise SizeCap(f"a number field of degree above "
+                      f"{numberfield.MAX_DEGREE}")
+    if n * x.degree() > MAX_RESULTANT_DEGREE:
+        raise SizeCap(f"a resultant of degree {n * x.degree()} above "
+                      f"{MAX_RESULTANT_DEGREE}")
     alpha = as_algebraic(K.generator())
-    for k in (1, 2, 3):
-        g = x + k * alpha
-        if g.is_rational() or g.degree() > numberfield.MAX_SEARCH_DEGREE:
+    for k in range(1, (n * x.degree()) ** 2 + 2):
+        def window(k=k):
+            (a, b), (c, d) = x.interval(), alpha.interval()
+            return a + k * c, b + k * d
+        # the minimal polynomial of kα is k^n·f(X/k)
+        scaled = tuple(c * k ** (n - i) for i, c in enumerate(f))
+        g = _select_root(_sum_candidates(h, scaled), window, (x, alpha))
+        if g.is_rational():
             continue
+        if g.degree() > numberfield.MAX_DEGREE:
+            raise SizeCap(f"a number field of degree {g.degree()} above "
+                          f"{numberfield.MAX_DEGREE}")
         L = SimpleField(g.minpoly(), *g.interval())
-        a = _express(alpha, L)
+        a = _common_root(f, h, L.generator(), k)
         if a is not None:
             return L, a, L.generator() - k * a
-    return None
+    raise AssertionError("no primitive element found")
+
+
+def _common_root(f, h, gamma, k):
+    """The root of gcd(f(X), h(γ − kX)) over ℚ(γ) when that gcd is linear,
+    else None; f and h have rational coefficients, constant first."""
+    q = [Fraction(h[-1])]  # h(γ − kX) by Horner
+    for c in reversed(h[:-1]):
+        q = ([gamma * q[0] + c]
+             + [gamma * q[j] - k * q[j - 1] for j in range(1, len(q))]
+             + [-k * q[-1]])
+    a, b = [Fraction(c) for c in f], q
+    while b:
+        r, lead = list(a), 1 / b[-1]
+        while len(r) >= len(b):
+            c, shift = r[-1] * lead, len(r) - len(b)
+            for i, v in enumerate(b):
+                r[shift + i] -= c * v
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return -a[0] / a[1] if len(a) == 2 else None

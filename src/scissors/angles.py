@@ -52,7 +52,7 @@ class AnglePair:
 
     @classmethod
     def from_cos(cls, cos) -> "AnglePair":
-        cos = as_scalar(cos)
+        (cos,) = lift([cos])
         return cls(cos, sqrt_nonneg(1 - cos * cos))
 
     def key(self):

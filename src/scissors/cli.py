@@ -38,10 +38,12 @@ from .io import (
 from .numbers import format_number, parse_fraction
 from .report import (
     ReportTimer,
+    canonical_json,
     check_report_shape,
     digest_inputs,
     make_report,
     recheck_certificates,
+    strip_timing,
 )
 
 EXIT_OK = 0
@@ -215,7 +217,9 @@ def cmd_recheck(args) -> dict:
     report = load_json(args.report)
     check_report_shape(report, args.report)
     outcome = recheck_certificates(report)
-    out = {"results": outcome, "certificates": [], "inputs": [args.report]}
+    # the input is the report less its timing, so that reruns agree
+    body = canonical_json(strip_timing(report)).encode()
+    out = {"results": outcome, "certificates": [], "inputs": [body]}
     if not outcome["recheck_passed"]:
         out["exit_code"] = EXIT_SUITE_FAILED
         out["failure"] = _recheck_failure(outcome)

@@ -12,7 +12,7 @@ bound of the relation search and say so.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraic import as_scalar, scalar_sign
+from .algebraic import as_scalar, lift, scalar_sign
 from .angles import AnglePair, find_angle_relations, is_rational_angle
 from .errors import DEFAULT_HEIGHT_BOUND
 from .geom import Polytope, dihedral_edges
@@ -40,9 +40,11 @@ class DehnTensor:
 
     @classmethod
     def from_json(cls, obj) -> "DehnTensor":
-        raw = [(parse_number(t["length"]),
-                AnglePair(parse_number(t["cos"]), parse_number(t["sin"])))
-               for t in obj["terms"]]
+        # lengths, cos and sin in one number field, as for a polytope
+        flat = iter(lift([parse_number(t[k]) for t in obj["terms"]
+                          for k in ("length", "cos", "sin")]))
+        raw = [(next(flat), AnglePair(next(flat), next(flat)))
+               for _ in obj["terms"]]
         return tensor_normalize(raw, obj.get("height_bound",
                                              DEFAULT_HEIGHT_BOUND))
 

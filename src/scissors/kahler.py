@@ -2,8 +2,10 @@
 
 A tower is an ordered list of generators, each either transcendental or
 algebraic with an irreducible minimal polynomial over the transcendental
-generators before it.  An element is a polynomial in the algebraic generators
-over ℚ(t₁…tₙ), reduced modulo their relations, and kept as one numerator over
+generators before it.  Two or more algebraic generators are accepted only
+when the tower is shown to be a field (`FieldTower._check_field`).  An
+element is a polynomial in the algebraic generators over ℚ(t₁…tₙ), reduced
+modulo their relations, and kept as one numerator over
 ℤ[t…, s…] and one denominator over ℤ[t…] with no common factor (an exact
 multivariate gcd) and a positive leading coefficient.  So equal elements have
 equal representations, and an element is zero exactly when its numerator is.
@@ -672,6 +674,8 @@ class FieldTower(_Ring):
         if prod(d for _, d in degrees) > DEGREE_CAP:
             raise SizeCap(f"a tower of degree above {DEGREE_CAP} over its "
                           "transcendental generators")
+        if len(degrees) > 1:
+            self._check_field(degrees)
         self._basis = []
         for powers in product(*(range(d) for _, d in degrees)):
             e = [0] * len(names)
@@ -710,6 +714,34 @@ class FieldTower(_Ring):
                 "specialization of its coefficients at small integers is "
                 "irreducible of the same degree")
         return rel
+
+    def _check_field(self, degrees):
+        """Refuse two or more algebraic generators unless the tower is shown
+        to be a field: by Kummer theory, no nonempty product of the quadratic
+        generators' discriminants is a square in ℚ(t…), and every other
+        generator has a degree coprime to the product of the others'."""
+        total = prod(d for _, d in degrees)
+        discs = []
+        for (i, d), (_, rel, _) in zip(degrees, self._relations):
+            if d == 2:
+                a, b, c = (_split(rel, i).get(k, {}) for k in (2, 1, 0))
+                discs.append((self.names[i],
+                              _sub(_mul(b, b), _scale(_mul(a, c), 4))))
+            elif gcd(d, total // d) != 1:
+                raise ParseError(
+                    f"the tower is not shown to be a field: the degree {d} "
+                    f"of {self.names[i]} shares a factor with the product "
+                    f"{total // d} of the other degrees")
+        for mask in range(1, 1 << len(discs)):
+            chosen = [discs[j] for j in range(len(discs)) if mask >> j & 1]
+            p = self._unit
+            for _, disc in chosen:
+                p = _capped_mul(p, disc)
+            if _is_rational_square(p):
+                raise ParseError(
+                    "the tower is not shown to be a field: the product of "
+                    "the discriminants of "
+                    f"{', '.join(n for n, _ in chosen)} is a square")
 
     # -- elements ---------------------------------------------------------------
 

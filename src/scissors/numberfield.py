@@ -20,9 +20,9 @@ built once per radicand), or left undecided.  In ℚ(α), r is certified no
 square when its norm is no rational square; otherwise a root is looked for by
 an integer relation (PSLQ) and accepted only when it squares to r.  Values of
 two towers combine when one tower can be rebuilt over the other's field one
-square root at a time.  An undecided radicand, and values whose fields do not
-combine (two different ℚ(α)), take the resultant path of
-`algebraic.AlgebraicReal`.
+square root at a time.  Values whose towers do not combine are read as
+literals and lifted into one field ℚ(γ) by `algebraic.lift`; an undecided
+radicand has its root read off a factor of m_r(t²).
 """
 
 from fractions import Fraction
@@ -30,8 +30,8 @@ from math import isqrt, lcm
 
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
-# towers above this degree over ℚ are not built; such values take the
-# resultant path instead
+# no field above this degree over ℚ is built: a square root that would need
+# one is left undecided, and `algebraic.lift` raises SizeCap
 MAX_DEGREE = 32
 # no relation search in fields above this degree: a failed search in 8
 # unknowns already takes about a second
@@ -564,9 +564,11 @@ def _tower_over(G, F):
 
 
 def _fallback(x, y, op):
+    """x op y for values whose towers do not combine, computed in the one
+    field ℚ(γ) that `algebraic.lift` puts both in, as a literal."""
     from .algebraic import as_algebraic
 
-    # equal lengths of congruent inputs cancel without a resultant
+    # equal lengths of congruent inputs cancel without building ℚ(γ)
     if op in ("__sub__", "__rsub__") and x == y or op == "__add__" and x == -y:
         return Fraction(0)
     return getattr(as_algebraic(x), op)(as_algebraic(y))

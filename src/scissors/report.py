@@ -175,9 +175,9 @@ def recheck_certificates(report: dict):
                 and monic_actual == monic_claim,
             })
         elif kind == "volume-mismatch":
-            from .algebraic import as_scalar, scalar_sign
-            va = as_scalar(parse_number(cert["volume_a"]))
-            vb = as_scalar(parse_number(cert["volume_b"]))
+            from .algebraic import lift, scalar_sign
+            va, vb = lift([parse_number(cert["volume_a"]),
+                           parse_number(cert["volume_b"])])
             checks.append({"certificate": kind,
                            "pass": scalar_sign(va - vb) != 0})
         else:

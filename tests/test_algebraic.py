@@ -351,32 +351,60 @@ def test_canonical_single_matches_sympy():
         assert _canonical_single(f) == ref
 
 
-# -- number-field arithmetic against the resultant path ---------------------
+# -- number-field arithmetic against sympy's minimal polynomials -------------
+
+def _oracle_key(expr):
+    """The key of the real number `expr`, a sympy expression, found without
+    the package: ("q", value), or ("a", minimal polynomial, root index) from
+    sympy's minimal_polynomial and the position of expr among its real
+    roots."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    m = sympy.Poly(sympy.minimal_polynomial(expr, t), t)
+    coeffs = tuple(int(c) for c in reversed(m.all_coeffs()))
+    if len(coeffs) == 2:
+        return ("q", Fraction(-coeffs[0], coeffs[1]))
+    value = sympy.N(expr, 60)
+    dist = sorted((abs(sympy.N(r, 60) - value), i)
+                  for i, r in enumerate(m.real_roots()))
+    assert dist[0][0] < 1e-40 and (len(dist) == 1 or dist[1][0] > 1e-20)
+    return ("a", coeffs, dist[0][1])
+
+
+def _oracle_sign(expr):
+    """The sign of a nonzero real sympy expression."""
+    import sympy
+    v = sympy.N(expr, 60)
+    assert abs(v) > 1e-40
+    return 1 if v > 0 else -1
+
 
 def _field_pairs():
     """Seeded elements of ℚ(α) for α = ∛(3/8), of ℚ(√2), and of the tower
-    ℚ(α)(√(8α²)), each built twice: with field arithmetic and, from
-    AlgebraicReal generators, with resultants."""
+    ℚ(α)(√(8α²)), each with field arithmetic and as a sympy expression."""
+    import sympy
+
     from scissors.algebraic import lift
     from scissors.rng import SplitMix64
 
-    ref_alpha = make_algebraic([-3, 0, 0, 8], (0, 1))
-    (alpha,) = lift([ref_alpha])
-    ref_sq = ref_alpha * ref_alpha
-    ref_r2 = make_algebraic([-2, 0, 1], (1, 2))
+    (alpha,) = lift([make_algebraic([-3, 0, 0, 8], (0, 1))])
+    ref_alpha = sympy.Rational(3, 8) ** sympy.Rational(1, 3)
     root = sqrt_nonneg(8 * alpha * alpha)
-    ref_root = sqrt_nonneg(8 * ref_sq)
+    ref_root = sympy.sqrt(8 * ref_alpha ** 2)
     out = {"cubic": [], "quadratic": [], "tower": []}
     for case in range(6):
         rng = SplitMix64.stream(2029, case)
         q = [rng.fraction(5, 4) for _ in range(4)]
         if q[1] == q[2] == 0:
             q[1] = Fraction(1)
+        ref_q = [sympy.Rational(c.numerator, c.denominator) for c in q]
         out["cubic"].append((q[0] + q[1] * alpha + q[2] * alpha * alpha,
-                             q[0] + q[1] * ref_alpha + q[2] * ref_sq))
-        b = q[3] or Fraction(1)
+                             ref_q[0] + ref_q[1] * ref_alpha
+                             + ref_q[2] * ref_alpha ** 2))
+        b, ref_b = (q[3], ref_q[3]) if q[3] else (1, 1)
         out["quadratic"].append((q[0] + b * sqrt_nonneg(2),
-                                 q[0] + b * ref_r2))
+                                 ref_q[0] + ref_b * sympy.sqrt(2)))
     for x, ref_x in out["cubic"][:2]:
         out["tower"].append((x + 3 * root, ref_x + 3 * ref_root))
     return out
@@ -387,30 +415,101 @@ def _same_value(got, ref):
     return scalar_key(got) == scalar_key(as_scalar(ref))
 
 
+def _matches(got, expr):
+    from scissors.algebraic import scalar_key
+    return scalar_key(got) == _oracle_key(expr)
+
+
 def test_field_arithmetic_matches_resultants():
+    # the reference is sympy's minimal polynomial of the same expression
     from scissors.algebraic import scalar_cmp
     pairs = _field_pairs()
     for kind, elems in pairs.items():
         for x, ref_x in elems:
-            assert x.minpoly() == ref_x.minpoly(), kind
-            assert x.root_index() == ref_x.root_index(), kind
-            assert x.sign() == ref_x.sign()
+            _, poly, index = _oracle_key(ref_x)
+            assert x.minpoly() == poly, kind
+            assert x.root_index() == index, kind
+            assert x.sign() == _oracle_sign(ref_x)
             back = parse_number(format_number(x))
-            assert back.minpoly() == ref_x.minpoly()
-            assert back.root_index() == ref_x.root_index()
+            assert back.minpoly() == poly
+            assert back.root_index() == index
         count = 2 if kind == "tower" else len(elems)
         for i in range(count):
             (x, ref_x), (y, ref_y) = elems[i], elems[(i + 1) % len(elems)]
-            assert _same_value(x + y, ref_x + ref_y), kind
-            assert _same_value(x - y, ref_x - ref_y), kind
-            assert _same_value(x * y, ref_x * ref_y), kind
-            assert _same_value(x / y, ref_x / ref_y), kind
-            assert scalar_cmp(x, y) == ref_x.compare(ref_y), kind
+            assert _matches(x + y, ref_x + ref_y), kind
+            assert _matches(x - y, ref_x - ref_y), kind
+            assert _matches(x * y, ref_x * ref_y), kind
+            assert _matches(x / y, ref_x / ref_y), kind
+            assert scalar_cmp(x, y) == _oracle_sign(ref_x - ref_y), kind
             assert _same_value(x - x, Fraction(0))
     # values of the tower against values of its base field
     (t, ref_t), (x, ref_x) = pairs["tower"][0], pairs["cubic"][3]
-    assert _same_value(t * x, ref_t * ref_x)
-    assert _same_value(t - x, ref_t - ref_x)
+    assert _matches(t * x, ref_t * ref_x)
+    assert _matches(t - x, ref_t - ref_x)
+
+
+def test_literals_of_two_fields_match_sympy():
+    # literals of two fields lift into one field ℚ(γ), the degree-9 pair of
+    # cubics included, and their operators agree with sympy
+    import operator
+
+    import sympy
+
+    from scissors.algebraic import lift, scalar_key
+    from scissors.numberfield import Num
+    from scissors.rng import SplitMix64
+
+    def expr(a):
+        if a.is_rational():
+            q = a.as_fraction()
+            return sympy.Rational(q.numerator, q.denominator)
+        t = sympy.Symbol("t")
+        return sympy.CRootOf(sympy.Poly(list(reversed(a.minpoly())), t),
+                             a.root_index())
+
+    pairs = []
+    for case in range(8):
+        rng = SplitMix64.stream(2026, case)
+        pairs.append((rand_algebraic(rng), rand_algebraic(rng)))
+    # √2 and √3 − √2: γ = x + α = √3 does not generate ℚ(√2, √3), so the
+    # gcd has degree 2 and k = 2 is taken
+    pairs.append((make_algebraic([-2, 0, 1], (1, 2)),
+                  make_algebraic([1, 0, -10, 0, 1], (0, 1))))
+    degrees = []
+    for case, (a, b) in enumerate(pairs):
+        x, y = lift([a, b])
+        for lit, v in ((a, x), (b, y)):
+            assert isinstance(v, Num) != lit.is_rational()
+            assert scalar_key(v) == scalar_key(lit)
+        if isinstance(x, Num) and isinstance(y, Num):
+            assert x.field is y.field
+            degrees.append(x.field.n)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            want = _oracle_key(op(expr(a), expr(b)))
+            assert scalar_key(op(a, b)) == want, (case, op)
+            assert scalar_key(op(x, y)) == want, (case, op)
+    assert degrees[0] == 9  # above MAX_SEARCH_DEGREE, where PSLQ stops
+    assert degrees[-1] == 4
+
+
+def test_compositum_above_max_degree_is_capped():
+    # ℚ(2^(1/5), 3^(1/7)) has degree 35 and ℚ(2^(1/6), 3^(1/6)) degree 36,
+    # both above numberfield.MAX_DEGREE = 32; ℚ(2^(1/4), 3^(1/8)) has 32;
+    # for 2^(1/16) and 3^(1/16) the resultant alone would have degree 256
+    from scissors.algebraic import lift
+    from scissors.errors import SizeCap
+
+    def root(n, c):
+        return make_algebraic([-c] + [0] * (n - 1) + [1], (1, 2))
+
+    for m, n in ((5, 7), (6, 6), (16, 16)):
+        with pytest.raises(SizeCap):
+            lift([root(m, 2), root(n, 3)])
+        with pytest.raises(SizeCap):
+            root(m, 2) + root(n, 3)
+    x, y = lift([root(4, 2), root(8, 3)])
+    assert x.field is y.field and x.field.n == 32
 
 
 def test_nonsquare_certificates_agree_with_factoring():

@@ -235,6 +235,10 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ("compare", "--height-bound", "-1",
      {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]},
      {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    # two algebraic generators not shown to give a field: b − 2a and b + 2a
+    # multiply to 0, and a degree-4 generator over a quadratic one
+    *(("phi", "--tensor", {"terms": [{"cos": "1/3"}]}, "--tower", tower)
+      for tower in ("t; a: a^2 = 2; b: b^2 = 8", "t; a: a^2 = 2; c: c^4 = t")),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -365,6 +369,26 @@ def test_cli_recheck_roundtrip(fixtures, tmp_path):
     [line] = rc2.stderr.splitlines()
     assert line.startswith("recheck failed: ")
     assert line.endswith("; the digest does not match")
+
+
+def test_recheck_digest_ignores_timing(fixtures, tmp_path):
+    # two compare runs differ at most in timing_ms (made to differ here);
+    # their rechecks hash the report without it and agree byte for byte
+    rechecks = []
+    for i in range(2):
+        proc = run_cli("compare", str(fixtures / "cube.json"),
+                       str(fixtures / "tetra_vol1.json"))
+        report = json.loads(proc.stdout)
+        report["timing_ms"] += 1000 * i
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        rc = run_cli("recheck", str(path))
+        assert rc.returncode == 0
+        out = json.loads(rc.stdout)
+        out.pop("timing_ms")
+        rechecks.append(out)
+    assert rechecks[0]["digest"] == rechecks[1]["digest"]
+    assert rechecks[0] == rechecks[1]
 
 
 def test_cli_internal_error_is_one_line(monkeypatch, capsys):

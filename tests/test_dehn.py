@@ -112,6 +112,20 @@ def test_compare_cube_vs_scaled_tetra():
     assert verdict.witness["certificate"]["two_cos_minpoly"] == ["-2", "3"]
 
 
+def test_tensor_read_back_lives_in_one_field():
+    # DehnTensor.from_json lifts lengths, cos and sin into one number field
+    from scissors.algebraic import scalar_key
+    from scissors.numberfield import Num
+    s = make_algebraic([-3, 0, 0, 8], (0, 1))
+    t = dehn_invariant(scaled_simplices(regular_tetrahedron(), s))
+    back = DehnTensor.from_json(t.to_json())
+    assert [(scalar_key(l), a.key()) for l, a in back.terms] == \
+        [(scalar_key(l), a.key()) for l, a in t.terms]
+    values = [x for l, a in back.terms for x in (l, a.cos, a.sin)]
+    assert len({x.field for x in values if isinstance(x, Num)}) == 1
+    assert all(isinstance(x, (Fraction, Num)) for x in values)
+
+
 def test_compare_cube_vs_rotated_cube():
     cube = unit_cube()
     R = [(Fraction(3, 5), Fraction(-4, 5), 0),

@@ -35,6 +35,21 @@ def test_tower_rejects_reducible():
         FieldTower("t; s: s^2 = t^2")  # s² − t² factors
 
 
+def test_tower_of_several_generators_must_be_a_field():
+    # b − 2a and b + 2a are nonzero and multiply to 0 in ℚ(t)(√2)(√8), and
+    # the other rejected towers fail the Kummer or the degree test
+    for spec in ("t; a: a^2 = 2; b: b^2 = 8",
+                 "t; a: a^2 = t; b: b^2 = 2; c: c^2 = 2*t",
+                 "t; a: a^2 = 2; c: c^4 = t"):
+        with pytest.raises(ParseError, match="not shown to be a field"):
+            FieldTower(spec)
+    for spec in ("t; a: a^2 = 2; b: b^2 = 3", "t; a: a^2 = 2; c: c^3 = t",
+                 "t; u; a: a^2 = t; b: b^2 = u"):
+        T = FieldTower(spec)
+        x = T.parse(f"{T.algebraics[1]} - 2*a")
+        assert T.equal(x * (1 / x), T.parse("1"))
+
+
 def test_differential_of_constants_and_algebraics():
     T = FieldTower("t; s: s^2 = 1 - t^2")
     assert T.differential(Fraction(1, 3)).is_zero()

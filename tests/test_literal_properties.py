@@ -1,0 +1,153 @@
+"""Property tests over number literals fed to the CLI.
+
+Literals are rationals, or a root of a small integer polynomial (a product
+of small factors, so reducible and non-squarefree ones come up) in an
+interval that holds no root, one root or several.  Every input must end in
+a documented exit code with one stderr line, never in a traceback.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from fractions import Fraction
+from math import floor, isqrt
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scissors.cli import main
+from scissors.geom.convex import box, unit_cube
+from scissors.io import polytope_to_json
+from scissors.report import digest_of, strip_timing
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=25,
+                    database=None)
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _product(factors):
+    p = [1]
+    for f in factors:
+        p = _times(p, f)
+    return p
+
+
+def _literal(factors, lo, hi):
+    return {"minpoly": [str(c) for c in _product(factors)],
+            "lo": f"{lo.numerator}/{lo.denominator}",
+            "hi": f"{hi.numerator}/{hi.denominator}"}
+
+
+small = st.integers(-4, 4)
+fractions = st.builds(Fraction, small, st.integers(1, 4))
+rationals = fractions.map(lambda q: f"rat:{q.numerator}/{q.denominator}")
+factor = st.lists(small, min_size=2, max_size=3)  # degree ≤ 2
+# any interval, or [k, k + 1] around √m for a factor x² − m
+algebraics = st.one_of(
+    st.builds(lambda fs, lo, width: _literal(fs, lo, lo + width),
+              st.lists(factor, min_size=1, max_size=3), fractions,
+              st.builds(Fraction, st.integers(-1, 6), st.integers(1, 4))),
+    st.builds(lambda m, fs: _literal([[-m, 0, 1]] + fs, Fraction(isqrt(m)),
+                                     Fraction(isqrt(m) + 1)),
+              st.integers(2, 12), st.lists(factor, max_size=2)))
+literals = st.one_of(rationals, algebraics)
+
+
+def _value_bounds(lit):
+    """(lo, hi) around the literal's value, read from the literal."""
+    if isinstance(lit, str):
+        q = Fraction(lit[4:])
+        return q, q
+    return Fraction(lit["lo"]), Fraction(lit["hi"])
+
+
+def _shifted(lit, c: int):
+    """The literal of value + c."""
+    if isinstance(lit, str):
+        q = Fraction(lit[4:]) + c
+        return f"rat:{q.numerator}/{q.denominator}"
+    p = [int(a) for a in lit["minpoly"]]
+    shifted = [0]  # p(X − c) by Horner
+    for a in reversed(p):
+        shifted = _times(shifted, [-c, 1])
+        shifted[0] += a
+    lo, hi = _value_bounds(lit)
+    return {"minpoly": [str(a) for a in shifted],
+            "lo": f"{(lo + c).numerator}/{(lo + c).denominator}",
+            "hi": f"{(hi + c).numerator}/{(hi + c).denominator}"}
+
+
+def _run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, err):
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code:
+        assert len(err.strip().splitlines()) == 1, err
+
+
+def _scaled_cube(lit):
+    """The unit cube with every coordinate 1 replaced by the literal."""
+    obj = polytope_to_json(unit_cube())
+    obj["vertices"] = [[lit if c == "rat:1/1" else c for c in v]
+                       for v in obj["vertices"]]
+    return obj
+
+
+@SETTINGS
+@given(literals)
+def test_polytope_info_on_a_cube_scaled_by_a_literal(lit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cube.json"
+        path.write_text(json.dumps(_scaled_cube(lit)))
+        code, out, err = _run("polytope-info", str(path))
+    _assert_contract(code, err)
+    if code == 0:
+        assert json.loads(out)["results"]["cells"] > 0
+
+
+def _volume_mismatch_report(tmp):
+    a, b = Path(tmp) / "cube.json", Path(tmp) / "box.json"
+    a.write_text(json.dumps(polytope_to_json(unit_cube())))
+    b.write_text(json.dumps(polytope_to_json(box((0, 0, 0), (1, 1, 2)))))
+    code, out, _ = _run("compare", str(a), str(b))
+    assert code == 0
+    return json.loads(out)
+
+
+@SETTINGS
+@given(literals, literals)
+def test_recheck_of_replaced_volumes(lit_a, lit_b):
+    # volume_b is shifted above volume_a's interval, so the two differ
+    # whenever both literals are valid, and the digest is made to match
+    with tempfile.TemporaryDirectory() as tmp:
+        report = _volume_mismatch_report(tmp)
+        (cert,) = report["certificates"]
+        assert cert["type"] == "volume-mismatch"
+        lo, hi = _value_bounds(lit_a)
+        b_lo, _ = _value_bounds(lit_b)
+        cert["volume_a"] = lit_a
+        cert["volume_b"] = _shifted(lit_b, floor(max(hi, lo) - b_lo) + 1)
+        body = strip_timing(report)
+        body.pop("digest")
+        report["digest"] = digest_of(body)
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(report))
+        code, out, err = _run("recheck", str(path))
+    _assert_contract(code, err)
+    if code == 0:
+        assert json.loads(out)["results"]["recheck_passed"]
