@@ -63,7 +63,7 @@ def is_rational_point(p) -> bool:
 def to_homog(p) -> tuple:
     """Integer homogeneous coordinates of a rational point (weight last)."""
     den = lcm(*(c.denominator for c in p))
-    return tuple(int(c * den) for c in p) + (den,)
+    return tuple(c.numerator * (den // c.denominator) for c in p) + (den,)
 
 
 def from_homog(h) -> tuple:
@@ -108,10 +108,12 @@ class Simplex:
     The keys are computed once, on first use (an irrational coordinate's key
     needs its root index); a face or a subdivision piece built by `_keyed`
     inherits them from the simplex or vertex table it comes from, so no
-    coordinate is keyed twice.
+    coordinate is keyed twice.  The integer homogeneous vertices of a
+    rational simplex are likewise computed once, by `homog`.
     """
 
-    __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash")
+    __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash",
+                 "_homog")
 
     def __init__(self, dim_ambient: int, vertices: tuple):
         if dim_ambient not in (1, 2, 3):
@@ -171,6 +173,18 @@ class Simplex:
 
     def is_rational(self) -> bool:
         return all(is_rational_point(v) for v in self.vertices)
+
+    def homog(self):
+        """The vertices in integer homogeneous coordinates (to_homog),
+        computed on the first call; None when a coordinate is irrational.
+
+        The slot is left unset until then, so `_keyed`, which builds the
+        faces of chain arithmetic, stores nothing for it."""
+        h = getattr(self, "_homog", None)
+        if h is None:
+            h = self._homog = (tuple(map(to_homog, self.vertices))
+                               if self.is_rational() else False)
+        return h or None
 
 
 def simplex(dim, *vertices) -> Simplex:
@@ -258,8 +272,9 @@ def simplex_volume(s: Simplex):
 def orientation_sign(s: Simplex) -> int:
     if not s.is_top():
         raise DimensionMismatch("orientation needs a top simplex")
-    if s.is_rational():
-        return hp.orient([to_homog(v) for v in s.vertices])
+    h = s.homog()
+    if h is not None:
+        return hp.orient(h)
     return scalar_sign(hdet(_edge_matrix(s)))
 
 
@@ -280,7 +295,11 @@ def boundary(chain: SimplexChain) -> SimplexChain:
 
 def _flip_last_two(s: Simplex) -> Simplex:
     vs = s.vertices
-    return Simplex(s.dim_ambient, vs[:-2] + (vs[-1], vs[-2]))
+    t = Simplex(s.dim_ambient, vs[:-2] + (vs[-1], vs[-2]))
+    h = getattr(s, "_homog", None)
+    if h:
+        t._homog = h[:-2] + (h[-1], h[-2])
+    return t
 
 
 # -- polytopes ------------------------------------------------------------------
@@ -298,7 +317,7 @@ class Polytope:
             if sgn == 0:
                 continue
             if sgn < 0:
-                log.warning("reordering negatively oriented cell")
+                log.debug("reordering negatively oriented cell")
                 s = _flip_last_two(s)
             if c < 0:
                 raise InvalidPolytope("negative cell multiplicity")
@@ -583,10 +602,10 @@ def prism(polygon: Polytope, height) -> Polytope:
 def _orientation_tests(s: Simplex, x):
     """Signs of the n+1 orientation determinants with x replacing a vertex."""
     vs = s.vertices
-    if s.is_rational() and is_rational_point(x):
-        hx = to_homog(x)
-        hs = [to_homog(v) for v in vs]
-        return [hp.orient(hs[:i] + [hx] + hs[i + 1:]) for i in range(len(vs))]
+    hs = s.homog()
+    if hs is not None and is_rational_point(x):
+        hx = (to_homog(x),)
+        return [hp.orient(hs[:i] + hx + hs[i + 1:]) for i in range(len(vs))]
     out = []
     for i in range(len(vs)):
         sub = Simplex(s.dim_ambient, vs[:i] + (x,) + vs[i + 1:])

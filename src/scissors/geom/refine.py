@@ -1,15 +1,23 @@
 """Exact common refinement of simplex chains against facet hyperplanes.
 
-The core primitive splits a simplex along one hyperplane by repeatedly
-cutting a strictly crossing edge at its intersection point (each cut removes
-at least one crossing pair, so the recursion terminates with sub-simplices
-weakly on one side).  Splitting every cell of a chain by every facet
-hyperplane of the chain yields pieces whose interiors avoid all facet planes,
-and the split records each piece's strict side of every plane.  A cell is an
+Every cell of a chain is split by every facet hyperplane of the chain, one
+plane after another.  The pieces of a cell are tuples of indices into one
+vertex table: the cell's integer homogeneous vertices (converted once per
+simplex), followed by the cut points made so far.  For each plane every
+vertex of the table is evaluated once.  A piece that strictly straddles the
+plane is cut at its first crossing edge, and the two halves are split in
+turn until every piece lies weakly on one side (each cut removes at least
+one crossing pair).  A cut point lies on its plane, so it carries the value
+0 there, and an edge cut by a plane is cut once for all pieces that share
+it.  When no vertex of the table lies strictly on both sides of a plane, no
+piece crosses it, and every piece takes that side at once.
+
+The split records each piece's strict side of every plane.  A cell is an
 intersection of half-spaces of those planes, so the side vectors of its
 pieces are exactly the arrangement regions inside it.  The chain's signed
 measure is zero iff, for every region, the coefficients of the cells that
-hold it sum to zero.  Rational inputs run on the integer homogeneous kernel.
+hold it sum to zero.  Rational inputs run on the integer homogeneous kernel;
+other exact scalars take the same loop through the generic backend.
 """
 
 import os
@@ -24,7 +32,6 @@ from . import (
     _flip_last_two,
     canon_plane,
     orientation_sign,
-    to_homog,
 )
 from . import predicates as hp
 
@@ -55,15 +62,22 @@ class _HomogBackend:
         self.dim = dim
 
     def from_simplex(self, s: Simplex):
-        return tuple(to_homog(v) for v in s.vertices)
+        return s.homog()
 
     @staticmethod
     def planes(cells):
         """Distinct facet planes of the cells, each in canonical form."""
         out = {}
+        seen = set()
         for pts in cells:
             for i in range(len(pts)):
-                canon = canon_plane(hp.hyperplane(pts[:i] + pts[i + 1:]))
+                facet = pts[:i] + pts[i + 1:]
+                # a facet that cells share spans one plane: take it once
+                key = frozenset(facet)
+                if key in seen:
+                    continue
+                seen.add(key)
+                canon = canon_plane(hp.hyperplane(facet))
                 if canon is not None:
                     out.setdefault(canon)
         return list(out)
@@ -134,23 +148,48 @@ def _proportional(f, g) -> bool:
 
 # -- the splitting engine -------------------------------------------------------
 
-def _split_one(pts, func, B, out, sides):
-    vals = [B.apply(func, p) for p in pts]
+def _split_by_plane(frontier, table, func, bit, B):
+    """Split every (piece, mask) of `frontier` by the plane `func`.
+
+    A piece is a tuple of indices into `table`, the vertex list it shares
+    with the other pieces of its cell.  Each vertex is evaluated once; a cut
+    point lies on the plane, so it carries the value 0 and is appended to
+    `table` once per cut edge.  A piece that still straddles the plane is
+    cut at its first strictly crossing edge, and the two sub-pieces follow
+    it in the frontier.  Returns the new frontier, whose masks carry each
+    piece's strict side of the plane in `bit`."""
+    vals = [B.apply(func, p) for p in table]
     signs = [B.sign(v) for v in vals]
-    for i in range(len(pts)):
-        if signs[i] == 0:
-            continue
-        for j in range(i + 1, len(pts)):
-            if signs[j] == 0 or signs[j] == signs[i]:
+    if 1 not in signs or -1 not in signs:
+        # the pieces' vertices all come from the table, so no piece
+        # straddles the plane, and a full-dimensional piece has a vertex
+        # off it
+        if 1 in signs:
+            return [(piece, mask | (1 << bit)) for piece, mask in frontier]
+        return frontier
+    cuts = {}
+    nxt = []
+    for whole, mask in frontier:
+        stack = [whole]
+        while stack:
+            piece = stack.pop()
+            sg = [signs[v] for v in piece]
+            if 1 not in sg or -1 not in sg:
+                nxt.append((piece, mask | ((1 in sg) << bit)))
                 continue
-            cut = B.cut(vals[i], vals[j], pts[i], pts[j])
-            _split_one(pts[:i] + (cut,) + pts[i + 1:], func, B, out, sides)
-            _split_one(pts[:j] + (cut,) + pts[j + 1:], func, B, out, sides)
-            return
-    out.append(pts)
-    # no vertex pair straddles the plane and a full-dimensional piece does
-    # not lie in it, so any vertex off the plane gives the piece's side
-    sides.append(1 in signs)
+            i = next(i for i, s in enumerate(sg) if s)
+            j = sg.index(-sg[i], i + 1)
+            a, b = piece[i], piece[j]
+            key = (a, b) if a < b else (b, a)
+            c = cuts.get(key)
+            if c is None:
+                c = cuts[key] = len(table)
+                table.append(B.cut(vals[a], vals[b], table[a], table[b]))
+                vals.append(0)
+                signs.append(0)
+            stack.append(piece[:j] + (c,) + piece[j + 1:])
+            stack.append(piece[:i] + (c,) + piece[i + 1:])
+    return nxt
 
 
 def split_simplex(pts, func, B, sides=None):
@@ -158,9 +197,12 @@ def split_simplex(pts, func, B, sides=None):
 
     When `sides` is a list, each piece's strict side is appended to it
     (True for func > 0)."""
-    out = []
-    _split_one(tuple(pts), func, B, out, sides if sides is not None else [])
-    return out
+    table = list(pts)
+    frontier = _split_by_plane([(tuple(range(len(table))), 0)], table, func,
+                               0, B)
+    if sides is not None:
+        sides.extend(bool(mask) for _, mask in frontier)
+    return [tuple(table[v] for v in piece) for piece, _ in frontier]
 
 
 def _normalized_terms(chain: SimplexChain):
@@ -177,7 +219,7 @@ def _normalized_terms(chain: SimplexChain):
 
 
 def _backend_for(terms, dim):
-    if all(s.is_rational() for _, s in terms):
+    if all(s.homog() is not None for _, s in terms):
         return _HomogBackend(dim)
     return _ScalarBackend(dim)
 
@@ -200,20 +242,23 @@ def refinement_pieces(chain: SimplexChain, cap=None):
     cap = cap if cap is not None else cell_cap()
     pieces = []
     for k, (_, pts) in enumerate(cells):
-        frontier = [(pts, 0)]
-        for bit, func in enumerate(planes):
-            nxt = []
-            for piece, mask in frontier:
-                sides = []
-                subs = split_simplex(piece, func, B, sides)
-                nxt.extend((sub, mask | (pos << bit))
-                           for sub, pos in zip(subs, sides))
-                if len(nxt) + len(pieces) > cap:
-                    raise RefinementTooLarge(
-                        f"refinement exceeded {cap} cells")
-            frontier = nxt
+        _, frontier = _refine_cell(pts, planes, B, cap, len(pieces))
         pieces.extend((k, mask) for _, mask in frontier)
     return pieces, cells, B
+
+
+def _refine_cell(pts, planes, B, cap, done):
+    """(table, frontier): the cell `pts` split by every plane, each piece
+    a tuple of indices into the vertex table with its side mask.  Raises
+    RefinementTooLarge once the pieces, with `done` found before, pass
+    `cap`."""
+    table = list(pts)
+    frontier = [(tuple(range(len(table))), 0)]
+    for bit, func in enumerate(planes):
+        frontier = _split_by_plane(frontier, table, func, bit, B)
+        if len(frontier) + done > cap:
+            raise RefinementTooLarge(f"refinement exceeded {cap} cells")
+    return table, frontier
 
 
 def _coverage(chain: SimplexChain, cap):

@@ -131,6 +131,7 @@ class ChainComplex:
         self.ranks = dict(ranks)
         self.boundaries = dict(boundaries)
         self.labels = labels or {}
+        self._divisors = {}
         if validate:
             self.validate()
 
@@ -159,15 +160,21 @@ class ChainComplex:
                                    self.ranks.get(k, 0))
         return mat
 
+    def elementary_divisors(self, k) -> list:
+        """Nonzero elementary divisors of ∂_k, computed once per complex;
+        their count is the rank of ∂_k over ℚ."""
+        divisors = self._divisors.get(k)
+        if divisors is None:
+            divisors = self._divisors[k] = (
+                self.boundary_or_zero(k).elementary_divisors())
+        return divisors
+
     def homology(self, k: int) -> HomologyResult:
         if k not in self.ranks:
             raise DegreeOutOfRange(f"degree {k} not in complex")
-        rank_k = self.ranks[k]
-        r_in = self.boundary_or_zero(k).rank()
-        upper = self.boundary_or_zero(k + 1)
-        divisors = upper.elementary_divisors()
-        r_out = len(divisors)
-        betti = rank_k - r_in - r_out
+        divisors = self.elementary_divisors(k + 1)
+        betti = (self.ranks[k] - len(self.elementary_divisors(k))
+                 - len(divisors))
         torsion = tuple(d for d in divisors if d > 1)
         return HomologyResult(k, betti, torsion)
 

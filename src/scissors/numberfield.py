@@ -10,10 +10,11 @@ there and a rational value is a plain Fraction, so a Num is never rational
 and its coefficients are unique.
 
 +, − and × work modulo f, the zero test is exact, and the inverse in ℚ(α)
-solves one linear system.  The sign of a + b√r follows from the signs of a, b
-and a² − b²r in F; in ℚ(α) it comes from interval evaluation at α, refined by
-Newton steps with a sign-change check.  The minimal polynomial over ℚ is the
-first linear relation among 1, x, x², …, so nothing is factored.
+comes from the extended Euclidean algorithm on f and the element.  The sign
+of a + b√r follows from the signs of a, b and a² − b²r in F; in ℚ(α) it
+comes from interval evaluation at α, refined by Newton steps with a
+sign-change check.  The minimal polynomial over ℚ is the first linear
+relation among 1, x, x², …, so nothing is factored.
 
 A square root of r in F is found exactly, certified absent (F(√r) is then
 built once per radicand), or left undecided.  In ℚ(α), r is certified no
@@ -26,7 +27,7 @@ radicand has its root read off a factor of m_r(t²).
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
@@ -71,6 +72,15 @@ def _gauss(cols, rhs):
             if r != c and f:
                 m[r] = [a - f * b for a, b in zip(m[r], row)]
     return det, [m[i][n] for i in range(n)]
+
+
+def _primitive_pair(r, s):
+    """r and s divided by the gcd of all their coefficients (integer lists,
+    constant first), with trailing zeros of r dropped."""
+    while r and not r[-1]:
+        r.pop()
+    g = gcd(*r, *s)
+    return [c // g for c in r], [c // g for c in s]
 
 
 def _rational_sqrt(q):
@@ -168,8 +178,33 @@ class SimpleField:
         return cols
 
     def inv(self, u):
-        e0 = (1,) + (0,) * (self.n - 1)
-        return tuple(_gauss(self._columns(u), e0)[1])
+        """u⁻¹ by the extended Euclidean algorithm on f and u: each
+        remainder r is kept with an s such that s·u ≡ r (mod f), both with
+        integer coefficients and divided by their common content, so no
+        coefficient outgrows the subresultants.  As f is irreducible, the
+        last remainder is a nonzero constant c, and u⁻¹ = s / c."""
+        den = lcm(*(Fraction(c).denominator for c in u))
+        r0, s0 = list(self.f), []
+        r1, s1 = _primitive_pair([int(c * den) for c in u], [den])
+        if not r1:
+            raise ZeroDivisionError("inverse of zero in a number field")
+        while len(r1) > 1:
+            lead, n1 = r1[-1], len(r1)
+            while len(r0) >= n1:
+                # cancel the leading term of r0 against r1·x^j
+                c, j = r0[-1], len(r0) - n1
+                r0 = [lead * a for a in r0]
+                s0 = [lead * a for a in s0] + [0] * (j + len(s1) - len(s0))
+                for i, b in enumerate(r1):
+                    r0[j + i] -= c * b
+                for i, b in enumerate(s1):
+                    s0[j + i] -= c * b
+                r0.pop()
+                r0, s0 = _primitive_pair(r0, s0)
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c = r1[0]
+        return tuple(Fraction(s1[i], c) if i < len(s1) else Fraction(0)
+                     for i in range(self.n))
 
     def norm(self, u) -> Fraction:
         """N(u) ∈ ℚ, the determinant of multiplication by u."""

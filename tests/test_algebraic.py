@@ -582,3 +582,29 @@ def test_low_degree_factors_match_sympy():
             c = [int(v) for v in reversed(g.all_coeffs())]
             ref.append(tuple(-v for v in c) if c[-1] < 0 else tuple(c))
         assert sorted(_canonical_factors(f)) == sorted(ref), f
+
+
+def test_field_inverse_by_euclid_matches_linear_solve():
+    # u·u⁻¹ = 1 in ℚ(α) of degree 2–9, and the inverse equals the solution
+    # of the linear system u·v = 1, solved by Gaussian elimination
+    from scissors.numberfield import SimpleField, _gauss
+    from scissors.rng import SplitMix64
+
+    for n in range(2, 10):
+        # Eisenstein at 3: x^n − 3x − 3 is irreducible, one positive root
+        f = (-3, -3) + (0,) * (n - 2) + (1,)
+        lo = next(k for k in range(1, 5)
+                  if sum(c * k ** i for i, c in enumerate(f)) < 0
+                  <= sum(c * (k + 1) ** i for i, c in enumerate(f)))
+        F = SimpleField(f, lo, lo + 1)
+        one = F.lift(Fraction(1))
+        for case in range(5):
+            rng = SplitMix64.stream(4100 + n, case)
+            u = tuple(rng.fraction(20, 9) for _ in range(n))
+            if not any(u[1:]):
+                continue
+            v = F.inv(u)
+            assert F.mul(u, v) == one
+            assert list(v) == _gauss(F._columns(u), one)[1]
+            x = F.make(u)
+            assert x * x.inverse() == 1

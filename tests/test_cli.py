@@ -75,6 +75,18 @@ def test_cli_polytope_info_cube(fixtures):
     assert verify_report_digest(report)
 
 
+def test_cli_reflected_cube_is_silent(fixtures, tmp_path):
+    # every cell of the reflected cube is negatively ordered and gets
+    # reordered; a run that succeeds writes nothing to stderr
+    text = (fixtures / "cube.json").read_text().replace("rat:1/1", "rat:-1/1")
+    path = tmp_path / "cube_reflected.json"
+    path.write_text(text)
+    proc = run_cli("polytope-info", str(path))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["results"]["volume"] == "rat:1/1"
+    assert proc.stderr == ""
+
+
 def test_cli_polytope_info_tetra(fixtures):
     proc = run_cli("polytope-info", str(fixtures / "tetra_vol1.json"))
     report = json.loads(proc.stdout)

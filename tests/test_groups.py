@@ -120,3 +120,44 @@ def test_bad_table_rejected():
         FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([])
+
+
+def _rational_betti(cx, k):
+    """rank C_k − rank ∂_k − rank ∂_{k+1}, the ranks by Fraction rref."""
+    from scissors.linalg import rank_sparse
+
+    def rank(mat):
+        return rank_sparse(mat.row_dicts(), mat.cols)
+    return (cx.ranks[k] - rank(cx.boundary_or_zero(k))
+            - rank(cx.boundary_or_zero(k + 1)))
+
+
+def test_betti_numbers_match_rational_ranks():
+    # the ranks of the boundaries come from their elementary divisors; a
+    # Fraction rref of each boundary is the oracle
+    from fractions import Fraction
+
+    from scissors.homology.flags import flag_double_complex
+    from scissors.rng import SplitMix64
+
+    complexes = []
+    for case in range(6):
+        rng = SplitMix64.stream(611, case)
+        if rng.randint(0, 1):
+            G = symmetric_group_3()
+            signs = [1, 1, 1, -1, -1, -1]
+        else:
+            m = 2 * rng.randint(1, 3)
+            G = cyclic_group(m)
+            signs = [(-1) ** g for g in range(m)]
+        M = (sign_module(G, signs) if rng.randint(0, 1)
+             else trivial_module(G, rng.randint(1, 2)))
+        complexes.append(bar_complex(G, M, 3))
+        dim = 2 + case % 2
+        pts = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+               for _ in range(rng.randint(3, 5))]
+        complexes.append(
+            flag_double_complex(pts, dim, 1, 2).augmentation_complex())
+    for cx in complexes:
+        for k in cx.degrees():
+            assert cx.homology(k).betti == _rational_betti(cx, k), k

@@ -1,8 +1,19 @@
 from fractions import Fraction
 from itertools import permutations
 
-from scissors.algebraic import sqrt_nonneg
-from scissors.geom import Polytope, Simplex, SimplexChain, make_point, simplex
+import pytest
+
+from scissors.algebraic import lift, make_algebraic, sqrt_nonneg
+from scissors.errors import RefinementTooLarge
+from scissors.geom import (
+    Polytope,
+    Simplex,
+    SimplexChain,
+    canon_plane,
+    make_point,
+    predicates as hp,
+    simplex,
+)
 from scissors.geom.convex import (
     box,
     convex_polytope_3d,
@@ -16,9 +27,12 @@ from scissors.geom.refine import (
     chain_vanishes,
     phi_boundary_chain,
     phi_boundary_check,
+    refinement_pieces,
     split_simplex,
     verify_dissection,
     _HomogBackend,
+    _ScalarBackend,
+    _refine_cell,
 )
 from scissors.rng import SplitMix64
 from scissors.suites import (
@@ -190,3 +204,115 @@ def test_dissection_survives_isometry_not_a_moved_part():
         assert verify_dissection(whole, [a, b])
         kick = (Fraction(rng.randint(1, 5), 7), rng.fraction(5, 4), 0)
         assert not verify_dissection(whole, [transformed(a, identity, kick), b])
+
+
+# -- the vertex-table refinement against the recursive per-simplex splitter --
+
+def _oracle_split(pts, func, B, out, sides):
+    """The recursive splitter: cut the first strictly crossing edge and
+    recurse on both halves, re-evaluating every vertex at every level."""
+    vals = [B.apply(func, p) for p in pts]
+    signs = [B.sign(v) for v in vals]
+    for i in range(len(pts)):
+        if signs[i] == 0:
+            continue
+        for j in range(i + 1, len(pts)):
+            if signs[j] == 0 or signs[j] == signs[i]:
+                continue
+            cut = B.cut(vals[i], vals[j], pts[i], pts[j])
+            _oracle_split(pts[:i] + (cut,) + pts[i + 1:], func, B, out, sides)
+            _oracle_split(pts[:j] + (cut,) + pts[j + 1:], func, B, out, sides)
+            return
+    out.append(pts)
+    sides.append(1 in signs)
+
+
+def _oracle_pieces(cells, B):
+    """(k, sides) per piece: every piece of every cell split by every facet
+    plane in turn, the planes taken from every facet of every cell."""
+    if isinstance(B, _HomogBackend):
+        planes = {}
+        for _, pts in cells:
+            for i in range(len(pts)):
+                canon = canon_plane(hp.hyperplane(pts[:i] + pts[i + 1:]))
+                if canon is not None:
+                    planes.setdefault(canon)
+        planes = list(planes)
+    else:
+        planes = B.planes([pts for _, pts in cells])
+    pieces = []
+    for k, (_, pts) in enumerate(cells):
+        frontier = [(tuple(pts), 0)]
+        for bit, func in enumerate(planes):
+            nxt = []
+            for piece, mask in frontier:
+                out, sides = [], []
+                _oracle_split(piece, func, B, out, sides)
+                nxt.extend((sub, mask | (pos << bit))
+                           for sub, pos in zip(out, sides))
+            frontier = nxt
+        pieces.extend((k, mask) for _, mask in frontier)
+    return pieces, planes
+
+
+def _hvolume(pts):
+    """d!·volume of a simplex of homogeneous points with positive weights."""
+    w = 1
+    for p in pts:
+        w = w * p[-1]
+    return Fraction(1) * hp.hdet([[p[-1], *p[:-1]] for p in pts]) / w
+
+
+def _refinement_chains():
+    for dim in (2, 3):
+        for case in range(8):
+            rng = SplitMix64.stream(4040 + dim, case)
+            pts = [tuple(rng.fraction(8, 3) for _ in range(dim))
+                   for _ in range(dim + 2)]
+            yield phi_boundary_chain([make_point(p) for p in pts], dim)
+    for case in (1, 2, 3, 4):  # tetrahedra and boxes, each cut by a plane
+        whole, a, b = _dissection_case(case)
+        yield whole.chain - a.chain - b.chain
+    (alpha,) = lift([make_algebraic([-3, 0, 0, 8], (0, 1))])  # ∛(3/8)
+    yield from _phi_chains(3, alpha / 3, cases=1)
+
+
+def test_refinement_pieces_match_recursive_splitter():
+    backends = set()
+    for chain in _refinement_chains():
+        pieces, cells, B = refinement_pieces(chain)
+        backends.add(type(B))
+        want, planes = _oracle_pieces(cells, B)
+        assert pieces == want
+        assert B.planes([pts for _, pts in cells]) == planes
+        done = 0
+        for k, (_, pts) in enumerate(cells):
+            table, frontier = _refine_cell(pts, planes, B, len(pieces), done)
+            assert [(k, m) for _, m in frontier] == \
+                pieces[done:done + len(frontier)]
+            done += len(frontier)
+            vols = [_hvolume([table[v] for v in piece])
+                    for piece, _ in frontier]
+            assert all(B.sign(v) > 0 for v in vols)
+            total = vols[0]
+            for v in vols[1:]:
+                total = total + v
+            assert B.sign(total - _hvolume(pts)) == 0
+            for piece, mask in frontier:
+                for bit, func in enumerate(planes):
+                    side = 1 if mask >> bit & 1 else -1
+                    assert all(B.sign(B.apply(func, table[v])) != -side
+                               for v in piece)
+        assert done == len(pieces)
+    assert backends == {_HomogBackend, _ScalarBackend}
+
+
+def test_refinement_cap_counts_every_piece(monkeypatch):
+    whole, a, b = _dissection_case(1)
+    chain = whole.chain - a.chain - b.chain
+    total = len(refinement_pieces(chain)[0])
+    monkeypatch.setenv("SCISSORS_CELL_CAP", str(total))
+    assert len(refinement_pieces(chain)[0]) == total
+    monkeypatch.setenv("SCISSORS_CELL_CAP", str(total - 1))
+    with pytest.raises(RefinementTooLarge):
+        refinement_pieces(chain)
