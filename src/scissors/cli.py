@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from . import suites  # the registry; each suite imports its layers on use
 from .errors import (
     DEFAULT_HEIGHT_BOUND,
     DegreeOutOfRange,
@@ -55,6 +54,12 @@ EXIT_INTERNAL = 5
 
 MAX_CASES = 1000  # `verify --cases`; the acceptance runs use up to 200
 
+# the names in the suite registry (suites.SUITES), so that building the
+# parser loads no suite; a test checks that the two agree
+SUITE_NAMES = ("bar-shapiro", "dissection", "flag-nullhomotopy", "hkr",
+               "hochschild", "phi-boundary", "sd-homotopy", "ses-audit",
+               "spin", "tau", "torus")
+
 
 def _tensor_certificates(tensor):
     certs = []
@@ -85,7 +90,7 @@ def cmd_polytope_info(args) -> dict:
     if p.dim == 3:
         edges = dihedral_edges(p)
         results["edges"] = [e.to_json() for e in edges]
-        tensor = dehn_invariant(p, args.height_bound)
+        tensor = dehn_invariant(p, args.height_bound, edges)
         verdict = is_zero(tensor)
         results["dehn_invariant"] = tensor.to_json()
         results["dehn_verdict"] = verdict
@@ -128,6 +133,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from . import suites  # the registry; each suite imports its layers on use
+
     outcome = suites.run_suite(args.suite, args.seed, args.cases)
     out = {"results": outcome, "certificates": [], "inputs": [],
            "seed": args.seed}
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("verify", help="run a named property suite")
-    p.add_argument("suite", choices=sorted(suites.SUITES))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_int_in(1, MAX_CASES), default=25)
     p.set_defaults(fn=cmd_verify)

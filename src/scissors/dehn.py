@@ -128,9 +128,13 @@ def tensor_neg(t: DehnTensor) -> DehnTensor:
 
 
 def dehn_invariant(p: Polytope,
-                   height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
-    """Σ edge-length ⊗ dihedral angle over the boundary, in normal form."""
-    raw = [(e.length, e.angle) for e in dihedral_edges(p)]
+                   height_bound: int = DEFAULT_HEIGHT_BOUND,
+                   edges=None) -> DehnTensor:
+    """Σ edge-length ⊗ dihedral angle over the boundary, in normal form;
+    `edges`, when given, are dihedral_edges(p), already computed."""
+    if edges is None:
+        edges = dihedral_edges(p)
+    raw = [(e.length, e.angle) for e in edges]
     return tensor_normalize(raw, height_bound)
 
 

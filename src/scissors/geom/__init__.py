@@ -4,6 +4,11 @@ Points are tuples of exact scalars (Fraction, or a number-field element when
 irrational).  Rational-only inputs run on the integer homogeneous predicate
 kernel; algebraic coordinates take the generic exact-scalar path through the
 same algorithms.
+
+A chain holds its terms as tuples of int vertex ids into one vertex table,
+where each point is interned once by its exact vertex_key; reduction,
+boundaries and sums cancel faces on those tuples, and Simplex objects are
+built only when the chain is iterated.
 """
 
 import logging
@@ -106,10 +111,10 @@ class Simplex:
     vertices' vertex_key) and hashed by the hashes of those keys.
 
     The keys are computed once, on first use (an irrational coordinate's key
-    needs its root index); a face or a subdivision piece built by `_keyed`
-    inherits them from the simplex or vertex table it comes from, so no
-    coordinate is keyed twice.  The integer homogeneous vertices of a
-    rational simplex are likewise computed once, by `homog`.
+    needs its root index); a chain's term built by `_keyed` inherits them
+    from the chain's vertex table, so no coordinate is keyed twice.  The
+    integer homogeneous vertices of a rational simplex are likewise
+    computed once, by `homog`.
     """
 
     __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash",
@@ -131,13 +136,13 @@ class Simplex:
     @classmethod
     def _keyed(cls, dim_ambient, vertices, keys, hashes) -> "Simplex":
         """A simplex on already checked vertices with known keys and key
-        hashes, e.g. a face of a checked simplex."""
+        hashes, e.g. a term of a chain or a reordered simplex."""
         s = object.__new__(cls)
         s.dim_ambient = dim_ambient
         s.vertices = vertices
         s._keys = keys
         s._hashes = hashes
-        s._hash = hash(hashes)
+        s._hash = None
         return s
 
     def vertex_keys(self) -> tuple:
@@ -191,66 +196,173 @@ def simplex(dim, *vertices) -> Simplex:
     return Simplex(dim, tuple(make_point(v) for v in vertices))
 
 
+class VertexTable:
+    """Points with int ids, interned by their vertex_key: equal points share
+    one id, whatever scalar type gives their coordinates.
+
+    A point added as None with a rational key is built from the key, as
+    `Fraction`s, on first use (`point`).  A table only grows, so an id,
+    once given, stays valid; chains derived from one another share their
+    table.
+    """
+
+    __slots__ = ("points", "keys", "hashes", "index")
+
+    def __init__(self):
+        self.points = []
+        self.keys = []
+        self.hashes = []
+        self.index = {}  # vertex_key -> id
+
+    def add(self, p, k=None, h=None) -> int:
+        """The id of point p, whose vertex_key k and its hash h are computed
+        here when not given."""
+        if k is None:
+            k = vertex_key(p)
+        i = self.index.get(k)
+        if i is None:
+            i = self.index[k] = len(self.points)
+            self.points.append(p)
+            self.keys.append(k)
+            self.hashes.append(hash(k) if h is None else h)
+        return i
+
+    def point(self, i) -> tuple:
+        p = self.points[i]
+        if p is None:
+            p = self.points[i] = tuple([Fraction(n, d)
+                                        for n, d in self.keys[i]])
+        return p
+
+    def ids_in(self, other: "VertexTable") -> list:
+        """The id in `other` of each point of this table, by its key."""
+        add = other.add
+        return [add(p, k, h)
+                for p, k, h in zip(self.points, self.keys, self.hashes)]
+
+
 class SimplexChain:
-    """Integer formal sum of ordered simplices in a fixed ambient dimension."""
+    """Integer formal sum of ordered simplices in a fixed ambient dimension.
+
+    A term is a coefficient on a tuple of vertex ids into the chain's
+    VertexTable, so reduction, boundaries and sums cancel faces on int
+    tuples.  The terms as (coefficient, Simplex) pairs are built when the
+    chain is first iterated; a chain built from simplices keeps the objects
+    it was given, and reduction keeps the first of each merged term, as
+    dict keys would.
+    """
+
+    __slots__ = ("dim_ambient", "table", "ids", "_simplices")
 
     def __init__(self, dim_ambient: int, terms=()):
         self.dim_ambient = dim_ambient
-        self.terms = [(int(c), s) for c, s in terms if c != 0]
-        for _, s in self.terms:
+        self.table = table = VertexTable()
+        self._simplices = [(int(c), s) for c, s in terms if c != 0]
+        known, add = table.index.get, table.add
+        ids = []
+        for c, s in self._simplices:
             if s.dim_ambient != dim_ambient:
                 raise DimensionMismatch("mixed ambient dimensions in chain")
+            keys, hashes = s.vertex_keys()
+            t = tuple(map(known, keys))
+            if None in t:
+                t = tuple([add(v, k, h)
+                           for v, k, h in zip(s.vertices, keys, hashes)])
+            ids.append((c, t))
+        self.ids = ids
 
     @classmethod
-    def _checked(cls, dim_ambient: int, terms: list) -> "SimplexChain":
-        """A chain on terms already known to be nonzero int coefficients on
-        simplices of this ambient dimension."""
+    def from_ids(cls, dim_ambient: int, table: VertexTable, ids: list,
+                 simplices=None) -> "SimplexChain":
+        """The chain of (nonzero coefficient, id tuple) terms over `table`;
+        `simplices`, when given, are the same terms as simplices."""
         ch = object.__new__(cls)
         ch.dim_ambient = dim_ambient
-        ch.terms = terms
+        ch.table = table
+        ch.ids = ids
+        ch._simplices = simplices
         return ch
 
+    @property
+    def terms(self) -> list:
+        """The (coefficient, Simplex) terms; each simplex inherits its
+        vertices' keys from the table."""
+        if self._simplices is None:
+            t, dim, keyed = self.table, self.dim_ambient, Simplex._keyed
+            point, keys, hashes = t.point, t.keys, t.hashes
+            self._simplices = [
+                (c, keyed(dim, tuple([point(i) for i in v]),
+                          tuple([keys[i] for i in v]),
+                          tuple([hashes[i] for i in v])))
+                for c, v in self.ids]
+        return self._simplices
+
+    def _ids_of(self, other) -> list:
+        """The terms of `other` as id tuples over this chain's table."""
+        if other.dim_ambient != self.dim_ambient:
+            raise DimensionMismatch("mixed ambient dimensions in chain")
+        if other.table is self.table:
+            return other.ids
+        m = other.table.ids_in(self.table)
+        return [(c, tuple([m[i] for i in t])) for c, t in other.ids]
+
     def reduce(self) -> "SimplexChain":
-        """Merge equal ordered simplices and drop zero coefficients."""
+        """Merge equal ordered simplices (equal id tuples) and drop zero
+        coefficients."""
         acc = {}
-        for c, s in self.terms:
-            acc[s] = acc.get(s, 0) + c
-        return SimplexChain._checked(
-            self.dim_ambient, [(c, s) for s, c in acc.items() if c != 0])
+        for c, t in self.ids:
+            acc[t] = acc.get(t, 0) + c
+        ids = [(c, t) for t, c in acc.items() if c]
+        simplices = self._simplices
+        if simplices is not None and len(ids) < len(self.ids):
+            first = {}
+            for (_, t), (_, s) in zip(self.ids, simplices):
+                first.setdefault(t, s)
+            simplices = [(c, first[t]) for c, t in ids]
+        return SimplexChain.from_ids(self.dim_ambient, self.table, ids,
+                                     simplices)
 
     def drop_degenerate_top(self) -> "SimplexChain":
         """Remove top-dimensional terms of zero volume."""
-        keep = []
-        for c, s in self.terms:
+        ids, simplices = [], []
+        for term, (c, s) in zip(self.ids, self.terms):
             if s.is_top() and orientation_sign(s) == 0:
                 continue
-            keep.append((c, s))
-        return SimplexChain._checked(self.dim_ambient, keep)
+            ids.append(term)
+            simplices.append((c, s))
+        return SimplexChain.from_ids(self.dim_ambient, self.table, ids,
+                                     simplices)
 
     def __add__(self, other):
-        if other.dim_ambient != self.dim_ambient:
-            raise DimensionMismatch("mixed ambient dimensions in chain")
-        return SimplexChain._checked(
-            self.dim_ambient, self.terms + other.terms).reduce()
+        simplices = None
+        if self._simplices is not None and other._simplices is not None:
+            simplices = self._simplices + other._simplices
+        return SimplexChain.from_ids(self.dim_ambient, self.table,
+                                     self.ids + self._ids_of(other),
+                                     simplices).reduce()
 
     def __neg__(self):
-        return SimplexChain._checked(self.dim_ambient,
-                                     [(-c, s) for c, s in self.terms])
+        simplices = self._simplices
+        if simplices is not None:
+            simplices = [(-c, s) for c, s in simplices]
+        return SimplexChain.from_ids(self.dim_ambient, self.table,
+                                     [(-c, t) for c, t in self.ids],
+                                     simplices)
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def is_zero(self) -> bool:
-        return not self.reduce().terms
+        return not self.reduce().ids
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.terms)
 
     def __repr__(self):
-        return f"SimplexChain(E{self.dim_ambient}, {len(self.terms)} terms)"
+        return f"SimplexChain(E{self.dim_ambient}, {len(self.ids)} terms)"
 
 
 # -- volume and orientation ---------------------------------------------------
@@ -280,22 +392,21 @@ def orientation_sign(s: Simplex) -> int:
 
 def boundary(chain: SimplexChain) -> SimplexChain:
     """Alternating-sum face chain; satisfies ∂∂ = 0 after reduction."""
-    dim = chain.dim_ambient
-    keyed = Simplex._keyed
-    out = []
-    for c, s in chain:
-        vs = s.vertices
-        keys, hashes = s.vertex_keys()
-        for i in range(len(vs)):
-            face = keyed(dim, vs[:i] + vs[i + 1:], keys[:i] + keys[i + 1:],
-                         hashes[:i] + hashes[i + 1:])
-            out.append((-c if i % 2 else c, face))
-    return SimplexChain._checked(dim, out).reduce()
+    acc = {}
+    for c, t in chain.ids:
+        for i in range(len(t)):
+            f = t[:i] + t[i + 1:]
+            acc[f] = acc.get(f, 0) + (-c if i % 2 else c)
+    return SimplexChain.from_ids(chain.dim_ambient, chain.table,
+                                 [(c, f) for f, c in acc.items() if c])
 
 
 def _flip_last_two(s: Simplex) -> Simplex:
     vs = s.vertices
-    t = Simplex(s.dim_ambient, vs[:-2] + (vs[-1], vs[-2]))
+    keys, hashes = s.vertex_keys()
+    t = Simplex._keyed(s.dim_ambient, vs[:-2] + (vs[-1], vs[-2]),
+                       keys[:-2] + (keys[-1], keys[-2]),
+                       hashes[:-2] + (hashes[-1], hashes[-2]))
     h = getattr(s, "_homog", None)
     if h:
         t._homog = h[:-2] + (h[-1], h[-2])
@@ -327,11 +438,18 @@ class Polytope:
         self.chain = SimplexChain(chain.dim_ambient, terms)
         self.dim = chain.dim_ambient
         self.name = name
+        self._facets = None
         if validate:
             self.validate(exact_strict=exact_strict)
 
     def simplices(self):
         return [s for _, s in self.chain]
+
+    def facets(self):
+        """boundary_facets of the chain, computed on the first call."""
+        if self._facets is None:
+            self._facets = boundary_facets(self.chain)
+        return self._facets
 
     def volume(self):
         total = Fraction(0)
@@ -353,7 +471,7 @@ class Polytope:
                     raise InvalidPolytope(
                         f"cells {i} and {j} have overlapping interiors")
         if self.dim >= 2:
-            boundary_facets(self.chain)  # raises on non-manifold boundary
+            self.facets()  # raises on non-manifold boundary
         if exact_strict:
             from .refine import chain_covers_once
             if not chain_covers_once(self.chain):
@@ -529,7 +647,7 @@ def dihedral_edges(p: Polytope):
     """Edge lengths and interior dihedral angles of a 3-polytope boundary."""
     if p.dim != 3:
         raise DimensionMismatch("dihedral edges need a 3-polytope")
-    facets = boundary_facets(p.chain)
+    facets = p.facets()
     incident = {}
     for vs in facets:
         for i in range(3):

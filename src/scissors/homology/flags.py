@@ -8,12 +8,17 @@ lands in the augmentation column of chains with proper span), the vertical
 one is (−1)^p times the simplicial boundary.  Appending the span of a chain's
 tuple to its flag, with an alternating sign, is a null-homotopy of the
 augmented rows: ∂′s + s∂′ = id, checked basis element by basis element.
+
+Subspaces are keyed by an integer canonical form from fraction-free
+elimination of the points' integer homogeneous coordinates; a flag is a
+tuple of indices into the subspace pool.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
-from ..geom import make_point
+from ..geom import make_point, to_homog
 from . import DoubleComplex, SizeCap, SparseIntMatrix
 
 POOL_CAP = 512
@@ -28,65 +33,85 @@ class SpanMissingFromPool(KeyError):
 
 
 class AffineSubspace:
-    """Affine subspace in canonical (RREF directions + reduced base) form."""
+    """Affine subspace in an exact canonical form, from fraction-free
+    integer elimination.
+
+    `directions` are the rows of the reduced echelon form of the direction
+    space, each scaled to a primitive integer vector with a positive pivot
+    entry (at its index in `pivots`) and zeros at the other pivots; `base`
+    is the point of the subspace whose pivot coordinates are 0, in primitive
+    integer homogeneous coordinates (weight last, positive).  Both depend
+    on the subspace alone, so `key` identifies it.
+    """
 
     def __init__(self, base, directions):
-        # directions: list of vectors; reduce to RREF over ℚ
-        rows = [list(d) for d in directions]
-        cols = len(base)
+        rows = []
+        for d in directions:
+            den = lcm(*(Fraction(c).denominator for c in d))
+            rows.append([int(c * den) for c in d])
+        self._reduce(to_homog(tuple(map(Fraction, base))), rows)
+
+    @classmethod
+    def _of_homog(cls, hs) -> "AffineSubspace":
+        """The span of points given in integer homogeneous coordinates."""
+        *b, w = hs[0]
+        s = object.__new__(cls)
+        s._reduce(hs[0], [[x * w - y * h[-1] for x, y in zip(h[:-1], b)]
+                          for h in hs[1:]])
+        return s
+
+    def _reduce(self, base, rows):
         pivots = []
         r = 0
-        for col in range(cols):
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][col] != 0:
-                    piv = i
-                    break
+        for col in range(len(base) - 1):
+            piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = Fraction(1) / rows[r][col]
-            rows[r] = [v * inv for v in rows[r]]
+            prow = _primitive(rows[r], rows[r][col])
+            rows[r] = prow
+            p = prow[col]
             for i in range(len(rows)):
-                if i != r and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f = rows[i][col]
+                if i != r and f:
+                    rows[i] = _primitive([p * a - f * b
+                                          for a, b in zip(rows[i], prow)])
             pivots.append(col)
             r += 1
-        # the pivot rows once every later pivot column is cleared from them
         self.directions = tuple(tuple(row) for row in rows[:r])
         self.pivots = tuple(pivots)
-        # canonical base: zero out the pivot coordinates
-        b = [Fraction(c) for c in base]
+        h = self._clear(list(base), weighted=True)
+        self.base = tuple(_primitive(h, h[-1]))
+        self.dim = r
+
+    def _clear(self, v, weighted=False):
+        """v with its pivot coordinates cleared by the direction rows, v
+        scaled by the row's pivot entry at each step; with `weighted`, v
+        is homogeneous and its weight is scaled the same way."""
         for row, col in zip(self.directions, self.pivots):
-            f = b[col]
+            f = v[col]
             if f:
-                b = [a - f * v for a, v in zip(b, row)]
-        self.base = tuple(b)
-        self.dim = len(self.directions)
+                p = row[col]
+                v = [p * a - f * b for a, b in zip(v, row)] + \
+                    ([p * v[-1]] if weighted else [])
+        return v
 
     def key(self):
         return (self.dim, self.directions, self.base)
 
+    def _holds(self, h) -> bool:
+        """Whether the point with homogeneous coordinates h lies in here."""
+        *x, u = h
+        *b, w = self.base
+        return not any(self._clear([a * w - c * u for a, c in zip(x, b)]))
+
     def contains_point(self, p) -> bool:
-        v = [a - b for a, b in zip(p, self.base)]
-        for row, col in zip(self.directions, self.pivots):
-            f = v[col]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(c == 0 for c in v)
+        return self._holds(to_homog(tuple(map(Fraction, p))))
 
     def contains_subspace(self, other: "AffineSubspace") -> bool:
-        if other.dim > self.dim:
+        if other.dim > self.dim or not self._holds(other.base):
             return False
-        if not self.contains_point(other.base):
-            return False
-        origin = self.base
-        for d in other.directions:
-            if not self.contains_point(tuple(a + b
-                                             for a, b in zip(origin, d))):
-                return False
-        return True
+        return not any(any(self._clear(list(d))) for d in other.directions)
 
     def __eq__(self, other):
         return self.key() == other.key()
@@ -98,10 +123,23 @@ class AffineSubspace:
         return f"AffineSubspace(dim={self.dim})"
 
 
+def _primitive(v, lead=None):
+    """v divided by the gcd of its entries and signed so that `lead`, an
+    entry of v (by default its first nonzero one), turns positive; the zero
+    vector unchanged."""
+    g = gcd(*v)
+    if not g:
+        return v
+    if lead is None:
+        lead = next(a for a in v if a)
+    if lead < 0:
+        g = -g
+    return [a // g for a in v]
+
+
 def span_of_points(points) -> AffineSubspace:
-    base = points[0]
-    dirs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    return AffineSubspace(base, dirs)
+    return AffineSubspace._of_homog([to_homog(tuple(map(Fraction, p)))
+                                     for p in points])
 
 
 def subspace_pool(points, dim: int, spans=None):
@@ -115,9 +153,10 @@ def subspace_pool(points, dim: int, spans=None):
     pool = []
     index = {}
     n = len(points)
+    homog = [to_homog(tuple(map(Fraction, p))) for p in points]
     for size in range(1, min(n, dim) + 1):
         for subset in combinations(range(n), size):
-            sub = span_of_points([points[i] for i in subset])
+            sub = AffineSubspace._of_homog([homog[i] for i in subset])
             j = -1
             if sub.dim < dim:  # the whole space is excluded
                 j = index.setdefault(sub.key(), len(pool))
@@ -165,7 +204,7 @@ class FlagComplex:
         for p, fl in self.flags.items():
             self.flag_index[p] = {f: k for k, f in enumerate(fl)}
         self._tuple_spans = {}  # raw point tuple -> pool index or −1
-        self._faces = {}  # flag -> ((face, sign), ...) for dprime
+        self._faces = {}  # flag -> ((face, sign), ...), flag_faces
 
     def _grow_flags(self, flag):
         p = len(flag) - 1
@@ -216,37 +255,18 @@ class FlagComplex:
         return [tup for tup in product(range(len(self.points)), repeat=q + 1)
                 if self._span_index(tup) >= 0]
 
-    # -- operators on formal vectors (dict basis-key -> int) -------------
+    # -- the horizontal differential ---------------------------------------
 
-    def dprime(self, p: int, flag, tup, corrupt_sign: bool = False):
-        """Horizontal differential of a basis element at column level p."""
+    def flag_faces(self, flag):
+        """((face, sign), ...) of the horizontal differential ∂′ at a flag:
+        the flag with its i-th entry deleted, sign (−1)^i.  The face of a
+        one-entry flag is (), the augmentation column."""
         faces = self._faces.get(flag)
         if faces is None:
             faces = self._faces[flag] = tuple(
                 (flag[:i] + flag[i + 1:], -1 if i % 2 else 1)
                 for i in range(len(flag)))
-        # the faces of a strict flag are distinct, so no sign cancels
-        out = {}
-        for sub, sign in faces:
-            key = (len(sub) - 1, sub, tup) if sub else ("aug", tup)
-            out[key] = sign
-        if corrupt_sign:
-            out[key] = -sign
-        return out
-
-    def s_map(self, level, flag, tup):
-        """Signed span-appending homotopy; level is p or 'aug' (= −1)."""
-        span_idx = self.tuple_span_index(tup)
-        if level == "aug":
-            return {(0, (span_idx,), tup): 1}
-        p = level
-        if flag[-1] == span_idx:
-            return {}
-        if span_idx not in self.contains.get(flag[-1], ()):
-            # span not strictly inside the last flag entry: not applicable
-            raise SpanMissingFromPool("span not below the flag end")
-        sign = (-1) ** (p + 1)
-        return {(p + 1, flag + (span_idx,), tup): sign}
+        return faces
 
     # -- matrices for the DoubleComplex type ------------------------------
 
@@ -265,12 +285,10 @@ class FlagComplex:
                 basis = self.column_basis(p, q)
                 if p >= 1:
                     mat = SparseIntMatrix(ranks[(p - 1, q)], ranks[(p, q)])
+                    below = index[(p - 1, q)]
                     for col, (flag, tup) in enumerate(basis):
-                        for key, v in self.dprime(p, flag, tup).items():
-                            if key[0] == "aug":
-                                continue
-                            _, sub, t = key
-                            mat.add_at(index[(p - 1, q)][(sub, t)], col, v)
+                        for sub, v in self.flag_faces(flag):
+                            mat.add_at(below[(sub, tup)], col, v)
                     horizontal[(p, q)] = mat
                 if q >= 1:
                     mat = SparseIntMatrix(ranks[(p, q - 1)], ranks[(p, q)])
@@ -310,40 +328,62 @@ def flag_double_complex(points, dim: int, p_max: int,
 
 def verify_flag_nullhomotopy(fc: FlagComplex,
                              corrupt_sign: bool = False) -> bool:
-    """Check ∂′s + s∂′ = id on every basis element of the augmented rows."""
+    """Check ∂′s + s∂′ = id on every basis element of the augmented rows.
+
+    s appends the span of an element's tuple to its flag, with sign
+    (−1)^(p+1) at level p (+1 in the augmentation column, the flag ()),
+    and is 0 where the flag already ends at the span.  Both operators keep
+    the tuple, so ∂′s + s∂′ of (flag, tuple) is a sum of flags on that
+    tuple: its terms are listed from the faces of the flag and of the flag
+    with the span appended, sorted, and once equal flags are merged they
+    must be the flag alone with coefficient 1.  The span of each tuple is
+    looked up once.  `corrupt_sign` flips the sign of the last face of
+    every ∂′, which must make the check fail.
+    """
+    def corrupted(flag):
+        f = fc.flag_faces(flag)
+        return f[:-1] + ((f[-1][0], -f[-1][1]),)
+
+    faces = corrupted if corrupt_sign else fc.flag_faces
+    # s is defined where the span lies strictly inside the flag's end
+    inside = [set(fc.contains.get(i, ())) for i in range(len(fc.pool))]
+    known_span = fc._tuple_spans.get
     for q in range(fc.q_max + 1):
-        # augmentation column: s then the p=0 augmentation face
-        for tup in fc.augmentation_basis(q):
-            total = {}
-            for key, v in fc.s_map("aug", None, tup).items():
-                _, flag, t = key
-                for k2, v2 in fc.dprime(0, flag, t, corrupt_sign).items():
-                    total[k2] = total.get(k2, 0) + v * v2
-            want = {("aug", tup): 1}
-            if {k: v for k, v in total.items() if v} != want:
-                return False
+        columns = [((), fc.augmentation_basis(q))]
         for p in range(fc.p_max + 1):
-            for (flag, tup) in fc.column_basis(p, q):
-                total = {}
-                # ∂′ s
-                for key, v in fc.s_map(p, flag, tup).items():
-                    pp, fl, t = key
-                    for k2, v2 in fc.dprime(pp, fl, t,
-                                            corrupt_sign).items():
-                        total[k2] = total.get(k2, 0) + v * v2
-                # s ∂′
-                for key, v in fc.dprime(p, flag, tup, corrupt_sign).items():
-                    if key[0] == "aug":
-                        _, t = key
-                        inner = fc.s_map("aug", None, t)
-                    else:
-                        pp, fl, t = key
-                        if len(fl) - 1 > fc.p_max:
-                            continue
-                        inner = fc.s_map(pp, fl, t)
-                    for k2, v2 in inner.items():
-                        total[k2] = total.get(k2, 0) + v * v2
-                want = {(p, flag, tup): 1}
-                if {k: v for k, v in total.items() if v} != want:
+            columns += [(flag, product(fc.members[flag[-1]], repeat=q + 1))
+                        for flag in fc.flags.get(p, ())]
+        for flag, tuples in columns:
+            last = flag[-1] if flag else None
+            sign_up = -1 if len(flag) % 2 else 1  # s at this flag
+            # s ∂′: the faces with their last entries and the sign of s there
+            down = [(sub, sub[-1] if sub else None, -sign_up * sign)
+                    for sub, sign in (faces(flag) if flag else ())]
+            for tup in tuples:
+                span = known_span(tup, -1)
+                if span < 0:
+                    span = fc.tuple_span_index(tup)
+                terms = []
+                if last != span:  # ∂′ s
+                    if last is not None and span not in inside[last]:
+                        raise SpanMissingFromPool(
+                            "span not below the flag end")
+                    terms += [(sub, sign_up * sign)
+                              for sub, sign in faces(flag + (span,))]
+                for sub, end, sign in down:
+                    if end != span:
+                        if end is not None and span not in inside[end]:
+                            raise SpanMissingFromPool(
+                                "span not below the flag end")
+                        terms.append((sub + (span,), sign))
+                # merge equal flags: the sum must be 1·flag
+                terms.sort()
+                merged = []
+                for k, c in terms:
+                    if merged and merged[-1][0] == k:
+                        c += merged.pop()[1]
+                    if c:
+                        merged.append((k, c))
+                if merged != [(flag, 1)]:
                     return False
     return True

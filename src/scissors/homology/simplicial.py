@@ -1,13 +1,18 @@
 """Simplicial chain machinery: tuple complexes with the span filtration,
 barycentric subdivision with its chain homotopy, and a torus model giving
-the exterior-algebra betti numbers of free abelian groups at desk scale."""
+the exterior-algebra betti numbers of free abelian groups at desk scale.
+
+sd and H work on the vertex-id tuples of a chain: the barycenters they
+make are added to the chain's vertex table, and their results are chains
+on that table, so the terms of sd^r(c), H_r(c) and c cancel as int
+tuples."""
 
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
 
 from ..algebraic import scalar_sign
-from ..geom import Simplex, SimplexChain, make_point, vertex_key
+from ..geom import SimplexChain, make_point
 from . import ChainComplex, SizeCap, SparseIntMatrix
 
 MAX_POINTS = 8
@@ -122,81 +127,56 @@ def _accumulate(out, chain, image):
 
 
 class _Subdivision:
-    """sd and the homotopy H on ordered vertex-id tuples over one vertex table.
+    """sd and the homotopy H on ordered vertex-id tuples over the vertex
+    table of the chain they subdivide.
 
-    Points get ids once, by their vertex key; a barycenter is interned by
-    the multiset of ids it averages, then by its key, so equal points always
-    share an id and id-tuple chains need no reduction by point.  A rational
-    coordinate of a barycenter is the mean of the (numerator, denominator)
-    key pairs it averages, taken in ints over their lcm and reduced by one
-    gcd, so it keys exactly as the `Fraction` mean would; a coordinate with
-    an irrational term is the scalar mean.  sd(τ) and H(τ) of each ordered
-    face τ are computed once per table.
+    A barycenter is interned by the multiset of ids it averages, then by
+    its vertex key, so equal points always share an id and id-tuple chains
+    need no reduction by point.  A rational coordinate of a barycenter is
+    the mean of the (numerator, denominator) key pairs it averages, taken
+    in ints over their lcm and reduced by one gcd, so it keys exactly as
+    the `Fraction` mean would; a coordinate with an irrational term is the
+    scalar mean.  sd(τ) and H(τ) of each ordered face τ are computed once
+    per call.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.points = []
-        self.keys = []
-        self._ids = {}
+    def __init__(self, chain: SimplexChain):
+        self.table = table = chain.table
+        # rational coordinates key as (num, den), irrational ones as
+        # ("a", minimal polynomial, root index); barycenters of rational
+        # points are rational
+        self.rational = all(type(c[0]) is int
+                            for i in {i for _, t in chain.ids for i in t}
+                            for c in table.keys[i])
         self._bary = {}
         self._sd = {}
         self._h = {}
-
-    def _id(self, p, k=None) -> int:
-        if k is None:
-            k = vertex_key(p)
-        i = self._ids.get(k)
-        if i is None:
-            i = self._ids[k] = len(self.points)
-            self.points.append(p)
-            self.keys.append(k)
-        return i
 
     def _barycenter(self, t) -> int:
         key = tuple(sorted(t))
         b = self._bary.get(key)
         if b is None:
             m = len(t)
-            coords, ids = [], []
-            for d, col in enumerate(zip(*[self.keys[i] for i in t])):
-                # rational coordinates key as (num, den), irrational ones as
-                # ("a", minimal polynomial, root index)
-                if all(type(c[0]) is int for c in col):
+            table = self.table
+            coords = []
+            for d, col in enumerate(zip(*[table.keys[i] for i in key])):
+                if self.rational or all(type(c[0]) is int for c in col):
                     den = lcm(*[q for _, q in col])
                     num = sum([n * (den // q) for n, q in col])
                     den *= m
                     g = gcd(num, den)
-                    num //= g
-                    den //= g
-                    coords.append(Fraction(num, den))
-                    ids.append((num, den))
+                    coords.append((num // g, den // g))
                 else:
-                    coords.append(sum(self.points[i][d] for i in t)
-                                  * Fraction(1, m))
-                    ids.append(None)
-            b = self._bary[key] = self._id(
-                tuple(coords), None if None in ids else tuple(ids))
+                    coords.append(None)
+            if None in coords:  # the scalar mean where a term is irrational
+                p = tuple(Fraction(*c) if c else
+                          sum(table.point(i)[d] for i in t) * Fraction(1, m)
+                          for d, c in enumerate(coords))
+                b = table.add(p)
+            else:  # built from its key on first use
+                b = table.add(None, tuple(coords))
+            self._bary[key] = b
         return b
-
-    def intern(self, chain: SimplexChain) -> dict:
-        out = {}
-        for c, s in chain:
-            t = tuple(self._id(v) for v in s.vertices)
-            out[t] = out.get(t, 0) + c
-        return out
-
-    def chain(self, terms: dict) -> SimplexChain:
-        """The id-tuple chain as simplices, which inherit the keys of the
-        table's points."""
-        pts, keys, dim = self.points, self.keys, self.dim
-        hashes = [hash(k) for k in keys]
-        keyed = Simplex._keyed
-        return SimplexChain._checked(dim, [
-            (c, keyed(dim, tuple([pts[i] for i in t]),
-                      tuple([keys[i] for i in t]),
-                      tuple([hashes[i] for i in t])))
-            for t, c in terms.items() if c])
 
     def sd(self, t) -> dict:
         """sd(σ) = b_σ * sd(∂σ); identity on vertices."""
@@ -235,31 +215,37 @@ def _check_rounds(rounds: int):
         raise ValueError("rounds must be >= 0")
 
 
+def _on_table(chain: SimplexChain, terms: dict) -> SimplexChain:
+    return SimplexChain.from_ids(chain.dim_ambient, chain.table,
+                                 [(c, t) for t, c in terms.items() if c])
+
+
 def barycentric_sd(chain: SimplexChain) -> SimplexChain:
     """sd(σ) = b_σ * sd(∂σ) recursively; identity on vertices."""
     return sd_power(chain, 1)
 
 
 def sd_power(chain: SimplexChain, rounds: int) -> SimplexChain:
+    """sd^r of the chain, on its vertex table with the new barycenters."""
     _check_rounds(rounds)
-    sub = _Subdivision(chain.dim_ambient)
-    terms = sub.intern(chain)
+    sub = _Subdivision(chain)
+    terms = {t: c for c, t in chain.reduce().ids}
     for _ in range(rounds):
         terms = _accumulate({}, terms, sub.sd)
-    return sub.chain(terms)
+    return _on_table(chain, terms)
 
 
 def subdivision_homotopy(chain: SimplexChain, rounds: int) -> SimplexChain:
     """H_r = Σ_{i<r} H∘sd^i, satisfying ∂H_r + H_r∂ = sd^r − id exactly."""
     _check_rounds(rounds)
-    sub = _Subdivision(chain.dim_ambient)
-    terms = sub.intern(chain)
+    sub = _Subdivision(chain)
+    terms = {t: c for c, t in chain.reduce().ids}
     total = {}
     for i in range(rounds):
         if i:
             terms = _accumulate({}, terms, sub.sd)
         _accumulate(total, terms, sub.h)
-    return sub.chain(total)
+    return _on_table(chain, total)
 
 
 # -- torus model -------------------------------------------------------------------

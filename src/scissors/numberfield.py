@@ -108,11 +108,16 @@ class SimpleField:
         self._lo, self._hi = Fraction(lo), Fraction(hi)
         self._left = _sign(_eval(self.f, self._lo))  # sign of f left of α
         self._cells = {}
-        # xᵏ mod f for k = n … 2n−2
+        # xᵏ mod f for k = n … 2n−2, and the same rows as integers over
+        # one denominator (row k − n has a power of f's leading coefficient
+        # up to the (k − n + 1)-th as its denominator)
         top = [Fraction(-c, self.f[-1]) for c in self.f[:-1]]
         self._fold = [top]
         for _ in range(self.n - 2):
             self._fold.append(self._times_x(self._fold[-1]))
+        self._fold_den = self.f[-1] ** len(self._fold)
+        self._int_fold = [[int(c * self._fold_den) for c in row]
+                          for row in self._fold]
 
     def _times_x(self, w):
         out = [Fraction(0)] + list(w[:-1])
@@ -156,19 +161,33 @@ class SimpleField:
         return Num(self, data) if any(data[1:]) else Fraction(data[0])
 
     def mul(self, u, v):
+        """u·v in integers: the numerators of u and v over their common
+        denominators are multiplied and folded by the integer rows of
+        xᵏ mod f, then the product over its one denominator is reduced by
+        one gcd; an entry is a Fraction unless the product is integral."""
         n = self.n
+        du = lcm(*[a.denominator for a in u])
+        dv = lcm(*[b.denominator for b in v])
+        iv = [b.numerator * (dv // b.denominator) for b in v]
         prod = [0] * (2 * n - 1)
         for i, a in enumerate(u):
             if a:
-                for j, b in enumerate(v):
+                a = a.numerator * (du // a.denominator)
+                for j, b in enumerate(iv):
                     if b:
                         prod[i + j] += a * b
-        out = prod[:n]
-        for c, row in zip(prod[n:], self._fold):
+        d = self._fold_den
+        out = [c * d for c in prod[:n]]
+        for c, row in zip(prod[n:], self._int_fold):
             if c:
                 for i in range(n):
                     out[i] += c * row[i]
-        return tuple(out)
+        d *= du * dv
+        g = gcd(d, *out)
+        d //= g
+        if d == 1:
+            return tuple([c // g for c in out])
+        return tuple([Fraction(c // g, d) for c in out])
 
     def _columns(self, u):
         """Columns of multiplication by u: u·αʲ for j < n."""

@@ -608,3 +608,43 @@ def test_field_inverse_by_euclid_matches_linear_solve():
             assert list(v) == _gauss(F._columns(u), one)[1]
             x = F.make(u)
             assert x * x.inverse() == 1
+
+
+def _fraction_mul(F, u, v):
+    """The product in ℚ(α) term by term in Fractions, reduced by the
+    Fraction rows of xᵏ mod f (the arithmetic the integer product
+    replaced)."""
+    n = F.n
+    prod = [0] * (2 * n - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] += a * b
+    out = prod[:n]
+    for c, row in zip(prod[n:], F._fold):
+        for i in range(n):
+            out[i] += c * row[i]
+    return tuple(out)
+
+
+def test_field_mul_matches_fraction_product():
+    # seeded fields of degree 2–9 with non-monic f, so that the folding
+    # rows have denominators, on factors with zero, integral and
+    # fractional coefficients
+    from scissors.numberfield import SimpleField
+    from scissors.rng import SplitMix64
+
+    for n in range(2, 10):
+        rng = SplitMix64.stream(4200, n)
+        f = tuple(rng.randint(-9, 9) for _ in range(n)) + \
+            (rng.choice((-5, -3, -2, 2, 4, 7)),)
+        F = SimpleField(f, 0, 1)
+        for case in range(6):
+            u, v = ([rng.fraction(30, 12) if rng.randint(0, 3) else 0
+                     for _ in range(n)] for _ in range(2))
+            if case == 0:
+                u = [int(c) for c in u]
+                v = [int(c) for c in v]
+            got, want = F.mul(tuple(u), tuple(v)), _fraction_mul(F, u, v)
+            assert got == want, (n, case)
+            # ints when the whole product is integral, else Fractions
+            assert {type(c) for c in got} in ({int}, {Fraction})

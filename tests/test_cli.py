@@ -548,7 +548,8 @@ def test_commands_load_only_their_layers(fixtures):
         assert plain.returncode == 0, (argv, plain.stderr)
         assert json.loads(blocked.stdout)["digest"] == \
             json.loads(plain.stdout)["digest"]
-    # the parser, `verify` choices included, needs none of the layers
+    # the parser, `verify` choices included, needs none of the layers and
+    # not the suite registry
     code = ("import sys\n"
             "import scissors\n"
             "assert [m for m in sys.modules if m.startswith('scissors.')] "
@@ -561,7 +562,7 @@ def test_commands_load_only_their_layers(fixtures):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert "scissors.suites" in loaded
+    assert "scissors.suites" not in loaded
     assert loaded.isdisjoint(_GEOMETRY + _HOMOLOGY + ("sympy", "mpmath"))
 
 

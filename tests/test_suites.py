@@ -16,6 +16,11 @@ def test_suite_passes(name):
     assert outcome["all_pass"], outcome["failures"][:2]
 
 
+def test_cli_suite_names_match_registry():
+    from scissors.cli import SUITE_NAMES
+    assert SUITE_NAMES == tuple(sorted(SUITES))
+
+
 def test_unknown_suite():
     with pytest.raises(UnknownSuite):
         run_suite("not-a-suite", 0, 1)
