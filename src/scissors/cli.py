@@ -76,7 +76,6 @@ def _tensor_certificates(tensor):
 def cmd_polytope_info(args) -> dict:
     from .algebraic import as_scalar
     from .dehn import dehn_invariant, is_zero, nonzero_certificate
-    from .geom import dihedral_edges
 
     obj = load_json(args.file)
     p = polytope_from_json(obj, exact_strict=args.exact_strict)
@@ -88,9 +87,8 @@ def cmd_polytope_info(args) -> dict:
     }
     certificates = []
     if p.dim == 3:
-        edges = dihedral_edges(p)
-        results["edges"] = [e.to_json() for e in edges]
-        tensor = dehn_invariant(p, args.height_bound, edges)
+        results["edges"] = [e.to_json() for e in p.edges()]
+        tensor = dehn_invariant(p, args.height_bound)
         verdict = is_zero(tensor)
         results["dehn_invariant"] = tensor.to_json()
         results["dehn_verdict"] = verdict

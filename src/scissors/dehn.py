@@ -15,7 +15,7 @@ from fractions import Fraction
 from .algebraic import as_scalar, lift, scalar_sign
 from .angles import AnglePair, find_angle_relations, is_rational_angle
 from .errors import DEFAULT_HEIGHT_BOUND
-from .geom import Polytope, dihedral_edges
+from .geom import Polytope
 from .numbers import format_number, parse_number
 
 
@@ -128,13 +128,9 @@ def tensor_neg(t: DehnTensor) -> DehnTensor:
 
 
 def dehn_invariant(p: Polytope,
-                   height_bound: int = DEFAULT_HEIGHT_BOUND,
-                   edges=None) -> DehnTensor:
-    """Σ edge-length ⊗ dihedral angle over the boundary, in normal form;
-    `edges`, when given, are dihedral_edges(p), already computed."""
-    if edges is None:
-        edges = dihedral_edges(p)
-    raw = [(e.length, e.angle) for e in edges]
+                   height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
+    """Σ edge-length ⊗ dihedral angle over the boundary, in normal form."""
+    raw = [(e.length, e.angle) for e in p.edges()]
     return tensor_normalize(raw, height_bound)
 
 

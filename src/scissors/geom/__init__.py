@@ -135,8 +135,9 @@ class Simplex:
 
     @classmethod
     def _keyed(cls, dim_ambient, vertices, keys, hashes) -> "Simplex":
-        """A simplex on already checked vertices with known keys and key
-        hashes, e.g. a term of a chain or a reordered simplex."""
+        """A simplex on already checked vertices with their keys and key
+        hashes (None when not yet computed), e.g. a term of a chain or a
+        reordered simplex."""
         s = object.__new__(cls)
         s.dim_ambient = dim_ambient
         s.vertices = vertices
@@ -234,22 +235,21 @@ class VertexTable:
                                         for n, d in self.keys[i]])
         return p
 
-    def ids_in(self, other: "VertexTable") -> list:
-        """The id in `other` of each point of this table, by its key."""
-        add = other.add
-        return [add(p, k, h)
-                for p, k, h in zip(self.points, self.keys, self.hashes)]
-
 
 class SimplexChain:
     """Integer formal sum of ordered simplices in a fixed ambient dimension.
 
     A term is a coefficient on a tuple of vertex ids into the chain's
     VertexTable, so reduction, boundaries and sums cancel faces on int
-    tuples.  The terms as (coefficient, Simplex) pairs are built when the
-    chain is first iterated; a chain built from simplices keeps the objects
-    it was given, and reduction keeps the first of each merged term, as
-    dict keys would.
+    tuples.  A chain built from simplices iterates over the terms it was
+    given; a chain derived by arithmetic builds its (coefficient, Simplex)
+    terms from the table when it is first iterated.
+
+    Derived chains share their operand's table.  Adding a chain on another
+    table adds the vertices its terms use to the left operand's table, and
+    sd and H add their barycenters to the table of the chain they
+    subdivide; a table only grows, so the ids of every chain on it stay
+    valid.
     """
 
     __slots__ = ("dim_ambient", "table", "ids", "_simplices")
@@ -258,35 +258,39 @@ class SimplexChain:
         self.dim_ambient = dim_ambient
         self.table = table = VertexTable()
         self._simplices = [(int(c), s) for c, s in terms if c != 0]
-        known, add = table.index.get, table.add
+        # terms usually share their vertex objects: a vertex object seen
+        # before is not keyed again (the terms keep every one alive, so no
+        # two of them share an id())
+        seen = {}
         ids = []
         for c, s in self._simplices:
             if s.dim_ambient != dim_ambient:
                 raise DimensionMismatch("mixed ambient dimensions in chain")
-            keys, hashes = s.vertex_keys()
-            t = tuple(map(known, keys))
+            vs = s.vertices
+            t = tuple(map(seen.get, map(id, vs)))
             if None in t:
-                t = tuple([add(v, k, h)
-                           for v, k, h in zip(s.vertices, keys, hashes)])
+                keys = s._keys or [None] * len(vs)
+                t = tuple([seen.setdefault(id(v), table.add(v, k))
+                           if i is None else i
+                           for v, k, i in zip(vs, keys, t)])
             ids.append((c, t))
         self.ids = ids
 
     @classmethod
-    def from_ids(cls, dim_ambient: int, table: VertexTable, ids: list,
-                 simplices=None) -> "SimplexChain":
-        """The chain of (nonzero coefficient, id tuple) terms over `table`;
-        `simplices`, when given, are the same terms as simplices."""
+    def from_ids(cls, dim_ambient: int, table: VertexTable,
+                 ids: list) -> "SimplexChain":
+        """The chain of (nonzero coefficient, id tuple) terms over `table`."""
         ch = object.__new__(cls)
         ch.dim_ambient = dim_ambient
         ch.table = table
         ch.ids = ids
-        ch._simplices = simplices
+        ch._simplices = None
         return ch
 
     @property
     def terms(self) -> list:
-        """The (coefficient, Simplex) terms; each simplex inherits its
-        vertices' keys from the table."""
+        """The (coefficient, Simplex) terms; a simplex built here inherits
+        its vertices' keys from the table."""
         if self._simplices is None:
             t, dim, keyed = self.table, self.dim_ambient, Simplex._keyed
             point, keys, hashes = t.point, t.keys, t.hashes
@@ -303,51 +307,35 @@ class SimplexChain:
             raise DimensionMismatch("mixed ambient dimensions in chain")
         if other.table is self.table:
             return other.ids
-        m = other.table.ids_in(self.table)
-        return [(c, tuple([m[i] for i in t])) for c, t in other.ids]
+        t, add = other.table, self.table.add
+        m = {i: add(t.points[i], t.keys[i], t.hashes[i])
+             for i in {i for _, v in other.ids for i in v}}
+        return [(c, tuple([m[i] for i in v])) for c, v in other.ids]
 
     def reduce(self) -> "SimplexChain":
         """Merge equal ordered simplices (equal id tuples) and drop zero
-        coefficients."""
+        coefficients; the chain itself when no two terms merge."""
         acc = {}
         for c, t in self.ids:
             acc[t] = acc.get(t, 0) + c
-        ids = [(c, t) for t, c in acc.items() if c]
-        simplices = self._simplices
-        if simplices is not None and len(ids) < len(self.ids):
-            first = {}
-            for (_, t), (_, s) in zip(self.ids, simplices):
-                first.setdefault(t, s)
-            simplices = [(c, first[t]) for c, t in ids]
-        return SimplexChain.from_ids(self.dim_ambient, self.table, ids,
-                                     simplices)
+        if len(acc) == len(self.ids):  # coefficients are nonzero
+            return self
+        return SimplexChain.from_ids(self.dim_ambient, self.table,
+                                     [(c, t) for t, c in acc.items() if c])
 
     def drop_degenerate_top(self) -> "SimplexChain":
         """Remove top-dimensional terms of zero volume."""
-        ids, simplices = [], []
-        for term, (c, s) in zip(self.ids, self.terms):
-            if s.is_top() and orientation_sign(s) == 0:
-                continue
-            ids.append(term)
-            simplices.append((c, s))
-        return SimplexChain.from_ids(self.dim_ambient, self.table, ids,
-                                     simplices)
+        ids = [term for term, (_, s) in zip(self.ids, self.terms)
+               if not (s.is_top() and orientation_sign(s) == 0)]
+        return SimplexChain.from_ids(self.dim_ambient, self.table, ids)
 
     def __add__(self, other):
-        simplices = None
-        if self._simplices is not None and other._simplices is not None:
-            simplices = self._simplices + other._simplices
         return SimplexChain.from_ids(self.dim_ambient, self.table,
-                                     self.ids + self._ids_of(other),
-                                     simplices).reduce()
+                                     self.ids + self._ids_of(other)).reduce()
 
     def __neg__(self):
-        simplices = self._simplices
-        if simplices is not None:
-            simplices = [(-c, s) for c, s in simplices]
         return SimplexChain.from_ids(self.dim_ambient, self.table,
-                                     [(-c, t) for c, t in self.ids],
-                                     simplices)
+                                     [(-c, t) for c, t in self.ids])
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -401,15 +389,18 @@ def boundary(chain: SimplexChain) -> SimplexChain:
                                  [(c, f) for f, c in acc.items() if c])
 
 
+def _swap_last_two(t):
+    return t and t[:-2] + (t[-1], t[-2])
+
+
 def _flip_last_two(s: Simplex) -> Simplex:
-    vs = s.vertices
-    keys, hashes = s.vertex_keys()
-    t = Simplex._keyed(s.dim_ambient, vs[:-2] + (vs[-1], vs[-2]),
-                       keys[:-2] + (keys[-1], keys[-2]),
-                       hashes[:-2] + (hashes[-1], hashes[-2]))
+    """s with its last two vertices swapped, and with them the keys and
+    homogeneous vertices it has computed."""
+    t = Simplex._keyed(s.dim_ambient, _swap_last_two(s.vertices),
+                       _swap_last_two(s._keys), _swap_last_two(s._hashes))
     h = getattr(s, "_homog", None)
     if h:
-        t._homog = h[:-2] + (h[-1], h[-2])
+        t._homog = _swap_last_two(h)
     return t
 
 
@@ -438,7 +429,7 @@ class Polytope:
         self.chain = SimplexChain(chain.dim_ambient, terms)
         self.dim = chain.dim_ambient
         self.name = name
-        self._facets = None
+        self._facets = self._edges = None
         if validate:
             self.validate(exact_strict=exact_strict)
 
@@ -450,6 +441,12 @@ class Polytope:
         if self._facets is None:
             self._facets = boundary_facets(self.chain)
         return self._facets
+
+    def edges(self):
+        """dihedral_edges of the polytope, computed on the first call."""
+        if self._edges is None:
+            self._edges = dihedral_edges(self)
+        return self._edges
 
     def volume(self):
         total = Fraction(0)

@@ -16,7 +16,7 @@ tuple of indices into the subspace pool.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 
 from ..geom import make_point, to_homog
 from . import DoubleComplex, SizeCap, SparseIntMatrix
@@ -44,26 +44,14 @@ class AffineSubspace:
     on the subspace alone, so `key` identifies it.
     """
 
-    def __init__(self, base, directions):
-        rows = []
-        for d in directions:
-            den = lcm(*(Fraction(c).denominator for c in d))
-            rows.append([int(c * den) for c in d])
-        self._reduce(to_homog(tuple(map(Fraction, base))), rows)
-
-    @classmethod
-    def _of_homog(cls, hs) -> "AffineSubspace":
+    def __init__(self, hs):
         """The span of points given in integer homogeneous coordinates."""
         *b, w = hs[0]
-        s = object.__new__(cls)
-        s._reduce(hs[0], [[x * w - y * h[-1] for x, y in zip(h[:-1], b)]
-                          for h in hs[1:]])
-        return s
-
-    def _reduce(self, base, rows):
+        rows = [[x * w - y * h[-1] for x, y in zip(h[:-1], b)]
+                for h in hs[1:]]
         pivots = []
         r = 0
-        for col in range(len(base) - 1):
+        for col in range(len(b)):
             piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
             if piv is None:
                 continue
@@ -74,13 +62,13 @@ class AffineSubspace:
             for i in range(len(rows)):
                 f = rows[i][col]
                 if i != r and f:
-                    rows[i] = _primitive([p * a - f * b
-                                          for a, b in zip(rows[i], prow)])
+                    rows[i] = _primitive([p * x - f * y
+                                          for x, y in zip(rows[i], prow)])
             pivots.append(col)
             r += 1
         self.directions = tuple(tuple(row) for row in rows[:r])
         self.pivots = tuple(pivots)
-        h = self._clear(list(base), weighted=True)
+        h = self._clear(list(hs[0]), weighted=True)
         self.base = tuple(_primitive(h, h[-1]))
         self.dim = r
 
@@ -138,7 +126,7 @@ def _primitive(v, lead=None):
 
 
 def span_of_points(points) -> AffineSubspace:
-    return AffineSubspace._of_homog([to_homog(tuple(map(Fraction, p)))
+    return AffineSubspace([to_homog(tuple(map(Fraction, p)))
                                      for p in points])
 
 
@@ -156,7 +144,7 @@ def subspace_pool(points, dim: int, spans=None):
     homog = [to_homog(tuple(map(Fraction, p))) for p in points]
     for size in range(1, min(n, dim) + 1):
         for subset in combinations(range(n), size):
-            sub = AffineSubspace._of_homog([homog[i] for i in subset])
+            sub = AffineSubspace([homog[i] for i in subset])
             j = -1
             if sub.dim < dim:  # the whole space is excluded
                 j = index.setdefault(sub.key(), len(pool))

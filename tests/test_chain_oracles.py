@@ -248,6 +248,22 @@ def test_chain_arithmetic_matches_oracle():
             assert (chain + (-chain)).is_zero()
             # the same chain rebuilt from its own terms, on a fresh table
             assert (chain - SimplexChain(dim, list(chain))).is_zero()
+            # a reduced chain is its own reduction, with the same terms
+            reduced = chain.reduce()
+            assert reduced.reduce() is reduced
+
+
+def test_sum_maps_only_the_vertices_its_terms_use():
+    # sd leaves its barycenters in the table of the chain it subdivides;
+    # adding that chain moves only its terms' vertices into the other table
+    a = SimplexChain(2, [(1, seeded_simplex(808, 0, 2))])
+    b = SimplexChain(2, [(1, seeded_simplex(808, 1, 2))])
+    sd_power(b, 2)
+    assert len(b.table.points) > 3
+    before = set(a.table.keys)
+    assert not (a - b).is_zero()
+    used = {b.table.keys[i] for _, t in b.ids for i in t}
+    assert set(a.table.keys) == before | used
 
 
 def test_cubic_chain_matches_oracle():
@@ -294,13 +310,16 @@ def test_homotopy_identity_in_oracle_arithmetic():
 
 def test_flipped_cells_keep_their_keys():
     # a polytope flips negatively ordered cells; the flipped cell's keys
-    # and the chain's id tuples follow the new vertex order
-    for case in range(6):
+    # (whether computed before the flip or after) and the chain's id tuples
+    # follow the new vertex order
+    for case in range(12):
         dim = case % 3 + 1
-        s = seeded_simplex(707, case, dim)
+        s = seeded_simplex(707, case % 6, dim)
         if dim > 1 and orientation_sign(s) > 0:
             vs = s.vertices
             s = Simplex(dim, vs[:-2] + (vs[-1], vs[-2]))
+        if case >= 6:
+            s.key()
         p = Polytope(SimplexChain(dim, [(1, s)]))
         [(c, cell)] = list(p.chain)
         assert c == 1 and orientation_sign(cell) == 1

@@ -117,6 +117,9 @@ def test_regular_tetra_dihedral():
     t = regular_tetrahedron()
     edges = dihedral_edges(t)
     assert len(edges) == 6
+    # the polytope computes its edges once and keeps them
+    assert t.edges() == edges
+    assert t.edges() is t.edges()
     for e in edges:
         assert e.angle.cos == Fraction(1, 3)
         assert e.length * e.length == 8
