@@ -15,10 +15,11 @@ field when a literal lies outside it: it gives the minimal polynomial of
 
 import operator
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from . import numberfield
 from .errors import SizeCap
+from .linalg import primitive
 from .numberfield import Num, SimpleField, _sign, scalar_sign
 
 
@@ -49,16 +50,10 @@ def _strip(coeffs) -> tuple:
     return tuple(f)
 
 
-def _div_content(f) -> tuple:
-    """f divided by the (positive) gcd of its coefficients."""
-    g = gcd(*f)
-    return f if g == 1 else tuple(c // g for c in f)
-
-
 def _canonical_single(coeffs) -> tuple:
     """Primitive positive-lc form for a polynomial already irreducible."""
-    f = _div_content(_strip(coeffs))
-    return tuple(-c for c in f) if f and f[-1] < 0 else f
+    f = _strip(coeffs)
+    return primitive(f, f[-1]) if f else f
 
 
 def _sign_at(f, num: int, den: int) -> int:
@@ -75,16 +70,12 @@ def _sign_at(f, num: int, den: int) -> int:
 def _canonical_factors(coeffs):
     """Irreducible primitive factors with positive leading coefficient.
 
-    Up to degree 3 natively: the squarefree part, less its rational roots,
-    has no factor left but itself.  Above, sympy's squarefree part and
-    Zassenhaus factoring."""
+    Up to degree 3 natively: the squarefree part, the head of f's Sturm
+    chain, less its rational roots, has no factor left but itself.  Above,
+    sympy's squarefree part and Zassenhaus factoring."""
     f = _strip(coeffs)
     if len(f) <= 4:
-        df = _div_content(tuple(i * c for i, c in enumerate(f))[1:])
-        g = f
-        while df:  # g ends as gcd(f, f′), up to a constant
-            g, df = df, _neg_rem(g, df)
-        f = _exact_quotient(f, g) if len(g) > 1 else _canonical_single(f)
+        f = _chain_for(f)[0]
         out = []
         for r in _rational_roots(f):
             lin = (-r.numerator, r.denominator)
@@ -156,7 +147,7 @@ def _neg_rem(a, b) -> tuple:
         r.pop()
     if not r:
         return ()
-    return _div_content(tuple(r) if flip else tuple(-c for c in r))
+    return primitive(r, 1 if flip else -1)
 
 
 def _exact_quotient(a, b) -> tuple:
@@ -169,7 +160,7 @@ def _exact_quotient(a, b) -> tuple:
         for i, bc in enumerate(b):
             r[i + k] -= c * bc
     den = lcm(*(c.denominator for c in q))
-    return _div_content(tuple(int(c * den) for c in q))
+    return primitive([int(c * den) for c in q], 1)
 
 
 def _sturm_chain(f) -> list:
@@ -178,7 +169,7 @@ def _sturm_chain(f) -> list:
     chain = [f]
     df = tuple(i * c for i, c in enumerate(f))[1:]
     if df:
-        chain.append(_div_content(df))
+        chain.append(primitive(df, 1))
     while len(chain) > 1 and len(chain[-1]) > 1:
         r = _neg_rem(chain[-2], chain[-1])
         if not r:

@@ -14,7 +14,7 @@ built only when the chain is iterated.
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from ..algebraic import (
     as_scalar,
@@ -74,17 +74,6 @@ def to_homog(p) -> tuple:
 def from_homog(h) -> tuple:
     w = h[-1]
     return tuple(Fraction(c, w) for c in h[:-1])
-
-
-def canon_plane(func):
-    """Primitive integer form of a plane functional with its first nonzero
-    coefficient positive; None for the zero functional."""
-    g = gcd(*func)
-    if g == 0:
-        return None
-    if next(c for c in func if c) < 0:
-        g = -g
-    return tuple(c // g for c in func)
 
 
 # -- simplices and chains -----------------------------------------------------
@@ -390,7 +379,7 @@ def boundary(chain: SimplexChain) -> SimplexChain:
 
 
 def _swap_last_two(t):
-    return t and t[:-2] + (t[-1], t[-2])
+    return t and t[:-2] + t[:-3:-1]
 
 
 def _flip_last_two(s: Simplex) -> Simplex:
@@ -594,8 +583,8 @@ def boundary_facets(chain: SimplexChain):
         if abs(m) != 1:
             raise NonManifoldBoundary(f"facet multiplicity {m}")
         vs = rep[k]
-        if m < 0 and len(vs) >= 2:
-            vs = vs[:-2] + (vs[-1], vs[-2])
+        if m < 0:
+            vs = _swap_last_two(vs)
         facets.append(vs)
     if not facets or len(facets[0]) < 2:
         return facets  # E¹: facets are points, no ridges to check

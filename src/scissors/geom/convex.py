@@ -10,13 +10,13 @@ dissection is conforming (no hanging interfaces between cells).
 from fractions import Fraction
 
 from ..algebraic import lift, sqrt_nonneg
+from ..linalg import primitive
 from . import (
     InvalidPolytope,
     Polytope,
     Simplex,
     SimplexChain,
     _flip_last_two,
-    canon_plane,
     from_homog,
     make_point,
     orientation_sign,
@@ -32,8 +32,10 @@ def _facet_planes_3d(hpts):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 func = hp.hyperplane([hpts[i], hpts[j], hpts[k]])
-                canon = canon_plane(func)
-                if canon is None or canon in planes or _neg(canon) in planes:
+                if not any(func):
+                    continue
+                canon = primitive(func)
+                if canon in planes or _neg(canon) in planes:
                     continue
                 sides = [hp.side(func, p) for p in hpts]
                 if all(s <= 0 for s in sides):
@@ -252,10 +254,7 @@ def regular_tetrahedron(scale=Fraction(1), name: str = "regular tetra"):
 
 
 def regular_octahedron(name: str = "regular octahedron") -> Polytope:
-    """Octahedron on ±e_i scaled to edge length 1."""
-    # vertices (±1/√2, 0, 0)...: keep rational by scaling the ±e_i hull
-    # by 1/√2 would force algebraic points; instead use ±e_i (edge √2) and
-    # let callers rescale lengths; edge-1 version below uses algebraic scale.
+    """The octahedron on the points ±eᵢ: edge length √2, volume 4/3."""
     pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     return convex_polytope_3d(pts, name=name)
 

@@ -6,22 +6,10 @@ The cofactor formulas (`hdet`, `hyperplane`) use only +, − and ×, so they
 are exact on Fraction and other exact scalar entries as well.
 """
 
-from math import gcd
+from ..linalg import primitive
 
 # named in benchmark provenance records (perfbench/worker.py)
 KERNEL = "pure"
-
-
-def hnormalize(p):
-    """gcd-reduce a homogeneous tuple and make the weight positive."""
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    if g == 0:
-        return p
-    if p[-1] < 0:
-        g = -g
-    return tuple(c // g for c in p)
 
 
 def det2(a, b, c, d):
@@ -108,7 +96,7 @@ def cut_point(alpha, beta, a, b):
     normalized homogeneous point on the open segment.
     """
     p = tuple(beta * ai - alpha * bi for ai, bi in zip(a, b))
-    return hnormalize(p)
+    return primitive(p, p[-1])
 
 
 def centroid(points):
@@ -124,4 +112,4 @@ def centroid(points):
             s += p[i] * (w // p[-1])
         coords.append(s)
     coords.append(len(points) * w)
-    return hnormalize(tuple(coords))
+    return primitive(coords, coords[-1])

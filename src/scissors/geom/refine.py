@@ -25,12 +25,12 @@ from fractions import Fraction
 
 from ..algebraic import scalar_sign
 from ..errors import ParseError, RefinementTooLarge
+from ..linalg import primitive
 from . import (
     Polytope,
     Simplex,
     SimplexChain,
     _flip_last_two,
-    canon_plane,
     orientation_sign,
 )
 from . import predicates as hp
@@ -77,9 +77,9 @@ class _HomogBackend:
                 if key in seen:
                     continue
                 seen.add(key)
-                canon = canon_plane(hp.hyperplane(facet))
-                if canon is not None:
-                    out.setdefault(canon)
+                func = hp.hyperplane(facet)
+                if any(func):
+                    out.setdefault(primitive(func))
         return list(out)
 
     @staticmethod
@@ -303,17 +303,16 @@ def verify_dissection(whole: Polytope, parts, cap=None) -> bool:
 
 
 def phi_boundary_chain(points, dim: int) -> SimplexChain:
-    """The signed facet chain Σ (−1)^i (full-dimensional faces only)."""
+    """The signed facet chain Σ (−1)^i [p₀ … p̂ᵢ … p_{dim+1}] of dim+2 points.
+
+    Flat faces are kept: they have measure zero, and the refinement drops
+    them when it orients the cells (`_normalized_terms`)."""
     points = tuple(points)
     if len(points) != dim + 2:
         raise ValueError(f"need {dim + 2} points in E{dim}")
-    terms = []
-    for i in range(len(points)):
-        face = Simplex(dim, points[:i] + points[i + 1:])
-        if orientation_sign(face) == 0:
-            continue  # lower-dimensional hull: dropped
-        terms.append(((-1) ** i, face))
-    return SimplexChain(dim, terms)
+    return SimplexChain(dim, [((-1) ** i,
+                               Simplex(dim, points[:i] + points[i + 1:]))
+                              for i in range(len(points))])
 
 
 def phi_boundary_check(points, dim: int, cap=None) -> bool:

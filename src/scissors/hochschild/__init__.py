@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 from ..errors import SizeCapExceeded
-from ..linalg import nullspace_sparse, rank_sparse
+from ..io import _integer
+from ..linalg import nullspace_sparse, rank_sparse, rref_sparse
 from ..numbers import ParseError, parse_fraction
 
 OMEGA_CAP = 65536
@@ -368,78 +369,59 @@ def quaternions() -> FiniteDimAlgebra:
 
 def matrix_algebra(n: int) -> FiniteDimAlgebra:
     """M_n(ℚ) on a basis with the unit first: 1, then traceless units."""
-    # basis: e_0 = identity; then E_pq for p != q; then E_11−E_00, ...
-    units = [(p, q) for p in range(n) for q in range(n)]
-    # raw basis: E_pq; change to unit-first basis via explicit coordinates
-    raw_index = {u: i for i, u in enumerate(units)}
+    # basis: e_0 = identity; then E_pq for p != q; then E_pp − E_00, in the
+    # coordinates of the matrix units E_pq (index p·n + q)
+    basis = [{p * n + p: Fraction(1) for p in range(n)}]
+    basis += [{p * n + q: Fraction(1)}
+              for p in range(n) for q in range(n) if p != q]
+    basis += [{p * n + p: Fraction(1), 0: Fraction(-1)} for p in range(1, n)]
 
-    def raw_prod(a, b):
-        (p, q), (r, s) = units[a], units[b]
-        if q != r:
-            return {}
-        return {raw_index[(p, s)]: 1}
+    def unit_prod(a, b):
+        (p, q), (r, s) = divmod(a, n), divmod(b, n)
+        return {p * n + s: 1} if q == r else {}
 
-    # new basis vectors in raw coordinates
-    new_basis = []
-    new_basis.append({raw_index[(p, p)]: Fraction(1) for p in range(n)})
-    for (p, q) in units:
-        if p != q:
-            new_basis.append({raw_index[(p, q)]: Fraction(1)})
-    for p in range(1, n):
-        new_basis.append({raw_index[(p, p)]: Fraction(1),
-                          raw_index[(0, 0)]: Fraction(-1)})
-    dim = n * n
-    # transition: solve raw coordinates -> new coordinates
-    # build matrix columns = new basis vectors, invert by elimination
-    cols = [dict(v) for v in new_basis]
-    # raw vector of a product expressed in new basis: solve T x = raw
-    # precompute the RREF solve as dense (dim <= 16)
-    T = [[cols[j].get(i, Fraction(0)) for j in range(dim)]
-         for i in range(dim)]
-    Tinv = _invert_dense(T)
+    return FiniteDimAlgebra(n * n, _rebased(basis, unit_prod),
+                            name=f"mat{n}")
 
-    def to_new(raw_vec: dict) -> dict:
+
+def _rebased(basis, prod):
+    """Structure constants on a new basis.
+
+    `basis` holds the new basis vectors as sparse rational vectors in the
+    old coordinates, and prod(i, j) the old product e_i·e_j as a sparse
+    vector.  Entry [a][b] of the result is basis[a]·basis[b] in the new
+    coordinates.  With T the matrix whose columns are the new basis, the
+    reduced echelon form of [T | I] is [I | T⁻¹]."""
+    dim = len(basis)
+    rows = [{dim + i: Fraction(1)} for i in range(dim)]
+    for j, vec in enumerate(basis):
+        for i, c in vec.items():
+            rows[i][j] = c
+    _, reduced = rref_sparse(rows, 2 * dim)
+    t_inv = [{j - dim: v for j, v in row.items() if j >= dim}
+             for row in reduced]
+
+    def new_coords(vec: dict) -> dict:
         out = {}
-        for i in range(dim):
-            acc = Fraction(0)
-            for r, v in raw_vec.items():
-                acc += Tinv[i][r] * v
+        for i, row in enumerate(t_inv):
+            acc = sum(row[r] * v for r, v in vec.items() if r in row)
             if acc:
                 out[i] = acc
         return out
 
-    table = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            raw = {}
-            for ra, va in cols[a].items():
-                for rb, vb in cols[b].items():
-                    for rc, vc in raw_prod(ra, rb).items():
-                        nv = raw.get(rc, Fraction(0)) + va * vb * vc
-                        if nv:
-                            raw[rc] = nv
-                        elif rc in raw:
-                            del raw[rc]
-            row.append(to_new(raw))
-        table.append(row)
-    return FiniteDimAlgebra(dim, table, name=f"mat{n}")
+    def mul_old(u: dict, v: dict) -> dict:
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, c in prod(i, j).items():
+                    nv = out.get(k, Fraction(0)) + a * b * c
+                    if nv:
+                        out[k] = nv
+                    elif k in out:
+                        del out[k]
+        return out
 
-
-def _invert_dense(T):
-    n = len(T)
-    A = [row[:] + [Fraction(1) if i == j else Fraction(0)
-                   for j in range(n)] for i, row in enumerate(T)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if A[i][k] != 0)
-        A[k], A[piv] = A[piv], A[k]
-        inv = 1 / A[k][k]
-        A[k] = [v * inv for v in A[k]]
-        for i in range(n):
-            if i != k and A[i][k]:
-                f = A[i][k]
-                A[i] = [u - f * w for u, w in zip(A[i], A[k])]
-    return [row[n:] for row in A]
+    return [[new_coords(mul_old(u, v)) for v in basis] for u in basis]
 
 
 _BUILTIN_CACHE: dict = {}
@@ -467,70 +449,43 @@ def with_unit_first(dim, table, unit_coords):
     if pivot is None:
         raise ValueError("unit vector is zero")
     # new basis: unit first, then the standard vectors except the pivot
-    new_basis = [dict(enumerate(unit))]
-    for i in range(dim):
-        if i != pivot:
-            new_basis.append({i: Fraction(1)})
-    T = [[new_basis[j].get(i, Fraction(0)) for j in range(dim)]
-         for i in range(dim)]
-    Tinv = _invert_dense(T)
-
-    def to_new(vec: dict) -> dict:
-        out = {}
-        for i in range(dim):
-            acc = Fraction(0)
-            for r, v in vec.items():
-                acc += Tinv[i][r] * v
-            if acc:
-                out[i] = acc
-        return out
-
-    def mul_old(u: dict, v: dict) -> dict:
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for k, c in table[i][j].items():
-                    nv = out.get(k, Fraction(0)) + a * b * c
-                    if nv:
-                        out[k] = nv
-                    elif k in out:
-                        del out[k]
-        return out
-
-    new_table = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            row.append(to_new(mul_old(new_basis[a], new_basis[b])))
-        new_table.append(row)
-    return new_table
+    basis = [{i: c for i, c in enumerate(unit) if c}]
+    basis += [{i: Fraction(1)} for i in range(dim) if i != pivot]
+    return _rebased(basis, lambda i, j: table[i][j])
 
 
 def algebra_from_json(obj) -> FiniteDimAlgebra:
-    """{"dim": n, "unit": [..]?, "mul": [[[[k, "rat"]...] ...]], ...}.
+    """{"dim": n, "mul": [[[[k, c], ...], ...], ...], "unit": [c, ...]?}.
 
-    When a unit vector is given and is not basis element 0, the basis is
-    changed so the unit comes first.
+    mul[i][j] lists the terms c·e_k of e_i·e_j.  When a unit vector is
+    given and is not basis element 0, the basis is changed so the unit
+    comes first.  Every malformed field is a ParseError.
     """
     try:
-        dim = int(obj["dim"])
-        table = []
-        for row in obj["mul"]:
-            cells = []
-            for cell in row:
-                cells.append({int(k): parse_fraction(str(v))
-                              for k, v in cell})
-            table.append(cells)
+        dim = _integer(obj["dim"], "dim", 1)
+        mul = obj["mul"]
+        if len(mul) != dim or any(len(row) != dim for row in mul):
+            raise ParseError(f"mul must be a {dim}×{dim} table")
+        table = [[{_integer(k, "structure-constant index", 0, dim):
+                   parse_fraction(str(v)) for k, v in cell} for cell in row]
+                 for row in mul]
         unit = obj.get("unit")
+        if unit is not None:
+            if len(unit) != dim:
+                raise ParseError(f"unit must have {dim} coordinates")
+            unit = [parse_fraction(str(u)) for u in unit]
+            if not any(unit):
+                raise ParseError("unit vector is zero")
+        labels = obj.get("labels")
+        if labels is not None and (not isinstance(labels, list)
+                                   or len(labels) != dim):
+            raise ParseError(f"labels must be a list of {dim} names")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad algebra JSON: {exc}") from exc
-    labels = obj.get("labels")
-    if unit is not None:
-        unit = [parse_fraction(str(u)) if isinstance(u, str)
-                else Fraction(u) for u in unit]
-        if unit != [Fraction(1 if i == 0 else 0) for i in range(dim)]:
-            table = with_unit_first(dim, table, unit)
-            labels = None
+    if unit is not None and unit != [Fraction(int(i == 0))
+                                     for i in range(dim)]:
+        table = with_unit_first(dim, table, unit)
+        labels = None
     try:
         return FiniteDimAlgebra(dim, table, labels=labels,
                                 name=obj.get("name", "user"))

@@ -16,9 +16,9 @@ tuple of indices into the subspace pool.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
 
 from ..geom import make_point, to_homog
+from ..linalg import echelon_int, primitive
 from . import DoubleComplex, SizeCap, SparseIntMatrix
 
 POOL_CAP = 512
@@ -47,30 +47,11 @@ class AffineSubspace:
     def __init__(self, hs):
         """The span of points given in integer homogeneous coordinates."""
         *b, w = hs[0]
-        rows = [[x * w - y * h[-1] for x, y in zip(h[:-1], b)]
-                for h in hs[1:]]
-        pivots = []
-        r = 0
-        for col in range(len(b)):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            prow = _primitive(rows[r], rows[r][col])
-            rows[r] = prow
-            p = prow[col]
-            for i in range(len(rows)):
-                f = rows[i][col]
-                if i != r and f:
-                    rows[i] = _primitive([p * x - f * y
-                                          for x, y in zip(rows[i], prow)])
-            pivots.append(col)
-            r += 1
-        self.directions = tuple(tuple(row) for row in rows[:r])
-        self.pivots = tuple(pivots)
+        self.pivots, self.directions = echelon_int(
+            [[x * w - y * h[-1] for x, y in zip(h[:-1], b)] for h in hs[1:]])
+        self.dim = len(self.pivots)
         h = self._clear(list(hs[0]), weighted=True)
-        self.base = tuple(_primitive(h, h[-1]))
-        self.dim = r
+        self.base = primitive(h, h[-1])
 
     def _clear(self, v, weighted=False):
         """v with its pivot coordinates cleared by the direction rows, v
@@ -109,20 +90,6 @@ class AffineSubspace:
 
     def __repr__(self):
         return f"AffineSubspace(dim={self.dim})"
-
-
-def _primitive(v, lead=None):
-    """v divided by the gcd of its entries and signed so that `lead`, an
-    entry of v (by default its first nonzero one), turns positive; the zero
-    vector unchanged."""
-    g = gcd(*v)
-    if not g:
-        return v
-    if lead is None:
-        lead = next(a for a in v if a)
-    if lead < 0:
-        g = -g
-    return [a // g for a in v]
 
 
 def span_of_points(points) -> AffineSubspace:

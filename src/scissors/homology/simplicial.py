@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
 
-from ..algebraic import scalar_sign
-from ..geom import SimplexChain, make_point
+from ..geom import SimplexChain, make_point, to_homog
+from ..linalg import echelon_int
 from . import ChainComplex, SizeCap, SparseIntMatrix
 
 MAX_POINTS = 8
@@ -25,38 +25,17 @@ class TooManyPoints(SizeCap):
 # -- span filtration ------------------------------------------------------------
 
 def affine_span_dim(points) -> int:
-    """Exact dimension of the affine span of a point tuple."""
-    pts = [make_point(p) for p in points]
-    base = pts[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
-    # generic Gaussian elimination over exact scalars
-    rank = 0
-    cols = len(base)
-    for col in range(cols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if scalar_sign(rows[i][col]) != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = Fraction(1) / prow[col] if isinstance(prow[col], Fraction) \
-            else prow[col].inverse()
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            f = rows[i][col]
-            if scalar_sign(f) != 0:
-                f = f * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-    return rank
+    """Exact dimension of the affine span of a tuple of rational points
+    (Fraction or int coordinates)."""
+    hs = [to_homog(tuple(map(Fraction, p))) for p in points]
+    *b, w = hs[0]
+    return len(echelon_int(
+        [[x * w - y * h[-1] for x, y in zip(h[:-1], b)] for h in hs[1:]])[0])
 
 
 class FilteredTupleComplex:
-    """Chains on ordered tuples from a finite point set, filtered by span."""
+    """Chains on ordered tuples from a finite set of rational points,
+    filtered by span."""
 
     def __init__(self, points, max_degree: int, dim: int):
         if len(points) > MAX_POINTS:

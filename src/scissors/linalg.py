@@ -1,13 +1,39 @@
-"""Exact integer and rational linear algebra for the homology kernels.
+"""Exact integer and rational linear algebra: the package's one home for
+each kind of elimination.
 
-Smith normal form runs on sparse integer rows: smallest-|entry| pivots
-(which keep intermediate growth tame at desk scale) are cleared by
-floor-division row and column operations, then one gcd/lcm pass over the
-diagonal gives the divisibility chain.  Rational elimination runs on sparse
-Fraction rows and provides rank, RREF and kernel bases.
+- `primitive` divides an integer vector by its content and fixes its sign:
+  plane functionals, homogeneous points and integer polynomials.
+- Smith normal form runs on sparse integer rows: smallest-|entry| pivots
+  (which keep intermediate growth tame at desk scale) are cleared by
+  floor-division row and column operations, then one gcd/lcm pass over the
+  diagonal gives the divisibility chain.
+- `echelon_int` is fraction-free elimination of dense integer rows to a
+  reduced echelon form with primitive rows: affine spans and subspace keys.
+- `det_small` is the determinant by elimination over Fractions: norms in
+  number fields and the test oracles.  The cofactor kernel of the geometry
+  predicates (`geom.predicates.hdet`) stays apart, on the hot path.
+- Rational elimination runs on sparse Fraction rows and provides rank,
+  RREF, kernel bases and the solves of a change of basis.
 """
 
 from fractions import Fraction
+from math import gcd
+
+
+def primitive(v, lead=None) -> tuple:
+    """The integer vector v divided by its content and negated when `lead`
+    is negative; the zero vector comes back unchanged.  `lead` is an entry
+    of v, by default its first nonzero one, and so comes out positive; a
+    caller that wants v's own signs, or all of them flipped, passes 1 or
+    −1."""
+    g = gcd(*v)
+    if not g:
+        return tuple(v)
+    if lead is None:
+        lead = next(a for a in v if a)
+    if lead < 0:
+        g = -g
+    return tuple([a // g for a in v])
 
 
 def _xgcd(a, b):
@@ -169,7 +195,8 @@ def mat_mul(A, B):
 
 
 def det_small(M):
-    """Exact determinant by fraction-free elimination (test-size matrices)."""
+    """Exact determinant of a square matrix of rationals, by Gaussian
+    elimination over Fractions (desk-size matrices)."""
     n = len(M)
     A = [[Fraction(v) for v in row] for row in M]
     det = Fraction(1)
@@ -192,6 +219,31 @@ def det_small(M):
                 for j in range(k, n):
                     A[i][j] -= f * A[k][j]
     return det
+
+
+def echelon_int(rows):
+    """(pivots, rows): the fraction-free reduced echelon form of dense
+    integer rows.  Each row is primitive, with a positive entry at its
+    pivot column and zeros at the other pivots, so the form depends on the
+    row space alone; its length is the rank."""
+    rows = [tuple(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r] = primitive(rows[r], rows[r][col])
+        p = prow[col]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != r and f:
+                rows[i] = primitive([p * x - f * y
+                                     for x, y in zip(rows[i], prow)])
+        pivots.append(col)
+        r += 1
+    return tuple(pivots), tuple(rows[:r])
 
 
 # -- sparse rational elimination -------------------------------------------------

@@ -29,6 +29,8 @@ radicand has its root read off a factor of m_r(t²).
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .linalg import det_small
+
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
 # no field above this degree over ℚ is built: a square root that would need
@@ -49,29 +51,6 @@ def _eval(f, x: Fraction) -> Fraction:
     for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def _gauss(cols, rhs):
-    """det M and the solution of M·x = rhs, M given by its columns."""
-    n = len(cols)
-    m = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(rhs[i])]
-         for i in range(n)]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if m[r][c]), None)
-        if p is None:
-            return Fraction(0), None
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        piv = m[c][c]
-        det *= piv
-        row = m[c] = [v / piv for v in m[c]]
-        for r in range(n):
-            f = m[r][c]
-            if r != c and f:
-                m[r] = [a - f * b for a, b in zip(m[r], row)]
-    return det, [m[i][n] for i in range(n)]
 
 
 def _primitive_pair(r, s):
@@ -227,7 +206,7 @@ class SimpleField:
 
     def norm(self, u) -> Fraction:
         """N(u) ∈ ℚ, the determinant of multiplication by u."""
-        return _gauss(self._columns(u), (0,) * self.n)[0]
+        return det_small(self._columns(u))
 
     def sign(self, u) -> int:
         bits = 24

@@ -5,7 +5,6 @@ reads `scissors.geom.predicates.KERNEL`.  A refactor that renames or drops
 one of them breaks the benchmark, so it should fail here first.
 """
 
-import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -21,14 +20,21 @@ def load_tracer():
 
 
 def test_every_traced_name_resolves():
+    # looked up as Tracer.install() does, with no default: a function as a
+    # module attribute, a method in its own class's __dict__ (an inherited
+    # one would not do)
     missing = []
     for layer, groups in load_tracer().TARGETS.items():
         for module_name, names in groups:
             module = importlib.import_module(module_name)
             for name in names:
+                owner, _, meth = name.rpartition(".")
                 try:
-                    functools.reduce(getattr, name.split("."), module)
-                except AttributeError:
+                    if owner:
+                        getattr(module, owner).__dict__[meth]
+                    else:
+                        getattr(module, name)
+                except (AttributeError, KeyError):
                     missing.append(f"{layer}: {module_name}.{name}")
     assert not missing
 

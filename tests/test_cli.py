@@ -266,6 +266,53 @@ def test_cli_rejects_out_of_range(argv, tmp_path):
     assert "error: " in proc.stderr.strip().splitlines()[-1]
 
 
+# the Gaussian rationals Q(i) on the basis 1, i, as an algebra JSON table
+QI_MUL = [[[[0, 1]], [[1, 1]]], [[[1, 1]], [[0, -1]]]]
+
+
+@pytest.mark.parametrize("algebra", [
+    {"dim": 2, "mul": QI_MUL, "unit": [0, 0]},
+    {"dim": 3, "mul": QI_MUL},
+    {"dim": 2, "mul": QI_MUL[:1]},
+    {"dim": 1.7, "mul": QI_MUL},
+    {"dim": True, "mul": [[[[0, 1]]]]},
+    {"dim": -1, "mul": []},
+    {"dim": 0, "mul": []},
+    {"dim": "2", "mul": QI_MUL},
+    {"dim": 1, "mul": [[[[0.9, 1]]]]},
+    {"dim": 1, "mul": [[[[True, 1]]]]},
+    {"dim": 1, "mul": [[[[1, 1]]]]},
+    {"dim": 1, "mul": [[[[0, 0.5]]]]},
+    {"dim": 2, "mul": QI_MUL, "unit": [1]},
+    {"dim": 2, "mul": QI_MUL, "unit": [1, True]},
+    {"dim": 2, "mul": QI_MUL, "labels": ["1"]},
+    {"dim": 2, "mul": [[[[0, 1]], [[1, 1]]], [[[1, 1]], [[1, 1]]]],
+     "unit": [0, 1]},  # no unit: e1·e1 = e1 but e1·e0 = e1
+    [2],
+])
+def test_bad_algebra_json_is_exit_2_with_one_line(algebra, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    proc = run_cli("hochschild", "--algebra", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_algebra_json_with_the_unit_second(tmp_path):
+    # Q(i) on the basis i, 1: rebased so that the unit comes first, it has
+    # the Hochschild homology of the built-in QI
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({
+        "dim": 2, "mul": [[[[1, "-1"]], [[0, 1]]], [[[0, 1]], [[1, 1]]]],
+        "unit": ["0", "1"], "labels": ["i", "1"], "name": "QI swapped"}))
+    proc = run_cli("hochschild", "--algebra", str(path))
+    assert proc.returncode == 0
+    want = run_cli("hochschild", "--algebra", "QI")
+    assert (json.loads(proc.stdout)["results"]["hh_dimensions"]
+            == json.loads(want.stdout)["results"]["hh_dimensions"])
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", ""])
 def test_cli_rejects_bad_cell_cap(cap):
     env = dict(os.environ, SCISSORS_CELL_CAP=cap)

@@ -16,12 +16,11 @@ from scissors.geom.predicates import (
     centroid,
     cut_point,
     hdet,
-    hnormalize,
     hyperplane,
     orient,
     side,
 )
-from scissors.linalg import det_small
+from scissors.linalg import det_small, primitive
 from scissors.rng import SplitMix64
 
 CASES = 40
@@ -123,6 +122,10 @@ def test_centroid_is_fraction_mean(dim, bound):
 @pytest.mark.parametrize("bound", [3, 10 ** 12])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_hnormalize_is_idempotent(dim, bound):
+    # a homogeneous point is normalized by primitive(p, p[-1])
+    def hnormalize(p):
+        return primitive(p, p[-1])
+
     for rng in streams(dim, bound):
         p = rand_point(rng, dim, bound)
         k = rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)

@@ -9,7 +9,6 @@ from scissors.geom import (
     Polytope,
     Simplex,
     SimplexChain,
-    canon_plane,
     make_point,
     predicates as hp,
     simplex,
@@ -34,6 +33,7 @@ from scissors.geom.refine import (
     _ScalarBackend,
     _refine_cell,
 )
+from scissors.linalg import primitive
 from scissors.rng import SplitMix64
 from scissors.suites import (
     random_box_corners,
@@ -234,9 +234,9 @@ def _oracle_pieces(cells, B):
         planes = {}
         for _, pts in cells:
             for i in range(len(pts)):
-                canon = canon_plane(hp.hyperplane(pts[:i] + pts[i + 1:]))
-                if canon is not None:
-                    planes.setdefault(canon)
+                func = hp.hyperplane(pts[:i] + pts[i + 1:])
+                if any(func):
+                    planes.setdefault(primitive(func))
         planes = list(planes)
     else:
         planes = B.planes([pts for _, pts in cells])
