@@ -181,14 +181,6 @@ def _two_cos_minpoly(n: int) -> tuple:
     return poly
 
 
-def _minpoly_of_double(cos_scalar) -> tuple:
-    """Minimal polynomial (constant first, primitive, lc>0) of 2·cos."""
-    x2 = as_scalar(cos_scalar) * 2
-    if isinstance(x2, Fraction):
-        return (-x2.numerator, x2.denominator)
-    return x2.minpoly()
-
-
 def is_rational_angle(pair: AnglePair):
     """Return q = θ/π ∈ ℚ ∩ [0,1] when θ is a rational multiple of π, else None.
 

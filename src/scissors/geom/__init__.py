@@ -193,16 +193,18 @@ class VertexTable:
     A point added as None with a rational key is built from the key, as
     `Fraction`s, on first use (`point`).  A table only grows, so an id,
     once given, stays valid; chains derived from one another share their
-    table.
+    table, and `memo` keeps what is derived from its ids for all of them
+    (the subdivision of `homology.simplicial`).
     """
 
-    __slots__ = ("points", "keys", "hashes", "index")
+    __slots__ = ("points", "keys", "hashes", "index", "memo")
 
     def __init__(self):
         self.points = []
         self.keys = []
         self.hashes = []
         self.index = {}  # vertex_key -> id
+        self.memo = {}
 
     def add(self, p, k=None, h=None) -> int:
         """The id of point p, whose vertex_key k and its hash h are computed
@@ -223,6 +225,16 @@ class VertexTable:
             p = self.points[i] = tuple([Fraction(n, d)
                                         for n, d in self.keys[i]])
         return p
+
+    def homog(self, i):
+        """Point i in integer homogeneous coordinates (to_homog), built
+        from its rational key; None when a coordinate is irrational."""
+        k = self.keys[i]
+        # an irrational coordinate keys as ("a", minimal polynomial, index)
+        if not all(type(c[0]) is int for c in k):
+            return None
+        den = lcm(*[q for _, q in k])
+        return tuple([n * (den // q) for n, q in k]) + (den,)
 
 
 class SimplexChain:
@@ -451,9 +463,10 @@ class Polytope:
             if k in keys:
                 raise InvalidPolytope("repeated cell")
             keys.add(k)
-        for i in range(len(simps)):
-            for j in range(i + 1, len(simps)):
-                if _interiors_intersect(simps[i], simps[j]):
+        cells = _sat_cells(self.chain)
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                if _interiors_intersect(cells[i], cells[j], self.dim):
                     raise InvalidPolytope(
                         f"cells {i} and {j} have overlapping interiors")
         if self.dim >= 2:
@@ -470,10 +483,24 @@ class Polytope:
 
 # -- pairwise interior disjointness via exact SAT -----------------------------
 
+def _sat_cells(chain: SimplexChain) -> list:
+    """The vertex tuple of each term of the chain, for SAT: a rational
+    chain scaled once by the lcm of its vertex weights, so every point is
+    integer, and otherwise the points themselves."""
+    t = chain.table
+    points = [t.homog(i) for i in range(len(t.keys))]
+    if None in points:
+        points = [t.point(i) for i in range(len(t.keys))]
+    else:
+        w = lcm(*[h[-1] for h in points])
+        points = [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points]
+    return [tuple([points[i] for i in ids]) for _, ids in chain.ids]
+
+
 def _axis_interval(points, axis):
     lo = hi = None
     for p in points:
-        v = sum((a * c for a, c in zip(axis, p)), start=Fraction(0))
+        v = sum(a * c for a, c in zip(axis, p))
         if lo is None:
             lo = hi = v
         else:
@@ -504,7 +531,7 @@ def _sat_axes(pa, pb, dim):
     """The candidate separating axes of two cells, one at a time: the facet
     normals of each, then in E³ the cross products of their edges."""
     if dim == 1:
-        yield (Fraction(1),)
+        yield (1,)
     elif dim == 2:
         for pts in (pa, pb):
             for i in range(3):
@@ -522,11 +549,11 @@ def _sat_axes(pa, pb, dim):
                 yield _cross3(u, v)
 
 
-def _interiors_intersect(sa: Simplex, sb: Simplex) -> bool:
-    """Exact SAT on convex cells: no weak separating axis <=> interiors meet.
-    Stops at the first separating axis, without building the rest."""
-    pa, pb = sa.vertices, sb.vertices
-    for axis in _sat_axes(pa, pb, sa.dim_ambient):
+def _interiors_intersect(pa, pb, dim) -> bool:
+    """Exact SAT on the convex cells with vertices pa and pb: no weak
+    separating axis <=> interiors meet.  Stops at the first separating
+    axis, without building the rest."""
+    for axis in _sat_axes(pa, pb, dim):
         if all(scalar_sign(a) == 0 for a in axis):
             continue
         if _separated_on(axis, pa, pb):

@@ -1,23 +1,32 @@
 """Exact common refinement of simplex chains against facet hyperplanes.
 
-Every cell of a chain is split by every facet hyperplane of the chain, one
-plane after another.  The pieces of a cell are tuples of indices into one
-vertex table: the cell's integer homogeneous vertices (converted once per
-simplex), followed by the cut points made so far.  For each plane every
-vertex of the table is evaluated once.  A piece that strictly straddles the
-plane is cut at its first crossing edge, and the two halves are split in
-turn until every piece lies weakly on one side (each cut removes at least
-one crossing pair).  A cut point lies on its plane, so it carries the value
-0 there, and an edge cut by a plane is cut once for all pieces that share
-it.  When no vertex of the table lies strictly on both sides of a plane, no
-piece crosses it, and every piece takes that side at once.
+The refinement works on the reduced chain's vertex ids.  Each vertex the
+chain uses gets its backend point once: integer homogeneous coordinates,
+built from the table's (num, den) keys, when every vertex is rational, and
+otherwise its coordinates with weight 1 for the generic-scalar backend.
+Cells are oriented and flipped as id tuples, and the facet planes come from
+their id facets, each vertex set once.  Every plane is then evaluated once
+at every vertex.
+
+A convex cell that lies weakly on one side of a plane has no piece or cut
+point across it.  So a cell is split only by the planes whose signs on its
+own vertices are strictly mixed; every other plane sets its bit in the
+cell's base mask (when a vertex of the cell lies on its + side), which every
+piece of the cell carries.  The pieces of a cell are tuples of indices into
+one vertex table: the cell's vertices, followed by the cut points made so
+far.  For each crossing plane only the cut points are evaluated, as the
+cell's own vertices carry their values already.  A piece that strictly
+straddles the plane is cut at its first crossing edge, and the two halves
+are split in turn until every piece lies weakly on one side (each cut
+removes at least one crossing pair).  A cut point lies on its plane, so it
+carries the value 0 there, and an edge cut by a plane is cut once for all
+pieces that share it.
 
 The split records each piece's strict side of every plane.  A cell is an
 intersection of half-spaces of those planes, so the side vectors of its
 pieces are exactly the arrangement regions inside it.  The chain's signed
 measure is zero iff, for every region, the coefficients of the cells that
-hold it sum to zero.  Rational inputs run on the integer homogeneous kernel;
-other exact scalars take the same loop through the generic backend.
+hold it sum to zero.
 """
 
 import os
@@ -27,11 +36,11 @@ from ..algebraic import scalar_sign
 from ..errors import ParseError, RefinementTooLarge
 from ..linalg import primitive
 from . import (
+    DimensionMismatch,
     Polytope,
-    Simplex,
     SimplexChain,
-    _flip_last_two,
-    orientation_sign,
+    VertexTable,
+    _swap_last_two,
 )
 from . import predicates as hp
 
@@ -61,26 +70,20 @@ class _HomogBackend:
     def __init__(self, dim: int):
         self.dim = dim
 
-    def from_simplex(self, s: Simplex):
-        return s.homog()
+    @staticmethod
+    def point(table, i):
+        return table.homog(i)
 
     @staticmethod
-    def planes(cells):
-        """Distinct facet planes of the cells, each in canonical form."""
+    def planes(facets):
+        """(canonical functional, index of the first facet on it) per
+        distinct plane spanned by the facets."""
         out = {}
-        seen = set()
-        for pts in cells:
-            for i in range(len(pts)):
-                facet = pts[:i] + pts[i + 1:]
-                # a facet that cells share spans one plane: take it once
-                key = frozenset(facet)
-                if key in seen:
-                    continue
-                seen.add(key)
-                func = hp.hyperplane(facet)
-                if any(func):
-                    out.setdefault(primitive(func))
-        return list(out)
+        for k, pts in enumerate(facets):
+            func = hp.hyperplane(pts)
+            if any(func):
+                out.setdefault(primitive(func), k)
+        return list(out.items())
 
     @staticmethod
     def apply(func, p):
@@ -101,20 +104,21 @@ class _ScalarBackend:
     def __init__(self, dim: int):
         self.dim = dim
 
-    def from_simplex(self, s: Simplex):
-        return tuple(v + (Fraction(1),) for v in s.vertices)
+    @staticmethod
+    def point(table, i):
+        return table.point(i) + (Fraction(1),)
 
     @staticmethod
-    def planes(cells):
-        """Facet planes of the cells, one per class of proportional ones."""
+    def planes(facets):
+        """(functional, index of the first facet on it), one per class of
+        proportional facet functionals."""
         out = []
-        for pts in cells:
-            for i in range(len(pts)):
-                # the kernel's cofactor formula is exact on any scalars
-                func = hp.hyperplane(pts[:i] + pts[i + 1:])
-                if (any(scalar_sign(c) != 0 for c in func)
-                        and not any(_proportional(func, g) for g in out)):
-                    out.append(func)
+        for k, pts in enumerate(facets):
+            # the kernel's cofactor formula is exact on any scalars
+            func = hp.hyperplane(pts)
+            if (any(scalar_sign(c) != 0 for c in func)
+                    and not any(_proportional(func, g) for g, _ in out)):
+                out.append((func, k))
         return out
 
     @staticmethod
@@ -148,17 +152,18 @@ def _proportional(f, g) -> bool:
 
 # -- the splitting engine -------------------------------------------------------
 
-def _split_by_plane(frontier, table, func, bit, B):
+def _split_by_plane(frontier, table, func, bit, B, known=()):
     """Split every (piece, mask) of `frontier` by the plane `func`.
 
     A piece is a tuple of indices into `table`, the vertex list it shares
-    with the other pieces of its cell.  Each vertex is evaluated once; a cut
-    point lies on the plane, so it carries the value 0 and is appended to
-    `table` once per cut edge.  A piece that still straddles the plane is
-    cut at its first strictly crossing edge, and the two sub-pieces follow
-    it in the frontier.  Returns the new frontier, whose masks carry each
-    piece's strict side of the plane in `bit`."""
-    vals = [B.apply(func, p) for p in table]
+    with the other pieces of its cell.  `known` holds the plane's values at
+    the first vertices of the table; every other vertex is evaluated here,
+    once.  A cut point lies on the plane, so it carries the value 0 and is
+    appended to `table` once per cut edge.  A piece that still straddles
+    the plane is cut at its first strictly crossing edge, and the two
+    sub-pieces follow it in the frontier.  Returns the new frontier, whose
+    masks carry each piece's strict side of the plane in `bit`."""
+    vals = [*known, *(B.apply(func, p) for p in table[len(known):])]
     signs = [B.sign(v) for v in vals]
     if 1 not in signs or -1 not in signs:
         # the pieces' vertices all come from the table, so no piece
@@ -205,23 +210,49 @@ def split_simplex(pts, func, B, sides=None):
     return [tuple(table[v] for v in piece) for piece, _ in frontier]
 
 
-def _normalized_terms(chain: SimplexChain):
-    """(coeff·ε, positively oriented simplex) per nondegenerate top cell."""
-    terms = []
-    for c, s in chain.reduce():
-        sgn = orientation_sign(s)
-        if sgn == 0:
-            continue
-        if sgn < 0:
-            s, c = _flip_last_two(s), -c
-        terms.append((c, s))
-    return terms
+def _oriented_cells(chain: SimplexChain):
+    """(cells, points, B) for the nondegenerate top cells of the reduced
+    chain: `cells` holds (coefficient·ε, vertex tuple) per cell, ordered
+    positively, whose vertices index `points`, the backend point of each
+    vertex id the chain uses."""
+    dim = chain.dim_ambient
+    terms = chain.reduce().ids
+    local = {}
+    for _, t in terms:
+        if len(t) != dim + 1:
+            raise DimensionMismatch("orientation needs a top simplex")
+        for v in t:
+            local.setdefault(v, len(local))
+    table = chain.table
+    B = _HomogBackend(dim)
+    points = [B.point(table, v) for v in local]
+    if None in points:
+        B = _ScalarBackend(dim)
+        points = [B.point(table, v) for v in local]
+    cells = []
+    for c, t in terms:
+        t = tuple([local[v] for v in t])
+        # the weight column first: the sign of det(p₁ − p₀, …, p_n − p₀)
+        sgn = B.sign(hp.hdet([[points[v][-1], *points[v][:-1]] for v in t]))
+        if sgn:
+            cells.append((c, t) if sgn > 0 else (-c, _swap_last_two(t)))
+    return cells, points, B
 
 
-def _backend_for(terms, dim):
-    if all(s.homog() is not None for _, s in terms):
-        return _HomogBackend(dim)
-    return _ScalarBackend(dim)
+def _planes(cells, points, B):
+    """(functional, vertices of its first facet) per distinct facet plane
+    of the cells, each facet's vertex set taken once."""
+    seen = set()
+    facets = []
+    for _, t in cells:
+        for i in range(len(t)):
+            f = t[:i] + t[i + 1:]
+            key = frozenset(f)
+            if key not in seen:
+                seen.add(key)
+                facets.append(f)
+    return [(func, facets[k]) for func, k in
+            B.planes([tuple([points[v] for v in f]) for f in facets])]
 
 
 def refinement_pieces(chain: SimplexChain, cap=None):
@@ -232,30 +263,58 @@ def refinement_pieces(chain: SimplexChain, cap=None):
     a piece of cell k, where bit p of `sides` is set when the piece lies on
     the positive side of the p-th plane.  No piece meets a plane in its
     interior, so `sides` names the region of the plane arrangement that
-    holds the piece."""
-    terms = _normalized_terms(chain)
-    if not terms:
+    holds the piece.
+
+    Each plane is evaluated once at each vertex of the chain.  A plane
+    whose signs on a cell's vertices are not strictly mixed leaves the cell
+    whole: its bit is set in every piece of the cell when some vertex of
+    the cell lies on its positive side."""
+    cells, points, B = _oriented_cells(chain)
+    if not cells:
         return [], [], None
-    B = _backend_for(terms, chain.dim_ambient)
-    cells = [(c, B.from_simplex(s)) for c, s in terms]
-    planes = B.planes([pts for _, pts in cells])
+    planes = _planes(cells, points, B)
     cap = cap if cap is not None else cell_cap()
+    vals = []
+    pos = []  # per plane, the vertices on its positive side as a bit set
+    neg = []
+    for func, facet in planes:
+        # the plane passes through the vertices of its facet
+        row = [0 if v in facet else B.apply(func, p)
+               for v, p in enumerate(points)]
+        sg = [B.sign(x) for x in row]
+        vals.append(row)
+        pos.append(sum(1 << v for v, s in enumerate(sg) if s > 0))
+        neg.append(sum(1 << v for v, s in enumerate(sg) if s < 0))
     pieces = []
-    for k, (_, pts) in enumerate(cells):
-        _, frontier = _refine_cell(pts, planes, B, cap, len(pieces))
+    for k, (_, t) in enumerate(cells):
+        here = sum(1 << v for v in t)
+        base = 0
+        crossing = []
+        for bit, (func, _) in enumerate(planes):
+            if pos[bit] & here:
+                if neg[bit] & here:
+                    crossing.append((bit, func, [vals[bit][v] for v in t]))
+                else:
+                    base |= 1 << bit
+        _, frontier = _refine_cell([points[v] for v in t], crossing, base, B,
+                                   cap, len(pieces))
         pieces.extend((k, mask) for _, mask in frontier)
-    return pieces, cells, B
+    return pieces, [(c, tuple([points[v] for v in t])) for c, t in cells], B
 
 
-def _refine_cell(pts, planes, B, cap, done):
-    """(table, frontier): the cell `pts` split by every plane, each piece
-    a tuple of indices into the vertex table with its side mask.  Raises
+def _refine_cell(pts, crossing, base, B, cap, done):
+    """(table, frontier): the cell `pts` split by the planes `crossing`,
+    each (bit, functional, its values at `pts`), every piece a tuple of
+    indices into the vertex table with its side mask over `base`, the
+    sides of the planes that do not cross the cell.  Raises
     RefinementTooLarge once the pieces, with `done` found before, pass
     `cap`."""
     table = list(pts)
-    frontier = [(tuple(range(len(table))), 0)]
-    for bit, func in enumerate(planes):
-        frontier = _split_by_plane(frontier, table, func, bit, B)
+    frontier = [(tuple(range(len(table))), base)]
+    if done + 1 > cap:
+        raise RefinementTooLarge(f"refinement exceeded {cap} cells")
+    for bit, func, known in crossing:
+        frontier = _split_by_plane(frontier, table, func, bit, B, known)
         if len(frontier) + done > cap:
             raise RefinementTooLarge(f"refinement exceeded {cap} cells")
     return table, frontier
@@ -303,16 +362,23 @@ def verify_dissection(whole: Polytope, parts, cap=None) -> bool:
 
 
 def phi_boundary_chain(points, dim: int) -> SimplexChain:
-    """The signed facet chain Σ (−1)^i [p₀ … p̂ᵢ … p_{dim+1}] of dim+2 points.
+    """The signed facet chain Σ (−1)^i [p₀ … p̂ᵢ … p_{dim+1}] of dim+2 points,
+    on one vertex table that holds each point once.
 
     Flat faces are kept: they have measure zero, and the refinement drops
-    them when it orients the cells (`_normalized_terms`)."""
+    them when it orients the cells (`_oriented_cells`)."""
     points = tuple(points)
     if len(points) != dim + 2:
         raise ValueError(f"need {dim + 2} points in E{dim}")
-    return SimplexChain(dim, [((-1) ** i,
-                               Simplex(dim, points[:i] + points[i + 1:]))
-                              for i in range(len(points))])
+    if dim not in (1, 2, 3):
+        raise DimensionMismatch("ambient dimension must be 1, 2 or 3")
+    if any(len(p) != dim for p in points):
+        raise DimensionMismatch("vertex dimension mismatch")
+    table = VertexTable()
+    ids = tuple([table.add(p) for p in points])
+    return SimplexChain.from_ids(dim, table,
+                                 [((-1) ** i, ids[:i] + ids[i + 1:])
+                                  for i in range(len(ids))])
 
 
 def phi_boundary_check(points, dim: int, cap=None) -> bool:

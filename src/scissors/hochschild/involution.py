@@ -231,10 +231,6 @@ def wedge_rank_of_minus(A: FiniteDimAlgebra) -> int:
 
 # -- spin action ------------------------------------------------------------------
 
-def quat_mul(A: FiniteDimAlgebra, u: dict, v: dict) -> dict:
-    return A.mul_vec(u, v)
-
-
 def quat_conj(A: FiniteDimAlgebra, u: dict) -> dict:
     return conj_vector(A, u)
 

@@ -182,10 +182,6 @@ class ChainComplex:
         return {k: self.homology(k) for k in self.degrees()}
 
 
-def homology_of(c: ChainComplex, k: int) -> HomologyResult:
-    return c.homology(k)
-
-
 class DoubleComplex:
     """Bigraded modules with horizontal/vertical differentials.
 

@@ -47,13 +47,18 @@ class FilteredTupleComplex:
         self.basis = {}   # degree -> list of index tuples
         self.index = {}   # degree -> {tuple: position}
         self.level = {}   # index tuple -> span dimension
+        spans = {}        # the span depends only on the set of points
         for k in range(max_degree + 1):
             tuples = list(product(range(n), repeat=k + 1))
             self.basis[k] = tuples
             self.index[k] = {t: i for i, t in enumerate(tuples)}
             for t in tuples:
-                self.level[t] = affine_span_dim(
-                    [self.points[i] for i in set(t)])
+                s = frozenset(t)
+                d = spans.get(s)
+                if d is None:
+                    d = spans[s] = affine_span_dim(
+                        [self.points[i] for i in s])
+                self.level[t] = d
 
     def chain_complex(self) -> ChainComplex:
         ranks = {k: len(self.basis[k]) for k in self.basis}
@@ -106,8 +111,8 @@ def _accumulate(out, chain, image):
 
 
 class _Subdivision:
-    """sd and the homotopy H on ordered vertex-id tuples over the vertex
-    table of the chain they subdivide.
+    """sd and the homotopy H on ordered vertex-id tuples over one vertex
+    table, shared by every chain on it (`of`).
 
     A barycenter is interned by the multiset of ids it averages, then by
     its vertex key, so equal points always share an id and id-tuple chains
@@ -116,20 +121,33 @@ class _Subdivision:
     in ints over their lcm and reduced by one gcd, so it keys exactly as
     the `Fraction` mean would; a coordinate with an irrational term is the
     scalar mean.  sd(τ) and H(τ) of each ordered face τ are computed once
-    per call.
+    per table, so sd^r(c), H_r(c) and H_r(∂c) share their faces' images.
     """
 
-    def __init__(self, chain: SimplexChain):
-        self.table = table = chain.table
-        # rational coordinates key as (num, den), irrational ones as
-        # ("a", minimal polynomial, root index); barycenters of rational
-        # points are rational
-        self.rational = all(type(c[0]) is int
-                            for i in {i for _, t in chain.ids for i in t}
-                            for c in table.keys[i])
+    def __init__(self, table):
+        self.table = table
+        self.rational = True  # every point of the table so far
+        self._checked = 0
         self._bary = {}
         self._sd = {}
         self._h = {}
+
+    @classmethod
+    def of(cls, chain: SimplexChain) -> "_Subdivision":
+        """The subdivision of the chain's table, made on first use."""
+        sub = chain.table.memo.get("sd")
+        if sub is None:
+            sub = chain.table.memo["sd"] = cls(chain.table)
+        # other chains may have added points since the last call; rational
+        # coordinates key as (num, den), irrational ones as ("a", minimal
+        # polynomial, root index), and barycenters of rational points are
+        # rational
+        keys = sub.table.keys
+        if sub.rational:
+            sub.rational = all(type(c[0]) is int
+                               for k in keys[sub._checked:] for c in k)
+        sub._checked = len(keys)
+        return sub
 
     def _barycenter(self, t) -> int:
         key = tuple(sorted(t))
@@ -207,7 +225,7 @@ def barycentric_sd(chain: SimplexChain) -> SimplexChain:
 def sd_power(chain: SimplexChain, rounds: int) -> SimplexChain:
     """sd^r of the chain, on its vertex table with the new barycenters."""
     _check_rounds(rounds)
-    sub = _Subdivision(chain)
+    sub = _Subdivision.of(chain)
     terms = {t: c for c, t in chain.reduce().ids}
     for _ in range(rounds):
         terms = _accumulate({}, terms, sub.sd)
@@ -217,7 +235,7 @@ def sd_power(chain: SimplexChain, rounds: int) -> SimplexChain:
 def subdivision_homotopy(chain: SimplexChain, rounds: int) -> SimplexChain:
     """H_r = Σ_{i<r} H∘sd^i, satisfying ∂H_r + H_r∂ = sd^r − id exactly."""
     _check_rounds(rounds)
-    sub = _Subdivision(chain)
+    sub = _Subdivision.of(chain)
     terms = {t: c for c, t in chain.reduce().ids}
     total = {}
     for i in range(rounds):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -318,9 +319,13 @@ def test_overlap_check_stops_early_with_the_same_verdict():
                                    ("random", other, None)):
                 assert list(_sat_axes(pa, pb, dim)) == \
                     _all_axes_reference(pa, pb, dim)
-                got = _interiors_intersect(Simplex(dim, pa),
-                                           Simplex(dim, pb))
+                got = _interiors_intersect(pa, pb, dim)
                 assert got == _overlap_reference(pa, pb, dim), (kind, pa, pb)
+                # the integer points of validate: both cells scaled by one w
+                w = lcm(*(c.denominator for p in pa + pb for c in p))
+                assert _interiors_intersect(
+                    *(tuple(tuple(int(c * w) for c in p) for p in pts)
+                      for pts in (pa, pb)), dim) == got, (kind, pa, pb)
                 assert want is None or got == want, (kind, pa, pb)
                 verdicts.setdefault((dim, kind), set()).add(got)
     # the seeded translations and random pairs hit both verdicts

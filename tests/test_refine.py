@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -21,6 +22,7 @@ from scissors.geom.convex import (
     transformed,
     unit_cube,
 )
+from scissors.geom import refine
 from scissors.geom.refine import (
     chain_covers_once,
     chain_vanishes,
@@ -227,9 +229,13 @@ def _oracle_split(pts, func, B, out, sides):
     sides.append(1 in signs)
 
 
-def _oracle_pieces(cells, B):
-    """(k, sides) per piece: every piece of every cell split by every facet
-    plane in turn, the planes taken from every facet of every cell."""
+def _facets(cells):
+    return [pts[:i] + pts[i + 1:] for _, pts in cells
+            for i in range(len(pts))]
+
+
+def _oracle_planes(cells, B):
+    """The planes of every facet of every cell, in order, each once."""
     if isinstance(B, _HomogBackend):
         planes = {}
         for _, pts in cells:
@@ -237,9 +243,14 @@ def _oracle_pieces(cells, B):
                 func = hp.hyperplane(pts[:i] + pts[i + 1:])
                 if any(func):
                     planes.setdefault(primitive(func))
-        planes = list(planes)
-    else:
-        planes = B.planes([pts for _, pts in cells])
+        return list(planes)
+    return [func for func, _ in B.planes(_facets(cells))]
+
+
+def _oracle_pieces(cells, B):
+    """(k, sides) per piece: every piece of every cell split by every facet
+    plane in turn, the planes taken from every facet of every cell."""
+    planes = _oracle_planes(cells, B)
     pieces = []
     for k, (_, pts) in enumerate(cells):
         frontier = [(tuple(pts), 0)]
@@ -284,10 +295,21 @@ def test_refinement_pieces_match_recursive_splitter():
         backends.add(type(B))
         want, planes = _oracle_pieces(cells, B)
         assert pieces == want
-        assert B.planes([pts for _, pts in cells]) == planes
+        assert [func for func, _ in B.planes(_facets(cells))] == planes
         done = 0
         for k, (_, pts) in enumerate(cells):
-            table, frontier = _refine_cell(pts, planes, B, len(pieces), done)
+            # the planes strictly mixed on the cell's vertices split it;
+            # every other one gives all its pieces one side
+            crossing, base = [], 0
+            for bit, func in enumerate(planes):
+                vals = [B.apply(func, p) for p in pts]
+                signs = {B.sign(v) for v in vals}
+                if {1, -1} <= signs:
+                    crossing.append((bit, func, vals))
+                elif 1 in signs:
+                    base |= 1 << bit
+            table, frontier = _refine_cell(pts, crossing, base, B,
+                                           len(pieces), done)
             assert [(k, m) for _, m in frontier] == \
                 pieces[done:done + len(frontier)]
             done += len(frontier)
@@ -316,3 +338,75 @@ def test_refinement_cap_counts_every_piece(monkeypatch):
     monkeypatch.setenv("SCISSORS_CELL_CAP", str(total - 1))
     with pytest.raises(RefinementTooLarge):
         refinement_pieces(chain)
+
+
+def test_only_planes_mixed_on_a_cell_split_it(monkeypatch):
+    # a convex cell weakly on one side of a plane has no piece that
+    # crosses it, so only strictly mixed (cell, plane) pairs are split
+    calls = Counter()
+    split = refine._split_by_plane
+
+    def counted(frontier, table, func, bit, B, known=()):
+        calls[tuple(table[:len(known)]), bit] += 1
+        return split(frontier, table, func, bit, B, known)
+
+    monkeypatch.setattr(refine, "_split_by_plane", counted)
+    pairs = crossing = 0
+    for chain in _refinement_chains():
+        calls.clear()
+        _, cells, B = refinement_pieces(chain)
+        planes = _oracle_planes(cells, B)
+        want = Counter()
+        for _, pts in cells:
+            for bit, func in enumerate(planes):
+                signs = {B.sign(B.apply(func, p)) for p in pts}
+                if {1, -1} <= signs:
+                    want[pts, bit] += 1
+        assert calls == want
+        pairs += len(cells) * len(planes)
+        crossing += sum(want.values())
+    assert 0 < crossing < pairs
+
+
+def _isometry(rng, dim):
+    """A seeded signed permutation of the axes and a rational translation,
+    with the sign of its determinant."""
+    perm = rng.choice(list(permutations(range(dim))))
+    signs = [rng.choice((-1, 1)) for _ in range(dim)]
+    shift = [rng.fraction(5, 4) for _ in range(dim)]
+    det = 1
+    for i in range(dim):
+        det *= signs[i]
+        for j in range(i + 1, dim):
+            if perm[i] > perm[j]:
+                det = -det
+
+    def move(p):
+        return tuple(signs[i] * p[perm[i]] + shift[i] for i in range(dim))
+    return move, det
+
+
+def _tallies(chain):
+    return sorted(refine._coverage(chain, None))
+
+
+def test_vanishing_and_tallies_survive_isometry_and_cell_order():
+    # a motion maps the arrangement onto the moved one, region for region;
+    # one that reverses orientation negates the signed measure
+    rng = SplitMix64.stream(6060, 0)
+    verdicts = set()
+    for chain in _refinement_chains():
+        dim = chain.dim_ambient
+        for ch in (chain, _negate_first(chain)):
+            vanishes, tallies = chain_vanishes(ch), _tallies(ch)
+            verdicts.add(vanishes)
+            move, det = _isometry(rng, dim)
+            moved = SimplexChain(dim, [
+                (c, Simplex(dim, tuple(map(move, s.vertices))))
+                for c, s in ch])
+            assert chain_vanishes(moved) == vanishes
+            assert _tallies(moved) == sorted(det * t for t in tallies)
+            reversed_cells = SimplexChain(dim, list(ch)[::-1])
+            assert chain_vanishes(reversed_cells) == vanishes
+            assert _tallies(reversed_cells) == tallies
+    assert verdicts == {True, False}

@@ -360,3 +360,21 @@ def test_triangle_circle():
     cx = ChainComplex(ranks, {1: mat})
     assert cx.homology(0).betti == 1
     assert cx.homology(1).betti == 1
+
+
+def test_subdivision_shared_by_a_table_sees_later_irrational_points():
+    # sd(c), H(c) and H(∂c) share one subdivision of c's table; a chain
+    # added to c later puts an irrational vertex on that table, and the
+    # barycenters through it must still be the exact means
+    tri = SimplexChain(2, [(1, simplex(2, (0, 0), (1, 0), (0, 1)))])
+    lhs = boundary(subdivision_homotopy(tri, 2)) + \
+        subdivision_homotopy(boundary(tri), 2)
+    assert (lhs - (sd_power(tri, 2) - tri)).is_zero()
+    r = sqrt_nonneg(2)
+    both = tri + SimplexChain(2, [(1, simplex(2, (0, 0), (r, 0), (0, 1)))])
+    assert both.table is tri.table
+    for op in (sd_power, subdivision_homotopy):
+        shared = op(both, 2)
+        fresh = op(SimplexChain(2, list(both)), 2)
+        assert shared.table is tri.table
+        assert {s: c for c, s in shared} == {s: c for c, s in fresh}
