@@ -5,10 +5,11 @@ irrational).  Rational-only inputs run on the integer homogeneous predicate
 kernel; algebraic coordinates take the generic exact-scalar path through the
 same algorithms.
 
-A chain holds its terms as tuples of int vertex ids into one vertex table,
-where each point is interned once by its exact vertex_key; reduction,
-boundaries and sums cancel faces on those tuples, and Simplex objects are
-built only when the chain is iterated.
+A vertex is identified only by its int id in one vertex table, where each
+point is interned once by its exact vertex_key.  A chain's terms are tuples
+of ids, on which reduction, boundaries, boundary facets and dihedral edges
+work, from the JSON reader to the writer; Simplex objects are built only
+when a chain is iterated, and `VertexTable.ranks` orders ids by value.
 """
 
 import logging
@@ -18,7 +19,6 @@ from math import factorial, lcm
 
 from ..algebraic import (
     as_scalar,
-    scalar_key,
     scalar_sign,
     sqrt_nonneg,
 )
@@ -57,10 +57,6 @@ def make_point(coords) -> tuple:
     return tuple(as_scalar(c) for c in coords)
 
 
-def point_key(p) -> tuple:
-    return tuple(scalar_key(c) for c in p)
-
-
 def is_rational_point(p) -> bool:
     return all(isinstance(c, Fraction) for c in p)
 
@@ -90,7 +86,7 @@ def vertex_key(p) -> tuple:
 
     A rational coordinate is keyed by its (numerator, denominator) pair,
     which compares and hashes as ints, an irrational one by its scalar key.
-    Unlike point_key, it does not order points by value.
+    The keys do not order points by value: `VertexTable.ranks` does.
     """
     return tuple(map(_coord_id, p))
 
@@ -99,11 +95,13 @@ class Simplex:
     """Ordered vertex tuple, equal by its exact key (the tuple of its
     vertices' vertex_key) and hashed by the hashes of those keys.
 
-    The keys are computed once, on first use (an irrational coordinate's key
-    needs its root index); a chain's term built by `_keyed` inherits them
-    from the chain's vertex table, so no coordinate is keyed twice.  The
-    integer homogeneous vertices of a rational simplex are likewise
-    computed once, by `homog`.
+    A simplex is how points enter a chain and how a chain's terms are read
+    back; the chain itself, and everything computed from it, works on the
+    vertex ids of its table.  The keys are computed once, on first use (an
+    irrational coordinate's key needs its root index); a chain's term built
+    by `_keyed` inherits them from the chain's vertex table, so no
+    coordinate is keyed twice.  The integer homogeneous vertices of a
+    rational simplex are likewise computed once, by `homog`.
     """
 
     __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash",
@@ -188,13 +186,14 @@ def simplex(dim, *vertices) -> Simplex:
 
 class VertexTable:
     """Points with int ids, interned by their vertex_key: equal points share
-    one id, whatever scalar type gives their coordinates.
+    one id, whatever scalar type gives their coordinates.  The id is the
+    only identity of a vertex; `ranks` orders the ids by value.
 
     A point added as None with a rational key is built from the key, as
     `Fraction`s, on first use (`point`).  A table only grows, so an id,
     once given, stays valid; chains derived from one another share their
     table, and `memo` keeps what is derived from its ids for all of them
-    (the subdivision of `homology.simplicial`).
+    (the subdivision of `homology.simplicial`, the ranks).
     """
 
     __slots__ = ("points", "keys", "hashes", "index", "memo")
@@ -235,6 +234,21 @@ class VertexTable:
             return None
         den = lcm(*[q for _, q in k])
         return tuple([n * (den // q) for n, q in k]) + (den,)
+
+    def ranks(self) -> list:
+        """Each id's rank in the value order of the points: coordinate by
+        coordinate, a rational one as ("q", value) and an irrational one by
+        its scalar key (so before every rational).  Computed once for each
+        size of the table."""
+        r = self.memo.get("ranks")
+        if r is None or len(r) != len(self.keys):
+            order = sorted(range(len(self.keys)), key=lambda i: [
+                ("q", Fraction(*c)) if type(c[0]) is int else c
+                for c in self.keys[i]])
+            r = self.memo["ranks"] = [0] * len(order)
+            for rank, i in enumerate(order):
+                r[i] = rank
+        return r
 
 
 class SimplexChain:
@@ -324,12 +338,6 @@ class SimplexChain:
         return SimplexChain.from_ids(self.dim_ambient, self.table,
                                      [(c, t) for t, c in acc.items() if c])
 
-    def drop_degenerate_top(self) -> "SimplexChain":
-        """Remove top-dimensional terms of zero volume."""
-        ids = [term for term, (_, s) in zip(self.ids, self.terms)
-               if not (s.is_top() and orientation_sign(s) == 0)]
-        return SimplexChain.from_ids(self.dim_ambient, self.table, ids)
-
     def __add__(self, other):
         return SimplexChain.from_ids(self.dim_ambient, self.table,
                                      self.ids + self._ids_of(other)).reduce()
@@ -356,17 +364,16 @@ class SimplexChain:
 
 # -- volume and orientation ---------------------------------------------------
 
-def _edge_matrix(s: Simplex):
-    v0 = s.vertices[0]
-    return [[v[i] - v0[i] for i in range(s.dim_ambient)]
-            for v in s.vertices[1:]]
+def _edge_matrix(vertices):
+    v0 = vertices[0]
+    return [[v[i] - v0[i] for i in range(len(v0))] for v in vertices[1:]]
 
 
 def simplex_volume(s: Simplex):
     """Signed volume det(a₁-a₀, ..., a_n-a₀)/n! of a top simplex."""
     if not s.is_top():
         raise DimensionMismatch("volume needs a top-dimensional simplex")
-    det = hdet(_edge_matrix(s))
+    det = hdet(_edge_matrix(s.vertices))
     return det * Fraction(1, factorial(s.dim_ambient))
 
 
@@ -376,7 +383,7 @@ def orientation_sign(s: Simplex) -> int:
     h = s.homog()
     if h is not None:
         return hp.orient(h)
-    return scalar_sign(hdet(_edge_matrix(s)))
+    return scalar_sign(hdet(_edge_matrix(s.vertices)))
 
 
 def boundary(chain: SimplexChain) -> SimplexChain:
@@ -412,23 +419,35 @@ class Polytope:
 
     def __init__(self, chain: SimplexChain, name: str = "",
                  validate: bool = True, exact_strict: bool = False):
-        terms = []
-        for c, s in chain.reduce():
-            if not s.is_top():
+        dim, t = chain.dim_ambient, chain.table
+        # id on chain.table -> id on a table of the cells' vertices alone,
+        # numbered in order of first appearance
+        ids = {}
+        cells = []
+        for c, v in chain.reduce().ids:
+            if len(v) != dim + 1:
                 raise InvalidPolytope("polytope cells must be top simplices")
-            sgn = orientation_sign(s)
+            h = [t.homog(i) for i in v]
+            if None in h:
+                sgn = scalar_sign(hdet(_edge_matrix([t.point(i) for i in v])))
+            else:
+                sgn = hp.orient(h)
             if sgn == 0:
                 continue
             if sgn < 0:
                 log.debug("reordering negatively oriented cell")
-                s = _flip_last_two(s)
+                v = _swap_last_two(v)
             if c < 0:
                 raise InvalidPolytope("negative cell multiplicity")
-            terms.extend([(1, s)] * c)
-        if not terms:
+            cells.extend([(1, tuple([ids.setdefault(i, len(ids))
+                                     for i in v]))] * c)
+        if not cells:
             raise InvalidPolytope("empty polytope")
-        self.chain = SimplexChain(chain.dim_ambient, terms)
-        self.dim = chain.dim_ambient
+        table = VertexTable()
+        for i in ids:
+            table.add(t.points[i], t.keys[i], t.hashes[i])
+        self.chain = SimplexChain.from_ids(dim, table, cells)
+        self.dim = dim
         self.name = name
         self._facets = self._edges = None
         if validate:
@@ -438,9 +457,10 @@ class Polytope:
         return [s for _, s in self.chain]
 
     def facets(self):
-        """boundary_facets of the chain, computed on the first call."""
+        """The boundary facets as vertex-id tuples over the chain's table
+        (`_facet_ids`), computed on the first call."""
         if self._facets is None:
-            self._facets = boundary_facets(self.chain)
+            self._facets = _facet_ids(self.chain)
         return self._facets
 
     def edges(self):
@@ -456,13 +476,8 @@ class Polytope:
         return total
 
     def validate(self, exact_strict: bool = False) -> None:
-        simps = self.simplices()
-        keys = set()
-        for s in simps:
-            k = s.key()
-            if k in keys:
-                raise InvalidPolytope("repeated cell")
-            keys.add(k)
+        if len({v for _, v in self.chain.ids}) < len(self.chain.ids):
+            raise InvalidPolytope("repeated cell")
         cells = _sat_cells(self.chain)
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
@@ -563,73 +578,58 @@ def _interiors_intersect(pa, pb, dim) -> bool:
 
 # -- boundary surface extraction ----------------------------------------------
 
-def _perm_parity(keys) -> int:
-    """Parity sign of the permutation sorting the given distinct keys."""
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    visited = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if visited[i]:
-            continue
-        j, clen = i, 0
-        while not visited[j]:
-            visited[j] = True
-            j = order[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def _perm_parity(ranks) -> int:
+    """Sign of the permutation that sorts the distinct ints `ranks`."""
+    inversions = sum(a > b for i, a in enumerate(ranks) for b in ranks[i + 1:])
+    return -1 if inversions & 1 else 1
 
 
-def boundary_facets(chain: SimplexChain):
-    """Net oriented boundary facets of a top-dimensional chain.
-
-    Returns a list of facet vertex tuples (orientation induced from the
-    chain); raises NonManifoldBoundary / UnorientableBoundary if the result
-    is not a closed orientable hypersurface.
-    """
+def _facet_ids(chain: SimplexChain) -> list:
+    """Net oriented boundary facets of a top-dimensional chain as id tuples
+    sorted by rank, the last two swapped on a negative one; raises
+    NonManifoldBoundary / UnorientableBoundary unless they form a closed
+    orientable hypersurface."""
+    rank = chain.table.ranks()
+    by_rank = rank.__getitem__
     net = {}
-    rep = {}
-    for c, s in chain:
-        vs = s.vertices
-        for i in range(len(vs)):
-            face = vs[:i] + vs[i + 1:]
-            keys = [point_key(v) for v in face]
-            if len(set(keys)) != len(keys):
+    for c, v in chain.ids:
+        for i in range(len(v)):
+            face = v[:i] + v[i + 1:]
+            if len(set(face)) < len(face):
                 raise InvalidPolytope("degenerate facet in boundary")
-            order = sorted(range(len(keys)), key=lambda t: keys[t])
-            canon = tuple(face[t] for t in order)
-            k = tuple(keys[t] for t in order)
-            parity = _perm_parity(keys)
-            net[k] = net.get(k, 0) + c * (-1) ** i * parity
-            rep[k] = canon
+            canon = tuple(sorted(face, key=by_rank))
+            sign = _perm_parity(list(map(by_rank, face)))
+            net[canon] = net.get(canon, 0) + (-c if i % 2 else c) * sign
     facets = []
-    for k, m in net.items():
+    for f, m in net.items():
         if m == 0:
             continue
         if abs(m) != 1:
             raise NonManifoldBoundary(f"facet multiplicity {m}")
-        vs = rep[k]
-        if m < 0:
-            vs = _swap_last_two(vs)
-        facets.append(vs)
+        facets.append(_swap_last_two(f) if m < 0 else f)
     if not facets or len(facets[0]) < 2:
         return facets  # E¹: facets are points, no ridges to check
     # every ridge shared by exactly two facets, with opposite orientations
     ridge_dir = {}
-    for vs in facets:
-        for i in range(len(vs)):
-            sub = vs[:i] + vs[i + 1:]
-            keys = [point_key(v) for v in sub]
-            canon = tuple(sorted(keys))
-            parity = _perm_parity(keys) * (-1) ** i
-            ridge_dir.setdefault(canon, []).append(parity)
-    for canon, signs in ridge_dir.items():
+    for f in facets:
+        r = list(map(by_rank, f))
+        for i in range(len(r)):
+            sub = r[:i] + r[i + 1:]
+            ridge_dir.setdefault(tuple(sorted(sub)), []).append(
+                -_perm_parity(sub) if i % 2 else _perm_parity(sub))
+    for signs in ridge_dir.values():
         if len(signs) != 2:
             raise NonManifoldBoundary(f"ridge shared by {len(signs)} facets")
         if signs[0] + signs[1] != 0:
             raise UnorientableBoundary("inconsistent ridge orientations")
     return facets
+
+
+def boundary_facets(chain: SimplexChain):
+    """Net oriented boundary facets of a top-dimensional chain, as tuples
+    of points (orientation induced from the chain); see `_facet_ids`."""
+    point = chain.table.point
+    return [tuple(map(point, f)) for f in _facet_ids(chain)]
 
 
 # -- dihedral edges -------------------------------------------------------------
@@ -660,21 +660,22 @@ def dihedral_edges(p: Polytope):
     """Edge lengths and interior dihedral angles of a 3-polytope boundary."""
     if p.dim != 3:
         raise DimensionMismatch("dihedral edges need a 3-polytope")
-    facets = p.facets()
-    incident = {}
-    for vs in facets:
+    table = p.chain.table
+    rank = table.ranks()
+    incident = {}  # edge as its sorted rank pair -> [(a, b, opposite)]
+    for f in p.facets():
         for i in range(3):
-            a, b = vs[i], vs[(i + 1) % 3]
-            opp = vs[(i + 2) % 3]
-            ka, kb = point_key(a), point_key(b)
-            key = (ka, kb) if ka <= kb else (kb, ka)
-            incident.setdefault(key, []).append((a, b, opp))
+            a, b = f[i], f[(i + 1) % 3]
+            key = (rank[a], rank[b]) if rank[a] < rank[b] else \
+                (rank[b], rank[a])
+            incident.setdefault(key, []).append((a, b, f[(i + 2) % 3]))
     edges = []
     for key in sorted(incident):
         tris = incident[key]
         if len(tris) != 2:
             raise NonManifoldBoundary("edge not shared by exactly 2 facets")
-        (a1, b1, r1), (a2, b2, r2) = tris
+        (a1, b1, r1), (a2, b2, r2) = [tuple(map(table.point, tri))
+                                      for tri in tris]
         n1 = _cross3(_sub(b1, a1), _sub(r1, a1))
         n2 = _cross3(_sub(b2, a2), _sub(r2, a2))
         d = _sub(b1, a1)
@@ -711,19 +712,19 @@ def prism(polygon: Polytope, height) -> Polytope:
         raise GeometryError("prism height must be positive")
     tets = []
     zero = Fraction(0)
-    for _, tri in polygon.chain:
-        vs = sorted(tri.vertices, key=point_key)
+    table = polygon.chain.table
+    rank = table.ranks()
+    for _, tri in polygon.chain.ids:
+        vs = [table.point(i) for i in sorted(tri, key=rank.__getitem__)]
         b = [v + (zero,) for v in vs]
         t = [v + (h,) for v in vs]
         # monotone staircase along the global vertex order: neighbouring
-        # prisms agree on the diagonals of shared vertical quads
+        # prisms agree on the diagonals of shared vertical quads; Polytope
+        # orients the cells
         for tet in ((b[0], b[1], b[2], t[2]),
                     (b[0], b[1], t[1], t[2]),
                     (b[0], t[0], t[1], t[2])):
-            s = Simplex(3, tet)
-            if orientation_sign(s) < 0:
-                s = _flip_last_two(s)
-            tets.append((1, s))
+            tets.append((1, Simplex(3, tet)))
     return Polytope(SimplexChain(3, tets),
                     name=f"prism({polygon.name or 'polygon'})")
 
@@ -740,7 +741,7 @@ def _orientation_tests(s: Simplex, x):
     out = []
     for i in range(len(vs)):
         sub = Simplex(s.dim_ambient, vs[:i] + (x,) + vs[i + 1:])
-        out.append(scalar_sign(hdet(_edge_matrix(sub))))
+        out.append(scalar_sign(hdet(_edge_matrix(sub.vertices))))
     return out
 
 
@@ -766,7 +767,7 @@ def signed_indicator(chain: SimplexChain, x) -> int:
     """
     x = make_point(x)
     total = 0
-    for c, s in chain.drop_degenerate_top():
+    for c, s in chain:  # a degenerate cell contains no point
         if orientation_sign(s) < 0:
             s, c = _flip_last_two(s), -c
         if point_in_open_simplex(s, x):

@@ -16,10 +16,8 @@ from . import (
     Polytope,
     Simplex,
     SimplexChain,
-    _flip_last_two,
     from_homog,
     make_point,
-    orientation_sign,
     to_homog,
 )
 from . import predicates as hp
@@ -93,14 +91,10 @@ def _cycle_normal_agrees(probe, func) -> int:
 
 def _fan(dim, cycle, apex=()):
     """Cells fanning a convex cycle from its first vertex, each coned from
-    the apex vertices; degenerate cells are dropped, negative ones flipped."""
-    cells = []
-    for t in range(1, len(cycle) - 1):
-        s = Simplex(dim, apex + (cycle[0], cycle[t], cycle[t + 1]))
-        sgn = orientation_sign(s)
-        if sgn:
-            cells.append((1, s if sgn > 0 else _flip_last_two(s)))
-    return cells
+    the apex vertices; Polytope drops the degenerate ones and orients the
+    rest."""
+    return [(1, Simplex(dim, apex + (cycle[0], cycle[t], cycle[t + 1])))
+            for t in range(1, len(cycle) - 1)]
 
 
 def convex_polytope_3d(points, name: str = "") -> Polytope:
@@ -241,8 +235,6 @@ def unit_cube() -> Polytope:
 
 def tetrahedron(a, b, c, d, name: str = "tetra") -> Polytope:
     s = Simplex(3, tuple(make_point(p) for p in (a, b, c, d)))
-    if orientation_sign(s) < 0:
-        s = _flip_last_two(s)
     return Polytope(SimplexChain(3, [(1, s)]), name=name)
 
 

@@ -39,44 +39,51 @@ def _degree(key: str) -> int:
 
 def polytope_from_json(obj, validate: bool = True,
                        exact_strict: bool = False):
-    """{"dim": 1|2|3, "vertices": [[num,..],..], "cells": [[i,..],..]}
-    -> Polytope."""
+    """{"dim": 1|2|3, "vertices": [[num,..],..], "cells": [[i,..],..],
+    "name": str} -> Polytope, its vertices on one table (equal values
+    share one id) and its cells id tuples."""
     from .algebraic import lift
-    from .geom import Polytope, Simplex, SimplexChain
+    from .geom import Polytope, SimplexChain, VertexTable
 
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected an object, not {type(obj).__name__}")
         dim = _integer(obj["dim"], "dim", 1, 4)
         vertices = [tuple(parse_number(c) for c in v)
                     for v in obj["vertices"]]
+        for k, v in enumerate(vertices):
+            if len(v) != dim:
+                raise ValueError(f"vertex {k} has {len(v)} coordinates, "
+                                 f"not {dim}")
         cells = [[_integer(i, "cell index", 0, len(vertices)) for i in cell]
                  for cell in obj["cells"]]
+        name = obj.get("name", "")
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a string: {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad polytope JSON: {exc}") from exc
     # one number field for all of the polytope's literals
     flat = iter(lift([c for v in vertices for c in v]))
-    vertices = [tuple(next(flat) for _ in v) for v in vertices]
+    table = VertexTable()
+    ids = [table.add(tuple([next(flat) for _ in range(dim)]))
+           for _ in vertices]
     terms = []
     for cell in cells:
         if len(cell) != dim + 1:
             raise ParseError(f"cell {cell} is not a top simplex in E{dim}")
-        terms.append((1, Simplex(dim, tuple(vertices[i] for i in cell))))
-    return Polytope(SimplexChain(dim, terms), name=obj.get("name", ""),
+        terms.append((1, tuple([ids[i] for i in cell])))
+    return Polytope(SimplexChain.from_ids(dim, table, terms), name=name,
                     validate=validate, exact_strict=exact_strict)
 
 
 def polytope_to_json(p) -> dict:
-    verts = []
-    index = {}
-    cells = []
-    for _, s in p.chain:
-        cell = []
-        for v in s.vertices:
-            key = json.dumps([format_number(c) for c in v], sort_keys=True)
-            if key not in index:
-                index[key] = len(verts)
-                verts.append([format_number(c) for c in v])
-            cell.append(index[key])
-        cells.append(cell)
+    """The JSON of polytope_from_json, vertices numbered in order of first
+    appearance in the cells."""
+    table = p.chain.table
+    index = {}  # vertex id -> its number in the file
+    cells = [[index.setdefault(i, len(index)) for i in v]
+             for _, v in p.chain.ids]
+    verts = [[format_number(c) for c in table.point(i)] for i in index]
     out = {"dim": p.dim, "vertices": verts, "cells": cells}
     if p.name:
         out["name"] = p.name

@@ -29,7 +29,7 @@ radicand has its root read off a factor of m_r(t²).
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .linalg import det_small
+from .linalg import det_small, primitive
 
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
@@ -51,15 +51,6 @@ def _eval(f, x: Fraction) -> Fraction:
     for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def _primitive_pair(r, s):
-    """r and s divided by the gcd of all their coefficients (integer lists,
-    constant first), with trailing zeros of r dropped."""
-    while r and not r[-1]:
-        r.pop()
-    g = gcd(*r, *s)
-    return [c // g for c in r], [c // g for c in s]
 
 
 def _rational_sqrt(q):
@@ -183,7 +174,10 @@ class SimpleField:
         last remainder is a nonzero constant c, and u⁻¹ = s / c."""
         den = lcm(*(Fraction(c).denominator for c in u))
         r0, s0 = list(self.f), []
-        r1, s1 = _primitive_pair([int(c * den) for c in u], [den])
+        # den is prime to the content of u·den: (r1, s1) is primitive
+        r1, s1 = [int(c * den) for c in u], [den]
+        while r1 and not r1[-1]:
+            r1.pop()
         if not r1:
             raise ZeroDivisionError("inverse of zero in a number field")
         while len(r1) > 1:
@@ -198,7 +192,10 @@ class SimpleField:
                 for i, b in enumerate(s1):
                     s0[j + i] -= c * b
                 r0.pop()
-                r0, s0 = _primitive_pair(r0, s0)
+                while r0 and not r0[-1]:
+                    r0.pop()
+                rs = primitive(r0 + s0, 1)
+                r0, s0 = list(rs[:len(r0)]), list(rs[len(r0):])
             r0, s0, r1, s1 = r1, s1, r0, s0
         c = r1[0]
         return tuple(Fraction(s1[i], c) if i < len(s1) else Fraction(0)

@@ -57,6 +57,27 @@ def fixtures(tmp_path_factory):
     return root
 
 
+def _numbered_by_literals(p) -> dict:
+    """polytope_to_json with vertices numbered by the JSON text of their
+    formatted coordinates, in first-appearance order: the reference for
+    the numbering by vertex id."""
+    from scissors.numbers import format_number
+    verts, index, cells = [], {}, []
+    for _, s in p.chain:
+        cell = []
+        for v in s.vertices:
+            key = json.dumps([format_number(c) for c in v], sort_keys=True)
+            if key not in index:
+                index[key] = len(verts)
+                verts.append([format_number(c) for c in v])
+            cell.append(index[key])
+        cells.append(cell)
+    out = {"dim": p.dim, "vertices": verts, "cells": cells}
+    if p.name:
+        out["name"] = p.name
+    return out
+
+
 def test_polytope_round_trip(fixtures):
     obj = json.loads((fixtures / "cube.json").read_text())
     p = polytope_from_json(obj)
@@ -64,6 +85,21 @@ def test_polytope_round_trip(fixtures):
     obj2 = polytope_to_json(p)
     p2 = polytope_from_json(obj2)
     assert p2.volume() == 1
+    # each stock shape and a placed copy, read back: vertex ids number the
+    # vertices as the literal-keyed reference does
+    from scissors.geom import prism
+    from scissors.geom.convex import regular_hexagon
+    from scissors.rng import SplitMix64
+    vol1 = make_algebraic([-3, 0, 0, 8], (0, 1))
+    rng = SplitMix64.stream(909, 0)
+    for shape in (unit_cube(), regular_tetrahedron(),
+                  scaled_simplices(regular_tetrahedron(), vol1),
+                  regular_octahedron(), box((0, 0, 0), (1, 1, 2)),
+                  prism(regular_hexagon(1), 1)):
+        for poly in (shape, transformed(shape, *_placement(rng))):
+            back = polytope_from_json(polytope_to_json(poly))
+            assert json.dumps(polytope_to_json(back)) == \
+                json.dumps(_numbered_by_literals(back))
 
 
 def test_cli_polytope_info_cube(fixtures):
@@ -212,6 +248,13 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ("polytope-info", {"dim": 4, "vertices": TET, "cells": []}),
     ("polytope-info", {"dim": 3, "vertices": TET[:3] + [[0, 0, True]],
                        "cells": [[0, 1, 2, 3]]}),
+    # a vertex with too few coordinates, a name that is no string, and a
+    # top level that is no object
+    ("polytope-info", {"dim": 3, "vertices": TET[:3] + [[0, 0]],
+                       "cells": [[0, 1, 2, 3]]}),
+    ("polytope-info", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]],
+                       "name": 5}),
+    ("polytope-info", [{"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}]),
     ("homology", "--group", "Z/2", "--module",
      {"rank": 1, "action": {"0": [[1]], "1": [[1.5]]}}),
     ("homology", "--group", "Z/2", "--module",
@@ -741,3 +784,46 @@ def test_stock_shapes_keep_invariants_under_placement(tmp_path, capsys):
             report = run("compare", "--recheck", str(a), str(other))
             assert report["results"]["verdict"]["tag"] == "Congruent_DSJ"
             assert report["recheck"]["recheck_passed"]
+
+
+# `digest` of `polytope-info` on each stock shape, written by
+# polytope_to_json and read by a relative path: it covers the edge order and
+# endpoints, the Dehn terms and the certificates, and not `timing_ms`.  A
+# change that alters any of them on purpose re-records these values.
+STOCK_INFO_DIGESTS = {
+    "cube":
+        "e4b6faa3830cde0ad96e87dee7f59050de84a445625020a14738c0720118cc28",
+    "tetra":
+        "d39786c699d0ceade85b761205a4dd4337722b78054e5e8e22c57c6a2b5e8e42",
+    "tetra_vol1":
+        "659108306c3003f6c0ce5bd793746a6cd2f4468646e2fb29719208c34c012975",
+    "octa":
+        "a5dd0bbdf4fd13a255b06985bf9234ea6a25cb8cfb91779d46bddd4ad853e7de",
+    "box112":
+        "8bf89f0d5a45141ce2c6175402800734296e6e9929033289755374807acf8f83",
+    "prism_hex":
+        "67099ae22d7ecd8904c2dab146d9a4e1fb141e745a13b8e39777bf8d4cb3faf8",
+}
+
+
+def test_stock_shape_report_digests_are_pinned(tmp_path, monkeypatch, capsys):
+    from scissors.cli import main
+    from scissors.geom import prism
+    from scissors.geom.convex import regular_hexagon
+
+    vol1 = make_algebraic([-3, 0, 0, 8], (0, 1))
+    shapes = {"cube": unit_cube(), "tetra": regular_tetrahedron(),
+              "tetra_vol1": scaled_simplices(regular_tetrahedron(), vol1),
+              "octa": regular_octahedron(),
+              "box112": box((0, 0, 0), (1, 1, 2)),
+              "prism_hex": prism(regular_hexagon(1), 1)}
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, shape in shapes.items():
+        path = f"{name}.json"
+        (tmp_path / path).write_text(json.dumps(polytope_to_json(shape)))
+        assert main(["polytope-info", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert verify_report_digest(report)
+        digests[name] = report["digest"]
+    assert digests == STOCK_INFO_DIGESTS
