@@ -39,10 +39,6 @@ class NonManifoldBoundary(GeometryError):
     pass
 
 
-class UnorientableBoundary(GeometryError):
-    pass
-
-
 class PointOnBoundary(GeometryError):
     pass
 
@@ -587,8 +583,7 @@ def _perm_parity(ranks) -> int:
 def _facet_ids(chain: SimplexChain) -> list:
     """Net oriented boundary facets of a top-dimensional chain as id tuples
     sorted by rank, the last two swapped on a negative one; raises
-    NonManifoldBoundary / UnorientableBoundary unless they form a closed
-    orientable hypersurface."""
+    NonManifoldBoundary unless they form a closed manifold hypersurface."""
     rank = chain.table.ranks()
     by_rank = rank.__getitem__
     net = {}
@@ -609,19 +604,18 @@ def _facet_ids(chain: SimplexChain) -> list:
         facets.append(_swap_last_two(f) if m < 0 else f)
     if not facets or len(facets[0]) < 2:
         return facets  # E¹: facets are points, no ridges to check
-    # every ridge shared by exactly two facets, with opposite orientations
-    ridge_dir = {}
+    # ∂∂ = 0 cancels the signs at every ridge, so two facets that share a
+    # ridge always induce opposite orientations on it and only the count
+    # can fail: a ridge in four or more facets, as where two cells meet
+    # along it alone, is a pinch of the surface
+    ridges = {}
     for f in facets:
-        r = list(map(by_rank, f))
-        for i in range(len(r)):
-            sub = r[:i] + r[i + 1:]
-            ridge_dir.setdefault(tuple(sorted(sub)), []).append(
-                -_perm_parity(sub) if i % 2 else _perm_parity(sub))
-    for signs in ridge_dir.values():
-        if len(signs) != 2:
-            raise NonManifoldBoundary(f"ridge shared by {len(signs)} facets")
-        if signs[0] + signs[1] != 0:
-            raise UnorientableBoundary("inconsistent ridge orientations")
+        for i in range(len(f)):
+            r = frozenset(f[:i] + f[i + 1:])
+            ridges[r] = ridges.get(r, 0) + 1
+    for n in ridges.values():
+        if n != 2:
+            raise NonManifoldBoundary(f"ridge shared by {n} facets")
     return facets
 
 

@@ -2,86 +2,76 @@
 
 Points with rational coordinates are handled as integer homogeneous tuples
 (x_1, ..., x_n, w) with w > 0; all predicates are exact big-integer signs.
-The cofactor formulas (`hdet`, `hyperplane`) use only +, − and ×, so they
-are exact on Fraction and other exact scalar entries as well.
+
+The kernel has one closed-form cofactor routine per size the package uses,
+E¹ to E³.  `hyperplane` of n points in Eⁿ is (−w, x) in E¹, the cross
+product in E², and in E³ the four cofactors expanded from the six 2×2
+minors of the last two points, each computed once (as in Shewchuk's
+orient3d).  `hdet` of a k × k matrix is the cofactor row of its first
+k − 1 rows applied to the last, and `orient` is (−1)ⁿ times the sign of
+`hdet` of the points as given.  The formulas use only +, − and ×, so they
+are exact on Fraction and every other exact scalar as well.
 """
 
+from operator import mul
+
 from ..linalg import primitive
+from ..numberfield import scalar_sign
 
 # named in benchmark provenance records (perfbench/worker.py)
 KERNEL = "pure"
 
 
-def det2(a, b, c, d):
-    return a * d - b * c
+def hyperplane(points):
+    """Functional vanishing on the span of n ≤ 3 homogeneous points in Eⁿ.
 
-
-def det3(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def det4(m):
-    r0, r1, r2, r3 = m
-    total = 0
-    sign = 1
-    for col in range(4):
-        sub = [
-            [r1[j] for j in range(4) if j != col],
-            [r2[j] for j in range(4) if j != col],
-            [r3[j] for j in range(4) if j != col],
-        ]
-        if r0[col]:
-            total += sign * r0[col] * det3(sub)
-        sign = -sign
-    return total
+    Coefficients are the signed cofactors along a symbolic extra row, so
+    apply_functional(hyperplane(pts), q) == hdet(pts + [q]) for every q.
+    """
+    n = len(points)
+    if n == 3:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = points
+        m01 = b0 * c1 - b1 * c0
+        m02 = b0 * c2 - b2 * c0
+        m03 = b0 * c3 - b3 * c0
+        m12 = b1 * c2 - b2 * c1
+        m13 = b1 * c3 - b3 * c1
+        m23 = b2 * c3 - b3 * c2
+        return (a2 * m13 - a1 * m23 - a3 * m12,
+                a0 * m23 - a2 * m03 + a3 * m02,
+                a1 * m03 - a0 * m13 - a3 * m01,
+                a0 * m12 - a1 * m02 + a2 * m01)
+    if n == 2:
+        (a0, a1, a2), (b0, b1, b2) = points
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    if n == 1:
+        x, w = points[0]
+        return (-w, x)
+    raise ValueError("only E¹ to E³")
 
 
 def hdet(rows):
-    """Determinant of a k x k integer matrix, k <= 4."""
-    k = len(rows)
-    if k == 1:
+    """Determinant of a k × k matrix, k ≤ 4: the cofactor row of its first
+    k − 1 rows applied to the last."""
+    if len(rows) == 1:
         return rows[0][0]
-    if k == 2:
-        return det2(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
-    if k == 3:
-        return det3(rows)
-    if k == 4:
-        return det4(rows)
-    raise ValueError("only sizes <= 4")
+    return apply_functional(hyperplane(rows[:-1]), rows[-1])
 
 
 def orient(points):
-    """Orientation sign of n+1 homogeneous points in dimension n.
+    """Orientation sign of n+1 homogeneous points in Eⁿ.
 
-    Weight column moved first so the sign matches the affine determinant
-    det(p_1 - p_0, ..., p_n - p_0) for positive weights.
+    For positive weights it is the sign of the affine determinant
+    det(p_1 - p_0, ..., p_n - p_0), that of the matrix with the weight
+    column first.  Moving that column first is a cyclic shift of the n+1
+    columns, so the sign of the points as given is multiplied by (−1)ⁿ.
     """
-    d = hdet([[p[-1], *p[:-1]] for p in points])
-    return (d > 0) - (d < 0)
-
-
-def hyperplane(points):
-    """Integer functional vanishing on the span of n homogeneous points in Eⁿ.
-
-    Coefficients are the signed cofactors along a symbolic extra row, so
-    apply(hyperplane(pts), q) == hdet(rows=pts+[q]) for every q.
-    """
-    n1 = len(points[0])
-    # expansion along the last row of the matrix [points; q]:
-    # det = sum_col (-1)^{(n1-1)+col} q[col] * minor(col)
-    out = []
-    for col in range(n1):
-        sub = [[p[j] for j in range(n1) if j != col] for p in points]
-        out.append((-1) ** ((n1 - 1) + col) * hdet(sub))
-    return tuple(out)
+    s = scalar_sign(hdet(points))
+    return -s if len(points) % 2 == 0 else s
 
 
 def apply_functional(func, point):
-    s = 0
-    for a, b in zip(func, point):
-        s += a * b
-    return s
+    return sum(map(mul, func, point))
 
 
 def side(func, point):

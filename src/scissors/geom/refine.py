@@ -182,7 +182,7 @@ def _split_by_plane(frontier, table, func, bit, B, known=()):
             if 1 not in sg or -1 not in sg:
                 nxt.append((piece, mask | ((1 in sg) << bit)))
                 continue
-            i = next(i for i, s in enumerate(sg) if s)
+            i = min(sg.index(1), sg.index(-1))
             j = sg.index(-sg[i], i + 1)
             a, b = piece[i], piece[j]
             key = (a, b) if a < b else (b, a)
@@ -232,8 +232,7 @@ def _oriented_cells(chain: SimplexChain):
     cells = []
     for c, t in terms:
         t = tuple([local[v] for v in t])
-        # the weight column first: the sign of det(p₁ − p₀, …, p_n − p₀)
-        sgn = B.sign(hp.hdet([[points[v][-1], *points[v][:-1]] for v in t]))
+        sgn = hp.orient([points[v] for v in t])
         if sgn:
             cells.append((c, t) if sgn > 0 else (-c, _swap_last_two(t)))
     return cells, points, B

@@ -26,7 +26,6 @@ from scissors.geom import (
     InvalidPolytope,
     NonManifoldBoundary,
     SimplexChain,
-    UnorientableBoundary,
     boundary_facets,
     dihedral_edges,
     prism,
@@ -40,6 +39,11 @@ from scissors.geom.convex import (
     transformed,
 )
 from scissors.rng import SplitMix64
+
+
+class UnorientableBoundary(GeometryError):
+    """The reference's error for a ridge whose two facets agree in
+    direction; the package has no such error, as ∂∂ = 0 rules it out."""
 
 
 def point_key(p) -> tuple:

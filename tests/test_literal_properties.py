@@ -1,9 +1,12 @@
-"""Property tests over number literals fed to the CLI.
+"""Property tests over number literals and polytope files fed to the CLI.
 
 Literals are rationals, or a root of a small integer polynomial (a product
 of small factors, so reducible and non-squarefree ones come up) in an
-interval that holds no root, one root or several.  Every input must end in
-a documented exit code with one stderr line, never in a traceback.
+interval that holds no root, one root or several.  Polytope files are
+small vertex sets with cells drawn at random, so degenerate, overlapping
+and non-manifold cells come up, each file perhaps broken in one place.
+Every input must end in a documented exit code with one stderr line, never
+in a traceback.
 """
 
 import contextlib
@@ -151,3 +154,85 @@ def test_recheck_of_replaced_volumes(lit_a, lit_b):
     _assert_contract(code, err)
     if code == 0:
         assert json.loads(out)["results"]["recheck_passed"]
+
+
+# -- polytope files -----------------------------------------------------------
+
+# malformed number literals and values that are no literal at all
+BAD_LITERALS = ["rat:1/0", "rat:1/2/3", "rat:x", "1/2", "", 3, None, [],
+                {"minpoly": ["1"], "lo": "0/1", "hi": "1/1"},
+                {"minpoly": ["-2", "0", "1"], "lo": "0/1"},
+                {"minpoly": ["-2", "0", "1"], "lo": "2/1", "hi": "1/1"},
+                {"minpoly": ["-2", "0", "1"], "lo": "2/1", "hi": "3/1"}]
+grid = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2]))
+
+
+def _rat(q):
+    return f"rat:{q.numerator}/{q.denominator}"
+
+
+@st.composite
+def polytope_objects(draw):
+    """A polytope JSON object, then at most one fault among a bad `dim`, a
+    ragged vertex, a bad literal, a bad cell index or cell, a degenerate or
+    repeated cell, a bad `name` and a bad top level.  Its first cell is a
+    corner simplex on a small grid; each extra grid point makes one more
+    cell, either on the facet opposite the corner (a second cell that meets
+    the first in a facet or overlaps it) or on random vertices (often
+    degenerate, repeated, overlapping or touching the rest in a lower
+    face)."""
+    dim = draw(st.integers(1, 3))
+    corner = [draw(grid) for _ in range(dim)]
+    points = [corner] + [
+        [c + (draw(st.sampled_from([1, 2, -1])) if j == i else 0)
+         for j, c in enumerate(corner)] for i in range(dim)]
+    points += draw(st.lists(st.lists(grid, min_size=dim, max_size=dim),
+                            max_size=2))
+    n = len(points)
+    cells = [list(range(dim + 1))]
+    for k in range(dim + 1, n):
+        cells.append(list(range(1, dim + 1)) + [k] if draw(st.booleans())
+                     else draw(st.lists(st.integers(0, n - 1),
+                                        min_size=dim + 1, max_size=dim + 1)))
+    vertices = [[_rat(c) for c in p] for p in points]
+    obj = {"dim": dim, "vertices": vertices, "cells": cells}
+    fault = draw(st.sampled_from([None, None, "dim", "ragged", "literal",
+                                  "index", "cell", "degenerate", "overlap",
+                                  "name", "top"]))
+    v = draw(st.integers(0, n - 1))
+    if fault == "dim":
+        obj["dim"] = draw(st.sampled_from([0, 4, -1, dim % 3 + 1, 3.9, "3",
+                                           True, None]))
+    elif fault == "ragged":
+        vertices[v] = vertices[v][:-1] if draw(st.booleans()) \
+            else vertices[v] + ["rat:0/1"]
+    elif fault == "literal":
+        vertices[v][draw(st.integers(0, dim - 1))] = \
+            draw(st.sampled_from(BAD_LITERALS))
+    elif fault == "index":
+        obj["cells"][0][0] = draw(st.sampled_from([n, -1, "0", 1.5, None]))
+    elif fault == "cell":
+        obj["cells"].append(draw(st.sampled_from([[], [0], 7, "0123"])))
+    elif fault == "degenerate":
+        cells.append([v] * (dim + 1))
+    elif fault == "overlap":
+        cells.append(cells[0][::-1])
+    elif fault == "name":
+        obj["name"] = draw(st.sampled_from([5, None, ["a"]]))
+    elif fault == "top":
+        obj = draw(st.sampled_from([[obj], "polytope",
+                                    {"dim": dim, "cells": obj["cells"]}]))
+    return obj
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          database=None)
+@given(polytope_objects())
+def test_polytope_info_on_random_polytope_files(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "polytope.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = _run("polytope-info", str(path))
+    _assert_contract(code, err)
+    if code == 0:
+        assert json.loads(out)["results"]["cells"] > 0

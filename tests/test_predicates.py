@@ -2,7 +2,9 @@
 
 Each predicate is checked against the plain Fraction arithmetic it stands
 for: affine determinants, the cofactor expansion, segment interpolation and
-the coordinate mean.
+the coordinate mean.  The closed-form cofactor routines are also checked
+against the generic Laplace expansion they replace, on big integers,
+Fractions and elements of the number field ℚ(∛(3/8)).
 """
 
 from fractions import Fraction
@@ -10,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from scissors.algebraic import lift, make_algebraic, scalar_sign
 from scissors.geom import from_homog
 from scissors.geom.predicates import (
     apply_functional,
@@ -134,3 +137,96 @@ def test_hnormalize_is_idempotent(dim, bound):
         assert q == hnormalize(p)
         assert q[-1] > 0 and gcd(*q) == 1
         assert from_homog(q) == from_homog(p)
+
+
+# -- the closed forms against the generic Laplace expansion -----------------
+
+def laplace_det(rows):
+    """Determinant by Laplace expansion along the first row, building every
+    minor: the generic routine the closed forms replace."""
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    total = 0
+    for col in range(k):
+        minor = [[r[j] for j in range(k) if j != col] for r in rows[1:]]
+        term = rows[0][col] * laplace_det(minor)
+        total = total + term if col % 2 == 0 else total - term
+    return total
+
+
+def laplace_hyperplane(points):
+    """Signed cofactors of the n points along a symbolic last row."""
+    n1 = len(points[0])
+    out = []
+    for col in range(n1):
+        minor = laplace_det([[p[j] for j in range(n1) if j != col]
+                             for p in points])
+        out.append(minor if (n1 - 1 + col) % 2 == 0 else -minor)
+    return tuple(out)
+
+
+def laplace_orient(points):
+    """Sign of the determinant with the weight column moved first."""
+    return scalar_sign(laplace_det([[p[-1], *p[:-1]] for p in points]))
+
+
+def scalar_kinds():
+    """name -> draw per kind of entry: draw(rng) gives one scalar."""
+    (alpha,) = lift([make_algebraic([-3, 0, 0, 8], (0, 1))])  # ∛(3/8)
+
+    def field_element(rng):
+        a, b, c = (rng.fraction(6, 4) for _ in range(3))
+        return a + b * alpha + c * alpha * alpha
+
+    return {
+        "int": lambda rng: rng.randint(-10 ** 12, 10 ** 12),
+        "fraction": lambda rng: rng.fraction(10 ** 6, 10 ** 3),
+        "field": field_element,
+    }
+
+
+KINDS = scalar_kinds()
+each_kind = pytest.mark.parametrize("draw", list(KINDS.values()),
+                                    ids=list(KINDS))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@each_kind
+def test_closed_forms_match_laplace_expansion(draw, k):
+    for case in range(12):
+        rng = SplitMix64.stream(7100 + 10 * k, case)
+        rows = [tuple(draw(rng) for _ in range(k)) for _ in range(k)]
+        det = hdet(rows)
+        assert det == laplace_det(rows)
+        if k == 1:
+            continue
+        head, q = rows[:-1], rows[-1]
+        func = hyperplane(head)
+        assert func == laplace_hyperplane(head)
+        assert apply_functional(func, q) == det
+        assert all(scalar_sign(apply_functional(func, p)) == 0 for p in head)
+        assert orient(rows) == laplace_orient(rows)
+        swapped = [rows[1], rows[0], *rows[2:]]
+        assert orient(swapped) == -orient(rows)
+
+
+@each_kind
+def test_closed_forms_vanish_on_dependent_rows(draw):
+    # a last row in the span of the others: every size gives 0
+    for k in (2, 3, 4):
+        for case in range(3):
+            rng = SplitMix64.stream(7200 + k, case)
+            head = [tuple(draw(rng) for _ in range(k)) for _ in range(k - 1)]
+            c = [rng.randint(-5, 5) for _ in head]
+            q = tuple(sum((ci * p[j] for ci, p in zip(c, head)), 0)
+                      for j in range(k))
+            assert scalar_sign(hdet(head + [q])) == 0
+            assert orient(head + [q]) == 0
+
+
+def test_sizes_above_e3_raise():
+    with pytest.raises(ValueError):
+        hdet([[int(i == j) for j in range(5)] for i in range(5)])
+    with pytest.raises(ValueError):
+        hyperplane([tuple(int(i == j) for j in range(5)) for i in range(4)])

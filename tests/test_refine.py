@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from hashlib import sha256
 from itertools import permutations
 
 import pytest
@@ -327,6 +328,33 @@ def test_refinement_pieces_match_recursive_splitter():
                                for v in piece)
         assert done == len(pieces)
     assert backends == {_HomogBackend, _ScalarBackend}
+
+
+# sha256 over the (k, sides) piece lists, one repr line per chain, of the
+# 200 φ-boundary configurations at seed 404 and dissection cases 1–6 at seed
+# 303, with the total piece count, recorded on the generic cofactor kernel.
+# A kernel or splitter change must keep every piece, its order and its mask.
+PINNED_PIECES = (
+    "f040c184daef6c7b0880d9b141da44eb2aa7322b309def69c8c3ab788d854159", 9620)
+
+
+def test_refinement_pieces_are_pinned():
+    digest, count = sha256(), 0
+    chains = []
+    for case in range(200):
+        rng = SplitMix64.stream(404, case)
+        dim = 2 if case % 2 == 0 else 3
+        pts = [tuple(rng.fraction(8, 3) for _ in range(dim))
+               for _ in range(dim + 2)]
+        chains.append(phi_boundary_chain([make_point(p) for p in pts], dim))
+    for case in range(1, 7):
+        whole, a, b = _dissection_case(case)
+        chains.append(whole.chain - a.chain - b.chain)
+    for chain in chains:
+        pieces = refinement_pieces(chain)[0]
+        count += len(pieces)
+        digest.update(repr(pieces).encode() + b"\n")
+    assert (digest.hexdigest(), count) == PINNED_PIECES
 
 
 def test_refinement_cap_counts_every_piece(monkeypatch):
