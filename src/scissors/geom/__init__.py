@@ -1,9 +1,11 @@
 """Exact polytope geometry in E¹, E², E³.
 
 Points are tuples of exact scalars (Fraction, or a number-field element when
-irrational).  Rational-only inputs run on the integer homogeneous predicate
-kernel; algebraic coordinates take the generic exact-scalar path through the
-same algorithms.
+irrational).  Each vertex has one homogeneous point, weight last and
+positive: integers when the point is rational, and otherwise its coordinates
+followed by weight 1 (`to_homog`, `VertexTable.homog`).  Every
+orientation is the sign of `predicates.orient` on those points and every
+volume is one determinant of them (`_volume`), whatever their scalars.
 
 A vertex is identified only by its int id in one vertex table, where each
 point is interned once by its exact vertex_key.  A chain's terms are tuples
@@ -25,8 +27,6 @@ from ..algebraic import (
 from ..angles import AnglePair
 from ..errors import GeometryError
 from . import predicates as hp
-# cofactor formulas on +, − and ×: exact on every scalar type
-from .predicates import hdet
 
 log = logging.getLogger("scissors.geom")
 
@@ -53,12 +53,11 @@ def make_point(coords) -> tuple:
     return tuple(as_scalar(c) for c in coords)
 
 
-def is_rational_point(p) -> bool:
-    return all(isinstance(c, Fraction) for c in p)
-
-
 def to_homog(p) -> tuple:
-    """Integer homogeneous coordinates of a rational point (weight last)."""
+    """The homogeneous point of p, weight last and positive: integers when
+    every coordinate is rational, else the coordinates with weight 1."""
+    if not all(type(c) is Fraction for c in p):
+        return (*p, 1)
     den = lcm(*(c.denominator for c in p))
     return tuple(c.numerator * (den // c.denominator) for c in p) + (den,)
 
@@ -96,12 +95,11 @@ class Simplex:
     vertex ids of its table.  The keys are computed once, on first use (an
     irrational coordinate's key needs its root index); a chain's term built
     by `_keyed` inherits them from the chain's vertex table, so no
-    coordinate is keyed twice.  The integer homogeneous vertices of a
-    rational simplex are likewise computed once, by `homog`.
+    coordinate is keyed twice.  Orientation and volume read the vertices'
+    homogeneous points (`to_homog`).
     """
 
-    __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash",
-                 "_homog")
+    __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash")
 
     def __init__(self, dim_ambient: int, vertices: tuple):
         if dim_ambient not in (1, 2, 3):
@@ -160,21 +158,6 @@ class Simplex:
         return (f"Simplex(dim_ambient={self.dim_ambient!r}, "
                 f"vertices={self.vertices!r})")
 
-    def is_rational(self) -> bool:
-        return all(is_rational_point(v) for v in self.vertices)
-
-    def homog(self):
-        """The vertices in integer homogeneous coordinates (to_homog),
-        computed on the first call; None when a coordinate is irrational.
-
-        The slot is left unset until then, so `_keyed`, which builds the
-        faces of chain arithmetic, stores nothing for it."""
-        h = getattr(self, "_homog", None)
-        if h is None:
-            h = self._homog = (tuple(map(to_homog, self.vertices))
-                               if self.is_rational() else False)
-        return h or None
-
 
 def simplex(dim, *vertices) -> Simplex:
     return Simplex(dim, tuple(make_point(v) for v in vertices))
@@ -221,13 +204,13 @@ class VertexTable:
                                         for n, d in self.keys[i]])
         return p
 
-    def homog(self, i):
-        """Point i in integer homogeneous coordinates (to_homog), built
-        from its rational key; None when a coordinate is irrational."""
+    def homog(self, i) -> tuple:
+        """The homogeneous point of point i (see `to_homog`): integers built
+        from its rational key, else its coordinates with weight 1."""
         k = self.keys[i]
         # an irrational coordinate keys as ("a", minimal polynomial, index)
         if not all(type(c[0]) is int for c in k):
-            return None
+            return self.point(i) + (1,)
         den = lcm(*[q for _, q in k])
         return tuple([n * (den // q) for n, q in k]) + (den,)
 
@@ -360,26 +343,29 @@ class SimplexChain:
 
 # -- volume and orientation ---------------------------------------------------
 
-def _edge_matrix(vertices):
-    v0 = vertices[0]
-    return [[v[i] - v0[i] for i in range(len(v0))] for v in vertices[1:]]
+def _volume(rows):
+    """Signed volume det(p₁−p₀, …, pₙ−p₀)/n! of the simplex on n+1
+    homogeneous points with positive weights: (−1)ⁿ·hdet(rows)/(n!·∏w), as
+    moving the weight column first is a cyclic shift (see `orient`)."""
+    n = len(rows) - 1
+    w = factorial(n)
+    for r in rows:
+        w *= r[-1]
+    det = hp.hdet(rows)
+    return (-det if n % 2 else det) * Fraction(1, w)
 
 
 def simplex_volume(s: Simplex):
     """Signed volume det(a₁-a₀, ..., a_n-a₀)/n! of a top simplex."""
     if not s.is_top():
         raise DimensionMismatch("volume needs a top-dimensional simplex")
-    det = hdet(_edge_matrix(s.vertices))
-    return det * Fraction(1, factorial(s.dim_ambient))
+    return _volume(list(map(to_homog, s.vertices)))
 
 
 def orientation_sign(s: Simplex) -> int:
     if not s.is_top():
         raise DimensionMismatch("orientation needs a top simplex")
-    h = s.homog()
-    if h is not None:
-        return hp.orient(h)
-    return scalar_sign(hdet(_edge_matrix(s.vertices)))
+    return hp.orient(list(map(to_homog, s.vertices)))
 
 
 def boundary(chain: SimplexChain) -> SimplexChain:
@@ -398,14 +384,10 @@ def _swap_last_two(t):
 
 
 def _flip_last_two(s: Simplex) -> Simplex:
-    """s with its last two vertices swapped, and with them the keys and
-    homogeneous vertices it has computed."""
-    t = Simplex._keyed(s.dim_ambient, _swap_last_two(s.vertices),
-                       _swap_last_two(s._keys), _swap_last_two(s._hashes))
-    h = getattr(s, "_homog", None)
-    if h:
-        t._homog = _swap_last_two(h)
-    return t
+    """s with its last two vertices swapped, and with them the keys it has
+    computed."""
+    return Simplex._keyed(s.dim_ambient, _swap_last_two(s.vertices),
+                          _swap_last_two(s._keys), _swap_last_two(s._hashes))
 
 
 # -- polytopes ------------------------------------------------------------------
@@ -423,11 +405,7 @@ class Polytope:
         for c, v in chain.reduce().ids:
             if len(v) != dim + 1:
                 raise InvalidPolytope("polytope cells must be top simplices")
-            h = [t.homog(i) for i in v]
-            if None in h:
-                sgn = scalar_sign(hdet(_edge_matrix([t.point(i) for i in v])))
-            else:
-                sgn = hp.orient(h)
+            sgn = hp.orient([t.homog(i) for i in v])
             if sgn == 0:
                 continue
             if sgn < 0:
@@ -466,9 +444,10 @@ class Polytope:
         return self._edges
 
     def volume(self):
+        homog = self.chain.table.homog
         total = Fraction(0)
-        for _, s in self.chain:
-            total = total + simplex_volume(s)
+        for _, v in self.chain.ids:
+            total = total + _volume([homog(i) for i in v])
         return total
 
     def validate(self, exact_strict: bool = False) -> None:
@@ -495,16 +474,13 @@ class Polytope:
 # -- pairwise interior disjointness via exact SAT -----------------------------
 
 def _sat_cells(chain: SimplexChain) -> list:
-    """The vertex tuple of each term of the chain, for SAT: a rational
-    chain scaled once by the lcm of its vertex weights, so every point is
-    integer, and otherwise the points themselves."""
+    """The vertex tuple of each term of the chain, for SAT: the table's
+    points scaled once by the lcm of their weights, so a rational chain's
+    points are all integer."""
     t = chain.table
     points = [t.homog(i) for i in range(len(t.keys))]
-    if None in points:
-        points = [t.point(i) for i in range(len(t.keys))]
-    else:
-        w = lcm(*[h[-1] for h in points])
-        points = [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points]
+    w = lcm(*[h[-1] for h in points])
+    points = [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points]
     return [tuple([points[i] for i in ids]) for _, ids in chain.ids]
 
 
@@ -727,16 +703,9 @@ def prism(polygon: Polytope, height) -> Polytope:
 
 def _orientation_tests(s: Simplex, x):
     """Signs of the n+1 orientation determinants with x replacing a vertex."""
-    vs = s.vertices
-    hs = s.homog()
-    if hs is not None and is_rational_point(x):
-        hx = (to_homog(x),)
-        return [hp.orient(hs[:i] + hx + hs[i + 1:]) for i in range(len(vs))]
-    out = []
-    for i in range(len(vs)):
-        sub = Simplex(s.dim_ambient, vs[:i] + (x,) + vs[i + 1:])
-        out.append(scalar_sign(hdet(_edge_matrix(sub.vertices))))
-    return out
+    hs = list(map(to_homog, s.vertices))
+    hx = [to_homog(x)]
+    return [hp.orient(hs[:i] + hx + hs[i + 1:]) for i in range(len(hs))]
 
 
 def point_in_open_simplex(s: Simplex, x, *, on_boundary_error=True) -> bool:

@@ -1,12 +1,13 @@
 """Exact common refinement of simplex chains against facet hyperplanes.
 
 The refinement works on the reduced chain's vertex ids.  Each vertex the
-chain uses gets its backend point once: integer homogeneous coordinates,
-built from the table's (num, den) keys, when every vertex is rational, and
-otherwise its coordinates with weight 1 for the generic-scalar backend.
-Cells are oriented and flipped as id tuples, and the facet planes come from
-their id facets, each vertex set once.  Every plane is then evaluated once
-at every vertex.
+chain uses gets its one homogeneous point once (`VertexTable.homog`):
+integers when it is rational, and otherwise its coordinates with weight 1.
+The integer backend runs when every point is integer, the generic-scalar
+backend otherwise; positive weights leave every sign unchanged, so rational
+and irrational points mix there.  Cells are oriented and flipped as id
+tuples, and the facet planes come from their id facets, each vertex set
+once.  Every plane is then evaluated once at every vertex.
 
 A convex cell that lies weakly on one side of a plane has no piece or cut
 point across it.  So a cell is split only by the planes whose signs on its
@@ -71,10 +72,6 @@ class _HomogBackend:
         self.dim = dim
 
     @staticmethod
-    def point(table, i):
-        return table.homog(i)
-
-    @staticmethod
     def planes(facets):
         """(canonical functional, index of the first facet on it) per
         distinct plane spanned by the facets."""
@@ -103,10 +100,6 @@ class _ScalarBackend:
 
     def __init__(self, dim: int):
         self.dim = dim
-
-    @staticmethod
-    def point(table, i):
-        return table.point(i) + (Fraction(1),)
 
     @staticmethod
     def planes(facets):
@@ -213,8 +206,8 @@ def split_simplex(pts, func, B, sides=None):
 def _oriented_cells(chain: SimplexChain):
     """(cells, points, B) for the nondegenerate top cells of the reduced
     chain: `cells` holds (coefficient·ε, vertex tuple) per cell, ordered
-    positively, whose vertices index `points`, the backend point of each
-    vertex id the chain uses."""
+    positively, whose vertices index `points`, the homogeneous point of
+    each vertex id the chain uses."""
     dim = chain.dim_ambient
     terms = chain.reduce().ids
     local = {}
@@ -223,12 +216,9 @@ def _oriented_cells(chain: SimplexChain):
             raise DimensionMismatch("orientation needs a top simplex")
         for v in t:
             local.setdefault(v, len(local))
-    table = chain.table
-    B = _HomogBackend(dim)
-    points = [B.point(table, v) for v in local]
-    if None in points:
-        B = _ScalarBackend(dim)
-        points = [B.point(table, v) for v in local]
+    points = list(map(chain.table.homog, local))
+    B = (_HomogBackend if all(type(c) is int for p in points for c in p)
+         else _ScalarBackend)(dim)
     cells = []
     for c, t in terms:
         t = tuple([local[v] for v in t])

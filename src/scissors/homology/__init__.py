@@ -80,10 +80,13 @@ class SparseIntMatrix:
         return U, D, V
 
     def elementary_divisors(self):
-        rows = [dict() for _ in range(self.rows)]
+        """The nonzero diagonal of the Smith normal form; a zero row adds no
+        divisor, so only the rows that hold an entry are built."""
+        rows = {}
         for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return smith_normal_form_sparse(rows, self.cols, transforms=False)[1]
+            rows.setdefault(i, {})[j] = v
+        return smith_normal_form_sparse(list(rows.values()), self.cols,
+                                        transforms=False)[1]
 
     def __repr__(self):
         return (f"SparseIntMatrix({self.rows}x{self.cols}, "

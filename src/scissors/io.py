@@ -107,9 +107,11 @@ def complex_from_json(obj):
                 c = _integer(c, f"boundary {k} column", 0, mat.cols)
                 mat[r, c] = _integer(v, "entry")
             boundaries[k] = mat
+        # ChainComplex raises InvalidComplex, a ValueError, when ∂∂ ≠ 0:
+        # bad input, not a fault of the program
+        return ChainComplex(ranks, boundaries)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex JSON: {exc}") from exc
-    return ChainComplex(ranks, boundaries)
 
 
 def group_from_spec(spec: str):

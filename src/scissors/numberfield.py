@@ -29,7 +29,7 @@ radicand has its root read off a factor of m_r(t²).
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .linalg import det_small, primitive
+from .linalg import det_small, nullspace_sparse, primitive
 
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
@@ -508,27 +508,21 @@ def _flat(x, F) -> list:
 
 def _minpoly(x) -> tuple:
     """Primitive integer minimal polynomial of x, positive leading
-    coefficient: the first linear relation among 1, x, x², … over ℚ."""
+    coefficient.  The first kernel vector of the ℚ-columns 1, x, …, xⁿ has
+    a 1 at the first power that depends on those before it, and only
+    earlier powers besides: the monic minimal polynomial."""
     from .algebraic import _canonical_single
 
-    rows = []  # (pivot, row with 1 at pivot, row as a combination of powers)
-    power = Fraction(1)
-    for k in range(x.field.degree + 1):
-        v, comb = _flat(power, x.field), [Fraction(0)] * k + [Fraction(1)]
-        for piv, row, rc in rows:
-            c = v[piv]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-                for i, b in enumerate(rc):
-                    comb[i] -= c * b
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            den = lcm(*(c.denominator for c in comb))
-            return _canonical_single([int(c * den) for c in comb])
-        c = v[piv]
-        rows.append((piv, [a / c for a in v], [a / c for a in comb]))
-        power = power * x
-    raise AssertionError("no relation among the powers")
+    powers = [Fraction(1)]
+    for _ in range(x.field.degree):
+        powers.append(powers[-1] * x)
+    cols = [_flat(p, x.field) for p in powers]
+    rows = [{k: c[i] for k, c in enumerate(cols) if c[i]}
+            for i in range(len(cols[0]))]
+    vec = nullspace_sparse(rows, len(cols))[0]
+    den = lcm(*(c.denominator for c in vec.values()))
+    return _canonical_single([int(vec.get(k, 0) * den)
+                              for k in range(max(vec) + 1)])
 
 
 # -- combining towers -------------------------------------------------------

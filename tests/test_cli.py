@@ -410,6 +410,38 @@ def test_cli_homology_group():
     assert report["results"]["homology"] == ["Z", "Z/4", "0", "Z/4"]
 
 
+def test_cli_homology_complex_skips_zero_rows(tmp_path, capsys):
+    # Smith normal form sees only the rows that hold an entry, so a rank of
+    # 10⁸ with two entries neither allocates a row per basis element nor
+    # takes long
+    import time
+
+    from scissors import cli
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ranks": {"0": 10 ** 8, "1": 3},
+                                "boundaries": {"1": [[0, 0, 2], [5, 1, 3]]}}))
+    t0 = time.perf_counter()
+    assert cli.main(["homology", "--complex", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["homology"] == {"0": "Z^99999998 + Z/6",
+                                             "1": "Z"}
+
+
+def test_cli_homology_complex_with_nonzero_square_is_input_error(tmp_path,
+                                                                 capsys):
+    from scissors import cli
+
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps({"ranks": {"0": 1, "1": 1, "2": 1},
+                                "boundaries": {"1": [[0, 0, 1]],
+                                               "2": [[0, 0, 1]]}}))
+    assert cli.main(["homology", "--complex", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: bad complex JSON: ∂_1 ∘ ∂_2 != 0"]
+
+
 def test_cli_text_format(fixtures):
     proc = run_cli("--format", "text", "polytope-info",
                    str(fixtures / "cube.json"))

@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from scissors.algebraic import make_algebraic, scalar_sign, sqrt_nonneg
+from scissors.algebraic import lift, make_algebraic, scalar_sign, sqrt_nonneg
 from scissors.angles import is_rational_angle
 from scissors.geom import (
     DimensionMismatch,
@@ -159,6 +159,58 @@ def test_prism_hexagon_volume():
     v = p.volume()
     s3 = sqrt_nonneg(Fraction(3))
     assert scalar_sign(v - s3 * Fraction(3, 2)) == 0
+
+
+def test_cube_root_scaling_keeps_signs_and_scales_volumes():
+    # every vertex has one homogeneous point: integers when rational, the
+    # coordinates with weight 1 otherwise.  Under x ↦ ∛(3/8)·x a seeded
+    # rational simplex keeps its orientation and its volume scales by
+    # ∛(3/8)^dim (3/8 in E³); a chain keeps its signed indicator at the
+    # scaled sample points, PointOnBoundary included; and a mixed simplex,
+    # some vertices rational and some irrational, has the sign of its
+    # all-irrational scaled copy
+    (s,) = lift([make_algebraic([-3, 0, 0, 8], (0, 1))])
+
+    def scaled(pts):
+        return tuple(tuple(s * c for c in p) for p in pts)
+
+    def indicator(chain, x):
+        try:
+            return signed_indicator(chain, x)
+        except PointOnBoundary:
+            return "on boundary"
+
+    signs, mixed, hits = set(), set(), set()
+    factor = 1
+    for dim in (1, 2, 3):
+        factor = factor * s
+        for case in range(6):
+            rng = SplitMix64.stream(1901 + dim, case)
+            cells = [tuple(tuple(rng.fraction(4, 2) for _ in range(dim))
+                           for _ in range(dim + 1)) for _ in range(3)]
+            for pts in cells:
+                a, b = Simplex(dim, pts), Simplex(dim, scaled(pts))
+                assert orientation_sign(b) == orientation_sign(a)
+                assert scalar_sign(simplex_volume(b)
+                                   - factor * simplex_volume(a)) == 0
+                m = pts[:1] + scaled(pts[1:])
+                sign = orientation_sign(Simplex(dim, m))
+                assert sign == orientation_sign(Simplex(dim, scaled(m)))
+                signs.add(orientation_sign(a))
+                mixed.add(sign)
+            coeffs = [1, -2, 1]
+            chain = SimplexChain(dim, [(c, Simplex(dim, pts))
+                                       for c, pts in zip(coeffs, cells)])
+            image = SimplexChain(dim, [(c, Simplex(dim, scaled(pts)))
+                                       for c, pts in zip(coeffs, cells)])
+            for _ in range(6):
+                x = tuple(rng.fraction(4, 2) for _ in range(dim))
+                got = indicator(chain, x)
+                assert indicator(image, tuple(s * c for c in x)) == got
+                hits.add(got)
+    assert factor == Fraction(3, 8)
+    assert {1, -1} <= signs and {1, -1} <= mixed
+    assert len(hits - {0}) >= 2  # the samples hit cells, not only misses
 
 
 def test_signed_indicator_cube():

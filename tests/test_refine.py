@@ -357,6 +357,28 @@ def test_refinement_pieces_are_pinned():
     assert (digest.hexdigest(), count) == PINNED_PIECES
 
 
+def test_mixed_weight_prism_validates_with_pinned_pieces():
+    # the hexagon prism has integer points (rational vertices) beside
+    # irrational ones with weight 1 on one table, and at height 3/7 its
+    # rational top vertices have weight 7: strict validation and the
+    # refinement run the generic backend on mixed points.  The pieces were
+    # recorded when every point had weight 1; an affine map keeps them
+    from scissors.geom import prism
+    from scissors.geom.convex import regular_hexagon
+
+    for height in (1, Fraction(3, 7)):
+        p = prism(regular_hexagon(1), height)
+        p.validate(exact_strict=True)
+        t = p.chain.table
+        points = [t.homog(i) for i in range(len(t.keys))]
+        kinds = {all(type(c) is int for c in h) and h[-1] for h in points}
+        assert kinds == ({False, 1} if height == 1 else {False, 1, 7})
+        pieces, cells, B = refinement_pieces(p.chain)
+        assert type(B) is _ScalarBackend and len(cells) == 12
+        assert sha256(repr(pieces).encode()).hexdigest() == "d6045542dd104" \
+            "18b30b32bc45a18c44925a32bf4cb0e5039e8352f5f6359287f"
+
+
 def test_refinement_cap_counts_every_piece(monkeypatch):
     whole, a, b = _dissection_case(1)
     chain = whole.chain - a.chain - b.chain
