@@ -282,8 +282,16 @@ def _int_in(lo, hi=None):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end in one `input error:` line and
+    exit 2; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="scissors",
         description="Exact scissors-congruence invariants and the finite "
                     "homological identities behind them.")

@@ -8,10 +8,12 @@ orientation is the sign of `predicates.orient` on those points and every
 volume is one determinant of them (`_volume`), whatever their scalars.
 
 A vertex is identified only by its int id in one vertex table, where each
-point is interned once by its exact vertex_key.  A chain's terms are tuples
-of ids, on which reduction, boundaries, boundary facets and dihedral edges
-work, from the JSON reader to the writer; Simplex objects are built only
-when a chain is iterated, and `VertexTable.ranks` orders ids by value.
+point is interned once by its exact vertex_key; the table is the one place
+that keeps the key.  A chain's terms are tuples of ids, on which reduction,
+boundaries, boundary facets and dihedral edges work, from the JSON reader
+to the writer; Simplex objects are built from the table's points only when
+a chain is iterated, their equality and hash computed from the vertices'
+keys on demand, and `VertexTable.ranks` orders ids by value.
 """
 
 import logging
@@ -88,18 +90,17 @@ def vertex_key(p) -> tuple:
 
 class Simplex:
     """Ordered vertex tuple, equal by its exact key (the tuple of its
-    vertices' vertex_key) and hashed by the hashes of those keys.
+    vertices' vertex_key) and hashed by that key.
 
     A simplex is how points enter a chain and how a chain's terms are read
     back; the chain itself, and everything computed from it, works on the
-    vertex ids of its table.  The keys are computed once, on first use (an
-    irrational coordinate's key needs its root index); a chain's term built
-    by `_keyed` inherits them from the chain's vertex table, so no
-    coordinate is keyed twice.  Orientation and volume read the vertices'
+    vertex ids of its table, which holds each vertex's key.  A simplex keeps
+    no key of its own: `key`, equality and the hash compute it from the
+    vertices on each call.  Orientation and volume read the vertices'
     homogeneous points (`to_homog`).
     """
 
-    __slots__ = ("dim_ambient", "vertices", "_keys", "_hashes", "_hash")
+    __slots__ = ("dim_ambient", "vertices")
 
     def __init__(self, dim_ambient: int, vertices: tuple):
         if dim_ambient not in (1, 2, 3):
@@ -112,27 +113,6 @@ class Simplex:
         # are necessarily degenerate and excluded from geometric operations
         self.dim_ambient = dim_ambient
         self.vertices = vertices
-        self._keys = self._hashes = self._hash = None
-
-    @classmethod
-    def _keyed(cls, dim_ambient, vertices, keys, hashes) -> "Simplex":
-        """A simplex on already checked vertices with their keys and key
-        hashes (None when not yet computed), e.g. a term of a chain or a
-        reordered simplex."""
-        s = object.__new__(cls)
-        s.dim_ambient = dim_ambient
-        s.vertices = vertices
-        s._keys = keys
-        s._hashes = hashes
-        s._hash = None
-        return s
-
-    def vertex_keys(self) -> tuple:
-        """(keys, hashes) of the vertices, computed on the first call."""
-        if self._keys is None:
-            self._keys = tuple(map(vertex_key, self.vertices))
-            self._hashes = tuple(map(hash, self._keys))
-        return self._keys, self._hashes
 
     @property
     def k(self) -> int:
@@ -141,8 +121,8 @@ class Simplex:
     def is_top(self) -> bool:
         return self.k == self.dim_ambient
 
-    def key(self):
-        return self.vertex_keys()[0]
+    def key(self) -> tuple:
+        return tuple(map(vertex_key, self.vertices))
 
     def __eq__(self, other):
         if not isinstance(other, Simplex):
@@ -150,9 +130,7 @@ class Simplex:
         return self.key() == other.key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.vertex_keys()[1])
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         return (f"Simplex(dim_ambient={self.dim_ambient!r}, "
@@ -166,7 +144,8 @@ def simplex(dim, *vertices) -> Simplex:
 class VertexTable:
     """Points with int ids, interned by their vertex_key: equal points share
     one id, whatever scalar type gives their coordinates.  The id is the
-    only identity of a vertex; `ranks` orders the ids by value.
+    only identity of a vertex, and the table the only place that keeps its
+    key; `ranks` orders the ids by value.
 
     A point added as None with a rational key is built from the key, as
     `Fraction`s, on first use (`point`).  A table only grows, so an id,
@@ -175,18 +154,17 @@ class VertexTable:
     (the subdivision of `homology.simplicial`, the ranks).
     """
 
-    __slots__ = ("points", "keys", "hashes", "index", "memo")
+    __slots__ = ("points", "keys", "index", "memo")
 
     def __init__(self):
         self.points = []
         self.keys = []
-        self.hashes = []
         self.index = {}  # vertex_key -> id
         self.memo = {}
 
-    def add(self, p, k=None, h=None) -> int:
-        """The id of point p, whose vertex_key k and its hash h are computed
-        here when not given."""
+    def add(self, p, k=None) -> int:
+        """The id of point p, whose vertex_key k is computed here when not
+        given."""
         if k is None:
             k = vertex_key(p)
         i = self.index.get(k)
@@ -194,7 +172,6 @@ class VertexTable:
             i = self.index[k] = len(self.points)
             self.points.append(p)
             self.keys.append(k)
-            self.hashes.append(hash(k) if h is None else h)
         return i
 
     def point(self, i) -> tuple:
@@ -235,9 +212,10 @@ class SimplexChain:
 
     A term is a coefficient on a tuple of vertex ids into the chain's
     VertexTable, so reduction, boundaries and sums cancel faces on int
-    tuples.  A chain built from simplices iterates over the terms it was
-    given; a chain derived by arithmetic builds its (coefficient, Simplex)
-    terms from the table when it is first iterated.
+    tuples.  The ids are the chain's only terms: a chain built from
+    simplices interns their vertices in its table, and `terms` builds the
+    (coefficient, Simplex) terms from the table's points each time it is
+    read.
 
     Derived chains share their operand's table.  Adding a chain on another
     table adds the vertices its terms use to the left operand's table, and
@@ -246,29 +224,18 @@ class SimplexChain:
     valid.
     """
 
-    __slots__ = ("dim_ambient", "table", "ids", "_simplices")
+    __slots__ = ("dim_ambient", "table", "ids")
 
     def __init__(self, dim_ambient: int, terms=()):
         self.dim_ambient = dim_ambient
         self.table = table = VertexTable()
-        self._simplices = [(int(c), s) for c, s in terms if c != 0]
-        # terms usually share their vertex objects: a vertex object seen
-        # before is not keyed again (the terms keep every one alive, so no
-        # two of them share an id())
-        seen = {}
-        ids = []
-        for c, s in self._simplices:
+        self.ids = []
+        for c, s in terms:
+            if c == 0:
+                continue
             if s.dim_ambient != dim_ambient:
                 raise DimensionMismatch("mixed ambient dimensions in chain")
-            vs = s.vertices
-            t = tuple(map(seen.get, map(id, vs)))
-            if None in t:
-                keys = s._keys or [None] * len(vs)
-                t = tuple([seen.setdefault(id(v), table.add(v, k))
-                           if i is None else i
-                           for v, k, i in zip(vs, keys, t)])
-            ids.append((c, t))
-        self.ids = ids
+            self.ids.append((int(c), tuple(map(table.add, s.vertices))))
 
     @classmethod
     def from_ids(cls, dim_ambient: int, table: VertexTable,
@@ -278,22 +245,13 @@ class SimplexChain:
         ch.dim_ambient = dim_ambient
         ch.table = table
         ch.ids = ids
-        ch._simplices = None
         return ch
 
     @property
     def terms(self) -> list:
-        """The (coefficient, Simplex) terms; a simplex built here inherits
-        its vertices' keys from the table."""
-        if self._simplices is None:
-            t, dim, keyed = self.table, self.dim_ambient, Simplex._keyed
-            point, keys, hashes = t.point, t.keys, t.hashes
-            self._simplices = [
-                (c, keyed(dim, tuple([point(i) for i in v]),
-                          tuple([keys[i] for i in v]),
-                          tuple([hashes[i] for i in v])))
-                for c, v in self.ids]
-        return self._simplices
+        """The (coefficient, Simplex) terms, built from the table's points."""
+        dim, point = self.dim_ambient, self.table.point
+        return [(c, Simplex(dim, tuple(map(point, v)))) for c, v in self.ids]
 
     def _ids_of(self, other) -> list:
         """The terms of `other` as id tuples over this chain's table."""
@@ -302,7 +260,7 @@ class SimplexChain:
         if other.table is self.table:
             return other.ids
         t, add = other.table, self.table.add
-        m = {i: add(t.points[i], t.keys[i], t.hashes[i])
+        m = {i: add(t.points[i], t.keys[i])
              for i in {i for _, v in other.ids for i in v}}
         return [(c, tuple([m[i] for i in v])) for c, v in other.ids]
 
@@ -383,13 +341,6 @@ def _swap_last_two(t):
     return t and t[:-2] + t[:-3:-1]
 
 
-def _flip_last_two(s: Simplex) -> Simplex:
-    """s with its last two vertices swapped, and with them the keys it has
-    computed."""
-    return Simplex._keyed(s.dim_ambient, _swap_last_two(s.vertices),
-                          _swap_last_two(s._keys), _swap_last_two(s._hashes))
-
-
 # -- polytopes ------------------------------------------------------------------
 
 class Polytope:
@@ -419,7 +370,7 @@ class Polytope:
             raise InvalidPolytope("empty polytope")
         table = VertexTable()
         for i in ids:
-            table.add(t.points[i], t.keys[i], t.hashes[i])
+            table.add(t.points[i], t.keys[i])
         self.chain = SimplexChain.from_ids(dim, table, cells)
         self.dim = dim
         self.name = name
@@ -732,7 +683,7 @@ def signed_indicator(chain: SimplexChain, x) -> int:
     total = 0
     for c, s in chain:  # a degenerate cell contains no point
         if orientation_sign(s) < 0:
-            s, c = _flip_last_two(s), -c
+            s, c = Simplex(s.dim_ambient, _swap_last_two(s.vertices)), -c
         if point_in_open_simplex(s, x):
             total += c
     return total

@@ -16,6 +16,7 @@ from . import (
     Polytope,
     Simplex,
     SimplexChain,
+    VertexTable,
     from_homog,
     make_point,
     to_homog,
@@ -251,48 +252,39 @@ def regular_octahedron(name: str = "regular octahedron") -> Polytope:
     return convex_polytope_3d(pts, name=name)
 
 
-def _lifted(p: Polytope, extra):
-    """The vertex tuples of p's cells and the scalars `extra`, all lifted
-    into one number field."""
-    cells = [s.vertices for _, s in p.chain]
-    flat = iter(lift(list(extra) + [x for vs in cells for v in vs
-                                     for x in v]))
+def _image(p: Polytope, extra, move, name: str) -> Polytope:
+    """The image of p under `move`, called once per vertex as
+    move(coordinates, extra) on the vertex's coordinates and the scalars
+    `extra`, all lifted into one number field; the cells keep their order."""
+    t = p.chain.table
+    points = list(map(t.point, range(len(t.keys))))
+    flat = iter(lift(list(extra) + [x for v in points for x in v]))
     extra = [next(flat) for _ in extra]
-    cells = [tuple(tuple(next(flat) for _ in v) for v in vs) for vs in cells]
-    return cells, extra
+    table = VertexTable()
+    ids = [table.add(move([next(flat) for _ in v], extra)) for v in points]
+    cells = [(c, tuple([ids[i] for i in v])) for c, v in p.chain.ids]
+    return Polytope(SimplexChain.from_ids(p.dim, table, cells), name=name,
+                    validate=False)
 
 
 def scaled_simplices(p: Polytope, factor) -> Polytope:
     """Polytope scaled about the origin by an exact positive factor."""
-    cells, (factor,) = _lifted(p, [factor])
-    terms = []
-    for (c, _), vs in zip(p.chain, cells):
-        verts = tuple(tuple(x * factor for x in v) for v in vs)
-        terms.append((c, Simplex(p.dim, verts)))
-    return Polytope(SimplexChain(p.dim, terms), name=f"{p.name} scaled",
-                    validate=False)
+    return _image(p, [factor], lambda v, e: tuple(x * e[0] for x in v),
+                  f"{p.name} scaled")
 
 
 def transformed(p: Polytope, matrix, shift=None) -> Polytope:
     """Image of a polytope under an exact affine map (matrix rows)."""
     dim = p.dim
     shift = list(shift) if shift is not None else [0] * dim
-    entries = [x for r in matrix for x in r] + shift
-    cells, entries = _lifted(p, entries)
-    rows = [entries[i * dim:(i + 1) * dim] for i in range(dim)]
-    shift = entries[dim * dim:]
-    terms = []
-    for (c, _), vs in zip(p.chain, cells):
-        verts = []
-        for v in vs:
-            img = tuple(
-                sum((rows[i][j] * v[j] for j in range(dim)),
-                    start=Fraction(0)) + shift[i]
-                for i in range(dim))
-            verts.append(img)
-        terms.append((c, Simplex(dim, tuple(verts))))
-    return Polytope(SimplexChain(dim, terms), name=f"{p.name} moved",
-                    validate=False)
+
+    def move(v, e):  # e: the matrix entries row by row, then the shift
+        return tuple(sum((e[i * dim + j] * v[j] for j in range(dim)),
+                         start=Fraction(0)) + e[dim * dim + i]
+                     for i in range(dim))
+
+    return _image(p, [x for r in matrix for x in r] + shift, move,
+                  f"{p.name} moved")
 
 
 def right_triangle(leg_a, leg_b) -> Polytope:

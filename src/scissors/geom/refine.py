@@ -68,9 +68,6 @@ def cell_cap() -> int:
 class _HomogBackend:
     """Integer homogeneous points; all geometry through the predicate kernel."""
 
-    def __init__(self, dim: int):
-        self.dim = dim
-
     @staticmethod
     def planes(facets):
         """(canonical functional, index of the first facet on it) per
@@ -97,9 +94,6 @@ class _HomogBackend:
 
 class _ScalarBackend:
     """Generic exact scalars (Fraction, field elements, AlgebraicReal)."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
 
     @staticmethod
     def planes(facets):
@@ -218,7 +212,7 @@ def _oriented_cells(chain: SimplexChain):
             local.setdefault(v, len(local))
     points = list(map(chain.table.homog, local))
     B = (_HomogBackend if all(type(c) is int for p in points for c in p)
-         else _ScalarBackend)(dim)
+         else _ScalarBackend)
     cells = []
     for c, t in terms:
         t = tuple([local[v] for v in t])

@@ -182,7 +182,7 @@ def bar_complex(group: FiniteGroup, module: GModule,
                 degree_cap: int, _slack: int = 0) -> ChainComplex:
     """Coinvariant bar complex with basis G^k × basis(M) in degree k."""
     if degree_cap > MAX_DEGREE + _slack:
-        raise SizeCap(f"degree cap {degree_cap} > {MAX_DEGREE}")
+        raise SizeCap(f"degree cap {degree_cap - _slack} > {MAX_DEGREE}")
     if group.n ** degree_cap * module.rank > 300_000:
         raise SizeCap("bar complex too large")
     r = module.rank

@@ -7,13 +7,15 @@ simplex, a boundary that builds a fresh simplex per face, subspaces in
 from fractions import Fraction
 from itertools import combinations
 
-from scissors.algebraic import make_algebraic
+from scissors.algebraic import AlgebraicReal, make_algebraic
 from scissors.geom import (
+    PointOnBoundary,
     Polytope,
     Simplex,
     SimplexChain,
     boundary,
     orientation_sign,
+    signed_indicator,
     simplex,
     vertex_key,
 )
@@ -369,6 +371,56 @@ def test_homotopy_identity_under_placement():
             _moved(sd_power(ch, rounds), move), case
         assert _as_points(subdivision_homotopy(moved, rounds)) == \
             _moved(subdivision_homotopy(ch, rounds), move), case
+
+
+def _indicator(chain, x):
+    """signed_indicator(chain, x), or None when x lies on a cell's facet
+    plane."""
+    try:
+        return signed_indicator(chain, x)
+    except PointOnBoundary:
+        return None
+
+
+def test_vertex_identity_lives_in_the_table():
+    # the vertices of placed simplices, each given as an int (when
+    # integral), a Fraction or a rational algebraic literal: one id per
+    # value, and every identity of a term computed from the table
+    kinds = set()
+    for case in range(9):
+        dim = case % 3 + 1
+        rng = SplitMix64.stream(909, case)
+        move = _placement(rng, dim)
+        cells = [tuple(map(move, seeded_simplex(909, 2 * case + j,
+                                                dim).vertices))
+                 for j in range(2)]
+        terms = []
+        for c, vs in ((1, cells[0]), (-2, cells[1][::-1]), (3, cells[0]),
+                      (1, cells[1])):
+            vs = tuple(retyped(v, rng) for v in vs)
+            kinds.update(type(x) for v in vs for x in v)
+            terms.append((c, Simplex(dim, vs)))
+        ch = SimplexChain(dim, terms)
+        t = ch.table
+        assert len(t.points) == len({v for vs in cells for v in vs}), case
+        assert ch.ids == [(c, tuple(map(t.index.__getitem__, s.key())))
+                          for c, s in terms]
+        # iterating the chain yields the table's own point objects
+        assert all(v is t.points[i] for (_, s), (_, ids) in zip(ch, ch.ids)
+                   for v, i in zip(s.vertices, ids))
+        for (c, s), (c_in, given) in zip(ch, terms):
+            assert c == c_in and s == given
+            for x in (s, given):
+                assert hash(x) == hash(tuple(map(vertex_key, x.vertices)))
+        assert SimplexChain(dim, ch.terms).ids == ch.ids
+        # the sum of the cells does not depend on their order
+        back = SimplexChain(dim, ch.terms[::-1])
+        for vs in cells:
+            inside = tuple(sum(x) / (dim + 1) for x in zip(*vs))
+            outside = tuple(2 * a - b for a, b in zip(vs[0], inside))
+            for x in (inside, outside):
+                assert _indicator(ch, x) == _indicator(back, x), case
+    assert kinds == {int, Fraction, AlgebraicReal}
 
 
 # -- flags --------------------------------------------------------------------------

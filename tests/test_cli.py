@@ -294,6 +294,10 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     # multiply to 0, and a degree-4 generator over a quadratic one
     *(("phi", "--tensor", {"terms": [{"cos": "1/3"}]}, "--tower", tower)
       for tower in ("t; a: a^2 = 2; b: b^2 = 8", "t; a: a^2 = 2; c: c^4 = t")),
+    # argparse errors: a flag out of range, a bad choice, a missing argument
+    ("verify", "dissection", "--cases", "0"),
+    ("--format", "xml", "verify", "dissection"),
+    ("compare", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -306,7 +310,8 @@ def test_cli_rejects_out_of_range(argv, tmp_path):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error: " in proc.stderr.strip().splitlines()[-1]
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
 # the Gaussian rationals Q(i) on the basis 1, i, as an algebra JSON table
@@ -561,6 +566,19 @@ def test_group_order_cap_is_checked_first(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert err == [f"resource cap: group order {order} > 16"]
     assert cli.main(["homology", "--group", "Z/16", "--max-degree", "1"]) == 0
+
+
+def test_group_degree_cap_names_the_flag_value(capsys):
+    # the bar complex is built one degree above --max-degree; the message
+    # names the flag's value, not that internal degree
+    from scissors import cli
+
+    assert cli.main(["homology", "--group", "Z/2",
+                     "--max-degree", "5"]) == cli.EXIT_CAP
+    assert capsys.readouterr().err.splitlines() == [
+        "resource cap: degree cap 5 > 4"]
+    assert cli.main(["homology", "--group", "Z/2",
+                     "--max-degree", "4"]) == cli.EXIT_OK
 
 
 def test_compare_recheck_failure_is_exit_1_with_one_line(fixtures,

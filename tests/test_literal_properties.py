@@ -1,10 +1,12 @@
-"""Property tests over number literals and polytope files fed to the CLI.
+"""Property tests over number literals, polytope files, and the chain
+complex and group table files of `homology`, fed to the CLI.
 
 Literals are rationals, or a root of a small integer polynomial (a product
 of small factors, so reducible and non-squarefree ones come up) in an
 interval that holds no root, one root or several.  Polytope files are
 small vertex sets with cells drawn at random, so degenerate, overlapping
-and non-manifold cells come up, each file perhaps broken in one place.
+and non-manifold cells come up, each file perhaps broken in one place;
+complex and group files likewise.
 Every input must end in a documented exit code with one stderr line, never
 in a traceback.
 """
@@ -236,3 +238,105 @@ def test_polytope_info_on_random_polytope_files(obj):
     _assert_contract(code, err)
     if code == 0:
         assert json.loads(out)["results"]["cells"] > 0
+
+
+# -- chain complex and group table files --------------------------------------
+
+# top levels that are no complex or group table object
+TOPS = ["complex", 5, None, {"boundaries": {}}, {"table": 3}]
+
+
+@st.composite
+def complex_objects(draw):
+    """A `homology --complex` JSON object on a few consecutive degrees:
+    random boundary entries (so ∂∂ ≠ 0 comes up), perhaps a bad degree key,
+    a bad rank, an entry out of range, a ragged or non-integer entry, or a
+    top level that is no object."""
+    lo = draw(st.integers(-1, 1))
+    degrees = range(lo, lo + draw(st.integers(1, 4)))
+    ranks = {str(k): draw(st.integers(0, 3)) for k in degrees}
+    boundaries = {}
+    for k in degrees:
+        rows, cols = ranks.get(str(k - 1), 0), ranks[str(k)]
+        if draw(st.sampled_from([True, True, False])) and rows and cols:
+            boundaries[str(k)] = [
+                [draw(st.integers(0, rows - 1)),
+                 draw(st.integers(0, cols - 1)), draw(st.integers(-2, 2))]
+                for _ in range(draw(st.integers(1, 4)))]
+    obj = {"ranks": ranks, "boundaries": boundaries}
+    fault = draw(st.sampled_from([None, None, "key", "rank", "range",
+                                  "entry", "dd", "top"]))
+    k = str(draw(st.sampled_from(degrees)))
+    if fault == "dd":  # Z → Z → Z with both maps nonzero
+        a, b = draw(st.sampled_from([1, -1, 2])), draw(st.sampled_from([1, 3]))
+        ranks.update({str(lo - 1): 1, str(lo): 1, str(lo + 1): 1})
+        boundaries.update({str(lo): [[0, 0, a]], str(lo + 1): [[0, 0, b]]})
+    elif fault == "key":
+        ranks[draw(st.sampled_from(["1_0", " 0 ", "x", "", "+1", "1.0"]))] = 1
+    elif fault == "rank":
+        ranks[k] = draw(st.sampled_from([-1, "1", True, 1.5, None, [1]]))
+    elif fault == "range":
+        boundaries.setdefault(k, []).append(
+            draw(st.sampled_from([[-1, 0, 1], [0, 9, 1], [9, 0, 1]])))
+    elif fault == "entry":
+        boundaries.setdefault(k, []).append(
+            draw(st.sampled_from([[0, 0], [0, 0, 1, 1], [0, 0, "2"],
+                                  [0, 0, 2.5], [0, True, 1], [None, 0, 1],
+                                  5, "001"])))
+    elif fault == "top":
+        obj = draw(st.sampled_from([[obj]] + TOPS))
+    return obj
+
+
+@st.composite
+def group_tables(draw):
+    """A `homology --group` table file of order at most 4: the cyclic
+    group's table with its entries perhaps shuffled or made no group, a
+    ragged or out-of-range or non-integer row entry, or a top level that is
+    no object."""
+    n = draw(st.integers(1, 4))
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    obj = {"table": table}
+    fault = draw(st.sampled_from([None, None, "entry", "ragged", "value",
+                                  "name", "top"]))
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault == "entry":
+        table[a][b] = draw(st.integers(0, n - 1))
+    elif fault == "ragged":
+        table[a] = table[a][:-1] if draw(st.booleans()) else table[a] + [0]
+    elif fault == "value":
+        table[a][b] = draw(st.sampled_from([n, -1, "0", 1.5, True, None]))
+    elif fault == "name":
+        obj["name"] = draw(st.sampled_from([5, None, ["a"], "G"]))
+    elif fault == "top":
+        obj = draw(st.sampled_from([[obj]] + TOPS))
+    return obj
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(complex_objects())
+def test_homology_on_random_complex_files(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = _run("homology", "--complex", str(path))
+    assert code in (0, 2), err
+    _assert_contract(code, err)
+    if code == 0:
+        assert set(json.loads(out)["results"]["homology"]) == \
+            set(obj["ranks"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(group_tables(), st.sampled_from(["0", "1", "3", "5"]))
+def test_group_homology_on_random_table_files(obj, max_degree):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = _run("homology", "--group", str(path),
+                              "--max-degree", max_degree)
+    assert code in (0, 2, 4), err
+    _assert_contract(code, err)
+    if code == 0:
+        assert len(json.loads(out)["results"]["homology"]) == \
+            int(max_degree) + 1

@@ -47,7 +47,7 @@ from scissors.suites import (
 
 def test_split_simplex_volume_preserved():
     # splitting pieces partition the tetra: volumes sum, pairwise disjoint
-    B = _HomogBackend(3)
+    B = _HomogBackend
     tet = ((0, 0, 0, 1), (6, 0, 0, 1), (0, 6, 0, 1), (0, 0, 6, 1))
     func = (1, 1, 1, -3)  # plane x+y+z=3 cuts strictly through
     pieces = split_simplex(tet, func, B)
@@ -237,7 +237,7 @@ def _facets(cells):
 
 def _oracle_planes(cells, B):
     """The planes of every facet of every cell, in order, each once."""
-    if isinstance(B, _HomogBackend):
+    if B is _HomogBackend:
         planes = {}
         for _, pts in cells:
             for i in range(len(pts)):
@@ -293,7 +293,7 @@ def test_refinement_pieces_match_recursive_splitter():
     backends = set()
     for chain in _refinement_chains():
         pieces, cells, B = refinement_pieces(chain)
-        backends.add(type(B))
+        backends.add(B)
         want, planes = _oracle_pieces(cells, B)
         assert pieces == want
         assert [func for func, _ in B.planes(_facets(cells))] == planes
@@ -374,7 +374,7 @@ def test_mixed_weight_prism_validates_with_pinned_pieces():
         kinds = {all(type(c) is int for c in h) and h[-1] for h in points}
         assert kinds == ({False, 1} if height == 1 else {False, 1, 7})
         pieces, cells, B = refinement_pieces(p.chain)
-        assert type(B) is _ScalarBackend and len(cells) == 12
+        assert B is _ScalarBackend and len(cells) == 12
         assert sha256(repr(pieces).encode()).hexdigest() == "d6045542dd104" \
             "18b30b32bc45a18c44925a32bf4cb0e5039e8352f5f6359287f"
 
