@@ -9,7 +9,6 @@ evaluating ∏ (cosθ_j + i·sinθ_j)^{2 m_j} exactly and checking it equals 1;
 unverified candidates are discarded, so every returned relation is sound.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -285,16 +284,34 @@ class UnitComplex:
         return scalar_sign(self.re - 1) == 0 and scalar_sign(self.im) == 0
 
 
-@dataclass(frozen=True)
 class IntegerRelation:
-    """Certified relation ∑ m_j θ_j ≡ 0 (mod π) over a list of angles."""
+    """Certified relation ∑ m_j θ_j ≡ 0 (mod π) over a list of angles.
 
-    coefficients: tuple
-    witness: dict = field(compare=False, default_factory=dict)
+    Two relations are equal when their coefficients are; the witness is
+    not compared.
+    """
+
+    __slots__ = ("coefficients", "witness")
+
+    def __init__(self, coefficients: tuple, witness: dict = None):
+        self.coefficients = coefficients
+        self.witness = {} if witness is None else witness
 
     def to_json(self):
         return {"coefficients": list(self.coefficients),
                 "witness": self.witness}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __repr__(self):
+        return (f"IntegerRelation(coefficients={self.coefficients!r}, "
+                f"witness={self.witness!r})")
 
 
 def verify_relation(angles, coefficients) -> bool:

@@ -9,7 +9,6 @@ verdict is certified; "equal/zero" verdicts are conditional on the height
 bound of the relation search and say so.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebraic import as_scalar, lift, scalar_sign
@@ -19,12 +18,24 @@ from .geom import Polytope
 from .numbers import format_number, parse_number
 
 
-@dataclass
 class DehnTensor:
-    terms: list  # [(length scalar, AnglePair)], normal form
-    relations_used: list = field(default_factory=list)
-    height_bound: int = DEFAULT_HEIGHT_BOUND
-    rational_drops: list = field(default_factory=list)
+    __slots__ = ("terms", "relations_used", "height_bound", "rational_drops")
+
+    def __init__(self, terms: list, relations_used: list = None,
+                 height_bound: int = DEFAULT_HEIGHT_BOUND,
+                 rational_drops: list = None):
+        self.terms = terms  # [(length scalar, AnglePair)], normal form
+        self.relations_used = [] if relations_used is None else relations_used
+        self.height_bound = height_bound
+        self.rational_drops = [] if rational_drops is None else rational_drops
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
+
+    __hash__ = None
 
     def is_empty(self) -> bool:
         return not self.terms
@@ -169,15 +180,31 @@ def nonzero_certificate(t: DehnTensor):
     }
 
 
-@dataclass
 class CongruenceVerdict:
-    tag: str  # NotCongruent_Volume | NotCongruent_Dehn | Congruent_DSJ | Unknown
-    witness: dict
-    height_bound: int
+    __slots__ = ("tag", "witness", "height_bound")
+
+    def __init__(self, tag: str, witness: dict, height_bound: int):
+        # NotCongruent_Volume | NotCongruent_Dehn | Congruent_DSJ | Unknown
+        self.tag = tag
+        self.witness = witness
+        self.height_bound = height_bound
 
     def to_json(self):
         return {"tag": self.tag, "witness": self.witness,
                 "height_bound": self.height_bound}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CongruenceVerdict(tag={self.tag!r}, "
+                f"witness={self.witness!r}, "
+                f"height_bound={self.height_bound!r})")
 
 
 def compare_polytopes(a: Polytope, b: Polytope,

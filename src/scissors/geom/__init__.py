@@ -16,8 +16,7 @@ a chain is iterated, their equality and hash computed from the vertices'
 keys on demand, and `VertexTable.ranks` orders ids by value.
 """
 
-import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -29,8 +28,6 @@ from ..algebraic import (
 from ..angles import AnglePair
 from ..errors import GeometryError
 from . import predicates as hp
-
-log = logging.getLogger("scissors.geom")
 
 
 class DimensionMismatch(GeometryError):
@@ -360,7 +357,6 @@ class Polytope:
             if sgn == 0:
                 continue
             if sgn < 0:
-                log.debug("reordering negatively oriented cell")
                 v = _swap_last_two(v)
             if c < 0:
                 raise InvalidPolytope("negative cell multiplicity")
@@ -555,12 +551,13 @@ def boundary_facets(chain: SimplexChain):
 
 # -- dihedral edges -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DihedralEdge:
-    endpoints: tuple
-    length: object
-    angle: AnglePair
-    marker: bool = False  # extra full-π term emitted alongside a reflex edge
+class DihedralEdge(namedtuple("DihedralEdge", "endpoints length angle marker",
+                              defaults=(False,))):
+    """An edge's endpoints, length and interior dihedral angle (an
+    AnglePair); `marker` is set on the extra full-π term emitted alongside
+    a reflex edge."""
+
+    __slots__ = ()
 
     def to_json(self):
         from ..numbers import format_number

@@ -1,11 +1,10 @@
 """Finite homological algebra: sparse integer matrices, chain and double
 complexes with validated differentials, homology via Smith normal form."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from ..linalg import (
-    nullspace_sparse,
     rank_sparse,
     smith_normal_form_dense,
     smith_normal_form_sparse,
@@ -70,9 +69,6 @@ class SparseIntMatrix:
     def rank(self) -> int:
         return rank_sparse(self.row_dicts(), self.cols)
 
-    def nullspace(self):
-        return nullspace_sparse(self.row_dicts(), self.cols)
-
     def smith(self):
         """(U, D, V) dense with U·self·V = D in Smith normal form."""
         U, D, V = smith_normal_form_dense(self.to_dense(), self.rows,
@@ -108,11 +104,11 @@ def smith_normal_form(m: SparseIntMatrix):
     return wrap(U), wrap(D), wrap(V)
 
 
-@dataclass(frozen=True)
-class HomologyResult:
-    degree: int
-    betti: int
-    torsion: tuple  # elementary divisors > 1, each dividing the next
+class HomologyResult(namedtuple("HomologyResult", "degree betti torsion")):
+    """H_degree ≅ ℤ^betti ⊕ ℤ/t₁ ⊕ ℤ/t₂ ⊕ …, where `torsion` holds the
+    elementary divisors tᵢ > 1, each dividing the next."""
+
+    __slots__ = ()
 
     def __str__(self):
         parts = []
@@ -180,9 +176,6 @@ class ChainComplex:
                  - len(divisors))
         torsion = tuple(d for d in divisors if d > 1)
         return HomologyResult(k, betti, torsion)
-
-    def homology_all(self):
-        return {k: self.homology(k) for k in self.degrees()}
 
 
 class DoubleComplex:

@@ -12,9 +12,11 @@ from .numbers import ParseError, format_number, parse_number
 
 def load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON and bytes that are no UTF-8, and
+    # RecursionError arrays or objects nested too deep to parse
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

@@ -64,6 +64,16 @@ def _rational_sqrt(q):
     return None
 
 
+def _over(nums, d):
+    """The integers `nums` over d in lowest terms: ints when d divides them
+    all, else Fractions over one denominator."""
+    g = gcd(d, *nums)
+    d //= g
+    if d == 1:
+        return tuple([c // g for c in nums])
+    return tuple([Fraction(c // g, d) for c in nums])
+
+
 # -- fields --------------------------------------------------------------------
 
 class SimpleField:
@@ -152,12 +162,15 @@ class SimpleField:
             if c:
                 for i in range(n):
                     out[i] += c * row[i]
-        d *= du * dv
-        g = gcd(d, *out)
-        d //= g
-        if d == 1:
-            return tuple([c // g for c in out])
-        return tuple([Fraction(c // g, d) for c in out])
+        return _over(out, d * du * dv)
+
+    def scale(self, u, q):
+        """u·q for a rational q, coordinate by coordinate, in the form
+        `mul` gives."""
+        du = lcm(*[a.denominator for a in u])
+        n = q.numerator
+        return _over([a.numerator * (du // a.denominator) * n for a in u],
+                     du * q.denominator)
 
     def _columns(self, u):
         """Columns of multiplication by u: u·αʲ for j < n."""
@@ -301,6 +314,10 @@ class QuadField:
             return (a * c, a * d)
         return (a * c + b * d * self.r, a * d + b * c)
 
+    @staticmethod
+    def scale(u, q):
+        return (u[0] * q, u[1] * q)
+
     def inv(self, u):
         a, b = u
         n = a * a - b * b * self.r
@@ -370,6 +387,8 @@ class Num:
         return F.make(tuple(b - a for a, b in zip(u, v)))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.field.make(self.field.scale(self.data, other))
         c = _common(self, other)
         if c is None:
             return _fallback(self, other, "__mul__")

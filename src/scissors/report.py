@@ -128,6 +128,8 @@ def check_report_shape(report, source: str) -> None:
         elif kind == "volume-mismatch":
             need(cert, "volume_a", _NUMBER, where)
             need(cert, "volume_b", _NUMBER, where)
+    # an object without a digest is no report, so no recheck of it fails
+    need(report, "digest", (str,), "the report")
 
 
 def recheck_certificates(report: dict):

@@ -670,10 +670,17 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
 _GEOMETRY = ("scissors.geom", "scissors.algebraic", "scissors.numberfield",
              "scissors.angles", "scissors.dehn")
 _HOMOLOGY = ("scissors.homology", "scissors.hochschild", "scissors.kahler")
+# stdlib modules that no command needs: dataclasses, with the inspect it
+# loads, and logging cost about 22 ms of a cold start together
+_STDLIB_UNUSED = ("dataclasses", "inspect", "logging")
 
 
-def test_commands_load_only_their_layers(fixtures):
-    cube, rot = str(fixtures / "cube.json"), str(fixtures / "cube_rot.json")
+def test_commands_load_only_their_layers(fixtures, tmp_path):
+    cube, rot, tetra, vol1 = (
+        str(fixtures / name) for name in ("cube.json", "cube_rot.json",
+                                          "tetra.json", "tetra_vol1.json"))
+    report = tmp_path / "cube_vol1.json"
+    report.write_text(run_cli("compare", cube, vol1).stdout)
     no_geometry = _GEOMETRY + ("scissors.kahler",)
     for blocked_modules, argv in (
             (no_geometry + ("scissors.hochschild",),
@@ -681,8 +688,11 @@ def test_commands_load_only_their_layers(fixtures):
             (no_geometry + ("scissors.homology",),
              ["hochschild", "--algebra", "mat2"]),
             (_HOMOLOGY, ["polytope-info", cube]),
-            (_HOMOLOGY, ["compare", cube, rot])):
-        blocked = _run_blocking(blocked_modules, argv)
+            (_HOMOLOGY, ["polytope-info", tetra]),
+            (_HOMOLOGY, ["compare", cube, rot]),
+            (_HOMOLOGY, ["compare", "--recheck", vol1, cube]),
+            (_HOMOLOGY, ["recheck", str(report)])):
+        blocked = _run_blocking(blocked_modules + _STDLIB_UNUSED, argv)
         assert blocked.returncode == 0, (argv, blocked.stderr)
         plain = run_cli(*argv)
         assert plain.returncode == 0, (argv, plain.stderr)

@@ -1,12 +1,14 @@
-"""Property tests over number literals, polytope files, and the chain
-complex and group table files of `homology`, fed to the CLI.
+"""Property tests over number literals, polytope files, the chain complex
+and group table files of `homology`, and whole command lines, fed to the
+CLI.
 
 Literals are rationals, or a root of a small integer polynomial (a product
 of small factors, so reducible and non-squarefree ones come up) in an
 interval that holds no root, one root or several.  Polytope files are
 small vertex sets with cells drawn at random, so degenerate, overlapping
 and non-manifold cells come up, each file perhaps broken in one place;
-complex and group files likewise.
+complex and group files likewise.  Command lines draw each argument from
+a fixed pool of good and bad values.
 Every input must end in a documented exit code with one stderr line, never
 in a traceback.
 """
@@ -19,11 +21,17 @@ from fractions import Fraction
 from math import floor, isqrt
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scissors.cli import main
-from scissors.geom.convex import box, unit_cube
+from scissors.cli import SUITE_NAMES, main
+from scissors.geom.convex import (
+    box,
+    regular_tetrahedron,
+    transformed,
+    unit_cube,
+)
 from scissors.io import polytope_to_json
 from scissors.report import digest_of, strip_timing
 
@@ -94,7 +102,10 @@ def _shifted(lit, c: int):
 def _run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -340,3 +351,121 @@ def test_group_homology_on_random_table_files(obj, max_degree):
     if code == 0:
         assert len(json.loads(out)["results"]["homology"]) == \
             int(max_degree) + 1
+
+
+# -- command lines ------------------------------------------------------------
+
+# "@name" stands for the file `name` in the fixture directory; missing.json
+# is never written and dir is a directory
+POLYTOPE_FILES = ["@cube.json", "@cube_rot.json", "@box112.json",
+                  "@tetra.json"]
+BAD_FILES = ["@missing.json", "@dir", "@empty.json", "@truncated.json",
+             "@list.json", "@nan.json", "@latin1.json", "@nested.json"]
+# each pool holds small in-range values, out-of-range and non-numeric ones
+HEIGHT_BOUNDS = ["1", "20", "0", "-1", "x", "", "2.5"]
+SEEDS = ["0", "7", "-5", "x", ""]
+CASES = ["1", "0", "-1", "1001", "x"]
+# a built-in algebra caps the degree at 3 (2 for mat4, left out as its
+# degree-2 table takes half a minute)
+ALGEBRA_DEGREES = ["0", "1", "3", "4", "-1", "x"]
+GROUPS = ["1", "Z/2", "Z/4", "S3", "Z/0", "Z/-3", "Z/x", "Z/" + "9" * 12,
+          "@z2_table.json"]
+GROUP_DEGREES = ["0", "1", "3", "5", "-1", "x"]
+MODULES = ["trivialZ", "@z2_sign.json"]
+TOWERS = ["t; s: s^2 = 1 - t^2", "t; s: s^2 = ((", "", "t"]
+
+
+def _maybe(draw, flag, values):
+    return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) \
+        else []
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line of any command, each argument drawn from a fixed
+    pool: a good value, or one out of range, non-numeric, a missing or
+    malformed file, or an unknown name.  In-range values are small, so
+    that no command line runs much longer than a second."""
+    files = st.sampled_from(POLYTOPE_FILES + BAD_FILES)
+    argv = _maybe(draw, "--format", ["json", "text", "xml"])
+    command = draw(st.sampled_from([
+        "polytope-info", "compare", "verify", "hochschild", "homology",
+        "phi", "recheck", "no-such-command", None]))
+    if command is None:
+        return argv
+    argv.append(command)
+    if command == "polytope-info":
+        argv.append(draw(files))
+    elif command == "compare":
+        argv += [draw(files), draw(files)]
+        argv += ["--recheck"] if draw(st.booleans()) else []
+    elif command == "verify":
+        # --cases is always given: the default of 25 takes seconds
+        argv += [draw(st.sampled_from(SUITE_NAMES + ("no-such-suite",))),
+                 "--cases", draw(st.sampled_from(CASES))]
+        argv += _maybe(draw, "--seed", SEEDS)
+    elif command == "hochschild":
+        argv += ["--algebra", draw(st.sampled_from(
+            ["Q", "QI", "quat", "mat2", "no-such-algebra"] + BAD_FILES))]
+        argv += _maybe(draw, "--max-degree", ALGEBRA_DEGREES)
+    elif command == "homology":
+        argv += _maybe(draw, "--group", GROUPS)
+        argv += _maybe(draw, "--complex", ["@complex.json"] + BAD_FILES)
+        argv += _maybe(draw, "--module", MODULES + BAD_FILES)
+        argv += _maybe(draw, "--max-degree", GROUP_DEGREES)
+    elif command == "phi":
+        argv += _maybe(draw, "--tensor", ["@t.json"] + BAD_FILES)
+        argv += _maybe(draw, "--tower", TOWERS)
+    elif command == "recheck":
+        argv.append(draw(st.sampled_from(["@report.json", "@cube.json"]
+                                         + BAD_FILES)))
+    if command in ("polytope-info", "compare"):
+        argv += _maybe(draw, "--height-bound", HEIGHT_BOUNDS)
+        argv += ["--exact-strict"] if draw(st.booleans()) else []
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    rot = [(Fraction(3, 5), Fraction(-4, 5), 0),
+           (Fraction(4, 5), Fraction(3, 5), 0), (0, 0, 1)]
+    objects = {
+        "cube.json": polytope_to_json(unit_cube()),
+        "cube_rot.json": polytope_to_json(
+            transformed(unit_cube(), rot, shift=(2, 1, 0))),
+        "box112.json": polytope_to_json(box((0, 0, 0), (1, 1, 2))),
+        "tetra.json": polytope_to_json(regular_tetrahedron()),
+        "list.json": [1, 2],
+        "nan.json": {"dim": float("nan"), "vertices": [], "cells": []},
+        "t.json": {"terms": [{"length": "rat:1/1", "cos": "t",
+                              "sin": "s"}]},
+        "z2_table.json": {"table": [[0, 1], [1, 0]]},
+        "z2_sign.json": {"rank": 1, "action": {"0": [[1]], "1": [[-1]]}},
+        "complex.json": {"ranks": {"0": 1, "1": 1},
+                         "boundaries": {"1": [[0, 0, 2]]}},
+    }
+    for name, obj in objects.items():
+        (root / name).write_text(json.dumps(obj))
+    (root / "dir").mkdir()
+    (root / "empty.json").write_text("")
+    (root / "truncated.json").write_text('{"dim": 3, "vertices": [[0')
+    (root / "latin1.json").write_bytes('{"name": "Zerlegungsgleichheit \xe4"}'
+                                      .encode("latin-1"))
+    (root / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _run("compare", str(root / "cube.json"),
+                          str(root / "box112.json"))
+    assert code == 0, err
+    (root / "report.json").write_text(out)
+    return root
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(cli_argv())
+def test_cli_on_drawn_command_lines(argv_files, argv):
+    argv = [str(argv_files / a[1:]) if a.startswith("@") else a
+            for a in argv]
+    code, out, err = _run(*argv)
+    _assert_contract(code, err)
+    if code == 0:
+        assert not err, err
