@@ -288,14 +288,22 @@ class IntegerRelation:
     """Certified relation ∑ m_j θ_j ≡ 0 (mod π) over a list of angles.
 
     Two relations are equal when their coefficients are; the witness is
-    not compared.
+    not compared.  The fields cannot be reassigned, as the hash is taken
+    from the coefficients.
     """
 
     __slots__ = ("coefficients", "witness")
 
     def __init__(self, coefficients: tuple, witness: dict = None):
-        self.coefficients = coefficients
-        self.witness = {} if witness is None else witness
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "witness",
+                           {} if witness is None else witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_json(self):
         return {"coefficients": list(self.coefficients),

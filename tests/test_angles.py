@@ -120,6 +120,20 @@ def test_every_returned_relation_reverifies():
         assert verify_relation(angles, rel.coefficients)
 
 
+def test_integer_relation_compares_and_hashes_its_coefficients():
+    a = IntegerRelation((1, -2), {"angles": []})
+    b = IntegerRelation((1, -2))
+    assert a == b and hash(a) == hash(b) and b.witness == {}
+    assert a != IntegerRelation((2, -1)) and a != (1, -2)
+    # the hash is taken from the coefficients, so they stay as built
+    for name in ("coefficients", "witness"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.coefficients == (1, -2) and len({a, b}) == 1
+
+
 def test_rational_angle_detected_via_relations():
     # π/3 alone: 3θ = π is a (certifiable) relation
     t = angle_from_cos(Fraction(1, 2))

@@ -187,6 +187,28 @@ TOWER = "t; s: s^2 = 1 - t^2"
 TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+# well-formed reports whose algebraic literals are not: an interval that
+# holds two roots of the minimal polynomial, or none
+BAD_LITERAL_REPORTS = [
+    {"certificates": [{
+        "type": "nonzero-dehn", "two_cos_minpoly": ["-2", "3"],
+        "angle": {"cos": "rat:1/3", "sin": {"minpoly": ["-8", "0", "9"],
+                                            "lo": "11/12", "hi": "23/24"}},
+        "length": {"minpoly": ["-3359232", "0", "0", "0", "0", "0", "1"],
+                   "lo": "-20", "hi": "20"}}], "digest": "x"},
+    {"certificates": [{
+        "type": "nonzero-dehn", "two_cos_minpoly": ["-2", "3"],
+        "angle": {"cos": "rat:1/3", "sin": {"minpoly": ["-8", "0", "9"],
+                                            "lo": "11/12", "hi": "23/24"}},
+        "length": {"minpoly": ["-2", "0", "1"], "lo": "2", "hi": "3"}}],
+     "digest": "x"},
+    {"certificates": [{
+        "type": "volume-mismatch", "volume_a": "rat:1/1",
+        "volume_b": {"minpoly": ["-2", "0", "1"], "lo": "-2", "hi": "2"}}],
+     "digest": "x"},
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("homology", "--group", "Z/0"),
     ("homology", "--group", "Z/-3"),
@@ -211,21 +233,7 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
          "coefficients": ["2"]}]}]}),
     ("recheck", {"certificates": [{"type": "rational-angles",
                                    "dropped": [{"cos": "rat:1/2"}]}]}),
-    # an algebraic literal whose interval holds two roots, or none
-    ("recheck", {"certificates": [{
-        "type": "nonzero-dehn", "two_cos_minpoly": ["-2", "3"],
-        "angle": {"cos": "rat:1/3", "sin": {"minpoly": ["-8", "0", "9"],
-                                            "lo": "11/12", "hi": "23/24"}},
-        "length": {"minpoly": ["-3359232", "0", "0", "0", "0", "0", "1"],
-                   "lo": "-20", "hi": "20"}}]}),
-    ("recheck", {"certificates": [{
-        "type": "nonzero-dehn", "two_cos_minpoly": ["-2", "3"],
-        "angle": {"cos": "rat:1/3", "sin": {"minpoly": ["-8", "0", "9"],
-                                            "lo": "11/12", "hi": "23/24"}},
-        "length": {"minpoly": ["-2", "0", "1"], "lo": "2", "hi": "3"}}]}),
-    ("recheck", {"certificates": [{
-        "type": "volume-mismatch", "volume_a": "rat:1/1",
-        "volume_b": {"minpoly": ["-2", "0", "1"], "lo": "-2", "hi": "2"}}]}),
+    *(("recheck", report) for report in BAD_LITERAL_REPORTS),
     ("homology", "--complex",
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[5, 0, 1]]}}),
     ("homology", "--complex",
@@ -298,6 +306,8 @@ TET = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ("verify", "dissection", "--cases", "0"),
     ("--format", "xml", "verify", "dissection"),
     ("compare", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    # an object without a digest is no report
+    ("recheck", {"certificates": []}),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -312,6 +322,16 @@ def test_cli_rejects_out_of_range(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+@pytest.mark.parametrize("report", BAD_LITERAL_REPORTS)
+def test_recheck_rejects_bad_literals(report, tmp_path):
+    # the report passes the shape check, so the literal itself is refused
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    proc = run_cli("recheck", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: bad algebraic literal ")
 
 
 # the Gaussian rationals Q(i) on the basis 1, i, as an algebra JSON table
