@@ -8,19 +8,22 @@ containing exactly one of its real roots: the form of a literal as parsed.
 ``lift`` puts the literals of one input into one field ℚ(α), and all
 arithmetic on irrational values runs there: the operators of
 ``AlgebraicReal`` lift their operands, compute in the field and read the
-result back as a literal.  The one resultant of the package grows that
-field when a literal lies outside it: it gives the minimal polynomial of
+result back as a literal.  The one resultant of the package, taken by
+`poly` like the pseudo-remainders of the Sturm chains, grows that field
+when a literal lies outside it: it gives the minimal polynomial of
 γ = x + kα, and α is recovered in ℚ(γ) exactly.
 """
 
 import operator
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import lru_cache
+from math import comb, isqrt, lcm
 
 from . import numberfield
 from .errors import SizeCap
 from .linalg import primitive
 from .numberfield import Num, SimpleField, _sign, scalar_sign
+from .poly import _prem, _quotient, resultant
 
 
 class NoRootInInterval(ValueError):
@@ -40,7 +43,8 @@ class NegativeSqrt(ValueError):
 
 
 # -- integer polynomials: tuples of ints, constant coefficient first ---------
-# sympy is imported only where a polynomial is factored or a resultant taken.
+# Division and resultants run on `poly`'s sparse form; sympy is imported
+# only where a polynomial of degree 4 or more is factored.
 
 def _strip(coeffs) -> tuple:
     """Drop zero leading coefficients; the zero polynomial is ()."""
@@ -48,6 +52,22 @@ def _strip(coeffs) -> tuple:
     while f and f[-1] == 0:
         f.pop()
     return tuple(f)
+
+
+def _sparse(f) -> dict:
+    """A coefficient tuple as a polynomial of `poly` in one variable."""
+    return {(k,): c for k, c in enumerate(f) if c}
+
+
+def _dense(p) -> list:
+    """A polynomial of `poly` in one variable as a coefficient list."""
+    return [p.get((k,), 0) for k in range(max(p)[0] + 1)] if p else []
+
+
+def _divide(a, b) -> tuple:
+    """a/b over its content, for a primitive b that divides a over ℚ: by
+    Gauss's lemma b then divides a over ℤ."""
+    return primitive(_dense(_quotient(_sparse(a), _sparse(b))), 1)
 
 
 def _canonical_single(coeffs) -> tuple:
@@ -80,7 +100,7 @@ def _canonical_factors(coeffs):
         for r in _rational_roots(f):
             lin = (-r.numerator, r.denominator)
             out.append(lin)
-            f = _exact_quotient(f, lin)
+            f = _divide(f, lin)
         return out + ([_canonical_single(f)] if len(f) > 1 else [])
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_zz_factor
@@ -91,104 +111,46 @@ def _canonical_factors(coeffs):
     return [_canonical_single(g[::-1]) for g, _mult in factors if len(g) > 1]
 
 
-_SUM_CACHE: dict = {}
-
-
+@lru_cache(maxsize=2048)
 def _sum_candidates(f, g):
     """Irreducible factors of Res_y(f(y), g(x − y)), whose roots are the
     sums of a root of f and a root of g: the package's one resultant, a
-    dense bivariate one over ℤ."""
-    key = (f, g)
-    hit = _SUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    from math import comb
-
-    from sympy.polys.densebasic import dmp_normal
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dmp_resultant
-
-    dg = len(g) - 1
-    # F = f(y): main variable y, coefficients constant in x
-    F = dmp_normal([[int(c)] for c in reversed(f)], 1, ZZ)
-    # coefficient of y^k in g(x−y): (−1)^k Σ_{i≥k} g_i C(i,k) x^{i−k}
-    rows = []
-    for k in range(dg, -1, -1):
-        cx = [0] * (dg - k + 1)
-        for i in range(k, dg + 1):
-            cx[i - k] += g[i] * comb(i, k)
-        if k % 2:
-            cx = [-c for c in cx]
-        rows.append(list(reversed(cx)))  # dup in x, highest first
-    G = dmp_normal(rows, 1, ZZ)
-    cands = _canonical_factors(dmp_resultant(F, G, 1, ZZ)[::-1])
-    if len(_SUM_CACHE) > 2048:
-        _SUM_CACHE.clear()
-    _SUM_CACHE[key] = cands
-    return cands
+    bivariate one over ℤ in the variables (x, y)."""
+    F = {(0, k): c for k, c in enumerate(f) if c}
+    # the term of g(x − y) in x^(i−k)·y^k is (−1)^k·C(i, k)·g_i
+    G = {(i - k, k): (-1) ** k * comb(i, k) * c
+         for i, c in enumerate(g) if c for k in range(i + 1)}
+    res = resultant(F, G, 1)
+    return _canonical_factors(_dense({(j,): c for (j, _), c in res.items()}))
 
 
 # -- Sturm sequences ---------------------------------------------------------
 
-def _neg_rem(a, b) -> tuple:
-    """A positive multiple of −(a mod b), by pseudo-division over ℤ."""
-    r = list(a)
-    lb, db = b[-1], len(b) - 1
-    flip = False  # r holds lb^k·(a mod b) with k scaling steps
-    while len(r) > db:
-        lr, k = r[-1], len(r) - 1 - db
-        if lr:
-            r = [lb * c for c in r]
-            for i, c in enumerate(b):
-                r[i + k] -= lr * c
-            flip ^= lb < 0
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    if not r:
-        return ()
-    return primitive(r, 1 if flip else -1)
-
-
-def _exact_quotient(a, b) -> tuple:
-    """a/b for b dividing a over ℚ, scaled to an integer polynomial."""
-    r = [Fraction(c) for c in a]
-    db = len(b) - 1
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] / b[-1]
-        for i, bc in enumerate(b):
-            r[i + k] -= c * bc
-    den = lcm(*(c.denominator for c in q))
-    return primitive([int(c * den) for c in q], 1)
-
-
-def _sturm_chain(f) -> list:
-    """Sturm sequence of the squarefree part of f: f, f′, then minus each
-    remainder, every term scaled by a positive integer."""
+@lru_cache(maxsize=4096)
+def _chain_for(coeffs) -> list:
+    """Sturm sequence of the squarefree part of f, the polynomial `coeffs`:
+    f, f′, then minus each remainder, each scaled by a positive integer."""
+    f = _strip(coeffs)
     chain = [f]
     df = tuple(i * c for i, c in enumerate(f))[1:]
     if df:
         chain.append(primitive(df, 1))
     while len(chain) > 1 and len(chain[-1]) > 1:
-        r = _neg_rem(chain[-2], chain[-1])
+        b = chain[-1]
+        r, k = _prem(_sparse(chain[-2]), _sparse(b), 0)
         if not r:
-            # chain[-1] is gcd(f, f′) of positive degree: f has a repeated
-            # factor, so restart on f / gcd(f, f′)
-            return _sturm_chain(_exact_quotient(f, chain[-1]))
-        chain.append(r)
+            # b is gcd(f, f′) of positive degree: f has a repeated factor,
+            # so restart on f / gcd(f, f′)
+            return _chain_for(_divide(f, b))
+        # r = lc(b)^k·(the remainder): −r is a positive multiple of minus
+        # the remainder unless lc(b)^k < 0
+        chain.append(primitive(_dense(r), 1 if b[-1] < 0 and k % 2 else -1))
     return chain
 
 
 def _variations(signs):
-    v, prev = 0, 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            v += 1
-        prev = s
-    return v
+    signs = [s for s in signs if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 def _sturm_at(chain, x: Fraction) -> int:
     num, den = x.numerator, x.denominator
@@ -196,17 +158,6 @@ def _sturm_at(chain, x: Fraction) -> int:
 
 def _sturm_at_neg_inf(chain) -> int:
     return _variations([_sign(s[-1]) * (-1) ** (len(s) - 1) for s in chain])
-
-_CHAIN_CACHE: dict = {}
-
-def _chain_for(coeffs):
-    chain = _CHAIN_CACHE.get(coeffs)
-    if chain is None:
-        chain = _sturm_chain(_strip(coeffs))
-        if len(_CHAIN_CACHE) > 4096:
-            _CHAIN_CACHE.clear()
-        _CHAIN_CACHE[coeffs] = chain
-    return chain
 
 def count_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of a squarefree integer polynomial in (lo, hi]."""
@@ -236,28 +187,15 @@ def _rational_roots(f) -> list:
     return roots
 
 
-def _isqrt_floor_frac(q: Fraction) -> Fraction:
-    """Rational lower bound for sqrt(q), q >= 0, with denominator den(q)."""
-    # sqrt(p/d) = sqrt(p*d)/d
-    return Fraction(isqrt(q.numerator * q.denominator), q.denominator)
-
-
-def _isqrt_ceil_frac(q: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(q), q >= 0, with denominator den(q)."""
-    return Fraction(isqrt(q.numerator * q.denominator) + 1, q.denominator)
-
-
 class AlgebraicReal:
     """Exact real algebraic number (irrational unless built via as_fraction)."""
 
-    __slots__ = ("_poly", "_lo", "_hi", "_rat", "_chain", "_index")
+    __slots__ = ("_poly", "_lo", "_hi", "_rat", "_index")
 
     def __init__(self, poly, lo, hi, _rat=None):
         self._poly = tuple(int(c) for c in poly)
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        self._lo, self._hi = Fraction(lo), Fraction(hi)
         self._rat = _rat
-        self._chain = None
         self._index = None
 
     # -- constructors --------------------------------------------------
@@ -544,9 +482,11 @@ def sqrt_nonneg(x):
     cands = _canonical_factors(doubled[:-1])
 
     def window():
+        # √(p/q) = √(pq)/q lies in [⌊√(pq)⌋/q, (⌊√(pq)⌋ + 1)/q]
         lo, hi = x.interval()
         lo = max(lo, Fraction(0))
-        return (_isqrt_floor_frac(lo), _isqrt_ceil_frac(hi))
+        a, b = (isqrt(v.numerator * v.denominator) for v in (lo, hi))
+        return Fraction(a, lo.denominator), Fraction(b + 1, hi.denominator)
 
     while x.interval()[0] < 0:
         x.refine()
@@ -593,6 +533,10 @@ def scalar_approx(x, bits: int = 64) -> Fraction:
     return x.approx(bits)
 
 
+_FIELD_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "div": operator.truediv}
+
+
 def field_ops(a, b, op: str):
     """Spec-surface dispatcher over exact field operations."""
     a = as_algebraic(a)
@@ -601,14 +545,8 @@ def field_ops(a, b, op: str):
     if op == "sqrt_nonneg":
         return as_algebraic(sqrt_nonneg(a))
     b = as_algebraic(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
+    if op in _FIELD_OPS:
+        return _FIELD_OPS[op](a, b)
     if op == "compare":
         c = a.compare(b)
         return "Less" if c < 0 else ("Equal" if c == 0 else "Greater")

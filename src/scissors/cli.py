@@ -157,10 +157,13 @@ def cmd_hochschild(args) -> dict:
     else:
         A = algebra_from_json(load_json(args.algebra))
         inputs.append(args.algebra)
-    cap = 2 if A.dim > 4 else 3
-    if args.max_degree > cap:
+    # HH_n takes the chains of degree n + 1, about dim^(n+2) tensors
+    cap = next((n for n in (3, 2, 1, 0) if A.dim ** (n + 2) <= 4096), None)
+    if cap is None:
         raise SizeCapExceeded(
-            f"max degree for {args.algebra} is {cap}")
+            f"{args.algebra} has dimension {A.dim}, above the cap 64")
+    if args.max_degree > cap:
+        raise SizeCapExceeded(f"max degree for {args.algebra} is {cap}")
     table = hochschild_homology_table(A, args.max_degree)
     return {"results": {"algebra": args.algebra,
                         "hh_dimensions": table},

@@ -5,10 +5,11 @@ algebraic with an irreducible minimal polynomial over the transcendental
 generators before it.  Two or more algebraic generators are accepted only
 when the tower is shown to be a field (`FieldTower._check_field`).  An
 element is a polynomial in the algebraic generators over ℚ(t₁…tₙ), reduced
-modulo their relations, and kept as one numerator over
-ℤ[t…, s…] and one denominator over ℤ[t…] with no common factor (an exact
-multivariate gcd) and a positive leading coefficient.  So equal elements have
-equal representations, and an element is zero exactly when its numerator is.
+modulo their relations, and kept as one numerator over ℤ[t…, s…] and one
+denominator over ℤ[t…] with no common factor and a positive leading
+coefficient.  So equal elements have equal representations, and an element
+is zero exactly when its numerator is.  The polynomials, their
+pseudo-remainders and their exact gcd are those of `poly`.
 Inverses come from rational elimination over ℚ(t…).  The universal
 differential kills everything algebraic over ℚ and is determined on algebraic
 generators by differentiating their minimal polynomials, so d lands in the
@@ -23,13 +24,13 @@ DEGREE_CAP (SizeCap, exit 4).  sympy is loaded only for the Gröbner bases of
 
 import re
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import islice, product
-from math import gcd, isqrt, prod
-from operator import add
+from math import gcd, prod
 
 from .errors import ParseError, SizeCap
 from .linalg import rank_sparse, rref_sparse
+from .poly import _add, _content, _diff, _gcd, _is_constant, _is_one
+from .poly import _is_rational_square, _mul, _neg, _prem, _scale, _split, _sub
 
 # Exponents and total degrees above DEGREE_CAP, and products of more than
 # DEGREE_CAP³ term pairs or DEGREE_CAP³ coefficient bits, raise SizeCap.
@@ -42,48 +43,6 @@ class NotExpressible(ParseError):
 
 class NotFiniteDimensional(ParseError):
     """A presented algebra that is not finite-dimensional (exit 2)."""
-
-
-# -- sparse polynomials over ℤ: {exponent tuple: nonzero int} -----------------
-
-def _add(a, b, sign=1):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + sign * c
-        if v:
-            out[e] = v
-        else:
-            del out[e]
-    return out
-
-
-def _sub(a, b):
-    return _add(a, b, -1)
-
-
-def _neg(a):
-    return {e: -c for e, c in a.items()}
-
-
-def _mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-    return out
-
-
-def _scale(a, k):
-    return {e: k * c for e, c in a.items()} if k else {}
-
-
-def _quo(a, k):
-    return {e: c // k for e, c in a.items()}
 
 
 def _degree(a):
@@ -103,238 +62,6 @@ def _capped_mul(a, b):
         raise SizeCap(f"a product of polynomials larger than the cap "
                       f"{DEGREE_CAP}³")
     return _mul(a, b)
-
-
-def _is_constant(a):
-    return len(a) == 1 and not any(next(iter(a)))
-
-
-def _is_one(a):
-    return _is_constant(a) and next(iter(a.values())) == 1
-
-
-def _diff(a, i):
-    out = {}
-    for e, c in a.items():
-        if e[i]:
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-    return out
-
-
-def _split(a, i):
-    """a as {degree in x_i: coefficient free of x_i}."""
-    out = {}
-    for e, c in a.items():
-        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-    return out
-
-
-def _join(parts, i):
-    return {e[:i] + (k,) + e[i + 1:]: c
-            for k, part in parts.items() for e, c in part.items()}
-
-
-def _prem(a, b, i):
-    """(r, k): r = lc(b)^k·a − q·b with deg r < deg b, degrees and lc in x_i."""
-    B = _split(b, i)
-    db = max(B)
-    lb = B.pop(db)
-    A = _split(a, i)
-    k = 0
-    while A:
-        da = max(A)
-        if da < db:
-            break
-        la = A.pop(da)
-        if not _is_one(lb):
-            A = {d: _mul(lb, c) for d, c in A.items()}
-            k += 1
-        for d, c in B.items():
-            v = _sub(A.get(d + da - db, {}), _mul(la, c))
-            if v:
-                A[d + da - db] = v
-            else:
-                A.pop(d + da - db, None)
-    return _join(A, i), k
-
-
-def _quotient(a, b):
-    """a/b over ℤ[x…], or None when b does not divide a.  Leading terms in
-    lex order come off a heap: each step adds only smaller terms."""
-    if _is_constant(b):
-        c = next(iter(b.values()))
-        if any(v % c for v in a.values()):
-            return None
-        return _quo(a, c)
-    lb = max(b)
-    cb = b[lb]
-    rest = [(e, v) for e, v in b.items() if e != lb]
-    r, q = dict(a), {}
-    heap = [tuple(-x for x in e) for e in r]
-    heapify(heap)
-    while heap:
-        la = tuple(-x for x in heappop(heap))
-        c = r.pop(la, 0)
-        if not c:
-            continue
-        e = tuple(x - y for x, y in zip(la, lb))
-        if min(e) < 0 or c % cb:
-            return None
-        c = q[e] = c // cb
-        for eb, v in rest:
-            k = tuple(map(add, e, eb))
-            if k not in r:
-                heappush(heap, tuple(-x for x in k))
-            nv = r.get(k, 0) - c * v
-            if nv:
-                r[k] = nv
-            else:
-                del r[k]
-    return q
-
-
-def _positive(a):
-    return _neg(a) if a and a[max(a)] < 0 else a
-
-
-def _content(a, i):
-    """(c, p) with a = c·p, c free of x_i, p primitive in x_i, lc(p) > 0."""
-    c = {}
-    for part in _split(a, i).values():
-        c = _gcd(c, part)[0]
-        if _is_one(c):
-            break
-    p = _quotient(a, c)
-    if p[max(p)] < 0:
-        c, p = _neg(c), _neg(p)
-    return c, p
-
-
-def _gcd(a, b):
-    """(g, a/g, b/g): g the gcd over ℤ[x…], with a positive leading
-    coefficient."""
-    if not a or not b:
-        g = _positive(a or b)
-        return g, _quotient(a, g) if a else {}, _quotient(b, g) if b else {}
-    if _is_constant(a) or _is_constant(b):
-        g = gcd(*a.values(), *b.values())
-        return {(0,) * len(next(iter(a))): g}, _quo(a, g), _quo(b, g)
-    found = _heuristic_gcd(a, b)
-    if found is None:
-        g = _prs_gcd(a, b)
-        found = g, _quotient(a, g), _quotient(b, g)
-        if found[1] is None or found[2] is None:
-            raise ArithmeticError("the gcd does not divide its arguments")
-    return found
-
-
-def _heuristic_gcd(a, b):
-    """(g, a/g, b/g) for nonzero a, b by evaluating a variable at a large
-    integer ξ, a gcd one variable down and ξ-adic reconstruction (Char,
-    Geddes and Gonnet's GCDHEU).  A candidate that divides both is the gcd;
-    None when six values of ξ give none."""
-    zero = (0,) * len(next(iter(a)))
-    used = [i for i in range(len(zero))
-            if any(e[i] for e in a) or any(e[i] for e in b)]
-    common = gcd(gcd(*a.values()), gcd(*b.values()))
-    if not used:
-        return {zero: common}, _quo(a, common), _quo(b, common)
-    i = used[-1]
-    a, b = _quo(a, common), _quo(b, common)
-    norm_a, norm_b = max(map(abs, a.values())), max(map(abs, b.values()))
-    bound = 2 * min(norm_a, norm_b) + 29
-    xi = max(min(bound, 99 * isqrt(bound)),
-             2 * min(norm_a // abs(a[max(a)]), norm_b // abs(b[max(b)])) + 2)
-    for _ in range(6):
-        at_a, at_b = _evaluate(a, i, xi), _evaluate(b, i, xi)
-        if at_a and at_b:
-            found = _heuristic_gcd(at_a, at_b)
-            if found is None:
-                return None
-            parts = {}
-            for e, c in found[0].items():
-                k = 0
-                while c:
-                    digit = c % xi
-                    if digit > xi // 2:
-                        digit -= xi
-                    if digit:
-                        parts[e[:i] + (k,) + e[i + 1:]] = digit
-                    c, k = (c - digit) // xi, k + 1
-            if parts:
-                g = _positive(_quo(parts, gcd(*parts.values())))
-                qa = _quotient(a, g)
-                qb = None if qa is None else _quotient(b, g)
-                if qb is not None:
-                    return _scale(g, common), qa, qb
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-    return None
-
-
-def _evaluate(a, i, xi):
-    """a with x_i = xi."""
-    out = {}
-    for e, c in a.items():
-        key = e[:i] + (0,) + e[i + 1:]
-        v = out.get(key, 0) + c * xi ** e[i]
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-    return out
-
-
-def _prs_gcd(a, b):
-    """gcd by contents and a primitive remainder sequence in the last
-    variable either polynomial uses."""
-    used = [i for i in range(len(next(iter(a))))
-            if any(e[i] for e in a) or any(e[i] for e in b)]
-    i = used[-1]
-    ca, a = _content(a, i)
-    cb, b = _content(b, i)
-    c = _gcd(ca, cb)[0]
-    if max(_split(a, i)) < max(_split(b, i)):
-        a, b = b, a
-    while any(e[i] for e in b):
-        r, _ = _prem(a, b, i)
-        if not r:
-            return _positive(_mul(c, b))
-        a, b = b, _content(r, i)[1]
-    return c  # b is ±1: the primitive parts are coprime
-
-
-def _sqrt(p):
-    """h ∈ ℤ[x…] with h² = p, or None; the terms of h come in decreasing
-    order, each the leading term of the remainder over 2·lt(h)."""
-    lead = max(p)
-    root = isqrt(p[lead]) if p[lead] > 0 else -1
-    if root * root != p[lead] or any(x % 2 for x in lead):
-        return None
-    bound = [max(e[i] for e in p) // 2 for i in range(len(lead))]
-    top = tuple(x // 2 for x in lead)
-    h = {top: root}
-    r = _sub(p, _mul(h, h))
-    while r:
-        e = max(r)
-        m = tuple(x - y for x, y in zip(e, top))
-        if min(m) < 0 or any(x > b for x, b in zip(m, bound)) or \
-                r[e] % (2 * root):
-            return None
-        term = {m: r[e] // (2 * root)}
-        r = _sub(r, _mul(term, {**_scale(h, 2), **term}))
-        h[m] = term[m]
-    return h
-
-
-def _is_rational_square(p):
-    """Whether p ∈ ℤ[x…] is the square of a polynomial over ℚ."""
-    if not p:
-        return True
-    c = gcd(*p.values())
-    if p[max(p)] < 0:
-        c = -c
-    return c > 0 and isqrt(c) ** 2 == c and \
-        _sqrt(_quo(p, c)) is not None
 
 
 # -- rings of tower elements ------------------------------------------------------

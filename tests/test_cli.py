@@ -173,6 +173,11 @@ def test_cli_exit_codes(fixtures):
     assert run_cli("polytope-info", "/nonexistent.json").returncode == 2
     assert run_cli("hochschild", "--algebra", "mat4",
                    "--max-degree", "3").returncode == 4
+    # mat4 has dimension 16: its cap is degree 1, below the default 2
+    proc = run_cli("hochschild", "--algebra", "mat4")
+    assert proc.returncode == 4
+    assert proc.stderr.strip().splitlines() == [
+        "resource cap: max degree for mat4 is 1"]
     bad = fixtures / "bad.json"
     bad.write_text(json.dumps({
         "dim": 3,
@@ -701,7 +706,7 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
                                           "tetra.json", "tetra_vol1.json"))
     report = tmp_path / "cube_vol1.json"
     report.write_text(run_cli("compare", cube, vol1).stdout)
-    no_geometry = _GEOMETRY + ("scissors.kahler",)
+    no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly")
     for blocked_modules, argv in (
             (no_geometry + ("scissors.hochschild",),
              ["homology", "--group", "S3"]),

@@ -299,7 +299,7 @@ def test_gcd_paths_agree_with_sympy():
     # sympy's gcd agree on products with a random common factor
     import sympy
 
-    from scissors.kahler import _gcd, _heuristic_gcd, _mul, _prs_gcd
+    from scissors.poly import _gcd, _heuristic_gcd, _mul, _prs_gcd
 
     gens = sympy.symbols("t u v")
 
@@ -310,7 +310,9 @@ def test_gcd_paths_agree_with_sympy():
             out[e] = out.get(e, 0) + (rng.randint(-5, 5) or 1)
         return {e: c for e, c in out.items() if c} or {(0, 0, 0): 1}
 
-    for case in range(30):
+    # in case 39 the gcd is tu²v(3t − 5uv); with ξ below 2·min‖·‖ + 2 the
+    # evaluation gcd returns tu²v alone
+    for case in range(40):
         rng = SplitMix64.stream(1505, case)
         common, a, b = (random_poly(rng) for _ in range(3))
         A, B = _mul(common, a), _mul(common, b)
@@ -322,3 +324,12 @@ def test_gcd_paths_agree_with_sympy():
         want = sympy.Poly(sympy.gcd(*(
             sympy.Poly.from_dict(p, *gens).as_expr() for p in (A, B))), *gens)
         assert want.as_dict() == g
+
+
+def test_gcd_keeps_a_factor_the_evaluation_point_hides():
+    # numerator and denominator share tu²v(3t − 5uv): the element has one
+    # representation only if the gcd keeps the factor 3t − 5uv
+    T = FieldTower("t; u; v")
+    x = T.parse("(15*t^3*u^2*v - 25*t^2*u^3*v^2)/(15*t^2*u^3*v^3 "
+                "- 9*t^3*u^2*v^2 + 5*t*u^3*v^2 - 3*t^2*u^2*v)")
+    assert x == T.parse("(-5*t)/(3*t*v + 1)")

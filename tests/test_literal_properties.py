@@ -365,8 +365,7 @@ BAD_FILES = ["@missing.json", "@dir", "@empty.json", "@truncated.json",
 HEIGHT_BOUNDS = ["1", "20", "0", "-1", "x", "", "2.5"]
 SEEDS = ["0", "7", "-5", "x", ""]
 CASES = ["1", "0", "-1", "1001", "x"]
-# a built-in algebra caps the degree at 3 (2 for mat4, left out as its
-# degree-2 table takes half a minute)
+# a built-in algebra caps the degree at 3 (1 for mat4)
 ALGEBRA_DEGREES = ["0", "1", "3", "4", "-1", "x"]
 GROUPS = ["1", "Z/2", "Z/4", "S3", "Z/0", "Z/-3", "Z/x", "Z/" + "9" * 12,
           "@z2_table.json"]
@@ -406,7 +405,8 @@ def cli_argv(draw):
         argv += _maybe(draw, "--seed", SEEDS)
     elif command == "hochschild":
         argv += ["--algebra", draw(st.sampled_from(
-            ["Q", "QI", "quat", "mat2", "no-such-algebra"] + BAD_FILES))]
+            ["Q", "QI", "quat", "mat2", "mat4", "no-such-algebra"]
+            + BAD_FILES))]
         argv += _maybe(draw, "--max-degree", ALGEBRA_DEGREES)
     elif command == "homology":
         argv += _maybe(draw, "--group", GROUPS)
