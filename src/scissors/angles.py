@@ -1,36 +1,32 @@
 """Angles as exact (cos, sin) pairs and decision procedures on them.
 
 ``is_rational_angle`` decides whether θ/π is rational: θ/π ∈ ℚ forces 2cosθ
-to be an algebraic integer, and the degrees of the minimal polynomials of
-2cos(2πk/n) are φ(n)/2, so a monic minimal polynomial of degree d leaves
-finitely many n to test.  ``find_angle_relations`` proposes integer relations
-∑ m_j θ_j ≡ 0 (mod π) numerically (PSLQ) and certifies each candidate by
-evaluating ∏ (cosθ_j + i·sinθ_j)^{2 m_j} exactly and checking it equals 1;
-unverified candidates are discarded, so every returned relation is sound.
+to be an algebraic integer, and the degrees of the minimal polynomials Ψ_n
+of 2cos(2πk/n) are φ(n)/2, so a monic minimal polynomial of degree d leaves
+finitely many n to test; the root index of 2cosθ then names k.  It runs on
+exact arithmetic alone, without mpmath or sympy.  ``find_angle_relations``
+proposes one integer relation ∑ m_j θ_j ≡ 0 (mod π) numerically (PSLQ) and
+certifies it by evaluating ∏ (cosθ_j + i·sinθ_j)^{2 m_j} exactly and checking
+it equals 1; an unverified proposal is discarded, so a returned relation is
+sound.  The Dehn normalization substitutes that relation and searches again.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .algebraic import (
-    AlgebraicReal,
     as_scalar,
-    count_roots,
     lift,
-    make_algebraic,
     scalar_approx,
     scalar_key,
     scalar_sign,
     sqrt_nonneg,
 )
+from .errors import DEFAULT_HEIGHT_BOUND
 from .numbers import format_number, parse_number
 
 DEFAULT_PROPOSE_BITS = 256
 MAX_PROPOSE_BITS = 4096
-
-
-class PrecisionExhausted(RuntimeError):
-    """The numeric proposal stage could not stabilize at max precision."""
 
 
 class AnglePair:
@@ -180,67 +176,41 @@ def _two_cos_minpoly(n: int) -> tuple:
     return poly
 
 
+# the integer values of 2cosθ and their θ/π
+_INTEGER_TWO_COS = {2: Fraction(0), 1: Fraction(1, 3), 0: Fraction(1, 2),
+                    -1: Fraction(2, 3), -2: Fraction(1)}
+
+
+def two_cos_minpoly(pair: AnglePair) -> tuple:
+    """Constant-first minimal polynomial of 2cosθ over ℤ: primitive, with a
+    positive leading coefficient."""
+    two_cos = 2 * as_scalar(pair.cos)
+    if isinstance(two_cos, Fraction):
+        return (-two_cos.numerator, two_cos.denominator)
+    return two_cos.minpoly()
+
+
 def is_rational_angle(pair: AnglePair):
     """Return q = θ/π ∈ ℚ ∩ [0,1] when θ is a rational multiple of π, else None.
 
-    Sound and complete: the totient bound makes the candidate set finite and
-    each candidate is confirmed or refuted by exact root identification.
+    Sound and complete: the totient bound makes the candidate set finite,
+    and a match of the minimal polynomial with Ψ_n leaves only the choice of
+    root, which the root index of 2cosθ makes exactly.
     """
-    two_cos = 2 * as_scalar(pair.cos)
-    if isinstance(two_cos, Fraction):
-        if two_cos.denominator == 1:
-            table = {2: Fraction(0), 1: Fraction(1, 3), 0: Fraction(1, 2),
-                     -1: Fraction(2, 3), -2: Fraction(1)}
-            return table.get(two_cos.numerator)
-        return None  # 2cosθ rational non-integer: not an algebraic integer
-    m = two_cos.minpoly()
+    m = two_cos_minpoly(pair)
     if m[-1] != 1:
         return None  # not monic: 2cosθ is no algebraic integer
     d = len(m) - 1
-    target = 2 * d
-    limit = 4 * d * d + 7
-    for n in range(3, limit + 1):
-        if _totient(n) != target:
+    if d == 1:
+        return _INTEGER_TWO_COS.get(-m[0])
+    for n in range(3, 4 * d * d + 8):
+        if _totient(n) != 2 * d or _two_cos_minpoly(n) != m:
             continue
-        if _two_cos_minpoly(n) != m:
-            continue
-        for j in range(1, n // 2 + 1):
-            if gcd(j, n) != 1:
-                continue
-            cand = _identify_two_cos(m, n, j)
-            if cand == two_cos:
-                return Fraction(2 * j, n)
+        # the roots of Ψ_n are 2cos(2πj/n) for the j < n/2 prime to n, all
+        # real and decreasing in j; x ↦ 2x keeps the root index of cosθ
+        js = [j for j in range(1, n // 2 + 1) if gcd(j, n) == 1]
+        return Fraction(2 * js[d - 1 - as_scalar(pair.cos).root_index()], n)
     return None
-
-
-def mpf_to_fraction(v) -> Fraction:
-    """Exact rational value of an mpmath float (dyadic)."""
-    import mpmath as mp
-
-    sign, man, exp, _ = mp.mpf(v)._mpf_
-    if man == 0:
-        return Fraction(0)
-    num = -man if sign else man
-    if exp >= 0:
-        return Fraction(num << exp)
-    return Fraction(num, 1 << (-exp))
-
-
-def _identify_two_cos(minpoly: tuple, n: int, j: int) -> AlgebraicReal:
-    """Exact AlgebraicReal for 2cos(2πj/n) given its minimal polynomial."""
-    import mpmath as mp
-
-    bits = 80
-    while True:
-        with mp.workprec(bits):
-            vf = mpf_to_fraction(2 * mp.cos(2 * mp.pi * j / n))
-        margin = Fraction(1, 1 << (bits // 2))
-        lo, hi = vf - margin, vf + margin
-        if count_roots(minpoly, lo, hi) == 1:
-            return make_algebraic(minpoly, (lo, hi))
-        bits *= 2
-        if bits > MAX_PROPOSE_BITS:
-            raise PrecisionExhausted("could not isolate 2cos(2πj/n)")
 
 
 # -- exact complex arithmetic on the unit circle ------------------------------
@@ -347,57 +317,40 @@ def certified_relation(angles, coefficients):
     return IntegerRelation(coefficients, witness)
 
 
-def find_angle_relations(angles, height_bound: int = 20):
-    """Generating set of certified relations with |m_j| <= height_bound.
+def find_angle_relations(angles, height_bound: int = DEFAULT_HEIGHT_BOUND):
+    """At most one certified relation, with |m_j| <= height_bound.
 
-    Absence of relations is NOT an independence proof; callers should carry
-    the height bound along with any conclusion drawn from an empty result.
+    One PSLQ proposal on the angles and π, checked exactly; a proposal that
+    fails the check is made again at twice the precision, up to
+    MAX_PROPOSE_BITS.  An empty result is NOT an independence proof;
+    callers should carry the height bound along with any conclusion drawn
+    from it.
     """
-    k = len(angles)
-    if k == 0:
+    if not angles:
         return []
     bits = DEFAULT_PROPOSE_BITS
     while True:
-        relations, clean = _propose_and_verify(angles, height_bound, bits)
+        rel, clean = _propose_and_verify(angles, height_bound, bits)
         if clean or bits >= MAX_PROPOSE_BITS:
-            return relations
+            return [] if rel is None else [rel]
         bits *= 2
 
 
 def _propose_and_verify(angles, height_bound, bits):
+    """(relation, clean): the certified relation PSLQ proposes at `bits`,
+    or None; clean is False when the proposal failed the exact check."""
     import mpmath as mp
 
-    k = len(angles)
     with mp.workprec(bits):
-        thetas = [a.radians(bits) for a in angles]
-        relations = []
-        active = list(range(k))
-        clean = True
-        for _ in range(k):
-            vec = [thetas[j] for j in active] + [mp.pi]
-            maxcoeff = max(4, k + 1) * max(height_bound, 1)
-            try:
-                found = mp.pslq(vec, tol=mp.mpf(2) ** (-(bits * 3) // 4),
-                                maxcoeff=maxcoeff, maxsteps=10000)
-            except ValueError:
-                found = None
-            if found is None:
-                break
-            ms = found[:-1]
-            if all(m == 0 for m in ms):
-                break
-            if any(abs(m) > height_bound for m in ms):
-                break  # outside the requested height: not certifiable here
-            coeffs = [0] * k
-            for j, m in zip(active, ms):
-                coeffs[j] = int(m)
-            rel = certified_relation(angles, coeffs)
-            if rel is None:
-                clean = False  # proposal failed exact verification
-                break
-            relations.append(rel)
-            pivot = max((abs(m), j) for j, m in zip(active, ms))[1]
-            active.remove(pivot)
-            if not active:
-                break
-        return relations, clean
+        vec = [a.radians(bits) for a in angles] + [mp.pi]
+        maxcoeff = max(4, len(angles) + 1) * max(height_bound, 1)
+        try:
+            found = mp.pslq(vec, tol=mp.mpf(2) ** (-(bits * 3) // 4),
+                            maxcoeff=maxcoeff, maxsteps=10000)
+        except ValueError:
+            found = None
+    ms = found[:-1] if found else ()
+    if not any(ms) or any(abs(m) > height_bound for m in ms):
+        return None, True  # none, or outside the requested height
+    rel = certified_relation(angles, ms)
+    return rel, rel is not None

@@ -12,7 +12,12 @@ bound of the relation search and say so.
 from fractions import Fraction
 
 from .algebraic import as_scalar, lift, scalar_sign
-from .angles import AnglePair, find_angle_relations, is_rational_angle
+from .angles import (
+    AnglePair,
+    find_angle_relations,
+    is_rational_angle,
+    two_cos_minpoly,
+)
 from .errors import DEFAULT_HEIGHT_BOUND
 from .geom import Polytope
 from .numbers import format_number, parse_number
@@ -64,47 +69,38 @@ class DehnTensor:
 
 
 def _merge(raw):
-    """Merge terms with equal angles; drop zero lengths and dead angles."""
+    """Merge terms with equal angles, sorted by key; drop the terms whose
+    lengths sum to zero."""
     acc = {}
-    drops = []
     for length, angle in raw:
-        length = as_scalar(length)
-        if scalar_sign(length) == 0:
-            continue
-        if angle.is_straight():
-            continue  # θ ∈ {0, π}
+        length, k = as_scalar(length), angle.key()
+        acc[k] = (acc[k][0] + length, angle) if k in acc else (length, angle)
+    return [acc[k] for k in sorted(acc) if scalar_sign(acc[k][0]) != 0]
+
+
+def tensor_normalize(raw_terms,
+                     height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
+    """Canonical form of a raw (length, angle) term list."""
+    kept, drops = [], []
+    for length, angle in raw_terms:
+        if scalar_sign(length) == 0 or angle.is_straight():
+            continue  # ℓ = 0, or θ ∈ {0, π}
         q = is_rational_angle(angle)
-        if q is not None:
+        if q is None:
+            kept.append((length, angle))
+        else:
             drops.append({"q": format_number(Fraction(q)),
                           "cos": format_number(as_scalar(angle.cos))})
-            continue
-        k = angle.key()
-        if k in acc:
-            old_len, _ = acc[k]
-            acc[k] = (old_len + length, angle)
-        else:
-            acc[k] = (length, angle)
-    out = []
-    for k in sorted(acc):
-        length, angle = acc[k]
-        if scalar_sign(length) != 0:
-            out.append((length, angle))
-    return out, drops
-
-
-def tensor_normalize(raw_terms, height_bound: int = DEFAULT_HEIGHT_BOUND,
-                     _search=True) -> DehnTensor:
-    """Canonical form of a raw (length, angle) term list."""
-    terms, drops = _merge(raw_terms)
+    terms = _merge(kept)
     used = []
-    # _merge keeps only angles certified irrational over π, so a lone angle
-    # has no relation m·θ ≡ 0 (mod π) to find
-    while _search and len(terms) >= 2:
-        angles = [a for _, a in terms]
-        rels = find_angle_relations(angles, height_bound)
+    # only angles certified irrational over π are left, so a lone angle has
+    # no relation m·θ ≡ 0 (mod π) to find; the substitution below brings in
+    # no angle that was not there before
+    while len(terms) >= 2:
+        rels = find_angle_relations([a for _, a in terms], height_bound)
         if not rels:
             break
-        rel = rels[0]
+        (rel,) = rels
         used.append(rel)
         ms = rel.coefficients
         # pivot: smallest nonzero |m|, then largest index (deterministic)
@@ -120,8 +116,7 @@ def tensor_normalize(raw_terms, height_bound: int = DEFAULT_HEIGHT_BOUND,
                 if j == pivot or mj == 0:
                     continue
                 new_raw.append((length * Fraction(-mj, mk), terms[j][1]))
-        terms, extra = _merge(new_raw)
-        drops.extend(extra)
+        terms = _merge(new_raw)
     return DehnTensor(terms, used, height_bound, drops)
 
 
@@ -165,11 +160,7 @@ def nonzero_certificate(t: DehnTensor):
     if is_zero(t) != "NonzeroCertified":
         return None
     length, angle = t.terms[0]
-    two_cos = 2 * as_scalar(angle.cos)
-    if isinstance(two_cos, Fraction):
-        minpoly = [-two_cos.numerator, two_cos.denominator]
-    else:
-        minpoly = list(two_cos.minpoly())
+    minpoly = two_cos_minpoly(angle)
     return {
         "length": format_number(as_scalar(length)),
         "angle": angle.to_json(),

@@ -134,7 +134,12 @@ def check_report_shape(report, source: str) -> None:
 
 def recheck_certificates(report: dict):
     """Re-verify every embedded certificate with exact arithmetic only."""
-    from .angles import AnglePair, is_rational_angle, verify_relation
+    from .angles import (
+        AnglePair,
+        is_rational_angle,
+        two_cos_minpoly,
+        verify_relation,
+    )
     from .numbers import literal_is_nonzero, parse_number
 
     checks = []
@@ -158,16 +163,10 @@ def recheck_certificates(report: dict):
                                "pass": q is not None and q == want})
         elif kind == "nonzero-dehn":
             angle = AnglePair.from_json(cert["angle"])
-            from .algebraic import as_scalar
             irrational = is_rational_angle(angle) is None
             nonzero_len = literal_is_nonzero(cert["length"])
             monic_claim = bool(cert.get("monic"))
-            two_cos = 2 * as_scalar(angle.cos)
-            from fractions import Fraction
-            if isinstance(two_cos, Fraction):
-                minpoly = [-two_cos.numerator, two_cos.denominator]
-            else:
-                minpoly = list(two_cos.minpoly())
+            minpoly = two_cos_minpoly(angle)
             poly_matches = [str(c) for c in minpoly] == \
                 cert["two_cos_minpoly"]
             monic_actual = minpoly[-1] == 1

@@ -1,9 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from scissors.algebraic import make_algebraic, sqrt_nonneg
+from scissors.algebraic import (
+    AlgebraicReal,
+    count_roots,
+    lift,
+    make_algebraic,
+    sqrt_nonneg,
+)
 from scissors.angles import (
     AnglePair,
     IntegerRelation,
@@ -58,6 +65,31 @@ def test_rational_angle_pi_over_5():
     # cos(π/5) = (1+sqrt5)/4: root of 4x^2-2x-1 in (0,1)
     c = make_algebraic([-1, -2, 4], (Fraction(1, 2), 1))
     assert is_rational_angle(angle_from_cos(c)) == Fraction(1, 5)
+
+
+def _cos_of_turn(j, n):
+    """cos(2πj/n) exactly: the root of Ψ_n next to its float value, halved."""
+    psi = _two_cos_minpoly(n)
+    if len(psi) == 2:
+        return Fraction(-psi[0], 2 * psi[1])
+    x = Fraction(2 * math.cos(2 * math.pi * j / n))
+    lo, hi = x - Fraction(1, 10**9), x + Fraction(1, 10**9)
+    assert count_roots(psi, lo, hi) == 1
+    (two_cos,) = lift([AlgebraicReal(psi, lo, hi)])
+    return two_cos / 2
+
+
+def test_rational_angle_by_root_index():
+    # every θ = 2πj/n in (0, π) with n <= 30, cos of degree up to 14
+    for n in range(3, 31):
+        for j in range(1, (n + 1) // 2):
+            if math.gcd(j, n) == 1:
+                pair = angle_from_cos(_cos_of_turn(j, n))
+                assert is_rational_angle(pair) == Fraction(2 * j, n), (j, n)
+    assert is_rational_angle(angle_from_cos(Fraction(1, 3))) is None
+    # 2cosθ = √(4/3) has the minimal polynomial 3x² − 4, not monic
+    assert is_rational_angle(
+        angle_from_cos(sqrt_nonneg(Fraction(1, 3)))) is None
 
 
 def test_irrational_angle_arccos_one_third():

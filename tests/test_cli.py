@@ -10,6 +10,7 @@ from scissors.geom.convex import (
     box,
     regular_octahedron,
     regular_tetrahedron,
+    right_triangle,
     scaled_simplices,
     transformed,
     unit_cube,
@@ -45,6 +46,9 @@ def fixtures(tmp_path_factory):
     tall = root / "box112.json"
     tall.write_text(json.dumps(polytope_to_json(
         box((0, 0, 0), (1, 1, 2)))))
+    from scissors.geom import prism
+    (root / "prism_tri.json").write_text(json.dumps(polytope_to_json(
+        prism(right_triangle(1, 1), 1))))
     rot = root / "cube_rot.json"
     from fractions import Fraction
     R = [(Fraction(3, 5), Fraction(-4, 5), 0),
@@ -671,9 +675,15 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
     # its nonzero-dehn certificate has a length literal of degree 6
     report = tmp_path / "cube_vol1.json"
     report.write_text(run_cli("compare", cube, vol1).stdout)
+    # the prism drops its 45° edges as rational angles of cos √2/2
+    prism_tri = str(fixtures / "prism_tri.json")
+    prism_report = tmp_path / "prism_tri_info.json"
+    prism_report.write_text(run_cli("polytope-info", prism_tri).stdout)
     both, no_sympy = ("sympy", "mpmath"), ("sympy",)
     for blocked_modules, argv in (
             (both, ["polytope-info", cube]), (both, ["compare", cube, rot]),
+            (both, ["polytope-info", prism_tri]),
+            (both, ["recheck", str(prism_report)]),
             (both, ["compare", cube, tall]), (both, ["polytope-info", tetra]),
             (both, ["polytope-info", octa]), (both, ["compare", tetra, octa]),
             (both, ["homology", "--group", "S3"]),

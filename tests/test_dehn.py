@@ -57,6 +57,30 @@ def test_double_angle_elimination():
     assert scalar_sign(length) != 0
 
 
+def test_each_substitution_takes_one_proposal(monkeypatch):
+    # θ1 + θ2 = π and 2θ1 + θ3 = π for cos 1/3, −1/3, 7/9; the angle of
+    # cos 1/5 has no relation with them, so the last search finds none
+    import mpmath
+
+    from scissors.angles import find_angle_relations
+
+    calls = []
+    pslq = mpmath.pslq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pslq(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "pslq", counted)
+    angles = [angle(Fraction(c)) for c in ("1/3", "-1/3", "7/9", "1/5")]
+    t = tensor_normalize([(2 ** i, a) for i, a in enumerate(angles)])
+    assert len(t.terms) == 2 and len(t.relations_used) == 2
+    assert len(calls) == len(t.relations_used) + 1
+    calls.clear()
+    assert len(find_angle_relations(angles[:3])) == 1
+    assert len(calls) == 1
+
+
 def test_cube_invariant_zero():
     assert is_zero(dehn_invariant(unit_cube())) == "Zero"
 
