@@ -9,9 +9,11 @@ containing exactly one of its real roots: the form of a literal as parsed.
 arithmetic on irrational values runs there: the operators of
 ``AlgebraicReal`` lift their operands, compute in the field and read the
 result back as a literal.  The one resultant of the package, taken by
-`poly` like the pseudo-remainders of the Sturm chains, grows that field
-when a literal lies outside it: it gives the minimal polynomial of
-γ = x + kα, and α is recovered in ℚ(γ) exactly.
+`poly` like the pseudo-remainders of the Sturm chains, is a norm from ℚ(α)
+to ℚ, factored by `poly.factor`.  It decides whether a literal x lies in
+ℚ(α), and a square root in it, by the roots in ℚ(α) of a polynomial
+(`roots_in`), and grows the field when x lies outside it: it gives the
+minimal polynomial of γ = x + kα, and α is recovered in ℚ(γ) exactly.
 """
 
 import operator
@@ -23,7 +25,7 @@ from . import numberfield
 from .errors import SizeCap
 from .linalg import primitive
 from .numberfield import Num, SimpleField, _sign, scalar_sign
-from .poly import _prem, _quotient, resultant
+from .poly import _prem, _quotient, factor, resultant
 
 
 class NoRootInInterval(ValueError):
@@ -43,8 +45,8 @@ class NegativeSqrt(ValueError):
 
 
 # -- integer polynomials: tuples of ints, constant coefficient first ---------
-# Division and resultants run on `poly`'s sparse form; sympy is imported
-# only where a polynomial of degree 4 or more is factored.
+# Division and resultants run on `poly`'s sparse form, factoring on its
+# dense one.
 
 def _strip(coeffs) -> tuple:
     """Drop zero leading coefficients; the zero polynomial is ()."""
@@ -87,41 +89,24 @@ def _sign_at(f, num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _canonical_factors(coeffs):
-    """Irreducible primitive factors with positive leading coefficient.
-
-    Up to degree 3 natively: the squarefree part, the head of f's Sturm
-    chain, less its rational roots, has no factor left but itself.  Above,
-    sympy's squarefree part and Zassenhaus factoring."""
-    f = _strip(coeffs)
-    if len(f) <= 4:
-        f = _chain_for(f)[0]
-        out = []
-        for r in _rational_roots(f):
-            lin = (-r.numerator, r.denominator)
-            out.append(lin)
-            f = _divide(f, lin)
-        return out + ([_canonical_single(f)] if len(f) > 1 else [])
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_zz_factor
-    from sympy.polys.sqfreetools import dup_sqf_part
-
-    f = dup_sqf_part([ZZ(c) for c in reversed(coeffs)], ZZ)
-    _, factors = dup_zz_factor(f, ZZ)
-    return [_canonical_single(g[::-1]) for g, _mult in factors if len(g) > 1]
-
-
 @lru_cache(maxsize=2048)
-def _sum_candidates(f, g):
-    """Irreducible factors of Res_y(f(y), g(x − y)), whose roots are the
-    sums of a root of f and a root of g: the package's one resultant, a
-    bivariate one over ℤ in the variables (x, y)."""
-    F = {(0, k): c for k, c in enumerate(f) if c}
-    # the term of g(x − y) in x^(i−k)·y^k is (−1)^k·C(i, k)·g_i
-    G = {(i - k, k): (-1) ** k * comb(i, k) * c
-         for i, c in enumerate(g) if c for k in range(i + 1)}
-    res = resultant(F, G, 1)
-    return _canonical_factors(_dense({(j,): c for (j, _), c in res.items()}))
+def _norm_factors(f, p, k):
+    """Irreducible factors of N(t) = Res_y(f(y), p(t − ky, y)), the norm of
+    p(t − kα) from ℚ(α) to ℚ for a root α of f: the package's one
+    resultant, a bivariate one over ℤ in (t, y).  Each coefficient of p is
+    an integer polynomial in y, constant first, a 1-tuple when p is over
+    ℤ; the roots of N are the β + kα′ for the conjugates α′ of α and the
+    roots β of p with α′ for α."""
+    F = {(0, e): c for e, c in enumerate(f) if c}
+    G = {}
+    for i, coeff in enumerate(p):
+        for m, c in enumerate(coeff):
+            # the terms of c·yᵐ·(t − ky)ⁱ, in t^(i−j)·y^(m+j) for j ≤ i
+            for j in range(i + 1):
+                e = (i - j, m + j)
+                G[e] = G.get(e, 0) + c * comb(i, j) * (-k) ** j
+    res = resultant(F, {e: c for e, c in G.items() if c}, 1)
+    return tuple(factor(_dense({(j,): c for (j, _), c in res.items()})))
 
 
 # -- Sturm sequences ---------------------------------------------------------
@@ -165,26 +150,6 @@ def count_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
         return 0
     chain = _chain_for(tuple(coeffs))
     return _sturm_at(chain, lo) - _sturm_at(chain, hi)
-
-
-def _rational_roots(f) -> list:
-    """Rational roots of a squarefree integer polynomial.  Each is k/lc for
-    an integer k, so isolating the real roots below width 1/lc leaves at
-    most one candidate k per root to test."""
-    lc = abs(f[-1])
-    bound = 1 + max((abs(Fraction(c, lc)) for c in f[:-1]), default=0)
-    roots, stack = [], [(-bound, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        n = count_roots(f, lo, hi)  # roots in (lo, hi]
-        if n == 1 and (hi - lo) * lc < 1:
-            k = (hi.numerator * lc) // hi.denominator  # floor(hi·lc)
-            if Fraction(k, lc) > lo and _sign_at(f, k, lc) == 0:
-                roots.append(Fraction(k, lc))
-        elif n:
-            mid = (lo + hi) / 2
-            stack += [(lo, mid), (mid, hi)]
-    return roots
 
 
 class AlgebraicReal:
@@ -455,7 +420,7 @@ def make_algebraic(coeffs, interval) -> AlgebraicReal:
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo > hi:
         raise ValueError("interval endpoints out of order")
-    return _select_root(_canonical_factors(f), lambda: (lo, hi))
+    return _select_root(factor(f), lambda: (lo, hi))
 
 
 def sqrt_nonneg(x):
@@ -468,7 +433,7 @@ def sqrt_nonneg(x):
         root = numberfield.sqrt(x)
         if root is not None:
             return root
-        x = as_algebraic(x)  # uncertified radicand
+        x = as_algebraic(x)  # √x needs a field above MAX_DEGREE
     if x.sign() < 0:
         raise NegativeSqrt("sqrt of negative algebraic number")
     if x.sign() == 0:
@@ -479,7 +444,7 @@ def sqrt_nonneg(x):
     for c in f:
         doubled.append(c)
         doubled.append(0)
-    cands = _canonical_factors(doubled[:-1])
+    cands = factor(doubled[:-1])
 
     def window():
         # √(p/q) = √(pq)/q lies in [⌊√(pq)⌋/q, (⌊√(pq)⌋ + 1)/q]
@@ -554,15 +519,17 @@ def field_ops(a, b, op: str):
 
 
 # -- one number field per input ------------------------------------------------
-# Literals are embedded here and nowhere else; this is where factoring (in
-# make_algebraic and the compositum's resultant) and sympy/mpmath may run.
+# Literals are embedded here and nowhere else: membership in a field, square
+# roots in it and the compositum all take their roots from one norm, a
+# resultant factored by `poly.factor`.
 
 def lift(values) -> list:
     """The scalars `values`, with every irrational AlgebraicReal among them
     written in one number field ℚ(α).  Elements of one field ℚ(α) keep their
     field and the literals join it; elements of several fields, or of a tower
-    of square roots, are read as literals first.  Raises SizeCap when a
-    literal outside the field would grow it above `numberfield.MAX_DEGREE`."""
+    of square roots, are read as literals first.  A literal grows the field
+    only when it lies outside it.  Raises SizeCap when it would grow it above
+    `numberfield.MAX_DEGREE`."""
     values = [as_scalar(v) for v in values]
     if not any(isinstance(v, AlgebraicReal) for v in values):
         return values
@@ -580,7 +547,7 @@ def lift(values) -> list:
             K = SimpleField(v.minpoly(), *v.interval())
             image[v.key()] = K.generator()
             continue
-        x = _express(v, K)
+        x = _member(v, K)
         if x is None:
             n = K.n
             K, alpha, x = _compositum(K, v)
@@ -610,35 +577,53 @@ def _embedding(n, alpha):
     return into
 
 
-def _express(x: AlgebraicReal, K):
-    """x as an element of K, or None."""
-    return K.search(x.approx, lambda y: _is_root_at(y, x))
+def _member(x: AlgebraicReal, K):
+    """x as an element of K, or None when x ∉ K: the root of its minimal
+    polynomial in K that has its key.  [ℚ(x):ℚ] divides [K:ℚ] when x ∈ K."""
+    if K.n % x.degree():
+        return None
+    key = x.key()
+    return next((y for y in roots_in(K, x.minpoly()) if y.key() == key),
+                None)
 
 
-def _is_root_at(y, x: AlgebraicReal) -> bool:
-    """Whether the field element y equals x: a root of x's minimal
-    polynomial inside the interval that isolates x."""
-    if not isinstance(y, Num):
-        return False
-    acc = Fraction(0)
-    for c in reversed(x.minpoly()):
-        acc = acc * y + c
-    if acc != 0:
-        return False
-    lo, hi = x.interval()
-    bits = 16
-    while True:
-        a, b = numberfield.enclose(y, bits)
-        if lo <= a and b <= hi:
-            return True
-        if b < lo or hi < a:
-            return False
-        bits *= 2
-
-
-# the resultant that grows ℚ(α) by x has degree [ℚ(α):ℚ]·deg x; factoring
-# one of degree 128 takes about 2 s, one of degree 256 about 100 s
+# the norm of p over ℚ(α), a resultant, has degree [ℚ(α):ℚ]·deg p; with its
+# factoring it takes about 0.7 s at degree 128 (x¹⁶ − 2 and x⁸ − 3) and
+# 24 s at degree 256 (x¹⁶ − 2 and x¹⁶ − 3), on a 2-core Xeon
 MAX_RESULTANT_DEGREE = 128
+
+
+def _cap_resultant_degree(size):
+    if size > MAX_RESULTANT_DEGREE:
+        raise SizeCap(f"a resultant of degree {size} above "
+                      f"{MAX_RESULTANT_DEGREE}")
+
+
+def roots_in(K, p):
+    """The roots in K = ℚ(α) of the squarefree polynomial p over K (its
+    coefficients rational or in K, constant first), by Trager's norm method
+    ("Algebraic factoring and rational function integration", SYMSAC 1976).
+
+    For the first k whose norm N(t) of p(t − kα) is squarefree, the
+    irreducible factors of N are the norms of those of p(t − kα) over K:
+    each factor of degree [K:ℚ] is the norm of a linear one, t − kα − β,
+    read off as its gcd over K with p(t − kα).  For p over ℚ, N = p^[K:ℚ] at
+    k = 0, which is skipped.  Raises SizeCap when N has a degree above
+    MAX_RESULTANT_DEGREE."""
+    n, size = K.n, K.n * (len(p) - 1)
+    _cap_resultant_degree(size)
+    coords = [c.data if isinstance(c, Num) else (c,) for c in p]
+    den = lcm(*(Fraction(v).denominator for c in coords for v in c))
+    P = tuple(tuple(int(v * den) for v in c) for c in coords)
+    alpha = K.generator()
+    for k in range(0 if any(len(c) > 1 for c in P) else 1, size ** 2 + 2):
+        factors = _norm_factors(K.f, P, k)
+        if sum(len(g) - 1 for g in factors) == size:  # N is squarefree
+            for g in factors:
+                if len(g) == n + 1:
+                    yield _common_root(g, p, -k * alpha, 1) - k * alpha
+            return
+    raise AssertionError("no squarefree norm found")
 
 
 def _compositum(K, x: AlgebraicReal):
@@ -653,37 +638,34 @@ def _compositum(K, x: AlgebraicReal):
     if lcm(n, x.degree()) > numberfield.MAX_DEGREE:
         raise SizeCap(f"a number field of degree above "
                       f"{numberfield.MAX_DEGREE}")
-    if n * x.degree() > MAX_RESULTANT_DEGREE:
-        raise SizeCap(f"a resultant of degree {n * x.degree()} above "
-                      f"{MAX_RESULTANT_DEGREE}")
+    _cap_resultant_degree(n * x.degree())
     alpha = as_algebraic(K.generator())
+    over_q = tuple((c,) for c in h)
     for k in range(1, (n * x.degree()) ** 2 + 2):
         def window(k=k):
             (a, b), (c, d) = x.interval(), alpha.interval()
             return a + k * c, b + k * d
-        # the minimal polynomial of kα is k^n·f(X/k)
-        scaled = tuple(c * k ** (n - i) for i, c in enumerate(f))
-        g = _select_root(_sum_candidates(h, scaled), window, (x, alpha))
-        if g.is_rational():
-            continue
+        # x ∉ ℚ(α), so γ is irrational
+        g = _select_root(_norm_factors(f, over_q, k), window, (x, alpha))
         if g.degree() > numberfield.MAX_DEGREE:
             raise SizeCap(f"a number field of degree {g.degree()} above "
                           f"{numberfield.MAX_DEGREE}")
         L = SimpleField(g.minpoly(), *g.interval())
-        a = _common_root(f, h, L.generator(), k)
+        a = _common_root(f, h, L.generator(), -k)
         if a is not None:
             return L, a, L.generator() - k * a
     raise AssertionError("no primitive element found")
 
 
-def _common_root(f, h, gamma, k):
-    """The root of gcd(f(X), h(γ − kX)) over ℚ(γ) when that gcd is linear,
-    else None; f and h have rational coefficients, constant first."""
-    q = [Fraction(h[-1])]  # h(γ − kX) by Horner
+def _common_root(f, h, a0, a1):
+    """The root of gcd(f(X), h(a0 + a1·X)) over a field when that gcd is
+    linear, else None: f has rational coefficients, h's and a0, a1 are
+    scalars of the field, all constant first."""
+    q = [as_scalar(h[-1])]  # h(a0 + a1·X) by Horner
     for c in reversed(h[:-1]):
-        q = ([gamma * q[0] + c]
-             + [gamma * q[j] - k * q[j - 1] for j in range(1, len(q))]
-             + [-k * q[-1]])
+        q = ([a0 * q[0] + c]
+             + [a0 * q[j] + a1 * q[j - 1] for j in range(1, len(q))]
+             + [a1 * q[-1]])
     a, b = [Fraction(c) for c in f], q
     while b:
         r, lead = list(a), 1 / b[-1]

@@ -18,8 +18,9 @@ free module on the transcendental generators.
 Tower specs, tensor entries and the relations of a presented algebra are read
 by one small parser: integers, names, + - * / ^ **, parentheses and integer
 exponents.  Exponents, degrees and the size of each product are capped by
-DEGREE_CAP (SizeCap, exit 4).  sympy is loaded only for the Gröbner bases of
-`PresentedAlgebra` and to factor a specialized relation of degree 4 or more.
+DEGREE_CAP (SizeCap, exit 4).  A specialized relation is factored by
+`poly.factor`; sympy is loaded only for the Gröbner bases of
+`PresentedAlgebra`.
 """
 
 import re
@@ -31,6 +32,7 @@ from .errors import ParseError, SizeCap
 from .linalg import rank_sparse, rref_sparse
 from .poly import _add, _content, _diff, _gcd, _is_constant, _is_one
 from .poly import _is_rational_square, _mul, _neg, _prem, _scale, _split, _sub
+from .poly import factor
 
 # Exponents and total degrees above DEGREE_CAP, and products of more than
 # DEGREE_CAP³ term pairs or DEGREE_CAP³ coefficient bits, raise SizeCap.
@@ -528,8 +530,6 @@ def _specialization_irreducible(coeffs, degree, i) -> bool:
     """Whether the relation Σ coeffs[k]·s^k is irreducible at some point t
     of small integers where its leading coefficient does not vanish: then it
     is irreducible over ℚ(t) (Gauss's lemma)."""
-    from .algebraic import _canonical_factors
-
     free = sorted({j for part in coeffs.values() for e in part
                    for j, x in enumerate(e) if x and j != i})
     values = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
@@ -545,7 +545,7 @@ def _specialization_irreducible(coeffs, degree, i) -> bool:
         spec = [value(coeffs.get(k, {})) for k in range(degree + 1)]
         if spec[-1] == 0:
             continue
-        factors = _canonical_factors(spec)
+        factors = factor(spec)
         if len(factors) == 1 and len(factors[0]) == degree + 1:
             return True
     return False

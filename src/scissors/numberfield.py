@@ -16,14 +16,14 @@ comes from interval evaluation at α, refined by Newton steps with a
 sign-change check.  The minimal polynomial over ℚ is the first linear
 relation among 1, x, x², …, so nothing is factored.
 
-A square root of r in F is found exactly, certified absent (F(√r) is then
-built once per radicand), or left undecided.  In ℚ(α), r is certified no
-square when its norm is no rational square; otherwise a root is looked for by
-an integer relation (PSLQ) and accepted only when it squares to r.  Values of
-two towers combine when one tower can be rebuilt over the other's field one
-square root at a time.  Values whose towers do not combine are read as
-literals and lifted into one field ℚ(γ) by `algebraic.lift`; an undecided
-radicand has its root read off a factor of m_r(t²).
+A square root of r in F is found exactly or certified absent (F(√r) is then
+built once per radicand, up to MAX_DEGREE).  In ℚ(α), r is no square when its
+norm is no rational square; otherwise the roots of t² − r in ℚ(α) come from
+`algebraic.roots_in`, by a norm factored over ℤ.  Values of two towers combine
+when one tower can be rebuilt over the other's field one square root at a
+time.  Values whose towers do not combine are read as literals and lifted
+into one field ℚ(γ) by `algebraic.lift`; a radicand whose extension would be
+above MAX_DEGREE has its root read off a factor of m_r(t²).
 """
 
 from fractions import Fraction
@@ -33,12 +33,9 @@ from .linalg import det_small, nullspace_sparse, primitive
 
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
-# no field above this degree over ℚ is built: a square root that would need
-# one is left undecided, and `algebraic.lift` raises SizeCap
+# no field above this degree over ℚ is built: `sqrt_over` returns None for a
+# square root that would need one, and `algebraic.lift` raises SizeCap
 MAX_DEGREE = 32
-# no relation search in fields above this degree: a failed search in 8
-# unknowns already takes about a second
-MAX_SEARCH_DEGREE = 8
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -110,32 +107,6 @@ class SimpleField:
 
     def generator(self):
         return Num(self, (0, 1) + (0,) * (self.n - 2))
-
-    def search(self, approx, check):
-        """An element y of this field with check(y), for the real number
-        that approx(bits) gives within 2^−bits: an integer relation among
-        it and 1, α, …, α^{n−1}, proposed by PSLQ and accepted only when
-        `check` confirms it exactly; None when none is found."""
-        import mpmath as mp
-
-        if self.n > MAX_SEARCH_DEGREE:
-            return None
-        alpha = self.generator()
-        for bits in (128, 512):
-            with mp.workprec(bits + 32):
-                def mpf(q):
-                    return mp.mpf(q.numerator) / q.denominator
-                a = mpf(alpha.approx(bits))
-                vec = [mpf(approx(bits))] + [a ** i for i in range(self.n)]
-                # a bound that leaves the precision room to tell a true
-                # relation from a chance one
-                rel = mp.pslq(vec, maxcoeff=1 << (bits // (2 * self.n + 4)),
-                              maxsteps=10 ** 4)
-            if rel and rel[0]:
-                y = self.make(tuple(Fraction(-c, rel[0]) for c in rel[1:]))
-                if check(y):
-                    return y
-        return None
 
     def make(self, data):
         return Num(self, data) if any(data[1:]) else Fraction(data[0])
@@ -574,7 +545,8 @@ def _common(x, y):
 
 def _rebase(y, F):
     """y rewritten over F: a scalar of F or of a tower of square roots over
-    F; None when a square root on the way cannot be certified."""
+    F; None when a square root on the way would need a field above
+    MAX_DEGREE."""
     if not isinstance(y, Num) or y.field in F.chain:
         return y
     over = _tower_over(y.field, F)
@@ -620,9 +592,8 @@ def _fallback(x, y, op):
 # -- square roots ----------------------------------------------------------
 
 def sqrt_in(F, r):
-    """A square root of r > 0, a scalar of F or below, that lies in F;
-    NONSQUARE when r is certified to be no square in F; None when
-    undecided."""
+    """A square root of r > 0, a scalar of F or below, that lies in F, or
+    NONSQUARE when r is certified to be no square in F."""
     if not isinstance(r, Num):
         root = _rational_sqrt(r)
         if root is not None:
@@ -631,45 +602,37 @@ def sqrt_in(F, r):
             return NONSQUARE
         if isinstance(F, SimpleField):
             # [ℚ(√r):ℚ] = 2 divides no odd degree
-            return NONSQUARE if F.n % 2 else _search_sqrt(F, r)
+            return NONSQUARE if F.n % 2 else _root_of_square(F, r)
     elif r.field is F:
         if isinstance(F, SimpleField):
             # r = t² would make N(r) = N(t)² a rational square
             if _rational_sqrt(F.norm(r.data)) is None:
                 return NONSQUARE
-            return _search_sqrt(F, r)
+            return _root_of_square(F, r)
         a, b = r.data
         n = sqrt_in(F.base, a * a - b * b * F.r)
-        if n is None or n is NONSQUARE:
+        if n is NONSQUARE:
             return n  # r = t² would make its relative norm a square
         # then one of (a ± n)/2 is the square of t's first coordinate
-        undecided = False
         for h in ((a + n) / 2, (a - n) / 2):
-            if scalar_sign(h) <= 0:
-                continue
-            s = sqrt_in(F.base, h)
-            if s is None:
-                undecided = True
-            elif s is not NONSQUARE:
-                return F.make((s, b / (2 * s)))
-        return None if undecided else NONSQUARE
+            if scalar_sign(h) > 0:
+                s = sqrt_in(F.base, h)
+                if s is not NONSQUARE:
+                    return F.make((s, b / (2 * s)))
+        return NONSQUARE
     # r lies below F = C(√s): r is a square in F iff r or r·s is one in C
     x = sqrt_in(F.base, r)
-    if x is not None and x is not NONSQUARE:
+    if x is not NONSQUARE:
         return x
     y = sqrt_in(F.base, r * F.r)
-    if y is not None and y is not NONSQUARE:
-        return F.make((0, y / F.r))
-    return NONSQUARE if x is NONSQUARE and y is NONSQUARE else None
+    return NONSQUARE if y is NONSQUARE else F.make((0, y / F.r))
 
 
-def _search_sqrt(F, r):
-    """A square root of r in ℚ(α) found by a relation search, or None."""
-    def approx(bits):
-        a = r.approx(2 * bits + 8) if isinstance(r, Num) else Fraction(r)
-        return Fraction(isqrt((a.numerator << (2 * bits)) // a.denominator),
-                        1 << bits)
-    return F.search(approx, lambda y: y * y == r)
+def _root_of_square(F, r):
+    """A root in ℚ(α) of t² − r, or NONSQUARE."""
+    from .algebraic import roots_in
+
+    return next(roots_in(F, (-r, 0, 1)), NONSQUARE)
 
 
 def _structure_key(x):
@@ -684,10 +647,9 @@ _RATIONAL_QUADS: dict = {}
 def sqrt_over(F, r):
     """The positive √r for r > 0, a scalar of F or below: a scalar of F when
     r is a square there, else an element of the extension F(√r), built once
-    per radicand; None when r cannot be certified."""
+    per radicand; None when that extension would have a degree above
+    MAX_DEGREE."""
     root = sqrt_in(F, r)
-    if root is None:
-        return None
     if root is not NONSQUARE:
         return root if scalar_sign(root) > 0 else -root
     if F is None:
@@ -713,7 +675,8 @@ def sqrt_over(F, r):
 
 def sqrt(x):
     """√x for a scalar x >= 0 in its own field: an element of that field or
-    of its quadratic extension; None when the radicand is uncertified."""
+    of its quadratic extension; None when that extension would have a
+    degree above MAX_DEGREE."""
     if not x:
         return Fraction(0)
     return sqrt_over(x.field if isinstance(x, Num) else None, x)

@@ -64,30 +64,6 @@ def parse_number(value):
     raise ParseError(f"unknown number literal {value!r}")
 
 
-def literal_is_nonzero(value) -> bool:
-    """Whether a number literal is nonzero, decided from the literal itself.
-
-    An algebraic literal is the one root of its polynomial p in [lo, hi];
-    distinct roots are counted with a Sturm chain, so no polynomial is
-    factored (parse_number factors p to find the root's minimal polynomial,
-    which for degree 4 and up takes sympy).  The root is 0 exactly when
-    p(0) = 0 and lo ≤ 0 ≤ hi.
-    """
-    from .algebraic import count_roots
-
-    if not isinstance(value, dict):
-        return parse_number(value) != 0
-    coeffs, lo, hi = _algebraic_parts(value)
-    roots = 0
-    if any(coeffs) and lo <= hi:
-        at_lo = sum(c * lo ** i for i, c in enumerate(coeffs)) == 0
-        roots = count_roots(coeffs, lo, hi) + at_lo
-    if roots != 1:
-        raise ParseError(f"bad algebraic literal {value!r}: {roots} roots "
-                         f"in [{lo}, {hi}]")
-    return coeffs[0] != 0 or not lo <= 0 <= hi
-
-
 def format_number(x):
     """Inverse of parse_number; emits the canonical literal for a scalar."""
     from .algebraic import AlgebraicReal

@@ -140,7 +140,7 @@ def recheck_certificates(report: dict):
         two_cos_minpoly,
         verify_relation,
     )
-    from .numbers import literal_is_nonzero, parse_number
+    from .numbers import parse_number
 
     checks = []
     for cert in report.get("certificates", []):
@@ -164,7 +164,7 @@ def recheck_certificates(report: dict):
         elif kind == "nonzero-dehn":
             angle = AnglePair.from_json(cert["angle"])
             irrational = is_rational_angle(angle) is None
-            nonzero_len = literal_is_nonzero(cert["length"])
+            nonzero_len = parse_number(cert["length"]) != 0
             monic_claim = bool(cert.get("monic"))
             minpoly = two_cos_minpoly(angle)
             poly_matches = [str(c) for c in minpoly] == \

@@ -18,7 +18,6 @@ from scissors.numbers import (
     ParseError,
     format_fraction,
     format_number,
-    literal_is_nonzero,
     parse_number,
 )
 
@@ -162,44 +161,59 @@ def test_serialize_round_trip():
     assert parse_number(format_number(q)) == q
 
 
-def test_literal_nonzero_matches_parse():
+def test_parse_number_on_seeded_intervals():
     # seeded literals with 0 among the roots of p, roots on an endpoint and
-    # intervals holding no root or several: the Sturm decision agrees with
-    # parsing the literal, rejection included
+    # intervals holding no root or several: a literal reads as the one root
+    # of p in [lo, hi], known here from p's factors, and is rejected when
+    # there is none or more than one
     from scissors.rng import SplitMix64
 
-    def times(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-        return out
+    def above(r, q):
+        """Whether the root r exceeds the rational q, never equal to it: for
+        ("sqrt", ±c), ±√c, by comparing c with q²."""
+        if isinstance(r, Fraction):
+            return r > q
+        s, c = (1, r[1]) if r[1] > 0 else (-1, -r[1])
+        return s > 0 and (q < 0 or q * q < c) or s < 0 and q < 0 and q * q > c
 
     seen = set()
     for case in range(300):
         rng = SplitMix64.stream(53, case)
-        p = [rng.randint(-3, 3), 1] if rng.randint(0, 1) else [1]
+        roots = set()  # Fractions, and ("sqrt", ±c) for ±√c
+        p = [1]
+        if rng.randint(0, 1):
+            a = rng.randint(-3, 3)
+            p, roots = [a, 1], {Fraction(-a)}
         for _ in range(rng.randint(1, 2)):
             r = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            p = times(p, [-r.numerator, r.denominator])
+            p = _times(p, [-r.numerator, r.denominator])
+            roots.add(r)
         if rng.randint(0, 1):
-            p = times(p, [-rng.randint(2, 3), 0, 1])
+            c = rng.randint(2, 3)
+            p = _times(p, [-c, 0, 1])
+            roots |= {("sqrt", c), ("sqrt", -c)}
         lo = Fraction(rng.randint(-4, 4), 2)
         hi = lo + Fraction(rng.randint(0, 6), 2)
         lit = {"minpoly": [str(c) for c in p],
                "lo": format_fraction(lo), "hi": format_fraction(hi)}
-        try:
-            value = parse_number(lit)
-        except ParseError:
+        # [lo, hi] is closed; lo and hi are never ±√c
+        held = [r for r in roots if r == lo or above(r, lo) and
+                not above(r, hi)]
+        if len(held) != 1:
             with pytest.raises(ParseError):
-                literal_is_nonzero(lit)
+                parse_number(lit)
             seen.add("bad")
             continue
-        assert literal_is_nonzero(lit) == (value != 0), lit
+        value, (want,) = parse_number(lit), held
+        if isinstance(want, Fraction):
+            assert value == want, lit
+        else:
+            assert value.minpoly() == (-abs(want[1]), 0, 1), lit
+            assert value.sign() == (1 if want[1] > 0 else -1), lit
         seen.add(value != 0)
     assert seen == {"bad", True, False}
     with pytest.raises(ParseError):
-        literal_is_nonzero({"minpoly": ["0"], "lo": "-1", "hi": "1"})
+        parse_number({"minpoly": ["0"], "lo": "-1", "hi": "1"})
 
 
 def rand_algebraic(rng):
@@ -489,7 +503,7 @@ def test_literals_of_two_fields_match_sympy():
             want = _oracle_key(op(expr(a), expr(b)))
             assert scalar_key(op(a, b)) == want, (case, op)
             assert scalar_key(op(x, y)) == want, (case, op)
-    assert degrees[0] == 9  # above MAX_SEARCH_DEGREE, where PSLQ stops
+    assert degrees[0] == 9  # two cubics, decided by one norm of degree 9
     assert degrees[-1] == 4
 
 
@@ -514,31 +528,82 @@ def test_compositum_above_max_degree_is_capped():
 
 def test_nonsquare_certificates_agree_with_factoring():
     # a certified non-square r of a field F is no square in ℚ(r) ⊆ F, so
-    # m_r(t²) is irreducible; a square x² has its root found in x's field
+    # m_r(t²) is irreducible; a square x² has its root found in x's field.
+    # Every radicand is decided, in fields of degree 9 to 16 too
     import sympy
 
-    from scissors.numberfield import NONSQUARE, Num, sqrt_in
+    from scissors.numberfield import NONSQUARE, Num, SimpleField, sqrt_in
+    from scissors.rng import SplitMix64
     t = sympy.Symbol("t")
     checked = 0
+
+    def check(r):
+        nonlocal checked
+        F = r.field if isinstance(r, Num) else None
+        got = sqrt_in(F, r)
+        if got is NONSQUARE:
+            m = r.minpoly() if isinstance(r, Num) else \
+                (-r.numerator, r.denominator)
+            doubled = sum(c * t ** (2 * i) for i, c in enumerate(m))
+            factors = sympy.factor_list(doubled)[1]
+            assert len(factors) == 1 and factors[0][1] == 1, (m, r)
+            checked += 1
+        else:
+            assert _same_value(got * got, r)
+
     for elems in _field_pairs().values():
         for x, _ref in elems:
             root = sqrt_in(x.field, x * x)
-            assert root is not None and root is not NONSQUARE
+            assert root is not NONSQUARE
             assert _same_value(abs(root), abs(x))
             for r in (abs(x), abs(x) + 1, 2 * abs(x), x * x):
-                F = r.field if isinstance(r, Num) else None
-                got = sqrt_in(F, r)
-                m = r.minpoly() if isinstance(r, Num) else \
-                    (-r.numerator, r.denominator)
-                doubled = sum(c * t ** (2 * i) for i, c in enumerate(m))
-                factors = sympy.factor_list(doubled)[1]
-                irreducible = len(factors) == 1 and factors[0][1] == 1
-                if got is NONSQUARE:
-                    assert irreducible, (m, r)
-                    checked += 1
-                elif got is not None:
-                    assert _same_value(got * got, r)
+                check(r)
     assert checked >= 20
+    for n in range(9, 17):
+        # x^n − 3x − 3 is irreducible (Eisenstein at 3), with a root in
+        # (1, 2); in even degree the norm of 2y² is a rational square
+        F = SimpleField((-3, -3) + (0,) * (n - 2) + (1,), 1, 2)
+        rng = SplitMix64.stream(2032, n)
+        data = [0] * n
+        data[0], data[rng.randint(1, n - 1)] = rng.randint(-2, 2), 1
+        y = F.make(tuple(data))
+        root = sqrt_in(F, y * y)
+        assert root is not NONSQUARE and _same_value(abs(root), abs(y))
+        check(2 * y * y)
+        check(abs(y) + rng.randint(1, 3))
+    assert checked >= 36
+
+
+def test_lift_reads_field_elements_back_into_their_field():
+    # seeded x = Σ cᵢαⁱ with α = a^(1/n) + s, both written as literals and
+    # read back: lift puts x in α's field with the coordinates c.  b^(1/n)
+    # for a prime b ≠ a above n is ramified at b, so outside ℚ(α): lift
+    # grows the field and keeps every value
+    from scissors.algebraic import lift, scalar_key
+    from scissors.numberfield import Num
+    from scissors.rng import SplitMix64
+
+    for case in range(12):
+        rng = SplitMix64.stream(2033, case)
+        n = rng.randint(2, 4)
+        a, b = rng.choice(((5, 7), (7, 11), (11, 5), (13, 7)))
+        shift = rng.fraction(3, 2)
+        (alpha,) = lift([make_algebraic([-a] + [0] * (n - 1) + [1], (1, a))
+                         + shift])
+        c = [rng.fraction(6, 4) for _ in range(alpha.field.n)]
+        c[rng.randint(1, n - 1)] = Fraction(rng.randint(1, 5), 2)
+        x = alpha.field.make(tuple(c))
+        lits = [parse_number(format_number(v)) for v in (alpha, x)]
+        a2, x2 = lift(lits)
+        assert isinstance(x2, Num) and x2.field is a2.field
+        assert a2.data == (0, 1) + (0,) * (n - 2)
+        assert [Fraction(v) for v in x2.data] == c
+        y = make_algebraic([-b] + [0] * (n - 1) + [1], (1, b))
+        a3, x3, y3 = lift(lits + [y])
+        assert a3.field is x3.field is y3.field
+        assert a3.field.n > n
+        for lit, v in zip(lits + [y], (a3, x3, y3)):
+            assert scalar_key(v) == scalar_key(lit)
 
 
 def test_field_generator_refines_to_its_root():
@@ -559,12 +624,35 @@ def test_field_generator_refines_to_its_root():
         assert alpha.key() == lit.key()
 
 
-def test_low_degree_factors_match_sympy():
-    # up to degree 3 the factors come from the squarefree part and its
-    # rational roots, without sympy; compare with sympy's factoring
+def _sympy_factors(f):
+    """sympy's irreducible factors of the squarefree part of f, each with
+    a positive leading coefficient."""
     import sympy
 
-    from scissors.algebraic import _canonical_factors
+    x = sympy.Symbol("x")
+    out = []
+    for g, _ in sympy.Poly(list(reversed(f)), x).sqf_part().factor_list()[1]:
+        c = [int(v) for v in reversed(g.all_coeffs())]
+        out.append(tuple(-v for v in c) if c[-1] < 0 else tuple(c))
+    return sorted(out)
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_low_degree_factors_match_sympy():
+    # `poly.factor` against sympy's factoring of the squarefree part: seeded
+    # polynomials up to degree 3, products of small linear factors, and
+    # products up to degree 64 with repeated factors, a content and a
+    # negative leading coefficient
+    import sympy
+
+    from scissors.poly import factor
     from scissors.rng import SplitMix64
     x = sympy.Symbol("x")
     for case in range(300):
@@ -577,11 +665,91 @@ def test_low_degree_factors_match_sympy():
             for _ in range(rng.randint(1, 3)):
                 p *= rng.randint(-5, 5) + rng.choice((-3, -1, 1, 2, 4)) * x
             f = [int(c) for c in reversed(sympy.Poly(p, x).all_coeffs())]
-        ref = []
-        for g, _ in sympy.Poly(list(reversed(f)), x).sqf_part().factor_list()[1]:
-            c = [int(v) for v in reversed(g.all_coeffs())]
-            ref.append(tuple(-v for v in c) if c[-1] < 0 else tuple(c))
-        assert sorted(_canonical_factors(f)) == sorted(ref), f
+        assert sorted(factor(f)) == _sympy_factors(f), f
+    for case in range(24):
+        rng = SplitMix64.stream(2031, case)
+        target = 8 + 56 * case // 23
+        f = [rng.choice((-6, -2, 3))]
+        while True:
+            g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+            g.append(rng.choice((-4, -1, 1, 2, 3)))
+            times = rng.randint(1, 2) if rng.randint(0, 2) == 0 else 1
+            if len(f) - 1 + times * (len(g) - 1) > target:
+                break
+            for _ in range(times):
+                f = _times(f, g)
+        assert sorted(factor(f)) == _sympy_factors(f), case
+    # the minimal polynomial of √2 + √3 + √5 is irreducible, yet has
+    # factors of degree ≤ 2 modulo every prime, so that only recombination
+    # shows it
+    sd3 = (576, 0, -960, 0, 352, 0, -40, 0, 1)
+    assert factor(sd3) == [sd3] == _sympy_factors(sd3)
+    assert factor(_times(sd3, [-2, 0, 1])) == \
+        [(-2, 0, 1), sd3]
+
+
+def _swinnerton_dyer(primes):
+    """The minimal polynomial of the sum of the square roots of `primes`,
+    by one resultant Res_y(y² − p, f(x − y)) per prime."""
+    from math import comb
+
+    from scissors.poly import resultant
+
+    f = [0, 1]
+    for p in primes:
+        G = {}
+        for i, c in enumerate(f):
+            for j in range(i + 1):
+                G[(i - j, j)] = G.get((i - j, j), 0) + \
+                    (-1) ** j * comb(i, j) * c
+        r = resultant({(0, 2): 1, (0, 0): -p},
+                      {e: c for e, c in G.items() if c}, 1)
+        f = [r.get((k, 0), 0) for k in range(max(r)[0] + 1)]
+    return f
+
+
+def test_factoring_is_capped_and_does_not_depend_on_the_hash_seed(tmp_path):
+    # the minimal polynomial of √2 + … + √13 has degree 64 and 32 factors
+    # modulo every prime: its recombination passes the cap, and a literal
+    # of it ends `polytope-info` in exit 4 with one line
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from scissors.errors import SizeCap
+    from scissors.poly import MAX_RECOMBINATIONS, factor
+
+    sd6 = _swinnerton_dyer((2, 3, 5, 7, 11, 13))
+    assert len(sd6) == 65
+    with pytest.raises(SizeCap, match=str(MAX_RECOMBINATIONS)):
+        factor(sd6)
+    assert [len(g) - 1 for g in factor(_swinnerton_dyer((2, 3, 5, 7, 11)))] \
+        == [32]
+    lit = {"minpoly": [str(c) for c in sd6], "lo": "14", "hi": "15"}
+    zero, one = "rat:0/1", "rat:1/1"
+    path = tmp_path / "sd6.json"
+    path.write_text(json.dumps({
+        "dim": 3, "vertices": [[zero, zero, zero], [lit, zero, zero],
+                               [zero, one, zero], [zero, zero, one]],
+        "cells": [[0, 1, 2, 3]]}))
+    proc = subprocess.run([sys.executable, "-m", "scissors.cli",
+                           "polytope-info", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    # the same factors in the same order under other hash seeds
+    cases = [_swinnerton_dyer((2, 3, 5, 7)),
+             _times(_times([3, -1, 2], [1, 1, 0, 1]), [-5, 0, 0, 2]),
+             _times([-2, 0, 1], [-2, 0, 0, 1])]
+    code = ("import sys\n"
+            "from scissors.poly import factor\n"
+            f"print([factor(f) for f in {cases!r}])\n")
+    for seed in ("0", "1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == repr([factor(f) for f in cases])
 
 
 def test_field_inverse_by_euclid_matches_linear_solve():

@@ -49,6 +49,14 @@ def fixtures(tmp_path_factory):
     from scissors.geom import prism
     (root / "prism_tri.json").write_text(json.dumps(polytope_to_json(
         prism(right_triangle(1, 1), 1))))
+    # (0,0,0), (√2,0,0), (0,√3,0), (0,0,1): literals of two quadratic fields
+    zero, one = "rat:0/1", "rat:1/1"
+    root2, root3 = ({"minpoly": [str(-c), "0", "1"], "lo": "1", "hi": "2"}
+                    for c in (2, 3))
+    (root / "tetra_sqrt23.json").write_text(json.dumps({
+        "dim": 3, "vertices": [[zero, zero, zero], [root2, zero, zero],
+                               [zero, root3, zero], [zero, zero, one]],
+        "cells": [[0, 1, 2, 3]]}))
     rot = root / "cube_rot.json"
     from fractions import Fraction
     R = [(Fraction(3, 5), Fraction(-4, 5), 0),
@@ -668,10 +676,11 @@ def _run_blocking(modules, argv):
 def test_rational_commands_run_without_sympy(fixtures, tmp_path):
     # the tetrahedron and the octahedron have irrational lengths and sines,
     # which stay in quadratic fields
-    cube, rot, tall, tetra, octa, vol1 = (
+    cube, rot, tall, tetra, octa, vol1, sqrt23 = (
         str(fixtures / name) for name in ("cube.json", "cube_rot.json",
                                           "box112.json", "tetra.json",
-                                          "octa.json", "tetra_vol1.json"))
+                                          "octa.json", "tetra_vol1.json",
+                                          "tetra_sqrt23.json"))
     # its nonzero-dehn certificate has a length literal of degree 6
     report = tmp_path / "cube_vol1.json"
     report.write_text(run_cli("compare", cube, vol1).stdout)
@@ -691,14 +700,41 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
             (both, ["phi", "--tensor", str(fixtures / "t.json"),
                     "--tower", TOWER]),
             (both, ["recheck", str(report)]),
-            # reading the scaled tetrahedron embeds its literals by an
-            # integer relation, which takes mpmath
-            (no_sympy, ["compare", "--recheck", vol1, cube])):
+            (both, ["compare", "--recheck", vol1, cube]),
+            # two irrational angles: the relation search loads mpmath
+            (no_sympy, ["polytope-info", sqrt23]),
+            (no_sympy, ["compare", sqrt23, cube])):
         blocked = _run_blocking(blocked_modules, argv)
         assert blocked.returncode == 0, (argv, blocked.stderr)
         plain = run_cli(*argv)
         assert json.loads(blocked.stdout)["digest"] == \
             json.loads(plain.stdout)["digest"]
+
+
+def test_sympy_and_mpmath_are_imported_by_one_module_each():
+    # the Gröbner bases of `verify hkr` take sympy, the angle-relation
+    # search takes mpmath; no other module imports either
+    import ast
+    from pathlib import Path
+
+    import scissors
+
+    allowed = {"sympy": {"kahler.py"}, "mpmath": {"angles.py"}}
+    root = Path(scissors.__file__).parent
+    found = {name: set() for name in allowed}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top in found:
+                    found[top].add(str(path.relative_to(root)))
+    assert found == allowed
 
 
 # layers that only some commands use

@@ -70,7 +70,8 @@ def test_sum_candidates_match_sympy():
     from sympy.polys.domains import ZZ
     from sympy.polys.euclidtools import dmp_resultant
 
-    from scissors.algebraic import _canonical_factors, _sum_candidates
+    from scissors.algebraic import _norm_factors
+    from scissors.poly import factor
 
     def sympy_candidates(f, g):
         F = dmp_normal([[c] for c in reversed(f)], 1, ZZ)
@@ -79,11 +80,12 @@ def test_sum_candidates_match_sympy():
             cx = [(-1) ** k * g[i] * comb(i, k) for i in range(k, len(g))]
             rows.append(cx[::-1])
         G = dmp_normal(rows, 1, ZZ)
-        return _canonical_factors(dmp_resultant(F, G, 1, ZZ)[::-1])
+        return tuple(factor(dmp_resultant(F, G, 1, ZZ)[::-1]))
 
     for case in range(12):
         rng = SplitMix64.stream(2202, case)
         f, g = ([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
                 + [rng.randint(1, 3)] for _ in range(2))
         f, g = tuple(f), tuple(g)
-        assert _sum_candidates(f, g) == sympy_candidates(f, g), case
+        over_q = tuple((c,) for c in g)
+        assert _norm_factors(f, over_q, 1) == sympy_candidates(f, g), case
