@@ -8,12 +8,12 @@ containing exactly one of its real roots: the form of a literal as parsed.
 ``lift`` puts the literals of one input into one field ℚ(α), and all
 arithmetic on irrational values runs there: the operators of
 ``AlgebraicReal`` lift their operands, compute in the field and read the
-result back as a literal.  The one resultant of the package, taken by
-`poly` like the pseudo-remainders of the Sturm chains, is a norm from ℚ(α)
-to ℚ, factored by `poly.factor`.  It decides whether a literal x lies in
-ℚ(α), and a square root in it, by the roots in ℚ(α) of a polynomial
-(`roots_in`), and grows the field when x lies outside it: it gives the
-minimal polynomial of γ = x + kα, and α is recovered in ℚ(γ) exactly.
+result back as a literal.  The one resultant of the package, taken and
+factored by `factoring`, is a norm from ℚ(α) to ℚ.  It decides whether a
+literal x lies in ℚ(α), and a square root in it, by the roots in ℚ(α) of a
+polynomial (`roots_in`), and grows the field when x lies outside it: it
+gives the minimal polynomial of γ = x + kα, and α is recovered in ℚ(γ)
+exactly.
 """
 
 import operator
@@ -23,9 +23,21 @@ from math import comb, isqrt, lcm
 
 from . import numberfield
 from .errors import SizeCap
-from .linalg import primitive
-from .numberfield import Num, SimpleField, _sign, scalar_sign
-from .poly import _prem, _quotient, factor, resultant
+from .factoring import factor, resultant
+from .numberfield import Num, SimpleField, _sign
+# count_roots, as_scalar, scalar_key and scalar_sign are named here for
+# their callers
+from .poly import (
+    _diff,
+    _gcd,
+    _is_constant,
+    _sign_at,
+    _sparse,
+    _strip,
+    count_roots,
+    root_index,
+)
+from .scalars import as_scalar, scalar_key, scalar_sign
 
 
 class NoRootInInterval(ValueError):
@@ -44,55 +56,10 @@ class NegativeSqrt(ValueError):
     pass
 
 
-# -- integer polynomials: tuples of ints, constant coefficient first ---------
-# Division and resultants run on `poly`'s sparse form, factoring on its
-# dense one.
-
-def _strip(coeffs) -> tuple:
-    """Drop zero leading coefficients; the zero polynomial is ()."""
-    f = [int(c) for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
-
-def _sparse(f) -> dict:
-    """A coefficient tuple as a polynomial of `poly` in one variable."""
-    return {(k,): c for k, c in enumerate(f) if c}
-
-
-def _dense(p) -> list:
-    """A polynomial of `poly` in one variable as a coefficient list."""
-    return [p.get((k,), 0) for k in range(max(p)[0] + 1)] if p else []
-
-
-def _divide(a, b) -> tuple:
-    """a/b over its content, for a primitive b that divides a over ℚ: by
-    Gauss's lemma b then divides a over ℤ."""
-    return primitive(_dense(_quotient(_sparse(a), _sparse(b))), 1)
-
-
-def _canonical_single(coeffs) -> tuple:
-    """Primitive positive-lc form for a polynomial already irreducible."""
-    f = _strip(coeffs)
-    return primitive(f, f[-1]) if f else f
-
-
-def _sign_at(f, num: int, den: int) -> int:
-    """Sign of f(num/den) for den > 0, by Horner on den^deg·f(num/den)."""
-    if not f:
-        return 0
-    acc, dpow = f[-1], 1
-    for c in f[-2::-1]:
-        dpow *= den
-        acc = acc * num + c * dpow
-    return (acc > 0) - (acc < 0)
-
-
 @lru_cache(maxsize=2048)
-def _norm_factors(f, p, k):
-    """Irreducible factors of N(t) = Res_y(f(y), p(t − ky, y)), the norm of
-    p(t − kα) from ℚ(α) to ℚ for a root α of f: the package's one
+def _norm(f, p, k):
+    """N(t) = Res_y(f(y), p(t − ky, y)), the norm of p(t − kα) from ℚ(α)
+    to ℚ for a root α of f, as a coefficient tuple: the package's one
     resultant, a bivariate one over ℤ in (t, y).  Each coefficient of p is
     an integer polynomial in y, constant first, a 1-tuple when p is over
     ℤ; the roots of N are the β + kα′ for the conjugates α′ of α and the
@@ -106,50 +73,23 @@ def _norm_factors(f, p, k):
                 e = (i - j, m + j)
                 G[e] = G.get(e, 0) + c * comb(i, j) * (-k) ** j
     res = resultant(F, {e: c for e, c in G.items() if c}, 1)
-    return tuple(factor(_dense({(j,): c for (j, _), c in res.items()})))
+    return _strip([res.get((j, 0), 0)
+                   for j in range(max(res)[0] + 1 if res else 0)])
 
 
-# -- Sturm sequences ---------------------------------------------------------
-
-@lru_cache(maxsize=4096)
-def _chain_for(coeffs) -> list:
-    """Sturm sequence of the squarefree part of f, the polynomial `coeffs`:
-    f, f′, then minus each remainder, each scaled by a positive integer."""
-    f = _strip(coeffs)
-    chain = [f]
-    df = tuple(i * c for i, c in enumerate(f))[1:]
-    if df:
-        chain.append(primitive(df, 1))
-    while len(chain) > 1 and len(chain[-1]) > 1:
-        b = chain[-1]
-        r, k = _prem(_sparse(chain[-2]), _sparse(b), 0)
-        if not r:
-            # b is gcd(f, f′) of positive degree: f has a repeated factor,
-            # so restart on f / gcd(f, f′)
-            return _chain_for(_divide(f, b))
-        # r = lc(b)^k·(the remainder): −r is a positive multiple of minus
-        # the remainder unless lc(b)^k < 0
-        chain.append(primitive(_dense(r), 1 if b[-1] < 0 and k % 2 else -1))
-    return chain
+@lru_cache(maxsize=2048)
+def _norm_factors(f, p, k):
+    """The irreducible factors of the norm `_norm(f, p, k)`."""
+    return tuple(factor(_norm(f, p, k)))
 
 
-def _variations(signs):
-    signs = [s for s in signs if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-def _sturm_at(chain, x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    return _variations([_sign_at(s, num, den) for s in chain])
-
-def _sturm_at_neg_inf(chain) -> int:
-    return _variations([_sign(s[-1]) * (-1) ** (len(s) - 1) for s in chain])
-
-def count_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of a squarefree integer polynomial in (lo, hi]."""
-    if lo >= hi:
-        return 0
-    chain = _chain_for(tuple(coeffs))
-    return _sturm_at(chain, lo) - _sturm_at(chain, hi)
+def _is_squarefree(N, degree) -> bool:
+    """Whether the polynomial N has the given degree and no repeated
+    factor: one gcd with N′."""
+    if len(N) - 1 != degree:
+        return False
+    a = _sparse(N)
+    return _is_constant(_gcd(a, _diff(a, 0))[0])
 
 
 class AlgebraicReal:
@@ -223,9 +163,7 @@ class AlgebraicReal:
     def root_index(self) -> int:
         """Index of this root among the real roots of minpoly (0-based)."""
         if self._index is None:
-            chain = _chain_for(self._poly)
-            self._index = (_sturm_at_neg_inf(chain)
-                           - _sturm_at(chain, self._lo))
+            self._index = root_index(self._poly, self._lo)
         return self._index
 
     def key(self):
@@ -459,25 +397,7 @@ def sqrt_nonneg(x):
 
 
 # -- scalar helpers: geometry works over Fraction | AlgebraicReal ------------
-
-def as_scalar(x):
-    """Normalize to Fraction (rationals), a field element, or an irrational
-    AlgebraicReal."""
-    if isinstance(x, (Fraction, Num)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, AlgebraicReal):
-        return x.as_fraction() if x.is_rational() else x
-    raise TypeError(f"not a scalar: {x!r}")
-
-
-def scalar_key(x):
-    x = as_scalar(x)
-    if isinstance(x, Fraction):
-        return ("q", x)
-    return x.key()
-
+# as_scalar, scalar_key and scalar_sign live in `numberfield`
 
 def scalar_eq(a, b) -> bool:
     return scalar_sign(a - b) == 0
@@ -521,7 +441,7 @@ def field_ops(a, b, op: str):
 # -- one number field per input ------------------------------------------------
 # Literals are embedded here and nowhere else: membership in a field, square
 # roots in it and the compositum all take their roots from one norm, a
-# resultant factored by `poly.factor`.
+# resultant factored by `factoring.factor`.
 
 def lift(values) -> list:
     """The scalars `values`, with every irrational AlgebraicReal among them
@@ -604,8 +524,9 @@ def roots_in(K, p):
     coefficients rational or in K, constant first), by Trager's norm method
     ("Algebraic factoring and rational function integration", SYMSAC 1976).
 
-    For the first k whose norm N(t) of p(t − kα) is squarefree, the
-    irreducible factors of N are the norms of those of p(t − kα) over K:
+    For the first k whose norm N(t) of p(t − kα) is squarefree (one gcd
+    with N′ tells, so no other norm is factored), the irreducible factors
+    of N are the norms of those of p(t − kα) over K:
     each factor of degree [K:ℚ] is the norm of a linear one, t − kα − β,
     read off as its gcd over K with p(t − kα).  For p over ℚ, N = p^[K:ℚ] at
     k = 0, which is skipped.  Raises SizeCap when N has a degree above
@@ -617,9 +538,8 @@ def roots_in(K, p):
     P = tuple(tuple(int(v * den) for v in c) for c in coords)
     alpha = K.generator()
     for k in range(0 if any(len(c) > 1 for c in P) else 1, size ** 2 + 2):
-        factors = _norm_factors(K.f, P, k)
-        if sum(len(g) - 1 for g in factors) == size:  # N is squarefree
-            for g in factors:
+        if _is_squarefree(_norm(K.f, P, k), size):
+            for g in _norm_factors(K.f, P, k):
                 if len(g) == n + 1:
                     yield _common_root(g, p, -k * alpha, 1) - k * alpha
             return

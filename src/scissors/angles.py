@@ -9,30 +9,33 @@ proposes one integer relation ∑ m_j θ_j ≡ 0 (mod π) numerically (PSLQ) and
 certifies it by evaluating ∏ (cosθ_j + i·sinθ_j)^{2 m_j} exactly and checking
 it equals 1; an unverified proposal is discarded, so a returned relation is
 sound.  The Dehn normalization substitutes that relation and searches again.
+
+An angle with a rational cos² (every dihedral angle of a rational polytope)
+is decided from cos² alone: by Niven's theorem θ/π is rational exactly when
+cos²θ ∈ {0, ¼, ½, ¾, 1}.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .algebraic import (
-    as_scalar,
-    lift,
-    scalar_approx,
-    scalar_key,
-    scalar_sign,
-    sqrt_nonneg,
-)
 from .errors import DEFAULT_HEIGHT_BOUND
-from .numbers import format_number, parse_number
+from .numbers import format_number, one_field, parse_number
+from .scalars import as_scalar, format_sqrt, scalar_key, scalar_sign, surd
 
 DEFAULT_PROPOSE_BITS = 256
 MAX_PROPOSE_BITS = 4096
 
 
 class AnglePair:
-    """Canonical angle θ ∈ [0, π]: exact cos and sin with sin >= 0."""
+    """Canonical angle θ ∈ [0, π]: exact cos and sin with sin >= 0.
 
-    __slots__ = ("cos", "sin", "_key")
+    An angle with a rational cos² can be given by cos² and the sign of cos
+    alone (`from_cos2`, kept in `cos2` and `cos_sign`): its key, its
+    rational test, the polynomial of 2cosθ and its JSON come from those,
+    and cos and sin, square roots of rationals in `numberfield`, are built
+    when first read."""
+
+    __slots__ = ("_cos", "_sin", "_key", "cos2", "cos_sign")
 
     def __init__(self, cos, sin):
         cos = as_scalar(cos)
@@ -41,18 +44,60 @@ class AnglePair:
             raise ValueError("sin component must be nonnegative")
         if scalar_sign(cos * cos + sin * sin - 1) != 0:
             raise ValueError("cos^2 + sin^2 != 1")
-        self.cos = cos
-        self.sin = sin
-        self._key = None
+        self._cos = cos
+        self._sin = sin
+        self._key = self.cos2 = self.cos_sign = None
+
+    @classmethod
+    def from_cos2(cls, cos2: Fraction, sign: int) -> "AnglePair":
+        """The angle with cos²θ = cos2 ∈ [0, 1] and cosθ of the given sign
+        (−1, 0 or 1; 0 exactly when cos2 is 0)."""
+        if not 0 <= cos2 <= 1 or (sign == 0) != (cos2 == 0):
+            raise ValueError("cos^2 out of [0, 1] or sign mismatch")
+        pair = object.__new__(cls)
+        pair._cos = pair._sin = pair._key = None
+        pair.cos2, pair.cos_sign = cos2, sign
+        return pair
 
     @classmethod
     def from_cos(cls, cos) -> "AnglePair":
+        cos = as_scalar(cos)
+        if isinstance(cos, Fraction):
+            return cls.from_cos2(cos * cos, scalar_sign(cos))
+        from .algebraic import lift, sqrt_nonneg
+
         (cos,) = lift([cos])
         return cls(cos, sqrt_nonneg(1 - cos * cos))
 
+    @property
+    def cos(self):
+        if self._cos is None:
+            from .numberfield import sqrt
+
+            self._cos = self.cos_sign * sqrt(self.cos2)
+        return self._cos
+
+    @property
+    def sin(self):
+        if self._sin is None:
+            from .numberfield import sqrt
+
+            self._sin = sqrt(1 - self.cos2)
+        return self._sin
+
     def key(self):
+        """scalar_key of cos, which orders and identifies angles."""
         if self._key is None:
-            self._key = scalar_key(self.cos)
+            if self.cos2 is None:
+                self._key = scalar_key(self._cos)
+            else:
+                a = self.cos2
+                c, m = surd(a)
+                # cos is rational, or ±√(p/q), the root of index 1 or 0 of
+                # qx² − p
+                self._key = ("q", self.cos_sign * c) if m == 1 else \
+                    ("a", (-a.numerator, 0, a.denominator),
+                     int(self.cos_sign > 0))
         return self._key
 
     def __eq__(self, other):
@@ -63,27 +108,35 @@ class AnglePair:
 
     def is_straight(self) -> bool:
         """θ = 0 or θ = π (both vanish in the length⊗angle tensor)."""
-        return scalar_sign(self.sin) == 0
+        if self.cos2 is not None:
+            return self.cos2 == 1
+        return scalar_sign(self._sin) == 0
 
     def radians(self, bits: int = 64) -> "mpmath.mpf":
         import mpmath as mp
 
         with mp.workprec(bits + 16):
-            c = scalar_approx(self.cos, bits + 16)
+            c = self.cos
+            if not isinstance(c, Fraction):
+                c = c.approx(bits + 16)
             return mp.acos(mp.mpf(c.numerator) / c.denominator)
 
     def to_json(self):
-        return {"cos": format_number(self.cos), "sin": format_number(self.sin)}
+        if self.cos2 is not None:
+            return {"cos": format_sqrt(self.cos2, self.cos_sign),
+                    "sin": format_sqrt(1 - self.cos2)}
+        return {"cos": format_number(self._cos),
+                "sin": format_number(self._sin)}
 
     @classmethod
     def from_json(cls, obj) -> "AnglePair":
         # cos and sin in one number field where they share one, as in the
         # polytope they were computed from
-        return cls(*lift([parse_number(obj["cos"]),
-                          parse_number(obj["sin"])]))
+        return cls(*one_field([parse_number(obj["cos"]),
+                               parse_number(obj["sin"])]))
 
     def __repr__(self):
-        return f"AnglePair(cos~{float(scalar_approx(self.cos, 40)):.6g})"
+        return f"AnglePair(cos~{float(self.cos):.6g})"
 
 
 # -- cyclotomic polynomials and minimal polynomials of 2cos(2π/n) -----------
@@ -184,10 +237,30 @@ _INTEGER_TWO_COS = {2: Fraction(0), 1: Fraction(1, 3), 0: Fraction(1, 2),
 def two_cos_minpoly(pair: AnglePair) -> tuple:
     """Constant-first minimal polynomial of 2cosθ over ℤ: primitive, with a
     positive leading coefficient."""
+    if pair.cos2 is not None:
+        c, m = surd(pair.cos2)
+        if m == 1:
+            two_cos = 2 * pair.cos_sign * c
+            return (-two_cos.numerator, two_cos.denominator)
+        four = 4 * pair.cos2  # (2cosθ)² = 4cos²θ = P/Q: QX² − P
+        return (-four.numerator, 0, four.denominator)
     two_cos = 2 * as_scalar(pair.cos)
     if isinstance(two_cos, Fraction):
         return (-two_cos.numerator, two_cos.denominator)
     return two_cos.minpoly()
+
+
+# θ/π for the angles whose cos² is rational and θ/π too (Niven's theorem),
+# by (cos²θ, sign of cosθ)
+_NIVEN = {(Fraction(0), 0): Fraction(1, 2),
+          (Fraction(1, 4), 1): Fraction(1, 3),
+          (Fraction(1, 4), -1): Fraction(2, 3),
+          (Fraction(1, 2), 1): Fraction(1, 4),
+          (Fraction(1, 2), -1): Fraction(3, 4),
+          (Fraction(3, 4), 1): Fraction(1, 6),
+          (Fraction(3, 4), -1): Fraction(5, 6),
+          (Fraction(1), 1): Fraction(0),
+          (Fraction(1), -1): Fraction(1)}
 
 
 def is_rational_angle(pair: AnglePair):
@@ -195,8 +268,11 @@ def is_rational_angle(pair: AnglePair):
 
     Sound and complete: the totient bound makes the candidate set finite,
     and a match of the minimal polynomial with Ψ_n leaves only the choice of
-    root, which the root index of 2cosθ makes exactly.
+    root, which the root index of 2cosθ makes exactly.  An angle given by
+    its rational cos² is looked up in the table of Niven's theorem.
     """
+    if pair.cos2 is not None:
+        return _NIVEN.get((pair.cos2, pair.cos_sign))
     m = two_cos_minpoly(pair)
     if m[-1] != 1:
         return None  # not monic: 2cosθ is no algebraic integer

@@ -73,9 +73,15 @@ def _tensor_certificates(tensor):
     return certs
 
 
+def _nonzero_certificate(cert: dict) -> dict:
+    """A nonzero certificate of `dehn` as a report's certificate: a block
+    certificate names its type, the lone-term one is "nonzero-dehn"."""
+    return {"type": cert.get("type", "nonzero-dehn"), **cert}
+
+
 def cmd_polytope_info(args) -> dict:
-    from .algebraic import as_scalar
     from .dehn import dehn_invariant, is_zero, nonzero_certificate
+    from .scalars import as_scalar
 
     obj = load_json(args.file)
     p = polytope_from_json(obj, exact_strict=args.exact_strict)
@@ -94,8 +100,8 @@ def cmd_polytope_info(args) -> dict:
         results["dehn_verdict"] = verdict
         certificates.extend(_tensor_certificates(tensor))
         if verdict == "NonzeroCertified":
-            cert = nonzero_certificate(tensor)
-            certificates.append({"type": "nonzero-dehn", **cert})
+            certificates.append(
+                _nonzero_certificate(nonzero_certificate(tensor)))
     return {"results": results, "certificates": certificates,
             "inputs": [args.file]}
 
@@ -116,7 +122,7 @@ def cmd_compare(args) -> dict:
     elif verdict.tag == "NotCongruent_Dehn":
         cert = verdict.witness.get("certificate")
         if cert:
-            certificates.append({"type": "nonzero-dehn", **cert})
+            certificates.append(_nonzero_certificate(cert))
         diff = verdict.witness.get("difference", {})
         if diff.get("relations"):
             certificates.append({"type": "angle-relations",

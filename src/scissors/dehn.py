@@ -7,48 +7,96 @@ solving for the pivot pushes rational coefficients through the length slot,
 which is legal because lengths form a ℚ-vector space.  Every "nonzero"
 verdict is certified; "equal/zero" verdicts are conditional on the height
 bound of the relation search and say so.
+
+A rational polytope takes an exact path (Conway, Radin and Sadun, "On
+angles whose squared trigonometric functions are rational", Discrete
+Comput. Geom. 22 (1999)).  Its edges carry ℓ² and an angle given by cos²
+and the sign of cos, so a term is c√m ⊗ θ with c rational.  The term lies
+in the block (m, s): m is the square class of ℓ², and s that of
+cos²θ·(1 − cos²θ), as e^{2iθ} lies in ℚ(√−s).  Lengths of distinct classes
+are ℚ-independent, and so are angles of distinct classes modulo ℚπ, so the
+invariant vanishes exactly when every block does.  A block of one term is
+nonzero, as its angle is irrational, and needs no search; only a block of
+two or more angles goes to `find_angle_relations`, alone, after θ and
+π − θ in it are related exactly.
 """
 
 from fractions import Fraction
+from math import isqrt
 
-from .algebraic import as_scalar, lift, scalar_sign
 from .angles import (
     AnglePair,
+    certified_relation,
     find_angle_relations,
     is_rational_angle,
     two_cos_minpoly,
 )
 from .errors import DEFAULT_HEIGHT_BOUND
 from .geom import Polytope
-from .numbers import format_number, parse_number
+from .numbers import format_number, one_field, parse_number
+from .scalars import as_scalar, format_surd, scalar_sign, surd
 
 
 class DehnTensor:
-    __slots__ = ("terms", "relations_used", "height_bound", "rational_drops")
+    """A normalized tensor: its (length, AnglePair) `terms`, the relations
+    and the rational angles its normalization used, and the height bound of
+    its relation search.
+
+    A tensor of a rational polytope is kept as `rational`, its terms
+    (c, m, s, angle) for c√m ⊗ angle in the block (m, s), sorted by the
+    angle's key, then m; its JSON is written from those, and its `terms`,
+    in `numberfield`, are built when first read."""
+
+    __slots__ = ("_terms", "rational", "relations_used", "height_bound",
+                 "rational_drops")
 
     def __init__(self, terms: list, relations_used: list = None,
                  height_bound: int = DEFAULT_HEIGHT_BOUND,
-                 rational_drops: list = None):
-        self.terms = terms  # [(length scalar, AnglePair)], normal form
+                 rational_drops: list = None, rational: list = None):
+        self._terms = terms  # [(length scalar, AnglePair)], normal form
+        self.rational = rational
         self.relations_used = [] if relations_used is None else relations_used
         self.height_bound = height_bound
         self.rational_drops = [] if rational_drops is None else rational_drops
+
+    @property
+    def terms(self) -> list:
+        if self._terms is None:
+            from .numberfield import sqrt
+
+            self._terms = [(c * sqrt(Fraction(m)), angle)
+                           for c, m, _s, angle in self.rational]
+        return self._terms
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(getattr(self, k) == getattr(other, k)
-                   for k in self.__slots__)
+                   for k in ("terms", "relations_used", "height_bound",
+                             "rational_drops"))
 
     __hash__ = None
 
     def is_empty(self) -> bool:
-        return not self.terms
+        return not (self.terms if self.rational is None else self.rational)
+
+    def blocks(self) -> dict:
+        """{(m, s): [(c, angle), ...]} of a rational tensor, sorted."""
+        out = {}
+        for c, m, s, angle in self.rational:
+            out.setdefault((m, s), []).append((c, angle))
+        return dict(sorted(out.items()))
+
+    def terms_json(self) -> list:
+        if self.rational is not None:
+            return [_term_json(c, m, angle)
+                    for c, m, _s, angle in self.rational]
+        return [{"length": format_number(as_scalar(l)), **a.to_json()}
+                for l, a in self.terms]
 
     def to_json(self):
         return {
-            "terms": [{"length": format_number(as_scalar(l)),
-                       **a.to_json()} for l, a in self.terms],
+            "terms": self.terms_json(),
             "height_bound": self.height_bound,
             "relations": [r.to_json() for r in self.relations_used],
             "rational_angles_dropped": self.rational_drops,
@@ -57,8 +105,8 @@ class DehnTensor:
     @classmethod
     def from_json(cls, obj) -> "DehnTensor":
         # lengths, cos and sin in one number field, as for a polytope
-        flat = iter(lift([parse_number(t[k]) for t in obj["terms"]
-                          for k in ("length", "cos", "sin")]))
+        flat = iter(one_field([parse_number(t[k]) for t in obj["terms"]
+                               for k in ("length", "cos", "sin")]))
         raw = [(next(flat), AnglePair(next(flat), next(flat)))
                for _ in obj["terms"]]
         return tensor_normalize(raw, obj.get("height_bound",
@@ -66,6 +114,11 @@ class DehnTensor:
 
     def __repr__(self):
         return f"DehnTensor({len(self.terms)} terms, h<={self.height_bound})"
+
+
+def _term_json(c, m, angle) -> dict:
+    """The JSON of the rational term c√m ⊗ angle."""
+    return {"length": format_surd(c, m), **angle.to_json()}
 
 
 def _merge(raw):
@@ -76,6 +129,27 @@ def _merge(raw):
         length, k = as_scalar(length), angle.key()
         acc[k] = (acc[k][0] + length, angle) if k in acc else (length, angle)
     return [acc[k] for k in sorted(acc) if scalar_sign(acc[k][0]) != 0]
+
+
+def _drop(angle, q) -> dict:
+    return {"q": format_number(Fraction(q)), "cos": angle.to_json()["cos"]}
+
+
+def _substitute(terms, rel):
+    """The terms [(length, angle)] with the relation's pivot angle (smallest
+    nonzero |m|, then largest index) written through the others."""
+    ms = rel.coefficients
+    pivot = min((abs(m), -j) for j, m in enumerate(ms) if m != 0)[1] * -1
+    mk = ms[pivot]
+    out = []
+    for i, (length, angle) in enumerate(terms):
+        if i != pivot:
+            out.append((length, angle))
+            continue
+        for j, mj in enumerate(ms):
+            if j != pivot and mj != 0:
+                out.append((length * Fraction(-mj, mk), terms[j][1]))
+    return out
 
 
 def tensor_normalize(raw_terms,
@@ -89,8 +163,7 @@ def tensor_normalize(raw_terms,
         if q is None:
             kept.append((length, angle))
         else:
-            drops.append({"q": format_number(Fraction(q)),
-                          "cos": format_number(as_scalar(angle.cos))})
+            drops.append(_drop(angle, q))
     terms = _merge(kept)
     used = []
     # only angles certified irrational over π are left, so a lone angle has
@@ -100,44 +173,135 @@ def tensor_normalize(raw_terms,
         rels = find_angle_relations([a for _, a in terms], height_bound)
         if not rels:
             break
-        (rel,) = rels
-        used.append(rel)
-        ms = rel.coefficients
-        # pivot: smallest nonzero |m|, then largest index (deterministic)
-        pivot = min((abs(m), -j)
-                    for j, m in enumerate(ms) if m != 0)[1] * -1
-        mk = ms[pivot]
-        new_raw = []
-        for i, (length, angle) in enumerate(terms):
-            if i != pivot:
-                new_raw.append((length, angle))
-                continue
-            for j, mj in enumerate(ms):
-                if j == pivot or mj == 0:
-                    continue
-                new_raw.append((length * Fraction(-mj, mk), terms[j][1]))
-        terms = _merge(new_raw)
+        used.append(rels[0])
+        terms = _merge(_substitute(terms, rels[0]))
     return DehnTensor(terms, used, height_bound, drops)
+
+
+# -- rational polytopes: blocks by square class ---------------------------------
+
+def same_square_class(a: Fraction, b: Fraction) -> bool:
+    """Whether the positive rationals a and b have one square class: ab is
+    a rational square, which one isqrt tells."""
+    ab = a * b
+    n = ab.numerator * ab.denominator
+    return n > 0 and isqrt(n) ** 2 == n
+
+
+class _SquareClasses:
+    """Square classes of positive rationals, each named by the radicand
+    (`scalars.surd`) of its first member."""
+
+    def __init__(self):
+        self.reps = []
+        self.memo = {}
+
+    def of(self, x: Fraction):
+        """(r, k): r names x's class and √x = k·√r, k rational."""
+        hit = self.memo.get(x)
+        if hit is None:
+            k, m = surd(x)
+            for r in self.reps:
+                if same_square_class(m, r):  # √m = √(mr)/√r
+                    hit = (r, k * Fraction(isqrt(m * r), r))
+                    break
+            else:
+                self.reps.append(m)
+                hit = (m, k)
+            self.memo[x] = hit
+        return hit
+
+
+def _normalize_rational(raw, height_bound) -> DehnTensor:
+    """The normal form of the terms c·√x ⊗ angle, (c, x, angle) in `raw`,
+    for rational c and x and angles given by their rational cos²."""
+    lengths, angles = _SquareClasses(), _SquareClasses()
+    acc, drops = {}, []
+    for c, x, angle in raw:
+        if c == 0 or x == 0 or angle.is_straight():
+            continue  # ℓ = 0, or θ ∈ {0, π}
+        q = is_rational_angle(angle)
+        if q is not None:
+            drops.append(_drop(angle, q))
+            continue
+        m, k = lengths.of(x)
+        key = (m, angle.key())
+        acc[key] = (acc[key][0] + c * k, angle) if key in acc else \
+            (c * k, angle)
+    blocks = {}  # each block's terms in the order of their angles' keys
+    for (m, _key), (c, angle) in sorted(acc.items(),
+                                        key=lambda e: e[0][::-1]):
+        if c:
+            a = angle.cos2
+            s = angles.of(a * (1 - a))[0]
+            blocks.setdefault((m, s), []).append((c, angle))
+    used, terms = [], []
+    for (m, s), block in sorted(blocks.items()):
+        terms.extend((c, m, s, angle)
+                     for c, angle in _reduce_block(block, height_bound, used))
+    terms.sort(key=lambda t: (t[3].key(), t[1]))
+    return DehnTensor(None, used, height_bound, drops, terms)
+
+
+def _reduce_block(terms, height_bound, used):
+    """The terms [(c, angle)] of one block, sorted by angle key, in normal
+    form: θ and π − θ are related exactly (θ + (π − θ) ≡ 0), then the
+    search runs on the block alone while it holds two or more angles.  The
+    relations used are appended to `used`."""
+    while len(terms) >= 2:
+        rel = _supplementary(terms)
+        if rel is None:
+            rels = find_angle_relations([a for _, a in terms], height_bound)
+            if not rels:
+                break
+            rel = rels[0]
+        used.append(rel)
+        terms = _merge(_substitute(terms, rel))
+    return terms
+
+
+def _supplementary(terms):
+    """The certified relation θ + θ′ ≡ 0 (mod π) for the first two angles of
+    the block with one cos² and cosines of opposite signs, or None."""
+    seen = {}
+    for j, (_c, angle) in enumerate(terms):
+        i = seen.setdefault(angle.cos2, j)
+        if i != j:
+            ms = [0] * len(terms)
+            ms[i] = ms[j] = 1
+            return certified_relation([a for _, a in terms], ms)
+    return None
 
 
 def tensor_add(a: DehnTensor, b: DehnTensor,
                height_bound=None) -> DehnTensor:
     hb = height_bound or max(a.height_bound, b.height_bound)
+    if a.rational is not None and b.rational is not None:
+        return _normalize_rational(
+            [(c, m, angle) for c, m, _s, angle in a.rational + b.rational],
+            hb)
     return tensor_normalize(list(a.terms) + list(b.terms), hb)
 
 
 def tensor_neg(t: DehnTensor) -> DehnTensor:
-    out = DehnTensor([(-l, a) for l, a in t.terms],
-                     list(t.relations_used), t.height_bound,
-                     list(t.rational_drops))
-    return out
+    if t.rational is not None:
+        return DehnTensor(None, list(t.relations_used), t.height_bound,
+                          list(t.rational_drops),
+                          [(-c, m, s, a) for c, m, s, a in t.rational])
+    return DehnTensor([(-l, a) for l, a in t.terms],
+                      list(t.relations_used), t.height_bound,
+                      list(t.rational_drops))
 
 
 def dehn_invariant(p: Polytope,
                    height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
     """Σ edge-length ⊗ dihedral angle over the boundary, in normal form."""
-    raw = [(e.length, e.angle) for e in p.edges()]
-    return tensor_normalize(raw, height_bound)
+    edges = p.edges()
+    if all(e.length2 is not None for e in edges):
+        return _normalize_rational([(1, e.length2, e.angle) for e in edges],
+                                   height_bound)
+    return tensor_normalize([(e.length, e.angle) for e in edges],
+                            height_bound)
 
 
 def is_zero(t: DehnTensor) -> str:
@@ -145,30 +309,105 @@ def is_zero(t: DehnTensor) -> str:
 
     The single-angle case is complete: a lone surviving term has nonzero
     length and a certified π-irrational angle, which is exactly nonvanishing
-    in ℝ⊗ℝ/ℤ.  With several surviving angles, independence rests only on the
-    height-bounded search, so the verdict stays Unknown.
+    in ℝ⊗ℝ/ℤ.  A rational tensor is nonzero when one of its blocks holds a
+    single term, as blocks vanish independently.  Otherwise, with several
+    surviving angles, independence rests only on the height-bounded
+    search, so the verdict stays Unknown.
     """
-    if not t.terms:
+    if t.is_empty():
         return "Zero"
+    if t.rational is not None:
+        if any(len(b) == 1 for b in t.blocks().values()):
+            return "NonzeroCertified"
+        return "Unknown"
     if len(t.terms) == 1:
         return "NonzeroCertified"
     return "Unknown"
 
 
 def nonzero_certificate(t: DehnTensor):
-    """Re-checkable evidence for a NonzeroCertified verdict."""
+    """Re-checkable evidence for a NonzeroCertified verdict: the lone term
+    and the polynomial of 2cosθ when one term is left, else the block
+    certificate of a rational tensor."""
     if is_zero(t) != "NonzeroCertified":
         return None
-    length, angle = t.terms[0]
+    if t.rational is not None:
+        if len(t.rational) != 1:
+            return block_certificate(t)
+        angle = t.rational[0][3]
+    else:
+        angle = t.terms[0][1]
+    (term,) = t.terms_json()
     minpoly = two_cos_minpoly(angle)
     return {
-        "length": format_number(as_scalar(length)),
+        "length": term["length"],
         "angle": angle.to_json(),
         "two_cos_minpoly": [str(c) for c in minpoly],
         "monic": minpoly[-1] == 1,
         "reason": ("angle is no rational multiple of π: complete check via "
                    "the algebraic-integer test on 2cosθ"),
     }
+
+
+def block_certificate(t: DehnTensor):
+    """Re-checkable evidence that a rational tensor is nonzero: the first
+    block (m, s) that holds a single term, that term, and all the terms,
+    from which `recheck` recomputes every term's classes.  Its "type" is
+    "dehn-block"."""
+    for (m, s), block in t.blocks().items():
+        if len(block) == 1:
+            (c, angle), = block
+            return {
+                "type": "dehn-block",
+                "m": format_number(Fraction(m)),
+                "s": format_number(Fraction(s)),
+                "term": _term_json(c, m, angle),
+                "terms": t.terms_json(),
+                "reason": ("the only term of its block: lengths of distinct "
+                           "square classes m of ℓ², and angles of distinct "
+                           "classes s of cos²θ·sin²θ, are independent over "
+                           "ℚ modulo ℚπ, and cos²θ is not in "
+                           "{0, 1/4, 1/2, 3/4, 1}, so θ ∉ ℚπ (Niven)"),
+            }
+    return None
+
+
+def _rational_square(value):
+    """(x², sign of x) for the literal x when x² is rational, else None:
+    x is rational, or its minimal polynomial is qX² − p."""
+    x = parse_number(value)
+    if isinstance(x, Fraction):
+        return x * x, (x > 0) - (x < 0)
+    f = x.minpoly()
+    if len(f) != 3 or f[1]:
+        return None
+    return Fraction(-f[0], f[2]), x.sign()
+
+
+def block_holds(cert) -> bool:
+    """The recheck of a "dehn-block" certificate.  The classes of every term
+    are recomputed from its literals (m of ℓ², s of cos²θ·sin²θ); the block
+    (m, s) must hold exactly one of them, `term`, with a nonzero length and
+    an angle that is no rational multiple of π (Niven: cos²θ is not in
+    {0, 1/4, 1/2, 3/4, 1})."""
+    m, s = parse_number(cert["m"]), parse_number(cert["s"])
+    if not (isinstance(m, Fraction) and isinstance(s, Fraction)):
+        return False
+    in_block = []
+    for term in cert["terms"]:
+        parts = [_rational_square(term[k]) for k in ("length", "cos", "sin")]
+        if None in parts:
+            return False
+        (l2, _), (c2, c_sign), (s2, s_sign) = parts
+        if s_sign < 0 or c2 + s2 != 1:
+            return False
+        if l2 and same_square_class(l2, m) and \
+                same_square_class(c2 * s2, s):
+            in_block.append((term, AnglePair.from_cos2(c2, c_sign)))
+    if len(in_block) != 1:
+        return False
+    term, angle = in_block[0]
+    return term == cert["term"] and is_rational_angle(angle) is None
 
 
 class CongruenceVerdict:
@@ -201,7 +440,8 @@ class CongruenceVerdict:
 def compare_polytopes(a: Polytope, b: Polytope,
                       height_bound: int = DEFAULT_HEIGHT_BOUND
                       ) -> CongruenceVerdict:
-    """Scissors-congruence verdict from volume and the edge-angle tensor."""
+    """Scissors-congruence verdict from volume and the edge-angle tensor.
+    The certificate of a rational NotCongruent_Dehn names its block."""
     va, vb = a.volume(), b.volume()
     if scalar_sign(va - vb) != 0:
         return CongruenceVerdict(
@@ -214,10 +454,11 @@ def compare_polytopes(a: Polytope, b: Polytope,
     diff = tensor_add(da, tensor_neg(db), height_bound)
     verdict = is_zero(diff)
     if verdict == "NonzeroCertified":
+        cert = block_certificate(diff) if diff.rational is not None \
+            else nonzero_certificate(diff)
         return CongruenceVerdict(
             "NotCongruent_Dehn",
-            {"difference": diff.to_json(),
-             "certificate": nonzero_certificate(diff)},
+            {"difference": diff.to_json(), "certificate": cert},
             height_bound)
     if verdict == "Zero":
         return CongruenceVerdict(

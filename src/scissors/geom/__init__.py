@@ -16,17 +16,14 @@ a chain is iterated, their equality and hash computed from the vertices'
 keys on demand, and `VertexTable.ranks` orders ids by value.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
-from ..algebraic import (
-    as_scalar,
-    scalar_sign,
-    sqrt_nonneg,
-)
 from ..angles import AnglePair
 from ..errors import GeometryError
+from ..numbers import format_number
+from ..scalars import as_scalar, format_sqrt, scalar_sign
 from . import predicates as hp
 
 
@@ -420,14 +417,18 @@ class Polytope:
 
 # -- pairwise interior disjointness via exact SAT -----------------------------
 
-def _sat_cells(chain: SimplexChain) -> list:
-    """The vertex tuple of each term of the chain, for SAT: the table's
-    points scaled once by the lcm of their weights, so a rational chain's
-    points are all integer."""
-    t = chain.table
-    points = [t.homog(i) for i in range(len(t.keys))]
+def _scaled_points(table: VertexTable):
+    """(points, w): the table's points scaled once by the lcm w of their
+    weights, so the points of a rational table are all integer."""
+    points = [table.homog(i) for i in range(len(table.keys))]
     w = lcm(*[h[-1] for h in points])
-    points = [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points]
+    return [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points], w
+
+
+def _sat_cells(chain: SimplexChain) -> list:
+    """The vertex tuple of each term of the chain, for SAT, on the scaled
+    points of its table."""
+    points = _scaled_points(chain.table)[0]
     return [tuple([points[i] for i in ids]) for _, ids in chain.ids]
 
 
@@ -551,20 +552,59 @@ def boundary_facets(chain: SimplexChain):
 
 # -- dihedral edges -------------------------------------------------------------
 
-class DihedralEdge(namedtuple("DihedralEdge", "endpoints length angle marker",
-                              defaults=(False,))):
+class DihedralEdge:
     """An edge's endpoints, length and interior dihedral angle (an
     AnglePair); `marker` is set on the extra full-π term emitted alongside
-    a reflex edge."""
+    a reflex edge.
 
-    __slots__ = ()
+    An edge of a rational polytope keeps its squared length `length2`, a
+    Fraction, and builds `length`, its square root in `numberfield`, only
+    when it is read (its JSON needs none); its angle is given by cos² and
+    the sign of cos (`AnglePair.from_cos2`).
+    """
+
+    __slots__ = ("endpoints", "_length", "angle", "marker", "length2")
+
+    def __init__(self, endpoints, length, angle, marker=False,
+                 length2=None):
+        self.endpoints = endpoints
+        self._length = length
+        self.angle = angle
+        self.marker = marker
+        self.length2 = length2
+
+    @property
+    def length(self):
+        if self._length is None:
+            from ..numberfield import sqrt
+
+            self._length = sqrt(self.length2)
+        return self._length
+
+    def _fields(self):
+        return (self.endpoints,
+                self.length if self.length2 is None else self.length2,
+                self.angle, self.marker)
+
+    def __eq__(self, other):
+        if not isinstance(other, DihedralEdge):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"DihedralEdge(endpoints={self.endpoints!r}, "
+                f"length={self.length!r}, angle={self.angle!r}, "
+                f"marker={self.marker!r})")
 
     def to_json(self):
-        from ..numbers import format_number
+        length = format_number(as_scalar(self.length)) \
+            if self.length2 is None else format_sqrt(self.length2)
         return {
             "endpoints": [[format_number(as_scalar(c)) for c in p]
                           for p in self.endpoints],
-            "length": format_number(as_scalar(self.length)),
+            "length": length,
             "angle": self.angle.to_json(),
             "marker": self.marker,
         }
@@ -574,8 +614,16 @@ def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
 
+_STRAIGHT = AnglePair.from_cos2(Fraction(1), -1)  # θ = π
+
+
 def dihedral_edges(p: Polytope):
-    """Edge lengths and interior dihedral angles of a 3-polytope boundary."""
+    """Edge lengths and interior dihedral angles of a 3-polytope boundary.
+
+    On a rational polytope each edge is computed from the integer points of
+    the table (`_scaled_points`) as its squared length, the cos² of its
+    angle between the integer facet normals and the sign of the cosine: no
+    square root is taken."""
     if p.dim != 3:
         raise DimensionMismatch("dihedral edges need a 3-polytope")
     table = p.chain.table
@@ -587,36 +635,56 @@ def dihedral_edges(p: Polytope):
             key = (rank[a], rank[b]) if rank[a] < rank[b] else \
                 (rank[b], rank[a])
             incident.setdefault(key, []).append((a, b, f[(i + 2) % 3]))
+    rational = all(type(c[0]) is int for k in table.keys for c in k)
+    if rational:
+        points, w = _scaled_points(table)
+    else:
+        points, w = [table.point(i) for i in range(len(table.keys))], 1
     edges = []
     for key in sorted(incident):
         tris = incident[key]
         if len(tris) != 2:
             raise NonManifoldBoundary("edge not shared by exactly 2 facets")
-        (a1, b1, r1), (a2, b2, r2) = [tuple(map(table.point, tri))
-                                      for tri in tris]
-        n1 = _cross3(_sub(b1, a1), _sub(r1, a1))
-        n2 = _cross3(_sub(b2, a2), _sub(r2, a2))
-        d = _sub(b1, a1)
-        length = sqrt_nonneg(_dot(d, d))
-        # cos² stays in the coordinates' field; cos and sin are square roots
-        # over it
-        dot12 = _dot(n1, n2)
-        cos_between = sqrt_nonneg(dot12 * dot12
-                                  / (_dot(n1, n1) * _dot(n2, n2)))
-        if scalar_sign(dot12) < 0:
-            cos_between = -cos_between
-        bend = scalar_sign(_dot(n1, _sub(r2, a1)))
-        if bend < 0:  # convex edge: θ = π - angle(n1, n2)
-            cos_t = as_scalar(-cos_between)
-        elif bend == 0:  # coplanar facets: θ = π
-            cos_t = Fraction(-1)
-        else:  # reflex: report θ - π plus a full-π marker term
-            cos_t = as_scalar(cos_between)
-            edges.append(DihedralEdge((a1, b1), length,
-                                      AnglePair(Fraction(-1), Fraction(0)),
-                                      marker=True))
-        edges.append(DihedralEdge((a1, b1), length, AnglePair.from_cos(cos_t)))
+        (a1, b1, r1), (a2, b2, r2) = tris
+        pts = [points[i] for i in (a1, b1, r1, a2, b2, r2)]
+        edges.extend(_edge((table.point(a1), table.point(b1)), pts, w,
+                           rational))
     return edges
+
+
+def _edge(ends, pts, w, rational):
+    """The DihedralEdges of the edge a1b1 between the facets a1b1r1 and
+    a2b2r2, pts = [a1, b1, r1, a2, b2, r2]: integer points scaled by w on a
+    rational polytope, else points with w = 1.  θ is π minus the angle
+    between the facet normals at a convex edge; a reflex edge reports that
+    angle, θ − π, after a full-π marker term."""
+    a1, b1, r1, a2, b2, r2 = pts
+    d = _sub(b1, a1)
+    n1 = _cross3(d, _sub(r1, a1))
+    n2 = _cross3(_sub(b2, a2), _sub(r2, a2))
+    dot12 = sum(map(mul, n1, n2))
+    bend = scalar_sign(sum(map(mul, n1, _sub(r2, a1))))
+    # the sign of cosθ; the cosine between the normals has that of dot12
+    sign = scalar_sign(dot12) * (-1 if bend < 0 else 1)
+    if rational:
+        length, length2 = None, Fraction(sum(map(mul, d, d)), w * w)
+        cos2 = Fraction(dot12 * dot12,
+                        sum(map(mul, n1, n1)) * sum(map(mul, n2, n2)))
+        angle = AnglePair.from_cos2(cos2, sign) if bend else _STRAIGHT
+    else:
+        from ..algebraic import sqrt_nonneg
+
+        length, length2 = sqrt_nonneg(_dot(d, d)), None
+        angle = _STRAIGHT
+        if bend:
+            # cos² stays in the coordinates' field; cos and sin are square
+            # roots over it
+            cos = sqrt_nonneg(dot12 * dot12 / (_dot(n1, n1) * _dot(n2, n2)))
+            angle = AnglePair.from_cos(-cos if sign < 0 else cos)
+    edge = DihedralEdge(ends, length, angle, False, length2)
+    if bend > 0:
+        return [DihedralEdge(ends, length, _STRAIGHT, True, length2), edge]
+    return [edge]
 
 
 # -- prisms ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ are exact on Fraction and every other exact scalar as well.
 from operator import mul
 
 from ..linalg import primitive
-from ..numberfield import scalar_sign
+from ..scalars import scalar_sign
 
 # named in benchmark provenance records (perfbench/worker.py)
 KERNEL = "pure"

@@ -33,9 +33,9 @@ hold it sum to zero.
 import os
 from fractions import Fraction
 
-from ..algebraic import scalar_sign
 from ..errors import ParseError, RefinementTooLarge
 from ..linalg import primitive
+from ..scalars import scalar_sign
 from . import (
     DimensionMismatch,
     Polytope,

@@ -1,8 +1,12 @@
 """Group homology of finite groups via the coinvariant bar complex.
 
 Homogeneous (g₀, …, g_k)⊗m chains modulo the diagonal action are normalized
-to g₀ = 1, so the degree-k basis is G^k × basis(M); deleting the leading
+to g₀ = 1, so a degree-k generator is (h₁, …, h_k) ⊗ m; deleting the leading
 entry renormalizes by h₁⁻¹ and twists the coefficient through the action.
+The complex is the normalized one: the degenerate chains, those with two
+equal consecutive entries g_{i−1} = g_i (h₁ = 1 among them), span a
+subcomplex with no homology, so they and the faces that land on them are
+dropped, which leaves (|G| − 1)^k tuples in degree k.
 """
 
 from itertools import product
@@ -178,9 +182,17 @@ def restrict_module(group: FiniteGroup, elements,
                    [module.action[g] for g in elems], name=module.name)
 
 
+def _nondegenerate(n: int, k: int) -> list:
+    """The k-tuples over 0..n−1 with no entry equal to the one before it,
+    the first one before them being 0 (the identity), in lex order."""
+    return [t for t in product(range(1, n), *[range(n)] * (k - 1))
+            if all(a != b for a, b in zip(t, t[1:]))] if k else [()]
+
+
 def bar_complex(group: FiniteGroup, module: GModule,
                 degree_cap: int, _slack: int = 0) -> ChainComplex:
-    """Coinvariant bar complex with basis G^k × basis(M) in degree k."""
+    """Normalized coinvariant bar complex: in degree k, the nondegenerate
+    tuples of G^k times basis(M)."""
     if degree_cap > MAX_DEGREE + _slack:
         raise SizeCap(f"degree cap {degree_cap - _slack} > {MAX_DEGREE}")
     if group.n ** degree_cap * module.rank > 300_000:
@@ -189,27 +201,31 @@ def bar_complex(group: FiniteGroup, module: GModule,
     basis = {}
     index = {}
     for k in range(degree_cap + 1):
-        tuples = list(product(range(group.n), repeat=k))
-        basis[k] = [(t, m) for t in tuples for m in range(r)]
+        basis[k] = [(t, m) for t in _nondegenerate(group.n, k)
+                    for m in range(r)]
         index[k] = {b: i for i, b in enumerate(basis[k])}
     ranks = {k: len(basis[k]) for k in basis}
     boundaries = {}
     for k in range(1, degree_cap + 1):
         mat = SparseIntMatrix(ranks[k - 1], ranks[k])
+        below = index[k - 1]
         for col, (t, m) in enumerate(basis[k]):
             h1 = t[0]
             inv = group.inv[h1]
-            # face 0: renormalize to leading identity, twist the coefficient
+            # face 0: renormalize to leading identity, twist the coefficient;
+            # a degenerate face is absent from `below` and dropped
             shifted = tuple(group.mul(inv, g) for g in t[1:])
             unit = tuple(1 if i == m else 0 for i in range(r))
             acted = module.act(inv, unit)
             for i, coeff in enumerate(acted):
-                if coeff:
-                    mat.add_at(index[k - 1][(shifted, i)], col, coeff)
+                row = below.get((shifted, i))
+                if coeff and row is not None:
+                    mat.add_at(row, col, coeff)
             # faces 1..k: plain deletions
             for i in range(1, k + 1):
-                face = t[:i - 1] + t[i:]
-                mat.add_at(index[k - 1][(face, m)], col, (-1) ** i)
+                row = below.get((t[:i - 1] + t[i:], m))
+                if row is not None:
+                    mat.add_at(row, col, (-1) ** i)
         boundaries[k] = mat
     return ChainComplex(ranks, boundaries, labels=basis)
 

@@ -7,7 +7,7 @@ group loads no geometry and reading a polytope no homology.
 import json
 import re
 
-from .numbers import ParseError, format_number, parse_number
+from .numbers import ParseError, format_number, one_field, parse_number
 
 
 def load_json(path: str):
@@ -44,7 +44,6 @@ def polytope_from_json(obj, validate: bool = True,
     """{"dim": 1|2|3, "vertices": [[num,..],..], "cells": [[i,..],..],
     "name": str} -> Polytope, its vertices on one table (equal values
     share one id) and its cells id tuples."""
-    from .algebraic import lift
     from .geom import Polytope, SimplexChain, VertexTable
 
     try:
@@ -65,7 +64,7 @@ def polytope_from_json(obj, validate: bool = True,
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad polytope JSON: {exc}") from exc
     # one number field for all of the polytope's literals
-    flat = iter(lift([c for v in vertices for c in v]))
+    flat = iter(one_field([c for v in vertices for c in v]))
     table = VertexTable()
     ids = [table.add(tuple([next(flat) for _ in range(dim)]))
            for _ in vertices]

@@ -19,7 +19,7 @@ Tower specs, tensor entries and the relations of a presented algebra are read
 by one small parser: integers, names, + - * / ^ **, parentheses and integer
 exponents.  Exponents, degrees and the size of each product are capped by
 DEGREE_CAP (SizeCap, exit 4).  A specialized relation is factored by
-`poly.factor`; sympy is loaded only for the Gröbner bases of
+`factoring.factor`; sympy is loaded only for the Gröbner bases of
 `PresentedAlgebra`.
 """
 
@@ -29,10 +29,10 @@ from itertools import islice, product
 from math import gcd, prod
 
 from .errors import ParseError, SizeCap
+from .factoring import factor
 from .linalg import rank_sparse, rref_sparse
 from .poly import _add, _content, _diff, _gcd, _is_constant, _is_one
 from .poly import _is_rational_square, _mul, _neg, _prem, _scale, _split, _sub
-from .poly import factor
 
 # Exponents and total degrees above DEGREE_CAP, and products of more than
 # DEGREE_CAP³ term pairs or DEGREE_CAP³ coefficient bits, raise SizeCap.

@@ -30,13 +30,14 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import det_small, nullspace_sparse, primitive
+from .scalars import scalar_sign, surd
+from .poly import _canonical_single, count_roots, root_index
 
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
 # no field above this degree over ℚ is built: `sqrt_over` returns None for a
 # square root that would need one, and `algebraic.lift` raises SizeCap
 MAX_DEGREE = 32
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _sign(q) -> int:
@@ -435,8 +436,6 @@ class Num:
         """Rational bounds that isolate this root of the minimal polynomial;
         a function of the element, not of the order of computation."""
         if self._iv is None:
-            from .algebraic import count_roots
-
             poly, bits = self.minpoly(), 4
             while True:
                 lo, hi = enclose(self, bits)
@@ -448,11 +447,7 @@ class Num:
 
     def root_index(self) -> int:
         if self._index is None:
-            from .algebraic import _chain_for, _sturm_at, _sturm_at_neg_inf
-
-            chain = _chain_for(self.minpoly())
-            self._index = (_sturm_at_neg_inf(chain)
-                           - _sturm_at(chain, self.interval()[0]))
+            self._index = root_index(self.minpoly(), self.interval()[0])
         return self._index
 
     def key(self):
@@ -472,10 +467,6 @@ class Num:
 
     def __repr__(self):
         return f"Num(minpoly={list(self.minpoly())}, ~{float(self):.10g})"
-
-
-def scalar_sign(x) -> int:
-    return _sign(x) if isinstance(x, (int, Fraction)) else x.sign()
 
 
 def enclose(x, bits: int):
@@ -501,8 +492,6 @@ def _minpoly(x) -> tuple:
     coefficient.  The first kernel vector of the ℚ-columns 1, x, …, xⁿ has
     a 1 at the first power that depends on those before it, and only
     earlier powers besides: the monic minimal polynomial."""
-    from .algebraic import _canonical_single
-
     powers = [Fraction(1)]
     for _ in range(x.field.degree):
         powers.append(powers[-1] * x)
@@ -653,13 +642,7 @@ def sqrt_over(F, r):
     if root is not NONSQUARE:
         return root if scalar_sign(root) > 0 else -root
     if F is None:
-        # √(p/q) = c·√m with m = pq stripped of small square factors
-        q = Fraction(r)
-        m, c = q.numerator * q.denominator, Fraction(1, q.denominator)
-        for p in _SMALL_PRIMES:
-            while m % (p * p) == 0:
-                m //= p * p
-                c *= p
+        c, m = surd(r)
         E = _RATIONAL_QUADS.get(m)
         if E is None:
             E = _RATIONAL_QUADS[m] = QuadField(None, Fraction(m))

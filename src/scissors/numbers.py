@@ -7,6 +7,8 @@ All JSON files use one of two forms for exact numbers:
                      -- a real algebraic number, constant coefficient first
 
 Rationals are plain ``fractions.Fraction`` everywhere inside the package.
+Only an algebraic literal loads `algebraic`: reading and writing rationals
+and number-field elements needs none of it.
 """
 
 from fractions import Fraction
@@ -42,9 +44,6 @@ def _algebraic_parts(value: dict):
 
 def parse_number(value):
     """Parse a number literal into Fraction or AlgebraicReal."""
-    from .algebraic import AlgebraicReal, make_algebraic
-    from .numberfield import Num
-
     if isinstance(value, str):
         if value.startswith("rat:"):
             return parse_fraction(value[4:])
@@ -52,6 +51,8 @@ def parse_number(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, dict):
+        from .algebraic import make_algebraic
+
         coeffs, lo, hi = _algebraic_parts(value)
         try:
             x = make_algebraic(coeffs, (lo, hi))
@@ -59,21 +60,29 @@ def parse_number(value):
             raise ParseError(f"bad algebraic literal {value!r}: {exc}") \
                 from exc
         return x.as_fraction() if x.is_rational() else x
-    if isinstance(value, (Fraction, AlgebraicReal, Num)):
-        return value
+    if isinstance(value, Fraction) or hasattr(value, "minpoly"):
+        return value  # a Num or an AlgebraicReal: already parsed
     raise ParseError(f"unknown number literal {value!r}")
+
+
+def one_field(values) -> list:
+    """The scalars `values` written in one number field, as by
+    `algebraic.lift`, which is loaded only when some value is no Fraction."""
+    values = list(values)
+    if all(type(v) is Fraction for v in values):
+        return values
+    from .algebraic import lift
+
+    return lift(values)
 
 
 def format_number(x):
     """Inverse of parse_number; emits the canonical literal for a scalar."""
-    from .algebraic import AlgebraicReal
-    from .numberfield import Num
-
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
         return "rat:" + format_fraction(x)
-    if isinstance(x, (AlgebraicReal, Num)):
+    if hasattr(x, "minpoly"):  # a Num or an AlgebraicReal
         if x.is_rational():
             return "rat:" + format_fraction(x.as_fraction())
         lo, hi = x.interval()

@@ -128,6 +128,13 @@ def check_report_shape(report, source: str) -> None:
         elif kind == "volume-mismatch":
             need(cert, "volume_a", _NUMBER, where)
             need(cert, "volume_b", _NUMBER, where)
+        elif kind == "dehn-block":
+            need(cert, "m", _NUMBER, where)
+            need(cert, "s", _NUMBER, where)
+            for j, term in enumerate([need(cert, "term", (dict,), where)]
+                                     + need(cert, "terms", (list,), where)):
+                angle(term, f"{where} term {j}")
+                need(term, "length", _NUMBER, f"{where} term {j}")
     # an object without a digest is no report, so no recheck of it fails
     need(report, "digest", (str,), "the report")
 
@@ -140,7 +147,8 @@ def recheck_certificates(report: dict):
         two_cos_minpoly,
         verify_relation,
     )
-    from .numbers import parse_number
+    from .numbers import one_field, parse_number
+    from .scalars import scalar_sign
 
     checks = []
     for cert in report.get("certificates", []):
@@ -176,11 +184,14 @@ def recheck_certificates(report: dict):
                 and monic_actual == monic_claim,
             })
         elif kind == "volume-mismatch":
-            from .algebraic import lift, scalar_sign
-            va, vb = lift([parse_number(cert["volume_a"]),
-                           parse_number(cert["volume_b"])])
+            va, vb = one_field([parse_number(cert["volume_a"]),
+                                parse_number(cert["volume_b"])])
             checks.append({"certificate": kind,
                            "pass": scalar_sign(va - vb) != 0})
+        elif kind == "dehn-block":
+            from .dehn import block_holds
+            checks.append({"certificate": kind, "m": cert["m"],
+                           "s": cert["s"], "pass": block_holds(cert)})
         else:
             checks.append({"certificate": str(kind), "pass": False,
                            "note": "unknown certificate type"})
@@ -190,3 +201,4 @@ def recheck_certificates(report: dict):
         "checks": checks,
         "recheck_passed": digest_ok and all(c["pass"] for c in checks),
     }
+

@@ -352,7 +352,7 @@ def test_native_sturm_matches_sympy():
 
 
 def test_canonical_single_matches_sympy():
-    from scissors.algebraic import _canonical_single
+    from scissors.poly import _canonical_single
     from scissors.rng import SplitMix64
     for case in range(40):
         rng = SplitMix64.stream(2028, case)
@@ -646,13 +646,13 @@ def _times(f, g):
 
 
 def test_low_degree_factors_match_sympy():
-    # `poly.factor` against sympy's factoring of the squarefree part: seeded
+    # `factoring.factor` against sympy's factoring of the squarefree part: seeded
     # polynomials up to degree 3, products of small linear factors, and
     # products up to degree 64 with repeated factors, a content and a
     # negative leading coefficient
     import sympy
 
-    from scissors.poly import factor
+    from scissors.factoring import factor
     from scissors.rng import SplitMix64
     x = sympy.Symbol("x")
     for case in range(300):
@@ -693,7 +693,7 @@ def _swinnerton_dyer(primes):
     by one resultant Res_y(y² − p, f(x − y)) per prime."""
     from math import comb
 
-    from scissors.poly import resultant
+    from scissors.factoring import resultant
 
     f = [0, 1]
     for p in primes:
@@ -718,7 +718,7 @@ def test_factoring_is_capped_and_does_not_depend_on_the_hash_seed(tmp_path):
     import sys
 
     from scissors.errors import SizeCap
-    from scissors.poly import MAX_RECOMBINATIONS, factor
+    from scissors.factoring import MAX_RECOMBINATIONS, factor
 
     sd6 = _swinnerton_dyer((2, 3, 5, 7, 11, 13))
     assert len(sd6) == 65
@@ -743,7 +743,7 @@ def test_factoring_is_capped_and_does_not_depend_on_the_hash_seed(tmp_path):
              _times(_times([3, -1, 2], [1, 1, 0, 1]), [-5, 0, 0, 2]),
              _times([-2, 0, 1], [-2, 0, 0, 1])]
     code = ("import sys\n"
-            "from scissors.poly import factor\n"
+            "from scissors.factoring import factor\n"
             f"print([factor(f) for f in {cases!r}])\n")
     for seed in ("0", "1", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -828,3 +828,26 @@ def test_field_mul_matches_fraction_product():
             assert got == want, (n, case)
             # ints when the whole product is integral, else Fractions
             assert {type(c) for c in got} in ({int}, {Fraction})
+
+
+def test_surd_literals_match_the_field_elements():
+    # `scalars.format_surd` writes c·√m as `format_number` writes the
+    # element of ℚ(√m) that `numberfield.sqrt` builds: seeded radicands,
+    # some with the square of a prime past the small ones stripped
+    from scissors.numberfield import sqrt
+    from scissors.numbers import format_number
+    from scissors.scalars import format_sqrt, format_surd, surd
+    from scissors.rng import SplitMix64
+
+    rng = SplitMix64.stream(2503, 0)
+    for _ in range(300):
+        x = Fraction(rng.randint(0, 400), rng.randint(1, 60))
+        if rng.randint(0, 3) == 0:
+            x *= rng.choice((53, 61, 97)) ** 2
+        sign = rng.choice((-1, 1))
+        assert format_sqrt(x, sign) == format_number(sign * sqrt(x)), x
+        if x:
+            c, m = surd(x)
+            k = rng.fraction(30, 7)
+            assert format_surd(k * c, m) == \
+                format_number(k * c * sqrt(Fraction(m))), (x, k)

@@ -12,6 +12,7 @@ from scissors.geom.convex import (
     regular_tetrahedron,
     right_triangle,
     scaled_simplices,
+    tetrahedron,
     transformed,
     unit_cube,
 )
@@ -59,6 +60,13 @@ def fixtures(tmp_path_factory):
         "cells": [[0, 1, 2, 3]]}))
     rot = root / "cube_rot.json"
     from fractions import Fraction
+    # two rational tetrahedra of volume 1/6 with different Dehn invariants
+    for name, corners in (
+            ("tetra_t1", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            ("tetra_t2", [(0, 0, 0), (2, 0, 0), (0, 1, 0),
+                          (0, 0, Fraction(1, 2))])):
+        (root / f"{name}.json").write_text(json.dumps(polytope_to_json(
+            tetrahedron(*corners))))
     R = [(Fraction(3, 5), Fraction(-4, 5), 0),
          (Fraction(4, 5), Fraction(3, 5), 0), (0, 0, 1)]
     rot.write_text(json.dumps(polytope_to_json(
@@ -746,13 +754,38 @@ _HOMOLOGY = ("scissors.homology", "scissors.hochschild", "scissors.kahler")
 _STDLIB_UNUSED = ("dataclasses", "inspect", "logging")
 
 
+def test_rational_tetrahedron_pair_certificate_rechecks(fixtures, tmp_path):
+    t1, t2 = (str(fixtures / f"tetra_{n}.json") for n in ("t1", "t2"))
+    proc = run_cli("compare", "--recheck", t1, t2)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["results"]["verdict"]["tag"] == "NotCongruent_Dehn"
+    assert [c["type"] for c in report["certificates"]] == ["dehn-block"]
+    assert report["recheck"]["recheck_passed"]
+    saved = tmp_path / "pair.json"
+    saved.write_text(run_cli("compare", t1, t2).stdout)
+    again = json.loads(run_cli("recheck", str(saved)).stdout)
+    assert again["results"]["recheck_passed"]
+    assert again["results"]["checks"] == [
+        {"certificate": "dehn-block", "m": "rat:2/1", "s": "rat:2/1",
+         "pass": True}]
+
+
+# what a command on rational input leaves unloaded: the literals, the growth
+# of number fields, and the factoring and resultants behind them
+_ALGEBRAIC = ("scissors.algebraic", "scissors.factoring", "sympy")
+
+
 def test_commands_load_only_their_layers(fixtures, tmp_path):
-    cube, rot, tetra, vol1 = (
-        str(fixtures / name) for name in ("cube.json", "cube_rot.json",
-                                          "tetra.json", "tetra_vol1.json"))
+    cube, rot, tetra, vol1, octa, tall, t1, t2 = (
+        str(fixtures / name) for name in (
+            "cube.json", "cube_rot.json", "tetra.json", "tetra_vol1.json",
+            "octa.json", "box112.json", "tetra_t1.json", "tetra_t2.json"))
     report = tmp_path / "cube_vol1.json"
     report.write_text(run_cli("compare", cube, vol1).stdout)
-    no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly")
+    no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly",
+                               "scissors.factoring", "scissors.scalars")
+    rational = _HOMOLOGY + _ALGEBRAIC + ("mpmath",)
     for blocked_modules, argv in (
             (no_geometry + ("scissors.hochschild",),
              ["homology", "--group", "S3"]),
@@ -762,7 +795,16 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
             (_HOMOLOGY, ["polytope-info", tetra]),
             (_HOMOLOGY, ["compare", cube, rot]),
             (_HOMOLOGY, ["compare", "--recheck", vol1, cube]),
-            (_HOMOLOGY, ["recheck", str(report)])):
+            (_HOMOLOGY, ["recheck", str(report)]),
+            (rational, ["polytope-info", cube]),
+            (rational, ["polytope-info", tetra]),
+            (rational, ["polytope-info", octa]),
+            (rational, ["polytope-info", "--exact-strict", tall]),
+            (rational, ["compare", cube, rot]),
+            (rational, ["compare", cube, tall]),
+            # the block (5, 5) of the pair holds two angles: its search
+            # loads mpmath
+            (_HOMOLOGY + _ALGEBRAIC, ["compare", t1, t2])):
         blocked = _run_blocking(blocked_modules + _STDLIB_UNUSED, argv)
         assert blocked.returncode == 0, (argv, blocked.stderr)
         plain = run_cli(*argv)

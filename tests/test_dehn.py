@@ -230,3 +230,200 @@ def test_retriangulation_keeps_volume_and_dehn():
         diff = tensor_add(dehn_invariant(a), tensor_neg(dehn_invariant(b)))
         assert is_zero(diff) == "Zero"
         assert compare_polytopes(a, b).tag == "Congruent_DSJ"
+
+
+# -- rational polytopes: blocks by square class -------------------------------
+
+def _motion(rng):
+    """A seeded signed permutation, then a 3-4-5 rotation in a coordinate
+    plane, then a rational translation: (matrix rows, shift)."""
+    perm = [0, 1, 2]
+    for i in range(2, 0, -1):
+        j = rng.randint(0, i)
+        perm[i], perm[j] = perm[j], perm[i]
+    m = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        m[i][perm[i]] = rng.choice((-1, 1))
+    a = rng.randint(0, 2)
+    b = (a + rng.randint(1, 2)) % 3
+    rot = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    rot[a][a], rot[a][b] = Fraction(3, 5), Fraction(-4, 5)
+    rot[b][a], rot[b][b] = Fraction(4, 5), Fraction(3, 5)
+    rows = [[sum(rot[i][k] * m[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+    return rows, [rng.fraction(6, 3) for _ in range(3)]
+
+
+def _rational_hull(rng):
+    from scissors.geom import GeometryError
+    from scissors.geom.convex import convex_polytope_3d
+
+    while True:
+        pts = list(dict.fromkeys(
+            tuple(Fraction(rng.randint(0, 4)) for _ in range(3))
+            for _ in range(rng.randint(5, 7))))
+        try:
+            return pts, convex_polytope_3d(pts)
+        except GeometryError:
+            continue  # flat point sets have no hull; draw again
+
+
+def test_block_decision_is_invariant_on_rational_hulls():
+    # metamorphic: signed permutations, 3-4-5 rotations and rational
+    # translations keep the verdict and the block sizes, and a cut by a
+    # plane keeps the verdict of the sum of the pieces; every difference is
+    # zero, and a union of the moved pieces is Congruent_DSJ to the whole
+    from scissors.geom import Polytope, SimplexChain
+    from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
+    from scissors.rng import SplitMix64
+    from scissors.suites import random_cutting_plane
+
+    def sizes(t):
+        return sorted(len(b) for b in t.blocks().values())
+
+    for case in range(4):
+        rng = SplitMix64.stream(2502, case)
+        pts, p = _rational_hull(rng)
+        d = dehn_invariant(p)
+        assert d.rational is not None
+        for _ in range(2):
+            q = transformed(p, *_motion(rng))
+            dq = dehn_invariant(q)
+            assert (is_zero(dq), sizes(dq)) == (is_zero(d), sizes(d))
+            assert is_zero(tensor_add(d, tensor_neg(dq))) == "Zero"
+        func = random_cutting_plane(rng, pts)
+        a, b = (convex_polytope_3d(half)
+                for half in split_convex_points_3d(pts, func))
+        pieces = tensor_add(dehn_invariant(a), dehn_invariant(b))
+        assert is_zero(pieces) == is_zero(d)
+        assert is_zero(tensor_add(d, tensor_neg(pieces))) == "Zero"
+        # the pieces moved apart: translations past the hull's extent
+        (ra, sa), (rb, sb) = _motion(rng), _motion(rng)
+        sa = [c + 20 for c in sa]
+        sb = [c - 20 for c in sb]
+        cells = [(1, s) for piece in (transformed(a, ra, sa),
+                                      transformed(b, rb, sb))
+                 for s in piece.simplices()]
+        apart = Polytope(SimplexChain(3, cells))
+        assert compare_polytopes(p, apart).tag == "Congruent_DSJ"
+
+
+def _tetra_pair():
+    from scissors.geom.convex import tetrahedron
+
+    one, half = Fraction(1), Fraction(1, 2)
+    t1 = tetrahedron((0, 0, 0), (one, 0, 0), (0, one, 0), (0, 0, one))
+    t2 = tetrahedron((0, 0, 0), (2, 0, 0), (0, one, 0), (0, 0, half))
+    return t1, t2
+
+
+def test_rational_tetrahedron_pair_is_not_congruent_by_a_block():
+    # equal volumes 1/6; the difference has the blocks (5, 5) twice,
+    # (17, 17) and (2, 2), and the first lone block certifies D ≠ 0
+    from scissors.report import recheck_certificates
+
+    t1, t2 = _tetra_pair()
+    verdict = compare_polytopes(t1, t2)
+    assert verdict.tag == "NotCongruent_Dehn"
+    cert = verdict.witness["certificate"]
+    assert (cert["type"], cert["m"], cert["s"]) == \
+        ("dehn-block", "rat:2/1", "rat:2/1")
+    assert cert["terms"] == verdict.witness["difference"]["terms"]
+    assert len(cert["terms"]) == 4
+    checks = recheck_certificates({"certificates": [cert]})["checks"]
+    assert [c["pass"] for c in checks] == [True]
+
+
+def _negated(literal):
+    """The literal of −x for the literal of x."""
+    if isinstance(literal, str):
+        p, q = literal[4:].split("/")
+        return f"rat:{-int(p)}/{q}"
+    f = [int(c) for c in literal["minpoly"]]
+    g = [-c if i % 2 else c for i, c in enumerate(f)]
+    if g[-1] < 0:
+        g = [-c for c in g]
+    neg = _negated("rat:" + literal["hi"]), _negated("rat:" + literal["lo"])
+    return {"minpoly": [str(c) for c in g], "lo": neg[0][4:],
+            "hi": neg[1][4:]}
+
+
+def test_block_recheck_fails_on_mutated_certificates():
+    import copy
+
+    from scissors.report import recheck_certificates
+
+    t1, t2 = _tetra_pair()
+    cert = compare_polytopes(t1, t2).witness["certificate"]
+
+    def passes(c):
+        return recheck_certificates({"certificates": [c]})["checks"][0][
+            "pass"]
+
+    assert passes(cert)
+    named = cert["terms"].index(cert["term"])
+    other = (named + 1) % len(cert["terms"])
+    mutants = []
+    for field, value in (("m", "rat:3/1"), ("m", "rat:5/1"),
+                         ("s", "rat:17/1"), ("s", "rat:8/1"),
+                         ("m", "rat:0/1")):
+        if value == "rat:8/1":
+            value = "rat:7/1"  # 8 is in the class of 2
+        c = copy.deepcopy(cert)
+        c[field] = value
+        mutants.append(c)
+    # a second term moved into the named block: the supplementary angle of
+    # the named term, with its length, in place of another term
+    c = copy.deepcopy(cert)
+    term = cert["term"]
+    c["terms"][other] = {"length": term["length"],
+                         "cos": _negated(term["cos"]), "sin": term["sin"]}
+    mutants.append(c)
+    # the named term twice
+    c = copy.deepcopy(cert)
+    c["terms"].append(copy.deepcopy(term))
+    mutants.append(c)
+    # the named term's angle made rational (cos² = 1/4)
+    c = copy.deepcopy(cert)
+    c["term"] = c["terms"][named] = {
+        "length": term["length"], "cos": "rat:1/2",
+        "sin": {"minpoly": ["-3", "0", "4"], "lo": "3/4", "hi": "7/8"}}
+    mutants.append(c)
+    for c in mutants:
+        assert not passes(c), c
+
+
+def test_single_term_blocks_make_no_search(monkeypatch):
+    # every search runs on one block of two or more angles
+    import scissors.dehn as dehn
+    from scissors.dehn import _SquareClasses
+    from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
+    from scissors.rng import SplitMix64
+    from scissors.suites import random_box_corners, random_cutting_plane
+
+    searched = []
+    search = dehn.find_angle_relations
+
+    def recorded(angles, height_bound=20):
+        classes = _SquareClasses()
+        assert len(angles) >= 2
+        assert len({classes.of(a.cos2 * (1 - a.cos2))[0]
+                    for a in angles}) == 1
+        searched.append(len(angles))
+        return search(angles, height_bound)
+
+    monkeypatch.setattr(dehn, "find_angle_relations", recorded)
+    t1, t2 = _tetra_pair()
+    assert compare_polytopes(t1, t2).tag == "NotCongruent_Dehn"
+    # the block (5, 5) of t2, then of the difference
+    assert searched == [2, 2]
+    for case in range(3):
+        rng = SplitMix64.stream(303, 2 * case)
+        corners = random_box_corners(rng)
+        func = random_cutting_plane(rng, corners)
+        whole = convex_polytope_3d(corners)
+        a, b = (convex_polytope_3d(half)
+                for half in split_convex_points_3d(corners, func))
+        diff = tensor_add(dehn_invariant(whole), tensor_neg(
+            tensor_add(dehn_invariant(a), dehn_invariant(b))))
+        assert is_zero(diff) == "Zero"

@@ -161,3 +161,63 @@ def test_betti_numbers_match_rational_ranks():
     for cx in complexes:
         for k in cx.degrees():
             assert cx.homology(k).betti == _rational_betti(cx, k), k
+
+
+def _unnormalized_bar_complex(G, M, cap):
+    """The coinvariant bar complex on all of G^k × basis(M) in degree k,
+    degenerate tuples and faces included: the oracle of the normalized
+    one."""
+    from itertools import product
+
+    from scissors.homology import ChainComplex, SparseIntMatrix
+
+    basis = {k: [(t, m) for t in product(range(G.n), repeat=k)
+                 for m in range(M.rank)] for k in range(cap + 1)}
+    index = {k: {b: i for i, b in enumerate(basis[k])} for k in basis}
+    boundaries = {}
+    for k in range(1, cap + 1):
+        mat = SparseIntMatrix(len(basis[k - 1]), len(basis[k]))
+        for col, (t, m) in enumerate(basis[k]):
+            inv = G.inv[t[0]]
+            shifted = tuple(G.mul(inv, g) for g in t[1:])
+            unit = tuple(int(i == m) for i in range(M.rank))
+            for i, c in enumerate(M.act(inv, unit)):
+                if c:
+                    mat.add_at(index[k - 1][(shifted, i)], col, c)
+            for i in range(1, k + 1):
+                mat.add_at(index[k - 1][(t[:i - 1] + t[i:], m)], col,
+                           (-1) ** i)
+        boundaries[k] = mat
+    return ChainComplex({k: len(b) for k, b in basis.items()}, boundaries)
+
+
+def test_normalized_bar_complex_keeps_the_homology():
+    # seeded groups and modules (trivial, sign, induced): the normalized
+    # complex drops the degenerate tuples and has the homology of the full
+    # one, on (|G| − 1)^k tuples per basis vector in degree k
+    from scissors.rng import SplitMix64
+
+    for case in range(9):
+        rng = SplitMix64.stream(2501, case)
+        G = symmetric_group_3() if case % 3 == 2 else \
+            cyclic_group(2 * rng.randint(1, 2) + case % 3)
+        kind = case // 3
+        if kind == 0:
+            M = trivial_module(G, rng.randint(1, 2))
+        elif kind == 1:
+            signs = ([1, 1, 1, -1, -1, -1] if G.name == "S3"
+                     else [(-1) ** g for g in range(G.n)] if G.n % 2
+                     == 0 else [1] * G.n)
+            M = sign_module(G, signs)
+        else:
+            H = [0, 1, 2] if G.name == "S3" else \
+                [0] if G.n % 2 else list(range(0, G.n, 2))
+            M = induced_module(G, H, trivial_module(restricted_group(G, H)))
+        cap = 3 if G.n * M.rank <= 6 else 2
+        normal = bar_complex(G, M, cap + 1, _slack=1)
+        full = _unnormalized_bar_complex(G, M, cap + 1)
+        for k in range(cap + 1):
+            assert normal.ranks[k] == (G.n - 1) ** k * M.rank
+            a, b = normal.homology(k), full.homology(k)
+            assert (a.betti, a.torsion) == (b.betti, b.torsion), \
+                (G.name, M.name, k)

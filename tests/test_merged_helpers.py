@@ -14,7 +14,8 @@ from math import gcd
 
 import pytest
 
-from scissors.algebraic import _canonical_single, scalar_sign
+from scissors.algebraic import scalar_sign
+from scissors.poly import _canonical_single
 from scissors.geom import make_point
 from scissors.hochschild import algebra_from_json, matrix_algebra, quaternions
 from scissors.homology.flags import span_of_points

@@ -1,9 +1,9 @@
-"""The resultant of `scissors.poly` against two oracles: the Sylvester
+"""The resultant of `scissors.factoring` against two oracles: the Sylvester
 determinant at integer points, and sympy's resultant of the sums of roots
 that grow a number field."""
 
+from scissors.factoring import resultant
 from scissors.linalg import det_small
-from scissors.poly import resultant
 from scissors.rng import SplitMix64
 
 
@@ -71,7 +71,7 @@ def test_sum_candidates_match_sympy():
     from sympy.polys.euclidtools import dmp_resultant
 
     from scissors.algebraic import _norm_factors
-    from scissors.poly import factor
+    from scissors.factoring import factor
 
     def sympy_candidates(f, g):
         F = dmp_normal([[c] for c in reversed(f)], 1, ZZ)
