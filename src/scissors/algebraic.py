@@ -411,13 +411,6 @@ def scalar_sqrt(x):
     return sqrt_nonneg(x)
 
 
-def scalar_approx(x, bits: int = 64) -> Fraction:
-    x = as_scalar(x)
-    if isinstance(x, Fraction):
-        return x
-    return x.approx(bits)
-
-
 _FIELD_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
               "div": operator.truediv}
 

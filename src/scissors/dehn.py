@@ -33,7 +33,7 @@ from .angles import (
 )
 from .errors import DEFAULT_HEIGHT_BOUND
 from .geom import Polytope
-from .numbers import format_number, one_field, parse_number
+from .numbers import format_number, parse_number
 from .scalars import as_scalar, format_surd, scalar_sign, surd
 
 
@@ -101,16 +101,6 @@ class DehnTensor:
             "relations": [r.to_json() for r in self.relations_used],
             "rational_angles_dropped": self.rational_drops,
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "DehnTensor":
-        # lengths, cos and sin in one number field, as for a polytope
-        flat = iter(one_field([parse_number(t[k]) for t in obj["terms"]
-                               for k in ("length", "cos", "sin")]))
-        raw = [(next(flat), AnglePair(next(flat), next(flat)))
-               for _ in obj["terms"]]
-        return tensor_normalize(raw, obj.get("height_bound",
-                                             DEFAULT_HEIGHT_BOUND))
 
     def __repr__(self):
         return f"DehnTensor({len(self.terms)} terms, h<={self.height_bound})"

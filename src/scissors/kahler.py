@@ -19,8 +19,8 @@ Tower specs, tensor entries and the relations of a presented algebra are read
 by one small parser: integers, names, + - * / ^ **, parentheses and integer
 exponents.  Exponents, degrees and the size of each product are capped by
 DEGREE_CAP (SizeCap, exit 4).  A specialized relation is factored by
-`factoring.factor`; sympy is loaded only for the Gröbner bases of
-`PresentedAlgebra`.
+`factoring.factor`.  A presented algebra ℚ[x…]/(f…) is computed through its
+reduced Gröbner basis, native on the same integer polynomials.
 """
 
 import re
@@ -31,8 +31,9 @@ from math import gcd, prod
 from .errors import ParseError, SizeCap
 from .factoring import factor
 from .linalg import rank_sparse, rref_sparse
-from .poly import _add, _content, _diff, _gcd, _is_constant, _is_one
-from .poly import _is_rational_square, _mul, _neg, _prem, _scale, _split, _sub
+from .poly import _add, _content, _diff, _gcd, _is_constant, _is_one, _mul
+from .poly import _is_rational_square, _neg, _prem, _primitive, _scale
+from .poly import _split, _sub
 
 # Exponents and total degrees above DEGREE_CAP, and products of more than
 # DEGREE_CAP³ term pairs or DEGREE_CAP³ coefficient bits, raise SizeCap.
@@ -652,142 +653,152 @@ def phi_of_tensor(tensor, tower: FieldTower, embedding: dict) -> KahlerElement:
 
 
 # -- presented commutative algebras ------------------------------------------------
+#
+# Buchberger's algorithm over ℤ in grevlex, x₁ > x₂ > … (Cox, Little and
+# O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2).  A basis is a list of
+# (leading exponent, polynomial) pairs, each polynomial primitive with a
+# positive leading coefficient, and normal forms are taken fraction-free.
 
-def _polynomial_expr(text, gens):
-    """A relation string as a sympy polynomial in the symbols `gens`."""
-    import sympy
+# More than PAIR_CAP S-pairs reduced, or a polynomial of degree above
+# DEGREE_CAP, raise SizeCap.
+PAIR_CAP = DEGREE_CAP ** 2
 
-    value = _Ring([str(g) for g in gens]).parse(text)
-    if not _is_constant(value.den):
-        raise ParseError(f"relation {text!r} is not a polynomial")
-    den = next(iter(value.den.values()))
-    return sympy.Add(*(sympy.Rational(c, den) * sympy.Mul(
-        *(g ** k for g, k in zip(gens, e))) for e, c in value.num.items()))
+
+def _grevlex(e):
+    """The sort key of an exponent tuple in grevlex order."""
+    return sum(e), tuple(-x for x in reversed(e))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _times(g, lead, e, c):
+    """c·x^(e − lead)·g."""
+    return _capped_mul(g, {tuple(y - x for x, y in zip(lead, e)): c})
+
+
+def _reduce(p, basis):
+    """(k, r): a positive integer k and a polynomial r ≡ k·p modulo the ideal
+    of `basis`, no term of r divisible by a leading exponent of `basis`."""
+    k, r, p = 1, {}, dict(p)
+    while p:
+        e = max(p, key=_grevlex)
+        for lead, g in basis:
+            if _divides(lead, e):
+                q = gcd(p[e], g[lead])
+                a = g[lead] // q
+                p = _sub(_scale(p, a), _times(g, lead, e, p[e] // q))
+                if a != 1:
+                    k, r = k * a, _scale(r, a)
+                break
+        else:
+            r[e] = p.pop(e)
+    q = gcd(k, *r.values())
+    return k // q, {e: c // q for e, c in r.items()}
+
+
+def _groebner(polys):
+    """The reduced Gröbner basis of the ideal of `polys`, in decreasing
+    order of leading exponents, by Buchberger's algorithm with the product
+    and chain criteria."""
+    basis, pairs, reduced = [], set(), 0
+
+    def extend(p):
+        _, r = _reduce(p, basis)
+        if r:
+            lead = max(r, key=_grevlex)
+            pairs.update((i, len(basis)) for i in range(len(basis)))
+            basis.append((lead, _primitive(r, r[lead])))
+
+    def lcm(pair):
+        return tuple(map(max, basis[pair[0]][0], basis[pair[1]][0]))
+
+    for p in polys:
+        extend(p)
+    while pairs:
+        i, j = pair = min(pairs, key=lambda pair: _grevlex(lcm(pair)))
+        pairs.remove(pair)
+        (li, fi), (lj, fj), top = basis[i], basis[j], lcm(pair)
+        if not any(x and y for x, y in zip(li, lj)) or any(
+                _divides(lk, top) and (min(i, k), max(i, k)) not in pairs
+                and (min(j, k), max(j, k)) not in pairs
+                for k, (lk, _) in enumerate(basis) if k not in pair):
+            continue
+        reduced += 1
+        if reduced > PAIR_CAP:
+            raise SizeCap(f"a Gröbner basis of more than {PAIR_CAP} S-pairs")
+        q = gcd(fi[li], fj[lj])
+        extend(_sub(_times(fi, li, top, fj[lj] // q),
+                    _times(fj, lj, top, fi[li] // q)))
+    minimal = [(l, g) for n, (l, g) in enumerate(basis)
+               if not any(_divides(m, l) and (m != l or k < n)
+                          for k, (m, _) in enumerate(basis) if k != n)]
+    out = []
+    for l, g in minimal:
+        _, r = _reduce(g, [b for b in minimal if b[0] != l])
+        out.append((l, _primitive(r, r[l])))
+    return sorted(out, key=lambda b: _grevlex(b[0]), reverse=True)
 
 
 class PresentedAlgebra:
-    """ℚ[x₁..x_m]/(f₁..f_r), finite-dimensional, via a Gröbner basis."""
+    """ℚ[x₁..x_m]/(f₁..f_r), finite-dimensional, with the standard monomials
+    of its reduced Gröbner basis `groebner` as its basis."""
 
     def __init__(self, gens, relations):
-        import sympy
-
-        self.gens = [sympy.Symbol(g) if isinstance(g, str) else g
-                     for g in gens]
+        self.gens = list(gens)
+        ring = _Ring(self.gens)
         self.relations = []
-        for rel in relations:
-            if isinstance(rel, str):
-                rel = _polynomial_expr(rel, self.gens)
-            self.relations.append(sympy.expand(rel))
-        if self.relations:
-            self.groebner = sympy.groebner(self.relations, *self.gens,
-                                           order="grevlex")
-        else:
-            self.groebner = None
-        self.basis = self._monomial_basis()
-        self.index = {m: i for i, m in enumerate(self.basis)}
-
-    def _leading_monomials(self):
-        import sympy
-
-        if self.groebner is None:
-            return []
-        return [sympy.Poly(g, *self.gens).LM(order="grevlex")
-                for g in self.groebner.exprs]
-
-    def _monomial_basis(self):
-        import sympy
-
-        lms = self._leading_monomials()
-        lm_exps = [sympy.Poly(m.as_expr(), *self.gens).monoms()[0]
-                   for m in lms] if lms else []
-        m = len(self.gens)
+        for text in relations:
+            value = ring.parse(text)
+            if not _is_constant(value.den):
+                raise ParseError(f"relation {text!r} is not a polynomial")
+            if value.num:
+                self.relations.append(value.num)
+        self.groebner = _groebner(self.relations)
+        leads = [lead for lead, _ in self.groebner]
         caps = []
-        for i in range(m):
-            cap = None
-            for e in lm_exps:
-                if e[i] > 0 and all(e[j] == 0 for j in range(m) if j != i):
-                    cap = e[i] if cap is None else min(cap, e[i])
-            if cap is None:
+        for i, name in enumerate(self.gens):
+            powers = [e[i] for e in leads if e[i] and sum(e) == e[i]]
+            if not powers:
                 raise NotFiniteDimensional(
-                    f"no pure power of {self.gens[i]} among leading terms")
-            caps.append(cap)
-
-        def divisible(e, lead):
-            return all(a >= b for a, b in zip(e, lead))
-
-        out = []
-        for exps in product(*(range(c) for c in caps)):
-            if any(divisible(exps, lead) for lead in lm_exps):
-                continue
-            mono = sympy.Integer(1)
-            for g, e in zip(self.gens, exps):
-                mono *= g ** e
-            out.append(sympy.expand(mono))
-        # sort with 1 first for the structure-constant algebra
-        out.sort(key=lambda mo: (sympy.Poly(mo, *self.gens).total_degree(),
-                                 str(mo)))
-        return out
+                    f"no pure power of {name} among leading terms")
+            caps.append(min(powers))
+        label = {e: ring.render_poly({e: 1})
+                 for e in product(*map(range, caps))
+                 if not any(_divides(lead, e) for lead in leads)}
+        # sorted by degree, then label, so the unit comes first
+        self.basis = sorted(label, key=lambda e: (sum(e), label[e]))
+        self.labels = [label[e] for e in self.basis]
+        self.index = {e: i for i, e in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def normal_form(self, expr):
-        import sympy
-
-        expr = sympy.expand(expr)
-        if self.groebner is None:
-            return expr
-        return self.groebner.reduce(expr)[1]
-
-    def coords(self, expr) -> dict:
-        import sympy
-
-        nf = sympy.expand(self.normal_form(expr))
-        poly = sympy.Poly(nf, *self.gens)
-        out = {}
-        for monom, coeff in poly.terms():
-            mono = sympy.Integer(1)
-            for g, e in zip(self.gens, monom):
-                mono *= g ** e
-            mono = sympy.expand(mono)
-            if mono not in self.index:
-                raise NotFiniteDimensional(
-                    f"normal form escapes the monomial basis: {mono}")
-            out[self.index[mono]] = Fraction(coeff.p, coeff.q)
-        return out
+    def coords(self, p) -> dict:
+        """An integer polynomial's coordinates over ℚ in `basis`."""
+        k, r = _reduce(p, self.groebner)
+        return {self.index[e]: Fraction(c, k) for e, c in r.items()}
 
     def structure_algebra(self):
         """The quotient as a structure-constant algebra (unit first)."""
         from .hochschild import FiniteDimAlgebra
-        table = []
-        for a in self.basis:
-            row = []
-            for b in self.basis:
-                row.append(self.coords(a * b))
-            table.append(row)
-        return FiniteDimAlgebra(self.dim, table,
-                                labels=[str(mo) for mo in self.basis],
+        table = [[self.coords(_mul({a: 1}, {b: 1})) for b in self.basis]
+                 for a in self.basis]
+        return FiniteDimAlgebra(self.dim, table, labels=self.labels,
                                 name="presented")
 
     def kahler_dim(self) -> int:
         """dim_ℚ Ω¹ = m·dim(A) − rank{u·∂f_j/∂x_i : u basis, j}."""
-        import sympy
-
         m = len(self.gens)
         rows = []
         for rel in self.relations:
-            grads = [sympy.diff(rel, g) for g in self.gens]
+            grads = [_diff(rel, i) for i in range(m)]
             for u in self.basis:
-                row = {}
-                for i, grad in enumerate(grads):
-                    for pos, v in self.coords(u * grad).items():
-                        col = i * self.dim + pos
-                        nv = row.get(col, Fraction(0)) + v
-                        if nv:
-                            row[col] = nv
-                        elif col in row:
-                            del row[col]
+                row = {i * self.dim + pos: v
+                       for i, grad in enumerate(grads)
+                       for pos, v in self.coords(_mul({u: 1}, grad)).items()}
                 if row:
                     rows.append(row)
         return m * self.dim - rank_sparse(rows, m * self.dim)

@@ -1,7 +1,8 @@
 """Deterministic machine-readable reports with recheckable certificates.
 
-The digest covers every field except the timing (and the digest itself), so
-repeated invocations with equal inputs and seeds are byte-identical after
+The digest covers every field except the timing, the `recheck` block that
+`compare --recheck` adds after the digest is taken, and the digest itself,
+so repeated invocations with equal inputs and seeds are byte-identical after
 dropping `timing_ms`, and their digests coincide.
 """
 
@@ -63,6 +64,7 @@ def strip_timing(report: dict) -> dict:
 
 def verify_report_digest(report: dict) -> bool:
     body = strip_timing(report)
+    body.pop("recheck", None)
     claimed = body.pop("digest", None)
     return claimed == digest_of(body)
 

@@ -575,6 +575,19 @@ def test_recheck_digest_ignores_timing(fixtures, tmp_path):
     assert rechecks[0] == rechecks[1]
 
 
+def test_recheck_of_a_compare_recheck_report(fixtures, tmp_path):
+    # compare --recheck adds its `recheck` block after the digest is taken;
+    # the digest check leaves that block out, as it leaves out timing_ms
+    proc = run_cli("compare", "--recheck", str(fixtures / "tetra_vol1.json"),
+                   str(fixtures / "cube.json"))
+    assert json.loads(proc.stdout)["recheck"]["recheck_passed"]
+    path = tmp_path / "report.json"
+    path.write_text(proc.stdout)
+    rc = run_cli("recheck", str(path))
+    assert rc.returncode == 0, rc.stderr
+    assert json.loads(rc.stdout)["results"]["digest_ok"]
+
+
 def test_cli_internal_error_is_one_line(monkeypatch, capsys):
     from scissors import cli
 
@@ -705,6 +718,9 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
             (both, ["polytope-info", octa]), (both, ["compare", tetra, octa]),
             (both, ["homology", "--group", "S3"]),
             (both, ["hochschild", "--algebra", "mat2"]),
+            (both, ["hochschild", "--algebra", "quat"]),
+            # the Gröbner bases of `verify hkr` are native
+            (both, ["verify", "hkr"]),
             (both, ["phi", "--tensor", str(fixtures / "t.json"),
                     "--tower", TOWER]),
             (both, ["recheck", str(report)]),
@@ -720,14 +736,14 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
 
 
 def test_sympy_and_mpmath_are_imported_by_one_module_each():
-    # the Gröbner bases of `verify hkr` take sympy, the angle-relation
-    # search takes mpmath; no other module imports either
+    # the angle-relation search takes mpmath, and no other module imports
+    # it; sympy is a test-only oracle, which no module imports
     import ast
     from pathlib import Path
 
     import scissors
 
-    allowed = {"sympy": {"kahler.py"}, "mpmath": {"angles.py"}}
+    allowed = {"sympy": set(), "mpmath": {"angles.py"}}
     root = Path(scissors.__file__).parent
     found = {name: set() for name in allowed}
     for path in sorted(root.rglob("*.py")):

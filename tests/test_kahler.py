@@ -132,6 +132,9 @@ def test_not_finite_dimensional():
 
 
 def test_hkr_corpus():
+    # the corpus of `verify hkr`; each reduced basis is also sympy's
+    import sympy
+
     corpus = [
         (["x"], ["x**2"]),
         (["x"], ["x**3"]),
@@ -143,6 +146,10 @@ def test_hkr_corpus():
     ]
     for gens, rels in corpus:
         assert hkr_degree1_check(gens, rels), (gens, rels)
+        syms = sympy.symbols(gens)
+        ideal = [sympy.sympify(r, locals=dict(zip(gens, syms))) for r in rels]
+        assert _monic(PresentedAlgebra(gens, rels).groebner) == \
+            _sympy_monic(sympy.groebner(ideal, *syms, order="grevlex")), rels
 
 
 def test_structure_algebra_roundtrip():
@@ -151,6 +158,81 @@ def test_structure_algebra_roundtrip():
     assert A.dim == 2
     from scissors.hochschild import hochschild_homology_table
     assert hochschild_homology_table(A, 1) == [2, 0]
+
+
+# -- Gröbner bases against sympy ------------------------------------------------
+
+def _monic(basis):
+    """A basis of (lead, integer polynomial) pairs as monic polynomials."""
+    return {frozenset((e, Fraction(c, p[lead])) for e, c in p.items())
+            for lead, p in basis}
+
+
+def _sympy_monic(basis):
+    """A sympy Gröbner basis in grevlex as monic polynomials."""
+    import sympy
+
+    out = set()
+    for g in basis.polys:
+        lc = sympy.Rational(g.LC(order="grevlex"))
+        out.add(frozenset((e, Fraction(str(sympy.Rational(c) / lc)))
+                          for e, c in g.as_dict().items()))
+    return out
+
+
+def test_reduced_bases_match_sympy_on_zero_dimensional_ideals():
+    # n or n + 1 random polynomials in 1-3 variables, each vanishing at one
+    # seeded integer point, so the ideal is never the unit ideal; sympy says
+    # which are zero-dimensional, and they are most
+    import sympy
+
+    from scissors.kahler import _groebner
+
+    zero_dimensional = 0
+    for case in range(150):
+        rng = SplitMix64.stream(2601, case)
+        n = 1 + case % 3
+        xs = sympy.symbols(f"x:{n}")
+        point = [rng.randint(-2, 2) for _ in range(n)]
+        polys = []
+        for _ in range(n + rng.randint(0, 1)):
+            expr = 0
+            for _ in range(rng.randint(2, 4)):
+                mono = 1
+                for _ in range(rng.randint(1, 3 if n < 3 else 2)):
+                    i = rng.randint(0, n - 1)
+                    mono *= xs[i] - point[i]
+                expr += (rng.randint(-3, 3) or 1) * mono
+            p = sympy.Poly(expr, *xs)
+            if not p.is_zero:
+                polys.append({e: int(c) for e, c in p.as_dict().items()})
+        theirs = sympy.groebner([sympy.Poly.from_dict(p, *xs) for p in polys],
+                                *xs, order="grevlex")
+        zero_dimensional += theirs.is_zero_dimensional
+        assert _monic(_groebner(polys)) == _sympy_monic(theirs), case
+    assert zero_dimensional >= 120
+
+
+def test_groebner_caps_raise_size_cap(monkeypatch):
+    from scissors import kahler
+    from scissors.errors import SizeCap
+
+    # the S-polynomial of x⁴⁰y and xy⁴⁰ has degree 80
+    with pytest.raises(SizeCap):
+        PresentedAlgebra(["x", "y"], ["x^40*y - 1", "x*y^40 - 1"])
+    # (x², xy) and (xy, y²) are the two S-pairs that neither criterion drops
+    monkeypatch.setattr(kahler, "PAIR_CAP", 2)
+    assert PresentedAlgebra(["x", "y"], ["x^2", "x*y", "y^2"]).dim == 3
+    monkeypatch.setattr(kahler, "PAIR_CAP", 1)
+    with pytest.raises(SizeCap):
+        PresentedAlgebra(["x", "y"], ["x^2", "x*y", "y^2"])
+
+
+def test_presented_algebra_rejects_a_rational_function():
+    with pytest.raises(ParseError):
+        PresentedAlgebra(["x"], ["1/x"])
+    # a constant denominator only scales the relation
+    assert PresentedAlgebra(["x"], ["x^2/2 - 1"]).labels == ["1", "x"]
 
 
 # -- seeded properties against sympy -------------------------------------------
