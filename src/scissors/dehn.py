@@ -286,11 +286,18 @@ def tensor_neg(t: DehnTensor) -> DehnTensor:
 def dehn_invariant(p: Polytope,
                    height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
     """Σ edge-length ⊗ dihedral angle over the boundary, in normal form."""
-    edges = p.edges()
-    if all(e.length2 is not None for e in edges):
-        return _normalize_rational([(1, e.length2, e.angle) for e in edges],
-                                   height_bound)
-    return tensor_normalize([(e.length, e.angle) for e in edges],
+    return dehn_sum([(1, p)], height_bound)
+
+
+def dehn_sum(signed, height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
+    """Σ k·D(P) over the (k, P) of `signed`, in normal form.  The raw edge
+    terms of all the polytopes are normalized once, so a block that cancels
+    in the sum is never searched."""
+    edges = [(k, e) for k, p in signed for e in p.edges()]
+    if all(e.length2 is not None for _, e in edges):
+        return _normalize_rational(
+            [(k, e.length2, e.angle) for k, e in edges], height_bound)
+    return tensor_normalize([(k * e.length, e.angle) for k, e in edges],
                             height_bound)
 
 

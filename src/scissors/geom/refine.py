@@ -1,13 +1,23 @@
-"""Exact common refinement of simplex chains against facet hyperplanes.
+"""Exact decisions on simplex chains: vanishing and single coverage.
 
-The refinement works on the reduced chain's vertex ids.  Each vertex the
-chain uses gets its one homogeneous point once (`VertexTable.homog`):
-integers when it is rational, and otherwise its coordinates with weight 1.
-The integer backend runs when every point is integer, the generic-scalar
-backend otherwise; positive weights leave every sign unchanged, so rational
-and irrational points mix there.  Cells are oriented and flipped as id
-tuples, and the facet planes come from their id facets, each vertex set
-once.  Every plane is then evaluated once at every vertex.
+`chain_vanishes` decides whether a chain's signed measure is zero by a
+recursion on dimension that splits no cell: the chain vanishes exactly
+when, on every hyperplane spanned by a facet of its reduced boundary, the
+facets there, projected into the hyperplane, form a vanishing chain one
+dimension down (see its docstring for why).  `verify_dissection` and
+`phi_boundary_check` rest on it.
+
+`chain_covers_once`, the `--exact-strict` cross-check, refines instead: it
+splits every cell by the facet hyperplanes of the chain and tallies the
+regions.  The refinement works on the reduced chain's vertex ids.  Each
+vertex the chain uses gets its one homogeneous point once
+(`VertexTable.homog`): integers when it is rational, and otherwise its
+coordinates with weight 1.  The integer backend runs when every point is
+integer, the generic-scalar backend otherwise; positive weights leave every
+sign unchanged, so rational and irrational points mix there.  Cells are
+oriented and flipped as id tuples, and the facet planes come from their id
+facets, each vertex set once.  Every plane is then evaluated once at every
+vertex.
 
 A convex cell that lies weakly on one side of a plane has no piece or cut
 point across it.  So a cell is split only by the planes whose signs on its
@@ -25,9 +35,8 @@ pieces that share it.
 
 The split records each piece's strict side of every plane.  A cell is an
 intersection of half-spaces of those planes, so the side vectors of its
-pieces are exactly the arrangement regions inside it.  The chain's signed
-measure is zero iff, for every region, the coefficients of the cells that
-hold it sum to zero.
+pieces are exactly the arrangement regions inside it, and a region's total
+is the sum of the coefficients of the cells that hold it.
 """
 
 import os
@@ -65,18 +74,26 @@ def cell_cap() -> int:
 
 # -- backends -----------------------------------------------------------------
 
-class _HomogBackend:
+class _Backend:
+    @classmethod
+    def planes(cls, facets):
+        """(functional, index of the first facet on it) per distinct plane
+        spanned by the facets, tuples of homogeneous points."""
+        return [(func, ks[0]) for func, ks in cls.group_by_plane(
+            [(k, hp.hyperplane(pts)) for k, pts in enumerate(facets)])]
+
+
+class _HomogBackend(_Backend):
     """Integer homogeneous points; all geometry through the predicate kernel."""
 
     @staticmethod
-    def planes(facets):
-        """(canonical functional, index of the first facet on it) per
-        distinct plane spanned by the facets."""
+    def group_by_plane(items):
+        """[(canonical functional, [key, ...])] for the (key, functional)
+        items, one per distinct plane, zero functionals dropped."""
         out = {}
-        for k, pts in enumerate(facets):
-            func = hp.hyperplane(pts)
+        for k, func in items:
             if any(func):
-                out.setdefault(primitive(func), k)
+                out.setdefault(primitive(func), []).append(k)
         return list(out.items())
 
     @staticmethod
@@ -92,20 +109,24 @@ class _HomogBackend:
         return (v > 0) - (v < 0)
 
 
-class _ScalarBackend:
+class _ScalarBackend(_Backend):
     """Generic exact scalars (Fraction, field elements, AlgebraicReal)."""
 
     @staticmethod
-    def planes(facets):
-        """(functional, index of the first facet on it), one per class of
-        proportional facet functionals."""
+    def group_by_plane(items):
+        """[(functional, [key, ...])] for the (key, functional) items, one
+        per class of proportional functionals, zero functionals dropped."""
         out = []
-        for k, pts in enumerate(facets):
+        for k, func in items:
             # the kernel's cofactor formula is exact on any scalars
-            func = hp.hyperplane(pts)
-            if (any(scalar_sign(c) != 0 for c in func)
-                    and not any(_proportional(func, g) for g, _ in out)):
-                out.append((func, k))
+            if not any(scalar_sign(c) != 0 for c in func):
+                continue
+            for g, keys in out:
+                if _proportional(func, g):
+                    keys.append(k)
+                    break
+            else:
+                out.append((func, [k]))
         return out
 
     @staticmethod
@@ -317,8 +338,106 @@ def _coverage(chain: SimplexChain, cap):
 
 
 def chain_vanishes(chain: SimplexChain, cap=None) -> bool:
-    """Exact decision: the signed measure of the chain is identically zero."""
-    return all(t == 0 for t in _coverage(chain, cap))
+    """Exact decision: the signed measure of the chain is identically zero.
+
+    The decision recurses on dimension and splits no cell.  A d-chain c in
+    Eᵈ vanishes exactly when, for every hyperplane H spanned by a facet of
+    its reduced boundary ∂c, the facets of ∂c on H, projected into H, form
+    a (d−1)-chain that vanishes; in E⁰ a chain vanishes when its
+    coefficients sum to 0.
+
+    Why: the chain's indicator Σ c_k·[σ_k] is constant off the facet
+    hyperplanes, and its jump across H, at almost every point of H, is
+    the signed measure of ∂c restricted to H.  With each cell written as ±
+    a positively oriented one, a facet on H, with the sign ∂ gives it, is
+    oriented in H by the side of H its cell lies on, so one affine chart of
+    H turns the jumps of all cells into that one measure, up to a sign
+    fixed by H.  If every jump is
+    zero, the indicator is constant, and compact support makes it zero;
+    conversely a zero indicator has no jumps.  A degenerate cell has no
+    measure and its facets vanish in the one hyperplane they span.
+
+    Facets cancel formally first: each is keyed by its sorted id tuple
+    times the sign of the sorting permutation.  A facet whose functional is
+    zero lies in a flat of lower dimension, so it has measure zero in every
+    hyperplane and is dropped.  Facets are grouped by their plane (integer
+    functionals keyed by `primitive`, others by `_proportional`), and each
+    group is projected into its plane by dropping a coordinate where the
+    normal is nonzero: an injective affine chart of H, the same for every
+    facet in it, so the ids, with one projected point each, still cancel
+    formally one level down.
+
+    Raises RefinementTooLarge when the cells read, at all levels together,
+    pass the cap (`cell_cap` when `cap` is None)."""
+    dim = chain.dim_ambient
+    cells = chain.reduce().ids
+    for _, t in cells:
+        if len(t) != dim + 1:
+            raise DimensionMismatch("orientation needs a top simplex")
+    budget = _Budget(cap if cap is not None else cell_cap())
+    budget.read(len(cells))
+    facets = _net_facets(cells)
+    if not facets:
+        return True
+    used = {v for f in facets for v in f}
+    point = {v: chain.table.homog(v) for v in used}
+    B = (_HomogBackend if all(type(c) is int
+                              for p in point.values() for c in p)
+         else _ScalarBackend)
+    return _facets_vanish(facets, point, B, budget)
+
+
+class _Budget:
+    """The cells `chain_vanishes` may still read before the cap."""
+
+    __slots__ = ("left", "cap")
+
+    def __init__(self, cap):
+        self.left = self.cap = cap
+
+    def read(self, n):
+        self.left -= n
+        if self.left < 0:
+            raise RefinementTooLarge(
+                f"chain check exceeded {self.cap} cells")
+
+
+def _net_facets(cells) -> dict:
+    """{sorted id tuple: net coefficient} of the facets of ∂ of the
+    (coefficient, id tuple) cells, the zero ones dropped."""
+    net = {}
+    for c, t in cells:
+        for i in range(len(t)):
+            f = t[:i] + t[i + 1:]
+            # the parity of the sorting permutation, by its inversions
+            odd = i & 1
+            for a in range(len(f)):
+                for b in range(a + 1, len(f)):
+                    odd ^= f[a] > f[b]
+            key = tuple(sorted(f))
+            net[key] = net.get(key, 0) + (-c if odd else c)
+    return {f: c for f, c in net.items() if c}
+
+
+def _facets_vanish(net, point, B, budget) -> bool:
+    """Whether the facets of `net` ({ids: coefficient}) on each hyperplane,
+    projected into it, form a vanishing chain; `point` holds the
+    homogeneous point of each id."""
+    groups = B.group_by_plane(
+        [(f, hp.hyperplane([point[v] for v in f])) for f in net])
+    for func, members in groups:
+        budget.read(len(members))
+        if len(func) == 2:  # points of E¹: the chain on each is in E⁰
+            if sum(net[f] for f in members):
+                return False
+            continue
+        j = next(i for i in range(len(func) - 1) if B.sign(func[i]))
+        proj = {v: point[v][:j] + point[v][j + 1:]
+                for f in members for v in f}
+        down = _net_facets([(net[f], f) for f in members])
+        if down and not _facets_vanish(down, proj, B, budget):
+            return False
+    return True
 
 
 def chain_covers_once(chain: SimplexChain, cap=None) -> bool:
@@ -348,8 +467,9 @@ def phi_boundary_chain(points, dim: int) -> SimplexChain:
     """The signed facet chain Σ (−1)^i [p₀ … p̂ᵢ … p_{dim+1}] of dim+2 points,
     on one vertex table that holds each point once.
 
-    Flat faces are kept: they have measure zero, and the refinement drops
-    them when it orients the cells (`_oriented_cells`)."""
+    Flat faces are kept: they have measure zero, and the chain's boundary
+    cancels formally (∂∂ = 0), so `chain_vanishes` decides it without
+    reading a point."""
     points = tuple(points)
     if len(points) != dim + 2:
         raise ValueError(f"need {dim + 2} points in E{dim}")

@@ -84,7 +84,7 @@ def random_cutting_plane(rng, corners):
 
 @suite("dissection")
 def dissection_suite(seed: int, cases: int):
-    from .dehn import dehn_invariant, is_zero, tensor_add, tensor_neg
+    from .dehn import dehn_sum, is_zero
     from .geom.convex import convex_polytope_3d, split_convex_points_3d
     from .geom.refine import verify_dissection
 
@@ -100,10 +100,7 @@ def dissection_suite(seed: int, cases: int):
         part_a = convex_polytope_3d(a_pts, name="A")
         part_b = convex_polytope_3d(b_pts, name="B")
         ok_dissect = verify_dissection(whole, [part_a, part_b])
-        diff = tensor_add(
-            dehn_invariant(whole),
-            tensor_neg(tensor_add(dehn_invariant(part_a),
-                                  dehn_invariant(part_b))))
+        diff = dehn_sum([(1, whole), (-1, part_a), (-1, part_b)])
         ok_additive = is_zero(diff) == "Zero"
         out.append({
             "case": case,

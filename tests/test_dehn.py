@@ -5,6 +5,7 @@ from scissors.angles import AnglePair
 from scissors.dehn import (
     compare_polytopes,
     dehn_invariant,
+    dehn_sum,
     is_zero,
     nonzero_certificate,
     tensor_add,
@@ -411,3 +412,19 @@ def test_single_term_blocks_make_no_search(monkeypatch):
         diff = tensor_add(dehn_invariant(whole), tensor_neg(
             tensor_add(dehn_invariant(a), dehn_invariant(b))))
         assert is_zero(diff) == "Zero"
+
+
+def test_dehn_sum_normalizes_the_signed_edges_once():
+    # the rational path and the generic one (the ∛(3/8) tetrahedron's
+    # lengths are field elements): a polytope minus a moved copy of itself
+    # cancels term by term, and a sum of one polytope is its invariant
+    vol1 = make_algebraic([-3, 0, 0, 8], (0, 1))
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for p in (box((0, 0, 0), (1, 2, 3)), regular_tetrahedron(),
+              scaled_simplices(regular_tetrahedron(), vol1)):
+        moved = transformed(p, identity, (Fraction(1, 7), 2, 0))
+        assert dehn_sum([(1, p), (-1, moved)]).is_empty()
+        assert dehn_sum([(1, p)]) == dehn_invariant(p)
+        twice = dehn_sum([(2, p), (-1, moved)])
+        assert is_zero(tensor_add(twice, tensor_neg(dehn_invariant(p)))) \
+            == "Zero"
