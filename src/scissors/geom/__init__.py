@@ -623,7 +623,10 @@ def dihedral_edges(p: Polytope):
     On a rational polytope each edge is computed from the integer points of
     the table (`_scaled_points`) as its squared length, the cos² of its
     angle between the integer facet normals and the sign of the cosine: no
-    square root is taken."""
+    square root is taken.  So is a polytope whose differences to its first
+    vertex are rational, such as a rational one moved by an irrational
+    translation, from those differences, which a translation leaves
+    unchanged."""
     if p.dim != 3:
         raise DimensionMismatch("dihedral edges need a 3-polytope")
     table = p.chain.table
@@ -635,11 +638,19 @@ def dihedral_edges(p: Polytope):
             key = (rank[a], rank[b]) if rank[a] < rank[b] else \
                 (rank[b], rank[a])
             incident.setdefault(key, []).append((a, b, f[(i + 2) % 3]))
-    rational = all(type(c[0]) is int for k in table.keys for c in k)
+    points = [table.point(i) for i in range(len(table.keys))]
+    scaled = table
+    if not all(type(c[0]) is int for k in table.keys for c in k):
+        scaled = VertexTable()
+        for q in points:
+            d = tuple(map(as_scalar, _sub(q, points[0])))
+            if not all(type(c) is Fraction for c in d):
+                scaled = None
+                break
+            scaled.add(d)
+    rational, w = scaled is not None, 1
     if rational:
-        points, w = _scaled_points(table)
-    else:
-        points, w = [table.point(i) for i in range(len(table.keys))], 1
+        points, w = _scaled_points(scaled)
     edges = []
     for key in sorted(incident):
         tris = incident[key]
@@ -654,8 +665,8 @@ def dihedral_edges(p: Polytope):
 
 def _edge(ends, pts, w, rational):
     """The DihedralEdges of the edge a1b1 between the facets a1b1r1 and
-    a2b2r2, pts = [a1, b1, r1, a2, b2, r2]: integer points scaled by w on a
-    rational polytope, else points with w = 1.  θ is π minus the angle
+    a2b2r2, pts = [a1, b1, r1, a2, b2, r2]: integer points scaled by w on
+    the rational path, else points with w = 1.  θ is π minus the angle
     between the facet normals at a convex edge; a reflex edge reports that
     angle, θ − π, after a full-π marker term."""
     a1, b1, r1, a2, b2, r2 = pts

@@ -9,15 +9,11 @@ dimension down (see its docstring for why).  `verify_dissection` and
 
 `chain_covers_once`, the `--exact-strict` cross-check, refines instead: it
 splits every cell by the facet hyperplanes of the chain and tallies the
-regions.  The refinement works on the reduced chain's vertex ids.  Each
-vertex the chain uses gets its one homogeneous point once
-(`VertexTable.homog`): integers when it is rational, and otherwise its
-coordinates with weight 1.  The integer backend runs when every point is
-integer, the generic-scalar backend otherwise; positive weights leave every
-sign unchanged, so rational and irrational points mix there.  Cells are
-oriented and flipped as id tuples, and the facet planes come from their id
-facets, each vertex set once.  Every plane is then evaluated once at every
-vertex.
+regions.  It works on the reduced chain's vertex ids, each with its one
+homogeneous point (`VertexTable.homog`), on which every sign is exact.
+Cells are oriented and flipped as id tuples, the facet planes come from
+their id facets, each vertex set once, and every plane is evaluated once at
+every vertex.
 
 A convex cell that lies weakly on one side of a plane has no piece or cut
 point across it.  So a cell is split only by the planes whose signs on its
@@ -40,10 +36,8 @@ is the sum of the coefficients of the cells that hold it.
 """
 
 import os
-from fractions import Fraction
 
 from ..errors import ParseError, RefinementTooLarge
-from ..linalg import primitive
 from ..scalars import scalar_sign
 from . import (
     DimensionMismatch,
@@ -72,81 +66,33 @@ def cell_cap() -> int:
     return cap
 
 
-# -- backends -----------------------------------------------------------------
+# -- planes and cut points ------------------------------------------------------
 
-class _Backend:
-    @classmethod
-    def planes(cls, facets):
-        """(functional, index of the first facet on it) per distinct plane
-        spanned by the facets, tuples of homogeneous points."""
-        return [(func, ks[0]) for func, ks in cls.group_by_plane(
-            [(k, hp.hyperplane(pts)) for k, pts in enumerate(facets)])]
-
-
-class _HomogBackend(_Backend):
-    """Integer homogeneous points; all geometry through the predicate kernel."""
-
-    @staticmethod
-    def group_by_plane(items):
-        """[(canonical functional, [key, ...])] for the (key, functional)
-        items, one per distinct plane, zero functionals dropped."""
-        out = {}
-        for k, func in items:
-            if any(func):
-                out.setdefault(primitive(func), []).append(k)
-        return list(out.items())
-
-    @staticmethod
-    def apply(func, p):
-        return hp.apply_functional(func, p)
-
-    @staticmethod
-    def cut(alpha, beta, a, b):
-        return hp.cut_point(alpha, beta, a, b)
-
-    @staticmethod
-    def sign(v):
-        return (v > 0) - (v < 0)
-
-
-class _ScalarBackend(_Backend):
-    """Generic exact scalars (Fraction, field elements, AlgebraicReal)."""
-
-    @staticmethod
-    def group_by_plane(items):
-        """[(functional, [key, ...])] for the (key, functional) items, one
-        per class of proportional functionals, zero functionals dropped."""
-        out = []
-        for k, func in items:
-            # the kernel's cofactor formula is exact on any scalars
-            if not any(scalar_sign(c) != 0 for c in func):
-                continue
-            for g, keys in out:
-                if _proportional(func, g):
-                    keys.append(k)
-                    break
-            else:
-                out.append((func, [k]))
-        return out
-
-    @staticmethod
-    def apply(func, p):
-        acc = Fraction(0)
-        for a, b in zip(func, p):
-            acc = acc + a * b
-        return acc
-
-    @staticmethod
-    def cut(alpha, beta, a, b):
-        # the weight β·w_a − α·w_b is positive when α < 0 < β; keeping it
-        # positive lets the raw sign of a functional give a vertex's side
-        if scalar_sign(alpha) > 0:
-            alpha, beta, a, b = beta, alpha, b, a
-        return tuple(beta * ai - alpha * bi for ai, bi in zip(a, b))
-
-    @staticmethod
-    def sign(v):
-        return scalar_sign(v)
+def _group_by_plane(items):
+    """[(functional, [key, ...])] for the (key, functional) items, one per
+    plane in order of first appearance, zero functionals dropped.  A plane
+    is named by its first functional, negated when its first nonzero entry
+    is negative, and holds every functional proportional to it."""
+    groups = []
+    buckets = {}  # sign pattern -> the groups whose name has it
+    for k, func in items:
+        signs = tuple([scalar_sign(c) for c in func])
+        lead = next((sg for sg in signs if sg), 0)
+        if not lead:
+            continue
+        if lead < 0:
+            func = tuple([-c for c in func])
+            signs = tuple([-sg for sg in signs])
+        # a named functional and a positive multiple share a sign pattern
+        bucket = buckets.setdefault(signs, [])
+        for g, keys in bucket:
+            if _proportional(func, g):
+                keys.append(k)
+                break
+        else:
+            bucket.append((func, [k]))
+            groups.append(bucket[-1])
+    return groups
 
 
 def _proportional(f, g) -> bool:
@@ -158,9 +104,19 @@ def _proportional(f, g) -> bool:
     return True
 
 
+def _cut(alpha, beta, a, b):
+    """The homogeneous point where segment ab meets the plane whose values
+    alpha at a and beta at b have strictly opposite signs."""
+    # the weight β·w_a − α·w_b is positive when α < 0 < β; keeping it
+    # positive lets the raw sign of a functional give a vertex's side
+    if scalar_sign(alpha) > 0:
+        alpha, beta, a, b = beta, alpha, b, a
+    return tuple([beta * ai - alpha * bi for ai, bi in zip(a, b)])
+
+
 # -- the splitting engine -------------------------------------------------------
 
-def _split_by_plane(frontier, table, func, bit, B, known=()):
+def _split_by_plane(frontier, table, func, bit, known=()):
     """Split every (piece, mask) of `frontier` by the plane `func`.
 
     A piece is a tuple of indices into `table`, the vertex list it shares
@@ -171,8 +127,9 @@ def _split_by_plane(frontier, table, func, bit, B, known=()):
     the plane is cut at its first strictly crossing edge, and the two
     sub-pieces follow it in the frontier.  Returns the new frontier, whose
     masks carry each piece's strict side of the plane in `bit`."""
-    vals = [*known, *(B.apply(func, p) for p in table[len(known):])]
-    signs = [B.sign(v) for v in vals]
+    vals = [*known,
+            *(hp.apply_functional(func, p) for p in table[len(known):])]
+    signs = [scalar_sign(v) for v in vals]
     if 1 not in signs or -1 not in signs:
         # the pieces' vertices all come from the table, so no piece
         # straddles the plane, and a full-dimensional piece has a vertex
@@ -197,7 +154,7 @@ def _split_by_plane(frontier, table, func, bit, B, known=()):
             c = cuts.get(key)
             if c is None:
                 c = cuts[key] = len(table)
-                table.append(B.cut(vals[a], vals[b], table[a], table[b]))
+                table.append(_cut(vals[a], vals[b], table[a], table[b]))
                 vals.append(0)
                 signs.append(0)
             stack.append(piece[:j] + (c,) + piece[j + 1:])
@@ -205,21 +162,21 @@ def _split_by_plane(frontier, table, func, bit, B, known=()):
     return nxt
 
 
-def split_simplex(pts, func, B, sides=None):
+def split_simplex(pts, func, sides=None):
     """Sub-simplices of `pts`, each weakly on one side of the plane `func`.
 
     When `sides` is a list, each piece's strict side is appended to it
     (True for func > 0)."""
     table = list(pts)
-    frontier = _split_by_plane([(tuple(range(len(table))), 0)], table, func,
-                               0, B)
+    frontier = _split_by_plane([(tuple(range(len(table))), 0)], table,
+                               func, 0)
     if sides is not None:
         sides.extend(bool(mask) for _, mask in frontier)
     return [tuple(table[v] for v in piece) for piece, _ in frontier]
 
 
 def _oriented_cells(chain: SimplexChain):
-    """(cells, points, B) for the nondegenerate top cells of the reduced
+    """(cells, points) for the nondegenerate top cells of the reduced
     chain: `cells` holds (coefficient·ε, vertex tuple) per cell, ordered
     positively, whose vertices index `points`, the homogeneous point of
     each vertex id the chain uses."""
@@ -232,18 +189,16 @@ def _oriented_cells(chain: SimplexChain):
         for v in t:
             local.setdefault(v, len(local))
     points = list(map(chain.table.homog, local))
-    B = (_HomogBackend if all(type(c) is int for p in points for c in p)
-         else _ScalarBackend)
     cells = []
     for c, t in terms:
         t = tuple([local[v] for v in t])
         sgn = hp.orient([points[v] for v in t])
         if sgn:
             cells.append((c, t) if sgn > 0 else (-c, _swap_last_two(t)))
-    return cells, points, B
+    return cells, points
 
 
-def _planes(cells, points, B):
+def _planes(cells, points):
     """(functional, vertices of its first facet) per distinct facet plane
     of the cells, each facet's vertex set taken once."""
     seen = set()
@@ -255,17 +210,18 @@ def _planes(cells, points, B):
             if key not in seen:
                 seen.add(key)
                 facets.append(f)
-    return [(func, facets[k]) for func, k in
-            B.planes([tuple([points[v] for v in f]) for f in facets])]
+    return [(func, fs[0]) for func, fs in _group_by_plane(
+        [(f, hp.hyperplane([points[v] for v in f])) for f in facets])]
 
 
 def refinement_pieces(chain: SimplexChain, cap=None):
     """Every cell split by every facet plane of the whole chain.
 
-    Returns (pieces, cells, B): `cells` holds (coefficient, homogeneous
-    points) per positively oriented cell, and each piece is (k, sides) for
-    a piece of cell k, where bit p of `sides` is set when the piece lies on
-    the positive side of the p-th plane.  No piece meets a plane in its
+    Returns (pieces, cells, planes): `cells` holds (coefficient,
+    homogeneous points) per positively oriented cell, `planes` the
+    functional of each distinct facet plane, and each piece is (k, sides)
+    for a piece of cell k, where bit p of `sides` is set when the piece
+    lies on the positive side of planes[p].  No piece meets a plane in its
     interior, so `sides` names the region of the plane arrangement that
     holds the piece.
 
@@ -273,19 +229,19 @@ def refinement_pieces(chain: SimplexChain, cap=None):
     whose signs on a cell's vertices are not strictly mixed leaves the cell
     whole: its bit is set in every piece of the cell when some vertex of
     the cell lies on its positive side."""
-    cells, points, B = _oriented_cells(chain)
+    cells, points = _oriented_cells(chain)
     if not cells:
-        return [], [], None
-    planes = _planes(cells, points, B)
+        return [], [], []
+    planes = _planes(cells, points)
     cap = cap if cap is not None else cell_cap()
     vals = []
     pos = []  # per plane, the vertices on its positive side as a bit set
     neg = []
     for func, facet in planes:
         # the plane passes through the vertices of its facet
-        row = [0 if v in facet else B.apply(func, p)
+        row = [0 if v in facet else hp.apply_functional(func, p)
                for v, p in enumerate(points)]
-        sg = [B.sign(x) for x in row]
+        sg = [scalar_sign(x) for x in row]
         vals.append(row)
         pos.append(sum(1 << v for v, s in enumerate(sg) if s > 0))
         neg.append(sum(1 << v for v, s in enumerate(sg) if s < 0))
@@ -300,13 +256,14 @@ def refinement_pieces(chain: SimplexChain, cap=None):
                     crossing.append((bit, func, [vals[bit][v] for v in t]))
                 else:
                     base |= 1 << bit
-        _, frontier = _refine_cell([points[v] for v in t], crossing, base, B,
+        _, frontier = _refine_cell([points[v] for v in t], crossing, base,
                                    cap, len(pieces))
         pieces.extend((k, mask) for _, mask in frontier)
-    return pieces, [(c, tuple([points[v] for v in t])) for c, t in cells], B
+    return (pieces, [(c, tuple([points[v] for v in t])) for c, t in cells],
+            [func for func, _ in planes])
 
 
-def _refine_cell(pts, crossing, base, B, cap, done):
+def _refine_cell(pts, crossing, base, cap, done):
     """(table, frontier): the cell `pts` split by the planes `crossing`,
     each (bit, functional, its values at `pts`), every piece a tuple of
     indices into the vertex table with its side mask over `base`, the
@@ -318,7 +275,7 @@ def _refine_cell(pts, crossing, base, B, cap, done):
     if done + 1 > cap:
         raise RefinementTooLarge(f"refinement exceeded {cap} cells")
     for bit, func, known in crossing:
-        frontier = _split_by_plane(frontier, table, func, bit, B, known)
+        frontier = _split_by_plane(frontier, table, func, bit, known)
         if len(frontier) + done > cap:
             raise RefinementTooLarge(f"refinement exceeded {cap} cells")
     return table, frontier
@@ -347,25 +304,19 @@ def chain_vanishes(chain: SimplexChain, cap=None) -> bool:
     coefficients sum to 0.
 
     Why: the chain's indicator Σ c_k·[σ_k] is constant off the facet
-    hyperplanes, and its jump across H, at almost every point of H, is
-    the signed measure of ∂c restricted to H.  With each cell written as ±
-    a positively oriented one, a facet on H, with the sign ∂ gives it, is
-    oriented in H by the side of H its cell lies on, so one affine chart of
-    H turns the jumps of all cells into that one measure, up to a sign
-    fixed by H.  If every jump is
-    zero, the indicator is constant, and compact support makes it zero;
-    conversely a zero indicator has no jumps.  A degenerate cell has no
-    measure and its facets vanish in the one hyperplane they span.
+    hyperplanes, and its jump across H, at almost every point of H, is the
+    signed measure of ∂c restricted to H (a facet on H is oriented in H by
+    the side of H its cell lies on).  If every jump is zero, the indicator
+    is constant, and compact support makes it zero; conversely a zero
+    indicator has no jumps.  A degenerate cell has no measure, and its
+    facets vanish in the one hyperplane they span.
 
-    Facets cancel formally first: each is keyed by its sorted id tuple
-    times the sign of the sorting permutation.  A facet whose functional is
-    zero lies in a flat of lower dimension, so it has measure zero in every
-    hyperplane and is dropped.  Facets are grouped by their plane (integer
-    functionals keyed by `primitive`, others by `_proportional`), and each
-    group is projected into its plane by dropping a coordinate where the
-    normal is nonzero: an injective affine chart of H, the same for every
-    facet in it, so the ids, with one projected point each, still cancel
-    formally one level down.
+    Facets cancel formally first, keyed by their sorted id tuple times the
+    sign of the sorting permutation.  A facet whose functional is zero has
+    measure zero in every hyperplane and is dropped.  The rest are grouped
+    by their plane and projected into it by dropping a coordinate where
+    the normal is nonzero, one injective chart of H for every facet on it,
+    so the ids still cancel formally one level down.
 
     Raises RefinementTooLarge when the cells read, at all levels together,
     pass the cap (`cell_cap` when `cap` is None)."""
@@ -380,11 +331,8 @@ def chain_vanishes(chain: SimplexChain, cap=None) -> bool:
     if not facets:
         return True
     used = {v for f in facets for v in f}
-    point = {v: chain.table.homog(v) for v in used}
-    B = (_HomogBackend if all(type(c) is int
-                              for p in point.values() for c in p)
-         else _ScalarBackend)
-    return _facets_vanish(facets, point, B, budget)
+    return _facets_vanish(facets, {v: chain.table.homog(v) for v in used},
+                          budget)
 
 
 class _Budget:
@@ -419,11 +367,11 @@ def _net_facets(cells) -> dict:
     return {f: c for f, c in net.items() if c}
 
 
-def _facets_vanish(net, point, B, budget) -> bool:
+def _facets_vanish(net, point, budget) -> bool:
     """Whether the facets of `net` ({ids: coefficient}) on each hyperplane,
     projected into it, form a vanishing chain; `point` holds the
     homogeneous point of each id."""
-    groups = B.group_by_plane(
+    groups = _group_by_plane(
         [(f, hp.hyperplane([point[v] for v in f])) for f in net])
     for func, members in groups:
         budget.read(len(members))
@@ -431,11 +379,11 @@ def _facets_vanish(net, point, B, budget) -> bool:
             if sum(net[f] for f in members):
                 return False
             continue
-        j = next(i for i in range(len(func) - 1) if B.sign(func[i]))
+        j = next(i for i in range(len(func) - 1) if scalar_sign(func[i]))
         proj = {v: point[v][:j] + point[v][j + 1:]
                 for f in members for v in f}
         down = _net_facets([(net[f], f) for f in members])
-        if down and not _facets_vanish(down, proj, B, budget):
+        if down and not _facets_vanish(down, proj, budget):
             return False
     return True
 

@@ -428,3 +428,47 @@ def test_dehn_sum_normalizes_the_signed_edges_once():
         twice = dehn_sum([(2, p), (-1, moved)])
         assert is_zero(tensor_add(twice, tensor_neg(dehn_invariant(p)))) \
             == "Zero"
+
+
+def test_algebraic_redissection_keeps_dehn_verdicts(monkeypatch):
+    # metamorphic: every dissection case at seed 303 moved by (√2/3, 0, 0)
+    # keeps the verdicts of W − A − B and of W − A, and W − A − B still
+    # cancels without a relation search
+    import scissors.dehn as dehn
+    from scissors.algebraic import sqrt_nonneg
+    from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
+    from scissors.rng import SplitMix64
+    from scissors.suites import (
+        random_box_corners,
+        random_cutting_plane,
+        random_tet_corners,
+    )
+
+    searched = []
+    search = dehn.find_angle_relations
+
+    def recorded(angles, height_bound=20):
+        searched.append(len(angles))
+        return search(angles, height_bound)
+
+    monkeypatch.setattr(dehn, "find_angle_relations", recorded)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    shift = (sqrt_nonneg(2) / 3, 0, 0)
+    verdicts = set()
+    for case in range(25):
+        rng = SplitMix64.stream(303, case)
+        corners = (random_box_corners(rng) if case % 2 == 0
+                   else random_tet_corners(rng))
+        halves = split_convex_points_3d(
+            corners, random_cutting_plane(rng, corners))
+        parts = [convex_polytope_3d(p) for p in (corners, *halves)]
+        moved = [transformed(p, identity, shift) for p in parts]
+        got = []
+        for whole, a, b in (parts, moved):
+            del searched[:]
+            got.append((is_zero(dehn_sum([(1, whole), (-1, a), (-1, b)])),
+                        searched[:],
+                        is_zero(dehn_sum([(1, whole), (-1, a)]))))
+        assert got[1] == got[0] and got[1][:2] == ("Zero", []), case
+        verdicts.add(got[1][2])
+    assert verdicts == {"Zero", "NonzeroCertified"}

@@ -337,13 +337,23 @@ def _overlap_reference(pa, pb, dim):
 
 
 def test_overlap_check_stops_early_with_the_same_verdict():
+    # the pairwise SAT of validate against its early-stopping form, and
+    # against the --exact-strict refinement of the two-cell chain
     from scissors.geom import _interiors_intersect, _sat_axes
+    from scissors.geom.refine import chain_covers_once
 
     def shifted(pts, d):
         return tuple(tuple(a + b for a, b in zip(p, d)) for p in pts)
 
+    def covered_once(cells, dim):
+        # each cell positively oriented; a flat one drops out
+        return chain_covers_once(SimplexChain(dim, [
+            (orientation_sign(s), s) for s in
+            (Simplex(dim, tuple(map(make_point, pts))) for pts in cells)]))
+
     verdicts = {}
     for dim in (2, 3):
+        move = (sqrt_nonneg(2) / 3,) + (0,) * (dim - 1)
         for case in range(25):
             rng = SplitMix64.stream(71, 100 * dim + case)
             while True:
@@ -379,6 +389,10 @@ def test_overlap_check_stops_early_with_the_same_verdict():
                     *(tuple(tuple(int(c * w) for c in p) for p in pts)
                       for pts in (pa, pb)), dim) == got, (kind, pa, pb)
                 assert want is None or got == want, (kind, pa, pb)
+                # the refinement, also on weight-1 algebraic points
+                for cells in ((pa, pb),
+                              (shifted(pa, move), shifted(pb, move))):
+                    assert covered_once(cells, dim) == (not got), (kind, cells)
                 verdicts.setdefault((dim, kind), set()).add(got)
     # the seeded translations and random pairs hit both verdicts
     for dim in (2, 3):

@@ -35,12 +35,13 @@ from scissors.geom.refine import (
     refinement_pieces,
     split_simplex,
     verify_dissection,
-    _HomogBackend,
-    _ScalarBackend,
+    _cut,
+    _group_by_plane,
     _refine_cell,
 )
 from scissors.linalg import primitive
 from scissors.rng import SplitMix64
+from scissors.scalars import scalar_sign
 from scissors.suites import (
     random_box_corners,
     random_cutting_plane,
@@ -50,10 +51,9 @@ from scissors.suites import (
 
 def test_split_simplex_volume_preserved():
     # splitting pieces partition the tetra: volumes sum, pairwise disjoint
-    B = _HomogBackend
     tet = ((0, 0, 0, 1), (6, 0, 0, 1), (0, 6, 0, 1), (0, 0, 6, 1))
     func = (1, 1, 1, -3)  # plane x+y+z=3 cuts strictly through
-    pieces = split_simplex(tet, func, B)
+    pieces = split_simplex(tet, func)
     assert len(pieces) >= 2
     from scissors.geom.predicates import hdet
 
@@ -166,7 +166,7 @@ def test_phi_boundary_chains_vanish_until_negated():
 
 
 def test_phi_boundary_chains_vanish_with_algebraic_coordinate():
-    # irrational vertices take the generic-scalar backend
+    # irrational vertices with weight 1 beside integer ones
     shift = sqrt_nonneg(2) / 3
     for dim in (1, 2):
         for chain in _phi_chains(dim, shift, cases=4):
@@ -214,47 +214,44 @@ def test_dissection_survives_isometry_not_a_moved_part():
 
 # -- the vertex-table refinement against the recursive per-simplex splitter --
 
-def _oracle_split(pts, func, B, out, sides):
+def _oracle_split(pts, func, out, sides):
     """The recursive splitter: cut the first strictly crossing edge and
     recurse on both halves, re-evaluating every vertex at every level."""
-    vals = [B.apply(func, p) for p in pts]
-    signs = [B.sign(v) for v in vals]
+    vals = [hp.apply_functional(func, p) for p in pts]
+    signs = [scalar_sign(v) for v in vals]
     for i in range(len(pts)):
         if signs[i] == 0:
             continue
         for j in range(i + 1, len(pts)):
             if signs[j] == 0 or signs[j] == signs[i]:
                 continue
-            cut = B.cut(vals[i], vals[j], pts[i], pts[j])
-            _oracle_split(pts[:i] + (cut,) + pts[i + 1:], func, B, out, sides)
-            _oracle_split(pts[:j] + (cut,) + pts[j + 1:], func, B, out, sides)
+            cut = _cut(vals[i], vals[j], pts[i], pts[j])
+            _oracle_split(pts[:i] + (cut,) + pts[i + 1:], func, out, sides)
+            _oracle_split(pts[:j] + (cut,) + pts[j + 1:], func, out, sides)
             return
     out.append(pts)
     sides.append(1 in signs)
 
 
-def _facets(cells):
-    return [pts[:i] + pts[i + 1:] for _, pts in cells
-            for i in range(len(pts))]
+def _integer(cells):
+    return all(type(c) is int for _, pts in cells for p in pts for c in p)
 
 
-def _oracle_planes(cells, B):
-    """The planes of every facet of every cell, in order, each once."""
-    if B is _HomogBackend:
-        planes = {}
-        for _, pts in cells:
-            for i in range(len(pts)):
-                func = hp.hyperplane(pts[:i] + pts[i + 1:])
-                if any(func):
-                    planes.setdefault(primitive(func))
-        return list(planes)
-    return [func for func, _ in B.planes(_facets(cells))]
+def _oracle_planes(cells):
+    """The planes of every facet of every cell, in order, each once: keyed
+    by `primitive` on integer points, else grouped as the refinement
+    groups them."""
+    funcs = [hp.hyperplane(pts[:i] + pts[i + 1:]) for _, pts in cells
+             for i in range(len(pts))]
+    if _integer(cells):
+        return list(dict.fromkeys(primitive(f) for f in funcs if any(f)))
+    return [func for func, _ in _group_by_plane(enumerate(funcs))]
 
 
-def _oracle_pieces(cells, B):
+def _oracle_pieces(cells):
     """(k, sides) per piece: every piece of every cell split by every facet
     plane in turn, the planes taken from every facet of every cell."""
-    planes = _oracle_planes(cells, B)
+    planes = _oracle_planes(cells)
     pieces = []
     for k, (_, pts) in enumerate(cells):
         frontier = [(tuple(pts), 0)]
@@ -262,7 +259,7 @@ def _oracle_pieces(cells, B):
             nxt = []
             for piece, mask in frontier:
                 out, sides = [], []
-                _oracle_split(piece, func, B, out, sides)
+                _oracle_split(piece, func, out, sides)
                 nxt.extend((sub, mask | (pos << bit))
                            for sub, pos in zip(out, sides))
             frontier = nxt
@@ -293,44 +290,46 @@ def _refinement_chains():
 
 
 def test_refinement_pieces_match_recursive_splitter():
-    backends = set()
+    kinds = set()
     for chain in _refinement_chains():
-        pieces, cells, B = refinement_pieces(chain)
-        backends.add(B)
-        want, planes = _oracle_pieces(cells, B)
+        pieces, cells, got = refinement_pieces(chain)
+        kinds.add(_integer(cells))
+        want, planes = _oracle_pieces(cells)
         assert pieces == want
-        assert [func for func, _ in B.planes(_facets(cells))] == planes
+        assert (list(map(primitive, got)) if _integer(cells)
+                else got) == planes
         done = 0
         for k, (_, pts) in enumerate(cells):
             # the planes strictly mixed on the cell's vertices split it;
             # every other one gives all its pieces one side
             crossing, base = [], 0
             for bit, func in enumerate(planes):
-                vals = [B.apply(func, p) for p in pts]
-                signs = {B.sign(v) for v in vals}
+                vals = [hp.apply_functional(func, p) for p in pts]
+                signs = set(map(scalar_sign, vals))
                 if {1, -1} <= signs:
                     crossing.append((bit, func, vals))
                 elif 1 in signs:
                     base |= 1 << bit
-            table, frontier = _refine_cell(pts, crossing, base, B,
-                                           len(pieces), done)
+            table, frontier = _refine_cell(pts, crossing, base, len(pieces),
+                                           done)
             assert [(k, m) for _, m in frontier] == \
                 pieces[done:done + len(frontier)]
             done += len(frontier)
             vols = [_hvolume([table[v] for v in piece])
                     for piece, _ in frontier]
-            assert all(B.sign(v) > 0 for v in vols)
+            assert all(scalar_sign(v) > 0 for v in vols)
             total = vols[0]
             for v in vols[1:]:
                 total = total + v
-            assert B.sign(total - _hvolume(pts)) == 0
+            assert scalar_sign(total - _hvolume(pts)) == 0
             for piece, mask in frontier:
                 for bit, func in enumerate(planes):
                     side = 1 if mask >> bit & 1 else -1
-                    assert all(B.sign(B.apply(func, table[v])) != -side
-                               for v in piece)
+                    assert all(scalar_sign(hp.apply_functional(
+                        func, table[v])) != -side for v in piece)
         assert done == len(pieces)
-    assert backends == {_HomogBackend, _ScalarBackend}
+    # all-integer chains and chains with irrational points
+    assert kinds == {True, False}
 
 
 # sha256 over the (k, sides) piece lists, one repr line per chain, of the
@@ -364,8 +363,9 @@ def test_mixed_weight_prism_validates_with_pinned_pieces():
     # the hexagon prism has integer points (rational vertices) beside
     # irrational ones with weight 1 on one table, and at height 3/7 its
     # rational top vertices have weight 7: strict validation and the
-    # refinement run the generic backend on mixed points.  The pieces were
-    # recorded when every point had weight 1; an affine map keeps them
+    # refinement run on mixed points.  The pieces were recorded when every
+    # point had weight 1; an affine map keeps them, and their sides are
+    # those of the planes named with their first nonzero entry positive
     from scissors.geom import prism
     from scissors.geom.convex import regular_hexagon
 
@@ -376,10 +376,10 @@ def test_mixed_weight_prism_validates_with_pinned_pieces():
         points = [t.homog(i) for i in range(len(t.keys))]
         kinds = {all(type(c) is int for c in h) and h[-1] for h in points}
         assert kinds == ({False, 1} if height == 1 else {False, 1, 7})
-        pieces, cells, B = refinement_pieces(p.chain)
-        assert B is _ScalarBackend and len(cells) == 12
-        assert sha256(repr(pieces).encode()).hexdigest() == "d6045542dd104" \
-            "18b30b32bc45a18c44925a32bf4cb0e5039e8352f5f6359287f"
+        pieces, cells, _ = refinement_pieces(p.chain)
+        assert len(cells) == 12
+        assert sha256(repr(pieces).encode()).hexdigest() == "29a9a1d36da59" \
+            "6eb086b1f449e41417bba0cb429000ca9e2636e3a54f919a9d3"
 
 
 def test_refinement_cap_counts_every_piece(monkeypatch):
@@ -399,20 +399,21 @@ def test_only_planes_mixed_on_a_cell_split_it(monkeypatch):
     calls = Counter()
     split = refine._split_by_plane
 
-    def counted(frontier, table, func, bit, B, known=()):
+    def counted(frontier, table, func, bit, known=()):
         calls[tuple(table[:len(known)]), bit] += 1
-        return split(frontier, table, func, bit, B, known)
+        return split(frontier, table, func, bit, known)
 
     monkeypatch.setattr(refine, "_split_by_plane", counted)
     pairs = crossing = 0
     for chain in _refinement_chains():
         calls.clear()
-        _, cells, B = refinement_pieces(chain)
-        planes = _oracle_planes(cells, B)
+        _, cells, _ = refinement_pieces(chain)
+        planes = _oracle_planes(cells)
         want = Counter()
         for _, pts in cells:
             for bit, func in enumerate(planes):
-                signs = {B.sign(B.apply(func, p)) for p in pts}
+                signs = {scalar_sign(hp.apply_functional(func, p))
+                         for p in pts}
                 if {1, -1} <= signs:
                     want[pts, bit] += 1
         assert calls == want
@@ -582,7 +583,7 @@ def _agreement_chains(dim, case):
 @pytest.mark.parametrize("shifted", [False, True])
 def test_chain_vanishes_agrees_with_region_coverage(dim, shifted):
     # the boundary recursion against the refinement's region totals, on
-    # rational chains and on chains moved by √2/3 onto the generic backend
+    # rational chains and on chains moved by √2/3 off the rationals
     dx = sqrt_nonneg(2) / 3
     seen = set()
     # the region oracle is slow on irrational points in E³
@@ -624,8 +625,8 @@ def test_every_dissection_case_survives_isometry_not_a_moved_part():
 
 
 def test_algebraic_redissection():
-    # every case moved by (√2/3, 0, 0): the generic backend on irrational
-    # vertices still sees the dissection, and a missing part
+    # every case moved by (√2/3, 0, 0): on irrational vertices the check
+    # still sees the dissection, and a missing part
     shift = (sqrt_nonneg(2) / 3, 0, 0)
     for case in range(25):
         whole, a, b = (transformed(p, IDENTITY, shift)
