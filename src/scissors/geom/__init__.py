@@ -620,13 +620,12 @@ _STRAIGHT = AnglePair.from_cos2(Fraction(1), -1)  # θ = π
 def dihedral_edges(p: Polytope):
     """Edge lengths and interior dihedral angles of a 3-polytope boundary.
 
-    On a rational polytope each edge is computed from the integer points of
-    the table (`_scaled_points`) as its squared length, the cos² of its
-    angle between the integer facet normals and the sign of the cosine: no
-    square root is taken.  So is a polytope whose differences to its first
-    vertex are rational, such as a rational one moved by an irrational
-    translation, from those differences, which a translation leaves
-    unchanged."""
+    When the differences of the vertices to the first vertex are rational,
+    as on a rational polytope or one moved by an irrational translation,
+    which leaves them unchanged, each edge is computed from those
+    differences scaled to integers (`_scaled_points`) as its squared
+    length, the cos² of its angle between the integer facet normals and
+    the sign of the cosine: no square root is taken."""
     if p.dim != 3:
         raise DimensionMismatch("dihedral edges need a 3-polytope")
     table = p.chain.table
@@ -639,15 +638,13 @@ def dihedral_edges(p: Polytope):
                 (rank[b], rank[a])
             incident.setdefault(key, []).append((a, b, f[(i + 2) % 3]))
     points = [table.point(i) for i in range(len(table.keys))]
-    scaled = table
-    if not all(type(c[0]) is int for k in table.keys for c in k):
-        scaled = VertexTable()
-        for q in points:
-            d = tuple(map(as_scalar, _sub(q, points[0])))
-            if not all(type(c) is Fraction for c in d):
-                scaled = None
-                break
-            scaled.add(d)
+    scaled = VertexTable()
+    for q in points:
+        d = tuple(map(as_scalar, _sub(q, points[0])))
+        if not all(type(c) is Fraction for c in d):
+            scaled = None
+            break
+        scaled.add(d)
     rational, w = scaled is not None, 1
     if rational:
         points, w = _scaled_points(scaled)

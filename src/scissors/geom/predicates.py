@@ -10,13 +10,17 @@ minors of the last two points, each computed once (as in Shewchuk's
 orient3d).  `hdet` of a k × k matrix is the cofactor row of its first
 k − 1 rows applied to the last, and `orient` is (−1)ⁿ times the sign of
 `hdet` of the points as given.  The formulas use only +, − and ×, so they
-are exact on Fraction and every other exact scalar as well.
+are exact on Fraction and every other exact scalar as well.  `cut_point`
+and `plane_key` divide integer entries by their content, so a cut point
+made from earlier cut points is no bigger than the planes that define it.
 """
 
+from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from ..linalg import primitive
-from ..scalars import scalar_sign
+from ..scalars import as_scalar, scalar_key, scalar_sign
 
 # named in benchmark provenance records (perfbench/worker.py)
 KERNEL = "pure"
@@ -79,14 +83,41 @@ def side(func, point):
     return (v > 0) - (v < 0)
 
 
+def plane_key(func):
+    """A hashable name of the plane of a functional, the same for every
+    functional proportional to it, or None for the zero functional: its
+    entries divided by the first nonzero one, as scalar keys, or, when
+    those quotients are rational, as the primitive integer vector they
+    span, which `primitive` gives an integer functional directly."""
+    if all([type(c) is int for c in func]):
+        return primitive(func) if any(func) else None
+    lead = next((c for c in func if scalar_sign(c)), None)
+    if lead is None:
+        return None
+    func = [as_scalar(as_scalar(c) / lead) for c in func]
+    if not all([type(c) is Fraction for c in func]):
+        return tuple(map(scalar_key, func))
+    den = lcm(*[c.denominator for c in func])
+    return primitive([c.numerator * (den // c.denominator) for c in func])
+
+
 def cut_point(alpha, beta, a, b):
     """Intersection of segment ab with the functional's zero set.
 
-    alpha = L(a), beta = L(b) must have strictly opposite signs; returns a
-    normalized homogeneous point on the open segment.
+    alpha = L(a), beta = L(b) must have strictly opposite signs and the
+    weights of a and b be positive; returns a homogeneous point on the open
+    segment with positive weight, divided by its content when its entries
+    are integers (so its size is fixed by the planes that define it, not by
+    the cuts that led to it).
     """
-    p = tuple(beta * ai - alpha * bi for ai, bi in zip(a, b))
-    return primitive(p, p[-1])
+    # the weight β·w_a − α·w_b is positive when α < 0 < β; keeping it
+    # positive lets the raw sign of a functional give a vertex's side
+    if scalar_sign(alpha) > 0:
+        alpha, beta, a, b = beta, alpha, b, a
+    p = tuple([beta * ai - alpha * bi for ai, bi in zip(a, b)])
+    if all(type(c) is int for c in p):
+        return primitive(p, 1)
+    return p
 
 
 def centroid(points):

@@ -66,52 +66,25 @@ def cell_cap() -> int:
     return cap
 
 
-# -- planes and cut points ------------------------------------------------------
+# -- planes ---------------------------------------------------------------------
 
 def _group_by_plane(items):
     """[(functional, [key, ...])] for the (key, functional) items, one per
-    plane in order of first appearance, zero functionals dropped.  A plane
-    is named by its first functional, negated when its first nonzero entry
-    is negative, and holds every functional proportional to it."""
-    groups = []
-    buckets = {}  # sign pattern -> the groups whose name has it
+    plane (`plane_key`) in order of first appearance, zero functionals
+    dropped.  A plane is named by its first functional, negated when its
+    first nonzero entry is negative."""
+    groups = {}
     for k, func in items:
-        signs = tuple([scalar_sign(c) for c in func])
-        lead = next((sg for sg in signs if sg), 0)
-        if not lead:
+        key = hp.plane_key(func)
+        if key is None:
             continue
-        if lead < 0:
-            func = tuple([-c for c in func])
-            signs = tuple([-sg for sg in signs])
-        # a named functional and a positive multiple share a sign pattern
-        bucket = buckets.setdefault(signs, [])
-        for g, keys in bucket:
-            if _proportional(func, g):
-                keys.append(k)
-                break
-        else:
-            bucket.append((func, [k]))
-            groups.append(bucket[-1])
-    return groups
-
-
-def _proportional(f, g) -> bool:
-    n = len(f)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if scalar_sign(f[i] * g[j] - f[j] * g[i]) != 0:
-                return False
-    return True
-
-
-def _cut(alpha, beta, a, b):
-    """The homogeneous point where segment ab meets the plane whose values
-    alpha at a and beta at b have strictly opposite signs."""
-    # the weight β·w_a − α·w_b is positive when α < 0 < β; keeping it
-    # positive lets the raw sign of a functional give a vertex's side
-    if scalar_sign(alpha) > 0:
-        alpha, beta, a, b = beta, alpha, b, a
-    return tuple([beta * ai - alpha * bi for ai, bi in zip(a, b)])
+        g = groups.get(key)
+        if g is None:
+            if next(scalar_sign(c) for c in func if scalar_sign(c)) < 0:
+                func = tuple([-c for c in func])
+            g = groups[key] = (func, [])
+        g[1].append(k)
+    return list(groups.values())
 
 
 # -- the splitting engine -------------------------------------------------------
@@ -154,7 +127,8 @@ def _split_by_plane(frontier, table, func, bit, known=()):
             c = cuts.get(key)
             if c is None:
                 c = cuts[key] = len(table)
-                table.append(_cut(vals[a], vals[b], table[a], table[b]))
+                table.append(hp.cut_point(vals[a], vals[b], table[a],
+                                           table[b]))
                 vals.append(0)
                 signs.append(0)
             stack.append(piece[:j] + (c,) + piece[j + 1:])

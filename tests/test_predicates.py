@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from scissors.algebraic import lift, make_algebraic, scalar_sign
+from scissors.algebraic import lift, make_algebraic, scalar_sign, sqrt_nonneg
 from scissors.geom import from_homog
 from scissors.geom.predicates import (
     apply_functional,
@@ -21,6 +21,7 @@ from scissors.geom.predicates import (
     hdet,
     hyperplane,
     orient,
+    plane_key,
     side,
 )
 from scissors.linalg import det_small, primitive
@@ -230,3 +231,28 @@ def test_sizes_above_e3_raise():
         hdet([[int(i == j) for j in range(5)] for i in range(5)])
     with pytest.raises(ValueError):
         hyperplane([tuple(int(i == j) for j in range(5)) for i in range(4)])
+
+
+def test_plane_key_names_proportional_functionals_alike():
+    # integer, rational and irrational multiples of one functional share a
+    # key; a functional off the plane, or of another plane, does not
+    root2 = sqrt_nonneg(2)
+    for rng in streams(3, 50):
+        f = hyperplane([rand_point(rng, 3, 50) for _ in range(3)])
+        if not any(f):
+            continue
+        key = plane_key(f)
+        assert key == primitive(f)
+        k = rng.randint(1, 9) * rng.choice((-1, 1))
+        assert plane_key(tuple(k * c for c in f)) == key
+        assert plane_key(tuple(Fraction(c, 7 * k) for c in f)) == key
+        moved = tuple(root2 * c for c in f)
+        assert plane_key(moved) == key
+        assert plane_key(tuple(-c for c in moved)) == key
+        g = f[:-1] + (f[-1] + 1,)
+        assert plane_key(g) != key
+        assert plane_key(tuple(root2 * c for c in g)) != key
+        # an irrational plane: the quotients are not all rational
+        h = f[:-1] + (f[-1] + root2,)
+        assert plane_key(h) == plane_key(tuple(Fraction(k, 3) * c for c in h))
+        assert plane_key(h) != key

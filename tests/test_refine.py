@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 
@@ -35,7 +36,6 @@ from scissors.geom.refine import (
     refinement_pieces,
     split_simplex,
     verify_dissection,
-    _cut,
     _group_by_plane,
     _refine_cell,
 )
@@ -225,7 +225,7 @@ def _oracle_split(pts, func, out, sides):
         for j in range(i + 1, len(pts)):
             if signs[j] == 0 or signs[j] == signs[i]:
                 continue
-            cut = _cut(vals[i], vals[j], pts[i], pts[j])
+            cut = hp.cut_point(vals[i], vals[j], pts[i], pts[j])
             _oracle_split(pts[:i] + (cut,) + pts[i + 1:], func, out, sides)
             _oracle_split(pts[:j] + (cut,) + pts[j + 1:], func, out, sides)
             return
@@ -322,6 +322,11 @@ def test_refinement_pieces_match_recursive_splitter():
             for v in vols[1:]:
                 total = total + v
             assert scalar_sign(total - _hvolume(pts)) == 0
+            # a cut point keeps a positive weight and, on integer points,
+            # its reduced form, however many cuts led to it
+            for p in table[len(pts):]:
+                assert scalar_sign(p[-1]) > 0
+                assert not _integer(cells) or gcd(*p) == 1
             for piece, mask in frontier:
                 for bit, func in enumerate(planes):
                     side = 1 if mask >> bit & 1 else -1
