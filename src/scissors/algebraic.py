@@ -19,7 +19,7 @@ exactly.
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, lcm
 
 from . import numberfield
 from .errors import SizeCap
@@ -363,37 +363,17 @@ def make_algebraic(coeffs, interval) -> AlgebraicReal:
 
 def sqrt_nonneg(x):
     """Exact square root of a nonnegative scalar: a Fraction when perfect,
-    else in the quadratic extension of the radicand's field."""
-    x = as_scalar(x)
-    if isinstance(x, (Fraction, Num)):
-        if scalar_sign(x) < 0:
-            raise NegativeSqrt(f"sqrt of negative value {x}")
-        root = numberfield.sqrt(x)
-        if root is not None:
-            return root
-        x = as_algebraic(x)  # √x needs a field above MAX_DEGREE
-    if x.sign() < 0:
-        raise NegativeSqrt("sqrt of negative algebraic number")
-    if x.sign() == 0:
-        return Fraction(0)
-    # candidates: irreducible factors of f(t^2)
-    f = x.minpoly()
-    doubled = []
-    for c in f:
-        doubled.append(c)
-        doubled.append(0)
-    cands = factor(doubled[:-1])
-
-    def window():
-        # √(p/q) = √(pq)/q lies in [⌊√(pq)⌋/q, (⌊√(pq)⌋ + 1)/q]
-        lo, hi = x.interval()
-        lo = max(lo, Fraction(0))
-        a, b = (isqrt(v.numerator * v.denominator) for v in (lo, hi))
-        return Fraction(a, lo.denominator), Fraction(b + 1, hi.denominator)
-
-    while x.interval()[0] < 0:
-        x.refine()
-    return as_scalar(_select_root(cands, window, (x,)))
+    else in the quadratic extension of the radicand's field; a literal is
+    lifted into its field ℚ(α) first.  Raises SizeCap when the root would
+    need a field above `numberfield.MAX_DEGREE`, as `lift` does."""
+    (x,) = lift([x])
+    if scalar_sign(x) < 0:
+        raise NegativeSqrt(f"sqrt of negative value {x}")
+    root = numberfield.sqrt(x)
+    if root is None:
+        raise SizeCap(f"a square root in a number field of degree above "
+                      f"{numberfield.MAX_DEGREE}")
+    return root
 
 
 # -- scalar helpers: geometry works over Fraction | AlgebraicReal ------------

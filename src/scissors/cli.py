@@ -17,6 +17,7 @@ import sys
 
 from .errors import (
     DEFAULT_HEIGHT_BOUND,
+    MAX_HEIGHT_BOUND,
     DegreeOutOfRange,
     GeometryError,
     InvalidComplex,
@@ -38,7 +39,6 @@ from .numbers import format_number, parse_fraction
 from .report import (
     ReportTimer,
     canonical_json,
-    check_report_shape,
     digest_inputs,
     make_report,
     recheck_certificates,
@@ -229,8 +229,13 @@ def _tower_number(value):
 
 def cmd_recheck(args) -> dict:
     report = load_json(args.report)
-    check_report_shape(report, args.report)
-    outcome = recheck_certificates(report)
+    if not isinstance(report, dict):
+        raise ParseError(f"{args.report}: a report must be a JSON object")
+    # an object without a digest is no report, so no recheck of it fails
+    if not isinstance(report.get("digest"), str):
+        raise ParseError(f"{args.report}: the report needs a 'digest' field "
+                         "of type str")
+    outcome = recheck_certificates(report, args.report)
     # the input is the report less its timing, so that reruns agree
     body = canonical_json(strip_timing(report)).encode()
     out = {"results": outcome, "certificates": [], "inputs": [body]}
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope-info", help="volume, edges, Dehn invariant")
     p.add_argument("file")
-    p.add_argument("--height-bound", type=_int_in(1),
+    p.add_argument("--height-bound", type=_int_in(1, MAX_HEIGHT_BOUND),
                    default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--exact-strict", action="store_true")
     p.set_defaults(fn=cmd_polytope_info)
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="scissors-congruence verdict")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--height-bound", type=_int_in(1),
+    p.add_argument("--height-bound", type=_int_in(1, MAX_HEIGHT_BOUND),
                    default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--exact-strict", action="store_true")
     p.add_argument("--recheck", action="store_true",

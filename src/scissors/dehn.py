@@ -381,30 +381,32 @@ def _rational_square(value):
     return Fraction(-f[0], f[2]), x.sign()
 
 
-def block_holds(cert) -> bool:
-    """The recheck of a "dehn-block" certificate.  The classes of every term
-    are recomputed from its literals (m of ℓ², s of cos²θ·sin²θ); the block
-    (m, s) must hold exactly one of them, `term`, with a nonzero length and
-    an angle that is no rational multiple of π (Niven: cos²θ is not in
+def block_holds(m, s, term, terms) -> bool:
+    """The recheck of a "dehn-block" certificate from the literals its
+    recheck has read: the classes m and s, and the named term and every
+    term, each as its (cos, sin, length) literals.  The classes of every
+    term are recomputed (m of ℓ², s of cos²θ·sin²θ); the block (m, s) must
+    hold exactly one of them, `term`, with a nonzero length and an angle
+    that is no rational multiple of π (Niven: cos²θ is not in
     {0, 1/4, 1/2, 3/4, 1})."""
-    m, s = parse_number(cert["m"]), parse_number(cert["s"])
+    m, s = parse_number(m), parse_number(s)
     if not (isinstance(m, Fraction) and isinstance(s, Fraction)):
         return False
     in_block = []
-    for term in cert["terms"]:
-        parts = [_rational_square(term[k]) for k in ("length", "cos", "sin")]
+    for t in terms:
+        parts = [_rational_square(x) for x in t]
         if None in parts:
             return False
-        (l2, _), (c2, c_sign), (s2, s_sign) = parts
+        (c2, c_sign), (s2, s_sign), (l2, _) = parts
         if s_sign < 0 or c2 + s2 != 1:
             return False
         if l2 and same_square_class(l2, m) and \
                 same_square_class(c2 * s2, s):
-            in_block.append((term, AnglePair.from_cos2(c2, c_sign)))
+            in_block.append((t, AnglePair.from_cos2(c2, c_sign)))
     if len(in_block) != 1:
         return False
-    term, angle = in_block[0]
-    return term == cert["term"] and is_rational_angle(angle) is None
+    t, angle = in_block[0]
+    return t == term and is_rational_angle(angle) is None
 
 
 class CongruenceVerdict:

@@ -22,8 +22,8 @@ norm is no rational square; otherwise the roots of t² − r in ℚ(α) come fro
 `algebraic.roots_in`, by a norm factored over ℤ.  Values of two towers combine
 when one tower can be rebuilt over the other's field one square root at a
 time.  Values whose towers do not combine are read as literals and lifted
-into one field ℚ(γ) by `algebraic.lift`; a radicand whose extension would be
-above MAX_DEGREE has its root read off a factor of m_r(t²).
+into one field ℚ(γ) by `algebraic.lift`.  A square root whose extension would
+be above MAX_DEGREE is not taken: `algebraic.sqrt_nonneg` raises SizeCap.
 """
 
 from fractions import Fraction
@@ -36,7 +36,8 @@ from .poly import _canonical_single, count_roots, root_index
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
 # no field above this degree over ℚ is built: `sqrt_over` returns None for a
-# square root that would need one, and `algebraic.lift` raises SizeCap
+# square root that would need one, and `algebraic.lift` and
+# `algebraic.sqrt_nonneg` raise SizeCap
 MAX_DEGREE = 32
 
 

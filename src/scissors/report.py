@@ -74,126 +74,105 @@ def verify_report_digest(report: dict) -> bool:
 _NUMBER = (str, int, dict)   # the JSON types a number literal can take
 
 
-def check_report_shape(report, source: str) -> None:
-    """Raise ParseError unless `report` is an object whose certificates have
-    every field, of the right JSON type, that recheck_certificates reads.
+def recheck_certificates(report: dict, source: str = "report"):
+    """Re-verify every embedded certificate with exact arithmetic only.
 
-    Only the shape is checked here, so that the exact re-verification runs on
-    well-formed input and any exception it raises is a fault of its own."""
-    from .numbers import ParseError
-
-    def need(obj, key, kind, where):
-        value = obj.get(key) if isinstance(obj, dict) else None
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ParseError(f"{source}: {where} needs a {key!r} field "
-                             f"of type {'/'.join(k.__name__ for k in kind)}")
-        return value
-
-    def optional_list(obj, key, where):
-        return need({key: [], **obj}, key, (list,), where)
-
-    def angle(obj, where):
-        need(obj, "cos", _NUMBER, where)
-        need(obj, "sin", _NUMBER, where)
-
-    if not isinstance(report, dict):
-        raise ParseError(f"{source}: a report must be a JSON object")
-    certificates = report.get("certificates", [])
-    if not isinstance(certificates, list):
-        raise ParseError(f"{source}: 'certificates' must be a list")
-    for i, cert in enumerate(certificates):
-        where = f"certificate {i}"
-        if not isinstance(cert, dict):
-            raise ParseError(f"{source}: {where} is not a JSON object")
-        kind = cert.get("type")
-        if kind == "angle-relations":
-            for j, rel in enumerate(optional_list(cert, "relations", where)):
-                at = f"{where} relation {j}"
-                angles = need(need(rel, "witness", (dict,), at), "angles",
-                              (list,), at + " witness")
-                for a in angles:
-                    angle(a, at + " angle")
-                coefficients = need(rel, "coefficients", (list,), at)
-                if len(coefficients) != len(angles) or any(
-                        isinstance(m, bool) or not isinstance(m, int)
-                        for m in coefficients):
-                    raise ParseError(f"{source}: {at} needs one integer "
-                                     "coefficient per angle")
-        elif kind == "rational-angles":
-            for j, drop in enumerate(optional_list(cert, "dropped", where)):
-                need(drop, "cos", _NUMBER, f"{where} dropped {j}")
-                need(drop, "q", _NUMBER, f"{where} dropped {j}")
-        elif kind == "nonzero-dehn":
-            angle(need(cert, "angle", (dict,), where), where + " angle")
-            need(cert, "length", _NUMBER, where)
-            need(cert, "two_cos_minpoly", (list,), where)
-        elif kind == "volume-mismatch":
-            need(cert, "volume_a", _NUMBER, where)
-            need(cert, "volume_b", _NUMBER, where)
-        elif kind == "dehn-block":
-            need(cert, "m", _NUMBER, where)
-            need(cert, "s", _NUMBER, where)
-            for j, term in enumerate([need(cert, "term", (dict,), where)]
-                                     + need(cert, "terms", (list,), where)):
-                angle(term, f"{where} term {j}")
-                need(term, "length", _NUMBER, f"{where} term {j}")
-    # an object without a digest is no report, so no recheck of it fails
-    need(report, "digest", (str,), "the report")
-
-
-def recheck_certificates(report: dict):
-    """Re-verify every embedded certificate with exact arithmetic only."""
+    One pass reads each field once, through `need`: a missing field, one of
+    the wrong JSON type or a bad literal raises ParseError before anything
+    is computed from it.  A cos/sin pair that is no angle fails its check;
+    a relation coefficient above MAX_HEIGHT_BOUND raises SizeCap."""
     from .angles import (
         AnglePair,
         is_rational_angle,
         two_cos_minpoly,
         verify_relation,
     )
+    from .dehn import block_holds
+    from .errors import MAX_HEIGHT_BOUND, ParseError, SizeCap
     from .numbers import one_field, parse_number
     from .scalars import scalar_sign
 
+    def need(obj, key, where, kind=_NUMBER):
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ParseError(f"{source}: {where} needs a {key!r} field "
+                             f"of type {'/'.join(k.__name__ for k in kind)}")
+        return value
+
+    def literals(obj, where, keys=("cos", "sin")):
+        return [need(obj, key, where) for key in keys]
+
+    def angle(make, *values):
+        """make(*values), the literals parsed, or None if AnglePair refuses."""
+        try:
+            return make(*one_field(parse_number(v) for v in values))
+        except ParseError:
+            raise   # a bad literal is an input error
+        except ValueError:
+            return None   # values that are no angle fail their check
+
+    certificates = report.get("certificates", [])
+    if not isinstance(certificates, list):
+        raise ParseError(f"{source}: 'certificates' must be a list")
     checks = []
-    for cert in report.get("certificates", []):
+    for i, cert in enumerate(certificates):
+        where = f"certificate {i}"
+        if not isinstance(cert, dict):
+            raise ParseError(f"{source}: {where} is not a JSON object")
         kind = cert.get("type")
         if kind == "angle-relations":
-            for rel in cert.get("relations", []):
-                angles = [AnglePair.from_json(a)
-                          for a in rel["witness"]["angles"]]
-                ok = verify_relation(angles, rel["coefficients"])
-                checks.append({"certificate": kind,
-                               "coefficients": rel["coefficients"],
-                               "pass": ok})
+            for j, rel in enumerate(need({"relations": [], **cert},
+                                         "relations", where, (list,))):
+                at = f"{where} relation {j}"
+                pairs = [literals(a, at + " angle") for a in need(
+                    need(rel, "witness", at, (dict,)), "angles",
+                    at + " witness", (list,))]
+                ms = need(rel, "coefficients", at, (list,))
+                if len(ms) != len(pairs) or any(
+                        isinstance(m, bool) or not isinstance(m, int)
+                        for m in ms):
+                    raise ParseError(f"{source}: {at} needs one integer "
+                                     "coefficient per angle")
+                if any(abs(m) > MAX_HEIGHT_BOUND for m in ms):
+                    raise SizeCap(f"{at}: coefficient > {MAX_HEIGHT_BOUND}")
+                # the angles in one field, where the product is taken
+                values = one_field(parse_number(v) for p in pairs for v in p)
+                angles = [angle(AnglePair, *values[k:k + 2])
+                          for k in range(0, len(values), 2)]
+                checks.append({"certificate": kind, "coefficients": ms,
+                               "pass": None not in angles
+                               and verify_relation(angles, ms)})
         elif kind == "rational-angles":
-            for drop in cert.get("dropped", []):
-                cos = parse_number(drop["cos"])
-                pair = AnglePair.from_cos(cos)
-                q = is_rational_angle(pair)
-                want = parse_number(drop["q"])
-                checks.append({"certificate": kind, "cos": drop["cos"],
-                               "pass": q is not None and q == want})
+            for j, drop in enumerate(need({"dropped": [], **cert},
+                                          "dropped", where, (list,))):
+                cos, q = literals(drop, f"{where} dropped {j}", ("cos", "q"))
+                pair, want = angle(AnglePair.from_cos, cos), parse_number(q)
+                got = pair and is_rational_angle(pair)
+                checks.append({"certificate": kind, "cos": cos,
+                               "pass": got is not None and got == want})
         elif kind == "nonzero-dehn":
-            angle = AnglePair.from_json(cert["angle"])
-            irrational = is_rational_angle(angle) is None
-            nonzero_len = parse_number(cert["length"]) != 0
-            monic_claim = bool(cert.get("monic"))
-            minpoly = two_cos_minpoly(angle)
-            poly_matches = [str(c) for c in minpoly] == \
-                cert["two_cos_minpoly"]
-            monic_actual = minpoly[-1] == 1
-            checks.append({
-                "certificate": kind,
-                "pass": irrational and nonzero_len and poly_matches
-                and monic_actual == monic_claim,
-            })
+            cos_sin = need(cert, "angle", where, (dict,))
+            pair = angle(AnglePair, *literals(cos_sin, where + " angle"))
+            length = parse_number(need(cert, "length", where))
+            printed = need(cert, "two_cos_minpoly", where, (list,))
+            minpoly = pair and two_cos_minpoly(pair)
+            checks.append({"certificate": kind, "pass": pair is not None
+                           and is_rational_angle(pair) is None and length != 0
+                           and [str(c) for c in minpoly] == printed
+                           and (minpoly[-1] == 1) == bool(cert.get("monic"))})
         elif kind == "volume-mismatch":
-            va, vb = one_field([parse_number(cert["volume_a"]),
-                                parse_number(cert["volume_b"])])
+            va, vb = one_field(parse_number(v) for v in literals(
+                cert, where, ("volume_a", "volume_b")))
             checks.append({"certificate": kind,
                            "pass": scalar_sign(va - vb) != 0})
         elif kind == "dehn-block":
-            from .dehn import block_holds
-            checks.append({"certificate": kind, "m": cert["m"],
-                           "s": cert["s"], "pass": block_holds(cert)})
+            m, s = need(cert, "m", where), need(cert, "s", where)
+            terms = [need(cert, "term", where, (dict,))] + need(
+                cert, "terms", where, (list,))
+            terms = [literals(t, f"{where} term {j}", ("cos", "sin", "length"))
+                     for j, t in enumerate(terms)]
+            checks.append({"certificate": kind, "m": m, "s": s,
+                           "pass": block_holds(m, s, terms[0], terms[1:])})
         else:
             checks.append({"certificate": str(kind), "pass": False,
                            "note": "unknown certificate type"})
@@ -203,4 +182,3 @@ def recheck_certificates(report: dict):
         "checks": checks,
         "recheck_passed": digest_ok and all(c["pass"] for c in checks),
     }
-

@@ -10,10 +10,12 @@ from scissors.algebraic import (
     NoRootInInterval,
     as_scalar,
     field_ops,
+    lift,
     make_algebraic,
     scalar_sign,
     sqrt_nonneg,
 )
+from scissors.errors import SizeCap
 from scissors.numbers import (
     ParseError,
     format_fraction,
@@ -112,6 +114,15 @@ def test_sqrt_nonneg():
     r = make_algebraic([-2, 0, 1], (1, 2))
     q = sqrt_nonneg(r)
     assert (q * q * q * q) == 2
+
+
+def test_sqrt_above_max_degree_is_a_size_cap():
+    # the square root of the generator of ℚ(2^(1/17)) needs a field of
+    # degree 34, above numberfield.MAX_DEGREE, as a literal and in its field
+    r = make_algebraic([-2] + [0] * 16 + [1], (1, 2))
+    for x in (r, *lift([r])):
+        with pytest.raises(SizeCap):
+            sqrt_nonneg(x)
 
 
 def test_mixed_arithmetic_with_rationals():

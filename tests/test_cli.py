@@ -17,10 +17,12 @@ from scissors.geom.convex import (
     unit_cube,
 )
 from scissors.io import polytope_from_json, polytope_to_json
+from scissors.numbers import format_number, parse_number
 from scissors.report import (
-    check_report_shape,
+    digest_of,
     make_report,
     recheck_certificates,
+    strip_timing,
     verify_report_digest,
 )
 
@@ -157,7 +159,6 @@ def test_cli_compare_hilbert(fixtures):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["verdict"]["tag"] == "NotCongruent_Dehn"
-    check_report_shape(report, "report")
     recheck = recheck_certificates(report)
     assert recheck["recheck_passed"]
 
@@ -174,7 +175,6 @@ def test_cli_compare_volume(fixtures):
                    str(fixtures / "cube.json"))
     report = json.loads(proc.stdout)
     assert report["results"]["verdict"]["tag"] == "NotCongruent_Volume"
-    check_report_shape(report, "report")
     recheck = recheck_certificates(report)
     assert recheck["recheck_passed"]
 
@@ -231,6 +231,16 @@ BAD_LITERAL_REPORTS = [
         "type": "volume-mismatch", "volume_a": "rat:1/1",
         "volume_b": {"minpoly": ["-2", "0", "1"], "lo": "-2", "hi": "2"}}],
      "digest": "x"},
+    # literals read as an angle: a bad one is bad input, not a failed check
+    {"certificates": [{
+        "type": "nonzero-dehn", "two_cos_minpoly": ["-2", "3"],
+        "angle": {"cos": "rat:1/3", "sin": {"minpoly": ["-8", "0", "9"],
+                                            "lo": "-1", "hi": "1"}},
+        "length": "rat:1/1"}], "digest": "x"},
+    {"certificates": [{
+        "type": "rational-angles", "dropped": [
+            {"cos": {"minpoly": ["-1", "0", "3"], "lo": "-1", "hi": "1"},
+             "q": "rat:1/2"}]}], "digest": "x"},
 ]
 
 
@@ -249,15 +259,16 @@ BAD_LITERAL_REPORTS = [
     ("phi", "--tensor", {"terms": [{"cos": "t", "length": [1]}]},
      "--tower", TOWER),
     ("recheck", [{"certificates": []}]),
-    ("recheck", {"certificates": [{"type": "nonzero-dehn"}]}),
-    ("recheck", {"certificates": {"type": "volume-mismatch"}}),
-    ("recheck", {"certificates": [{"type": "angle-relations",
-                                   "relations": [{"coefficients": [1]}]}]}),
-    ("recheck", {"certificates": [{"type": "angle-relations", "relations": [
-        {"witness": {"angles": [{"cos": "rat:0/1", "sin": "rat:1/1"}]},
-         "coefficients": ["2"]}]}]}),
-    ("recheck", {"certificates": [{"type": "rational-angles",
-                                   "dropped": [{"cos": "rat:1/2"}]}]}),
+    # reports whose certificates lack a field or have one of the wrong type
+    *(("recheck", {"certificates": certificates, "digest": "x"})
+      for certificates in (
+          [{"type": "nonzero-dehn"}],
+          {"type": "volume-mismatch"},
+          [{"type": "angle-relations", "relations": [{"coefficients": [1]}]}],
+          [{"type": "angle-relations", "relations": [
+              {"witness": {"angles": [{"cos": "rat:0/1", "sin": "rat:1/1"}]},
+               "coefficients": ["2"]}]}],
+          [{"type": "rational-angles", "dropped": [{"cos": "rat:1/2"}]}])),
     *(("recheck", report) for report in BAD_LITERAL_REPORTS),
     ("homology", "--complex",
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[5, 0, 1]]}}),
@@ -321,6 +332,9 @@ BAD_LITERAL_REPORTS = [
      {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]},
      {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
     ("compare", "--height-bound", "-1",
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]},
+     {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
+    ("compare", "--height-bound", "10001",
      {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]},
      {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
     # two algebraic generators not shown to give a field: b − 2a and b + 2a
@@ -517,21 +531,141 @@ def test_cli_hexagon_prism_info(tmp_path):
     dropped = [c for c in report["certificates"]
                if c["type"] == "rational-angles"][0]["dropped"]
     assert any(d["q"] == "rat:2/3" for d in dropped)  # hexagon corner angle
-    check_report_shape(report, "report")
     recheck = recheck_certificates(report)
     assert recheck["recheck_passed"]
 
 
-def test_report_shape_accepts_angle_relations():
-    # the tetrahedral and octahedral dihedral angles sum to π
+def _relation_report(coefficients=(1, 1)):
+    """A report whose one certificate is the relation, with the given
+    coefficients, of the tetrahedral and octahedral dihedral angles, which
+    sum to π."""
     from fractions import Fraction
     from scissors.angles import AnglePair, certified_relation
     rel = certified_relation([AnglePair.from_cos(Fraction(1, 3)),
                               AnglePair.from_cos(Fraction(-1, 3))], [1, 1])
-    report = make_report(["test"], "", {}, [
-        {"type": "angle-relations", "relations": [rel.to_json()]}])
-    check_report_shape(report, "report")
-    assert recheck_certificates(report)["recheck_passed"]
+    rel = dict(rel.to_json(), coefficients=list(coefficients))
+    return make_report(["test"], "", {}, [
+        {"type": "angle-relations", "relations": [rel]}])
+
+
+def test_report_shape_accepts_angle_relations():
+    assert recheck_certificates(_relation_report())["recheck_passed"]
+
+
+def _resigned(report):
+    """`report` with its digest made to match its fields again."""
+    body = strip_timing(report)
+    body.pop("recheck", None)
+    body.pop("digest")
+    return dict(report, digest=digest_of(body))
+
+
+def _recheck(report, tmp_path, capsys):
+    """The exit code and the stderr lines of `recheck` of `report`."""
+    from scissors import cli
+
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = cli.main(["recheck", str(path)])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_recheck_caps_relation_coefficients(tmp_path, capsys):
+    # ∏(cosθ + i·sinθ)^{2m} is evaluated up to |m| = MAX_HEIGHT_BOUND; above
+    # it recheck ends in exit 4 before any arithmetic, which at 10¹⁰⁰ would
+    # not end
+    from scissors.errors import MAX_HEIGHT_BOUND
+
+    assert _recheck(_relation_report([MAX_HEIGHT_BOUND] * 2), tmp_path,
+                    capsys) == (0, [])
+    for m in (MAX_HEIGHT_BOUND + 1, -10 ** 100):
+        code, err = _recheck(_relation_report([1, m]), tmp_path, capsys)
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("resource cap: "), err
+
+
+def _negated(literal):
+    return format_number(-parse_number(literal))
+
+
+def _swapped(angle):
+    return dict(angle, cos=angle["sin"], sin=angle["cos"])
+
+
+def _tamperings(cert, rng):
+    """(path, change) pairs, each an edit of `cert` that its recheck must
+    see: the place of a field, drawn from `rng` where the certificate has
+    several, and the function that makes its new value of the old one."""
+    def pick(items):
+        return rng.randint(0, len(items) - 1)
+
+    kind = cert["type"]
+    if kind == "angle-relations":
+        r = pick(cert["relations"])
+        j = pick(cert["relations"][r]["coefficients"])
+        angle = ("relations", r, "witness", "angles", j)
+        return [(angle + ("sin",), _negated), (angle, _swapped),
+                (("relations", r, "coefficients", j),
+                 lambda m: m + rng.choice([-1, 1]))]
+    if kind == "rational-angles":
+        drop = ("dropped", pick(cert["dropped"]))
+        return [(drop + ("q",), lambda q: format_number(parse_number(q) / 2)),
+                (drop + ("cos",), lambda _: rng.choice(
+                    ["rat:3/1", "rat:1/3", "rat:-1/1"]))]
+    if kind == "nonzero-dehn":
+        return [(("angle", "sin"), _negated), (("angle",), _swapped),
+                (("two_cos_minpoly", pick(cert["two_cos_minpoly"])),
+                 lambda c: str(int(c) + 1)),
+                (("monic",), lambda monic: not monic),
+                (("length",), lambda _: "rat:0/1")]
+    if kind == "volume-mismatch":
+        return [(("volume_b",), lambda _: cert["volume_a"]),
+                (("volume_a",), lambda _: cert["volume_b"])]
+    assert kind == "dehn-block"
+    named = ("terms", cert["terms"].index(cert["term"]))
+    return [(("m",), lambda m: format_number(parse_number(m) + 1)),
+            (("s",), lambda s: format_number(parse_number(s) + 1)),
+            (("terms", pick(cert["terms"]), "sin"), _negated),
+            (rng.choice([("term",), named]) + ("length",), _negated)]
+
+
+def test_recheck_fails_every_tampered_certificate(fixtures, tmp_path,
+                                                  capsys):
+    # one report per certificate type, each certificate edited in seeded
+    # places and the digest signed again, so that the certificate alone
+    # decides: every edit ends in exit 1 with one line, never in exit 5
+    import copy
+
+    from scissors import cli
+    from scissors.rng import SplitMix64
+
+    reports = []
+    for argv in (["polytope-info", "cube"], ["polytope-info", "tetra"],
+                 ["compare", "cube", "box112"],
+                 ["compare", "cube", "tetra_vol1"],
+                 ["compare", "tetra_t1", "tetra_t2"]):
+        assert cli.main(argv[:1] + [str(fixtures / f"{name}.json")
+                                    for name in argv[1:]]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    reports.append(_relation_report())
+    assert {c["type"] for r in reports for c in r["certificates"]} == {
+        "rational-angles", "nonzero-dehn", "volume-mismatch", "dehn-block",
+        "angle-relations"}
+    for n, report in enumerate(reports):
+        assert _recheck(report, tmp_path, capsys) == (0, [])
+        for i, cert in enumerate(report["certificates"]):
+            rng = SplitMix64.stream(29, 8 * n + i)
+            for path, change in _tamperings(cert, rng):
+                bad = copy.deepcopy(report)
+                *where, key = (i,) + path
+                field = bad["certificates"]
+                for step in where:
+                    field = field[step]
+                field[key] = change(field[key])
+                code, err = _recheck(_resigned(bad), tmp_path, capsys)
+                assert code == 1, (path, err)
+                assert len(err) == 1 and err[0].startswith(
+                    "recheck failed: 1 of "), (path, err)
 
 
 def test_cli_recheck_roundtrip(fixtures, tmp_path):

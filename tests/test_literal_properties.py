@@ -362,7 +362,7 @@ POLYTOPE_FILES = ["@cube.json", "@cube_rot.json", "@box112.json",
 BAD_FILES = ["@missing.json", "@dir", "@empty.json", "@truncated.json",
              "@list.json", "@nan.json", "@latin1.json", "@nested.json"]
 # each pool holds small in-range values, out-of-range and non-numeric ones
-HEIGHT_BOUNDS = ["1", "20", "0", "-1", "x", "", "2.5"]
+HEIGHT_BOUNDS = ["1", "20", "0", "-1", "10001", "x", "", "2.5"]
 SEEDS = ["0", "7", "-5", "x", ""]
 CASES = ["1", "0", "-1", "1001", "x"]
 # a built-in algebra caps the degree at 3 (1 for mat4)
