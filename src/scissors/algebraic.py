@@ -421,7 +421,8 @@ def lift(values) -> list:
     written in one number field ℚ(α).  Elements of one field ℚ(α) keep their
     field and the literals join it; elements of several fields, or of a tower
     of square roots, are read as literals first.  A literal grows the field
-    only when it lies outside it.  Raises SizeCap when it would grow it above
+    only when it lies outside it, and each field is built once per
+    generator (`_field`).  Raises SizeCap when it would grow it above
     `numberfield.MAX_DEGREE`."""
     values = [as_scalar(v) for v in values]
     if not any(isinstance(v, AlgebraicReal) for v in values):
@@ -437,7 +438,7 @@ def lift(values) -> list:
         if not isinstance(v, AlgebraicReal) or v.key() in image:
             continue
         if K is None:
-            K = SimpleField(v.minpoly(), *v.interval())
+            K = _field(v)
             image[v.key()] = K.generator()
             continue
         x = _member(v, K)
@@ -450,6 +451,18 @@ def lift(values) -> list:
         image[v.key()] = x
     return [image[v.key()] if isinstance(v, AlgebraicReal) else v
             for v in values]
+
+
+# one ℚ(α) per key of α (its polynomial and root index), so that values of
+# one literal lifted in separate calls combine without `numberfield._fallback`
+_FIELDS: dict = {}
+
+
+def _field(alpha: AlgebraicReal) -> SimpleField:
+    key = alpha.key()
+    if key not in _FIELDS:
+        _FIELDS[key] = SimpleField(alpha.minpoly(), *alpha.interval())
+    return _FIELDS[key]
 
 
 def _embedding(n, alpha):
@@ -543,7 +556,7 @@ def _compositum(K, x: AlgebraicReal):
         if g.degree() > numberfield.MAX_DEGREE:
             raise SizeCap(f"a number field of degree {g.degree()} above "
                           f"{numberfield.MAX_DEGREE}")
-        L = SimpleField(g.minpoly(), *g.interval())
+        L = _field(g)
         a = _common_root(f, h, L.generator(), -k)
         if a is not None:
             return L, a, L.generator() - k * a

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DEFAULT_HEIGHT_BOUND
-from .numbers import format_number, one_field, parse_number
+from .numbers import format_number
 from .scalars import as_scalar, format_sqrt, scalar_key, scalar_sign, surd
 
 DEFAULT_PROPOSE_BITS = 256
@@ -127,13 +127,6 @@ class AnglePair:
                     "sin": format_sqrt(1 - self.cos2)}
         return {"cos": format_number(self._cos),
                 "sin": format_number(self._sin)}
-
-    @classmethod
-    def from_json(cls, obj) -> "AnglePair":
-        # cos and sin in one number field where they share one, as in the
-        # polytope they were computed from
-        return cls(*one_field([parse_number(obj["cos"]),
-                               parse_number(obj["sin"])]))
 
     def __repr__(self):
         return f"AnglePair(cos~{float(self.cos):.6g})"

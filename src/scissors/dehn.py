@@ -1,24 +1,25 @@
 """The length⊗angle invariant in ℝ⊗ℤ ℝ/ℤ, in certified normal form.
 
-A tensor is a list of (length, angle) terms.  Normalization drops rational
-multiples of π (ℓ⊗(p/q)π = 0), merges equal angles by summing lengths, and
-eliminates angles through certified integer relations ∑ m_j θ_j ≡ 0 (mod π):
-solving for the pivot pushes rational coefficients through the length slot,
-which is legal because lengths form a ℚ-vector space.  Every "nonzero"
-verdict is certified; "equal/zero" verdicts are conditional on the height
-bound of the relation search and say so.
+A tensor is a list of terms (c, m, s, angle) in blocks (m, s).
+Normalization drops rational multiples of π (ℓ⊗(p/q)π = 0), merges equal
+angles by summing lengths, and eliminates angles block by block through
+certified integer relations ∑ m_j θ_j ≡ 0 (mod π): θ and π − θ given by
+one rational cos² are related exactly, and the others as PSLQ proposes
+them.  Solving for the pivot pushes rational coefficients through the
+length slot, which is legal because lengths form a ℚ-vector space.  Every
+"nonzero" verdict is certified; "equal/zero" verdicts are conditional on
+the height bound of the relation search and say so.
 
-A rational polytope takes an exact path (Conway, Radin and Sadun, "On
-angles whose squared trigonometric functions are rational", Discrete
-Comput. Geom. 22 (1999)).  Its edges carry ℓ² and an angle given by cos²
-and the sign of cos, so a term is c√m ⊗ θ with c rational.  The term lies
-in the block (m, s): m is the square class of ℓ², and s that of
-cos²θ·(1 − cos²θ), as e^{2iθ} lies in ℚ(√−s).  Lengths of distinct classes
-are ℚ-independent, and so are angles of distinct classes modulo ℚπ, so the
-invariant vanishes exactly when every block does.  A block of one term is
-nonzero, as its angle is irrational, and needs no search; only a block of
-two or more angles goes to `find_angle_relations`, alone, after θ and
-π − θ in it are related exactly.
+A rational polytope's edges carry ℓ² and an angle given by cos² and the
+sign of cos (Conway, Radin and Sadun, "On angles whose squared
+trigonometric functions are rational", Discrete Comput. Geom. 22 (1999)),
+so its term stands for c√m ⊗ θ with c rational: m is the square class of
+ℓ², and s that of cos²θ·(1 − cos²θ), as e^{2iθ} lies in ℚ(√−s).  Lengths
+of distinct classes are ℚ-independent, and so are angles of distinct
+classes modulo ℚπ, so the invariant vanishes exactly when every block
+does.  Any other polytope's term has m = s = None and its length as c, and
+all its terms form one block.  A block of one term is nonzero, as its
+angle is irrational, and needs no search.
 """
 
 from fractions import Fraction
@@ -38,61 +39,54 @@ from .scalars import as_scalar, format_surd, scalar_sign, surd
 
 
 class DehnTensor:
-    """A normalized tensor: its (length, AnglePair) `terms`, the relations
-    and the rational angles its normalization used, and the height bound of
-    its relation search.
+    """A normalized tensor: its `terms` (c, m, s, angle), sorted by the
+    angle's key, then m, the relations and the rational angles its
+    normalization used, and the height bound of its relation search.  A
+    term is c√m ⊗ angle in the block (m, s), or c ⊗ angle when m and s are
+    None; its JSON is written from those, with no number field."""
 
-    A tensor of a rational polytope is kept as `rational`, its terms
-    (c, m, s, angle) for c√m ⊗ angle in the block (m, s), sorted by the
-    angle's key, then m; its JSON is written from those, and its `terms`,
-    in `numberfield`, are built when first read."""
-
-    __slots__ = ("_terms", "rational", "relations_used", "height_bound",
-                 "rational_drops")
+    __slots__ = ("terms", "relations_used", "height_bound", "rational_drops")
 
     def __init__(self, terms: list, relations_used: list = None,
                  height_bound: int = DEFAULT_HEIGHT_BOUND,
-                 rational_drops: list = None, rational: list = None):
-        self._terms = terms  # [(length scalar, AnglePair)], normal form
-        self.rational = rational
+                 rational_drops: list = None):
+        self.terms = terms
         self.relations_used = [] if relations_used is None else relations_used
         self.height_bound = height_bound
         self.rational_drops = [] if rational_drops is None else rational_drops
 
     @property
-    def terms(self) -> list:
-        if self._terms is None:
-            from .numberfield import sqrt
+    def rational(self) -> bool:
+        """Whether every term is a rational c√m ⊗ angle."""
+        return all(m is not None for _c, m, _s, _a in self.terms)
 
-            self._terms = [(c * sqrt(Fraction(m)), angle)
-                           for c, m, _s, angle in self.rational]
-        return self._terms
+    def pairs(self) -> list:
+        """The (length, angle) of each term, c√m built in `numberfield`."""
+        from .numberfield import sqrt
+
+        return [(c if m is None else c * sqrt(Fraction(m)), angle)
+                for c, m, _s, angle in self.terms]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(getattr(self, k) == getattr(other, k)
-                   for k in ("terms", "relations_used", "height_bound",
-                             "rational_drops"))
+                   for k in self.__slots__)
 
     __hash__ = None
 
     def is_empty(self) -> bool:
-        return not (self.terms if self.rational is None else self.rational)
+        return not self.terms
 
     def blocks(self) -> dict:
-        """{(m, s): [(c, angle), ...]} of a rational tensor, sorted."""
+        """{(m, s): [(c, angle), ...]}, sorted."""
         out = {}
-        for c, m, s, angle in self.rational:
+        for c, m, s, angle in self.terms:
             out.setdefault((m, s), []).append((c, angle))
         return dict(sorted(out.items()))
 
     def terms_json(self) -> list:
-        if self.rational is not None:
-            return [_term_json(c, m, angle)
-                    for c, m, _s, angle in self.rational]
-        return [{"length": format_number(as_scalar(l)), **a.to_json()}
-                for l, a in self.terms]
+        return [_term_json(c, m, angle) for c, m, _s, angle in self.terms]
 
     def to_json(self):
         return {
@@ -107,8 +101,9 @@ class DehnTensor:
 
 
 def _term_json(c, m, angle) -> dict:
-    """The JSON of the rational term c√m ⊗ angle."""
-    return {"length": format_surd(c, m), **angle.to_json()}
+    """The JSON of the term c√m ⊗ angle, or c ⊗ angle when m is None."""
+    length = format_number(as_scalar(c)) if m is None else format_surd(c, m)
+    return {"length": length, **angle.to_json()}
 
 
 def _merge(raw):
@@ -142,34 +137,6 @@ def _substitute(terms, rel):
     return out
 
 
-def tensor_normalize(raw_terms,
-                     height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
-    """Canonical form of a raw (length, angle) term list."""
-    kept, drops = [], []
-    for length, angle in raw_terms:
-        if scalar_sign(length) == 0 or angle.is_straight():
-            continue  # ℓ = 0, or θ ∈ {0, π}
-        q = is_rational_angle(angle)
-        if q is None:
-            kept.append((length, angle))
-        else:
-            drops.append(_drop(angle, q))
-    terms = _merge(kept)
-    used = []
-    # only angles certified irrational over π are left, so a lone angle has
-    # no relation m·θ ≡ 0 (mod π) to find; the substitution below brings in
-    # no angle that was not there before
-    while len(terms) >= 2:
-        rels = find_angle_relations([a for _, a in terms], height_bound)
-        if not rels:
-            break
-        used.append(rels[0])
-        terms = _merge(_substitute(terms, rels[0]))
-    return DehnTensor(terms, used, height_bound, drops)
-
-
-# -- rational polytopes: blocks by square class ---------------------------------
-
 def same_square_class(a: Fraction, b: Fraction) -> bool:
     """Whether the positive rationals a and b have one square class: ab is
     a rational square, which one isqrt tells."""
@@ -202,42 +169,47 @@ class _SquareClasses:
         return hit
 
 
-def _normalize_rational(raw, height_bound) -> DehnTensor:
-    """The normal form of the terms c·√x ⊗ angle, (c, x, angle) in `raw`,
-    for rational c and x and angles given by their rational cos²."""
+def _normalize(raw, height_bound) -> DehnTensor:
+    """The normal form of the terms (c, x, angle) in `raw`: c√x ⊗ angle for
+    rational c and x and an angle given by its rational cos², or, with x
+    None in every term, c ⊗ angle for any exact length c."""
     lengths, angles = _SquareClasses(), _SquareClasses()
     acc, drops = {}, []
     for c, x, angle in raw:
-        if c == 0 or x == 0 or angle.is_straight():
+        if x == 0 or scalar_sign(c) == 0 or angle.is_straight():
             continue  # ℓ = 0, or θ ∈ {0, π}
         q = is_rational_angle(angle)
         if q is not None:
             drops.append(_drop(angle, q))
             continue
-        m, k = lengths.of(x)
-        key = (m, angle.key())
-        acc[key] = (acc[key][0] + c * k, angle) if key in acc else \
-            (c * k, angle)
+        m = None
+        if x is not None:
+            m, k = lengths.of(x)
+            c *= k
+        key = (angle.key(), m)
+        acc[key] = (acc[key][0] + c, angle) if key in acc else (c, angle)
     blocks = {}  # each block's terms in the order of their angles' keys
-    for (m, _key), (c, angle) in sorted(acc.items(),
-                                        key=lambda e: e[0][::-1]):
-        if c:
-            a = angle.cos2
-            s = angles.of(a * (1 - a))[0]
+    for (_key, m), (c, angle) in sorted(acc.items()):
+        # a merged length may be a zero AlgebraicReal, which is truthy
+        if scalar_sign(c) != 0:
+            s = None if m is None else \
+                angles.of(angle.cos2 * (1 - angle.cos2))[0]
             blocks.setdefault((m, s), []).append((c, angle))
     used, terms = [], []
     for (m, s), block in sorted(blocks.items()):
         terms.extend((c, m, s, angle)
                      for c, angle in _reduce_block(block, height_bound, used))
     terms.sort(key=lambda t: (t[3].key(), t[1]))
-    return DehnTensor(None, used, height_bound, drops, terms)
+    return DehnTensor(terms, used, height_bound, drops)
 
 
 def _reduce_block(terms, height_bound, used):
     """The terms [(c, angle)] of one block, sorted by angle key, in normal
     form: θ and π − θ are related exactly (θ + (π − θ) ≡ 0), then the
     search runs on the block alone while it holds two or more angles.  The
-    relations used are appended to `used`."""
+    relations used are appended to `used`.  Only angles certified
+    irrational over π are left, so a lone angle has no relation to find,
+    and a substitution brings in no angle that was not there before."""
     while len(terms) >= 2:
         rel = _supplementary(terms)
         if rel is None:
@@ -252,9 +224,12 @@ def _reduce_block(terms, height_bound, used):
 
 def _supplementary(terms):
     """The certified relation θ + θ′ ≡ 0 (mod π) for the first two angles of
-    the block with one cos² and cosines of opposite signs, or None."""
+    the block with one rational cos² and cosines of opposite signs, or
+    None."""
     seen = {}
     for j, (_c, angle) in enumerate(terms):
+        if angle.cos2 is None:
+            continue
         i = seen.setdefault(angle.cos2, j)
         if i != j:
             ms = [0] * len(terms)
@@ -263,22 +238,24 @@ def _supplementary(terms):
     return None
 
 
+def tensor_normalize(raw_terms,
+                     height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
+    """Canonical form of a raw (length, angle) term list."""
+    return _normalize([(l, None, a) for l, a in raw_terms], height_bound)
+
+
 def tensor_add(a: DehnTensor, b: DehnTensor,
                height_bound=None) -> DehnTensor:
     hb = height_bound or max(a.height_bound, b.height_bound)
-    if a.rational is not None and b.rational is not None:
-        return _normalize_rational(
-            [(c, m, angle) for c, m, _s, angle in a.rational + b.rational],
-            hb)
-    return tensor_normalize(list(a.terms) + list(b.terms), hb)
+    if a.rational and b.rational:
+        raw = [(c, m, angle) for c, m, _s, angle in a.terms + b.terms]
+    else:
+        raw = [(l, None, angle) for l, angle in a.pairs() + b.pairs()]
+    return _normalize(raw, hb)
 
 
 def tensor_neg(t: DehnTensor) -> DehnTensor:
-    if t.rational is not None:
-        return DehnTensor(None, list(t.relations_used), t.height_bound,
-                          list(t.rational_drops),
-                          [(-c, m, s, a) for c, m, s, a in t.rational])
-    return DehnTensor([(-l, a) for l, a in t.terms],
+    return DehnTensor([(-c, m, s, a) for c, m, s, a in t.terms],
                       list(t.relations_used), t.height_bound,
                       list(t.rational_drops))
 
@@ -295,29 +272,24 @@ def dehn_sum(signed, height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
     in the sum is never searched."""
     edges = [(k, e) for k, p in signed for e in p.edges()]
     if all(e.length2 is not None for _, e in edges):
-        return _normalize_rational(
-            [(k, e.length2, e.angle) for k, e in edges], height_bound)
-    return tensor_normalize([(k * e.length, e.angle) for k, e in edges],
-                            height_bound)
+        raw = [(k, e.length2, e.angle) for k, e in edges]
+    else:
+        raw = [(k * e.length, None, e.angle) for k, e in edges]
+    return _normalize(raw, height_bound)
 
 
 def is_zero(t: DehnTensor) -> str:
     """'Zero' | 'NonzeroCertified' | 'Unknown' for a normalized tensor.
 
-    The single-angle case is complete: a lone surviving term has nonzero
-    length and a certified π-irrational angle, which is exactly nonvanishing
-    in ℝ⊗ℝ/ℤ.  A rational tensor is nonzero when one of its blocks holds a
-    single term, as blocks vanish independently.  Otherwise, with several
-    surviving angles, independence rests only on the height-bounded
-    search, so the verdict stays Unknown.
+    Blocks vanish independently, and a block of one term has a nonzero
+    length and a certified π-irrational angle, which is exactly
+    nonvanishing in ℝ⊗ℝ/ℤ: a tensor with such a block is nonzero.
+    Otherwise independence rests only on the height-bounded search, so the
+    verdict stays Unknown.
     """
     if t.is_empty():
         return "Zero"
-    if t.rational is not None:
-        if any(len(b) == 1 for b in t.blocks().values()):
-            return "NonzeroCertified"
-        return "Unknown"
-    if len(t.terms) == 1:
+    if any(len(b) == 1 for b in t.blocks().values()):
         return "NonzeroCertified"
     return "Unknown"
 
@@ -328,13 +300,9 @@ def nonzero_certificate(t: DehnTensor):
     certificate of a rational tensor."""
     if is_zero(t) != "NonzeroCertified":
         return None
-    if t.rational is not None:
-        if len(t.rational) != 1:
-            return block_certificate(t)
-        angle = t.rational[0][3]
-    else:
-        angle = t.terms[0][1]
-    (term,) = t.terms_json()
+    if len(t.terms) != 1:
+        return block_certificate(t)
+    (term,), angle = t.terms_json(), t.terms[0][3]
     minpoly = two_cos_minpoly(angle)
     return {
         "length": term["length"],
@@ -439,8 +407,9 @@ class CongruenceVerdict:
 def compare_polytopes(a: Polytope, b: Polytope,
                       height_bound: int = DEFAULT_HEIGHT_BOUND
                       ) -> CongruenceVerdict:
-    """Scissors-congruence verdict from volume and the edge-angle tensor.
-    The certificate of a rational NotCongruent_Dehn names its block."""
+    """Scissors-congruence verdict from volume and the edge-angle tensor
+    D(a) − D(b), normalized once.  The certificate of a rational
+    NotCongruent_Dehn names its block."""
     va, vb = a.volume(), b.volume()
     if scalar_sign(va - vb) != 0:
         return CongruenceVerdict(
@@ -448,12 +417,10 @@ def compare_polytopes(a: Polytope, b: Polytope,
             {"volume_a": format_number(as_scalar(va)),
              "volume_b": format_number(as_scalar(vb))},
             height_bound)
-    da = dehn_invariant(a, height_bound)
-    db = dehn_invariant(b, height_bound)
-    diff = tensor_add(da, tensor_neg(db), height_bound)
+    diff = dehn_sum([(1, a), (-1, b)], height_bound)
     verdict = is_zero(diff)
     if verdict == "NonzeroCertified":
-        cert = block_certificate(diff) if diff.rational is not None \
+        cert = block_certificate(diff) if diff.rational \
             else nonzero_certificate(diff)
         return CongruenceVerdict(
             "NotCongruent_Dehn",

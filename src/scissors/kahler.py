@@ -640,7 +640,7 @@ def phi_of_tensor(tensor, tower: FieldTower, embedding: dict) -> KahlerElement:
     """
     from .algebraic import as_scalar
     terms = []
-    for idx, (length, _angle) in enumerate(tensor.terms):
+    for idx, (length, _angle) in enumerate(tensor.pairs()):
         if idx not in embedding:
             continue  # algebraic cos: d vanishes
         cos_expr, sin_expr = embedding[idx]

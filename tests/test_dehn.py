@@ -52,14 +52,16 @@ def test_double_angle_elimination():
     t = tensor_normalize([(1, angle(Fraction(1, 3))),
                           (2, angle(Fraction(7, 9)))])
     assert len(t.terms) == 1
-    length, a = t.terms[0]
+    length, a = t.pairs()[0]
     assert a.cos in (Fraction(1, 3), Fraction(7, 9))
     assert scalar_sign(length) != 0
 
 
 def test_each_substitution_takes_one_proposal(monkeypatch):
     # θ1 + θ2 = π and 2θ1 + θ3 = π for cos 1/3, −1/3, 7/9; the angle of
-    # cos 1/5 has no relation with them, so the last search finds none
+    # cos 1/5 has no relation with them, so the last search finds none;
+    # θ1 + θ2 = π is related exactly, so PSLQ runs once for 2θ1 + θ3 = π
+    # and once to find none
     import mpmath
 
     from scissors.angles import find_angle_relations
@@ -75,7 +77,7 @@ def test_each_substitution_takes_one_proposal(monkeypatch):
     angles = [angle(Fraction(c)) for c in ("1/3", "-1/3", "7/9", "1/5")]
     t = tensor_normalize([(2 ** i, a) for i, a in enumerate(angles)])
     assert len(t.terms) == 2 and len(t.relations_used) == 2
-    assert len(calls) == len(t.relations_used) + 1
+    assert len(calls) == 2
     calls.clear()
     assert len(find_angle_relations(angles[:3])) == 1
     assert len(calls) == 1
@@ -89,7 +91,7 @@ def test_regular_tetra_invariant():
     t = regular_tetrahedron()  # edge 2√2
     d = dehn_invariant(t)
     assert is_zero(d) == "NonzeroCertified"
-    length, a = d.terms[0]
+    length, a = d.pairs()[0]
     assert a.cos == Fraction(1, 3)
     # six edges of length 2√2 merge into one term
     assert scalar_sign(length * length - 6 * 6 * 8) == 0
@@ -262,7 +264,7 @@ def test_block_decision_is_invariant_on_rational_hulls():
         rng = SplitMix64.stream(2502, case)
         pts, p = _rational_hull(rng)
         d = dehn_invariant(p)
-        assert d.rational is not None
+        assert d.rational
         for _ in range(2):
             q = transformed(p, *_motion(rng))
             dq = dehn_invariant(q)
@@ -400,8 +402,8 @@ def test_single_term_blocks_make_no_search(monkeypatch):
     monkeypatch.setattr(dehn, "find_angle_relations", recorded)
     t1, t2 = _tetra_pair()
     assert compare_polytopes(t1, t2).tag == "NotCongruent_Dehn"
-    # the block (5, 5) of t2, then of the difference
-    assert searched == [2, 2]
+    # the block (5, 5) of the difference
+    assert searched == [2]
     for case in range(3):
         rng = SplitMix64.stream(303, 2 * case)
         corners = random_box_corners(rng)
@@ -472,3 +474,38 @@ def test_algebraic_redissection_keeps_dehn_verdicts(monkeypatch):
         assert got[1] == got[0] and got[1][:2] == ("Zero", []), case
         verdicts.add(got[1][2])
     assert verdicts == {"Zero", "NonzeroCertified"}
+
+
+def test_scaled_redissection_shares_one_field(monkeypatch):
+    # metamorphic: dissection cases 0–3 at seed 303, each piece scaled by
+    # ∛(3/8) on its own, keep W − A − B = 0 on the algebraic path; the three
+    # polytopes share one ℚ(∛(3/8)), so no length sum leaves the field
+    from scissors import numberfield
+    from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
+    from scissors.rng import SplitMix64
+    from scissors.suites import (
+        random_box_corners,
+        random_cutting_plane,
+        random_tet_corners,
+    )
+
+    fallbacks = []
+    fallback = numberfield._fallback
+
+    def counted(x, y, op):
+        fallbacks.append(op)
+        return fallback(x, y, op)
+
+    monkeypatch.setattr(numberfield, "_fallback", counted)
+    s = make_algebraic([-3, 0, 0, 8], (0, 1))
+    for case in range(4):
+        rng = SplitMix64.stream(303, case)
+        corners = (random_box_corners(rng) if case % 2 == 0
+                   else random_tet_corners(rng))
+        halves = split_convex_points_3d(
+            corners, random_cutting_plane(rng, corners))
+        whole, a, b = (scaled_simplices(convex_polytope_3d(p), s)
+                       for p in (corners, *halves))
+        assert whole.edges()[0].length2 is None  # the algebraic path
+        assert is_zero(dehn_sum([(1, whole), (-1, a), (-1, b)])) == "Zero"
+    assert fallbacks == []
