@@ -17,6 +17,7 @@ keys on demand, and `VertexTable.ranks` orders ids by value.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, lcm
 from operator import mul
 
@@ -46,7 +47,12 @@ class InvalidPolytope(GeometryError):
 # -- points -------------------------------------------------------------------
 
 def make_point(coords) -> tuple:
-    return tuple(as_scalar(c) for c in coords)
+    """The point with the coordinates `coords`, each normalized by
+    `as_scalar`; a tuple of `Fraction`s is one already and is returned as
+    it is."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords
+    return tuple([as_scalar(c) for c in coords])
 
 
 def to_homog(p) -> tuple:
@@ -79,6 +85,8 @@ def vertex_key(p) -> tuple:
     which compares and hashes as ints, an irrational one by its scalar key.
     The keys do not order points by value: `VertexTable.ranks` does.
     """
+    if all(type(c) is Fraction for c in p):
+        return tuple([(c.numerator, c.denominator) for c in p])
     return tuple(map(_coord_id, p))
 
 
@@ -498,27 +506,33 @@ def _interiors_intersect(pa, pb, dim) -> bool:
 
 # -- boundary surface extraction ----------------------------------------------
 
-def _perm_parity(ranks) -> int:
-    """Sign of the permutation that sorts the distinct ints `ranks`."""
-    inversions = sum(a > b for i, a in enumerate(ranks) for b in ranks[i + 1:])
-    return -1 if inversions & 1 else 1
-
-
 def _facet_ids(chain: SimplexChain) -> list:
     """Net oriented boundary facets of a top-dimensional chain as id tuples
     sorted by rank, the last two swapped on a negative one; raises
-    NonManifoldBoundary unless they form a closed manifold hypersurface."""
+    NonManifoldBoundary unless they form a closed manifold hypersurface.
+
+    Each cell is sorted by rank once and signed by the parity of the
+    sorting permutation; its face without vertex i is then the sorted cell
+    without that vertex's position k, with the sign (−1)^k.  The faces
+    are taken for i = 0 … n−1, so the facets keep the cells' order."""
     rank = chain.table.ranks()
-    by_rank = rank.__getitem__
     net = {}
     for c, v in chain.ids:
-        for i in range(len(v)):
-            face = v[:i] + v[i + 1:]
-            if len(set(face)) < len(face):
-                raise InvalidPolytope("degenerate facet in boundary")
-            canon = tuple(sorted(face, key=by_rank))
-            sign = _perm_parity(list(map(by_rank, face)))
-            net[canon] = net.get(canon, 0) + (-c if i % 2 else c) * sign
+        n = len(v)
+        if n > 2 and len(set(v)) < n:
+            raise InvalidPolytope("degenerate facet in boundary")
+        r = [rank[u] for u in v]
+        order = sorted(range(n), key=r.__getitem__)
+        if sum([a > b for a, b in combinations(r, 2)]) & 1:
+            c = -c
+        s = [v[i] for i in order]
+        pos = [0] * n
+        for k, i in enumerate(order):
+            pos[i] = k
+        for i in range(n):
+            k = pos[i]
+            canon = tuple(s[:k] + s[k + 1:])
+            net[canon] = net.get(canon, 0) + (-c if k & 1 else c)
     facets = []
     for f, m in net.items():
         if m == 0:
@@ -686,9 +700,14 @@ def _edge(ends, pts, w, rational):
         angle = _STRAIGHT
         if bend:
             # cos² stays in the coordinates' field; cos and sin are square
-            # roots over it
-            cos = sqrt_nonneg(dot12 * dot12 / (_dot(n1, n1) * _dot(n2, n2)))
-            angle = AnglePair.from_cos(-cos if sign < 0 else cos)
+            # roots over it.  A rational cos² is kept, so that θ and π − θ
+            # stay related exactly
+            cos2 = as_scalar(dot12 * dot12 / (_dot(n1, n1) * _dot(n2, n2)))
+            if type(cos2) is Fraction:
+                angle = AnglePair.from_cos2(cos2, sign)
+            else:
+                cos = sqrt_nonneg(cos2)
+                angle = AnglePair.from_cos(-cos if sign < 0 else cos)
     edge = DihedralEdge(ends, length, angle, False, length2)
     if bend > 0:
         return [DihedralEdge(ends, length, _STRAIGHT, True, length2), edge]

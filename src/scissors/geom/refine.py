@@ -36,6 +36,7 @@ is the sum of the coefficients of the cells that hold it.
 """
 
 import os
+from itertools import combinations
 
 from ..errors import ParseError, RefinementTooLarge
 from ..scalars import scalar_sign
@@ -285,8 +286,10 @@ def chain_vanishes(chain: SimplexChain, cap=None) -> bool:
     indicator has no jumps.  A degenerate cell has no measure, and its
     facets vanish in the one hyperplane they span.
 
-    Facets cancel formally first, keyed by their sorted id tuple times the
-    sign of the sorting permutation.  A facet whose functional is zero has
+    Facets cancel formally first (`_net_facets`): each cell is sorted once
+    and signed by the parity of its sorting permutation, and its faces,
+    taken from the sorted tuple, are sorted already, so each facet is keyed
+    by its sorted id tuple.  A facet whose functional is zero has
     measure zero in every hyperplane and is dropped.  The rest are grouped
     by their plane and projected into it by dropping a coordinate where
     the normal is nonzero, one injective chart of H for every facet on it,
@@ -326,18 +329,21 @@ class _Budget:
 
 def _net_facets(cells) -> dict:
     """{sorted id tuple: net coefficient} of the facets of ∂ of the
-    (coefficient, id tuple) cells, the zero ones dropped."""
+    (coefficient, id tuple) cells, the zero ones dropped.
+
+    Each cell is sorted once and its coefficient signed by the parity of
+    the sorting permutation, counted by its strict inversions (so a
+    repeated id costs no sign).  The faces of the sorted tuple, taken by
+    `combinations`, are sorted already and alternate in sign; the first
+    omits the last vertex, so its sign is (−1)^(n−1)."""
     net = {}
     for c, t in cells:
-        for i in range(len(t)):
-            f = t[:i] + t[i + 1:]
-            # the parity of the sorting permutation, by its inversions
-            odd = i & 1
-            for a in range(len(f)):
-                for b in range(a + 1, len(f)):
-                    odd ^= f[a] > f[b]
-            key = tuple(sorted(f))
-            net[key] = net.get(key, 0) + (-c if odd else c)
+        n = len(t)
+        if (n - 1 + sum([a > b for a, b in combinations(t, 2)])) & 1:
+            c = -c
+        for f in combinations(sorted(t), n - 1):
+            net[f] = net.get(f, 0) + c
+            c = -c
     return {f: c for f, c in net.items() if c}
 
 

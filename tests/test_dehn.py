@@ -479,7 +479,10 @@ def test_algebraic_redissection_keeps_dehn_verdicts(monkeypatch):
 def test_scaled_redissection_shares_one_field(monkeypatch):
     # metamorphic: dissection cases 0–3 at seed 303, each piece scaled by
     # ∛(3/8) on its own, keep W − A − B = 0 on the algebraic path; the three
-    # polytopes share one ℚ(∛(3/8)), so no length sum leaves the field
+    # polytopes share one ℚ(∛(3/8)), so no length sum leaves the field, and
+    # every dihedral angle keeps its rational cos², so θ and π − θ pair
+    # exactly and no PSLQ search runs
+    import scissors.dehn as dehn
     from scissors import numberfield
     from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
     from scissors.rng import SplitMix64
@@ -497,6 +500,14 @@ def test_scaled_redissection_shares_one_field(monkeypatch):
         return fallback(x, y, op)
 
     monkeypatch.setattr(numberfield, "_fallback", counted)
+    searches = []
+    search = dehn.find_angle_relations
+
+    def recorded(angles, *args):
+        searches.append(len(angles))
+        return search(angles, *args)
+
+    monkeypatch.setattr(dehn, "find_angle_relations", recorded)
     s = make_algebraic([-3, 0, 0, 8], (0, 1))
     for case in range(4):
         rng = SplitMix64.stream(303, case)
@@ -509,3 +520,4 @@ def test_scaled_redissection_shares_one_field(monkeypatch):
         assert whole.edges()[0].length2 is None  # the algebraic path
         assert is_zero(dehn_sum([(1, whole), (-1, a), (-1, b)])) == "Zero"
     assert fallbacks == []
+    assert searches == []

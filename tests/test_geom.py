@@ -10,6 +10,7 @@ from scissors.geom import (
     PointOnBoundary,
     Simplex,
     SimplexChain,
+    VertexTable,
     boundary,
     dihedral_edges,
     make_point,
@@ -18,6 +19,7 @@ from scissors.geom import (
     signed_indicator,
     simplex,
     simplex_volume,
+    vertex_key,
 )
 from scissors.geom.convex import (
     _corners_2d,
@@ -39,6 +41,45 @@ def det3_oracle(rows):
     # independent cofactor expansion for the volume examples
     (a, b, c), (d, e, f), (g, h, i) = [list(map(Fraction, r)) for r in rows]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_one_point_in_every_rational_form_gets_one_key_and_id():
+    # a tuple of Fractions takes the direct path; ints, a list and a
+    # rational AlgebraicReal are normalized first, to the same key
+    q = (Fraction(1, 2), Fraction(3), Fraction(-2, 3))
+    forms = [q, (make_algebraic([-1, 2], (0, 1)), 3, Fraction(-2, 3)),
+             [Fraction(1, 2), 3, Fraction(-4, 6)]]
+    assert make_point(q) is q
+    table = VertexTable()
+    for p in forms:
+        assert make_point(p) == q
+        assert vertex_key(make_point(p)) == vertex_key(p) == ((1, 2), (3, 1),
+                                                             (-2, 3))
+        assert table.add(make_point(p)) == table.add(p) == 0
+    assert table.add((3, 1, 2)) == 1
+    assert table.add((Fraction(3), Fraction(1), Fraction(2))) == 1
+
+
+def test_irrational_coordinate_keys_through_coord_id(monkeypatch):
+    import scissors.geom as geom
+
+    (r,) = lift([sqrt_nonneg(2)])
+    seen = []
+    coord_id = geom._coord_id
+
+    def counted(c):
+        seen.append(c)
+        return coord_id(c)
+
+    monkeypatch.setattr(geom, "_coord_id", counted)
+    assert vertex_key(make_point((r, 1))) == (r.key(), (1, 1))
+    assert seen == [r, Fraction(1)]
+    seen.clear()
+    vertex_key((Fraction(1), Fraction(2)))
+    assert seen == []
+    for bad in [(Fraction(1), "a"), (1, 1.5), [Fraction(1), None]]:
+        with pytest.raises(TypeError):
+            make_point(bad)
 
 
 def test_unit_corner_simplex_volume():

@@ -606,6 +606,78 @@ def test_chain_vanishes_agrees_with_region_coverage(dim, shifted):
     assert ((True, False) in seen) == (dim > 1)
 
 
+def _oracle_net_facets(cells):
+    """The facet netting of `refine._net_facets` taken face by face: each
+    face sliced out of its cell, signed by its position and by the strict
+    inversions of the face, and sorted on its own."""
+    net = {}
+    for c, t in cells:
+        for i in range(len(t)):
+            f = t[:i] + t[i + 1:]
+            odd = i & 1
+            for a in range(len(f)):
+                for b in range(a + 1, len(f)):
+                    odd ^= f[a] > f[b]
+            key = tuple(sorted(f))
+            net[key] = net.get(key, 0) + (-c if odd else c)
+    return {f: c for f, c in net.items() if c}
+
+
+def test_net_facets_matches_face_by_face_oracle():
+    # seeded cells of 2–4 ids from a small pool, so ids repeat within a
+    # cell and facets meet across cells; every other chain repeats a cell
+    # reversed, n(n−1)/2 transpositions, with the opposite sign, so that
+    # terms cancel
+    cancelled = 0
+    for case in range(600):
+        rng = SplitMix64.stream(3100, case)
+        n = rng.randint(2, 4)
+        cells = [(rng.choice((-2, -1, 1, 3)),
+                  tuple(rng.randint(0, n + 1) for _ in range(n)))
+                 for _ in range(rng.randint(1, 5))]
+        if case % 2:
+            c, t = cells[rng.randint(0, len(cells) - 1)]
+            cells.append((c if n * (n - 1) // 2 % 2 else -c, t[::-1]))
+        got = refine._net_facets(cells)
+        assert got == _oracle_net_facets(cells), cells
+        cancelled += not got
+    assert cancelled > 0
+
+
+def _permuted_cells(rng, cells):
+    """Each cell with distinct ids under a seeded permutation of its
+    vertices, its coefficient times the permutation's sign; a cell with a
+    repeated id, whose sign no permutation fixes, as it is."""
+    out = []
+    for c, t in cells:
+        if len(set(t)) < len(t):
+            out.append((c, t))
+            continue
+        perm = rng.choice(list(permutations(range(len(t)))))
+        odd = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        out.append((-c if odd & 1 else c, tuple(t[i] for i in perm)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_net_facets_and_vanishing_survive_signed_vertex_permutation(dim):
+    # metamorphic: σ(t) with sign(σ)·c is the same oriented cell as t with
+    # c, so neither the netted facets nor the verdict may change
+    moved = 0
+    for case in range(7 - dim // 3):
+        rng = SplitMix64.stream(3110 + dim, case)
+        for family, chain in _agreement_chains(dim, case):
+            cells = chain.reduce().ids
+            perm = _permuted_cells(rng, cells)
+            moved += perm != cells
+            assert refine._net_facets(perm) == refine._net_facets(cells), (
+                family, case)
+            permuted = SimplexChain.from_ids(dim, chain.table, perm)
+            assert chain_vanishes(permuted) == chain_vanishes(chain), (
+                family, case)
+    assert moved > 0
+
+
 def _moves(rng):
     """A seeded signed permutation of the axes and a rational shift."""
     perm = rng.choice(list(permutations(range(3))))
