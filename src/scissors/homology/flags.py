@@ -7,18 +7,20 @@ differential is the alternating sum of flag-entry deletions (the p = 0 face
 lands in the augmentation column of chains with proper span), the vertical
 one is (−1)^p times the simplicial boundary.  Appending the span of a chain's
 tuple to its flag, with an alternating sign, is a null-homotopy of the
-augmented rows: ∂′s + s∂′ = id, checked basis element by basis element.
+augmented rows: ∂′s + s∂′ = id.  Its value at a basis element depends on
+the flag and the span of the tuple alone, so it is checked once per such
+pair.
 
 Subspaces are keyed by an integer canonical form from fraction-free
-elimination of the points' integer homogeneous coordinates; a flag is a
-tuple of indices into the subspace pool.
+elimination of the points' integer homogeneous coordinates, grown one point
+at a time; a flag is a tuple of indices into the subspace pool.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from ..geom import make_point, to_homog
-from ..linalg import echelon_int, primitive
+from ..linalg import echelon_add, echelon_clear, primitive
 from . import DoubleComplex, SizeCap, SparseIntMatrix
 
 POOL_CAP = 512
@@ -44,35 +46,43 @@ class AffineSubspace:
     on the subspace alone, so `key` identifies it.
     """
 
-    def __init__(self, hs):
-        """The span of points given in integer homogeneous coordinates."""
-        *b, w = hs[0]
-        self.pivots, self.directions = echelon_int(
-            [[x * w - y * h[-1] for x, y in zip(h[:-1], b)] for h in hs[1:]])
-        self.dim = len(self.pivots)
-        h = self._clear(list(hs[0]), weighted=True)
-        self.base = primitive(h, h[-1])
+    def __init__(self, pivots, directions, base):
+        self.pivots, self.directions, self.base = pivots, directions, base
+        self.dim = len(pivots)
 
-    def _clear(self, v, weighted=False):
-        """v with its pivot coordinates cleared by the direction rows, v
-        scaled by the row's pivot entry at each step; with `weighted`, v
-        is homogeneous and its weight is scaled the same way."""
-        for row, col in zip(self.directions, self.pivots):
-            f = v[col]
-            if f:
-                p = row[col]
-                v = [p * a - f * b for a, b in zip(v, row)] + \
-                    ([p * v[-1]] if weighted else [])
-        return v
+    @classmethod
+    def point(cls, h) -> "AffineSubspace":
+        """The point with integer homogeneous coordinates h."""
+        return cls((), (), primitive(h, h[-1]))
+
+    def _offset(self, h):
+        """The direction from the base to the point with homogeneous
+        coordinates h, cleared by the direction rows: zero exactly when the
+        point lies in here."""
+        *x, u = h
+        *b, w = self.base
+        return echelon_clear(self.pivots, self.directions,
+                             [a * w - c * u for a, c in zip(x, b)])
+
+    def join(self, h) -> "AffineSubspace":
+        """The span of this subspace and the point with integer homogeneous
+        coordinates h: this subspace itself when the point lies in it, else
+        the canonical form with one more direction row, whose pivot column
+        is cleared from the base as well."""
+        v = self._offset(h)
+        if not any(v):
+            return self
+        pivots, directions = echelon_add(self.pivots, self.directions, v)
+        base = echelon_clear(pivots, directions, list(self.base),
+                             weighted=True)
+        return AffineSubspace(pivots, directions, primitive(base, base[-1]))
 
     def key(self):
         return (self.dim, self.directions, self.base)
 
     def _holds(self, h) -> bool:
         """Whether the point with homogeneous coordinates h lies in here."""
-        *x, u = h
-        *b, w = self.base
-        return not any(self._clear([a * w - c * u for a, c in zip(x, b)]))
+        return not any(self._offset(h))
 
     def contains_point(self, p) -> bool:
         return self._holds(to_homog(tuple(map(Fraction, p))))
@@ -80,7 +90,9 @@ class AffineSubspace:
     def contains_subspace(self, other: "AffineSubspace") -> bool:
         if other.dim > self.dim or not self._holds(other.base):
             return False
-        return not any(any(self._clear(list(d))) for d in other.directions)
+        return not any(
+            any(echelon_clear(self.pivots, self.directions, list(d)))
+            for d in other.directions)
 
     def __eq__(self, other):
         return self.key() == other.key()
@@ -93,34 +105,44 @@ class AffineSubspace:
 
 
 def span_of_points(points) -> AffineSubspace:
-    return AffineSubspace([to_homog(tuple(map(Fraction, p)))
-                                     for p in points])
+    hs = [to_homog(tuple(map(Fraction, p))) for p in points]
+    span = AffineSubspace.point(hs[0])
+    for h in hs[1:]:
+        span = span.join(h)
+    return span
 
 
 def subspace_pool(points, dim: int, spans=None):
     """All proper affine spans of subsets of the configuration.
 
     A proper span is spanned by at most `dim` of the points, so only subsets
-    of that size are enumerated.  If `spans` is a dict, it receives the pool
-    index of the span of each of them, keyed by its sorted index tuple, or
-    −1 where the span is the whole space.
+    of that size are enumerated, and any `dim` points span a proper
+    subspace.  Each subset's span is its prefix subset's span joined with
+    its last point: the prefix's pool index when the point lies in it, else
+    one more direction row.  If `spans` is a dict, it receives the pool
+    index of the span of each subset, keyed by its sorted index tuple.
     """
     pool = []
     index = {}
+    table = {} if spans is None else spans
     n = len(points)
     homog = [to_homog(tuple(map(Fraction, p))) for p in points]
     for size in range(1, min(n, dim) + 1):
         for subset in combinations(range(n), size):
-            sub = AffineSubspace([homog[i] for i in subset])
-            j = -1
-            if sub.dim < dim:  # the whole space is excluded
-                j = index.setdefault(sub.key(), len(pool))
-                if j == len(pool):
-                    pool.append(sub)
-                    if len(pool) > POOL_CAP:
-                        raise PoolExplosion(f"more than {POOL_CAP} subspaces")
-            if spans is not None:
-                spans[subset] = j
+            h = homog[subset[-1]]
+            if size == 1:
+                sub = AffineSubspace.point(h)
+            else:
+                j = table[subset[:-1]]
+                sub = pool[j].join(h)
+                if sub is pool[j]:
+                    table[subset] = j
+                    continue
+            j = table[subset] = index.setdefault(sub.key(), len(pool))
+            if j == len(pool):
+                pool.append(sub)
+                if len(pool) > POOL_CAP:
+                    raise PoolExplosion(f"more than {POOL_CAP} subspaces")
     return pool
 
 
@@ -142,8 +164,7 @@ class FlagComplex:
         # that spans it, so the table's subsets cover every member.
         member_sets = [set() for _ in self.pool]
         for subset, j in self._spans.items():
-            if j >= 0:
-                member_sets[j].update(subset)
+            member_sets[j].update(subset)
         self.members = [tuple(sorted(m)) for m in member_sets]
         # every pool subspace is the span of its members, so B ⊆ A exactly
         # when members(B) ⊆ members(A)
@@ -153,11 +174,8 @@ class FlagComplex:
                 if a.dim > b.dim and member_sets[j] <= member_sets[i]:
                     self.contains.setdefault(i, []).append(j)
         self.flags = {p: [] for p in range(p_max + 1)}
-        self.flag_index = {}
         for i in range(len(self.pool)):
             self._grow_flags((i,))
-        for p, fl in self.flags.items():
-            self.flag_index[p] = {f: k for k, f in enumerate(fl)}
         self._tuple_spans = {}  # raw point tuple -> pool index or −1
         self._faces = {}  # flag -> ((face, sign), ...), flag_faces
 
@@ -288,11 +306,15 @@ def verify_flag_nullhomotopy(fc: FlagComplex,
     s appends the span of an element's tuple to its flag, with sign
     (−1)^(p+1) at level p (+1 in the augmentation column, the flag ()),
     and is 0 where the flag already ends at the span.  Both operators keep
-    the tuple, so ∂′s + s∂′ of (flag, tuple) is a sum of flags on that
-    tuple: its terms are listed from the faces of the flag and of the flag
-    with the span appended, sorted, and once equal flags are merged they
-    must be the flag alone with coefficient 1.  The span of each tuple is
-    looked up once.  `corrupt_sign` flips the sign of the last face of
+    the tuple, and s reads only the tuple's span, so ∂′s + s∂′ of
+    (flag, tuple) is the same sum of flags for every tuple of one span,
+    whatever its degree q.  The check therefore runs once per flag and
+    span: each column's distinct spans are listed once per flag end, over
+    every degree, with every tuple's span looked up (a tuple of full span
+    raises `SpanMissingFromPool`, as does a span not below the flag end).
+    The terms, from the faces of the flag and of the flag with the span
+    appended, are summed by flag and must come to the flag alone with
+    coefficient 1.  `corrupt_sign` flips the sign of the last face of
     every ∂′, which must make the check fail.
     """
     def corrupted(flag):
@@ -303,42 +325,53 @@ def verify_flag_nullhomotopy(fc: FlagComplex,
     # s is defined where the span lies strictly inside the flag's end
     inside = [set(fc.contains.get(i, ())) for i in range(len(fc.pool))]
     known_span = fc._tuple_spans.get
-    for q in range(fc.q_max + 1):
-        columns = [((), fc.augmentation_basis(q))]
-        for p in range(fc.p_max + 1):
-            columns += [(flag, product(fc.members[flag[-1]], repeat=q + 1))
-                        for flag in fc.flags.get(p, ())]
-        for flag, tuples in columns:
-            last = flag[-1] if flag else None
-            sign_up = -1 if len(flag) % 2 else 1  # s at this flag
-            # s ∂′: the faces with their last entries and the sign of s there
-            down = [(sub, sub[-1] if sub else None, -sign_up * sign)
-                    for sub, sign in (faces(flag) if flag else ())]
-            for tup in tuples:
-                span = known_span(tup, -1)
-                if span < 0:
-                    span = fc.tuple_span_index(tup)
-                terms = []
-                if last != span:  # ∂′ s
-                    if last is not None and span not in inside[last]:
+
+    def spans_of(tuples):
+        """The distinct spans of the tuples, in order of first appearance;
+        every tuple's span is looked up, so a missing one raises."""
+        found = {}
+        for tup in tuples:
+            span = known_span(tup, -1)
+            if span < 0:
+                span = fc.tuple_span_index(tup)
+            found[span] = None
+        return list(found)
+
+    degrees = range(fc.q_max + 1)
+    # the tuples of a column depend only on the flag's end, and those of
+    # every degree q are listed together, since the check does not read q
+    columns = [((), spans_of(tup for q in degrees
+                             for tup in fc.augmentation_basis(q)))]
+    end_spans = {}
+    for p in range(fc.p_max + 1):
+        for flag in fc.flags.get(p, ()):
+            last = flag[-1]
+            if last not in end_spans:
+                pts = fc.members[last]
+                end_spans[last] = spans_of(
+                    tup for q in degrees for tup in product(pts, repeat=q + 1))
+            columns.append((flag, end_spans[last]))
+    for flag, spans in columns:
+        last = flag[-1] if flag else None
+        sign_up = -1 if len(flag) % 2 else 1  # s at this flag
+        # s ∂′: the faces with their last entries and the sign of s there
+        down = [(sub, sub[-1] if sub else None, -sign_up * sign)
+                for sub, sign in (faces(flag) if flag else ())]
+        for span in spans:
+            # ∂′s + s∂′ less the flag itself, summed by flag: must vanish
+            total = {flag: -1}
+            if last != span:  # ∂′ s
+                if last is not None and span not in inside[last]:
+                    raise SpanMissingFromPool("span not below the flag end")
+                for sub, sign in faces(flag + (span,)):
+                    total[sub] = total.get(sub, 0) + sign_up * sign
+            for sub, end, sign in down:
+                if end != span:
+                    if end is not None and span not in inside[end]:
                         raise SpanMissingFromPool(
                             "span not below the flag end")
-                    terms += [(sub, sign_up * sign)
-                              for sub, sign in faces(flag + (span,))]
-                for sub, end, sign in down:
-                    if end != span:
-                        if end is not None and span not in inside[end]:
-                            raise SpanMissingFromPool(
-                                "span not below the flag end")
-                        terms.append((sub + (span,), sign))
-                # merge equal flags: the sum must be 1·flag
-                terms.sort()
-                merged = []
-                for k, c in terms:
-                    if merged and merged[-1][0] == k:
-                        c += merged.pop()[1]
-                    if c:
-                        merged.append((k, c))
-                if merged != [(flag, 1)]:
-                    return False
+                    sub += (span,)
+                    total[sub] = total.get(sub, 0) + sign
+            if any(total.values()):
+                return False
     return True

@@ -8,7 +8,9 @@ each kind of elimination.
   floor-division row and column operations, then one gcd/lcm pass over the
   diagonal gives the divisibility chain.
 - `echelon_int` is fraction-free elimination of dense integer rows to a
-  reduced echelon form with primitive rows: affine spans and subspace keys.
+  reduced echelon form with primitive rows: affine span dimensions.  Its
+  two steps, `echelon_clear` and `echelon_add`, grow a form one row at a
+  time: the subspace keys of the flag complex.
 - `det_small` is the determinant by elimination over Fractions: norms in
   number fields and the test oracles.  The cofactor kernel of the geometry
   predicates (`geom.predicates.hdet`) stays apart, on the hot path.
@@ -16,6 +18,7 @@ each kind of elimination.
   RREF, kernel bases and the solves of a change of basis.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd
 
@@ -225,25 +228,41 @@ def echelon_int(rows):
     """(pivots, rows): the fraction-free reduced echelon form of dense
     integer rows.  Each row is primitive, with a positive entry at its
     pivot column and zeros at the other pivots, so the form depends on the
-    row space alone; its length is the rank."""
-    rows = [tuple(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r] = primitive(rows[r], rows[r][col])
-        p = prow[col]
-        for i in range(len(rows)):
-            f = rows[i][col]
-            if i != r and f:
-                rows[i] = primitive([p * x - f * y
-                                     for x, y in zip(rows[i], prow)])
-        pivots.append(col)
-        r += 1
-    return tuple(pivots), tuple(rows[:r])
+    row space alone; its length is the rank.  The rows go in one at a
+    time, through `echelon_clear` and `echelon_add`."""
+    pivots, reduced = (), ()
+    for r in rows:
+        v = echelon_clear(pivots, reduced, list(r))
+        if any(v):
+            pivots, reduced = echelon_add(pivots, reduced, v)
+    return pivots, reduced
+
+
+def echelon_clear(pivots, rows, v, weighted=False):
+    """v with its pivot coordinates cleared by the rows of a reduced
+    echelon form, v scaled by the row's pivot entry at each step; with
+    `weighted`, v has one more entry (a homogeneous weight), scaled the
+    same way.  v is zero after it exactly when it lies in the row space."""
+    for row, col in zip(rows, pivots):
+        f = v[col]
+        if f:
+            p = row[col]
+            v = [p * a - f * b for a, b in zip(v, row)] + \
+                ([p * v[-1]] if weighted else [])
+    return v
+
+
+def echelon_add(pivots, rows, v):
+    """(pivots, rows) of the reduced echelon form with the row v added,
+    where v is nonzero and cleared by the rows (`echelon_clear`): its
+    first nonzero column becomes a pivot, cleared from the other rows."""
+    col = next(i for i, a in enumerate(v) if a)
+    row = primitive(v, v[col])
+    p = row[col]
+    rows = [primitive([p * a - r[col] * b for a, b in zip(r, row)])
+            if r[col] else r for r in rows]
+    k = bisect(pivots, col)
+    return pivots[:k] + (col,) + pivots[k:], (*rows[:k], row, *rows[k:])
 
 
 # -- sparse rational elimination -------------------------------------------------

@@ -7,6 +7,8 @@ simplex, a boundary that builds a fresh simplex per face, subspaces in
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from scissors.algebraic import AlgebraicReal, make_algebraic
 from scissors.geom import (
     PointOnBoundary,
@@ -31,6 +33,7 @@ from scissors.homology.simplicial import (
     subdivision_homotopy,
 )
 from scissors.rng import SplitMix64
+from test_flags import _configurations as degenerate_configurations
 
 # -- oracles ------------------------------------------------------------------
 
@@ -456,3 +459,13 @@ def test_nullhomotopy_matches_oracle():
         for corrupt in (False, True):
             assert verify_flag_nullhomotopy(fc, corrupt) == \
                 oracle_nullhomotopy(fc, corrupt) == (not corrupt)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_nullhomotopy_matches_oracle_on_degenerate_configurations(corrupt):
+    # repeated, collinear and coplanar points, and a line whose span lies
+    # in planes of the pool as well
+    for case, dim, pts in degenerate_configurations():
+        fc = flag_double_complex(pts, dim, dim - 1, 1)
+        assert verify_flag_nullhomotopy(fc, corrupt) == \
+            oracle_nullhomotopy(fc, corrupt) == (not corrupt), case

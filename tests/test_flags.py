@@ -159,3 +159,40 @@ def test_containment_from_members_matches_subspace_test():
             assert fc.augmentation_basis(q) == proper, (case, q)
         assert verify_flag_nullhomotopy(fc), case
         assert not verify_flag_nullhomotopy(fc, corrupt_sign=True), case
+
+
+def test_missing_containment_pair_raises():
+    # every pair of the containment table is read by the check: with one
+    # removed, the span of some tuple is no longer below a flag end
+    for case, dim, pts in list(_configurations())[:4]:
+        fc = flag_double_complex(pts, dim, dim - 1, 1)
+        pairs = [(i, j) for i, js in fc.contains.items() for j in js]
+        assert pairs, case
+        for i, j in pairs:
+            kept = fc.contains[i]
+            fc.contains[i] = [k for k in kept if k != j]
+            with pytest.raises(SpanMissingFromPool):
+                verify_flag_nullhomotopy(fc)
+            fc.contains[i] = kept
+        assert verify_flag_nullhomotopy(fc), case
+
+
+def test_one_flipped_flag_fails_the_check():
+    # the sign of the last face of ∂′ flipped at one flag alone: the check
+    # reaches every flag, so each such corruption fails it
+    for case, dim, pts in (("e2", 2, [P(0, 0), P(1, 0), P(0, 1), P(1, 1)]),
+                           ("e3", 3, [P(0, 0, 0), P(1, 0, 0), P(0, 1, 0),
+                                      P(0, 0, 1)])):
+        fc = flag_double_complex(pts, dim, dim - 1, 1)
+        faces = fc.flag_faces
+        every = [flag for fl in fc.flags.values() for flag in fl]
+        for chosen in every:
+            def flipped(flag, chosen=chosen):
+                f = faces(flag)
+                if flag != chosen:
+                    return f
+                return f[:-1] + ((f[-1][0], -f[-1][1]),)
+            fc.flag_faces = flipped
+            assert not verify_flag_nullhomotopy(fc), (case, chosen)
+        del fc.flag_faces
+        assert verify_flag_nullhomotopy(fc), case

@@ -4,7 +4,9 @@ The separate helpers they replaced are copied here as oracles, as they
 were, and compared with the merged ones on seeded inputs: primitive
 vectors (`hnormalize`, `canon_plane`, the flag complex's `_primitive`,
 `_div_content` and `_canonical_single`), the affine span by integer
-echelon (the generic-scalar Gauss of `affine_span_dim`), the field norm
+echelon (the generic-scalar Gauss of `affine_span_dim`), the integer
+echelon grown a row at a time and the subspace keys built from it (the
+column-by-column `echelon_int` of all rows at once), the field norm
 (`numberfield._gauss`) and the change of basis of an algebra
 (`hochschild._invert_dense`).
 """
@@ -18,7 +20,8 @@ from scissors.algebraic import scalar_sign
 from scissors.poly import _canonical_single
 from scissors.geom import make_point
 from scissors.hochschild import algebra_from_json, matrix_algebra, quaternions
-from scissors.homology.flags import span_of_points
+from scissors.geom import to_homog
+from scissors.homology.flags import span_of_points, subspace_pool
 from scissors.homology.simplicial import affine_span_dim
 from scissors.linalg import det_small, echelon_int, primitive
 from scissors.numberfield import SimpleField
@@ -134,6 +137,43 @@ def old_affine_span_dim(points):
                 rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
         rank += 1
     return rank
+
+
+def column_echelon(rows):
+    rows = [tuple(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r] = primitive(rows[r], rows[r][col])
+        p = prow[col]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != r and f:
+                rows[i] = primitive([p * x - f * y
+                                     for x, y in zip(rows[i], prow)])
+        pivots.append(col)
+        r += 1
+    return tuple(pivots), tuple(rows[:r])
+
+
+def old_subspace_key(points):
+    """The subspace key of the span of points, from one elimination of
+    all the difference rows."""
+    hs = [to_homog(tuple(map(Fraction, p))) for p in points]
+    *b, w = hs[0]
+    pivots, directions = column_echelon(
+        [[x * w - y * h[-1] for x, y in zip(h[:-1], b)] for h in hs[1:]])
+    v = list(hs[0])
+    for row, col in zip(directions, pivots):
+        f = v[col]
+        if f:
+            p = row[col]
+            v = [p * a - f * c for a, c in zip(v, row)] + [p * v[-1]]
+    return (len(pivots), directions, primitive(v, v[-1]))
 
 
 def old_rebase(basis, prod):
@@ -258,6 +298,20 @@ def test_echelon_depends_on_the_row_space_alone(dim):
         for row, col in zip(reduced, pivots):
             assert gcd(*row) == 1 and row[col] > 0
             assert all(row[c] == 0 for c in pivots if c != col)
+        assert (pivots, reduced) == column_echelon(rows)
+        assert echelon_int(mixed) == column_echelon(mixed)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_subspace_keys_grown_by_joins_match_one_elimination(dim):
+    for pts in _point_sets(dim):
+        assert span_of_points(pts).key() == old_subspace_key(pts)
+        spans = {}
+        pool = subspace_pool(pts, dim, spans)
+        for subset, j in spans.items():
+            assert pool[j].key() == \
+                old_subspace_key([pts[i] for i in subset]), subset
+        assert len({s.key() for s in pool}) == len(pool)
 
 
 # -- the field norm --------------------------------------------------------
