@@ -152,6 +152,7 @@ def cmd_verify(args) -> dict:
 
 def cmd_hochschild(args) -> dict:
     from .hochschild import (
+        MAX_DIM,
         algebra_from_json,
         builtin_algebra,
         hochschild_homology_table,
@@ -163,11 +164,9 @@ def cmd_hochschild(args) -> dict:
     else:
         A = algebra_from_json(load_json(args.algebra))
         inputs.append(args.algebra)
-    # HH_n takes the chains of degree n + 1, about dim^(n+2) tensors
-    cap = next((n for n in (3, 2, 1, 0) if A.dim ** (n + 2) <= 4096), None)
-    if cap is None:
-        raise SizeCapExceeded(
-            f"{args.algebra} has dimension {A.dim}, above the cap 64")
+    # HH_n takes the chains of degree n + 1, about dim^(n+2) tensors; every
+    # algebra has dim <= MAX_DIM, so degree 0 is always allowed
+    cap = next(n for n in (3, 2, 1, 0) if A.dim ** (n + 2) <= MAX_DIM ** 2)
     if args.max_degree > cap:
         raise SizeCapExceeded(f"max degree for {args.algebra} is {cap}")
     table = hochschild_homology_table(A, args.max_degree)

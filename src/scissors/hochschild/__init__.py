@@ -6,6 +6,10 @@ kernel of the inner contractions ε_i, computed as an exact rational kernel,
 and carries the boundary b with b∘b = 0.  Homology dimensions are computed in
 the normalized model A⊗(A/ℚ·1)^⊗n, whose basis a₀ da₁ … da_n (no unit in the
 differential slots) expands triangularly into pure tensors.
+
+Every linear map of the package (the product, chain sums, ε_i, b, the
+d-basis expansion, the involutions and the spin action) is one sum of
+(tuple, coefficient) terms, netted by the one collector `_collect`.
 """
 
 from fractions import Fraction
@@ -16,7 +20,9 @@ from ..io import _integer
 from ..linalg import nullspace_sparse, rank_sparse, rref_sparse
 from ..numbers import ParseError, parse_fraction
 
-OMEGA_CAP = 65536
+OMEGA_CAP = 65536  # largest A^⊗(n+1) that omega_basis takes a kernel in
+MAX_SOURCE = 200_000  # largest normalized source of hochschild_homology
+MAX_DIM = 64  # largest dimension of an algebra read from JSON
 
 
 class NotInOmega(ValueError):
@@ -25,6 +31,17 @@ class NotInOmega(ValueError):
 
 class WrongAlgebra(ValueError):
     pass
+
+
+def _collect(pairs) -> dict:
+    """{key: Σ value} over the (key, value) pairs, zero sums dropped."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            out[key] += value
+        else:
+            out[key] = value
+    return {key: value for key, value in out.items() if value}
 
 
 class FiniteDimAlgebra:
@@ -48,16 +65,10 @@ class FiniteDimAlgebra:
         return self.mul_table[i][j]
 
     def mul_vec(self, u: dict, v: dict) -> dict:
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for k, c in self.mul_table[i][j].items():
-                    nv = out.get(k, Fraction(0)) + a * b * c
-                    if nv:
-                        out[k] = nv
-                    elif k in out:
-                        del out[k]
-        return out
+        table = self.mul_table
+        return _collect((k, a * b * c) for i, a in u.items()
+                        for j, b in v.items()
+                        for k, c in table[i][j].items())
 
     def validate(self):
         for i in range(self.dim):
@@ -100,14 +111,8 @@ class HochschildChain:
                     self.coeffs[tuple(t)] = v
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for t, v in other.coeffs.items():
-            nv = out.get(t, Fraction(0)) + v
-            if nv:
-                out[t] = nv
-            elif t in out:
-                del out[t]
-        return HochschildChain(self.algebra, self.degree, out)
+        return HochschildChain(self.algebra, self.degree, _collect(
+            [*self.coeffs.items(), *other.coeffs.items()]))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -139,38 +144,36 @@ def pure_tensor(algebra, *indices) -> HochschildChain:
                            {tuple(indices): Fraction(1)})
 
 
+def _face(table, i: int, n: int, t) -> list:
+    """The (tuple, coefficient) terms of face i of the pure tensor t of
+    degree n: ε_i for i < n, the cyclic term a_n a₀ ⊗ a₁ ⊗ … ⊗ a_{n−1} for
+    i = n."""
+    if i < n:
+        return [(t[:i] + (k,) + t[i + 2:], c)
+                for k, c in table[t[i]][t[i + 1]].items()]
+    return [((k,) + t[1:n], c) for k, c in table[t[n]][t[0]].items()]
+
+
+def _boundary_terms(table, n: int, t) -> list:
+    """The terms of b_n = Σ_{i<=n} (−1)^i face_i on the pure tensor t."""
+    return [(s, -c if i % 2 else c)
+            for i in range(n + 1) for s, c in _face(table, i, n, t)]
+
+
+def _face_chain(i: int, n: int, chain: HochschildChain) -> HochschildChain:
+    table = chain.algebra.mul_table
+    return HochschildChain(chain.algebra, n - 1, _collect(
+        (s, v * c) for t, v in chain.coeffs.items()
+        for s, c in _face(table, i, n, t)))
+
+
 def epsilon(i: int, n: int, chain: HochschildChain) -> HochschildChain:
     """ε_i: contract slots i, i+1 by the multiplication (0 <= i <= n−1)."""
     if not (0 <= i <= n - 1):
         raise IndexError(f"epsilon index {i} out of range for degree {n}")
     if chain.degree != n:
         raise ValueError("degree mismatch")
-    A = chain.algebra
-    out = {}
-    for t, v in chain.coeffs.items():
-        for k, c in A.mul_basis(t[i], t[i + 1]).items():
-            nt = t[:i] + (k,) + t[i + 2:]
-            nv = out.get(nt, Fraction(0)) + v * c
-            if nv:
-                out[nt] = nv
-            elif nt in out:
-                del out[nt]
-    return HochschildChain(A, n - 1, out)
-
-
-def _cyclic_term(n: int, chain: HochschildChain) -> HochschildChain:
-    """a_n a₀ ⊗ a₁ ⊗ … ⊗ a_{n−1}."""
-    A = chain.algebra
-    out = {}
-    for t, v in chain.coeffs.items():
-        for k, c in A.mul_basis(t[n], t[0]).items():
-            nt = (k,) + t[1:n]
-            nv = out.get(nt, Fraction(0)) + v * c
-            if nv:
-                out[nt] = nv
-            elif nt in out:
-                del out[nt]
-    return HochschildChain(A, n - 1, out)
+    return _face_chain(i, n, chain)
 
 
 def in_omega(chain: HochschildChain) -> bool:
@@ -183,49 +186,28 @@ def hochschild_boundary(n: int, chain: HochschildChain,
     """b_n = Σ_{i<n} (−1)^i ε_i + (−1)^n (cyclic); requires chain ∈ Ω_n."""
     if check and not in_omega(chain):
         raise NotInOmega("chain is not in the joint ε-kernel")
-    A = chain.algebra
-    out = HochschildChain(A, n - 1)
-    for i in range(n):
-        out = out + (-1) ** i * epsilon(i, n, chain)
-    out = out + (-1) ** n * _cyclic_term(n, chain)
-    return out
+    table = chain.algebra.mul_table
+    return HochschildChain(chain.algebra, n - 1, _collect(
+        (s, v * c) for t, v in chain.coeffs.items()
+        for s, c in _boundary_terms(table, n, t)))
 
 
 # -- Ω_n as an exact kernel -----------------------------------------------------
-
-def _tuple_index(dim, t):
-    idx = 0
-    for x in t:
-        idx = idx * dim + x
-    return idx
-
 
 def omega_basis(A: FiniteDimAlgebra, n: int):
     """Exact basis of Ω_n(A) = ∩ ker ε_i inside A^⊗(n+1)."""
     d = A.dim
     if d ** (n + 1) > OMEGA_CAP:
         raise SizeCapExceeded(f"dim^(n+1) = {d ** (n + 1)} > {OMEGA_CAP}")
-    ncols = d ** (n + 1)
-    rows = {}
-    for t in product(range(d), repeat=n + 1):
-        col = _tuple_index(d, t)
-        for i in range(n):
-            for k, c in A.mul_basis(t[i], t[i + 1]).items():
-                target = t[:i] + (k,) + t[i + 2:]
-                key = (i, target)
-                row = rows.setdefault(key, {})
-                nv = row.get(col, Fraction(0)) + c
-                if nv:
-                    row[col] = nv
-                elif col in row:
-                    del row[col]
-    kernel = nullspace_sparse(list(rows.values()), ncols)
     tuples = list(product(range(d), repeat=n + 1))
-    basis = []
-    for vec in kernel:
-        coeffs = {tuples[col]: v for col, v in vec.items()}
-        basis.append(HochschildChain(A, n, coeffs))
-    return basis
+    # row (i, s) of the stacked ε_i; no two terms of a column share a row
+    rows = {}
+    for col, t in enumerate(tuples):
+        for i in range(n):
+            for s, c in _face(A.mul_table, i, n, t):
+                rows.setdefault((i, s), {})[col] = c
+    return [HochschildChain(A, n, {tuples[col]: v for col, v in vec.items()})
+            for vec in nullspace_sparse(list(rows.values()), len(tuples))]
 
 
 # -- normalized model -----------------------------------------------------------
@@ -239,82 +221,44 @@ def d_basis_tuples(dim: int, n: int):
 
 def d_basis_chain(A: FiniteDimAlgebra, t) -> HochschildChain:
     """The chain e_{i₀} d e_{i₁} … d e_{i_n} expanded into A^⊗(n+1)."""
-    chain = pure_tensor(A, t[0])
+    coeffs = {(t[0],): Fraction(1)}
     for idx in t[1:]:
         # ω·da = ω⊗a − (ω with last slot multiplied by a)⊗1
-        out = {}
-        for tt, v in chain.coeffs.items():
-            nt = tt + (idx,)
-            out[nt] = out.get(nt, Fraction(0)) + v
-            for k, c in A.mul_basis(tt[-1], idx).items():
-                mt = tt[:-1] + (k, 0)
-                nv = out.get(mt, Fraction(0)) - v * c
-                if nv:
-                    out[mt] = nv
-                elif mt in out:
-                    del out[mt]
-        chain = HochschildChain(A, chain.degree + 1, out)
-    return chain
+        coeffs = _collect([
+            *((s + (idx,), v) for s, v in coeffs.items()),
+            *((s[:-1] + (k, 0), -v * c) for s, v in coeffs.items()
+              for k, c in A.mul_table[s[-1]][idx].items())])
+    return HochschildChain(A, len(t) - 1, coeffs)
 
 
 def _normalized_boundary_columns(A: FiniteDimAlgebra, n: int):
-    """Sparse columns of b̄_n in the normalized bases (degree n → n−1)."""
-    d = A.dim
-    dst = {t: i for i, t in enumerate(d_basis_tuples(d, n - 1))}
-    cols = []
-    for t in d_basis_tuples(d, n):
-        col = {}
+    """Sparse columns of b̄_n in the normalized bases (degree n → n−1).
 
-        def add(target, value):
-            if target in dst:
-                pos = dst[target]
-                nv = col.get(pos, Fraction(0)) + value
-                if nv:
-                    col[pos] = nv
-                elif pos in col:
-                    del col[pos]
-
-        # i = 0: product lands in the A-slot, keep every component
-        for k, c in A.mul_basis(t[0], t[1]).items():
-            add((k,) + t[2:], c)
-        # 1 <= i <= n−1: product lands in a class slot, drop its unit part
-        for i in range(1, n):
-            for k, c in A.mul_basis(t[i], t[i + 1]).items():
-                if k == 0:
-                    continue
-                add(t[:i] + (k,) + t[i + 2:], (-1) ** i * c)
-        # i = n: cyclic term back into the A-slot
-        for k, c in A.mul_basis(t[n], t[0]).items():
-            add((k,) + t[1:n], (-1) ** n * c)
-        cols.append(col)
+    Column t is b_n of the pure tensor t with the terms that carry a unit
+    in a d-slot dropped."""
+    dst = {t: i for i, t in enumerate(d_basis_tuples(A.dim, n - 1))}
+    cols = [{dst[s]: v for s, v in _collect(
+                _boundary_terms(A.mul_table, n, t)).items() if s in dst}
+            for t in d_basis_tuples(A.dim, n)]
     return cols, len(dst)
 
 
-def _columns_to_rows(cols, nrows):
-    rows = [dict() for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    return rows
-
-
 def normalized_rank_b(A: FiniteDimAlgebra, n: int) -> int:
-    """rank of b̄_n over ℚ (0 when n <= 0 or the source is empty)."""
+    """rank of b̄_n over ℚ (0 when n <= 0 or the source is empty): the rank
+    of its columns."""
     if n <= 0:
         return 0
-    cols, nrows = _normalized_boundary_columns(A, n)
-    return rank_sparse(_columns_to_rows(cols, nrows), len(cols))
+    return rank_sparse(*_normalized_boundary_columns(A, n))
 
 
-def hochschild_homology(A: FiniteDimAlgebra, n: int,
-                        max_source: int = 200_000) -> int:
+def hochschild_homology(A: FiniteDimAlgebra, n: int) -> int:
     """dim_ℚ HH_n(A) = dim ker b̄_n − rank b̄_{n+1} in the normalized model."""
     d = A.dim
-    dim_n = d * (d - 1) ** n
-    if d * (d - 1) ** (n + 1) > max_source:
+    if d * (d - 1) ** (n + 1) > MAX_SOURCE:
         raise SizeCapExceeded("normalized complex too large at degree "
                               f"{n + 1}")
-    return dim_n - normalized_rank_b(A, n) - normalized_rank_b(A, n + 1)
+    return (d * (d - 1) ** n - normalized_rank_b(A, n)
+            - normalized_rank_b(A, n + 1))
 
 
 def hochschild_homology_table(A: FiniteDimAlgebra, max_degree: int):
@@ -380,15 +324,16 @@ def matrix_algebra(n: int) -> FiniteDimAlgebra:
         (p, q), (r, s) = divmod(a, n), divmod(b, n)
         return {p * n + s: 1} if q == r else {}
 
-    return FiniteDimAlgebra(n * n, _rebased(basis, unit_prod),
-                            name=f"mat{n}")
+    return FiniteDimAlgebra(
+        n * n, _rebased(basis, _table_from_products(n * n, unit_prod)),
+        name=f"mat{n}")
 
 
-def _rebased(basis, prod):
+def _rebased(basis, table):
     """Structure constants on a new basis.
 
     `basis` holds the new basis vectors as sparse rational vectors in the
-    old coordinates, and prod(i, j) the old product e_i·e_j as a sparse
+    old coordinates, and table[i][j] the old product e_i·e_j as a sparse
     vector.  Entry [a][b] of the result is basis[a]·basis[b] in the new
     coordinates.  With T the matrix whose columns are the new basis, the
     reduced echelon form of [T | I] is [I | T⁻¹]."""
@@ -409,19 +354,8 @@ def _rebased(basis, prod):
                 out[i] = acc
         return out
 
-    def mul_old(u: dict, v: dict) -> dict:
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for k, c in prod(i, j).items():
-                    nv = out.get(k, Fraction(0)) + a * b * c
-                    if nv:
-                        out[k] = nv
-                    elif k in out:
-                        del out[k]
-        return out
-
-    return [[new_coords(mul_old(u, v)) for v in basis] for u in basis]
+    old = FiniteDimAlgebra(dim, table, validate=False)
+    return [[new_coords(old.mul_vec(u, v)) for v in basis] for u in basis]
 
 
 _BUILTIN_CACHE: dict = {}
@@ -451,23 +385,29 @@ def with_unit_first(dim, table, unit_coords):
     # new basis: unit first, then the standard vectors except the pivot
     basis = [{i: c for i, c in enumerate(unit) if c}]
     basis += [{i: Fraction(1)} for i in range(dim) if i != pivot]
-    return _rebased(basis, lambda i, j: table[i][j])
+    return _rebased(basis, table)
 
 
 def algebra_from_json(obj) -> FiniteDimAlgebra:
     """{"dim": n, "mul": [[[[k, c], ...], ...], ...], "unit": [c, ...]?}.
 
-    mul[i][j] lists the terms c·e_k of e_i·e_j.  When a unit vector is
-    given and is not basis element 0, the basis is changed so the unit
-    comes first.  Every malformed field is a ParseError.
+    mul[i][j] lists the terms c·e_k of e_i·e_j; repeated k are summed.  A
+    dimension above MAX_DIM is refused (SizeCapExceeded) before the table
+    is read.  When a unit vector is given and is not basis element 0, the
+    basis is changed so the unit comes first.  Every malformed field is a
+    ParseError.
     """
     try:
         dim = _integer(obj["dim"], "dim", 1)
+        if dim > MAX_DIM:
+            raise SizeCapExceeded(
+                f"algebra dimension {dim} is above the cap {MAX_DIM}")
         mul = obj["mul"]
         if len(mul) != dim or any(len(row) != dim for row in mul):
             raise ParseError(f"mul must be a {dim}×{dim} table")
-        table = [[{_integer(k, "structure-constant index", 0, dim):
-                   parse_fraction(str(v)) for k, v in cell} for cell in row]
+        table = [[_collect((_integer(k, "structure-constant index", 0, dim),
+                            parse_fraction(str(v))) for k, v in cell)
+                  for cell in row]
                  for row in mul]
         unit = obj.get("unit")
         if unit is not None:

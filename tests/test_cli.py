@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -418,6 +419,23 @@ def test_algebra_json_with_the_unit_second(tmp_path):
     want = run_cli("hochschild", "--algebra", "QI")
     assert (json.loads(proc.stdout)["results"]["hh_dimensions"]
             == json.loads(want.stdout)["results"]["hh_dimensions"])
+
+
+def test_large_algebra_is_refused_before_its_table_is_checked(tmp_path):
+    # dimension 160, e0 the unit and every other product 0: checking its
+    # associativity takes 160³ steps, so the dimension cap comes first
+    d = 160
+    mul = [[[[i + j, 1]] if i == 0 or j == 0 else [] for j in range(d)]
+           for i in range(d)]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": d, "mul": mul}))
+    start = time.perf_counter()
+    proc = run_cli("hochschild", "--algebra", str(path))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 4
+    assert proc.stderr.strip().splitlines() == [
+        "resource cap: algebra dimension 160 is above the cap 64"]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", ""])

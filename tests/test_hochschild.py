@@ -6,6 +6,7 @@ from scissors.hochschild import (
     HochschildChain,
     NotInOmega,
     SizeCapExceeded,
+    algebra_from_json,
     builtin_algebra,
     d_basis_chain,
     d_basis_tuples,
@@ -170,3 +171,72 @@ def test_size_cap():
     M4 = builtin_algebra("mat4")
     with pytest.raises(SizeCapExceeded):
         omega_basis(M4, 4)
+
+
+def test_repeated_terms_of_a_mul_cell_are_summed():
+    unit_row = [[[0, 1]], [[1, 1]]]
+    # e1·e1 = e1 − e1 = 0: the dual numbers ℚ[ε]/(ε²)
+    dual = algebra_from_json({"dim": 2, "mul": [
+        unit_row, [[[1, 1]], [[1, 1], [1, -1]]]]})
+    assert dual.mul_basis(1, 1) == {}
+    # e1·e1 = e0 + e0: ℚ(√2)
+    root2 = algebra_from_json({"dim": 2, "mul": [
+        unit_row, [[[1, 1]], [[0, 1], [0, 1]]]]})
+    assert root2.mul_basis(1, 1) == {0: Fraction(2)}
+
+
+# -- an algebra written on a random basis -------------------------------------
+
+
+def _inverse(m):
+    """Gauss–Jordan inverse of a square Fraction matrix; None if singular."""
+    n = len(m)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(m)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def _on_random_basis(A, rng):
+    """A as algebra JSON on a seeded random basis f_a = Σ_i P[i][a] e_i,
+    whose unit (column 0 of P⁻¹) is not a multiple of f_0."""
+    d = A.dim
+    while True:
+        P = [[rng.fraction(2, 2) for _ in range(d)] for _ in range(d)]
+        Q = _inverse(P)
+        if Q is not None and any(Q[a][0] for a in range(1, d)):
+            break
+
+    def product_in_f(a, b):
+        e = [Fraction(0)] * d
+        for i in range(d):
+            for j in range(d):
+                for k, c in A.mul_basis(i, j).items():
+                    e[k] += P[i][a] * P[j][b] * c
+        return [sum(Q[r][k] * e[k] for k in range(d)) for r in range(d)]
+
+    mul = [[[[r, str(c)] for r, c in enumerate(product_in_f(a, b)) if c]
+            for b in range(d)] for a in range(d)]
+    return {"dim": d, "mul": mul, "unit": [str(Q[a][0]) for a in range(d)]}
+
+
+@pytest.mark.parametrize("name", ["QI", "quat", "mat2"])
+def test_algebra_on_a_random_basis_keeps_its_homology(name):
+    A = builtin_algebra(name)
+    want = hochschild_homology_table(A, 2)
+    for case in range(3):
+        rng = SplitMix64.stream(47, case)
+        B = algebra_from_json(_on_random_basis(A, rng))
+        assert hochschild_homology_table(B, 2) == want
+        for _ in range(3):
+            c = rand_omega_chain(B, 2, rng)
+            assert hochschild_boundary(1, hochschild_boundary(2, c)).is_zero()
