@@ -58,10 +58,11 @@ def make_point(coords) -> tuple:
 def to_homog(p) -> tuple:
     """The homogeneous point of p, weight last and positive: integers when
     every coordinate is rational, else the coordinates with weight 1."""
-    if not all(type(c) is Fraction for c in p):
+    k = [c.as_integer_ratio() for c in p if type(c) is Fraction]
+    if len(k) != len(p):
         return (*p, 1)
-    den = lcm(*(c.denominator for c in p))
-    return tuple(c.numerator * (den // c.denominator) for c in p) + (den,)
+    den = lcm(*[q for _, q in k])
+    return tuple([n * (den // q) for n, q in k]) + (den,)
 
 
 def from_homog(h) -> tuple:
@@ -73,9 +74,7 @@ def from_homog(h) -> tuple:
 
 def _coord_id(c):
     c = as_scalar(c)
-    if isinstance(c, Fraction):
-        return c.numerator, c.denominator
-    return c.key()
+    return c.as_integer_ratio() if isinstance(c, Fraction) else c.key()
 
 
 def vertex_key(p) -> tuple:
@@ -85,8 +84,9 @@ def vertex_key(p) -> tuple:
     which compares and hashes as ints, an irrational one by its scalar key.
     The keys do not order points by value: `VertexTable.ranks` does.
     """
-    if all(type(c) is Fraction for c in p):
-        return tuple([(c.numerator, c.denominator) for c in p])
+    k = [c.as_integer_ratio() for c in p if type(c) is Fraction]
+    if len(k) == len(p):
+        return tuple(k)
     return tuple(map(_coord_id, p))
 
 
@@ -184,14 +184,9 @@ class VertexTable:
         return p
 
     def homog(self, i) -> tuple:
-        """The homogeneous point of point i (see `to_homog`): integers built
-        from its rational key, else its coordinates with weight 1."""
-        k = self.keys[i]
-        # an irrational coordinate keys as ("a", minimal polynomial, index)
-        if not all(type(c[0]) is int for c in k):
-            return self.point(i) + (1,)
-        den = lcm(*[q for _, q in k])
-        return tuple([n * (den // q) for n, q in k]) + (den,)
+        """The homogeneous point of point i (`to_homog`): integers when it
+        is rational, whatever scalars it was given in."""
+        return to_homog(make_point(self.point(i)))
 
     def ranks(self) -> list:
         """Each id's rank in the value order of the points: coordinate by
@@ -328,13 +323,25 @@ def orientation_sign(s: Simplex) -> int:
     return hp.orient(list(map(to_homog, s.vertices)))
 
 
+def _net_faces(net: dict, cells) -> dict:
+    """`net` plus the faces of the (coefficient, id tuple) cells, zeros
+    kept: `combinations(t, n − 1)` read back to front, so the i-th face of
+    t omits vertex i and carries (−1)^i·c; the empty tuple has none."""
+    for c, t in cells:
+        n = len(t)
+        if n:
+            faces = [*combinations(t, n - 1)]
+            faces.reverse()
+            for f in faces:
+                net[f] = net.get(f, 0) + c
+                c = -c
+    return net
+
+
 def boundary(chain: SimplexChain) -> SimplexChain:
-    """Alternating-sum face chain; satisfies ∂∂ = 0 after reduction."""
-    acc = {}
-    for c, t in chain.ids:
-        for i in range(len(t)):
-            f = t[:i] + t[i + 1:]
-            acc[f] = acc.get(f, 0) + (-c if i % 2 else c)
+    """Alternating-sum face chain, Σ (−1)^i c·(t without vertex i) over
+    its terms in order, netted on the id tuples (`_net_faces`); ∂∂ = 0."""
+    acc = _net_faces({}, chain.ids)
     return SimplexChain.from_ids(chain.dim_ambient, chain.table,
                                  [(c, f) for f, c in acc.items() if c])
 

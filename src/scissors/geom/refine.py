@@ -45,6 +45,7 @@ from . import (
     Polytope,
     SimplexChain,
     VertexTable,
+    _net_faces,
     _swap_last_two,
 )
 from . import predicates as hp
@@ -333,17 +334,16 @@ def _net_facets(cells) -> dict:
 
     Each cell is sorted once and its coefficient signed by the parity of
     the sorting permutation, counted by its strict inversions (so a
-    repeated id costs no sign).  The faces of the sorted tuple, taken by
-    `combinations`, are sorted already and alternate in sign; the first
-    omits the last vertex, so its sign is (−1)^(n−1)."""
-    net = {}
+    repeated id costs no sign) only when the cell is not sorted already.
+    The faces of the sorted tuple, netted by the face loop of `boundary`
+    (`_net_faces`), are sorted already."""
+    signed = []
     for c, t in cells:
-        n = len(t)
-        if (n - 1 + sum([a > b for a, b in combinations(t, 2)])) & 1:
+        s = tuple(sorted(t))
+        if s != t and sum([a > b for a, b in combinations(t, 2)]) & 1:
             c = -c
-        for f in combinations(sorted(t), n - 1):
-            net[f] = net.get(f, 0) + c
-            c = -c
+        signed.append((c, s))
+    net = _net_faces({}, signed)
     return {f: c for f, c in net.items() if c}
 
 

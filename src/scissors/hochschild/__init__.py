@@ -96,7 +96,8 @@ class FiniteDimAlgebra:
 
 
 class HochschildChain:
-    """Element of A^⊗(n+1): finitely supported map from index tuples to ℚ."""
+    """Element of A^⊗(n+1): finitely supported map from index tuples to ℚ.
+    The constructor checks its terms; the package's own maps use `_of`."""
 
     def __init__(self, algebra: FiniteDimAlgebra, degree: int, coeffs=None):
         self.algebra = algebra
@@ -110,8 +111,17 @@ class HochschildChain:
                         raise ValueError("tuple length != degree + 1")
                     self.coeffs[tuple(t)] = v
 
+    @classmethod
+    def _of(cls, algebra, degree: int, coeffs: dict) -> "HochschildChain":
+        """The chain of {tuple of degree + 1: nonzero Fraction}, unchecked."""
+        ch = object.__new__(cls)
+        ch.algebra, ch.degree, ch.coeffs = algebra, degree, coeffs
+        return ch
+
     def __add__(self, other):
-        return HochschildChain(self.algebra, self.degree, _collect(
+        if other.degree != self.degree and other.coeffs:
+            raise ValueError("tuple length != degree + 1")
+        return HochschildChain._of(self.algebra, self.degree, _collect(
             [*self.coeffs.items(), *other.coeffs.items()]))
 
     def __sub__(self, other):
@@ -119,9 +129,9 @@ class HochschildChain:
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
-        return HochschildChain(
+        return HochschildChain._of(
             self.algebra, self.degree,
-            {t: scalar * v for t, v in self.coeffs.items()})
+            {t: scalar * v for t, v in self.coeffs.items()} if scalar else {})
 
     def __neg__(self):
         return (-1) * self
@@ -162,7 +172,7 @@ def _boundary_terms(table, n: int, t) -> list:
 
 def _face_chain(i: int, n: int, chain: HochschildChain) -> HochschildChain:
     table = chain.algebra.mul_table
-    return HochschildChain(chain.algebra, n - 1, _collect(
+    return HochschildChain._of(chain.algebra, n - 1, _collect(
         (s, v * c) for t, v in chain.coeffs.items()
         for s, c in _face(table, i, n, t)))
 
@@ -187,7 +197,7 @@ def hochschild_boundary(n: int, chain: HochschildChain,
     if check and not in_omega(chain):
         raise NotInOmega("chain is not in the joint ε-kernel")
     table = chain.algebra.mul_table
-    return HochschildChain(chain.algebra, n - 1, _collect(
+    return HochschildChain._of(chain.algebra, n - 1, _collect(
         (s, v * c) for t, v in chain.coeffs.items()
         for s, c in _boundary_terms(table, n, t)))
 
@@ -228,7 +238,7 @@ def d_basis_chain(A: FiniteDimAlgebra, t) -> HochschildChain:
             *((s + (idx,), v) for s, v in coeffs.items()),
             *((s[:-1] + (k, 0), -v * c) for s, v in coeffs.items()
               for k, c in A.mul_table[s[-1]][idx].items())])
-    return HochschildChain(A, len(t) - 1, coeffs)
+    return HochschildChain._of(A, len(t) - 1, coeffs)
 
 
 def _normalized_boundary_columns(A: FiniteDimAlgebra, n: int):

@@ -49,8 +49,9 @@ def tau_slotwise(chain: HochschildChain) -> HochschildChain:
         s = 1
         for i in t:
             s *= A.conj_basis_sign(i)
-        out[t] = v * s
-    return HochschildChain(A, chain.degree, out)
+        if s:
+            out[t] = v * s
+    return HochschildChain._of(A, chain.degree, out)
 
 
 def _omega_coordinates(chain: HochschildChain) -> dict:
@@ -79,7 +80,7 @@ def tau_chain(n: int, chain: HochschildChain) -> HochschildChain:
             s *= A.conj_basis_sign(i)
         image = d_basis_chain(A, (t[0],) + t[:0:-1])
         terms += [(u, s * w) for u, w in image.coeffs.items()]
-    return HochschildChain(A, n, _collect(terms))
+    return HochschildChain._of(A, n, _collect(terms))
 
 
 def tau_swap(chain: HochschildChain) -> HochschildChain:
@@ -172,7 +173,7 @@ def kernel_in_span(basis_chains, operator):
                               len(basis_chains))
     A = basis_chains[0].algebra
     deg = basis_chains[0].degree
-    return [HochschildChain(A, deg, _collect(
+    return [HochschildChain._of(A, deg, _collect(
         (t, v * w) for j, v in vec.items()
         for t, w in basis_chains[j].coeffs.items())) for vec in combos]
 
@@ -228,7 +229,7 @@ def spin_action(q1: dict, q2: dict, n: int,
                        for k, c in image.items()]
         return partial
 
-    return HochschildChain(A, n, _collect(
+    return HochschildChain._of(A, n, _collect(
         term for t, v in chain.coeffs.items() for term in expand(t, v)))
 
 

@@ -85,7 +85,7 @@ class AffineSubspace:
         return not any(self._offset(h))
 
     def contains_point(self, p) -> bool:
-        return self._holds(to_homog(tuple(map(Fraction, p))))
+        return self._holds(to_homog(make_point(p)))
 
     def contains_subspace(self, other: "AffineSubspace") -> bool:
         if other.dim > self.dim or not self._holds(other.base):
@@ -105,7 +105,7 @@ class AffineSubspace:
 
 
 def span_of_points(points) -> AffineSubspace:
-    hs = [to_homog(tuple(map(Fraction, p))) for p in points]
+    hs = [to_homog(make_point(p)) for p in points]
     span = AffineSubspace.point(hs[0])
     for h in hs[1:]:
         span = span.join(h)
@@ -126,7 +126,7 @@ def subspace_pool(points, dim: int, spans=None):
     index = {}
     table = {} if spans is None else spans
     n = len(points)
-    homog = [to_homog(tuple(map(Fraction, p))) for p in points]
+    homog = [to_homog(make_point(p)) for p in points]
     for size in range(1, min(n, dim) + 1):
         for subset in combinations(range(n), size):
             h = homog[subset[-1]]

@@ -5,7 +5,8 @@ the exterior-algebra betti numbers of free abelian groups at desk scale.
 sd and H work on the vertex-id tuples of a chain: the barycenters they
 make are added to the chain's vertex table, and their results are chains
 on that table, so the terms of sd^r(c), H_r(c) and c cancel as int
-tuples."""
+tuples.  One memoized recursion per table gives both sd(σ) and H(σ) of
+each ordered face σ, from one barycenter lookup."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -27,7 +28,7 @@ class TooManyPoints(SizeCap):
 def affine_span_dim(points) -> int:
     """Exact dimension of the affine span of a tuple of rational points
     (Fraction or int coordinates)."""
-    hs = [to_homog(tuple(map(Fraction, p))) for p in points]
+    hs = [to_homog(make_point(p)) for p in points]
     *b, w = hs[0]
     return len(echelon_int(
         [[x * w - y * h[-1] for x, y in zip(h[:-1], b)] for h in hs[1:]])[0])
@@ -61,38 +62,30 @@ class FilteredTupleComplex:
                 self.level[t] = d
 
     def chain_complex(self) -> ChainComplex:
-        ranks = {k: len(self.basis[k]) for k in self.basis}
-        boundaries = {}
-        for k in range(1, self.max_degree + 1):
-            mat = SparseIntMatrix(ranks[k - 1], ranks[k])
-            for col, t in enumerate(self.basis[k]):
-                for i in range(len(t)):
-                    face = t[:i] + t[i + 1:]
-                    mat.add_at(self.index[k - 1][face], col, (-1) ** i)
-            boundaries[k] = mat
-        return ChainComplex(ranks, boundaries,
-                            labels={k: self.basis[k] for k in self.basis})
+        return _tuple_complex(self.basis, self.max_degree)
 
     def graded_piece(self, p: int) -> ChainComplex:
         """Gr_p: tuples of span dimension exactly p; lower faces die."""
-        sub = {}
-        subindex = {}
-        for k, tuples in self.basis.items():
-            chosen = [t for t in tuples if self.level[t] == p]
-            sub[k] = chosen
-            subindex[k] = {t: i for i, t in enumerate(chosen)}
-        ranks = {k: len(sub[k]) for k in sub}
-        boundaries = {}
-        for k in range(1, self.max_degree + 1):
-            mat = SparseIntMatrix(ranks[k - 1], ranks[k])
-            for col, t in enumerate(sub[k]):
-                for i in range(len(t)):
-                    face = t[:i] + t[i + 1:]
-                    if self.level[face] == p:
-                        mat.add_at(subindex[k - 1][face], col, (-1) ** i)
-            boundaries[k] = mat
-        return ChainComplex(ranks, boundaries,
-                            labels={k: sub[k] for k in sub})
+        return _tuple_complex({k: [t for t in tuples if self.level[t] == p]
+                               for k, tuples in self.basis.items()},
+                              self.max_degree)
+
+
+def _tuple_complex(basis, top: int) -> ChainComplex:
+    """The complex on the tuples basis[k] ({degree: [tuple]}) up to degree
+    `top`, whose ∂ takes the faces (−1)^i·(t without entry i) that lie in
+    the basis one degree down."""
+    boundaries = {}
+    for k in range(1, top + 1):
+        rows = {t: i for i, t in enumerate(basis[k - 1])}
+        mat = boundaries[k] = SparseIntMatrix(len(rows), len(basis[k]))
+        for col, t in enumerate(basis[k]):
+            for i in range(len(t)):
+                row = rows.get(t[:i] + t[i + 1:])
+                if row is not None:
+                    mat.add_at(row, col, -1 if i % 2 else 1)
+    return ChainComplex({k: len(b) for k, b in basis.items()}, boundaries,
+                        labels=dict(basis))
 
 
 def simplicial_complex_of(points, max_degree: int,
@@ -102,10 +95,11 @@ def simplicial_complex_of(points, max_degree: int,
 
 # -- barycentric subdivision ------------------------------------------------------
 
-def _accumulate(out, chain, image):
-    """out += Σ c·image(t) over the id-tuple chain {t: c}."""
+def _accumulate(out, chain, sub, part):
+    """out += Σ c·sd(t) (part 0) or Σ c·H(t) (part 1) over the id-tuple
+    chain {t: c}, from the subdivision `sub`."""
     for t, c in chain.items():
-        for u, cu in image(t).items():
+        for u, cu in sub.sd_h(t)[part].items():
             out[u] = out.get(u, 0) + c * cu
     return out
 
@@ -120,8 +114,10 @@ class _Subdivision:
     the mean of the (numerator, denominator) key pairs it averages, taken
     in ints over their lcm and reduced by one gcd, so it keys exactly as
     the `Fraction` mean would; a coordinate with an irrational term is the
-    scalar mean.  sd(τ) and H(τ) of each ordered face τ are computed once
-    per table, so sd^r(c), H_r(c) and H_r(∂c) share their faces' images.
+    scalar mean.  sd(τ) and H(τ) of each ordered face τ are computed
+    together, once per table (`sd_h`), so sd^r(c), H_r(c) and H_r(∂c)
+    share their faces' images, and each face's barycenter is looked up
+    once for both.
     """
 
     def __init__(self, table):
@@ -129,8 +125,7 @@ class _Subdivision:
         self.rational = True  # every point of the table so far
         self._checked = 0
         self._bary = {}
-        self._sd = {}
-        self._h = {}
+        self._sdh = {}
 
     @classmethod
     def of(cls, chain: SimplexChain) -> "_Subdivision":
@@ -175,35 +170,27 @@ class _Subdivision:
             self._bary[key] = b
         return b
 
-    def sd(self, t) -> dict:
-        """sd(σ) = b_σ * sd(∂σ); identity on vertices."""
-        hit = self._sd.get(t)
+    def sd_h(self, t) -> tuple:
+        """(sd(σ), H(σ)) of the ordered face σ = t, from one pass over its
+        faces: sd(σ) = b_σ * sd(∂σ), the identity on vertices, and
+        H(σ) = −b_σ * (σ + H(∂σ)), 0 on vertices; ∂H + H∂ = sd − id."""
+        hit = self._sdh.get(t)
         if hit is None:
             if len(t) == 1:
-                hit = {t: 1}
+                hit = {t: 1}, {}
             else:
                 b = self._barycenter(t)
-                hit = {}
+                sd, h = hit = {}, {(b,) + t: -1}
                 for i in range(len(t)):
-                    for u, c in self.sd(t[:i] + t[i + 1:]).items():
+                    fsd, fh = self.sd_h(t[:i] + t[i + 1:])
+                    c = -1 if i % 2 else 1
+                    for u, cu in fsd.items():
                         u = (b,) + u
-                        hit[u] = hit.get(u, 0) + (-c if i % 2 else c)
-            self._sd[t] = hit
-        return hit
-
-    def h(self, t) -> dict:
-        """H(σ) = −b_σ * (σ + H(∂σ)), H = 0 on vertices; ∂H + H∂ = sd − id."""
-        hit = self._h.get(t)
-        if hit is None:
-            hit = {}
-            if len(t) > 1:
-                b = self._barycenter(t)
-                hit[(b,) + t] = -1
-                for i in range(len(t)):
-                    for u, c in self.h(t[:i] + t[i + 1:]).items():
+                        sd[u] = sd.get(u, 0) + c * cu
+                    for u, cu in fh.items():
                         u = (b,) + u
-                        hit[u] = hit.get(u, 0) + (c if i % 2 else -c)
-            self._h[t] = hit
+                        h[u] = h.get(u, 0) - c * cu
+            self._sdh[t] = hit
         return hit
 
 
@@ -228,7 +215,7 @@ def sd_power(chain: SimplexChain, rounds: int) -> SimplexChain:
     sub = _Subdivision.of(chain)
     terms = {t: c for c, t in chain.reduce().ids}
     for _ in range(rounds):
-        terms = _accumulate({}, terms, sub.sd)
+        terms = _accumulate({}, terms, sub, 0)
     return _on_table(chain, terms)
 
 
@@ -240,8 +227,8 @@ def subdivision_homotopy(chain: SimplexChain, rounds: int) -> SimplexChain:
     total = {}
     for i in range(rounds):
         if i:
-            terms = _accumulate({}, terms, sub.sd)
-        _accumulate(total, terms, sub.h)
+            terms = _accumulate({}, terms, sub, 0)
+        _accumulate(total, terms, sub, 1)
     return _on_table(chain, total)
 
 
@@ -276,18 +263,7 @@ def torus_complex(n: int, q: int = 3) -> ChainComplex:
         for s in simplices[k]:
             for i in range(len(s)):
                 simplices[k - 1].add(s[:i] + s[i + 1:])
-    basis = {k: sorted(simplices[k]) for k in simplices}
-    index = {k: {s: i for i, s in enumerate(basis[k])} for k in basis}
-    ranks = {k: len(basis[k]) for k in basis}
-    boundaries = {}
-    for k in range(1, n + 1):
-        mat = SparseIntMatrix(ranks[k - 1], ranks[k])
-        for col, s in enumerate(basis[k]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                mat.add_at(index[k - 1][face], col, (-1) ** i)
-        boundaries[k] = mat
-    return ChainComplex(ranks, boundaries, labels=basis)
+    return _tuple_complex({k: sorted(simplices[k]) for k in simplices}, n)
 
 
 def torus_homology(n: int):

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from scissors.algebraic import AlgebraicReal, make_algebraic
+from scissors.algebraic import AlgebraicReal, make_algebraic, sqrt_nonneg
 from scissors.geom import (
     PointOnBoundary,
     Polytope,
@@ -33,6 +33,7 @@ from scissors.homology.simplicial import (
     subdivision_homotopy,
 )
 from scissors.rng import SplitMix64
+from scissors.scalars import scalar_key
 from test_flags import _configurations as degenerate_configurations
 
 # -- oracles ------------------------------------------------------------------
@@ -204,11 +205,13 @@ def seeded_chain_pair(seed, dim):
     """A chain and its oracle twin over a few points with small coordinates:
     simplices of every length up to dim + 2 (repeated vertices allowed),
     each term followed now and then by a cancelling copy whose points are
-    given in other scalar types."""
+    given in other scalar types.  The first term is on the first pool
+    points, so its ids come sorted, and the last two are a 0-simplex and a
+    term on the empty tuple."""
     rng = SplitMix64.stream(seed, dim)
     pool = [tuple(rng.fraction(2, 2) for _ in range(dim))
             for _ in range(dim + 3)]
-    terms = []
+    terms = [(2, Simplex(dim, tuple(pool[:dim + 1])))]
     for _ in range(12):
         k = rng.randint(1, dim + 2)
         verts = tuple(rng.choice(pool) for _ in range(k))
@@ -217,6 +220,8 @@ def seeded_chain_pair(seed, dim):
         if rng.randint(0, 2) == 0:
             twin = Simplex(dim, tuple(retyped(v, rng) for v in verts))
             terms.append((-c if rng.randint(0, 1) else c, twin))
+    terms += [(rng.randint(1, 2), Simplex(dim, (rng.choice(pool),))),
+              (rng.randint(-2, -1), Simplex(dim, ()))]
     return SimplexChain(dim, terms), OracleChain(dim, terms)
 
 
@@ -239,6 +244,8 @@ def test_chain_arithmetic_matches_oracle():
             chain, oracle = seeded_chain_pair(101 + seed, dim)
             other, other_oracle = seeded_chain_pair(201 + seed, dim)
             assert_same(chain, oracle)
+            first, last = chain.ids[0][1], chain.ids[-1][1]
+            assert list(first) == sorted(first) and last == ()
             assert_same(chain.reduce(), oracle.reduce())
             assert_same(boundary(chain), oracle_boundary(oracle))
             assert_same(boundary(boundary(chain)),
@@ -311,6 +318,114 @@ def test_homotopy_identity_in_oracle_arithmetic():
                 - o_rhs).is_zero()
         assert len(rhs) == len(o_rhs.terms)
         assert sorted(keyed_terms(rhs)) == sorted(keyed_terms(o_rhs.terms))
+
+
+class OracleSubdivision:
+    """sd and H by their recursive definition on tuples of points: sd(σ) =
+    b_σ·sd(∂σ) and H(σ) = −b_σ·(σ + H(∂σ)), the identity and 0 on
+    vertices, where b_σ is the mean of σ's points in exact scalars
+    (`Fraction`s when rational), a repeated point counted as often as it
+    occurs.  A point is named by the scalar keys of its coordinates, and
+    numbered in the order those keys are first seen."""
+
+    def __init__(self):
+        self.keys, self.points, self.number = [], [], {}
+        self.means = {}  # point tuple -> the number of its barycenter
+
+    def name(self, p):
+        k = tuple(map(scalar_key, p))
+        if k not in self.number:
+            self.number[k] = len(self.keys)
+            self.keys.append(k)
+            self.points.append(p)
+        return self.number[k]
+
+    def barycenter(self, t):
+        if t not in self.means:
+            col = list(zip(*(self.points[i] for i in t)))
+            self.means[t] = self.name(tuple(
+                sum(c[1:], c[0]) * Fraction(1, len(t)) for c in col))
+        return self.means[t]
+
+    def sd(self, t):
+        if len(t) == 1:
+            return {t: 1}
+        b, out = self.barycenter(t), {}
+        for i in range(len(t)):
+            for u, c in self.sd(t[:i] + t[i + 1:]).items():
+                out[(b,) + u] = out.get((b,) + u, 0) + (-1) ** i * c
+        return out
+
+    def h(self, t):
+        if len(t) == 1:
+            return {}
+        b = self.barycenter(t)
+        out = {(b,) + t: -1}
+        for i in range(len(t)):
+            for u, c in self.h(t[:i] + t[i + 1:]).items():
+                out[(b,) + u] = out.get((b,) + u, 0) - (-1) ** i * c
+        return out
+
+    def apply(self, image, chain):
+        out = {}
+        for t, c in chain.items():
+            for u, cu in image(t).items():
+                out[u] = out.get(u, 0) + c * cu
+        return out
+
+    def keyed(self, chain):
+        """The nonzero terms as (coefficient, tuple of point keys)."""
+        return {(c, tuple(self.keys[i] for i in t))
+                for t, c in chain.items() if c}
+
+
+def _point_keyed(chain):
+    """The terms as (coefficient, tuple of point keys), each vertex of the
+    table keyed by its point once."""
+    keys = {i: tuple(map(scalar_key, chain.table.point(i)))
+            for i in {i for _, t in chain.ids for i in t}}
+    return [(c, tuple(keys[i] for i in t)) for c, t in chain.ids]
+
+
+def _definition_chain(seed, dim):
+    """Seeded cells on a few rational points, one with a vertex repeated,
+    together with the midpoint of the first two points, on which the
+    barycenter of that edge lands, and a point with an irrational first
+    coordinate."""
+    rng = SplitMix64.stream(seed, dim)
+    pool = [tuple(rng.fraction(3, 2) for _ in range(dim))
+            for _ in range(dim + 1)]
+    mid = tuple((a + b) / 2 for a, b in zip(pool[0], pool[1]))
+    odd = (pool[1][0] + sqrt_nonneg(2) / 3,) + pool[1][1:]
+    cells = [tuple(pool), (pool[0], mid, pool[0]),
+             (odd,) + tuple(pool[1:]), (mid, pool[1])]
+    return SimplexChain(dim, [(rng.choice((-2, -1, 1, 3)), simplex(dim, *t))
+                              for t in cells])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sd_and_homotopy_match_their_definition(dim):
+    # sd^r and H_r = Σ_{i<r} H∘sd^i of the chain engine, against the
+    # recursion on points for r = 0, 1, 2, as sets of point-keyed terms
+    for seed in (5150, 5151):
+        chain = _definition_chain(seed, dim)
+        oracle = OracleSubdivision()
+        terms = {}
+        for c, s in chain:
+            t = tuple(map(oracle.name, s.vertices))
+            terms[t] = terms.get(t, 0) + c
+        h_total = {}
+        for rounds in range(3):
+            sd = sd_power(chain, rounds)
+            h = subdivision_homotopy(chain, rounds)
+            want_sd, want_h = oracle.keyed(terms), oracle.keyed(h_total)
+            assert len(sd) == len(want_sd) and \
+                set(_point_keyed(sd)) == want_sd, (seed, rounds)
+            assert len(h) == len(want_h) and \
+                set(_point_keyed(h)) == want_h, (seed, rounds)
+            for t, c in oracle.apply(oracle.h, terms).items():
+                h_total[t] = h_total.get(t, 0) + c
+            terms = oracle.apply(oracle.sd, terms)
 
 
 def test_flipped_cells_keep_their_keys():

@@ -627,17 +627,20 @@ def test_net_facets_matches_face_by_face_oracle():
     # seeded cells of 2–4 ids from a small pool, so ids repeat within a
     # cell and facets meet across cells; every other chain repeats a cell
     # reversed, n(n−1)/2 transpositions, with the opposite sign, so that
-    # terms cancel
+    # terms cancel.  Every third chain adds a cell sorted already, and the
+    # last 60 are of 0-simplices and terms on the empty tuple
     cancelled = 0
-    for case in range(600):
+    for case in range(660):
         rng = SplitMix64.stream(3100, case)
-        n = rng.randint(2, 4)
+        n = rng.randint(2, 4) if case < 600 else case % 2
         cells = [(rng.choice((-2, -1, 1, 3)),
                   tuple(rng.randint(0, n + 1) for _ in range(n)))
                  for _ in range(rng.randint(1, 5))]
         if case % 2:
             c, t = cells[rng.randint(0, len(cells) - 1)]
             cells.append((c if n * (n - 1) // 2 % 2 else -c, t[::-1]))
+        if case % 3 == 0:
+            cells.append((rng.choice((-1, 2)), tuple(sorted(cells[0][1]))))
         got = refine._net_facets(cells)
         assert got == _oracle_net_facets(cells), cells
         cancelled += not got
