@@ -323,10 +323,11 @@ def orientation_sign(s: Simplex) -> int:
     return hp.orient(list(map(to_homog, s.vertices)))
 
 
-def _net_faces(net: dict, cells) -> dict:
-    """`net` plus the faces of the (coefficient, id tuple) cells, zeros
+def _net_faces(cells) -> dict:
+    """{face: net coefficient} of the (coefficient, id tuple) cells, zeros
     kept: `combinations(t, n − 1)` read back to front, so the i-th face of
     t omits vertex i and carries (−1)^i·c; the empty tuple has none."""
+    net = {}
     for c, t in cells:
         n = len(t)
         if n:
@@ -341,7 +342,7 @@ def _net_faces(net: dict, cells) -> dict:
 def boundary(chain: SimplexChain) -> SimplexChain:
     """Alternating-sum face chain, Σ (−1)^i c·(t without vertex i) over
     its terms in order, netted on the id tuples (`_net_faces`); ∂∂ = 0."""
-    acc = _net_faces({}, chain.ids)
+    acc = _net_faces(chain.ids)
     return SimplexChain.from_ids(chain.dim_ambient, chain.table,
                                  [(c, f) for f, c in acc.items() if c])
 

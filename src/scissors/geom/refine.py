@@ -343,7 +343,7 @@ def _net_facets(cells) -> dict:
         if s != t and sum([a > b for a, b in combinations(t, 2)]) & 1:
             c = -c
         signed.append((c, s))
-    net = _net_faces({}, signed)
+    net = _net_faces(signed)
     return {f: c for f, c in net.items() if c}
 
 

@@ -46,13 +46,11 @@ class FilteredTupleComplex:
         self.max_degree = max_degree
         n = len(self.points)
         self.basis = {}   # degree -> list of index tuples
-        self.index = {}   # degree -> {tuple: position}
         self.level = {}   # index tuple -> span dimension
         spans = {}        # the span depends only on the set of points
         for k in range(max_degree + 1):
             tuples = list(product(range(n), repeat=k + 1))
             self.basis[k] = tuples
-            self.index[k] = {t: i for i, t in enumerate(tuples)}
             for t in tuples:
                 s = frozenset(t)
                 d = spans.get(s)
@@ -66,24 +64,26 @@ class FilteredTupleComplex:
 
     def graded_piece(self, p: int) -> ChainComplex:
         """Gr_p: tuples of span dimension exactly p; lower faces die."""
-        return _tuple_complex({k: [t for t in tuples if self.level[t] == p]
+        level = self.level
+        return _tuple_complex({k: [t for t in tuples if level[t] == p]
                                for k, tuples in self.basis.items()},
-                              self.max_degree)
+                              self.max_degree, lambda f: level[f] == p)
 
 
-def _tuple_complex(basis, top: int) -> ChainComplex:
+def _tuple_complex(basis, top: int, keep=None) -> ChainComplex:
     """The complex on the tuples basis[k] ({degree: [tuple]}) up to degree
-    `top`, whose ∂ takes the faces (−1)^i·(t without entry i) that lie in
-    the basis one degree down."""
+    `top`, whose ∂ takes the faces (−1)^i·(t without entry i), only those
+    with keep(face) when `keep` is given; a face taken must be in the basis
+    one degree down."""
     boundaries = {}
     for k in range(1, top + 1):
         rows = {t: i for i, t in enumerate(basis[k - 1])}
         mat = boundaries[k] = SparseIntMatrix(len(rows), len(basis[k]))
         for col, t in enumerate(basis[k]):
             for i in range(len(t)):
-                row = rows.get(t[:i] + t[i + 1:])
-                if row is not None:
-                    mat.add_at(row, col, -1 if i % 2 else 1)
+                face = t[:i] + t[i + 1:]
+                if keep is None or keep(face):
+                    mat.add_at(rows[face], col, -1 if i % 2 else 1)
     return ChainComplex({k: len(b) for k, b in basis.items()}, boundaries,
                         labels=dict(basis))
 
@@ -176,8 +176,8 @@ class _Subdivision:
         H(σ) = −b_σ * (σ + H(∂σ)), 0 on vertices; ∂H + H∂ = sd − id."""
         hit = self._sdh.get(t)
         if hit is None:
-            if len(t) == 1:
-                hit = {t: 1}, {}
+            if len(t) < 2:  # a vertex, or the empty tuple: sd(()) = 0
+                hit = ({t: 1} if t else {}), {}
             else:
                 b = self._barycenter(t)
                 sd, h = hit = {}, {(b,) + t: -1}

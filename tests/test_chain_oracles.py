@@ -390,15 +390,15 @@ def _point_keyed(chain):
 def _definition_chain(seed, dim):
     """Seeded cells on a few rational points, one with a vertex repeated,
     together with the midpoint of the first two points, on which the
-    barycenter of that edge lands, and a point with an irrational first
-    coordinate."""
+    barycenter of that edge lands, a point with an irrational first
+    coordinate, and a 0-simplex, whose boundary is the empty tuple."""
     rng = SplitMix64.stream(seed, dim)
     pool = [tuple(rng.fraction(3, 2) for _ in range(dim))
             for _ in range(dim + 1)]
     mid = tuple((a + b) / 2 for a, b in zip(pool[0], pool[1]))
     odd = (pool[1][0] + sqrt_nonneg(2) / 3,) + pool[1][1:]
     cells = [tuple(pool), (pool[0], mid, pool[0]),
-             (odd,) + tuple(pool[1:]), (mid, pool[1])]
+             (odd,) + tuple(pool[1:]), (mid, pool[1]), (pool[-1],)]
     return SimplexChain(dim, [(rng.choice((-2, -1, 1, 3)), simplex(dim, *t))
                               for t in cells])
 
@@ -423,9 +423,15 @@ def test_sd_and_homotopy_match_their_definition(dim):
                 set(_point_keyed(sd)) == want_sd, (seed, rounds)
             assert len(h) == len(want_h) and \
                 set(_point_keyed(h)) == want_h, (seed, rounds)
+            # ∂H_r + H_r∂ = sd^r − id, with H_r on the empty tuple 0
+            h_of_d = subdivision_homotopy(boundary(chain), rounds)
+            assert len(h_of_d.terms) == len(h_of_d)
+            assert (boundary(h) + h_of_d - (sd - chain)).is_zero()
             for t, c in oracle.apply(oracle.h, terms).items():
                 h_total[t] = h_total.get(t, 0) + c
             terms = oracle.apply(oracle.sd, terms)
+        # no barycenter of the empty tuple joins the table
+        assert all(len(k) == dim for k in chain.table.keys), seed
 
 
 def test_flipped_cells_keep_their_keys():
