@@ -23,6 +23,7 @@ from operator import mul
 
 from ..angles import AnglePair
 from ..errors import GeometryError
+from ..linalg import net_faces
 from ..numbers import format_number
 from ..scalars import as_scalar, format_sqrt, scalar_sign
 from . import predicates as hp
@@ -323,26 +324,11 @@ def orientation_sign(s: Simplex) -> int:
     return hp.orient(list(map(to_homog, s.vertices)))
 
 
-def _net_faces(cells) -> dict:
-    """{face: net coefficient} of the (coefficient, id tuple) cells, zeros
-    kept: `combinations(t, n − 1)` read back to front, so the i-th face of
-    t omits vertex i and carries (−1)^i·c; the empty tuple has none."""
-    net = {}
-    for c, t in cells:
-        n = len(t)
-        if n:
-            faces = [*combinations(t, n - 1)]
-            faces.reverse()
-            for f in faces:
-                net[f] = net.get(f, 0) + c
-                c = -c
-    return net
-
-
 def boundary(chain: SimplexChain) -> SimplexChain:
     """Alternating-sum face chain, Σ (−1)^i c·(t without vertex i) over
-    its terms in order, netted on the id tuples (`_net_faces`); ∂∂ = 0."""
-    acc = _net_faces(chain.ids)
+    its terms in order, netted on the id tuples (`linalg.net_faces`);
+    ∂∂ = 0."""
+    acc = net_faces(chain.ids)
     return SimplexChain.from_ids(chain.dim_ambient, chain.table,
                                  [(c, f) for f, c in acc.items() if c])
 

@@ -39,13 +39,13 @@ import os
 from itertools import combinations
 
 from ..errors import ParseError, RefinementTooLarge
+from ..linalg import net_faces
 from ..scalars import scalar_sign
 from . import (
     DimensionMismatch,
     Polytope,
     SimplexChain,
     VertexTable,
-    _net_faces,
     _swap_last_two,
 )
 from . import predicates as hp
@@ -336,14 +336,14 @@ def _net_facets(cells) -> dict:
     the sorting permutation, counted by its strict inversions (so a
     repeated id costs no sign) only when the cell is not sorted already.
     The faces of the sorted tuple, netted by the face loop of `boundary`
-    (`_net_faces`), are sorted already."""
+    (`linalg.net_faces`), are sorted already."""
     signed = []
     for c, t in cells:
         s = tuple(sorted(t))
         if s != t and sum([a > b for a, b in combinations(t, 2)]) & 1:
             c = -c
         signed.append((c, s))
-    net = _net_faces(signed)
+    net = net_faces(signed)
     return {f: c for f, c in net.items() if c}
 
 
@@ -413,7 +413,7 @@ def phi_boundary_chain(points, dim: int) -> SimplexChain:
 
 
 def phi_boundary_check(points, dim: int, cap=None) -> bool:
-    """Vanishing of the oriented-facet chain of dim+2 points (always true)."""
-    from . import make_point
-    pts = [make_point(p) for p in points]
-    return chain_vanishes(phi_boundary_chain(pts, dim), cap)
+    """Vanishing of the oriented-facet chain of dim+2 points (always true).
+    The points go to the vertex table as given: `vertex_key` keys int,
+    `Fraction` and algebraic coordinates, in tuples or lists, alike."""
+    return chain_vanishes(phi_boundary_chain(points, dim), cap)

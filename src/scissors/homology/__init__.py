@@ -1,107 +1,117 @@
 """Finite homological algebra: sparse integer matrices, chain and double
-complexes with validated differentials, homology via Smith normal form."""
+complexes with validated differentials, homology via Smith normal form.
+
+A `SparseIntMatrix` stores linalg's sparse rows, {row: {col: value}} with
+the rows in the order their first entry was set, and `elementary_divisors`
+hands copies of them, in that order, to `linalg.smith_normal_form_sparse`:
+the order sets the cost of the elimination, not its result.  Every
+boundary matrix of the package (`tuple_complex` here, the flag and bar
+complexes) nets the faces of each basis element with `linalg.net_faces`,
+the one alternating face sum."""
 
 from collections import namedtuple
 from fractions import Fraction
 
-from ..linalg import (
-    rank_sparse,
-    smith_normal_form_dense,
-    smith_normal_form_sparse,
-)
+from ..linalg import _axpy, net_faces, rank_sparse, smith_normal_form_sparse
 from ..errors import DegreeOutOfRange, InvalidComplex, SizeCap
 
 
 class SparseIntMatrix:
-    """Sparse integer matrix; entries indexed by (row, col), zeros absent."""
+    """Sparse integer matrix of shape rows × cols.  `sparse_rows` holds
+    the nonzero entries as {row: {col: value}}: the rows in the order their
+    first entry was set, the entries of a row in the order they were set,
+    an empty row absent."""
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
-        self.entries = {}
+        self.sparse_rows = {}
         if entries:
             for (i, j), v in (entries.items()
                               if isinstance(entries, dict) else entries):
                 self[i, j] = v
 
     def __getitem__(self, key):
-        return self.entries.get(key, 0)
+        i, j = key
+        row = self.sparse_rows.get(i)
+        return row.get(j, 0) if row else 0
 
     def __setitem__(self, key, value):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry {key} outside {self.rows}x{self.cols}")
+        row = self.sparse_rows.get(i)
         if value:
-            self.entries[key] = int(value)
-        else:
-            self.entries.pop(key, None)
+            if row is None:
+                row = self.sparse_rows[i] = {}
+            row[j] = int(value)
+        elif row and j in row:
+            del row[j]
+            if not row:
+                del self.sparse_rows[i]
 
     def add_at(self, i, j, value):
         self[i, j] = self[i, j] + value
 
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = Fraction(v)
-        return rows
+    def items(self):
+        """The nonzero entries as (row, col, value), row by row."""
+        return [(i, j, v) for i, row in self.sparse_rows.items()
+                for j, v in row.items()]
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
+        """self·other, each row of it one sum of rows of `other`."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
         out = SparseIntMatrix(self.rows, other.cols)
-        for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, ()):
-                out.add_at(i, j, v * w)
+        below = other.sparse_rows
+        for i, row in self.sparse_rows.items():
+            acc = {}
+            for k, v in row.items():
+                if k in below:
+                    _axpy(acc, below[k], -v)
+            if acc:
+                out.sparse_rows[i] = acc
         return out
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.sparse_rows
 
     def rank(self) -> int:
-        return rank_sparse(self.row_dicts(), self.cols)
+        """The rank over ℚ, by Fraction row reduction (the oracle of the
+        Smith normal form)."""
+        return rank_sparse([{j: Fraction(v) for j, v in row.items()}
+                            for row in self.sparse_rows.values()], self.cols)
 
     def smith(self):
-        """(U, D, V) dense with U·self·V = D in Smith normal form."""
-        U, D, V = smith_normal_form_dense(self.to_dense(), self.rows,
-                                          self.cols)
-        return U, D, V
+        """(U, D, V) as SparseIntMatrix with U·self·V = D in Smith normal
+        form, from the rows in index order."""
+        U, diag, Vt = smith_normal_form_sparse(
+            [dict(self.sparse_rows.get(i, ())) for i in range(self.rows)],
+            self.cols)
+        n, m = self.rows, self.cols
+        return (SparseIntMatrix(n, n, [((i, j), x) for i, row in enumerate(U)
+                                       for j, x in row.items()]),
+                SparseIntMatrix(n, m, [((k, k), x)
+                                       for k, x in enumerate(diag)]),
+                SparseIntMatrix(m, m, [((i, j), x) for j, row in enumerate(Vt)
+                                       for i, x in row.items()]))
 
     def elementary_divisors(self):
-        """The nonzero diagonal of the Smith normal form; a zero row adds no
-        divisor, so only the rows that hold an entry are built."""
-        rows = {}
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i, {})[j] = v
-        return smith_normal_form_sparse(list(rows.values()), self.cols,
-                                        transforms=False)[1]
+        """The nonzero diagonal of the Smith normal form, from copies of
+        the stored rows in their order; a zero row adds no divisor and is
+        not stored, so only the rows that hold an entry are reduced."""
+        return smith_normal_form_sparse(
+            [dict(row) for row in self.sparse_rows.values()], self.cols,
+            transforms=False)[1]
 
     def __repr__(self):
-        return (f"SparseIntMatrix({self.rows}x{self.cols}, "
-                f"{len(self.entries)} nnz)")
+        nnz = sum(map(len, self.sparse_rows.values()))
+        return f"SparseIntMatrix({self.rows}x{self.cols}, {nnz} nnz)"
 
 
 def smith_normal_form(m: SparseIntMatrix):
     """Spec surface: (U, D, V) as SparseIntMatrix triple with U·m·V = D."""
-    U, D, V = m.smith()
-
-    def wrap(dense):
-        out = SparseIntMatrix(len(dense), len(dense[0]) if dense else 0)
-        for i, row in enumerate(dense):
-            for j, v in enumerate(row):
-                if v:
-                    out[i, j] = v
-        return out
-
-    return wrap(U), wrap(D), wrap(V)
+    return m.smith()
 
 
 class HomologyResult(namedtuple("HomologyResult", "degree betti torsion")):
@@ -178,6 +188,24 @@ class ChainComplex:
         return HomologyResult(k, betti, torsion)
 
 
+def tuple_complex(basis, top: int, keep=None) -> ChainComplex:
+    """The complex on the tuples basis[k] ({degree: [tuple]}) up to degree
+    `top`, whose ∂ takes the faces (−1)^i·(t without entry i), netted by
+    `net_faces`, only those with keep(face) when `keep` is given; every
+    face taken, a zero net one too, must be in the basis one degree down
+    (else KeyError)."""
+    boundaries = {}
+    for k in range(1, top + 1):
+        rows = {t: i for i, t in enumerate(basis[k - 1])}
+        mat = boundaries[k] = SparseIntMatrix(len(rows), len(basis[k]))
+        for col, t in enumerate(basis[k]):
+            for face, c in net_faces([(1, t)]).items():
+                if keep is None or keep(face):
+                    mat[rows[face], col] = c
+    return ChainComplex({k: len(b) for k, b in basis.items()}, boundaries,
+                        labels=dict(basis))
+
+
 class DoubleComplex:
     """Bigraded modules with horizontal/vertical differentials.
 
@@ -230,9 +258,7 @@ class DoubleComplex:
             vh = self._get(self.vertical, p - 1, q, (p - 1, q - 1)).matmul(
                 self._get(self.horizontal, p, q, (p - 1, q)))
             total = SparseIntMatrix(hv.rows, hv.cols)
-            for (i, j), v in hv.entries.items():
-                total.add_at(i, j, v)
-            for (i, j), v in vh.entries.items():
+            for i, j, v in hv.items() + vh.items():
                 total.add_at(i, j, v)
             if not total.is_zero():
                 raise InvalidComplex(f"∂'∂'' + ∂''∂' != 0 at ({p},{q})")
@@ -253,15 +279,12 @@ class DoubleComplex:
             for (p, q), off in offsets.items():
                 if p + q != k:
                     continue
-                h = self.horizontal.get((p, q))
-                if h is not None and (p - 1, q) in offsets:
-                    dst = offsets[(p - 1, q)]
-                    for (i, j), v in h.entries.items():
-                        mat.add_at(dst + i, off + j, v)
-                v_ = self.vertical.get((p, q))
-                if v_ is not None and (p, q - 1) in offsets:
-                    dst = offsets[(p, q - 1)]
-                    for (i, j), val in v_.entries.items():
-                        mat.add_at(dst + i, off + j, val)
+                for part, below in ((self.horizontal, (p - 1, q)),
+                                    (self.vertical, (p, q - 1))):
+                    block = part.get((p, q))
+                    if block is not None and below in offsets:
+                        dst = offsets[below]
+                        for i, j, v in block.items():
+                            mat.add_at(dst + i, off + j, v)
             boundaries[k] = mat
         return ChainComplex(degrees, boundaries)

@@ -20,8 +20,14 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from ..geom import make_point, to_homog
-from ..linalg import echelon_add, echelon_clear, primitive
-from . import DoubleComplex, SizeCap, SparseIntMatrix
+from ..linalg import echelon_add, echelon_clear, net_faces, primitive
+from . import (
+    ChainComplex,
+    DoubleComplex,
+    SizeCap,
+    SparseIntMatrix,
+    tuple_complex,
+)
 
 POOL_CAP = 512
 
@@ -232,13 +238,11 @@ class FlagComplex:
 
     def flag_faces(self, flag):
         """((face, sign), ...) of the horizontal differential ∂′ at a flag:
-        the flag with its i-th entry deleted, sign (−1)^i.  The face of a
-        one-entry flag is (), the augmentation column."""
+        the flag with its i-th entry deleted, sign (−1)^i (`net_faces`).
+        The face of a one-entry flag is (), the augmentation column."""
         faces = self._faces.get(flag)
         if faces is None:
-            faces = self._faces[flag] = tuple(
-                (flag[:i] + flag[i + 1:], -1 if i % 2 else 1)
-                for i in range(len(flag)))
+            faces = self._faces[flag] = tuple(net_faces([(1, flag)]).items())
         return faces
 
     # -- matrices for the DoubleComplex type ------------------------------
@@ -261,37 +265,24 @@ class FlagComplex:
                     below = index[(p - 1, q)]
                     for col, (flag, tup) in enumerate(basis):
                         for sub, v in self.flag_faces(flag):
-                            mat.add_at(below[(sub, tup)], col, v)
+                            mat[below[(sub, tup)], col] = v
                     horizontal[(p, q)] = mat
                 if q >= 1:
                     mat = SparseIntMatrix(ranks[(p, q - 1)], ranks[(p, q)])
                     twist = (-1) ** p
+                    below = index[(p, q - 1)]
                     for col, (flag, tup) in enumerate(basis):
-                        for i in range(len(tup)):
-                            face = tup[:i] + tup[i + 1:]
-                            row = index[(p, q - 1)][(flag, face)]
-                            mat.add_at(row, col, twist * (-1) ** i)
+                        for face, c in net_faces([(twist, tup)]).items():
+                            mat[below[(flag, face)], col] = c
                     vertical[(p, q)] = mat
         return DoubleComplex(ranks, horizontal, vertical,
                              labels={"flags": self.flags})
 
-    def augmentation_complex(self):
-        """The p = −1 column as a ChainComplex (proper-span tuples)."""
-        from . import ChainComplex
-        basis = {q: self.augmentation_basis(q)
-                 for q in range(self.q_max + 1)}
-        index = {q: {t: i for i, t in enumerate(basis[q])} for q in basis}
-        ranks = {q: len(basis[q]) for q in basis}
-        boundaries = {}
-        for q in range(1, self.q_max + 1):
-            mat = SparseIntMatrix(ranks[q - 1], ranks[q])
-            for col, tup in enumerate(basis[q]):
-                for i in range(len(tup)):
-                    face = tup[:i] + tup[i + 1:]
-                    # faces of a proper-span tuple keep proper span
-                    mat.add_at(index[q - 1][face], col, (-1) ** i)
-            boundaries[q] = mat
-        return ChainComplex(ranks, boundaries, labels=basis)
+    def augmentation_complex(self) -> ChainComplex:
+        """The p = −1 column as a ChainComplex (proper-span tuples, whose
+        faces keep proper span)."""
+        return tuple_complex({q: self.augmentation_basis(q)
+                              for q in range(self.q_max + 1)}, self.q_max)
 
 
 def flag_double_complex(points, dim: int, p_max: int,

@@ -11,7 +11,7 @@ dropped, which leaves (|G| − 1)^k tuples in degree k.
 
 from itertools import product
 
-from ..linalg import mat_mul
+from ..linalg import mat_mul, net_faces
 from . import ChainComplex, HomologyResult, SizeCap, SparseIntMatrix
 
 MAX_GROUP_ORDER = 16
@@ -221,11 +221,11 @@ def bar_complex(group: FiniteGroup, module: GModule,
                 row = below.get((shifted, i))
                 if coeff and row is not None:
                     mat.add_at(row, col, coeff)
-            # faces 1..k: plain deletions
-            for i in range(1, k + 1):
-                row = below.get((t[:i - 1] + t[i:], m))
+            # faces 1..k: plain deletions, face i the face i − 1 of t
+            for face, c in net_faces([(-1, t)]).items():
+                row = below.get((face, m))
                 if row is not None:
-                    mat.add_at(row, col, (-1) ** i)
+                    mat.add_at(row, col, c)
         boundaries[k] = mat
     return ChainComplex(ranks, boundaries, labels=basis)
 

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from ..geom import SimplexChain, make_point, to_homog
 from ..linalg import echelon_int
-from . import ChainComplex, SizeCap, SparseIntMatrix
+from . import ChainComplex, SizeCap, tuple_complex
 
 MAX_POINTS = 8
 
@@ -60,32 +60,14 @@ class FilteredTupleComplex:
                 self.level[t] = d
 
     def chain_complex(self) -> ChainComplex:
-        return _tuple_complex(self.basis, self.max_degree)
+        return tuple_complex(self.basis, self.max_degree)
 
     def graded_piece(self, p: int) -> ChainComplex:
         """Gr_p: tuples of span dimension exactly p; lower faces die."""
         level = self.level
-        return _tuple_complex({k: [t for t in tuples if level[t] == p]
+        return tuple_complex({k: [t for t in tuples if level[t] == p]
                                for k, tuples in self.basis.items()},
                               self.max_degree, lambda f: level[f] == p)
-
-
-def _tuple_complex(basis, top: int, keep=None) -> ChainComplex:
-    """The complex on the tuples basis[k] ({degree: [tuple]}) up to degree
-    `top`, whose ∂ takes the faces (−1)^i·(t without entry i), only those
-    with keep(face) when `keep` is given; a face taken must be in the basis
-    one degree down."""
-    boundaries = {}
-    for k in range(1, top + 1):
-        rows = {t: i for i, t in enumerate(basis[k - 1])}
-        mat = boundaries[k] = SparseIntMatrix(len(rows), len(basis[k]))
-        for col, t in enumerate(basis[k]):
-            for i in range(len(t)):
-                face = t[:i] + t[i + 1:]
-                if keep is None or keep(face):
-                    mat.add_at(rows[face], col, -1 if i % 2 else 1)
-    return ChainComplex({k: len(b) for k, b in basis.items()}, boundaries,
-                        labels=dict(basis))
 
 
 def simplicial_complex_of(points, max_degree: int,
@@ -263,7 +245,7 @@ def torus_complex(n: int, q: int = 3) -> ChainComplex:
         for s in simplices[k]:
             for i in range(len(s)):
                 simplices[k - 1].add(s[:i] + s[i + 1:])
-    return _tuple_complex({k: sorted(simplices[k]) for k in simplices}, n)
+    return tuple_complex({k: sorted(simplices[k]) for k in simplices}, n)
 
 
 def torus_homology(n: int):

@@ -93,7 +93,7 @@ def polytope_to_json(p) -> dict:
 
 def complex_from_json(obj):
     """{"ranks": {"deg": int}, "boundaries": {"deg": [[r, c, int], ...]}}
-    -> ChainComplex."""
+    -> ChainComplex; each (r, c) of a map is given at most once."""
     from .homology import ChainComplex, SparseIntMatrix
 
     try:
@@ -103,9 +103,13 @@ def complex_from_json(obj):
         for k, entries in obj.get("boundaries", {}).items():
             k = _degree(k)
             mat = SparseIntMatrix(ranks.get(k - 1, 0), ranks.get(k, 0))
+            seen = set()
             for r, c, v in entries:
                 r = _integer(r, f"boundary {k} row", 0, mat.rows)
                 c = _integer(c, f"boundary {k} column", 0, mat.cols)
+                if (r, c) in seen:
+                    raise ValueError(f"boundary {k} repeats entry [{r}, {c}]")
+                seen.add((r, c))
                 mat[r, c] = _integer(v, "entry")
             boundaries[k] = mat
         # ChainComplex raises InvalidComplex, a ValueError, when ∂∂ ≠ 0:

@@ -3,10 +3,17 @@ each kind of elimination.
 
 - `primitive` divides an integer vector by its content and fixes its sign:
   plane functionals, homogeneous points and integer polynomials.
+- `net_faces` is the one alternating face sum, Σ (−1)^i c·(t without entry
+  i), netted by face: the boundaries of id-tuple chains and every boundary
+  matrix of `homology`.
+- A sparse row is a dict {col: nonzero value}, and `_axpy` is the one
+  update of such rows, for the Smith normal form, the rational echelon
+  form and `homology`'s sparse matrix product.
 - Smith normal form runs on sparse integer rows: smallest-|entry| pivots
   (which keep intermediate growth tame at desk scale) are cleared by
   floor-division row and column operations, then one gcd/lcm pass over the
-  diagonal gives the divisibility chain.
+  diagonal gives the divisibility chain.  The rows are reduced in the order
+  they are given, which sets the cost, not the result.
 - `echelon_int` is fraction-free elimination of dense integer rows to a
   reduced echelon form with primitive rows: affine span dimensions.  Its
   two steps, `echelon_clear` and `echelon_add`, grow a form one row at a
@@ -20,6 +27,7 @@ each kind of elimination.
 
 from bisect import bisect
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 
@@ -39,6 +47,22 @@ def primitive(v, lead=None) -> tuple:
     return tuple([a // g for a in v])
 
 
+def net_faces(cells) -> dict:
+    """{face: net coefficient} of the (coefficient, tuple) cells, zeros
+    kept: `combinations(t, n − 1)` read back to front, so the i-th face of
+    t omits entry i and carries (−1)^i·c; the empty tuple has none."""
+    net = {}
+    for c, t in cells:
+        n = len(t)
+        if n:
+            faces = [*combinations(t, n - 1)]
+            faces.reverse()
+            for f in faces:
+                net[f] = net.get(f, 0) + c
+                c = -c
+    return net
+
+
 def _xgcd(a, b):
     x, nx = 1, 0
     y, ny = 0, 1
@@ -54,7 +78,7 @@ def _xgcd(a, b):
 
 
 def _axpy(dst, src, f):
-    """dst -= f·src on sparse integer rows, in place (f nonzero)."""
+    """dst -= f·src on sparse rows, in place, for f nonzero."""
     for j, v in src.items():
         nv = dst.get(j, 0) - f * v
         if nv:
@@ -267,29 +291,14 @@ def echelon_add(pivots, rows, v):
 
 # -- sparse rational elimination -------------------------------------------------
 
-def _eliminate(row, col, prow):
-    """row -= row[col] * prow in place (prow has a 1 at col)."""
-    f = row.pop(col)
-    for j, v in prow.items():
-        if j == col:
-            continue
-        nv = row.get(j, _F0) - f * v
-        if nv:
-            row[j] = nv
-        elif j in row:
-            del row[j]
-
-
-_F0 = Fraction(0)
-
-
 def rref_sparse(rows, ncols):
     """Reduced row echelon form of sparse Fraction rows.
 
     Two-phase: incremental forward reduction (each incoming row reduces
     against current pivots), then one backward pass to clear pivot columns
-    from earlier pivot rows.  Returns (pivot_cols, reduced_rows) with each
-    reduced row having a 1 in its pivot column and zeros in all others.
+    from earlier pivot rows, each step one `_axpy`.  Returns (pivot_cols,
+    reduced_rows) with each reduced row having a 1 in its pivot column and
+    zeros in all others.
     """
     pivots = {}
     for src in rows:
@@ -301,7 +310,7 @@ def rref_sparse(rows, ncols):
                 inv = 1 / row[col]
                 pivots[col] = {j: v * inv for j, v in row.items()}
                 break
-            _eliminate(row, col, prow)
+            _axpy(row, prow, row[col])
     cols = sorted(pivots)
     for idx in range(len(cols) - 1, 0, -1):
         col = cols[idx]
@@ -309,7 +318,7 @@ def rref_sparse(rows, ncols):
         for c2 in cols[:idx]:
             r2 = pivots[c2]
             if col in r2:
-                _eliminate(r2, col, prow)
+                _axpy(r2, prow, r2[col])
     return cols, [pivots[c] for c in cols]
 
 

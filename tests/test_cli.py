@@ -348,6 +348,11 @@ BAD_LITERAL_REPORTS = [
     ("compare", {"dim": 3, "vertices": TET, "cells": [[0, 1, 2, 3]]}),
     # an object without a digest is no report
     ("recheck", {"certificates": []}),
+    # a chain-complex map that repeats an entry, whatever its values
+    ("homology", "--complex",
+     {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[0, 0, 1], [0, 0, 1]]}}),
+    ("homology", "--complex",
+     {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[1, 0, 0], [1, 0, 3]]}}),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -1168,3 +1173,42 @@ def test_stock_shape_report_digests_are_pinned(tmp_path, monkeypatch, capsys):
         assert verify_report_digest(report)
         digests[name] = report["digest"]
     assert digests == STOCK_INFO_DIGESTS
+
+
+# `digest` of the homology reports: group homology, a chain-complex file
+# read by a relative path, and the homology suites.  They cover the
+# computed groups, and a change to how the boundary matrices are built or
+# reduced must leave them byte-identical.
+HOMOLOGY_COMPLEX = {
+    "ranks": {"0": 3, "1": 3, "2": 1},
+    "boundaries": {"1": [[0, 0, -1], [1, 0, 1], [1, 1, -1], [2, 1, 1],
+                         [0, 2, 1], [2, 2, -1]],
+                   "2": [[0, 0, 2], [1, 0, 2], [2, 0, 2]]}}
+HOMOLOGY_DIGESTS = {
+    ("homology", "--group", "Z/4"):
+        "c2963769709467655591d6c8104a60d00fb429d3d3a299e0d72532a912ed3c96",
+    ("homology", "--group", "S3"):
+        "6ed032b46dbea3442ffa43cdf2b3d1ab54964c95fa28cafa65330d2d185e0662",
+    ("homology", "--complex", "complex.json"):
+        "7bf41f9ca23e2bf90fcbb139c6df812f9ac51435af7608764c57b965d3eb6c6b",
+    ("verify", "torus"):
+        "7a4b4d2f5b53c386dbcdcd888da27ce080ab598d8bf5e5ffac3412921da6c3a2",
+    ("verify", "bar-shapiro"):
+        "ad55385a0b0c1c05feb8ff3289a4517da53d89aeae5fccae260eadce8bf9cf39",
+    ("verify", "flag-nullhomotopy", "--cases", "50", "--seed", "506"):
+        "099863ee15a85f9eef8c44a0d9e10808e0fc2403382e5c7dc2f7de9b3d702b51",
+}
+
+
+def test_homology_report_digests_are_pinned(tmp_path, monkeypatch, capsys):
+    from scissors.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "complex.json").write_text(json.dumps(HOMOLOGY_COMPLEX))
+    digests = {}
+    for argv in HOMOLOGY_DIGESTS:
+        assert main(list(argv)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert verify_report_digest(report)
+        digests[argv] = report["digest"]
+    assert digests == HOMOLOGY_DIGESTS

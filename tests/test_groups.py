@@ -124,12 +124,8 @@ def test_bad_table_rejected():
 
 def _rational_betti(cx, k):
     """rank C_k − rank ∂_k − rank ∂_{k+1}, the ranks by Fraction rref."""
-    from scissors.linalg import rank_sparse
-
-    def rank(mat):
-        return rank_sparse(mat.row_dicts(), mat.cols)
-    return (cx.ranks[k] - rank(cx.boundary_or_zero(k))
-            - rank(cx.boundary_or_zero(k + 1)))
+    return (cx.ranks[k] - cx.boundary_or_zero(k).rank()
+            - cx.boundary_or_zero(k + 1).rank())
 
 
 def test_betti_numbers_match_rational_ranks():

@@ -10,8 +10,10 @@ from scissors.linalg import (
     rref_sparse,
     smith_normal_form_dense,
 )
+from scissors.homology import ChainComplex, SparseIntMatrix
 from scissors.homology.groups import (
     bar_complex,
+    cyclic_group,
     symmetric_group_3,
     trivial_module,
 )
@@ -106,9 +108,81 @@ def test_elementary_divisors_match_dense_snf():
     mats = [bar_complex(s3, trivial_module(s3), 3).boundaries[3]]
     mats += torus_complex(3).boundaries.values()
     for mat in mats:
-        _, D, _ = smith_normal_form_dense(mat.to_dense(), mat.rows, mat.cols)
+        dense = [[0] * mat.cols for _ in range(mat.rows)]
+        for i, j, v in mat.items():
+            dense[i][j] = v
+        _, D, _ = smith_normal_form_dense(dense, mat.rows, mat.cols)
         diag = [D[i][i] for i in range(min(mat.rows, mat.cols))]
         assert mat.elementary_divisors() == [d for d in diag if d]
+
+
+def _shuffled(rng, n):
+    """A seeded permutation of range(n) (Fisher–Yates)."""
+    p = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(0, i)
+        p[i], p[j] = p[j], p[i]
+    return p
+
+
+def _permuted(mat, row_of, col_of, transpose=False):
+    """The entries of `mat` moved to (row_of[i], col_of[j]), or to
+    (col_of[j], row_of[i]) transposed, set column by column in the new
+    order, bottom row first, so the rows reach the store, and the
+    elimination, in another order too."""
+    entries = sorted(mat.items(), key=lambda e: (col_of[e[1]], -e[0]))
+    if transpose:
+        out = SparseIntMatrix(mat.cols, mat.rows)
+        for i, j, v in entries:
+            out[col_of[j], row_of[i]] = v
+    else:
+        out = SparseIntMatrix(mat.rows, mat.cols)
+        for i, j, v in entries:
+            out[row_of[i], col_of[j]] = v
+    return out
+
+
+def test_elementary_divisors_ignore_permutations_and_transposition():
+    # metamorphic: the divisors are invariants of the matrix up to
+    # unimodular equivalence, which permutations and transposition keep,
+    # whatever order the rows reach the elimination in
+    for case in range(40):
+        rng = SplitMix64.stream(4141, case)
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        mat = SparseIntMatrix(m, n)
+        for i in range(m):
+            for j in range(n):
+                if rng.randint(0, 2) == 0:
+                    # scaled columns make divisors other than 1
+                    mat[i, j] = rng.randint(-6, 6) * (1 + j % 3)
+        divisors = mat.elementary_divisors()
+        assert len(divisors) == mat.rank()
+        rows, cols = _shuffled(rng, m), _shuffled(rng, n)
+        for flip in (False, True):
+            moved = _permuted(mat, rows, cols, transpose=flip)
+            assert moved.elementary_divisors() == divisors, (case, flip)
+
+
+def test_bar_homology_ignores_a_permuted_basis():
+    # permuting the basis of degree k permutes the columns of ∂_k and the
+    # rows of ∂_{k+1}: a seeded relabelling that the homology ignores
+    for case, (group, cap) in enumerate(((cyclic_group(4), 3),
+                                         (symmetric_group_3(), 3),
+                                         (cyclic_group(6), 2))):
+        cx = bar_complex(group, trivial_module(group), cap + 1)
+        want = [cx.homology(k) for k in range(cap + 1)]
+        rng = SplitMix64.stream(4242, case)
+        for k in range(1, cap + 2):
+            perm = _shuffled(rng, cx.ranks[k])
+            same = list(range(max(cx.ranks.values())))
+            boundaries = dict(cx.boundaries)
+            boundaries[k] = _permuted(cx.boundaries[k], same, perm)
+            if k + 1 in boundaries:
+                boundaries[k + 1] = _permuted(cx.boundaries[k + 1], perm,
+                                              same)
+            moved = ChainComplex(cx.ranks, boundaries)
+            assert [moved.homology(d) for d in range(cap + 1)] == want, \
+                (group.name, k)
 
 
 def test_snf_torsion_example():

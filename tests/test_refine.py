@@ -135,6 +135,36 @@ def test_phi_boundary_random_rational():
         assert phi_boundary_check(pts, dim)
 
 
+def test_phi_boundary_keys_int_list_and_fraction_points_alike():
+    # the points reach the vertex table as given: int, list and Fraction
+    # coordinates, and a point repeated in another form, give the same ids,
+    # keys and homogeneous points, so the same verdicts
+    for case in range(24):
+        rng = SplitMix64.stream(404, case)
+        dim = case % 3 + 1
+        pts = [[rng.randint(-4, 4) for _ in range(dim)]
+               for _ in range(dim + 2)]
+        if case % 4 == 0:
+            pts[-1] = pts[0]
+        forms = ([tuple(map(Fraction, p)) for p in pts],
+                 [tuple(p) for p in pts],
+                 [list(p) for p in pts],
+                 [tuple(Fraction(c) if k % 2 else c for k, c in enumerate(p))
+                  for p in pts])
+        seen = set()
+        for form in forms:
+            chain = phi_boundary_chain(form, dim)
+            table = chain.table
+            flipped = SimplexChain.from_ids(
+                dim, table, [(-c, t) if k == 0 else (c, t)
+                             for k, (c, t) in enumerate(chain.ids)])
+            seen.add((tuple(chain.ids), tuple(table.keys),
+                      tuple(map(table.homog, range(len(table.keys)))),
+                      phi_boundary_check(form, dim), chain_vanishes(flipped)))
+        assert len(seen) == 1, case
+        assert next(iter(seen))[3]
+
+
 def test_chain_vanishes_trivial():
     s = simplex(3, (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     ch = SimplexChain(3, [(1, s), (-1, s)])

@@ -88,7 +88,7 @@ def test_smith_normal_form_wrapper_surface():
     m = SparseIntMatrix(2, 2, {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8})
     U, D, V = smith_normal_form(m)
     prod = U.matmul(m).matmul(V)
-    assert prod.entries == D.entries
+    assert prod.sparse_rows == D.sparse_rows
     assert D[0, 0] == 2 and D[1, 1] == 4
 
 
