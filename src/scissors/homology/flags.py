@@ -13,10 +13,14 @@ pair.
 
 Subspaces are keyed by an integer canonical form from fraction-free
 elimination of the points' integer homogeneous coordinates, grown one point
-at a time; a flag is a tuple of indices into the subspace pool.
+at a time; a flag is a tuple of indices into the subspace pool.  The faces
+of a flag depend on that tuple alone, so `flag_faces` is one memo of
+`net_faces` for the whole process, shared by every flag complex and
+bounded at FLAG_FACES_CACHE flags.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from ..geom import make_point, to_homog
@@ -30,6 +34,8 @@ from . import (
 )
 
 POOL_CAP = 512
+# flags whose faces `flag_faces` keeps, least recently used out first
+FLAG_FACES_CACHE = 4096
 
 
 class PoolExplosion(SizeCap):
@@ -152,6 +158,17 @@ def subspace_pool(points, dim: int, spans=None):
     return pool
 
 
+@lru_cache(maxsize=FLAG_FACES_CACHE)
+def flag_faces(flag: tuple) -> tuple:
+    """((face, sign), ...) of the horizontal differential ∂′ at a flag:
+    the flag with its i-th entry deleted, sign (−1)^i (`net_faces`).  The
+    face of a one-entry flag is (), the augmentation column.
+
+    The faces depend on the index tuple alone, so one cache serves every
+    flag complex of the process, bounded at FLAG_FACES_CACHE flags."""
+    return tuple(net_faces([(1, flag)]).items())
+
+
 class FlagComplex:
     """The finite flag double complex of a point configuration."""
 
@@ -183,7 +200,6 @@ class FlagComplex:
         for i in range(len(self.pool)):
             self._grow_flags((i,))
         self._tuple_spans = {}  # raw point tuple -> pool index or −1
-        self._faces = {}  # flag -> ((face, sign), ...), flag_faces
 
     def _grow_flags(self, flag):
         p = len(flag) - 1
@@ -236,14 +252,7 @@ class FlagComplex:
 
     # -- the horizontal differential ---------------------------------------
 
-    def flag_faces(self, flag):
-        """((face, sign), ...) of the horizontal differential ∂′ at a flag:
-        the flag with its i-th entry deleted, sign (−1)^i (`net_faces`).
-        The face of a one-entry flag is (), the augmentation column."""
-        faces = self._faces.get(flag)
-        if faces is None:
-            faces = self._faces[flag] = tuple(net_faces([(1, flag)]).items())
-        return faces
+    flag_faces = staticmethod(flag_faces)  # one cache for every complex
 
     # -- matrices for the DoubleComplex type ------------------------------
 
@@ -306,7 +315,8 @@ def verify_flag_nullhomotopy(fc: FlagComplex,
     The terms, from the faces of the flag and of the flag with the span
     appended, are summed by flag and must come to the flag alone with
     coefficient 1.  `corrupt_sign` flips the sign of the last face of
-    every ∂′, which must make the check fail.
+    every ∂′, in a copy of the cached faces, which must make the check
+    fail.
     """
     def corrupted(flag):
         f = fc.flag_faces(flag)

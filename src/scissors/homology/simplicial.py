@@ -6,11 +6,13 @@ sd and H work on the vertex-id tuples of a chain: the barycenters they
 make are added to the chain's vertex table, and their results are chains
 on that table, so the terms of sd^r(c), H_r(c) and c cancel as int
 tuples.  One memoized recursion per table gives both sd(σ) and H(σ) of
-each ordered face σ, from one barycenter lookup."""
+each ordered face σ, from one barycenter lookup, and each barycenter
+grows from the memoized mean of its face without its last vertex, one
+gcd per coordinate."""
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd, lcm
+from math import gcd
 
 from ..geom import SimplexChain, make_point, to_homog
 from ..linalg import echelon_int
@@ -92,11 +94,14 @@ class _Subdivision:
 
     A barycenter is interned by the multiset of ids it averages, then by
     its vertex key, so equal points always share an id and id-tuple chains
-    need no reduction by point.  A rational coordinate of a barycenter is
-    the mean of the (numerator, denominator) key pairs it averages, taken
-    in ints over their lcm and reduced by one gcd, so it keys exactly as
-    the `Fraction` mean would; a coordinate with an irrational term is the
-    scalar mean.  sd(τ) and H(τ) of each ordered face τ are computed
+    need no reduction by point.  Its coordinates come from face means
+    (`_mean`): the mean of a sorted id tuple grows from the memoized mean
+    of the tuple without its last id and that id's point, each rational
+    coordinate a (numerator, denominator) pair reduced by one gcd, so it
+    keys exactly as the `Fraction` mean would.  A coordinate with an
+    irrational term is None there and the scalar mean in the barycenter.
+    Only the barycenters themselves enter the table, in the order sd_h
+    first reaches them.  sd(τ) and H(τ) of each ordered face τ are computed
     together, once per table (`sd_h`), so sd^r(c), H_r(c) and H_r(∂c)
     share their faces' images, and each face's barycenter is looked up
     once for both.
@@ -104,8 +109,7 @@ class _Subdivision:
 
     def __init__(self, table):
         self.table = table
-        self.rational = True  # every point of the table so far
-        self._checked = 0
+        self._means = {}
         self._bary = {}
         self._sdh = {}
 
@@ -115,40 +119,51 @@ class _Subdivision:
         sub = chain.table.memo.get("sd")
         if sub is None:
             sub = chain.table.memo["sd"] = cls(chain.table)
-        # other chains may have added points since the last call; rational
-        # coordinates key as (num, den), irrational ones as ("a", minimal
-        # polynomial, root index), and barycenters of rational points are
-        # rational
-        keys = sub.table.keys
-        if sub.rational:
-            sub.rational = all(type(c[0]) is int
-                               for k in keys[sub._checked:] for c in k)
-        sub._checked = len(keys)
         return sub
+
+    def _mean(self, key) -> tuple:
+        """The mean of the points of the sorted id tuple `key`: per
+        coordinate its (num, den) key pair, or None when a term is
+        irrational (keyed ("a", …)).  With m ids, the mean n₁/d₁ of the
+        first m − 1 and the last point's n₂/d₂ give
+        ((m − 1)·n₁·d₂ + n₂·d₁) / (m·d₁·d₂)."""
+        mean = self._means.get(key)
+        if mean is None:
+            last = self.table.keys[key[-1]]
+            m = len(key)
+            if m == 1:
+                mean = tuple([c if type(c[0]) is int else None
+                              for c in last])
+            else:
+                mean = []
+                for a, c in zip(self._mean(key[:-1]), last):
+                    if a is None or type(c[0]) is not int:
+                        mean.append(None)
+                        continue
+                    n1, d1 = a
+                    n2, d2 = c
+                    num = (m - 1) * n1 * d2 + n2 * d1
+                    den = m * d1 * d2
+                    g = gcd(num, den)
+                    mean.append((num // g, den // g))
+                mean = tuple(mean)
+            self._means[key] = mean
+        return mean
 
     def _barycenter(self, t) -> int:
         key = tuple(sorted(t))
         b = self._bary.get(key)
         if b is None:
             m = len(t)
+            mean = self._mean(key)
             table = self.table
-            coords = []
-            for d, col in enumerate(zip(*[table.keys[i] for i in key])):
-                if self.rational or all(type(c[0]) is int for c in col):
-                    den = lcm(*[q for _, q in col])
-                    num = sum([n * (den // q) for n, q in col])
-                    den *= m
-                    g = gcd(num, den)
-                    coords.append((num // g, den // g))
-                else:
-                    coords.append(None)
-            if None in coords:  # the scalar mean where a term is irrational
+            if None in mean:  # the scalar mean where a term is irrational
                 p = tuple(Fraction(*c) if c else
                           sum(table.point(i)[d] for i in t) * Fraction(1, m)
-                          for d, c in enumerate(coords))
+                          for d, c in enumerate(mean))
                 b = table.add(p)
             else:  # built from its key on first use
-                b = table.add(None, tuple(coords))
+                b = table.add(None, mean)
             self._bary[key] = b
         return b
 

@@ -4,12 +4,15 @@ from itertools import product
 import pytest
 
 from scissors.homology.flags import (
+    FLAG_FACES_CACHE,
     SpanMissingFromPool,
     flag_double_complex,
+    flag_faces,
     span_of_points,
     subspace_pool,
     verify_flag_nullhomotopy,
 )
+from scissors.linalg import net_faces
 from scissors.rng import SplitMix64
 
 
@@ -196,3 +199,49 @@ def test_one_flipped_flag_fails_the_check():
             assert not verify_flag_nullhomotopy(fc), (case, chosen)
         del fc.flag_faces
         assert verify_flag_nullhomotopy(fc), case
+
+
+# the flag battery of the `chains` benchmark workload, in E³ with p ≤ 2
+BATTERY = [
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)],  # collinear
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],  # coplanar
+]
+
+
+def _every_flag(fc):
+    return [flag for fl in fc.flags.values() for flag in fl]
+
+
+def test_flag_faces_are_one_bounded_cache_of_net_faces():
+    battery = [flag_double_complex([P(*p) for p in pts], 3, 2, 1)
+               for pts in BATTERY]
+    for fc in battery:
+        assert verify_flag_nullhomotopy(fc)
+        for flag in _every_flag(fc):
+            assert fc.flag_faces(flag) == \
+                tuple(net_faces([(1, flag)]).items()), flag
+            # one cache for every complex of the process
+            assert fc.flag_faces(flag) is flag_faces(flag)
+    # a corrupted run after a warm honest one wraps the cached faces and
+    # writes none of its own: the honest run after it passes, on this
+    # complex and on a fresh one
+    for pts, fc in zip(BATTERY, battery):
+        assert not verify_flag_nullhomotopy(fc, corrupt_sign=True), pts
+        assert verify_flag_nullhomotopy(fc), pts
+        fresh = flag_double_complex([P(*p) for p in pts], 3, 2, 1)
+        assert verify_flag_nullhomotopy(fresh), pts
+        for flag in _every_flag(fc):
+            assert flag_faces(flag) == tuple(net_faces([(1, flag)]).items())
+    # more distinct flags than the bound: the cache stays at its bound and
+    # still nets each flag
+    for i in range(FLAG_FACES_CACHE + 8):
+        flag = (i, i + 1, i + 3)
+        assert flag_faces(flag) == (((i + 1, i + 3), 1), ((i, i + 3), -1),
+                                    ((i, i + 1), 1))
+    info = flag_faces.cache_info()
+    assert info.maxsize == FLAG_FACES_CACHE
+    assert info.currsize <= info.maxsize
+    assert all(verify_flag_nullhomotopy(fc) for fc in battery)

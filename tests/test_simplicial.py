@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -378,3 +380,101 @@ def test_subdivision_shared_by_a_table_sees_later_irrational_points():
         fresh = op(SimplexChain(2, list(both)), 2)
         assert shared.table is tri.table
         assert {s: c for c, s in shared} == {s: c for c, s in fresh}
+
+
+# SHA-256 of (sd² ids, H₂ ids, table keys) of the 18 seed-505 simplices of
+# the `chains` benchmark workload, and the report digest of `verify
+# sd-homotopy --cases 100 --seed 505`; both recorded before barycenters
+# were grown from face means, which must leave every id and key as it was
+SD_IDS_SHA256 = \
+    "4833885bfb8bc86e7f58237ba99cf75c44e54e2370964d632a2e6ef60e30ec5a"
+SD_HOMOTOPY_DIGEST = \
+    "e41c460ae926655a9fd8fbabcd9725fd285c8e911c0a8619a55943a9a738a857"
+
+
+def test_subdivision_output_bytes_are_pinned(capsys):
+    from scissors.cli import main
+
+    h = hashlib.sha256()
+    for case in range(18):
+        dim = (case % 3) + 1
+        ch = SimplexChain(dim, [(1, rand_simplex(SplitMix64.stream(505, case),
+                                                 dim))])
+        sd = sd_power(ch, 2)
+        hh = subdivision_homotopy(ch, 2)
+        h.update(repr((sd.ids, hh.ids, ch.table.keys)).encode())
+    assert h.hexdigest() == SD_IDS_SHA256
+    assert main(["verify", "sd-homotopy", "--cases", "100",
+                 "--seed", "505"]) == 0
+    assert json.loads(capsys.readouterr().out)["digest"] == SD_HOMOTOPY_DIGEST
+
+
+ROOT2 = sqrt_nonneg(2)
+
+
+def _embed(point):
+    """The point whose coordinates a + b√2 are given as (a, b) pairs."""
+    return tuple(a + b * ROOT2 if b else a for a, b in point)
+
+
+def _replay_sd(pts, index, seen, tuples):
+    """The test's own barycenters, in the order in which sd reaches them:
+    sd(τ) takes the barycenter of the ordered face τ first, then recurses
+    into its faces τ∖τᵢ for i = 0, 1, …, once per ordered face.  `pts`
+    lists the points, as (a, b) pairs a + b√2 of Fractions, by id, and
+    `index` interns them by value."""
+    def walk(t):
+        if len(t) < 2 or t in seen:
+            return
+        seen.add(t)
+        m = len(t)
+        mean = tuple((sum(pts[i][d][0] for i in t) / m,
+                      sum(pts[i][d][1] for i in t) / m)
+                     for d in range(len(pts[t[0]])))
+        if mean not in index:
+            index[mean] = len(pts)
+            pts.append(mean)
+        for i in range(m):
+            walk(t[:i] + t[i + 1:])
+
+    for t in tuples:
+        walk(t)
+
+
+def _mean_cases():
+    """Seeded vertex tuples, as (a, b) pairs a + b√2, in E¹–E³: a simplex,
+    a tuple that repeats an id, three collinear points whose middle one is
+    the midpoint of the others (so a barycenter is an existing vertex), and
+    the simplex with one coordinate moved by √2/3."""
+    third = Fraction(1, 3)
+    for dim in (1, 2, 3):
+        for k in range(3):
+            rng = SplitMix64.stream(53, 10 * dim + k)
+            verts = [tuple((c, Fraction(0)) for c in v)
+                     for v in rand_simplex(rng, dim).vertices]
+            a, b = verts[0], verts[1]
+            step = [rng.fraction(6, 2) for _ in range(dim)]
+            line = [tuple((x + j * s, Fraction(0))
+                          for (x, _), s in zip(a, step)) for j in (0, 2, 1)]
+            moved = [((a[0][0], third),) + a[1:]] + verts[1:]
+            yield (dim, k), dim, [tuple(verts), (a, a, b), tuple(line)]
+            if k == 0:
+                yield (dim, "√2/3"), dim, [tuple(moved)]
+
+
+def test_barycenters_are_the_face_means_in_the_order_sd_reaches_them():
+    for case, dim, tuples in _mean_cases():
+        pts, index = [], {}
+        for tup in tuples:
+            for p in tup:
+                index.setdefault(p, len(pts))
+                if index[p] == len(pts):
+                    pts.append(p)
+        ch = SimplexChain(dim, [(1, Simplex(dim, tuple(map(_embed, tup))))
+                                for tup in tuples])
+        seen = set()
+        for _ in range(2):  # sd of sd's result reaches sd²'s barycenters
+            _replay_sd(pts, index, seen, [t for _, t in ch.reduce().ids])
+            ch = barycentric_sd(ch)
+        assert ch.table.keys == [vertex_key(_embed(p)) for p in pts], case
+        assert any(b for p in pts for _, b in p) == (case[1] == "√2/3")
