@@ -131,21 +131,18 @@ class AlgebraicReal:
 
     # -- refinement ------------------------------------------------------
 
-    def refine(self, steps: int = 1) -> None:
-        """Bisect the isolating interval; a no-op for rationals."""
+    def refine(self) -> None:
+        """Bisect the isolating interval once; a no-op for rationals."""
         if self._rat is not None:
             return
         lo, hi, f = self._lo, self._hi, self._poly
-        slo = _sign_at(f, lo.numerator, lo.denominator)
-        for _ in range(steps):
-            mid = (lo + hi) / 2
-            sm = _sign_at(f, mid.numerator, mid.denominator)
-            # irreducible of degree >= 2 has no rational roots
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        self._lo, self._hi = lo, hi
+        mid = (lo + hi) / 2
+        # irreducible of degree >= 2 has no rational roots
+        if (_sign_at(f, mid.numerator, mid.denominator)
+                == _sign_at(f, lo.numerator, lo.denominator)):
+            self._lo = mid
+        else:
+            self._hi = mid
 
     def refine_below(self, width: Fraction) -> None:
         while self._hi - self._lo >= width:

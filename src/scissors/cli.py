@@ -253,7 +253,7 @@ def _recheck_failure(outcome: dict) -> str:
     return "recheck failed: " + "; ".join(what)
 
 
-def _render_text(report: dict, indent: str = "") -> str:
+def _render_text(report: dict) -> str:
     lines = []
 
     def walk(obj, prefix):
@@ -274,7 +274,7 @@ def _render_text(report: dict, indent: str = "") -> str:
                 else:
                     lines.append(f"{prefix}- {v}")
 
-    walk(report, indent)
+    walk(report, "")
     return "\n".join(lines)
 
 
@@ -364,8 +364,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     timer = ReportTimer()
     try:
-        if args.command == "homology" and not (args.complex or args.group):
-            raise ParseError("homology needs --complex or --group")
+        if (args.command == "homology"
+                and bool(args.complex) == bool(args.group)):
+            raise ParseError("homology needs one of --complex and --group")
         out = args.fn(args)
         exit_code = out.pop("exit_code", EXIT_OK)
         failure = out.pop("failure", None)

@@ -745,15 +745,13 @@ def _orientation_tests(s: Simplex, x):
     return [hp.orient(hs[:i] + hx + hs[i + 1:]) for i in range(len(hs))]
 
 
-def point_in_open_simplex(s: Simplex, x, *, on_boundary_error=True) -> bool:
+def point_in_open_simplex(s: Simplex, x) -> bool:
     base = orientation_sign(s)
     if base == 0:
         return False
     for t in _orientation_tests(s, x):
         if t == 0:
-            if on_boundary_error:
-                raise PointOnBoundary("point on a facet hyperplane")
-            return False
+            raise PointOnBoundary("point on a facet hyperplane")
         if t != base:
             return False
     return True

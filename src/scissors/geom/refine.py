@@ -33,6 +33,9 @@ The split records each piece's strict side of every plane.  A cell is an
 intersection of half-spaces of those planes, so the side vectors of its
 pieces are exactly the arrangement regions inside it, and a region's total
 is the sum of the coefficients of the cells that hold it.
+
+Both checks stop at `cell_cap()`, read from SCISSORS_CELL_CAP each time
+one starts; it is their only cap.
 """
 
 import os
@@ -138,16 +141,11 @@ def _split_by_plane(frontier, table, func, bit, known=()):
     return nxt
 
 
-def split_simplex(pts, func, sides=None):
-    """Sub-simplices of `pts`, each weakly on one side of the plane `func`.
-
-    When `sides` is a list, each piece's strict side is appended to it
-    (True for func > 0)."""
+def split_simplex(pts, func):
+    """Sub-simplices of `pts`, each weakly on one side of the plane `func`."""
     table = list(pts)
     frontier = _split_by_plane([(tuple(range(len(table))), 0)], table,
                                func, 0)
-    if sides is not None:
-        sides.extend(bool(mask) for _, mask in frontier)
     return [tuple(table[v] for v in piece) for piece, _ in frontier]
 
 
@@ -190,7 +188,7 @@ def _planes(cells, points):
         [(f, hp.hyperplane([points[v] for v in f])) for f in facets])]
 
 
-def refinement_pieces(chain: SimplexChain, cap=None):
+def refinement_pieces(chain: SimplexChain):
     """Every cell split by every facet plane of the whole chain.
 
     Returns (pieces, cells, planes): `cells` holds (coefficient,
@@ -209,7 +207,7 @@ def refinement_pieces(chain: SimplexChain, cap=None):
     if not cells:
         return [], [], []
     planes = _planes(cells, points)
-    cap = cap if cap is not None else cell_cap()
+    cap = cell_cap()
     vals = []
     pos = []  # per plane, the vertices on its positive side as a bit set
     neg = []
@@ -257,20 +255,20 @@ def _refine_cell(pts, crossing, base, cap, done):
     return table, frontier
 
 
-def _coverage(chain: SimplexChain, cap):
+def _coverage(chain: SimplexChain):
     """Σ c_k over the cells k holding each arrangement region in the chain.
 
     Every cell is an intersection of half-spaces of the arrangement, so a
     region lies in cell k exactly when some piece of cell k has the
     region's sides."""
-    pieces, cells, _ = refinement_pieces(chain, cap)
+    pieces, cells, _ = refinement_pieces(chain)
     totals = {}
     for k, sides in set(pieces):
         totals[sides] = totals.get(sides, 0) + cells[k][0]
     return totals.values()
 
 
-def chain_vanishes(chain: SimplexChain, cap=None) -> bool:
+def chain_vanishes(chain: SimplexChain) -> bool:
     """Exact decision: the signed measure of the chain is identically zero.
 
     The decision recurses on dimension and splits no cell.  A d-chain c in
@@ -297,13 +295,13 @@ def chain_vanishes(chain: SimplexChain, cap=None) -> bool:
     so the ids still cancel formally one level down.
 
     Raises RefinementTooLarge when the cells read, at all levels together,
-    pass the cap (`cell_cap` when `cap` is None)."""
+    pass `cell_cap()`."""
     dim = chain.dim_ambient
     cells = chain.reduce().ids
     for _, t in cells:
         if len(t) != dim + 1:
             raise DimensionMismatch("orientation needs a top simplex")
-    budget = _Budget(cap if cap is not None else cell_cap())
+    budget = _Budget(cell_cap())
     budget.read(len(cells))
     facets = _net_facets(cells)
     if not facets:
@@ -368,15 +366,15 @@ def _facets_vanish(net, point, budget) -> bool:
     return True
 
 
-def chain_covers_once(chain: SimplexChain, cap=None) -> bool:
+def chain_covers_once(chain: SimplexChain) -> bool:
     """Every point off the arrangement inside some cell of the chain is
     covered with total coefficient exactly 1."""
-    return all(t == 1 for t in _coverage(chain, cap))
+    return all(t == 1 for t in _coverage(chain))
 
 
 # -- spec-level operations --------------------------------------------------------
 
-def verify_dissection(whole: Polytope, parts, cap=None) -> bool:
+def verify_dissection(whole: Polytope, parts) -> bool:
     """True iff [whole] − Σ[parts] vanishes exactly as a signed measure."""
     if any(p.dim != whole.dim for p in parts):
         raise ValueError("ambient dimension mismatch")
@@ -388,7 +386,7 @@ def verify_dissection(whole: Polytope, parts, cap=None) -> bool:
     chain = whole.chain
     for p in parts:
         chain = chain - p.chain
-    return chain_vanishes(chain, cap)
+    return chain_vanishes(chain)
 
 
 def phi_boundary_chain(points, dim: int) -> SimplexChain:
@@ -412,8 +410,8 @@ def phi_boundary_chain(points, dim: int) -> SimplexChain:
                                   for i in range(len(ids))])
 
 
-def phi_boundary_check(points, dim: int, cap=None) -> bool:
+def phi_boundary_check(points, dim: int) -> bool:
     """Vanishing of the oriented-facet chain of dim+2 points (always true).
     The points go to the vertex table as given: `vertex_key` keys int,
     `Fraction` and algebraic coordinates, in tuples or lists, alike."""
-    return chain_vanishes(phi_boundary_chain(points, dim), cap)
+    return chain_vanishes(phi_boundary_chain(points, dim))

@@ -10,9 +10,8 @@ complexes) nets the faces of each basis element with `linalg.net_faces`,
 the one alternating face sum."""
 
 from collections import namedtuple
-from fractions import Fraction
 
-from ..linalg import _axpy, net_faces, rank_sparse, smith_normal_form_sparse
+from ..linalg import _axpy, net_faces, rank_int_rows, smith_normal_form_sparse
 from ..errors import DegreeOutOfRange, InvalidComplex, SizeCap
 
 
@@ -77,10 +76,9 @@ class SparseIntMatrix:
         return not self.sparse_rows
 
     def rank(self) -> int:
-        """The rank over ℚ, by Fraction row reduction (the oracle of the
-        Smith normal form)."""
-        return rank_sparse([{j: Fraction(v) for j, v in row.items()}
-                            for row in self.sparse_rows.values()], self.cols)
+        """The rank over ℚ, by Fraction row reduction (`rank_int_rows`,
+        the oracle of the Smith normal form)."""
+        return rank_int_rows(self.sparse_rows.values(), self.cols)
 
     def smith(self):
         """(U, D, V) as SparseIntMatrix with U·self·V = D in Smith normal
@@ -135,14 +133,12 @@ class ChainComplex:
     (rank(k−1), rank(k)); ∂∂ = 0 is checked on construction.
     """
 
-    def __init__(self, ranks: dict, boundaries: dict, labels=None,
-                 validate: bool = True):
+    def __init__(self, ranks: dict, boundaries: dict, labels=None):
         self.ranks = dict(ranks)
         self.boundaries = dict(boundaries)
         self.labels = labels or {}
         self._divisors = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     def degrees(self):
         return sorted(self.ranks)
@@ -215,13 +211,12 @@ class DoubleComplex:
     """
 
     def __init__(self, ranks: dict, horizontal: dict, vertical: dict,
-                 labels=None, validate: bool = True):
+                 labels=None):
         self.ranks = dict(ranks)
         self.horizontal = dict(horizontal)
         self.vertical = dict(vertical)
         self.labels = labels or {}
-        if validate:
-            self.validate()
+        self.validate()
 
     def rank(self, p, q) -> int:
         return self.ranks.get((p, q), 0)

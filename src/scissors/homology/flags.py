@@ -299,8 +299,7 @@ def flag_double_complex(points, dim: int, p_max: int,
     return FlagComplex(points, dim, p_max, q_max)
 
 
-def verify_flag_nullhomotopy(fc: FlagComplex,
-                             corrupt_sign: bool = False) -> bool:
+def verify_flag_nullhomotopy(fc: FlagComplex) -> bool:
     """Check ∂′s + s∂′ = id on every basis element of the augmented rows.
 
     s appends the span of an element's tuple to its flag, with sign
@@ -314,15 +313,9 @@ def verify_flag_nullhomotopy(fc: FlagComplex,
     raises `SpanMissingFromPool`, as does a span not below the flag end).
     The terms, from the faces of the flag and of the flag with the span
     appended, are summed by flag and must come to the flag alone with
-    coefficient 1.  `corrupt_sign` flips the sign of the last face of
-    every ∂′, in a copy of the cached faces, which must make the check
-    fail.
+    coefficient 1.  The faces of ∂′ come from `fc.flag_faces`.
     """
-    def corrupted(flag):
-        f = fc.flag_faces(flag)
-        return f[:-1] + ((f[-1][0], -f[-1][1]),)
-
-    faces = corrupted if corrupt_sign else fc.flag_faces
+    faces = fc.flag_faces
     # s is defined where the span lies strictly inside the flag's end
     inside = [set(fc.contains.get(i, ())) for i in range(len(fc.pool))]
     known_span = fc._tuple_spans.get

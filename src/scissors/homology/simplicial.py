@@ -72,11 +72,6 @@ class FilteredTupleComplex:
                               self.max_degree, lambda f: level[f] == p)
 
 
-def simplicial_complex_of(points, max_degree: int,
-                          dim: int) -> FilteredTupleComplex:
-    return FilteredTupleComplex(points, max_degree, dim)
-
-
 # -- barycentric subdivision ------------------------------------------------------
 
 def _accumulate(out, chain, sub, part):
@@ -231,31 +226,29 @@ def subdivision_homotopy(chain: SimplexChain, rounds: int) -> SimplexChain:
 
 # -- torus model -------------------------------------------------------------------
 
-def _kuhn_torus_cells(n: int, q: int = 3):
-    verts = list(product(range(q), repeat=n))
+TORUS_GRID = 3  # a Kuhn cell moves distinct axes by 1 mod 3: no repeats
+
+
+def _kuhn_torus_cells(n: int):
+    verts = list(product(range(TORUS_GRID), repeat=n))
     cells = []
     for base in verts:
         for perm in permutations(range(n)):
             cur = list(base)
             cell = [tuple(cur)]
             for axis in perm:
-                cur[axis] = (cur[axis] + 1) % q
+                cur[axis] = (cur[axis] + 1) % TORUS_GRID
                 cell.append(tuple(cur))
             cells.append(tuple(cell))
     return cells
 
 
-def torus_complex(n: int, q: int = 3) -> ChainComplex:
-    """Simplicial n-torus from the Kuhn triangulation of a q^n grid."""
+def torus_complex(n: int) -> ChainComplex:
+    """Simplicial n-torus from the Kuhn triangulation of a 3^n grid."""
     if n not in (1, 2, 3):
         raise SizeCap("torus model supports n in {1, 2, 3}")
-    cells = _kuhn_torus_cells(n, q)
     simplices = {k: set() for k in range(n + 1)}
-    for cell in cells:
-        verts = tuple(sorted(cell))
-        if len(set(verts)) != len(verts):
-            raise SizeCap(f"grid q={q} is not simplicial for n={n}")
-        simplices[n].add(verts)
+    simplices[n].update(tuple(sorted(cell)) for cell in _kuhn_torus_cells(n))
     for k in range(n, 0, -1):
         for s in simplices[k]:
             for i in range(len(s)):

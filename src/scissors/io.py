@@ -39,8 +39,7 @@ def _degree(key: str) -> int:
     return int(key)
 
 
-def polytope_from_json(obj, validate: bool = True,
-                       exact_strict: bool = False):
+def polytope_from_json(obj, exact_strict: bool = False):
     """{"dim": 1|2|3, "vertices": [[num,..],..], "cells": [[i,..],..],
     "name": str} -> Polytope, its vertices on one table (equal values
     share one id) and its cells id tuples."""
@@ -74,7 +73,7 @@ def polytope_from_json(obj, validate: bool = True,
             raise ParseError(f"cell {cell} is not a top simplex in E{dim}")
         terms.append((1, tuple([ids[i] for i in cell])))
     return Polytope(SimplexChain.from_ids(dim, table, terms), name=name,
-                    validate=validate, exact_strict=exact_strict)
+                    exact_strict=exact_strict)
 
 
 def polytope_to_json(p) -> dict:

@@ -396,21 +396,6 @@ class Num:
             self._sign = self.field.sign(self.data)
         return self._sign
 
-    def compare(self, other) -> int:
-        return scalar_sign(self - other)
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return False

@@ -266,12 +266,12 @@ def hochschild_suite(seed: int, cases: int):
     return out
 
 
-def _random_omega_chain(A, n, rng, terms=4):
+def _random_omega_chain(A, n, rng):
     from .hochschild import HochschildChain, d_basis_chain, d_basis_tuples
 
     basis = d_basis_tuples(A.dim, n)
     chain = HochschildChain(A, n)
-    for _ in range(terms):
+    for _ in range(4):
         t = basis[rng.randint(0, len(basis) - 1)]
         chain = chain + rng.randint(-3, 3) * d_basis_chain(A, t)
     return chain

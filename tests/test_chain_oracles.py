@@ -34,7 +34,10 @@ from scissors.homology.simplicial import (
 )
 from scissors.rng import SplitMix64
 from scissors.scalars import scalar_key
-from test_flags import _configurations as degenerate_configurations
+from test_flags import (
+    _configurations as degenerate_configurations,
+    verify_flipped,
+)
 
 # -- oracles ------------------------------------------------------------------
 
@@ -578,7 +581,8 @@ def test_nullhomotopy_matches_oracle():
     for dim, pts in _flag_configurations():
         fc = flag_double_complex(pts, dim, dim - 1, 1)
         for corrupt in (False, True):
-            assert verify_flag_nullhomotopy(fc, corrupt) == \
+            check = verify_flipped if corrupt else verify_flag_nullhomotopy
+            assert check(fc) == \
                 oracle_nullhomotopy(fc, corrupt) == (not corrupt)
 
 
@@ -588,5 +592,6 @@ def test_nullhomotopy_matches_oracle_on_degenerate_configurations(corrupt):
     # in planes of the pool as well
     for case, dim, pts in degenerate_configurations():
         fc = flag_double_complex(pts, dim, dim - 1, 1)
-        assert verify_flag_nullhomotopy(fc, corrupt) == \
+        check = verify_flipped if corrupt else verify_flag_nullhomotopy
+        assert check(fc) == \
             oracle_nullhomotopy(fc, corrupt) == (not corrupt), case

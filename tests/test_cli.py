@@ -353,6 +353,9 @@ BAD_LITERAL_REPORTS = [
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[0, 0, 1], [0, 0, 1]]}}),
     ("homology", "--complex",
      {"ranks": {"0": 2, "1": 1}, "boundaries": {"1": [[1, 0, 0], [1, 0, 3]]}}),
+    # a chain complex and a group together: the group is not dropped
+    ("homology", "--complex", {"ranks": {"0": 1}, "boundaries": {}},
+     "--group", "S3"),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -452,6 +455,18 @@ def test_cli_rejects_bad_cell_cap(cap):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "SCISSORS_CELL_CAP" in proc.stderr
+
+
+def test_cli_exact_strict_stops_at_cell_cap(fixtures):
+    # the --exact-strict refinement reads its cap from SCISSORS_CELL_CAP
+    env = dict(os.environ, SCISSORS_CELL_CAP="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "scissors.cli", "polytope-info",
+         "--exact-strict", str(fixtures / "box112.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 4
+    assert proc.stderr.strip().splitlines() == [
+        "resource cap: refinement exceeded 1 cells"]
 
 
 def test_cli_phi(fixtures):

@@ -83,9 +83,24 @@ def test_nullhomotopy_degenerate_configs():
     assert verify_flag_nullhomotopy(fc3)
 
 
+def verify_flipped(fc) -> bool:
+    """`verify_flag_nullhomotopy` with the sign of the last face of every ∂′
+    flipped, in a copy of the cached faces set on the instance as its
+    `flag_faces`; the check must fail."""
+    def flipped(flag):
+        f = flag_faces(flag)
+        return f[:-1] + ((f[-1][0], -f[-1][1]),)
+
+    fc.flag_faces = flipped
+    try:
+        return verify_flag_nullhomotopy(fc)
+    finally:
+        del fc.flag_faces
+
+
 def test_corrupted_sign_fails():
     fc = flag_double_complex([P(0, 0), P(1, 0), P(0, 1)], 2, 2, 1)
-    assert not verify_flag_nullhomotopy(fc, corrupt_sign=True)
+    assert not verify_flipped(fc)
 
 
 def test_double_complex_validates():
@@ -161,7 +176,7 @@ def test_containment_from_members_matches_subspace_test():
                 assert fc.pool[fc.tuple_span_index(tup)] == span, (case, tup)
             assert fc.augmentation_basis(q) == proper, (case, q)
         assert verify_flag_nullhomotopy(fc), case
-        assert not verify_flag_nullhomotopy(fc, corrupt_sign=True), case
+        assert not verify_flipped(fc), case
 
 
 def test_missing_containment_pair_raises():
@@ -229,7 +244,7 @@ def test_flag_faces_are_one_bounded_cache_of_net_faces():
     # writes none of its own: the honest run after it passes, on this
     # complex and on a fresh one
     for pts, fc in zip(BATTERY, battery):
-        assert not verify_flag_nullhomotopy(fc, corrupt_sign=True), pts
+        assert not verify_flipped(fc), pts
         assert verify_flag_nullhomotopy(fc), pts
         fresh = flag_double_complex([P(*p) for p in pts], 3, 2, 1)
         assert verify_flag_nullhomotopy(fresh), pts

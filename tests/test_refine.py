@@ -476,7 +476,7 @@ def _isometry(rng, dim):
 
 
 def _tallies(chain):
-    return sorted(refine._coverage(chain, None))
+    return sorted(refine._coverage(chain))
 
 
 def test_vanishing_and_tallies_survive_isometry_and_cell_order():
@@ -505,7 +505,7 @@ def test_vanishing_and_tallies_survive_isometry_and_cell_order():
 
 def _oracle_vanishes(chain):
     """Every region of the chain's refinement has total coefficient 0."""
-    return all(t == 0 for t in refine._coverage(chain, None))
+    return all(t == 0 for t in refine._coverage(chain))
 
 
 def _chain(dim, cells):

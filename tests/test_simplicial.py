@@ -19,10 +19,10 @@ from scissors.geom import (
 )
 from scissors.homology import ChainComplex, SparseIntMatrix
 from scissors.homology.simplicial import (
+    FilteredTupleComplex,
     affine_span_dim,
     barycentric_sd,
     sd_power,
-    simplicial_complex_of,
     subdivision_homotopy,
     torus_complex,
     torus_homology,
@@ -52,7 +52,7 @@ def test_span_levels():
 
 
 def test_filtered_complex_levels():
-    fc = simplicial_complex_of([(0, 0), (1, 0), (0, 1)], 2, 2)
+    fc = FilteredTupleComplex([(0, 0), (1, 0), (0, 1)], 2, 2)
     assert fc.level[(0, 1, 2)] == 2
     assert fc.level[(0, 0, 1)] == 1
     assert fc.level[(1, 1, 1)] == 0
@@ -63,7 +63,7 @@ def test_filtered_complex_levels():
 def test_graded_piece_square_regression():
     # 4-point square in E²: Gr₂ homology at degree 2 is free; the value is a
     # direct-SNF regression of the configuration
-    fc = simplicial_complex_of([(0, 0), (1, 0), (0, 1), (1, 1)], 3, 2)
+    fc = FilteredTupleComplex([(0, 0), (1, 0), (0, 1), (1, 1)], 3, 2)
     gr2 = fc.graded_piece(2)
     h2 = gr2.homology(2)
     assert h2.torsion == ()

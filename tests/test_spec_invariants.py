@@ -15,7 +15,11 @@ from scissors.geom import (
     simplex,
 )
 from scissors.geom.convex import regular_tetrahedron, transformed, unit_cube
-from scissors.geom.refine import RefinementTooLarge, verify_dissection
+from scissors.geom.refine import (
+    RefinementTooLarge,
+    phi_boundary_check,
+    verify_dissection,
+)
 from scissors.homology import SparseIntMatrix, smith_normal_form
 from scissors.hochschild import (
     builtin_algebra,
@@ -71,6 +75,7 @@ def test_non_manifold_boundary_detected():
 
 
 def test_refinement_cap(monkeypatch):
+    # SCISSORS_CELL_CAP is the one cap of every check, read on each call
     monkeypatch.setenv("SCISSORS_CELL_CAP", "3")
     whole = unit_cube()
     from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
@@ -78,10 +83,17 @@ def test_refinement_cap(monkeypatch):
     a_pts, b_pts = split_convex_points_3d(corners, (2, 0, 0, -1))
     a = convex_polytope_3d(a_pts)
     b = convex_polytope_3d(b_pts)
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     with pytest.raises(RefinementTooLarge):
         verify_dissection(whole, [a, b])
+    with pytest.raises(RefinementTooLarge):
+        phi_boundary_check(square, 2)
+    with pytest.raises(RefinementTooLarge):
+        whole.validate(exact_strict=True)
     monkeypatch.delenv("SCISSORS_CELL_CAP")
     assert verify_dissection(whole, [a, b])
+    assert phi_boundary_check(square, 2)
+    whole.validate(exact_strict=True)
 
 
 def test_smith_normal_form_wrapper_surface():
