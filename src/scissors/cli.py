@@ -22,7 +22,6 @@ from .errors import (
     GeometryError,
     InvalidComplex,
     ParseError,
-    RefinementTooLarge,
     SizeCap,
     SizeCapExceeded,
     UnknownSuite,
@@ -53,6 +52,9 @@ EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
 MAX_CASES = 1000  # `verify --cases`; the acceptance runs use up to 200
+# the defaults of `homology --module` and `--max-degree`, which only a
+# group reads: `--complex` with another value is an input error
+GROUP_MODULE, GROUP_MAX_DEGREE = "trivialZ", 3
 
 # the names in the suite registry (suites.SUITES), so that building the
 # parser loads no suite; a test checks that the two agree
@@ -344,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="chain-complex or group homology")
     p.add_argument("--complex")
     p.add_argument("--group")
-    p.add_argument("--module", default="trivialZ")
-    p.add_argument("--max-degree", type=_int_in(0), default=3)
+    p.add_argument("--module", default=GROUP_MODULE)
+    p.add_argument("--max-degree", type=_int_in(0), default=GROUP_MAX_DEGREE)
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("phi", help="length·dcos/sin image of tensor terms")
@@ -364,9 +366,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     timer = ReportTimer()
     try:
-        if (args.command == "homology"
-                and bool(args.complex) == bool(args.group)):
-            raise ParseError("homology needs one of --complex and --group")
+        if args.command == "homology":
+            if bool(args.complex) == bool(args.group):
+                raise ParseError("homology needs one of --complex and --group")
+            if args.complex and (args.module != GROUP_MODULE or
+                                 args.max_degree != GROUP_MAX_DEGREE):
+                raise ParseError("homology --complex takes no --module "
+                                 "or --max-degree")
         out = args.fn(args)
         exit_code = out.pop("exit_code", EXIT_OK)
         failure = out.pop("failure", None)
@@ -390,7 +396,7 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except (SizeCap, SizeCapExceeded, RefinementTooLarge) as exc:
+    except SizeCap as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (InvalidComplex, DegreeOutOfRange, AssertionError,

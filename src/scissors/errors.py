@@ -31,11 +31,11 @@ class SizeCap(RuntimeError):
     """A configured desk-scale resource cap was exceeded."""
 
 
-class SizeCapExceeded(RuntimeError):
+class SizeCapExceeded(SizeCap):
     pass
 
 
-class RefinementTooLarge(RuntimeError):
+class RefinementTooLarge(SizeCap):
     """Piece count exceeded the configured cap; verdict is Unknown."""
 
 

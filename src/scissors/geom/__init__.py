@@ -399,10 +399,13 @@ class Polytope:
     def validate(self, exact_strict: bool = False) -> None:
         if len({v for _, v in self.chain.ids}) < len(self.chain.ids):
             raise InvalidPolytope("repeated cell")
-        cells = _sat_cells(self.chain)
+        table = self.chain.table
+        points = [table.homog(i) for i in range(len(table.keys))]
+        cells = [tuple([points[i] for i in v]) for _, v in self.chain.ids]
+        planes = list(map(_facet_planes, cells))
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
-                if _interiors_intersect(cells[i], cells[j], self.dim):
+                if not _disjoint(cells[i], cells[j], planes[i], planes[j]):
                     raise InvalidPolytope(
                         f"cells {i} and {j} have overlapping interiors")
         if self.dim >= 2:
@@ -417,85 +420,53 @@ class Polytope:
         return f"Polytope(E{self.dim},{nm} {len(self.chain)} cells)"
 
 
-# -- pairwise interior disjointness via exact SAT -----------------------------
+# -- pairwise interior disjointness by separating planes ----------------------
 
-def _scaled_points(table: VertexTable):
-    """(points, w): the table's points scaled once by the lcm w of their
-    weights, so the points of a rational table are all integer."""
-    points = [table.homog(i) for i in range(len(table.keys))]
-    w = lcm(*[h[-1] for h in points])
-    return [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points], w
-
-
-def _sat_cells(chain: SimplexChain) -> list:
-    """The vertex tuple of each term of the chain, for SAT, on the scaled
-    points of its table."""
-    points = _scaled_points(chain.table)[0]
-    return [tuple([points[i] for i in ids]) for _, ids in chain.ids]
+def _facet_planes(cell) -> list:
+    """The functional of each facet of a cell of n+1 homogeneous points in
+    Eⁿ, `hp.hyperplane` of the cell without one vertex, signed so that the
+    cell lies on its nonpositive side."""
+    planes = []
+    for i, v in enumerate(cell):
+        f = hp.hyperplane(cell[:i] + cell[i + 1:])
+        if scalar_sign(hp.apply_functional(f, v)) > 0:
+            f = tuple([-c for c in f])
+        planes.append(f)
+    return planes
 
 
-def _axis_interval(points, axis):
-    lo = hi = None
-    for p in points:
-        v = sum(a * c for a, c in zip(axis, p))
-        if lo is None:
-            lo = hi = v
-        else:
-            if scalar_sign(v - lo) < 0:
-                lo = v
-            if scalar_sign(v - hi) > 0:
-                hi = v
-    return lo, hi
+def _beyond(f, cell) -> bool:
+    """Whether every vertex of the cell is on the nonnegative side of f."""
+    return all(scalar_sign(hp.apply_functional(f, q)) >= 0 for q in cell)
 
 
-def _separated_on(axis, pa, pb) -> bool:
-    la, ha = _axis_interval(pa, axis)
-    lb, hb = _axis_interval(pb, axis)
-    return scalar_sign(ha - lb) <= 0 or scalar_sign(hb - la) <= 0
-
-
-def _cross3(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
-def _sub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def _sat_axes(pa, pb, dim):
-    """The candidate separating axes of two cells, one at a time: the facet
-    normals of each, then in E³ the cross products of their edges."""
-    if dim == 1:
-        yield (1,)
-    elif dim == 2:
-        for pts in (pa, pb):
-            for i in range(3):
-                e = _sub(pts[(i + 1) % 3], pts[i])
-                yield (-e[1], e[0])
-    else:
-        for pts in (pa, pb):
-            for i in range(4):
-                tri = [pts[j] for j in range(4) if j != i]
-                yield _cross3(_sub(tri[1], tri[0]), _sub(tri[2], tri[0]))
-        ea = [_sub(pa[j], pa[i]) for i in range(4) for j in range(i + 1, 4)]
-        eb = [_sub(pb[j], pb[i]) for i in range(4) for j in range(i + 1, 4)]
-        for u in ea:
-            for v in eb:
-                yield _cross3(u, v)
-
-
-def _interiors_intersect(pa, pb, dim) -> bool:
-    """Exact SAT on the convex cells with vertices pa and pb: no weak
-    separating axis <=> interiors meet.  Stops at the first separating
-    axis, without building the rest."""
-    for axis in _sat_axes(pa, pb, dim):
-        if all(scalar_sign(a) == 0 for a in axis):
-            continue
-        if _separated_on(axis, pa, pb):
-            return False
-    return True
+def _disjoint(a, b, planes_a, planes_b) -> bool:
+    """Whether the open cells with homogeneous vertices a and b, whose
+    facet planes are planes_a and planes_b (`_facet_planes`), are disjoint:
+    whether some plane has a weakly on one side and b weakly on the other.
+    Each facet of the difference body a − b comes from a facet of a, of b
+    or, in E³, an edge of each, so it is enough to try the facet planes and
+    in E³ each plane through an edge pq of a parallel to an edge rs of b:
+    through p, q and rs as a point of weight 0.  Parallel edges give the
+    zero functional, on which a's other two vertices both lie."""
+    if any(_beyond(f, b) for f in planes_a) or \
+            any(_beyond(f, a) for f in planes_b):
+        return True
+    if len(a) < 4:
+        return False
+    dirs = [tuple([x * r[-1] - y * s[-1] for x, y in zip(s[:-1], r[:-1])])
+            + (0,) for r, s in combinations(b, 2)]
+    for (i, p), (j, q) in combinations(enumerate(a), 2):
+        rest = [a[k] for k in range(4) if k != i and k != j]
+        for d in dirs:
+            f = hp.hyperplane([p, q, d])
+            s0, s1 = (scalar_sign(hp.apply_functional(f, x)) for x in rest)
+            side = s0 or s1
+            if side and s0 * s1 >= 0 and all(
+                    scalar_sign(hp.apply_functional(f, x)) * side <= 0
+                    for x in b):
+                return True
+    return False
 
 
 # -- boundary surface extraction ----------------------------------------------
@@ -620,6 +591,24 @@ class DihedralEdge:
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _scaled_points(table: VertexTable):
+    """(points, w): the table's points scaled once by the lcm w of their
+    weights, so the points of a rational table are all integer."""
+    points = [table.homog(i) for i in range(len(table.keys))]
+    w = lcm(*[h[-1] for h in points])
+    return [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points], w
 
 
 _STRAIGHT = AnglePair.from_cos2(Fraction(1), -1)  # θ = π

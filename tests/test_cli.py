@@ -356,6 +356,12 @@ BAD_LITERAL_REPORTS = [
     # a chain complex and a group together: the group is not dropped
     ("homology", "--complex", {"ranks": {"0": 1}, "boundaries": {}},
      "--group", "S3"),
+    # a chain complex with a module or a degree bound, which only a group
+    # reads: neither is dropped
+    ("homology", "--complex", {"ranks": {"0": 1}, "boundaries": {}},
+     "--module", "nosuch.json"),
+    ("homology", "--complex", {"ranks": {"0": 1}, "boundaries": {}},
+     "--max-degree", "9"),
 ])
 def test_cli_rejects_out_of_range(argv, tmp_path):
     args = []
@@ -467,6 +473,17 @@ def test_cli_exact_strict_stops_at_cell_cap(fixtures):
     assert proc.returncode == 4
     assert proc.stderr.strip().splitlines() == [
         "resource cap: refinement exceeded 1 cells"]
+
+
+def test_every_cap_error_is_a_size_cap():
+    # main maps SizeCap alone to exit 4
+    from scissors import errors
+    from scissors.homology.flags import PoolExplosion
+    from scissors.homology.simplicial import TooManyPoints
+
+    for cap in (errors.SizeCapExceeded, errors.RefinementTooLarge,
+                PoolExplosion, TooManyPoints):
+        assert issubclass(cap, errors.SizeCap), cap
 
 
 def test_cli_phi(fixtures):
@@ -845,13 +862,14 @@ def test_failed_suite_is_exit_1_with_one_line(monkeypatch, capsys):
 
 def test_closed_stdout_is_one_line(fixtures):
     # the reader is gone before the report is written
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "scissors.cli", "polytope-info",
-         str(fixtures / "cube.json")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 5
+    with subprocess.Popen(
+            [sys.executable, "-m", "scissors.cli", "polytope-info",
+             str(fixtures / "cube.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 5
     assert err.splitlines() == [
         "output error: stdout was closed before the report was written"]
 
@@ -1188,6 +1206,53 @@ def test_stock_shape_report_digests_are_pinned(tmp_path, monkeypatch, capsys):
         assert verify_report_digest(report)
         digests[name] = report["digest"]
     assert digests == STOCK_INFO_DIGESTS
+
+
+# `digest` of a `compare` report for each verdict, on shapes written by
+# polytope_to_json and read by a relative path, and of the dissection suite
+# at its acceptance seed: every polytope they read passes the overlap check
+# of `Polytope.validate`, which must leave them byte-identical.
+COMPARE_DIGESTS = {
+    ("cube", "box112", "NotCongruent_Volume"):
+        "2bb82f487a8f1a1f23fc0dcff3eafae91439ca836f978c475c5bc8c6fc8489e7",
+    ("cube", "tetra_vol1", "NotCongruent_Dehn"):
+        "6f0bfd8cafbf62461c5c4d0285c810550324605503c23c3deeeba18f597d42fc",
+    ("cube", "cube_moved", "Congruent_DSJ"):
+        "375050b68c45d753a1b1efc372e94877a2d210bccc684bed996f96615a768b91",
+}
+DISSECTION_DIGEST = \
+    "3a77853cab267fa313452eaed0230ab9e25bd507a3a82cbf44d22b01917ba4e1"
+
+
+def test_compare_and_dissection_digests_are_pinned(tmp_path, monkeypatch,
+                                                   capsys):
+    from scissors.cli import main
+    from scissors.rng import SplitMix64
+
+    vol1 = make_algebraic([-3, 0, 0, 8], (0, 1))
+    shapes = {"cube": unit_cube(), "box112": box((0, 0, 0), (1, 1, 2)),
+              "tetra_vol1": scaled_simplices(regular_tetrahedron(), vol1),
+              "cube_moved": transformed(
+                  unit_cube(), *_placement(SplitMix64.stream(909, 0)))}
+    monkeypatch.chdir(tmp_path)
+    for name, shape in shapes.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(polytope_to_json(shape)))
+
+    def digest(*argv):
+        assert main(list(argv)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert verify_report_digest(report)
+        return report
+
+    digests = {}
+    for a, b, _ in COMPARE_DIGESTS:
+        report = digest("compare", f"{a}.json", f"{b}.json")
+        tag = report["results"]["verdict"]["tag"]
+        digests[a, b, tag] = report["digest"]
+    assert digests == COMPARE_DIGESTS
+    report = digest("verify", "dissection", "--cases", "25", "--seed", "303")
+    assert report["digest"] == DISSECTION_DIGEST
 
 
 # `digest` of the homology reports: group homology, a chain-complex file

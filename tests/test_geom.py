@@ -7,7 +7,9 @@ from scissors.algebraic import lift, make_algebraic, scalar_sign, sqrt_nonneg
 from scissors.angles import is_rational_angle
 from scissors.geom import (
     DimensionMismatch,
+    GeometryError,
     PointOnBoundary,
+    Polytope,
     Simplex,
     SimplexChain,
     VertexTable,
@@ -19,6 +21,7 @@ from scissors.geom import (
     signed_indicator,
     simplex,
     simplex_volume,
+    to_homog,
     vertex_key,
 )
 from scissors.geom.convex import (
@@ -348,60 +351,94 @@ def test_hull_cells_skip_points_inside_facets_and_edges():
     assert _corners_2d(square) == [0, 2, 3, 5]
 
 
-def _all_axes_reference(pa, pb, dim):
-    """Every candidate separating axis, built before any is tested: the
-    overlap check before it learned to stop early."""
+def _sat_axes(pa, pb, dim):
+    """Every candidate separating axis of the cells with vertices pa and
+    pb: the facet normals of each, then in E³ the cross products of their
+    edges."""
     from scissors.geom import _cross3, _sub
+    if dim == 1:
+        return [(1,)]
     axes = []
     if dim == 2:
         for pts in (pa, pb):
             for i in range(3):
                 e = _sub(pts[(i + 1) % 3], pts[i])
                 axes.append((-e[1], e[0]))
-    else:
-        for pts in (pa, pb):
-            for i in range(4):
-                tri = [pts[j] for j in range(4) if j != i]
-                axes.append(_cross3(_sub(tri[1], tri[0]),
-                                    _sub(tri[2], tri[0])))
-        ea = [_sub(pa[j], pa[i]) for i in range(4) for j in range(i + 1, 4)]
-        eb = [_sub(pb[j], pb[i]) for i in range(4) for j in range(i + 1, 4)]
-        axes.extend(_cross3(u, v) for u in ea for v in eb)
+        return axes
+    for pts in (pa, pb):
+        for i in range(4):
+            tri = [pts[j] for j in range(4) if j != i]
+            axes.append(_cross3(_sub(tri[1], tri[0]), _sub(tri[2], tri[0])))
+    ea = [_sub(pa[j], pa[i]) for i in range(4) for j in range(i + 1, 4)]
+    eb = [_sub(pb[j], pb[i]) for i in range(4) for j in range(i + 1, 4)]
+    axes.extend(_cross3(u, v) for u in ea for v in eb)
     return axes
 
 
-def _overlap_reference(pa, pb, dim):
-    from scissors.geom import _separated_on
-    return not any(_separated_on(axis, pa, pb)
-                   for axis in _all_axes_reference(pa, pb, dim)
-                   if any(a != 0 for a in axis))
+def _sat_interval(points, axis):
+    values = [sum(a * c for a, c in zip(axis, p)) for p in points]
+    lo = hi = values[0]
+    for v in values[1:]:
+        if scalar_sign(v - lo) < 0:
+            lo = v
+        if scalar_sign(v - hi) > 0:
+            hi = v
+    return lo, hi
 
 
-def test_overlap_check_stops_early_with_the_same_verdict():
-    # the pairwise SAT of validate against its early-stopping form, and
+def _sat_overlap(pa, pb, dim):
+    """The separating-axis test that `Polytope.validate` used before its
+    plane-sign check: the interiors of the cells meet unless their
+    intervals on some nonzero axis share at most an end point."""
+    for axis in _sat_axes(pa, pb, dim):
+        if all(scalar_sign(a) == 0 for a in axis):
+            continue
+        la, ha = _sat_interval(pa, axis)
+        lb, hb = _sat_interval(pb, axis)
+        if scalar_sign(ha - lb) <= 0 or scalar_sign(hb - la) <= 0:
+            return False
+    return True
+
+
+def _overlap(pa, pb):
+    """The plane-sign check of `Polytope.validate` on two cells."""
+    from scissors.geom import _disjoint, _facet_planes
+    a, b = (tuple(map(to_homog, pts)) for pts in (pa, pb))
+    return not _disjoint(a, b, _facet_planes(a), _facet_planes(b))
+
+
+def _shifted(pts, d):
+    return tuple(tuple(a + b for a, b in zip(p, d)) for p in pts)
+
+
+def _random_cell(rng, dim):
+    while True:
+        pts = tuple(tuple(rng.fraction(6, 3) for _ in range(dim))
+                    for _ in range(dim + 1))
+        if orientation_sign(Simplex(dim, pts)) != 0:
+            return pts
+
+
+def test_overlap_check_agrees_with_the_separating_axis_test():
+    # the plane-sign check of validate against the separating-axis test it
+    # replaced, on integer-scaled points and on points with their own
+    # weights; the first cases also on weight-1 algebraic points, and
     # against the --exact-strict refinement of the two-cell chain
-    from scissors.geom import _interiors_intersect, _sat_axes
     from scissors.geom.refine import chain_covers_once
 
-    def shifted(pts, d):
-        return tuple(tuple(a + b for a, b in zip(p, d)) for p in pts)
-
     def covered_once(cells, dim):
-        # each cell positively oriented; a flat one drops out
+        # each cell positively oriented
         return chain_covers_once(SimplexChain(dim, [
             (orientation_sign(s), s) for s in
             (Simplex(dim, tuple(map(make_point, pts))) for pts in cells)]))
 
     verdicts = {}
-    for dim in (2, 3):
+    pairs = 0
+    for dim in (1, 2, 3):
         move = (sqrt_nonneg(2) / 3,) + (0,) * (dim - 1)
-        for case in range(25):
-            rng = SplitMix64.stream(71, 100 * dim + case)
-            while True:
-                pa = tuple(tuple(rng.fraction(6, 3) for _ in range(dim))
-                           for _ in range(dim + 1))
-                if orientation_sign(Simplex(dim, pa)) != 0:
-                    break
+        for case in range(540):
+            rng = SplitMix64.stream(71, 1000 * dim + case)
+            pa, other = _random_cell(rng, dim), _random_cell(rng, dim)
             centroid = tuple(sum(c) / (dim + 1) for c in zip(*pa))
             # the cell through one facet of A and its last vertex mirrored
             # in that facet's centroid: the two meet only in that facet
@@ -413,29 +450,112 @@ def test_overlap_check_stops_early_with_the_same_verdict():
                            for p in pa)
             small = tuple(rng.fraction(2, 3) for _ in range(dim))
             far = (Fraction(13),) + (Fraction(0),) * (dim - 1)
-            other = tuple(tuple(rng.fraction(6, 3) for _ in range(dim))
-                          for _ in range(dim + 1))
             for kind, pb, want in (("touching", touching, False),
                                    ("nested", nested, True),
-                                   ("translated", shifted(pa, small), None),
-                                   ("disjoint", shifted(pa, far), False),
-                                   ("random", other, None)):
-                assert list(_sat_axes(pa, pb, dim)) == \
-                    _all_axes_reference(pa, pb, dim)
-                got = _interiors_intersect(pa, pb, dim)
-                assert got == _overlap_reference(pa, pb, dim), (kind, pa, pb)
-                # the integer points of validate: both cells scaled by one w
+                                   ("translated", _shifted(pa, small), None),
+                                   ("disjoint", _shifted(pa, far), False),
+                                   ("random", other, None),
+                                   ("identical", pa, True)):
+                # both cells scaled to integers by one w, as the SAT had them
                 w = lcm(*(c.denominator for p in pa + pb for c in p))
-                assert _interiors_intersect(
-                    *(tuple(tuple(int(c * w) for c in p) for p in pts)
-                      for pts in (pa, pb)), dim) == got, (kind, pa, pb)
+                ia, ib = (tuple(tuple(int(c * w) for c in p) for p in pts)
+                          for pts in (pa, pb))
+                got = _sat_overlap(ia, ib, dim)
+                assert _overlap(ia, ib) == got, (kind, pa, pb)
+                assert _overlap(pa, pb) == got, (kind, pa, pb)
                 assert want is None or got == want, (kind, pa, pb)
-                # the refinement, also on weight-1 algebraic points
-                for cells in ((pa, pb),
-                              (shifted(pa, move), shifted(pb, move))):
-                    assert covered_once(cells, dim) == (not got), (kind, cells)
+                pairs += 1
                 verdicts.setdefault((dim, kind), set()).add(got)
+                if case >= 25:
+                    continue
+                moved = _shifted(pa, move), _shifted(pb, move)
+                assert _overlap(*moved) == got, (kind, moved)
+                pairs += 1
+                for cells in ((pa, pb), moved):
+                    assert covered_once(cells, dim) == (not got), (kind, cells)
+    assert pairs >= 10_000
     # the seeded translations and random pairs hit both verdicts
-    for dim in (2, 3):
+    for dim in (1, 2, 3):
         for kind in ("translated", "random"):
             assert verdicts[dim, kind] == {False, True}, (dim, kind)
+
+
+def _overlap_raised(dim, cells) -> bool:
+    """Whether building the polytope of the cells raises "overlapping
+    interiors"."""
+    try:
+        Polytope(SimplexChain(dim, [(1, simplex(dim, *c)) for c in cells]))
+    except GeometryError as exc:
+        return "overlapping interiors" in str(exc)
+    return False
+
+
+def test_overlap_verdict_is_kept_by_isometries():
+    # metamorphic: whether validate finds overlapping cells in a seeded set
+    # of two to four cells, each drawn or placed against the first, does not
+    # change under a signed permutation, a 3-4-5 rotation or a translation,
+    # rational or by √2/3; unless a cell repeats, it is the verdict of the
+    # refinement of the chain
+    from scissors.geom.refine import chain_covers_once
+
+    seen = set()
+    for dim in (2, 3):
+        root = sqrt_nonneg(2) / 3
+        for case in range(60):
+            rng = SplitMix64.stream(72, 100 * dim + case)
+            a = _random_cell(rng, dim)
+            centroid = tuple(sum(c) / (dim + 1) for c in zip(*a))
+            edge = tuple((y - x) / 3 for x, y in zip(a[0], a[1]))
+            cells = [a]
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.choice(("touching", "overlapping", "nested",
+                                   "disjoint", "random"))
+                if kind == "touching":
+                    i = rng.randint(0, dim)
+                    facet = a[:i] + a[i + 1:]
+                    mid = tuple(sum(c) / dim for c in zip(*facet))
+                    cells.append(facet + (tuple(2 * m - v for m, v in
+                                                zip(mid, a[i])),))
+                elif kind == "overlapping":
+                    cells.append(_shifted(a, edge))
+                elif kind == "nested":
+                    cells.append(tuple(tuple((c + v) / 2 for c, v in
+                                             zip(centroid, p)) for p in a))
+                elif kind == "random":
+                    cells.append(_random_cell(rng, dim))
+                else:
+                    cells.append(_shifted(a, (Fraction(9 * len(cells)),)
+                                          + (Fraction(0),) * (dim - 1)))
+            if case % 6 == 5:
+                cells.append(a)  # a repeated cell, refused before overlap
+            got = _overlap_raised(dim, cells)
+            perm = list(range(dim))
+            for i in range(dim - 1, 0, -1):
+                j = rng.randint(0, i)
+                perm[i], perm[j] = perm[j], perm[i]
+            signs = [rng.choice((-1, 1)) for _ in range(dim)]
+            i = rng.randint(0, dim - 1)
+            j = (i + rng.randint(1, dim - 1)) % dim
+
+            def rotated(p):
+                q = list(p)
+                q[i] = (3 * p[i] - 4 * p[j]) / 5
+                q[j] = (4 * p[i] + 3 * p[j]) / 5
+                return tuple(q)
+
+            shift = tuple(rng.fraction(6, 3) for _ in range(dim))
+            for image in (
+                    lambda p: tuple(s * p[k] for s, k in zip(signs, perm)),
+                    rotated,
+                    lambda p: tuple(x + y for x, y in zip(p, shift)),
+                    lambda p: (p[0] + root,) + p[1:]):
+                moved = [tuple(map(image, c)) for c in cells]
+                assert _overlap_raised(dim, moved) == got, (dim, case)
+            if len(set(cells)) == len(cells):
+                chain = SimplexChain(dim, [(1, simplex(dim, *c))
+                                           for c in cells])
+                chain = SimplexChain(dim, [(orientation_sign(s), s)
+                                           for _, s in chain])
+                assert got == (not chain_covers_once(chain)), (dim, case)
+                seen.add((dim, got))
+    assert seen == {(2, False), (2, True), (3, False), (3, True)}

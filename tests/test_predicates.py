@@ -83,6 +83,21 @@ def test_hyperplane_is_cofactor_expansion(dim, bound):
 
 
 @pytest.mark.parametrize("bound", [3, 10 ** 12])
+def test_hyperplane_through_a_direction_of_weight_zero(bound):
+    # the plane through a and b parallel to d, as in the overlap check of
+    # Polytope.validate: a weight-0 point is a direction
+    for rng in streams(3, bound):
+        a, b = rand_point(rng, 3, bound), rand_point(rng, 3, bound)
+        d = rand_point(rng, 3, bound)[:3] + (0,)
+        func = hyperplane([a, b, d])
+        for p in (a, b, tuple(x + y for x, y in zip(a, d))):
+            assert apply_functional(func, p) == 0
+        for _ in range(3):
+            q = rand_point(rng, 3, bound)
+            assert apply_functional(func, q) == hdet([a, b, d, q])
+
+
+@pytest.mark.parametrize("bound", [3, 10 ** 12])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cut_point_lies_inside_segment_on_plane(dim, bound):
     cuts = 0
