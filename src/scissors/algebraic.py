@@ -8,12 +8,15 @@ containing exactly one of its real roots: the form of a literal as parsed.
 ``lift`` puts the literals of one input into one field ℚ(α), and all
 arithmetic on irrational values runs there: the operators of
 ``AlgebraicReal`` lift their operands, compute in the field and read the
-result back as a literal.  The one resultant of the package, taken and
-factored by `factoring`, is a norm from ℚ(α) to ℚ.  It decides whether a
-literal x lies in ℚ(α), and a square root in it, by the roots in ℚ(α) of a
-polynomial (`roots_in`), and grows the field when x lies outside it: it
-gives the minimal polynomial of γ = x + kα, and α is recovered in ℚ(γ)
-exactly.
+result back as a literal.  A literal x of the degree of ℚ(α) is first
+tried as x = a + bα for rationals a and b, read off the coefficients of
+the two minimal polynomials and checked exactly (`_affine`): a rational
+motion or scaling of an input puts every coordinate there, and nothing is
+factored.  Otherwise the one resultant of the package, taken and factored
+by `factoring`, is a norm from ℚ(α) to ℚ.  It decides whether x lies in
+ℚ(α), and a square root in it, by the roots in ℚ(α) of a polynomial
+(`roots_in`), and grows the field when x lies outside it: it gives the
+minimal polynomial of γ = x + kα, and α is recovered in ℚ(γ) exactly.
 """
 
 import operator
@@ -409,18 +412,20 @@ def field_ops(a, b, op: str):
 
 
 # -- one number field per input ------------------------------------------------
-# Literals are embedded here and nowhere else: membership in a field, square
-# roots in it and the compositum all take their roots from one norm, a
+# Literals are embedded here and nowhere else.  Membership in a field tries
+# the affine identity x = a + bα first; otherwise membership, square roots in
+# the field and the compositum all take their roots from one norm, a
 # resultant factored by `factoring.factor`.
 
 def lift(values) -> list:
     """The scalars `values`, with every irrational AlgebraicReal among them
     written in one number field ℚ(α).  Elements of one field ℚ(α) keep their
     field and the literals join it; elements of several fields, or of a tower
-    of square roots, are read as literals first.  A literal grows the field
-    only when it lies outside it, and each field is built once per
-    generator (`_field`).  Raises SizeCap when it would grow it above
-    `numberfield.MAX_DEGREE`."""
+    of square roots, are read as literals first.  A literal joins the field
+    as a + bα when that affine identity holds, else by a norm (`_member`);
+    it grows the field only when it lies outside it, and each field is
+    built once per generator (`_field`).  Raises SizeCap when it would grow
+    it above `numberfield.MAX_DEGREE`."""
     values = [as_scalar(v) for v in values]
     if not any(isinstance(v, AlgebraicReal) for v in values):
         return values
@@ -481,13 +486,68 @@ def _embedding(n, alpha):
 
 
 def _member(x: AlgebraicReal, K):
-    """x as an element of K, or None when x ∉ K: the root of its minimal
-    polynomial in K that has its key.  [ℚ(x):ℚ] divides [K:ℚ] when x ∈ K."""
+    """x as an element of K, or None when x ∉ K.  [ℚ(x):ℚ] divides [K:ℚ]
+    when x ∈ K.  The affine identity x = a + bα is tried first (`_affine`),
+    which factors nothing; otherwise x is the root of its minimal polynomial
+    in K that has its key (`roots_in`)."""
     if K.n % x.degree():
         return None
+    if x.degree() == K.n:
+        y = _affine(x, K)
+        if y is not None:
+            return y
     key = x.key()
     return next((y for y in roots_in(K, x.minpoly()) if y.key() == key),
                 None)
+
+
+@lru_cache(maxsize=256)
+def _centred(f):
+    """(μ, ĉ) for an integer polynomial f of degree n, constant first: μ the
+    mean of its roots and ĉ the coefficients of the monic f(X + μ)/lc(f),
+    whose roots have mean 0 (ĉ[n − 1] = 0), by the Taylor shift."""
+    n = len(f) - 1
+    mu = Fraction(-f[n - 1], n * f[n])
+    c = [Fraction(v, f[n]) for v in f]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += mu * c[j + 1]
+    return mu, tuple(c)
+
+
+def _affine(x: AlgebraicReal, K):
+    """x as a + bα in K = ℚ(α) for rationals a and b, or None.
+
+    When x = a + bα, the minimal polynomial p of x (degree n = [K:ℚ]) is
+    f = m_α moved by X ↦ a + bX.  With both centred to root mean 0 (p̂ and
+    f̂), p̂(X) = bⁿ·f̂(X/b), so the first coefficient of f̂ below Xⁿ⁻¹ that
+    is not 0, at Xⁿ⁻ᵏ, gives bᵏ, and a = μ_p − b·μ_f.  Each rational k-th
+    root b (both signs for k even) is checked on every coefficient; a + bα
+    is then a root of p, and it is x when an enclosure of it lies inside x's
+    isolating interval.  An enclosure outside it means another root, and
+    the next b is tried."""
+    n = K.n
+    mu_p, p = _centred(x.minpoly())
+    mu_f, f = _centred(K.f)
+    # f̂ ≠ Xⁿ, as f is irreducible of degree ≥ 2
+    k = next(j for j in range(2, n + 1) if f[n - j])
+    b = numberfield._rational_root(p[n - k] / f[n - k], k)
+    if not b:
+        return None
+    lo, hi = x.interval()
+    for b in (b, -b) if k % 2 == 0 else (b,):
+        if any(p[n - j] != b ** j * f[n - j] for j in range(2, n + 1)):
+            continue
+        y = mu_p - b * mu_f + b * K.generator()
+        bits = 16
+        while True:
+            y_lo, y_hi = numberfield.enclose(y, bits)
+            if lo <= y_lo and y_hi <= hi:
+                return y
+            if y_hi < lo or hi < y_lo:
+                break
+            bits *= 2
+    return None
 
 
 # the norm of p over ℚ(α), a resultant, has degree [ℚ(α):ℚ]·deg p; with its

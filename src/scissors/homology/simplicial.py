@@ -94,7 +94,8 @@ class _Subdivision:
     of the tuple without its last id and that id's point, each rational
     coordinate a (numerator, denominator) pair reduced by one gcd, so it
     keys exactly as the `Fraction` mean would.  A coordinate with an
-    irrational term is None there and the scalar mean in the barycenter.
+    irrational term is None there; its scalar mean, in the barycenter,
+    grows from the face's in the same way (`_scalar_mean`).
     Only the barycenters themselves enter the table, in the order sd_h
     first reaches them.  sd(τ) and H(τ) of each ordered face τ are computed
     together, once per table (`sd_h`), so sd^r(c), H_r(c) and H_r(∂c)
@@ -105,6 +106,7 @@ class _Subdivision:
     def __init__(self, table):
         self.table = table
         self._means = {}
+        self._scalars = {}
         self._bary = {}
         self._sdh = {}
 
@@ -145,16 +147,32 @@ class _Subdivision:
             self._means[key] = mean
         return mean
 
+    def _scalar_mean(self, key, d):
+        """Coordinate d of the mean of the points of `key` as a scalar,
+        where `_mean` has None: the mean s₁ of the first m − 1 ids (its key
+        pair, or this scalar mean again) and the last point's x give
+        ((m − 1)·s₁ + x) / m."""
+        s = self._scalars.get((key, d))
+        if s is None:
+            x = self.table.point(key[-1])[d]
+            m = len(key)
+            if m == 1:
+                s = x
+            else:
+                a = self._mean(key[:-1])[d]
+                s1 = Fraction(*a) if a else self._scalar_mean(key[:-1], d)
+                s = (s1 * (m - 1) + x) * Fraction(1, m)
+            self._scalars[(key, d)] = s
+        return s
+
     def _barycenter(self, t) -> int:
         key = tuple(sorted(t))
         b = self._bary.get(key)
         if b is None:
-            m = len(t)
             mean = self._mean(key)
             table = self.table
             if None in mean:  # the scalar mean where a term is irrational
-                p = tuple(Fraction(*c) if c else
-                          sum(table.point(i)[d] for i in t) * Fraction(1, m)
+                p = tuple(Fraction(*c) if c else self._scalar_mean(key, d)
                           for d, c in enumerate(mean))
                 b = table.add(p)
             else:  # built from its key on first use

@@ -52,13 +52,32 @@ def _eval(f, x: Fraction) -> Fraction:
     return acc
 
 
-def _rational_sqrt(q):
-    """√q as a Fraction when q is the square of a rational, else None."""
+def _iroot(n: int, k: int) -> int:
+    """⌊n^(1/k)⌋ for an integer n ≥ 0, by integer Newton steps from a
+    power of two above the root, so that no float rounds a large n."""
+    if k == 2:
+        return isqrt(n)
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _rational_root(q, k: int):
+    """The real k-th root of q as a Fraction when q is the k-th power of a
+    rational, else None; the nonnegative one when k is even."""
     q = Fraction(q)
     if q < 0:
-        return None
-    p, d = isqrt(q.numerator), isqrt(q.denominator)
-    if p * p == q.numerator and d * d == q.denominator:
+        if k % 2 == 0:
+            return None
+        root = _rational_root(-q, k)
+        return None if root is None else -root
+    p, d = _iroot(q.numerator, k), _iroot(q.denominator, k)
+    if p ** k == q.numerator and d ** k == q.denominator:
         return Fraction(p, d)
     return None
 
@@ -570,7 +589,7 @@ def sqrt_in(F, r):
     """A square root of r > 0, a scalar of F or below, that lies in F, or
     NONSQUARE when r is certified to be no square in F."""
     if not isinstance(r, Num):
-        root = _rational_sqrt(r)
+        root = _rational_root(r, 2)
         if root is not None:
             return root
         if F is None:
@@ -581,7 +600,7 @@ def sqrt_in(F, r):
     elif r.field is F:
         if isinstance(F, SimpleField):
             # r = t² would make N(r) = N(t)² a rational square
-            if _rational_sqrt(F.norm(r.data)) is None:
+            if _rational_root(F.norm(r.data), 2) is None:
                 return NONSQUARE
             return _root_of_square(F, r)
         a, b = r.data

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -862,3 +863,198 @@ def test_surd_literals_match_the_field_elements():
             k = rng.fraction(30, 7)
             assert format_surd(k * c, m) == \
                 format_number(k * c * sqrt(Fraction(m))), (x, k)
+
+
+def test_rational_root_is_exact_on_huge_powers():
+    # `numberfield._rational_root` against the k-th powers it must invert,
+    # with numerators far beyond a float's range, and against non-powers
+    from scissors.numberfield import _iroot, _rational_root
+    from scissors.rng import SplitMix64
+
+    rng = SplitMix64.stream(4040, 0)
+    for case in range(120):
+        k = rng.randint(2, 7)
+        digits = rng.choice((1, 5, 40, 320))
+        r = Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                     rng.randint(1, 10 ** rng.randint(1, digits)))
+        q = r ** k
+        assert _rational_root(q, k) == (abs(r) if k % 2 == 0 else r), case
+        if r:
+            assert _rational_root(2 * q, k) is None, case
+            assert _rational_root(q * Fraction(2 ** k + 1, 2 ** k), k) is None
+        n = q.numerator * q.numerator + rng.randint(0, 1 << 64)
+        root = _iroot(n, k)
+        assert root ** k <= n < (root + 1) ** k, case
+    assert _rational_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
+    assert _rational_root(-4, 2) is None and _rational_root(-16, 4) is None
+    assert _rational_root(0, 5) == 0 and _rational_root(1, 7) == 1
+
+
+def _roots_in_oracle(lits, lifted):
+    """Each irrational literal's element as `roots_in` gives it, called
+    directly in the field `lift` chose: the root of its minimal polynomial
+    there that has its key.  Returns that field."""
+    from scissors.algebraic import roots_in
+    from scissors.numberfield import Num
+
+    K = next(v.field for v in lifted if isinstance(v, Num))
+    for lit, got in zip(lits, lifted):
+        if isinstance(lit, Fraction):
+            assert got == lit
+            continue
+        want = next(y for y in roots_in(K, lit.minpoly())
+                    if y.key() == lit.key())
+        assert isinstance(got, Num) and got.field is K, lit
+        assert got.data == want.data, lit
+    return K
+
+
+def _place(points, rng):
+    """The points moved by a signed permutation, a 3-4-5 rotation in a
+    coordinate plane, a rational scale and a rational translation."""
+    perm = rng.choice(list(permutations(range(3))))
+    signs = [rng.choice((-1, 1)) for _ in range(3)]
+    a, b = rng.choice(((0, 1), (1, 2), (0, 2)))
+    rot = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    rot[a][a], rot[a][b] = Fraction(3, 5), Fraction(-4, 5)
+    rot[b][a], rot[b][b] = Fraction(4, 5), Fraction(3, 5)
+    scale = rng.choice((-1, 1)) * Fraction(rng.randint(1, 9),
+                                           rng.randint(1, 7))
+    shift = [rng.fraction(6, 5) for _ in range(3)]
+    out = []
+    for p in points:
+        q = [signs[i] * p[perm[i]] for i in range(3)]
+        out.append(tuple(scale * sum((rot[i][j] * q[j] for j in range(3)),
+                                     Fraction(0)) + shift[i]
+                         for i in range(3)))
+    return out
+
+
+def _literal_sets():
+    """Point sets in E³ over one field each: the tetrahedron of volume 1
+    in ℚ(∛(3/8)), the hexagon prism in ℚ(√3), and seeded cubic and
+    quartic sets, mostly a + bα with a few rational coordinates and a
+    few a + bα + cα², which no affine identity reaches.  The first literal
+    of each set generates the field that `lift` builds."""
+    from scissors.geom import prism
+    from scissors.geom.convex import (
+        regular_hexagon,
+        regular_tetrahedron,
+        scaled_simplices,
+    )
+    from scissors.rng import SplitMix64
+
+    def vertices(poly):
+        table = poly.chain.table
+        return [table.point(i) for i in range(len(table.points))], poly
+
+    s = make_algebraic([-3, 0, 0, 8], (0, 1))
+    sets = {"tetra_vol1": vertices(scaled_simplices(regular_tetrahedron(), s)),
+            "prism_hex": vertices(prism(regular_hexagon(1), 1))}
+    # Eisenstein cubics and quartics, each with a root in (1, 2)
+    polys = {3: ([3, 0, -3, 1], [-2, 0, 0, 1], [-2, -2, 0, 1]),
+             4: ([-2, -2, 0, 0, 1], [-2, 0, 0, 0, 1], [-2, 0, -2, 0, 1])}
+    for n, fs in polys.items():
+        for case in range(2):
+            rng = SplitMix64.stream(4041 + n, case)
+            (alpha,) = lift([make_algebraic(rng.choice(fs), (1, 2))])
+            points = []
+            for _ in range(4):
+                p = []
+                for _ in range(3):
+                    c = rng.fraction(5, 4)
+                    # the first literal, the field's generator, is affine
+                    kind = rng.randint(0, 5) if points or p else 1
+                    if kind:
+                        c += rng.choice((-3, -1, 1, 2)) * alpha / \
+                            rng.randint(1, 3)
+                    if kind == 5:
+                        c += alpha * alpha / 2
+                    p.append(c)
+                points.append(tuple(p))
+            sets[f"deg{n}-{case}"] = points, None
+    return sets
+
+
+def test_lift_of_placed_literals_matches_roots_in():
+    # metamorphic: each literal set, placed three times by a seeded
+    # rational motion and scale, lifts to the elements `roots_in` gives as
+    # the oracle, in one field of the set's degree
+    from scissors.numberfield import Num
+    from scissors.rng import SplitMix64
+
+    for name, (points, _) in _literal_sets().items():
+        degree = max(v.field.degree for p in points for v in p
+                     if isinstance(v, Num))
+        for case in range(3):
+            rng = SplitMix64.stream(4043, case)
+            placed = _place(points, rng) if case else points
+            lits = [parse_number(format_number(c)) for p in placed for c in p]
+            lifted = lift(lits)
+            K = _roots_in_oracle(lits, lifted)
+            assert K.n == degree, (name, case)
+
+
+def test_reading_placed_inputs_factors_no_norm():
+    # the tetrahedron of volume 1 and the hexagon prism, as written and
+    # rationally placed, are read without one norm: every coordinate is
+    # a + bα in the first literal's field
+    import json
+
+    from scissors.algebraic import _norm_factors
+    from scissors.geom.convex import transformed
+    from scissors.io import polytope_from_json, polytope_to_json
+    from scissors.rng import SplitMix64
+
+    for name, (_, poly) in _literal_sets().items():
+        if poly is None:
+            continue
+        rng = SplitMix64.stream(4044, 0)
+        R = [(Fraction(3, 5), Fraction(-4, 5), 0),
+             (Fraction(4, 5), Fraction(3, 5), 0), (0, 0, Fraction(-7, 3))]
+        for shape in (poly, transformed(poly, R, shift=(
+                rng.fraction(6, 5), rng.fraction(6, 5), 1))):
+            text = json.dumps(polytope_to_json(shape))
+            before = _norm_factors.cache_info()
+            read = polytope_from_json(json.loads(text))
+            after = _norm_factors.cache_info()
+            assert (after.hits, after.misses) == \
+                (before.hits, before.misses), name
+            assert read.volume() == shape.volume()
+
+
+def test_affine_image_on_another_root_falls_back():
+    # in the cyclic cubic field of x³ − 3x + 1 every root is a polynomial
+    # in α, so each lies in ℚ(α): β and 2β + 1 for another root β pass the
+    # coefficient check with b = 1 and b = 2, but α and 1 + 2α are other
+    # roots of their polynomials, and `roots_in` must be asked
+    from scissors.numberfield import Num
+
+    f = [1, -3, 0, 1]
+    alpha = make_algebraic(f, (1, 2))
+    for lo, hi in ((0, 1), (-2, -1)):
+        beta = make_algebraic(f, (lo, hi))
+        for x in (beta, 2 * beta + 1, 1 - beta / 3):
+            lits = [alpha, parse_number(format_number(x))]
+            lifted = lift(lits)
+            K = _roots_in_oracle(lits, lifted)
+            assert K.n == 3 and isinstance(lifted[1], Num)
+            assert abs(lifted[1].approx(60) - x.approx(60)) < \
+                Fraction(1, 1 << 58)
+
+
+def test_literals_outside_the_affine_identity_still_lift():
+    # √3 against ℚ(√2): b² = 3/2 has no rational root, so the compositum
+    # of degree 4 is built as before; √2 in ℚ(2^(1/4)) has a lower degree
+    # and is found as α² by `roots_in`
+    from scissors.algebraic import scalar_key
+
+    root2, root3 = (make_algebraic([-m, 0, 1], (1, 2)) for m in (2, 3))
+    a, b = lift([root2, root3])
+    assert a.field is b.field and a.field.n == 4
+    assert (scalar_key(a), scalar_key(b)) == \
+        (scalar_key(root2), scalar_key(root3))
+    fourth = make_algebraic([-2, 0, 0, 0, 1], (1, 2))
+    g, r = lift([fourth, root2])
+    assert g.field is r.field and g.field.n == 4
+    assert r == g * g and scalar_key(r) == scalar_key(root2)
