@@ -147,15 +147,12 @@ class AlgebraicReal:
         else:
             self._hi = mid
 
-    def refine_below(self, width: Fraction) -> None:
-        while self._hi - self._lo >= width:
-            self.refine()
-
     def approx(self, bits: int = 64) -> Fraction:
         """Rational midpoint approximation within 2**-bits."""
         if self._rat is not None:
             return self._rat
-        self.refine_below(Fraction(1, 1 << bits))
+        while self._hi - self._lo >= Fraction(1, 1 << bits):
+            self.refine()
         return (self._lo + self._hi) / 2
 
     # -- identity --------------------------------------------------------

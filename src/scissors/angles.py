@@ -297,9 +297,6 @@ class UnitComplex:
     def from_angle(cls, pair: AnglePair) -> "UnitComplex":
         return cls(pair.cos, pair.sin)
 
-    def conj(self) -> "UnitComplex":
-        return UnitComplex(self.re, -self.im)
-
     def __mul__(self, other: "UnitComplex") -> "UnitComplex":
         return UnitComplex(self.re * other.re - self.im * other.im,
                            self.re * other.im + self.im * other.re)
@@ -308,7 +305,7 @@ class UnitComplex:
         return UnitComplex(2 * self.re * self.re - 1, 2 * self.re * self.im)
 
     def pow(self, k: int) -> "UnitComplex":
-        base = self if k >= 0 else self.conj()
+        base = self if k >= 0 else UnitComplex(self.re, -self.im)
         k = abs(k)
         out = UnitComplex(Fraction(1), Fraction(0))
         while k:

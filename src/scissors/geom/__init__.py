@@ -117,13 +117,6 @@ class Simplex:
         self.dim_ambient = dim_ambient
         self.vertices = vertices
 
-    @property
-    def k(self) -> int:
-        return len(self.vertices) - 1
-
-    def is_top(self) -> bool:
-        return self.k == self.dim_ambient
-
     def key(self) -> tuple:
         return tuple(map(vertex_key, self.vertices))
 
@@ -313,13 +306,13 @@ def _volume(rows):
 
 def simplex_volume(s: Simplex):
     """Signed volume det(a₁-a₀, ..., a_n-a₀)/n! of a top simplex."""
-    if not s.is_top():
+    if len(s.vertices) != s.dim_ambient + 1:
         raise DimensionMismatch("volume needs a top-dimensional simplex")
     return _volume(list(map(to_homog, s.vertices)))
 
 
 def orientation_sign(s: Simplex) -> int:
-    if not s.is_top():
+    if len(s.vertices) != s.dim_ambient + 1:
         raise DimensionMismatch("orientation needs a top simplex")
     return hp.orient(list(map(to_homog, s.vertices)))
 
@@ -372,9 +365,6 @@ class Polytope:
         self._facets = self._edges = None
         if validate:
             self.validate(exact_strict=exact_strict)
-
-    def simplices(self):
-        return [s for _, s in self.chain]
 
     def facets(self):
         """The boundary facets as vertex-id tuples over the chain's table
@@ -560,15 +550,15 @@ class DihedralEdge:
             self._length = sqrt(self.length2)
         return self._length
 
-    def _fields(self):
-        return (self.endpoints,
-                self.length if self.length2 is None else self.length2,
-                self.angle, self.marker)
-
     def __eq__(self, other):
         if not isinstance(other, DihedralEdge):
             return NotImplemented
-        return self._fields() == other._fields()
+        return (self.endpoints,
+                self.length if self.length2 is None else self.length2,
+                self.angle, self.marker) == \
+            (other.endpoints,
+             other.length if other.length2 is None else other.length2,
+             other.angle, other.marker)
 
     __hash__ = None
 
@@ -727,18 +717,14 @@ def prism(polygon: Polytope, height) -> Polytope:
 
 # -- signed indicator -------------------------------------------------------------
 
-def _orientation_tests(s: Simplex, x):
-    """Signs of the n+1 orientation determinants with x replacing a vertex."""
-    hs = list(map(to_homog, s.vertices))
-    hx = [to_homog(x)]
-    return [hp.orient(hs[:i] + hx + hs[i + 1:]) for i in range(len(hs))]
-
-
 def point_in_open_simplex(s: Simplex, x) -> bool:
     base = orientation_sign(s)
     if base == 0:
         return False
-    for t in _orientation_tests(s, x):
+    # the orientations with x in place of each vertex in turn
+    hs = list(map(to_homog, s.vertices))
+    hx = [to_homog(x)]
+    for t in (hp.orient(hs[:i] + hx + hs[i + 1:]) for i in range(len(hs))):
         if t == 0:
             raise PointOnBoundary("point on a facet hyperplane")
         if t != base:

@@ -9,7 +9,7 @@ dissection is conforming (no hanging interfaces between cells).
 
 from fractions import Fraction
 
-from ..algebraic import lift, sqrt_nonneg
+from ..algebraic import lift
 from ..linalg import primitive
 from . import (
     InvalidPolytope,
@@ -285,22 +285,3 @@ def transformed(p: Polytope, matrix, shift=None) -> Polytope:
 
     return _image(p, [x for r in matrix for x in r] + shift, move,
                   f"{p.name} moved")
-
-
-def right_triangle(leg_a, leg_b) -> Polytope:
-    return polygon_from_cycle([(0, 0), (leg_a, 0), (0, leg_b)],
-                              name="right triangle")
-
-
-def unit_square() -> Polytope:
-    return polygon_from_cycle([(0, 0), (1, 0), (1, 1), (0, 1)],
-                              name="unit square")
-
-
-def regular_hexagon(side=1) -> Polytope:
-    """Regular hexagon of the given side, centered at the origin."""
-    s = Fraction(side)
-    h = sqrt_nonneg(Fraction(3, 4)) * s  # side·√3/2
-    half = Fraction(1, 2) * s
-    cyc = [(s, 0), (half, h), (-half, h), (-s, 0), (-half, -h), (half, -h)]
-    return polygon_from_cycle(cyc, name="regular hexagon")

@@ -5,13 +5,15 @@ A `SparseIntMatrix` stores linalg's sparse rows, {row: {col: value}} with
 the rows in the order their first entry was set, and `elementary_divisors`
 hands copies of them, in that order, to `linalg.smith_normal_form_sparse`:
 the order sets the cost of the elimination, not its result.  Every
-boundary matrix of the package (`tuple_complex` here, the flag and bar
-complexes) nets the faces of each basis element with `linalg.net_faces`,
-the one alternating face sum."""
+boundary matrix of the package (`tuple_complex` here and the bar complex)
+nets the faces of each basis element with `linalg.net_faces`, the one
+alternating face sum.  No command builds a `DoubleComplex`: the tests
+build Dupont's flag double complex with it, and its total complex is a
+name the benchmark's tracer wraps."""
 
 from collections import namedtuple
 
-from ..linalg import _axpy, net_faces, rank_int_rows, smith_normal_form_sparse
+from ..linalg import _axpy, net_faces, smith_normal_form_sparse
 from ..errors import DegreeOutOfRange, InvalidComplex, SizeCap
 
 
@@ -74,11 +76,6 @@ class SparseIntMatrix:
 
     def is_zero(self) -> bool:
         return not self.sparse_rows
-
-    def rank(self) -> int:
-        """The rank over ℚ, by Fraction row reduction (`rank_int_rows`,
-        the oracle of the Smith normal form)."""
-        return rank_int_rows(self.sparse_rows.values(), self.cols)
 
     def smith(self):
         """(U, D, V) as SparseIntMatrix with U·self·V = D in Smith normal
@@ -184,20 +181,18 @@ class ChainComplex:
         return HomologyResult(k, betti, torsion)
 
 
-def tuple_complex(basis, top: int, keep=None) -> ChainComplex:
+def tuple_complex(basis, top: int) -> ChainComplex:
     """The complex on the tuples basis[k] ({degree: [tuple]}) up to degree
     `top`, whose ∂ takes the faces (−1)^i·(t without entry i), netted by
-    `net_faces`, only those with keep(face) when `keep` is given; every
-    face taken, a zero net one too, must be in the basis one degree down
-    (else KeyError)."""
+    `net_faces`; every face, a zero net one too, must be in the basis one
+    degree down (else KeyError)."""
     boundaries = {}
     for k in range(1, top + 1):
         rows = {t: i for i, t in enumerate(basis[k - 1])}
         mat = boundaries[k] = SparseIntMatrix(len(rows), len(basis[k]))
         for col, t in enumerate(basis[k]):
             for face, c in net_faces([(1, t)]).items():
-                if keep is None or keep(face):
-                    mat[rows[face], col] = c
+                mat[rows[face], col] = c
     return ChainComplex({k: len(b) for k, b in basis.items()}, boundaries,
                         labels=dict(basis))
 

@@ -1,15 +1,23 @@
-"""Flag double complex on a finite point configuration.
+"""Flags of a finite point configuration and the null-homotopy of the flag
+double complex.
 
-Columns are indexed by strict flags U₀ ⊃ … ⊃ U_p of proper affine subspaces
-drawn from the spans of point subsets; the column at a flag holds simplicial
-chains on tuples of configuration points inside U_p.  The horizontal
-differential is the alternating sum of flag-entry deletions (the p = 0 face
-lands in the augmentation column of chains with proper span), the vertical
-one is (−1)^p times the simplicial boundary.  Appending the span of a chain's
+Dupont's flag double complex has a column for each strict flag
+U₀ ⊃ … ⊃ U_p of proper affine subspaces drawn from the spans of point
+subsets; the column at a flag holds simplicial chains on tuples of
+configuration points inside U_p.  The horizontal differential is the
+alternating sum of flag-entry deletions (the p = 0 face lands in the
+augmentation column of chains with proper span), the vertical one is
+(−1)^p times the simplicial boundary.  Appending the span of a chain's
 tuple to its flag, with an alternating sign, is a null-homotopy of the
 augmented rows: ∂′s + s∂′ = id.  Its value at a basis element depends on
 the flag and the span of the tuple alone, so it is checked once per such
 pair.
+
+What stays here is what the `flag-nullhomotopy` suite and the benchmark
+run: the subspace pool, the flags, the augmentation basis, the faces of a
+flag and `verify_flag_nullhomotopy`.  The matrices of the double complex
+and of its augmentation column are built only by the tests, as an oracle
+of that check.
 
 Subspaces are keyed by an integer canonical form from fraction-free
 elimination of the points' integer homogeneous coordinates, grown one point
@@ -25,13 +33,7 @@ from itertools import combinations, product
 
 from ..geom import make_point, to_homog
 from ..linalg import echelon_add, echelon_clear, net_faces, primitive
-from . import (
-    ChainComplex,
-    DoubleComplex,
-    SizeCap,
-    SparseIntMatrix,
-    tuple_complex,
-)
+from . import SizeCap
 
 POOL_CAP = 512
 # flags whose faces `flag_faces` keeps, least recently used out first
@@ -92,20 +94,6 @@ class AffineSubspace:
     def key(self):
         return (self.dim, self.directions, self.base)
 
-    def _holds(self, h) -> bool:
-        """Whether the point with homogeneous coordinates h lies in here."""
-        return not any(self._offset(h))
-
-    def contains_point(self, p) -> bool:
-        return self._holds(to_homog(make_point(p)))
-
-    def contains_subspace(self, other: "AffineSubspace") -> bool:
-        if other.dim > self.dim or not self._holds(other.base):
-            return False
-        return not any(
-            any(echelon_clear(self.pivots, self.directions, list(d)))
-            for d in other.directions)
-
     def __eq__(self, other):
         return self.key() == other.key()
 
@@ -114,14 +102,6 @@ class AffineSubspace:
 
     def __repr__(self):
         return f"AffineSubspace(dim={self.dim})"
-
-
-def span_of_points(points) -> AffineSubspace:
-    hs = [to_homog(make_point(p)) for p in points]
-    span = AffineSubspace.point(hs[0])
-    for h in hs[1:]:
-        span = span.join(h)
-    return span
 
 
 def subspace_pool(points, dim: int, spans=None):
@@ -236,15 +216,6 @@ class FlagComplex:
 
     # -- basis enumeration ----------------------------------------------
 
-    def column_basis(self, p: int, q: int):
-        """Basis (flag, tuple) of the column at flag length p+1, degree q."""
-        out = []
-        for flag in self.flags.get(p, ()):
-            pts = self.members[flag[-1]]
-            for tup in product(pts, repeat=q + 1):
-                out.append((flag, tup))
-        return out
-
     def augmentation_basis(self, q: int):
         """Tuples with proper span (the p = −1 augmentation column)."""
         return [tup for tup in product(range(len(self.points)), repeat=q + 1)
@@ -253,45 +224,6 @@ class FlagComplex:
     # -- the horizontal differential ---------------------------------------
 
     flag_faces = staticmethod(flag_faces)  # one cache for every complex
-
-    # -- matrices for the DoubleComplex type ------------------------------
-
-    def double_complex(self) -> DoubleComplex:
-        ranks = {}
-        index = {}
-        for p in range(self.p_max + 1):
-            for q in range(self.q_max + 1):
-                basis = self.column_basis(p, q)
-                ranks[(p, q)] = len(basis)
-                index[(p, q)] = {b: i for i, b in enumerate(basis)}
-        horizontal = {}
-        vertical = {}
-        for p in range(self.p_max + 1):
-            for q in range(self.q_max + 1):
-                basis = self.column_basis(p, q)
-                if p >= 1:
-                    mat = SparseIntMatrix(ranks[(p - 1, q)], ranks[(p, q)])
-                    below = index[(p - 1, q)]
-                    for col, (flag, tup) in enumerate(basis):
-                        for sub, v in self.flag_faces(flag):
-                            mat[below[(sub, tup)], col] = v
-                    horizontal[(p, q)] = mat
-                if q >= 1:
-                    mat = SparseIntMatrix(ranks[(p, q - 1)], ranks[(p, q)])
-                    twist = (-1) ** p
-                    below = index[(p, q - 1)]
-                    for col, (flag, tup) in enumerate(basis):
-                        for face, c in net_faces([(twist, tup)]).items():
-                            mat[below[(flag, face)], col] = c
-                    vertical[(p, q)] = mat
-        return DoubleComplex(ranks, horizontal, vertical,
-                             labels={"flags": self.flags})
-
-    def augmentation_complex(self) -> ChainComplex:
-        """The p = −1 column as a ChainComplex (proper-span tuples, whose
-        faces keep proper span)."""
-        return tuple_complex({q: self.augmentation_basis(q)
-                              for q in range(self.q_max + 1)}, self.q_max)
 
 
 def flag_double_complex(points, dim: int, p_max: int,

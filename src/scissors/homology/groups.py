@@ -114,11 +114,6 @@ def trivial_module(group: FiniteGroup, rank: int = 1) -> GModule:
                    if rank == 1 else f"trivial Z^{rank}")
 
 
-def sign_module(group: FiniteGroup, signs) -> GModule:
-    """Rank-1 module where element g acts by signs[g] ∈ {+1, −1}."""
-    return GModule(group, 1, [[[int(s)]] for s in signs], name="sign")
-
-
 def induced_module(group: FiniteGroup, subgroup_elements,
                    sub_module: GModule) -> GModule:
     """ℤ[G] ⊗_{ℤ[H]} M for H given by its element indices inside G."""
@@ -174,14 +169,6 @@ def restricted_group(group: FiniteGroup, elements) -> FiniteGroup:
     return FiniteGroup(table, name=f"{group.name}|sub{len(elems)}")
 
 
-def restrict_module(group: FiniteGroup, elements,
-                    module: GModule) -> GModule:
-    elems = list(elements)
-    sub = restricted_group(group, elems)
-    return GModule(sub, module.rank,
-                   [module.action[g] for g in elems], name=module.name)
-
-
 def _nondegenerate(n: int, k: int) -> list:
     """The k-tuples over 0..n−1 with no entry equal to the one before it,
     the first one before them being 0 (the identity), in lex order."""
@@ -234,31 +221,6 @@ def group_homology(group: FiniteGroup, module: GModule, degree_cap: int):
     # one slack degree so H_cap sees the boundary coming from above
     cx = bar_complex(group, module, degree_cap + 1, _slack=1)
     return [cx.homology(k) for k in range(degree_cap + 1)]
-
-
-def coinvariants_rank_and_torsion(module: GModule):
-    """H₀ = M_G directly from the action matrices (independent oracle)."""
-    r = module.rank
-    # columns are the relations g·m − m ranging over g and basis vectors m
-    rows = []
-    for g in range(module.group.n):
-        A = module.action[g]
-        for j in range(r):
-            row = {}
-            for i in range(r):
-                v = A[i][j] - (1 if i == j else 0)
-                if v:
-                    row[i] = v
-            if row:
-                rows.append(row)
-    mat = SparseIntMatrix(r, len(rows)) if rows else SparseIntMatrix(r, 0)
-    for col, row in enumerate(rows):
-        for i, v in row.items():
-            mat[i, col] = v
-    divisors = mat.elementary_divisors()
-    betti = r - len(divisors)
-    torsion = tuple(d for d in divisors if d > 1)
-    return HomologyResult(0, betti, torsion)
 
 
 def cyclic_homology_oracle(m: int, k: int) -> HomologyResult:

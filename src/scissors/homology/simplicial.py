@@ -1,6 +1,8 @@
-"""Simplicial chain machinery: tuple complexes with the span filtration,
-barycentric subdivision with its chain homotopy, and a torus model giving
-the exterior-algebra betti numbers of free abelian groups at desk scale.
+"""Simplicial chain machinery: the dimension of an affine span, barycentric
+subdivision with its chain homotopy, and a torus model giving the
+exterior-algebra betti numbers of free abelian groups at desk scale.  The
+suites and the benchmark run all of it; the span filtration of tuple
+complexes is built only by the tests.
 
 sd and H work on the vertex-id tuples of a chain: the barycenters they
 make are added to the chain's vertex table, and their results are chains
@@ -18,14 +20,8 @@ from ..geom import SimplexChain, make_point, to_homog
 from ..linalg import echelon_int
 from . import ChainComplex, SizeCap, tuple_complex
 
-MAX_POINTS = 8
 
-
-class TooManyPoints(SizeCap):
-    pass
-
-
-# -- span filtration ------------------------------------------------------------
+# -- affine span ----------------------------------------------------------------
 
 def affine_span_dim(points) -> int:
     """Exact dimension of the affine span of a tuple of rational points
@@ -34,42 +30,6 @@ def affine_span_dim(points) -> int:
     *b, w = hs[0]
     return len(echelon_int(
         [[x * w - y * h[-1] for x, y in zip(h[:-1], b)] for h in hs[1:]])[0])
-
-
-class FilteredTupleComplex:
-    """Chains on ordered tuples from a finite set of rational points,
-    filtered by span."""
-
-    def __init__(self, points, max_degree: int, dim: int):
-        if len(points) > MAX_POINTS:
-            raise TooManyPoints(f"more than {MAX_POINTS} points")
-        self.points = [make_point(p) for p in points]
-        self.dim = dim
-        self.max_degree = max_degree
-        n = len(self.points)
-        self.basis = {}   # degree -> list of index tuples
-        self.level = {}   # index tuple -> span dimension
-        spans = {}        # the span depends only on the set of points
-        for k in range(max_degree + 1):
-            tuples = list(product(range(n), repeat=k + 1))
-            self.basis[k] = tuples
-            for t in tuples:
-                s = frozenset(t)
-                d = spans.get(s)
-                if d is None:
-                    d = spans[s] = affine_span_dim(
-                        [self.points[i] for i in s])
-                self.level[t] = d
-
-    def chain_complex(self) -> ChainComplex:
-        return tuple_complex(self.basis, self.max_degree)
-
-    def graded_piece(self, p: int) -> ChainComplex:
-        """Gr_p: tuples of span dimension exactly p; lower faces die."""
-        level = self.level
-        return tuple_complex({k: [t for t in tuples if level[t] == p]
-                               for k, tuples in self.basis.items()},
-                              self.max_degree, lambda f: level[f] == p)
 
 
 # -- barycentric subdivision ------------------------------------------------------

@@ -475,12 +475,6 @@ class FieldTower(_Ring):
 
     # -- elements ---------------------------------------------------------------
 
-    def is_zero(self, x) -> bool:
-        return not self.reduce(x)
-
-    def equal(self, a, b) -> bool:
-        return self.reduce(a) == self.reduce(b)
-
     def name_of(self, g) -> str:
         """The name of a generator given as a name or as an element."""
         name = g if isinstance(g, str) else self._generators.get(g)

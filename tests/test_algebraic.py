@@ -938,10 +938,10 @@ def _literal_sets():
     of each set generates the field that `lift` builds."""
     from scissors.geom import prism
     from scissors.geom.convex import (
-        regular_hexagon,
         regular_tetrahedron,
         scaled_simplices,
     )
+    from oracles import regular_hexagon
     from scissors.rng import SplitMix64
 
     def vertices(poly):

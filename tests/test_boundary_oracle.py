@@ -33,12 +33,12 @@ from scissors.geom import (
 )
 from scissors.geom.convex import (
     convex_polytope_3d,
-    regular_hexagon,
     regular_tetrahedron,
     scaled_simplices,
     transformed,
 )
 from scissors.rng import SplitMix64
+from oracles import regular_hexagon
 
 
 class UnorientableBoundary(GeometryError):

@@ -15,13 +15,12 @@ from scissors.dehn import (
 from scissors.geom import prism
 from scissors.geom.convex import (
     box,
-    regular_hexagon,
     regular_tetrahedron,
-    right_triangle,
     scaled_simplices,
     transformed,
     unit_cube,
 )
+from oracles import regular_hexagon, right_triangle
 
 
 def angle(c):
@@ -176,7 +175,7 @@ def _seeded_order(rng, pts):
 
 
 def _cells(p):
-    return {frozenset(s.vertices) for s in p.simplices()}
+    return {frozenset(s.vertices) for _, s in p.chain}
 
 
 def _two_triangulations(rng):
@@ -282,7 +281,7 @@ def test_block_decision_is_invariant_on_rational_hulls():
         sb = [c - 20 for c in sb]
         cells = [(1, s) for piece in (transformed(a, ra, sa),
                                       transformed(b, rb, sb))
-                 for s in piece.simplices()]
+                 for _, s in piece.chain]
         apart = Polytope(SimplexChain(3, cells))
         assert compare_polytopes(p, apart).tag == "Congruent_DSJ"
         # re-dissection: a cut again by a second seeded plane

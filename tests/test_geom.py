@@ -29,15 +29,13 @@ from scissors.geom.convex import (
     box,
     convex_polygon_2d,
     convex_polytope_3d,
-    regular_hexagon,
     regular_octahedron,
     regular_tetrahedron,
-    right_triangle,
     transformed,
     unit_cube,
-    unit_square,
 )
 from scissors.rng import SplitMix64
+from oracles import regular_hexagon, right_triangle, unit_square
 
 
 def det3_oracle(rows):
@@ -345,7 +343,7 @@ def test_hull_cells_skip_points_inside_facets_and_edges():
     for i in range(len(pts)):
         p = convex_polytope_3d(pts[i:] + pts[:i])
         assert p.volume() == 2
-        used = {v for s in p.simplices() for v in s.vertices}
+        used = {v for _, s in p.chain for v in s.vertices}
         assert used <= {make_point(v) for v in corners | {pts[i]}}
     square = [(0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 2, 1), (1, 1, 1), (0, 2, 1)]
     assert _corners_2d(square) == [0, 2, 3, 5]

@@ -14,20 +14,21 @@ from scissors.kahler import (
 )
 from scissors.numbers import ParseError
 from scissors.rng import SplitMix64
+from oracles import tower_equal, tower_is_zero
 
 
 def test_tower_parse_and_reduce():
     T = FieldTower("t; s: s^2 = 1 - t^2")
     s, t = T.symbols["s"], T.symbols["t"]
     assert T.reduce(s ** 2) == 1 - t ** 2
-    assert T.is_zero(s * s + t * t - 1)
+    assert tower_is_zero(T, s * s + t * t - 1)
 
 
 def test_tower_division():
     T = FieldTower("t; s: s^2 = 1 - t^2")
     s = T.symbols["s"]
     inv = T.reduce(1 / s)
-    assert T.is_zero(inv * s - 1)
+    assert tower_is_zero(T, inv * s - 1)
 
 
 def test_tower_rejects_reducible():
@@ -47,7 +48,7 @@ def test_tower_of_several_generators_must_be_a_field():
                  "t; u; a: a^2 = t; b: b^2 = u"):
         T = FieldTower(spec)
         x = T.parse(f"{T.algebraics[1]} - 2*a")
-        assert T.equal(x * (1 / x), T.parse("1"))
+        assert tower_equal(T, x * (1 / x), T.parse("1"))
 
 
 def test_differential_of_constants_and_algebraics():
@@ -315,11 +316,11 @@ def test_tower_arithmetic_matches_sympy(spec, relation):
         assert (1 / y) * y == 1
         # is_zero: a multiple of the relation vanishes, a perturbation not
         vanishing = f"({x})*({relation})"
-        assert T.is_zero(vanishing) and vanishes((poly(relation) * xq[0], xq[1]))
-        assert not T.is_zero(f"{vanishing} + 1")
-        assert not T.is_zero(x) and not vanishes(xq)
+        assert tower_is_zero(T, vanishing) and vanishes((poly(relation) * xq[0], xq[1]))
+        assert not tower_is_zero(T, f"{vanishing} + 1")
+        assert not tower_is_zero(T, x) and not vanishes(xq)
         assert (x == y) == vanishes(minus(xq, yq))
-        assert T.is_zero(x - x * y / y)
+        assert tower_is_zero(T, x - x * y / y)
 
 
 @pytest.mark.parametrize("spec,relation", _TOWERS)

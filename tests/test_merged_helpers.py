@@ -21,11 +21,12 @@ from scissors.poly import _canonical_single
 from scissors.geom import make_point
 from scissors.hochschild import algebra_from_json, matrix_algebra, quaternions
 from scissors.geom import to_homog
-from scissors.homology.flags import span_of_points, subspace_pool
+from scissors.homology.flags import subspace_pool
 from scissors.homology.simplicial import affine_span_dim
 from scissors.linalg import det_small, echelon_int, primitive
 from scissors.numberfield import SimpleField
 from scissors.rng import SplitMix64
+from oracles import span_of_points
 
 # -- oracles: the replaced helpers --------------------------------------------
 

@@ -402,7 +402,7 @@ def test_mixed_weight_prism_validates_with_pinned_pieces():
     # point had weight 1; an affine map keeps them, and their sides are
     # those of the planes named with their first nonzero entry positive
     from scissors.geom import prism
-    from scissors.geom.convex import regular_hexagon
+    from oracles import regular_hexagon
 
     for height in (1, Fraction(3, 7)):
         p = prism(regular_hexagon(1), height)
