@@ -7,11 +7,13 @@ invariant violation.
 
 Each command imports the layers it uses when it runs, so that, say,
 `homology` builds no number field and `polytope-info` no Hochschild
-algebra.
+algebra.  The module itself imports only `argparse`, `os`, `sys` and
+`errors`; the readers (`io`, `numbers`) load in the command that reads, and
+`report` with `json` once the arguments are parsed, so `--help` and every
+usage error end before any of them load.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -25,23 +27,6 @@ from .errors import (
     SizeCap,
     SizeCapExceeded,
     UnknownSuite,
-)
-from .io import (
-    complex_from_json,
-    group_from_spec,
-    load_json,
-    module_from_spec,
-    polytope_from_json,
-    tensor_terms_from_json,
-)
-from .numbers import format_number, parse_fraction
-from .report import (
-    ReportTimer,
-    canonical_json,
-    digest_inputs,
-    make_report,
-    recheck_certificates,
-    strip_timing,
 )
 
 EXIT_OK = 0
@@ -83,6 +68,8 @@ def _nonzero_certificate(cert: dict) -> dict:
 
 def cmd_polytope_info(args) -> dict:
     from .dehn import dehn_invariant, is_zero, nonzero_certificate
+    from .io import load_json, polytope_from_json
+    from .numbers import format_number
     from .scalars import as_scalar
 
     obj = load_json(args.file)
@@ -110,6 +97,7 @@ def cmd_polytope_info(args) -> dict:
 
 def cmd_compare(args) -> dict:
     from .dehn import compare_polytopes
+    from .io import load_json, polytope_from_json
 
     a = polytope_from_json(load_json(args.file_a),
                            exact_strict=args.exact_strict)
@@ -159,6 +147,7 @@ def cmd_hochschild(args) -> dict:
         builtin_algebra,
         hochschild_homology_table,
     )
+    from .io import load_json
 
     inputs = []
     if args.algebra in ("Q", "QI", "quat", "mat2", "mat4"):
@@ -178,6 +167,13 @@ def cmd_hochschild(args) -> dict:
 
 
 def cmd_homology(args) -> dict:
+    from .io import (
+        complex_from_json,
+        group_from_spec,
+        load_json,
+        module_from_spec,
+    )
+
     if args.complex:
         cx = complex_from_json(load_json(args.complex))
         values = {str(k): str(cx.homology(k)) for k in cx.degrees()}
@@ -196,6 +192,7 @@ def cmd_homology(args) -> dict:
 
 
 def cmd_phi(args) -> dict:
+    from .io import load_json, tensor_terms_from_json
     from .kahler import FieldTower, phi_map
 
     tower = FieldTower(args.tower)
@@ -219,6 +216,7 @@ def cmd_phi(args) -> dict:
 def _tower_number(value):
     """Tensor entries are tower expressions or exact number literals."""
     if isinstance(value, str) and value.startswith("rat:"):
+        from .numbers import parse_fraction
         return parse_fraction(value[4:])
     if isinstance(value, dict):
         from .kahler import NotExpressible
@@ -229,6 +227,9 @@ def _tower_number(value):
 
 
 def cmd_recheck(args) -> dict:
+    from .io import load_json
+    from .report import canonical_json, recheck_certificates, strip_timing
+
     report = load_json(args.report)
     if not isinstance(report, dict):
         raise ParseError(f"{args.report}: a report must be a JSON object")
@@ -362,9 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    timer = ReportTimer()
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "homology":
             if bool(args.complex) == bool(args.group):
@@ -373,6 +372,15 @@ def main(argv=None) -> int:
                                  args.max_degree != GROUP_MAX_DEGREE):
                 raise ParseError("homology --complex takes no --module "
                                  "or --max-degree")
+        import json
+
+        from .report import (
+            ReportTimer,
+            digest_inputs,
+            make_report,
+            recheck_certificates,
+        )
+        timer = ReportTimer()
         out = args.fn(args)
         exit_code = out.pop("exit_code", EXIT_OK)
         failure = out.pop("failure", None)

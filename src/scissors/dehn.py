@@ -33,7 +33,6 @@ from .angles import (
     two_cos_minpoly,
 )
 from .errors import DEFAULT_HEIGHT_BOUND
-from .geom import Polytope
 from .numbers import format_number, parse_number
 from .scalars import as_scalar, format_surd, scalar_sign, surd
 
@@ -260,9 +259,9 @@ def tensor_neg(t: DehnTensor) -> DehnTensor:
                       list(t.rational_drops))
 
 
-def dehn_invariant(p: Polytope,
-                   height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
-    """Σ edge-length ⊗ dihedral angle over the boundary, in normal form."""
+def dehn_invariant(p, height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
+    """Σ edge-length ⊗ dihedral angle over the boundary of the
+    `geom.Polytope` p, in normal form."""
     return dehn_sum([(1, p)], height_bound)
 
 
@@ -404,12 +403,11 @@ class CongruenceVerdict:
                 f"height_bound={self.height_bound!r})")
 
 
-def compare_polytopes(a: Polytope, b: Polytope,
-                      height_bound: int = DEFAULT_HEIGHT_BOUND
+def compare_polytopes(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND
                       ) -> CongruenceVerdict:
-    """Scissors-congruence verdict from volume and the edge-angle tensor
-    D(a) − D(b), normalized once.  The certificate of a rational
-    NotCongruent_Dehn names its block."""
+    """Scissors-congruence verdict for the `geom.Polytope`s a and b from
+    volume and the edge-angle tensor D(a) − D(b), normalized once.  The
+    certificate of a rational NotCongruent_Dehn names its block."""
     va, vb = a.volume(), b.volume()
     if scalar_sign(va - vb) != 0:
         return CongruenceVerdict(

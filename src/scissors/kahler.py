@@ -31,8 +31,8 @@ from math import gcd, prod
 from .errors import ParseError, SizeCap
 from .factoring import factor
 from .linalg import rank_sparse, rref_sparse
-from .poly import _add, _content, _diff, _gcd, _is_constant, _is_one, _mul
-from .poly import _is_rational_square, _neg, _prem, _primitive, _scale
+from .poly import _add, _bits, _content, _diff, _gcd, _is_constant, _is_one
+from .poly import _is_rational_square, _mul, _neg, _prem, _primitive, _scale
 from .poly import _split, _sub
 
 # Exponents and total degrees above DEGREE_CAP, and products of more than
@@ -50,10 +50,6 @@ class NotFiniteDimensional(ParseError):
 
 def _degree(a):
     return max(map(sum, a), default=0)
-
-
-def _bits(a):
-    return max((c.bit_length() for c in a.values()), default=0)
 
 
 def _capped_mul(a, b):

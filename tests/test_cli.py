@@ -521,6 +521,30 @@ def test_tower_size_is_capped(fixtures, tmp_path):
             if line.startswith("resource cap: ")]
 
 
+def test_exact_gcd_fallback_is_capped(tmp_path):
+    # an inverse in this tower whose gcds the evaluation gcd cannot take
+    # falls back on the remainder sequence, which ran for minutes before it
+    # was capped; it now ends in exit 4 with one line
+    tensor = tmp_path / "inverse.json"
+    tensor.write_text(json.dumps({"terms": [
+        {"length": "1/(c^2 + t^3*c + u^5 + 7)", "cos": "1/3"}]}))
+    argv = ["phi", "--tensor", str(tensor),
+            "--tower", "t; u; c: t*c^3 = u - c"]
+    assert run_cli(*argv).returncode == 0
+    code = ("import sys\n"
+            "import scissors.poly\n"
+            "scissors.poly._heuristic_gcd = lambda a, b: None\n"
+            "from scissors.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("resource cap: "), proc.stderr
+
+
 def test_cli_homology_group():
     proc = run_cli("homology", "--group", "Z/4", "--module", "trivialZ",
                    "--max-degree", "3")
@@ -835,7 +859,9 @@ def test_compare_recheck_failure_is_exit_1_with_one_line(fixtures,
         return {"digest_ok": True, "recheck_passed": False,
                 "checks": [{"certificate": "nonzero-dehn", "pass": False}]}
 
-    monkeypatch.setattr(cli, "recheck_certificates", failing)
+    # `main` looks `recheck_certificates` up in the report module when it
+    # runs
+    monkeypatch.setattr("scissors.report.recheck_certificates", failing)
     rc = cli.main(["compare", "--recheck", str(fixtures / "cube.json"),
                    str(fixtures / "box112.json")])
     assert rc == cli.EXIT_SUITE_FAILED == 1
@@ -986,8 +1012,11 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
         str(fixtures / name) for name in (
             "cube.json", "cube_rot.json", "tetra.json", "tetra_vol1.json",
             "octa.json", "box112.json", "tetra_t1.json", "tetra_t2.json"))
-    report = tmp_path / "cube_vol1.json"
+    report, pair, relation = (tmp_path / name for name in (
+        "cube_vol1.json", "t1_t2.json", "relation.json"))
     report.write_text(run_cli("compare", cube, vol1).stdout)
+    pair.write_text(run_cli("compare", t1, t2).stdout)
+    relation.write_text(json.dumps(_relation_report()))
     no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly",
                                "scissors.factoring", "scissors.scalars")
     rational = _HOMOLOGY + _ALGEBRAIC + ("mpmath",)
@@ -1000,7 +1029,11 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
             (_HOMOLOGY, ["polytope-info", tetra]),
             (_HOMOLOGY, ["compare", cube, rot]),
             (_HOMOLOGY, ["compare", "--recheck", vol1, cube]),
-            (_HOMOLOGY, ["recheck", str(report)]),
+            # the volume-mismatch, dehn-block and angle-relations
+            # certificates recheck with no geometry
+            (_HOMOLOGY + ("scissors.geom",), ["recheck", str(report)]),
+            (_HOMOLOGY + ("scissors.geom",), ["recheck", str(pair)]),
+            (_HOMOLOGY + ("scissors.geom",), ["recheck", str(relation)]),
             (rational, ["polytope-info", cube]),
             (rational, ["polytope-info", tetra]),
             (rational, ["polytope-info", octa]),
@@ -1016,22 +1049,40 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
         assert plain.returncode == 0, (argv, plain.stderr)
         assert json.loads(blocked.stdout)["digest"] == \
             json.loads(plain.stdout)["digest"]
-    # the parser, `verify` choices included, needs none of the layers and
-    # not the suite registry
-    code = ("import sys\n"
+    # the parser, `verify` choices included, and every usage error need
+    # no layer, no reader, not `report` and not the suite registry, nor the
+    # stdlib modules that only those use
+    bare = set(_modules_after(""))
+    for argv in ([], ["verify", "nope"], ["homology"]):
+        loaded = _modules_after(
             "import scissors\n"
             "assert [m for m in sys.modules if m.startswith('scissors.')] "
             "== []\n"
-            "from scissors.cli import build_parser\n"
+            "from scissors.cli import build_parser, main\n"
             "build_parser()\n"
-            "import json\n"
-            "print(json.dumps(sorted(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+            f"argv = {argv!r}\n"
+            "try:\n"
+            "    print(main(argv) if argv else 0)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+        assert loaded.pop(0) == ("2" if argv else "0"), argv
+        loaded = set(loaded)
+        assert {m for m in loaded if m.split(".")[0] == "scissors"} == {
+            "scissors", "scissors.cli", "scissors.errors"}, argv
+        assert loaded.isdisjoint(("sympy", "mpmath")), argv
+        assert {"json", "fractions", "decimal", "hashlib"} & loaded <= bare, \
+            argv
+
+
+def _modules_after(code):
+    """The lines `code` prints in a fresh interpreter, then the names of
+    the modules the interpreter holds at its end."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code +
+         "print('\\n'.join(sorted(sys.modules)))\n"],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert "scissors.suites" not in loaded
-    assert loaded.isdisjoint(_GEOMETRY + _HOMOLOGY + ("sympy", "mpmath"))
+    return proc.stdout.split()
 
 
 def test_package_root_resolves_names_on_use():
