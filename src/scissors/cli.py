@@ -11,6 +11,17 @@ algebra.  The module itself imports only `argparse`, `os`, `sys` and
 `errors`; the readers (`io`, `numbers`) load in the command that reads, and
 `report` with `json` once the arguments are parsed, so `--help` and every
 usage error end before any of them load.
+
+A process enters by `run`, the `scissors` script and `python -m
+scissors.cli` alike: it calls `main`, flushes stdout and stderr, and ends
+the process with `os._exit`, so the interpreter's teardown (full garbage
+collections over about 13,300 objects and the clearing of every module,
+7–10 ms) is skipped.  `main` itself returns the exit code and leaves the
+interpreter alone, so the tests and the benchmark's tracer, which call
+it inside a process that goes on running, keep the normal exit.  On the
+benchmark's `cli` workload this took `items_per_s` from 7.98 to 8.89 and
+`item_ms_p50` from 120.0 to 104.1 ms (medians of 10 alternating pairs of
+runs, 2-core Xeon, Python 3.11).
 """
 
 import argparse
@@ -443,5 +454,30 @@ def _echo_args(args) -> list:
     return out
 
 
+def run():
+    """The process entry: `main` on `sys.argv`, then `os._exit` with its
+    exit code once stdout and stderr are flushed.
+
+    `os._exit` skips the interpreter's teardown, and with it every `atexit`
+    handler and the flush of any other open file: a command must close any
+    file it writes before `main` returns.  (None writes one; the package
+    registers no `atexit` handler and starts no thread.)  A usage error or
+    `--help` (SystemExit from argparse) and KeyboardInterrupt leave by the
+    interpreter's normal exit.  A final flush that fails ends in exit 5
+    with one line on stderr."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        code = EXIT_INTERNAL
+        try:
+            os.write(2, f"output error: could not flush the output: {exc}\n"
+                     .encode())
+        except OSError:
+            pass  # stderr is closed as well
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

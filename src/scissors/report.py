@@ -80,14 +80,9 @@ def recheck_certificates(report: dict, source: str = "report"):
     One pass reads each field once, through `need`: a missing field, one of
     the wrong JSON type or a bad literal raises ParseError before anything
     is computed from it.  A cos/sin pair that is no angle fails its check;
-    a relation coefficient above MAX_HEIGHT_BOUND raises SizeCap."""
-    from .angles import (
-        AnglePair,
-        is_rational_angle,
-        two_cos_minpoly,
-        verify_relation,
-    )
-    from .dehn import block_holds
+    a relation coefficient above MAX_HEIGHT_BOUND raises SizeCap.  Each
+    kind of certificate imports the layers it reads when it is met, so a
+    volume-mismatch loads neither `angles` nor `dehn`."""
     from .errors import MAX_HEIGHT_BOUND, ParseError, SizeCap
     from .numbers import one_field, parse_number
     from .scalars import scalar_sign
@@ -121,6 +116,7 @@ def recheck_certificates(report: dict, source: str = "report"):
             raise ParseError(f"{source}: {where} is not a JSON object")
         kind = cert.get("type")
         if kind == "angle-relations":
+            from .angles import AnglePair, verify_relation
             for j, rel in enumerate(need({"relations": [], **cert},
                                          "relations", where, (list,))):
                 at = f"{where} relation {j}"
@@ -143,6 +139,7 @@ def recheck_certificates(report: dict, source: str = "report"):
                                "pass": None not in angles
                                and verify_relation(angles, ms)})
         elif kind == "rational-angles":
+            from .angles import AnglePair, is_rational_angle
             for j, drop in enumerate(need({"dropped": [], **cert},
                                           "dropped", where, (list,))):
                 cos, q = literals(drop, f"{where} dropped {j}", ("cos", "q"))
@@ -151,6 +148,7 @@ def recheck_certificates(report: dict, source: str = "report"):
                 checks.append({"certificate": kind, "cos": cos,
                                "pass": got is not None and got == want})
         elif kind == "nonzero-dehn":
+            from .angles import AnglePair, is_rational_angle, two_cos_minpoly
             cos_sin = need(cert, "angle", where, (dict,))
             pair = angle(AnglePair, *literals(cos_sin, where + " angle"))
             length = parse_number(need(cert, "length", where))
@@ -166,6 +164,7 @@ def recheck_certificates(report: dict, source: str = "report"):
             checks.append({"certificate": kind,
                            "pass": scalar_sign(va - vb) != 0})
         elif kind == "dehn-block":
+            from .dehn import block_holds
             m, s = need(cert, "m", where), need(cert, "s", where)
             terms = [need(cert, "term", where, (dict,))] + need(
                 cert, "terms", where, (list,))

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -899,6 +901,128 @@ def test_closed_stdout_is_one_line(fixtures):
         "output error: stdout was closed before the report was written"]
 
 
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader is gone; `fileno` names a file of the test's
+    own, onto which `main` points devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+# the environment of a process whose stdout is buffered, as it is unless
+# PYTHONUNBUFFERED is set: a report left in the buffer at exit is lost
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _timing_dropped(out: bytes) -> bytes:
+    return re.sub(rb'"timing_ms": \d+', b'"timing_ms": 0', out)
+
+
+def test_process_exit_matches_main(fixtures, tmp_path, monkeypatch, capsys):
+    # the process entry ends by os._exit once it has flushed: per exit code,
+    # a process writes the same stdout bytes, stderr lines and exit code as
+    # main() in this process
+    from scissors import cli
+
+    cube = str(fixtures / "cube.json")
+    tampered = tmp_path / "tampered.json"
+    assert cli.main(["compare", cube, str(fixtures / "box112.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report["digest"] = "0" * 64
+    tampered.write_text(json.dumps(report))
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(json.dumps({
+        "dim": 3, "vertices": TET + [["rat:1/4", "rat:1/4", "rat:1/4"]],
+        "cells": [[0, 1, 2, 3], [0, 1, 2, 4]]}))
+    cases = [(0, ["polytope-info", cube]),
+             (1, ["recheck", str(tampered)]),
+             (2, ["polytope-info", str(tmp_path / "missing.json")]),
+             (2, ["verify", "nope"]),   # argparse: SystemExit
+             (3, ["polytope-info", str(overlap)]),
+             (4, ["hochschild", "--algebra", "mat4"])]
+    for want, argv in cases:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "scissors.cli", *argv],
+                              capture_output=True, env=_BUFFERED)
+        assert code == proc.returncode == want, (argv, proc.stderr)
+        assert _timing_dropped(proc.stdout) == _timing_dropped(out.encode())
+        assert proc.stderr.decode().splitlines() == err.splitlines(), argv
+        assert bool(out) == (want in (0, 1)), argv
+    # exit 5: stdout closed before the report is written
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = cli.main(["polytope-info", cube])
+        monkeypatch.undo()
+    err = capsys.readouterr().err
+    with subprocess.Popen(
+            [sys.executable, "-m", "scissors.cli", "polytope-info", cube],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_BUFFERED) as proc:
+        proc.stdout.close()
+        proc_err = proc.stderr.read()
+        assert code == proc.wait() == 5
+    assert proc_err.decode().splitlines() == err.splitlines() == [
+        "output error: stdout was closed before the report was written"]
+
+
+def test_large_report_is_flushed_in_full(tmp_path, capsys):
+    # about 425 KB, more than a pipe holds: the process ends only after
+    # its last byte is taken, by a slow reader as by a file
+    from scissors import cli
+
+    argv = ["verify", "phi-boundary", "--cases", "1000", "--seed", "404"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    assert len(want) > 256 * 1024
+    command = [sys.executable, "-m", "scissors.cli", *argv]
+    chunks = []
+    with subprocess.Popen(command, stdout=subprocess.PIPE,
+                          env=_BUFFERED) as proc:
+        while True:
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            time.sleep(0.002)
+        assert proc.wait() == 0
+    saved = tmp_path / "report.json"
+    with open(saved, "wb") as fh:
+        assert subprocess.run(command, stdout=fh,
+                              env=_BUFFERED).returncode == 0
+    for out in (b"".join(chunks), saved.read_bytes()):
+        assert verify_report_digest(json.loads(out))
+        assert _timing_dropped(out) == _timing_dropped(want)
+
+
+def test_failed_final_flush_is_exit_5_with_one_line(monkeypatch, capfd):
+    from scissors import cli
+
+    class Unflushable(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    exits = []
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(sys, "stdout", Unflushable())
+    monkeypatch.setattr(os, "_exit", exits.append)
+    cli.run()
+    monkeypatch.undo()
+    assert exits == [cli.EXIT_INTERNAL]
+    assert capfd.readouterr().err.splitlines() == [
+        "output error: could not flush the output: [Errno 28] No space left "
+        "on device"]
+
+
 def _run_blocking(modules, argv):
     """The CLI in a fresh interpreter in which importing `modules` fails."""
     code = ("import sys\n"
@@ -1012,9 +1136,10 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
         str(fixtures / name) for name in (
             "cube.json", "cube_rot.json", "tetra.json", "tetra_vol1.json",
             "octa.json", "box112.json", "tetra_t1.json", "tetra_t2.json"))
-    report, pair, relation = (tmp_path / name for name in (
-        "cube_vol1.json", "t1_t2.json", "relation.json"))
+    report, mismatch, pair, relation = (tmp_path / name for name in (
+        "cube_vol1.json", "cube_tall.json", "t1_t2.json", "relation.json"))
     report.write_text(run_cli("compare", cube, vol1).stdout)
+    mismatch.write_text(run_cli("compare", cube, tall).stdout)
     pair.write_text(run_cli("compare", t1, t2).stdout)
     relation.write_text(json.dumps(_relation_report()))
     no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly",
@@ -1029,9 +1154,14 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
             (_HOMOLOGY, ["polytope-info", tetra]),
             (_HOMOLOGY, ["compare", cube, rot]),
             (_HOMOLOGY, ["compare", "--recheck", vol1, cube]),
-            # the volume-mismatch, dehn-block and angle-relations
-            # certificates recheck with no geometry
-            (_HOMOLOGY + ("scissors.geom",), ["recheck", str(report)]),
+            # the nonzero-dehn, volume-mismatch, dehn-block and
+            # angle-relations certificates recheck with no geometry, the
+            # first two without `dehn` and the volume-mismatch without
+            # `angles`
+            (_HOMOLOGY + ("scissors.geom", "scissors.dehn"),
+             ["recheck", str(report)]),
+            (_HOMOLOGY + ("scissors.geom", "scissors.dehn", "scissors.angles"),
+             ["recheck", str(mismatch)]),
             (_HOMOLOGY + ("scissors.geom",), ["recheck", str(pair)]),
             (_HOMOLOGY + ("scissors.geom",), ["recheck", str(relation)]),
             (rational, ["polytope-info", cube]),

@@ -4,9 +4,10 @@ suite or the benchmark.
 The sweep runs in a fresh interpreter: the process-wide caches (a flag's
 faces, the built-in algebras, the number fields, the norms, the 2cos minimal
 polynomials) would hide from it what earlier tests already warmed.  Under
-`sys.setprofile` it calls `cli.main` on every command and flag, runs every
-suite with a few cases, and builds and runs once the in-process items of the
-benchmark and its `cli` items.  Then every `def` in the package, parsed with
+`sys.setprofile` it calls `cli.main` on every command and flag, and the
+process entry `cli.run` once with `os._exit` stubbed, runs every suite with
+a few cases, and builds and runs once the in-process items of the benchmark
+and its `cli` items.  Then every `def` in the package, parsed with
 `ast`, must have been entered, or be exempt: a name the benchmark's tracer
 wraps (it looks each one up), a name of `scissors.__all__`, a dunder method,
 or an entry of `EXEMPT` with its reason.
@@ -232,6 +233,23 @@ def _main(argv, ran):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run(argv, ran):
+    """cli.run, the process entry, on argv in this process with `os._exit`
+    stubbed: the exit codes it would have ended the process with."""
+    from scissors import cli
+    ran.append(argv)
+    exits = []
+    saved = sys.argv, os._exit
+    sys.argv, os._exit = ["scissors", *argv], exits.append
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.run()
+    finally:
+        sys.argv, os._exit = saved
+    return exits
+
+
 def _commands(work, shapes, ran):
     """Every command and flag, on the placed shapes and the fixtures, and
     every suite."""
@@ -288,6 +306,7 @@ def _commands(work, shapes, ran):
     ]
     for argv in runs:
         _main(argv, ran)
+    assert _run(["homology", "--complex", f["complex"]], ran) == [0]
     # a report saved, rechecked, and rechecked again once tampered
     code, text, _ = _main(["compare", shapes["cube"], shapes["tetra_vol1"]],
                           ran)
