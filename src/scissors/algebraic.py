@@ -1,14 +1,16 @@
 """Exact real algebraic numbers: minimal polynomial + isolating interval.
 
-A value is a plain ``Fraction`` (the degree-1 case collapses there), an
-element of a number field (``numberfield.Num``), or an ``AlgebraicReal``
-carrying a primitive irreducible integer polynomial with positive leading
-coefficient, constant term first, together with a rational interval
-containing exactly one of its real roots: the form of a literal as parsed.
-``lift`` puts the literals of one input into one field ℚ(α), and all
-arithmetic on irrational values runs there: the operators of
-``AlgebraicReal`` lift their operands, compute in the field and read the
-result back as a literal.  A literal x of the degree of ℚ(α) is first
+A rational value is a plain ``Fraction`` everywhere.  An irrational value
+is an element of a number field (``numberfield.Num``), or an
+``AlgebraicReal``: an irrational literal, carrying a primitive irreducible
+integer polynomial of degree at least 2 with positive leading coefficient,
+constant term first, together with a rational interval containing exactly
+one of its real roots, the form of a literal as parsed.  A root of a linear
+factor reads as that rational.  ``lift`` puts the literals of one input
+into one field ℚ(α), and all arithmetic on irrational values runs there:
+the operators of ``AlgebraicReal`` and ``field_ops`` lift their operands,
+compute in the field and return a Fraction for a rational result, else
+read it back as a literal.  A literal x of the degree of ℚ(α) is first
 tried as x = a + bα for rationals a and b, read off the coefficients of
 the two minimal polynomials and checked exactly (`_affine`): a rational
 motion or scaling of an input puts every coordinate there, and nothing is
@@ -30,6 +32,7 @@ from .factoring import factor, resultant
 from .numberfield import Num, SimpleField, _sign
 # count_roots, as_scalar, scalar_key and scalar_sign are named here for
 # their callers
+from .numbers import as_scalar, scalar_key, scalar_sign
 from .poly import (
     _diff,
     _gcd,
@@ -40,7 +43,6 @@ from .poly import (
     count_roots,
     root_index,
 )
-from .scalars import as_scalar, scalar_key, scalar_sign
 
 
 class NoRootInInterval(ValueError):
@@ -96,22 +98,14 @@ def _is_squarefree(N, degree) -> bool:
 
 
 class AlgebraicReal:
-    """Exact real algebraic number (irrational unless built via as_fraction)."""
+    """An exact irrational real algebraic number, as a literal."""
 
-    __slots__ = ("_poly", "_lo", "_hi", "_rat", "_index")
+    __slots__ = ("_poly", "_lo", "_hi", "_index")
 
-    def __init__(self, poly, lo, hi, _rat=None):
+    def __init__(self, poly, lo, hi):
         self._poly = tuple(int(c) for c in poly)
         self._lo, self._hi = Fraction(lo), Fraction(hi)
-        self._rat = _rat
         self._index = None
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, q) -> "AlgebraicReal":
-        q = Fraction(q)
-        return cls((-q.numerator, q.denominator), q, q, _rat=q)
 
     # -- basic accessors ------------------------------------------------
 
@@ -124,20 +118,10 @@ class AlgebraicReal:
     def interval(self):
         return (self._lo, self._hi)
 
-    def is_rational(self) -> bool:
-        return self._rat is not None
-
-    def as_fraction(self) -> Fraction:
-        if self._rat is None:
-            raise ValueError("not a rational value")
-        return self._rat
-
     # -- refinement ------------------------------------------------------
 
     def refine(self) -> None:
-        """Bisect the isolating interval once; a no-op for rationals."""
-        if self._rat is not None:
-            return
+        """Bisect the isolating interval once."""
         lo, hi, f = self._lo, self._hi, self._poly
         mid = (lo + hi) / 2
         # irreducible of degree >= 2 has no rational roots
@@ -149,8 +133,6 @@ class AlgebraicReal:
 
     def approx(self, bits: int = 64) -> Fraction:
         """Rational midpoint approximation within 2**-bits."""
-        if self._rat is not None:
-            return self._rat
         while self._hi - self._lo >= Fraction(1, 1 << bits):
             self.refine()
         return (self._lo + self._hi) / 2
@@ -164,20 +146,14 @@ class AlgebraicReal:
         return self._index
 
     def key(self):
-        if self._rat is not None:
-            return ("q", self._rat)
         return ("a", self._poly, self.root_index())
 
     def __hash__(self):
-        if self._rat is not None:
-            return hash(self._rat)
         return hash((self._poly, self.root_index()))
 
     # -- sign and comparison ----------------------------------------------
 
     def sign(self) -> int:
-        if self._rat is not None:
-            return _sign(self._rat)
         while True:
             if self._lo > 0:
                 return 1
@@ -187,26 +163,27 @@ class AlgebraicReal:
             self.refine()
 
     def compare(self, other) -> int:
-        other = as_algebraic(other)
-        if self._rat is not None and other._rat is not None:
-            return _sign(self._rat - other._rat)
-        if self._poly == other._poly and self._rat is None:
-            return _sign(self.root_index() - other.root_index())
-        # distinct values: refine until the intervals separate
-        a, b = self, other
+        """The sign of self − other.  A rational other is a point, never
+        equal to self; distinct values are told apart by refining until
+        the intervals separate."""
+        rational = isinstance(other, (int, Fraction))
+        if not rational:
+            other = as_algebraic(other)
+            if self._poly == other._poly:
+                return _sign(self.root_index() - other.root_index())
         while True:
-            if a._hi < b._lo:
+            lo, hi = (other, other) if rational else other.interval()
+            if self._hi < lo:
                 return -1
-            if b._hi < a._lo:
+            if hi < self._lo:
                 return 1
-            if a._rat is None:
-                a.refine()
-            if b._rat is None:
-                b.refine()
+            self.refine()
+            if not rational:
+                other.refine()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = AlgebraicReal.from_fraction(other)
+            return False
         if not isinstance(other, AlgebraicReal):
             return NotImplemented
         return self.key() == other.key()
@@ -226,8 +203,6 @@ class AlgebraicReal:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        if self._rat is not None:
-            return AlgebraicReal.from_fraction(-self._rat)
         g = [-c if i % 2 else c for i, c in enumerate(self._poly)]  # f(−x)
         if g[-1] < 0:
             g = [-c for c in g]
@@ -250,10 +225,6 @@ class AlgebraicReal:
     __rmul__ = __mul__
 
     def inverse(self):
-        if self._rat is not None:
-            if self._rat == 0:
-                raise DivisionByZero("1/0")
-            return AlgebraicReal.from_fraction(1 / self._rat)
         coeffs = tuple(reversed(self._poly))  # minpoly of 1/x
         if coeffs[-1] < 0:
             coeffs = tuple(-c for c in coeffs)
@@ -267,7 +238,7 @@ class AlgebraicReal:
         return _in_field(operator.truediv, self, other)
 
     def __rtruediv__(self, other):
-        return as_algebraic(other).__truediv__(self)
+        return _in_field(operator.truediv, other, self)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -282,7 +253,7 @@ class AlgebraicReal:
                 out = out * base
             base = base * base if n > 1 else base
             n >>= 1
-        return as_algebraic(out)
+        return _read_back(out)
 
     # -- misc ---------------------------------------------------------------
 
@@ -290,16 +261,20 @@ class AlgebraicReal:
         return float(self.approx(64))
 
     def __repr__(self):
-        if self._rat is not None:
-            return f"AlgebraicReal({self._rat})"
         return (f"AlgebraicReal(minpoly={list(self._poly)}, "
                 f"~{float(self):.10g})")
 
 
+def _read_back(x):
+    """A rational result as its Fraction, an irrational one as a literal."""
+    return x if isinstance(x, Fraction) else as_algebraic(x)
+
+
 def _in_field(op, x, y):
-    """op(x, y) computed in one number field, read back as a literal."""
+    """op(x, y) computed in one number field, read back as a Fraction or a
+    literal."""
     x, y = lift([x, y])
-    return as_algebraic(op(x, y))
+    return _read_back(op(x, y))
 
 
 def _select_root(factors, window, operands=()):
@@ -313,7 +288,7 @@ def _select_root(factors, window, operands=()):
             if len(g) == 2:  # linear factor: rational root
                 r = Fraction(-g[0], g[1])
                 if lo <= r <= hi:
-                    total, root = total + 1, AlgebraicReal.from_fraction(r)
+                    total, root = total + 1, r
             else:
                 # count_roots uses (lo, hi]; endpoints are never roots of an
                 # irreducible factor of degree >= 2
@@ -333,17 +308,18 @@ def _select_root(factors, window, operands=()):
 
 
 def as_algebraic(x) -> AlgebraicReal:
+    """An irrational scalar as a literal: a Num by its minimal polynomial
+    and isolating interval."""
     if isinstance(x, AlgebraicReal):
         return x
-    if isinstance(x, (int, Fraction)):
-        return AlgebraicReal.from_fraction(Fraction(x))
     if isinstance(x, Num):
         return AlgebraicReal(x.minpoly(), *x.interval())
     raise TypeError(f"cannot coerce {x!r} to AlgebraicReal")
 
 
-def make_algebraic(coeffs, interval) -> AlgebraicReal:
-    """Canonical algebraic number: the unique root of `coeffs` in `interval`.
+def make_algebraic(coeffs, interval):
+    """Canonical algebraic number: the unique root of `coeffs` in `interval`,
+    a Fraction when it is the root of a linear factor, else a literal.
 
     The polynomial may be reducible or non-squarefree; the irreducible factor
     owning the root is selected automatically.  Raises NoRootInInterval or
@@ -373,8 +349,8 @@ def sqrt_nonneg(x):
     return root
 
 
-# -- scalar helpers: geometry works over Fraction | AlgebraicReal ------------
-# as_scalar, scalar_key and scalar_sign live in `numberfield`
+# -- scalar helpers: geometry works over Fraction | Num | AlgebraicReal ------
+# as_scalar, scalar_key and scalar_sign live in `numbers`
 
 def scalar_eq(a, b) -> bool:
     return scalar_sign(a - b) == 0
@@ -393,17 +369,21 @@ _FIELD_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 
 
 def field_ops(a, b, op: str):
-    """Spec-surface dispatcher over exact field operations."""
-    a = as_algebraic(a)
-    if op == "neg":
-        return -a
+    """Spec-surface dispatcher over exact field operations: the operands
+    are lifted into one number field, and a result is a Fraction when it is
+    rational, else a literal."""
     if op == "sqrt_nonneg":
-        return as_algebraic(sqrt_nonneg(a))
-    b = as_algebraic(b)
+        return _read_back(sqrt_nonneg(a))
+    if op == "neg":
+        (a,) = lift([a])
+        return _read_back(-a)
+    a, b = lift([a, b])
     if op in _FIELD_OPS:
-        return _FIELD_OPS[op](a, b)
+        if op == "div" and scalar_sign(b) == 0:
+            raise DivisionByZero("division by zero")
+        return _read_back(_FIELD_OPS[op](a, b))
     if op == "compare":
-        c = a.compare(b)
+        c = scalar_cmp(a, b)
         return "Less" if c < 0 else ("Equal" if c == 0 else "Greater")
     raise ValueError(f"unknown op {op!r}")
 
@@ -415,8 +395,8 @@ def field_ops(a, b, op: str):
 # resultant factored by `factoring.factor`.
 
 def lift(values) -> list:
-    """The scalars `values`, with every irrational AlgebraicReal among them
-    written in one number field ℚ(α).  Elements of one field ℚ(α) keep their
+    """The scalars `values`, with every AlgebraicReal among them written
+    in one number field ℚ(α).  Elements of one field ℚ(α) keep their
     field and the literals join it; elements of several fields, or of a tower
     of square roots, are read as literals first.  A literal joins the field
     as a + bα when that affine identity holds, else by a norm (`_member`);

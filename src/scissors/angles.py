@@ -19,8 +19,14 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DEFAULT_HEIGHT_BOUND
-from .numbers import format_number
-from .scalars import as_scalar, format_sqrt, scalar_key, scalar_sign, surd
+from .numbers import (
+    as_scalar,
+    format_number,
+    format_sqrt,
+    scalar_key,
+    scalar_sign,
+    surd,
+)
 
 DEFAULT_PROPOSE_BITS = 256
 MAX_PROPOSE_BITS = 4096

@@ -3,7 +3,8 @@ Hochschild tables, differential-form images, and certificate rechecks.
 
 Exit codes: 0 success (verdicts live in the payload), 1 failed verification
 suite, 2 input error, 3 geometry validation error, 4 resource cap, 5 internal
-invariant violation.
+invariant violation or a report that could not be written (a closed pipe, a
+full device), each with one line on stderr.
 
 Each command imports the layers it uses when it runs, so that, say,
 `homology` builds no number field and `polytope-info` no Hochschild
@@ -80,8 +81,7 @@ def _nonzero_certificate(cert: dict) -> dict:
 def cmd_polytope_info(args) -> dict:
     from .dehn import dehn_invariant, is_zero, nonzero_certificate
     from .io import load_json, polytope_from_json
-    from .numbers import format_number
-    from .scalars import as_scalar
+    from .numbers import as_scalar, format_number
 
     obj = load_json(args.file)
     p = polytope_from_json(obj, exact_strict=args.exact_strict)
@@ -432,12 +432,16 @@ def main(argv=None) -> int:
         else:
             print(_render_text(report))
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so that the final
-        # flush at exit stays quiet
+    except OSError as exc:
+        # the reader closed stdout, or the device is full: point stdout at
+        # devnull so that the final flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("output error: stdout was closed before the report was "
-              "written", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("output error: stdout was closed before the report was "
+                  "written", file=sys.stderr)
+        else:
+            print(f"output error: could not write the report: {exc}",
+                  file=sys.stderr)
         return EXIT_INTERNAL
     if failure:
         print(failure, file=sys.stderr)

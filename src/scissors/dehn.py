@@ -33,8 +33,14 @@ from .angles import (
     two_cos_minpoly,
 )
 from .errors import DEFAULT_HEIGHT_BOUND
-from .numbers import format_number, parse_number
-from .scalars import as_scalar, format_surd, scalar_sign, surd
+from .numbers import (
+    as_scalar,
+    format_number,
+    format_surd,
+    parse_number,
+    scalar_sign,
+    surd,
+)
 
 
 class DehnTensor:
@@ -112,7 +118,7 @@ def _merge(raw):
     for length, angle in raw:
         length, k = as_scalar(length), angle.key()
         acc[k] = (acc[k][0] + length, angle) if k in acc else (length, angle)
-    return [acc[k] for k in sorted(acc) if scalar_sign(acc[k][0]) != 0]
+    return [acc[k] for k in sorted(acc) if acc[k][0]]
 
 
 def _drop(angle, q) -> dict:
@@ -175,7 +181,7 @@ def _normalize(raw, height_bound) -> DehnTensor:
     lengths, angles = _SquareClasses(), _SquareClasses()
     acc, drops = {}, []
     for c, x, angle in raw:
-        if x == 0 or scalar_sign(c) == 0 or angle.is_straight():
+        if x == 0 or not c or angle.is_straight():
             continue  # ℓ = 0, or θ ∈ {0, π}
         q = is_rational_angle(angle)
         if q is not None:
@@ -189,8 +195,8 @@ def _normalize(raw, height_bound) -> DehnTensor:
         acc[key] = (acc[key][0] + c, angle) if key in acc else (c, angle)
     blocks = {}  # each block's terms in the order of their angles' keys
     for (_key, m), (c, angle) in sorted(acc.items()):
-        # a merged length may be a zero AlgebraicReal, which is truthy
-        if scalar_sign(c) != 0:
+        # a merged length that cancels is Fraction(0)
+        if c:
             s = None if m is None else \
                 angles.of(angle.cos2 * (1 - angle.cos2))[0]
             blocks.setdefault((m, s), []).append((c, angle))

@@ -24,8 +24,7 @@ from operator import mul
 from ..angles import AnglePair
 from ..errors import GeometryError
 from ..linalg import net_faces
-from ..numbers import format_number
-from ..scalars import as_scalar, format_sqrt, scalar_sign
+from ..numbers import as_scalar, format_number, format_sqrt, scalar_sign
 from . import predicates as hp
 
 

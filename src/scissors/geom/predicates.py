@@ -20,7 +20,7 @@ from math import lcm
 from operator import mul
 
 from ..linalg import primitive
-from ..scalars import as_scalar, scalar_key, scalar_sign
+from ..numbers import as_scalar, scalar_key, scalar_sign
 
 # named in benchmark provenance records (perfbench/worker.py)
 KERNEL = "pure"

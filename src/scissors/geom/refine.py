@@ -43,7 +43,7 @@ from itertools import combinations
 
 from ..errors import ParseError, RefinementTooLarge
 from ..linalg import net_faces
-from ..scalars import scalar_sign
+from ..numbers import scalar_sign
 from . import (
     DimensionMismatch,
     Polytope,

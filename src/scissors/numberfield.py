@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import det_small, nullspace_sparse, primitive
-from .scalars import scalar_sign, surd
+from .numbers import scalar_sign, surd
 from .poly import _canonical_single, count_roots, root_index
 
 # a square root of r is taken as F(√r) only when this certifies r
@@ -428,9 +428,6 @@ class Num:
         return hash((self.minpoly(), self.root_index()))
 
     # -- identity, as for algebraic.AlgebraicReal ----------------------------
-
-    def is_rational(self) -> bool:
-        return False
 
     def minpoly(self) -> tuple:
         if self._poly is None:

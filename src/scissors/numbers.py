@@ -1,4 +1,10 @@
-"""Rational scalars and the number-literal wire syntax.
+"""Exact scalars without number fields, and the number-literal wire syntax.
+
+Every exact scalar is a Fraction, a `numberfield.Num`, or an
+`algebraic.AlgebraicReal` (a literal as parsed).  A rational value is
+always a Fraction: a Num and an AlgebraicReal are irrational.  The scalar
+helpers read the last two through their methods, so this module loads
+neither.
 
 All JSON files use one of two forms for exact numbers:
 
@@ -6,14 +12,44 @@ All JSON files use one of two forms for exact numbers:
 * ``{"minpoly": ["c0", "c1", ...], "lo": "p/q", "hi": "p/q"}``
                      -- a real algebraic number, constant coefficient first
 
-Rationals are plain ``fractions.Fraction`` everywhere inside the package.
-Only an algebraic literal loads `algebraic`: reading and writing rationals
-and number-field elements needs none of it.
+A root of a linear factor reads as that rational.  Only an algebraic
+literal loads `algebraic`: reading and writing rationals and number-field
+elements needs none of it.  The square roots of rationals that the report
+of a rational polytope prints are written here (`format_surd`), without
+building a number field.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ParseError
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def scalar_sign(x) -> int:
+    if isinstance(x, (int, Fraction)):
+        return (x > 0) - (x < 0)
+    return x.sign()
+
+
+def as_scalar(x):
+    """An int as a Fraction; a Fraction, a field element or a literal as it
+    is."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if hasattr(x, "minpoly"):  # a Num or an AlgebraicReal
+        return x
+    raise TypeError(f"not a scalar: {x!r}")
+
+
+def scalar_key(x):
+    x = as_scalar(x)
+    if isinstance(x, Fraction):
+        return ("q", x)
+    return x.key()
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -55,11 +91,10 @@ def parse_number(value):
 
         coeffs, lo, hi = _algebraic_parts(value)
         try:
-            x = make_algebraic(coeffs, (lo, hi))
+            return make_algebraic(coeffs, (lo, hi))
         except ValueError as exc:  # the interval holds no root, or several
             raise ParseError(f"bad algebraic literal {value!r}: {exc}") \
                 from exc
-        return x.as_fraction() if x.is_rational() else x
     if isinstance(value, Fraction) or hasattr(value, "minpoly"):
         return value  # a Num or an AlgebraicReal: already parsed
     raise ParseError(f"unknown number literal {value!r}")
@@ -83,8 +118,6 @@ def format_number(x):
     if isinstance(x, Fraction):
         return "rat:" + format_fraction(x)
     if hasattr(x, "minpoly"):  # a Num or an AlgebraicReal
-        if x.is_rational():
-            return "rat:" + format_fraction(x.as_fraction())
         lo, hi = x.interval()
         return {
             "minpoly": [str(c) for c in x.minpoly()],
@@ -92,3 +125,43 @@ def format_number(x):
             "hi": format_fraction(hi),
         }
     raise TypeError(f"not a scalar: {x!r}")
+
+
+# -- square roots of rationals, as c·√m -----------------------------------------
+
+def surd(x):
+    """(c, m) with √x = c·√m for a rational x ≥ 0 and a rational c: m is
+    the numerator of x times its denominator, stripped of the squares of
+    small primes, or 1 when x is a square.  m is in the square class of x
+    and depends only on x."""
+    x = Fraction(x)
+    m, c = x.numerator * x.denominator, Fraction(1, x.denominator)
+    root = isqrt(m)
+    if root * root == m:
+        return c * root, 1
+    for p in _SMALL_PRIMES:
+        while m % (p * p) == 0:
+            m //= p * p
+            c *= p
+    return c, m
+
+
+def format_surd(c: Fraction, m: int):
+    """The literal of c·√m, for a rational c and an integer m that is 1 or
+    no square, as `format_number` writes the element of ℚ(√m) that
+    `numberfield.sqrt_over` makes of it: the minimal polynomial QX² − P of
+    c²m = P/Q, and the enclosure of c·√m from √m ∈ (r/16, (r + 1)/16),
+    r = ⌊√(256m)⌋, which already isolates it."""
+    if m == 1 or not c:
+        return "rat:" + format_fraction(c * m)
+    a = c * c * m
+    r = isqrt(m << 8)
+    lo, hi = sorted((c * Fraction(r, 16), c * Fraction(r + 1, 16)))
+    return {"minpoly": [str(-a.numerator), "0", str(a.denominator)],
+            "lo": format_fraction(lo), "hi": format_fraction(hi)}
+
+
+def format_sqrt(x, sign: int = 1):
+    """The literal of sign·√x for a rational x ≥ 0 (see `format_surd`)."""
+    c, m = surd(x)
+    return format_surd(sign * c, m)

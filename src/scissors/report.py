@@ -84,8 +84,7 @@ def recheck_certificates(report: dict, source: str = "report"):
     kind of certificate imports the layers it reads when it is met, so a
     volume-mismatch loads neither `angles` nor `dehn`."""
     from .errors import MAX_HEIGHT_BOUND, ParseError, SizeCap
-    from .numbers import one_field, parse_number
-    from .scalars import scalar_sign
+    from .numbers import one_field, parse_number, scalar_sign
 
     def need(obj, key, where, kind=_NUMBER):
         value = obj.get(key) if isinstance(obj, dict) else None

@@ -13,6 +13,7 @@ from scissors.algebraic import (
     field_ops,
     lift,
     make_algebraic,
+    scalar_key,
     scalar_sign,
     sqrt_nonneg,
 )
@@ -47,12 +48,15 @@ def bisection_root(coeffs, lo, hi, steps=80):
 def test_make_sqrt2():
     x = make_algebraic([-2, 0, 1], (1, 2))
     assert x.minpoly() == (-2, 0, 1)
-    assert not x.is_rational()
+    assert isinstance(x, AlgebraicReal)
 
 
 def test_make_rational_collapses():
+    # the root of a linear factor, alone or in a product, is its Fraction
     x = make_algebraic([-1, 3], (0, 1))
-    assert x.is_rational() and x.as_fraction() == Fraction(1, 3)
+    assert type(x) is Fraction and x == Fraction(1, 3)
+    y = make_algebraic([2, -7, 3], (0, 1))  # (3x − 1)(x − 2)
+    assert type(y) is Fraction and y == Fraction(1, 3)
 
 
 def test_make_golden_ratio_bracketed():
@@ -80,13 +84,14 @@ def test_make_errors():
 def test_sqrt2_squared_is_two():
     r = make_algebraic([-2, 0, 1], (1, 2))
     two = r * r
-    assert two.is_rational() and two.as_fraction() == 2
+    assert type(two) is Fraction and two == 2
+    assert type(r ** 2) is Fraction and r ** 2 == 2
 
 
 def test_additive_inverse():
     r = make_algebraic([-2, 0, 1], (1, 2))
     z = r + (-r)
-    assert z.is_rational() and z.as_fraction() == 0
+    assert type(z) is Fraction and z == 0
 
 
 def test_compare_sqrt2_vs_7_5():
@@ -99,9 +104,11 @@ def test_compare_sqrt2_vs_7_5():
 def test_field_inverse_and_identity():
     r = make_algebraic([-2, 0, 1], (1, 2))
     one = r * r.inverse()
-    assert one.is_rational() and one.as_fraction() == 1
+    assert type(one) is Fraction and one == 1
     with pytest.raises(DivisionByZero):
-        field_ops(r, AlgebraicReal.from_fraction(0), "div")
+        field_ops(r, Fraction(0), "div")
+    with pytest.raises(DivisionByZero):
+        r / 0
 
 
 def test_sqrt_nonneg():
@@ -129,9 +136,9 @@ def test_sqrt_above_max_degree_is_a_size_cap():
 def test_mixed_arithmetic_with_rationals():
     r = make_algebraic([-2, 0, 1], (1, 2))
     x = (r + 1) * (r - 1)  # = 2 - 1 = 1
-    assert x.is_rational() and x.as_fraction() == 1
+    assert type(x) is Fraction and x == 1
     y = Fraction(3, 2) * r / r
-    assert y == Fraction(3, 2)
+    assert type(y) is Fraction and y == Fraction(3, 2)
 
 
 def test_sum_of_two_distinct_algebraics():
@@ -141,19 +148,22 @@ def test_sum_of_two_distinct_algebraics():
     # (sqrt2 + sqrt3)^2 = 5 + 2 sqrt6
     t = s * s - 5
     u = t * t
-    assert u.is_rational() and u.as_fraction() == 24
+    assert type(u) is Fraction and u == 24
 
 
 def test_total_order_consistent_with_floats():
+    # literals and Fractions sort together: a Fraction is a point that
+    # AlgebraicReal.compare refines its interval away from
     vals = [
         make_algebraic([-2, 0, 1], (1, 2)),
-        AlgebraicReal.from_fraction(Fraction(3, 2)),
+        Fraction(3, 2),
         make_algebraic([-3, 0, 1], (-2, -1)),
-        AlgebraicReal.from_fraction(Fraction(-1)),
+        Fraction(-1),
     ]
     exact = sorted(vals)
     by_float = sorted(vals, key=float)
-    assert [v.key() for v in exact] == [v.key() for v in by_float]
+    assert [scalar_key(v) for v in exact] == \
+        [scalar_key(v) for v in by_float]
 
 
 def test_scalar_helpers():
@@ -218,7 +228,7 @@ def test_parse_number_on_seeded_intervals():
             continue
         value, (want,) = parse_number(lit), held
         if isinstance(want, Fraction):
-            assert value == want, lit
+            assert type(value) is Fraction and value == want, lit
         else:
             assert value.minpoly() == (-abs(want[1]), 0, 1), lit
             assert value.sign() == (1 if want[1] > 0 else -1), lit
@@ -233,7 +243,7 @@ def rand_algebraic(rng):
     from scissors.algebraic import count_roots
     kind = rng.randint(0, 3)
     if kind == 0:
-        return AlgebraicReal.from_fraction(rng.fraction(9, 4))
+        return rng.fraction(9, 4)
     while True:
         deg = rng.randint(2, 4)
         coeffs = [rng.randint(-6, 6) for _ in range(deg)] + \
@@ -263,15 +273,14 @@ def test_field_laws_on_random_values():
         rng = SplitMix64.stream(2024, case)
         a = rand_algebraic(rng)
         z = a + (-a)
-        assert z.is_rational() and z.as_fraction() == 0
-        if a.sign() != 0:
-            one = a * a.inverse()
-            assert one.is_rational() and one.as_fraction() == 1
-        # serialize round trip compares Equal
-        from scissors.numbers import format_number, parse_number
+        assert type(z) is Fraction and z == 0
+        if scalar_sign(a) != 0:
+            inverse = a.inverse() if isinstance(a, AlgebraicReal) else 1 / a
+            one = a * inverse
+            assert type(one) is Fraction and one == 1
+        # serialize round trip compares Equal, in the same type
         back = parse_number(format_number(a))
-        from scissors.algebraic import as_algebraic
-        assert as_algebraic(back) == a
+        assert type(back) is type(a) and back == a
 
 
 def test_order_consistency_on_random_pairs():
@@ -280,14 +289,22 @@ def test_order_consistency_on_random_pairs():
     for case in range(10):
         rng = SplitMix64.stream(2025, case)
         vals.append(rand_algebraic(rng))
+    def compare(a, b):
+        """AlgebraicReal.compare, with a Fraction on either side."""
+        if isinstance(a, AlgebraicReal):
+            return a.compare(b)
+        if isinstance(b, AlgebraicReal):
+            return -b.compare(a)
+        return (a > b) - (a < b)
+
     for a in vals:
         for b in vals:
-            c = a.compare(b)
+            c = compare(a, b)
             fa, fb = float(a), float(b)
             if abs(fa - fb) > 1e-9:  # floats decide only well-separated pairs
                 assert c == (1 if fa > fb else -1)
             # antisymmetry always
-            assert b.compare(a) == -c
+            assert compare(b, a) == -c
 
 
 def test_add_mul_agree_with_floats():
@@ -308,7 +325,7 @@ def test_negation_of_root_index():
     n = -r
     assert n.minpoly() == (-2, 0, 1)
     assert n.sign() == -1
-    assert (n + r).as_fraction() == 0
+    assert type(n + r) is Fraction and n + r == 0
 
 
 def _sympy_poly(coeffs):
@@ -486,9 +503,8 @@ def test_literals_of_two_fields_match_sympy():
     from scissors.rng import SplitMix64
 
     def expr(a):
-        if a.is_rational():
-            q = a.as_fraction()
-            return sympy.Rational(q.numerator, q.denominator)
+        if isinstance(a, Fraction):
+            return sympy.Rational(a.numerator, a.denominator)
         t = sympy.Symbol("t")
         return sympy.CRootOf(sympy.Poly(list(reversed(a.minpoly())), t),
                              a.root_index())
@@ -505,7 +521,7 @@ def test_literals_of_two_fields_match_sympy():
     for case, (a, b) in enumerate(pairs):
         x, y = lift([a, b])
         for lit, v in ((a, x), (b, y)):
-            assert isinstance(v, Num) != lit.is_rational()
+            assert isinstance(v, Num) != isinstance(lit, Fraction)
             assert scalar_key(v) == scalar_key(lit)
         if isinstance(x, Num) and isinstance(y, Num):
             assert x.field is y.field
@@ -843,12 +859,12 @@ def test_field_mul_matches_fraction_product():
 
 
 def test_surd_literals_match_the_field_elements():
-    # `scalars.format_surd` writes c·√m as `format_number` writes the
+    # `numbers.format_surd` writes c·√m as `format_number` writes the
     # element of ℚ(√m) that `numberfield.sqrt` builds: seeded radicands,
     # some with the square of a prime past the small ones stripped
     from scissors.numberfield import sqrt
     from scissors.numbers import format_number
-    from scissors.scalars import format_sqrt, format_surd, surd
+    from scissors.numbers import format_sqrt, format_surd, surd
     from scissors.rng import SplitMix64
 
     rng = SplitMix64.stream(2503, 0)
@@ -1058,3 +1074,117 @@ def test_literals_outside_the_affine_identity_still_lift():
     g, r = lift([fourth, root2])
     assert g.field is r.field and g.field.n == 4
     assert r == g * g and scalar_key(r) == scalar_key(root2)
+
+
+
+def test_a_rational_result_is_always_a_fraction():
+    # seeded operands from the literals of two fields, ℚ(√3) of the hexagon
+    # prism and a cubic field, with sympy as the oracle: over every
+    # `field_ops` op, every operator of AlgebraicReal and of Num, and
+    # make_algebraic and parse_number of reducible polynomials, a result is
+    # a Fraction exactly when it is rational, has the oracle's key, and no
+    # irrational result equals a Fraction; AlgebraicReal.compare against
+    # seeded Fractions agrees with the oracle's order
+    import operator
+    from math import floor
+
+    import sympy
+
+    from scissors.numberfield import Num
+    from scissors.rng import SplitMix64
+
+    t = sympy.Symbol("t")
+    rng = SplitMix64.stream(4510, 0)
+    keys = {}
+
+    def literal(x):
+        return parse_number(format_number(x))
+
+    def expr(x):
+        """x as a sympy number, a literal by its polynomial and interval."""
+        if isinstance(x, Fraction):
+            return sympy.Rational(x.numerator, x.denominator)
+        poly = sympy.Poly(list(reversed(x.minpoly())), t)
+        return sympy.CRootOf(poly, poly.count_roots(None, x.interval()[0]))
+
+    def check(got, ref, what):
+        """got is the real number ref, a Fraction exactly when ref is
+        rational."""
+        if ref not in keys:
+            keys[ref] = _oracle_key(ref)
+        want = keys[ref]
+        assert (type(got) is Fraction) == (want[0] == "q"), what
+        assert scalar_key(got) == want, what
+        if want[0] == "q":
+            return
+        assert isinstance(got, (AlgebraicReal, Num)), what
+        # seeded Fractions, two of them within 2⁻⁴⁰ of ref
+        value = sympy.N(ref, 60)
+        k = floor(value * 2 ** 40)
+        for q in (Fraction(0), rng.fraction(9, 5), Fraction(k, 2 ** 40),
+                  Fraction(k + 1, 2 ** 40)):
+            assert got != q and q != got and not got == q, what
+            if isinstance(got, AlgebraicReal):
+                order = 1 if value > expr(q) else -1
+                assert got.compare(q) == order, (what, q)
+                assert (got < q) == (order < 0) == (q > got), (what, q)
+
+    sets = _literal_sets()
+    pools = [[literal(c) for p in sets[name][0] for c in p
+              if not isinstance(c, Fraction)]
+             for name in ("prism_hex", "deg3-0")]
+    binary = {"add": operator.add, "sub": operator.sub,
+              "mul": operator.mul, "div": operator.truediv}
+    seen = set()
+    for case in range(12):
+        pool, other = pools[case // 6], pools[1 - case // 6]
+        a = rng.choice(pool)
+        q = rng.fraction(5, 3) or Fraction(1)
+        # another literal of the same field or of the other one, or a
+        # rational motion of a, so that about half the results are rational
+        b = [rng.choice(pool), rng.choice(other), literal(a + q),
+             literal(q - a), literal(q * a), literal(q / a)][case % 6]
+        ra, rb = expr(a), expr(b)
+        x, y = lift([a, b])
+        for name, op in binary.items():
+            ref = op(ra, rb)
+            check(op(a, b), ref, (case, name, "literal"))
+            check(field_ops(a, b, name), ref, (case, name, "field_ops"))
+            check(op(x, y), ref, (case, name, "Num"))
+            seen.add(keys[ref][0])
+            # a literal against a Fraction, on either side
+            check(op(a, q), op(ra, expr(q)), (case, name, "right"))
+            check(op(q, a), op(expr(q), ra), (case, name, "left"))
+        diff = keys[ra - rb]
+        assert field_ops(a, b, "compare") == (
+            "Equal" if diff == ("q", 0) else
+            "Greater" if sympy.N(ra - rb, 60) > 0 else "Less"), case
+        check(-a, -ra, (case, "neg"))
+        check(field_ops(a, None, "neg"), -ra, (case, "neg"))
+        check(a.inverse(), 1 / ra, (case, "inverse"))
+        for n in (0, 2, -2):
+            check(a ** n, ra ** n, (case, "pow", n))
+        if case % 6 == 0 and scalar_sign(a) > 0:
+            check(field_ops(a, None, "sqrt_nonneg"), sympy.sqrt(ra),
+                  (case, "sqrt"))
+    assert seen == {"q", "a"}
+    for r in (Fraction(9, 4), Fraction(2), Fraction(0)):
+        check(field_ops(r, None, "sqrt_nonneg"), sympy.sqrt(expr(r)),
+              (r, "sqrt"))
+    # reducible polynomials: a root of the linear factor reads as its
+    # Fraction, a root of the other factor as a literal; each interval is
+    # a dyadic cell of width 2⁻²⁰ around one root
+    for case in range(6):
+        r = rng.fraction(5, 3)
+        f = _sympy_poly(rng.choice(pools[case % 2]).minpoly()) * \
+            _sympy_poly([-r.numerator, r.denominator])
+        coeffs = [int(c) for c in reversed(f.all_coeffs())]
+        for root in f.real_roots():
+            k = floor(sympy.N(root * 2 ** 20, 30))
+            lo, hi = Fraction(k, 2 ** 20), Fraction(k + 1, 2 ** 20)
+            assert f.count_roots(lo, hi) == 1
+            text = {"minpoly": [str(c) for c in coeffs],
+                    "lo": format_fraction(lo), "hi": format_fraction(hi)}
+            for got in (make_algebraic(coeffs, (lo, hi)),
+                        parse_number(text)):
+                check(got, root, (case, lo))

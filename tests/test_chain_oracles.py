@@ -32,7 +32,8 @@ from scissors.homology.simplicial import (
     subdivision_homotopy,
 )
 from scissors.rng import SplitMix64
-from scissors.scalars import scalar_key
+from scissors.numberfield import Num
+from scissors.numbers import format_number, parse_number, scalar_key
 from oracles import column_basis, contains_point, span_of_points
 from test_flags import (
     _configurations as degenerate_configurations,
@@ -189,12 +190,16 @@ def assert_same(chain, oracle):
 
 
 def retyped(p, rng):
-    """p with each coordinate given as an int (when integral), a Fraction or
-    a rational algebraic literal, chosen by the rng."""
+    """p with each coordinate given another way, chosen by the rng: a
+    rational one as an int (when integral), a Fraction or the root of a
+    linear factor, which reads as that Fraction; an irrational one, a Num,
+    as itself or as its literal."""
     out = []
     for c in p:
         kind = rng.randint(0, 2)
-        if kind == 0 and c.denominator == 1:
+        if isinstance(c, Num):
+            out.append(parse_number(format_number(c)) if kind else c)
+        elif kind == 0 and c.denominator == 1:
             out.append(int(c))
         elif kind == 2:
             out.append(make_algebraic([-c.numerator, c.denominator],
@@ -510,14 +515,19 @@ def _indicator(chain, x):
 
 
 def test_vertex_identity_lives_in_the_table():
-    # the vertices of placed simplices, each given as an int (when
-    # integral), a Fraction or a rational algebraic literal: one id per
-    # value, and every identity of a term computed from the table
+    # the vertices of placed simplices, each coordinate given as by
+    # `retyped`; in the last three cases the placement also moves them by
+    # multiples of √2, and an irrational coordinate given as the Num of
+    # ℚ(√2) and as its literal has one key, ("a", minpoly, index): one id
+    # per value, and every identity of a term computed from the table
+    root2 = sqrt_nonneg(2)
     kinds = set()
     for case in range(9):
         dim = case % 3 + 1
         rng = SplitMix64.stream(909, case)
         move = _placement(rng, dim)
+        if case >= 6:
+            move = _shifted(move, [k * root2 for k in range(1, dim + 1)])
         cells = [tuple(map(move, seeded_simplex(909, 2 * case + j,
                                                 dim).vertices))
                  for j in range(2)]
@@ -526,6 +536,8 @@ def test_vertex_identity_lives_in_the_table():
                       (1, cells[1])):
             vs = tuple(retyped(v, rng) for v in vs)
             kinds.update(type(x) for v in vs for x in v)
+            assert all(scalar_key(x)[0] == "a" for v in vs for x in v
+                       if not isinstance(x, (int, Fraction)))
             terms.append((c, Simplex(dim, vs)))
         ch = SimplexChain(dim, terms)
         t = ch.table
@@ -547,7 +559,14 @@ def test_vertex_identity_lives_in_the_table():
             outside = tuple(2 * a - b for a, b in zip(vs[0], inside))
             for x in (inside, outside):
                 assert _indicator(ch, x) == _indicator(back, x), case
-    assert kinds == {int, Fraction, AlgebraicReal}
+    assert kinds == {int, Fraction, Num, AlgebraicReal}
+
+
+def _shifted(move, shift):
+    """The map move followed by a translation by shift."""
+    def moved(p):
+        return tuple(c + s for c, s in zip(move(p), shift))
+    return moved
 
 
 # -- flags --------------------------------------------------------------------------

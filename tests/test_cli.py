@@ -30,10 +30,15 @@ from scissors.report import (
 from oracles import right_triangle, tower_equal
 
 
+# the environment of a process whose stdout is buffered, as it is unless
+# PYTHONUNBUFFERED is set: a report left in the buffer at exit is lost
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "scissors.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_BUFFERED)
     return proc
 
 
@@ -456,7 +461,7 @@ def test_large_algebra_is_refused_before_its_table_is_checked(tmp_path):
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", ""])
 def test_cli_rejects_bad_cell_cap(cap):
-    env = dict(os.environ, SCISSORS_CELL_CAP=cap)
+    env = dict(_BUFFERED, SCISSORS_CELL_CAP=cap)
     proc = subprocess.run(
         [sys.executable, "-m", "scissors.cli", "verify", "phi-boundary",
          "--cases", "1"], capture_output=True, text=True, env=env)
@@ -467,7 +472,7 @@ def test_cli_rejects_bad_cell_cap(cap):
 
 def test_cli_exact_strict_stops_at_cell_cap(fixtures):
     # the --exact-strict refinement reads its cap from SCISSORS_CELL_CAP
-    env = dict(os.environ, SCISSORS_CELL_CAP="1")
+    env = dict(_BUFFERED, SCISSORS_CELL_CAP="1")
     proc = subprocess.run(
         [sys.executable, "-m", "scissors.cli", "polytope-info",
          "--exact-strict", str(fixtures / "box112.json")],
@@ -893,12 +898,29 @@ def test_closed_stdout_is_one_line(fixtures):
             [sys.executable, "-m", "scissors.cli", "polytope-info",
              str(fixtures / "cube.json")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True) as proc:
+            text=True, env=_BUFFERED) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait() == 5
     assert err.splitlines() == [
         "output error: stdout was closed before the report was written"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+def test_full_device_is_exit_5_with_one_line():
+    # every write to /dev/full fails with ENOSPC: the report write ends in
+    # exit 5 with one line, and the final flush of the process stays quiet
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "scissors.cli", "verify", "phi-boundary",
+             "--cases", "5", "--seed", "404"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_BUFFERED)
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "output error: could not write the report: [Errno 28] No space left "
+        "on device"]
 
 
 class _ClosedPipe(io.TextIOBase):
@@ -913,11 +935,6 @@ class _ClosedPipe(io.TextIOBase):
 
     def fileno(self):
         return self.fd
-
-
-# the environment of a process whose stdout is buffered, as it is unless
-# PYTHONUNBUFFERED is set: a report left in the buffer at exit is lost
-_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 def _timing_dropped(out: bytes) -> bytes:
@@ -1030,7 +1047,7 @@ def _run_blocking(modules, argv):
             "from scissors.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n")
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_BUFFERED)
 
 
 def test_rational_commands_run_without_sympy(fixtures, tmp_path):
@@ -1143,7 +1160,7 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
     pair.write_text(run_cli("compare", t1, t2).stdout)
     relation.write_text(json.dumps(_relation_report()))
     no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly",
-                               "scissors.factoring", "scissors.scalars")
+                               "scissors.factoring")
     rational = _HOMOLOGY + _ALGEBRAIC + ("mpmath",)
     for blocked_modules, argv in (
             (no_geometry + ("scissors.hochschild",),

@@ -41,7 +41,7 @@ from scissors.geom.refine import (
 )
 from scissors.linalg import primitive
 from scissors.rng import SplitMix64
-from scissors.scalars import scalar_sign
+from scissors.numbers import scalar_sign
 from scissors.suites import (
     random_box_corners,
     random_cutting_plane,

@@ -28,6 +28,7 @@ from scissors.homology.simplicial import (
     torus_complex,
     torus_homology,
 )
+from scissors.numberfield import Num
 from scissors.numbers import format_number, parse_number
 from scissors.rng import SplitMix64
 from oracles import rational_rank
@@ -182,7 +183,7 @@ def _retyped(p, kind, field_elt):
     """The point p with each rational coordinate given as another scalar."""
     if kind == "int":
         return tuple(int(c) if c.denominator == 1 else c for c in p)
-    if kind == "algebraic":  # a rational AlgebraicReal
+    if kind == "algebraic":  # a root of a linear factor: its Fraction
         return tuple(make_algebraic([-c.numerator, c.denominator],
                                     (c - 1, c + 1)) for c in p)
     # rationals reached by arithmetic in a number field
@@ -297,18 +298,26 @@ def test_chain_engine_identities():
 
 
 def test_simplex_equal_across_number_types():
-    q = AlgebraicReal.from_fraction
+    # rational coordinates as ints and as Fractions, and an irrational one
+    # as a literal and as the Num of its field, which both key as
+    # ("a", minpoly, index)
+    lit, num = make_algebraic([-2, 0, 1], (1, 2)), sqrt_nonneg(2)
+    assert isinstance(lit, AlgebraicReal) and isinstance(num, Num)
     as_int = Simplex(2, ((0, 1), (2, 0), (1, 1)))
     as_frac = simplex(2, (0, 1), (2, 0), (1, 1))
-    as_alg = Simplex(2, ((q(0), q(1)), (q(2), q(0)), (q(1), q(1))))
-    assert as_int == as_frac == as_alg
-    assert hash(as_int) == hash(as_frac) == hash(as_alg)
-    merged = SimplexChain(
-        2, [(1, as_int), (2, as_frac), (-4, as_alg)]).reduce()
-    assert [c for c, _ in merged] == [-1]
+    as_lit = Simplex(2, ((0, lit), (2, 0), (1, 1)))
+    as_num = Simplex(2, ((0, num), (2, 0), (1, 1)))
+    assert as_int == as_frac and as_lit == as_num
+    assert hash(as_int) == hash(as_frac) and hash(as_lit) == hash(as_num)
+    assert vertex_key(as_lit.vertices[0]) == vertex_key(as_num.vertices[0]) \
+        == ((0, 1), ("a", (-2, 0, 1), 1))
+    merged = SimplexChain(2, [(1, as_int), (2, as_frac), (-4, as_int),
+                              (1, as_lit), (-3, as_num)]).reduce()
+    assert {s: c for c, s in merged} == {as_int: -1, as_lit: -2}
     other = simplex(2, (0, 1), (1, 1), (2, 0))
-    assert other != as_int
-    assert SimplexChain(2, [(1, as_alg), (-1, as_int)]).is_zero()
+    assert other != as_int and as_lit != as_int
+    assert SimplexChain(2, [(1, as_frac), (-1, as_int)]).is_zero()
+    assert SimplexChain(2, [(1, as_lit), (-1, as_num)]).is_zero()
 
 
 def test_torus_counts_n3():
