@@ -12,7 +12,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import SizeCap
-from .linalg import primitive
+from .intvec import primitive
 from .poly import _diff, _gcd, _mul, _pow, _prem, _quotient, _scale, _split
 from .rng import SplitMix64
 

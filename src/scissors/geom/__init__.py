@@ -23,7 +23,7 @@ from operator import mul
 
 from ..angles import AnglePair
 from ..errors import GeometryError
-from ..linalg import net_faces
+from ..intvec import net_faces
 from ..numbers import as_scalar, format_number, format_sqrt, scalar_sign
 from . import predicates as hp
 
@@ -318,7 +318,7 @@ def orientation_sign(s: Simplex) -> int:
 
 def boundary(chain: SimplexChain) -> SimplexChain:
     """Alternating-sum face chain, Σ (−1)^i c·(t without vertex i) over
-    its terms in order, netted on the id tuples (`linalg.net_faces`);
+    its terms in order, netted on the id tuples (`intvec.net_faces`);
     ∂∂ = 0."""
     acc = net_faces(chain.ids)
     return SimplexChain.from_ids(chain.dim_ambient, chain.table,

@@ -10,7 +10,7 @@ dissection is conforming (no hanging interfaces between cells).
 from fractions import Fraction
 
 from ..algebraic import lift
-from ..linalg import primitive
+from ..intvec import primitive
 from . import (
     InvalidPolytope,
     Polytope,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from ..linalg import primitive
+from ..intvec import primitive
 from ..numbers import as_scalar, scalar_key, scalar_sign
 
 # named in benchmark provenance records (perfbench/worker.py)

@@ -42,7 +42,7 @@ import os
 from itertools import combinations
 
 from ..errors import ParseError, RefinementTooLarge
-from ..linalg import net_faces
+from ..intvec import net_faces
 from ..numbers import scalar_sign
 from . import (
     DimensionMismatch,
@@ -334,7 +334,7 @@ def _net_facets(cells) -> dict:
     the sorting permutation, counted by its strict inversions (so a
     repeated id costs no sign) only when the cell is not sorted already.
     The faces of the sorted tuple, netted by the face loop of `boundary`
-    (`linalg.net_faces`), are sorted already."""
+    (`intvec.net_faces`), are sorted already."""
     signed = []
     for c, t in cells:
         s = tuple(sorted(t))

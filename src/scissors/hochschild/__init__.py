@@ -15,10 +15,8 @@ d-basis expansion, the involutions and the spin action) is one sum of
 from fractions import Fraction
 from itertools import product
 
-from ..errors import SizeCapExceeded
-from ..io import _integer
+from ..errors import ParseError, SizeCapExceeded
 from ..linalg import nullspace_sparse, rank_sparse, rref_sparse
-from ..numbers import ParseError, parse_fraction
 
 OMEGA_CAP = 65536  # largest A^⊗(n+1) that omega_basis takes a kernel in
 MAX_SOURCE = 200_000  # largest normalized source of hochschild_homology
@@ -407,6 +405,9 @@ def algebra_from_json(obj) -> FiniteDimAlgebra:
     basis is changed so the unit comes first.  Every malformed field is a
     ParseError.
     """
+    from ..io import _integer
+    from ..numbers import parse_fraction
+
     try:
         dim = _integer(obj["dim"], "dim", 1)
         if dim > MAX_DIM:

@@ -6,14 +6,15 @@ the rows in the order their first entry was set, and `elementary_divisors`
 hands copies of them, in that order, to `linalg.smith_normal_form_sparse`:
 the order sets the cost of the elimination, not its result.  Every
 boundary matrix of the package (`tuple_complex` here and the bar complex)
-nets the faces of each basis element with `linalg.net_faces`, the one
+nets the faces of each basis element with `intvec.net_faces`, the one
 alternating face sum.  No command builds a `DoubleComplex`: the tests
 build Dupont's flag double complex with it, and its total complex is a
 name the benchmark's tracer wraps."""
 
 from collections import namedtuple
 
-from ..linalg import _axpy, net_faces, smith_normal_form_sparse
+from ..intvec import net_faces
+from ..linalg import _axpy, smith_normal_form_sparse
 from ..errors import DegreeOutOfRange, InvalidComplex, SizeCap
 
 

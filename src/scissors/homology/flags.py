@@ -32,7 +32,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from ..geom import make_point, to_homog
-from ..linalg import echelon_add, echelon_clear, net_faces, primitive
+from ..intvec import net_faces, primitive
+from ..linalg import echelon_add, echelon_clear
 from . import SizeCap
 
 POOL_CAP = 512

@@ -11,7 +11,8 @@ dropped, which leaves (|G| − 1)^k tuples in degree k.
 
 from itertools import product
 
-from ..linalg import mat_mul, net_faces
+from ..intvec import net_faces
+from ..linalg import mat_mul
 from . import ChainComplex, HomologyResult, SizeCap, SparseIntMatrix
 
 MAX_GROUP_ORDER = 16

@@ -1,13 +1,15 @@
 """Wire formats: polytope, tensor, chain-complex and group JSON.
 
 Each reader imports the layer whose objects it builds, so that reading a
-group loads no geometry and reading a polytope no homology.
+group loads no geometry and reading a polytope no homology.  That holds for
+the number literals of `numbers` too, which only the polytope reader and
+writer import: reading a group, a complex or an algebra loads none of it.
 """
 
 import json
 import re
 
-from .numbers import ParseError, format_number, one_field, parse_number
+from .errors import ParseError
 
 
 def load_json(path: str):
@@ -44,6 +46,7 @@ def polytope_from_json(obj, exact_strict: bool = False):
     "name": str} -> Polytope, its vertices on one table (equal values
     share one id) and its cells id tuples."""
     from .geom import Polytope, SimplexChain, VertexTable
+    from .numbers import one_field, parse_number
 
     try:
         if not isinstance(obj, dict):
@@ -79,6 +82,8 @@ def polytope_from_json(obj, exact_strict: bool = False):
 def polytope_to_json(p) -> dict:
     """The JSON of polytope_from_json, vertices numbered in order of first
     appearance in the cells."""
+    from .numbers import format_number
+
     table = p.chain.table
     index = {}  # vertex id -> its number in the file
     cells = [[index.setdefault(i, len(index)) for i in v]

@@ -29,7 +29,6 @@ from itertools import islice, product
 from math import gcd, prod
 
 from .errors import ParseError, SizeCap
-from .factoring import factor
 from .linalg import rank_sparse, rref_sparse
 from .poly import _add, _bits, _content, _diff, _gcd, _is_constant, _is_one
 from .poly import _is_rational_square, _mul, _neg, _prem, _primitive, _scale
@@ -521,6 +520,8 @@ def _specialization_irreducible(coeffs, degree, i) -> bool:
     """Whether the relation Σ coeffs[k]·s^k is irreducible at some point t
     of small integers where its leading coefficient does not vanish: then it
     is irreducible over ℚ(t) (Gauss's lemma)."""
+    from .factoring import factor
+
     free = sorted({j for part in coeffs.values() for e in part
                    for j, x in enumerate(e) if x and j != i})
     values = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]

@@ -29,7 +29,7 @@ be above MAX_DEGREE is not taken: `algebraic.sqrt_nonneg` raises SizeCap.
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .linalg import det_small, nullspace_sparse, primitive
+from .intvec import primitive
 from .numbers import scalar_sign, surd
 from .poly import _canonical_single, count_roots, root_index
 
@@ -208,6 +208,7 @@ class SimpleField:
 
     def norm(self, u) -> Fraction:
         """N(u) ∈ ℚ, the determinant of multiplication by u."""
+        from .linalg import det_small
         return det_small(self._columns(u))
 
     def sign(self, u) -> int:
@@ -494,6 +495,8 @@ def _minpoly(x) -> tuple:
     coefficient.  The first kernel vector of the ℚ-columns 1, x, …, xⁿ has
     a 1 at the first power that depends on those before it, and only
     earlier powers besides: the monic minimal polynomial."""
+    from .linalg import nullspace_sparse
+
     powers = [Fraction(1)]
     for _ in range(x.field.degree):
         powers.append(powers[-1] * x)

@@ -2,7 +2,7 @@
 dicts {exponent n-tuple: nonzero int}, leading terms in lex order.
 
 Ring arithmetic, pseudo-division and exact division, contents (integer ones
-through `linalg.primitive`), an exact gcd (Char, Geddes and Gonnet's GCDHEU,
+through `intvec.primitive`), an exact gcd (Char, Geddes and Gonnet's GCDHEU,
 then a primitive remainder sequence capped at PRS_BITS_CAP coefficient
 bits) and square roots; and, on dense coefficient tuples in one variable
 (constant first), the Sturm chains that isolate and order real roots.
@@ -17,7 +17,7 @@ from math import isqrt
 from operator import add
 
 from .errors import SizeCap
-from .linalg import primitive
+from .intvec import primitive
 
 # A pseudo-remainder of the fallback gcd (`_prs_gcd`) with a coefficient of
 # more bits raises SizeCap.  No remainder in the package's tests passes 16
@@ -69,7 +69,7 @@ def _scale(a, k):
 
 
 def _primitive(a, lead):
-    """a divided by its integer content, signed as `linalg.primitive`'s
+    """a divided by its integer content, signed as `intvec.primitive`'s
     `lead` says."""
     return dict(zip(a, primitive(a.values(), lead)))
 

@@ -18,7 +18,8 @@ from scissors.geom import make_point, to_homog
 from scissors.geom.convex import polygon_from_cycle
 from scissors.homology import DoubleComplex, SparseIntMatrix, tuple_complex
 from scissors.homology.flags import AffineSubspace
-from scissors.linalg import echelon_clear, net_faces, rank_int_rows
+from scissors.intvec import net_faces
+from scissors.linalg import echelon_clear, rank_int_rows
 
 # -- affine spans -------------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -1122,8 +1124,10 @@ _GEOMETRY = ("scissors.geom", "scissors.algebraic", "scissors.numberfield",
              "scissors.angles", "scissors.dehn")
 _HOMOLOGY = ("scissors.homology", "scissors.hochschild", "scissors.kahler")
 # stdlib modules that no command needs: dataclasses, with the inspect it
-# loads, and logging cost about 22 ms of a cold start together
-_STDLIB_UNUSED = ("dataclasses", "inspect", "logging")
+# loads, and logging cost about 22 ms of a cold start together, and
+# hashlib, which loads OpenSSL, 2.8–3.9 ms (the digests take the
+# interpreter's built-in SHA-256)
+_STDLIB_UNUSED = ("dataclasses", "inspect", "logging", "hashlib")
 
 
 def test_rational_tetrahedron_pair_certificate_rechecks(fixtures, tmp_path):
@@ -1162,20 +1166,29 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
     no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly",
                                "scissors.factoring")
     rational = _HOMOLOGY + _ALGEBRAIC + ("mpmath",)
+    # the eliminations, which a command on the stock shapes with rational
+    # or quadratic literals never enters
+    no_linalg = ("scissors.linalg",)
     for blocked_modules, argv in (
-            (no_geometry + ("scissors.hochschild",),
+            # a group and a builtin algebra read no number literal
+            (no_geometry + ("scissors.hochschild", "scissors.numbers"),
              ["homology", "--group", "S3"]),
-            (no_geometry + ("scissors.homology",),
+            (no_geometry + ("scissors.homology", "scissors.io",
+                            "scissors.numbers"),
              ["hochschild", "--algebra", "mat2"]),
-            (_HOMOLOGY, ["polytope-info", cube]),
-            (_HOMOLOGY, ["polytope-info", tetra]),
-            (_HOMOLOGY, ["compare", cube, rot]),
+            # the tower of the `cli` workload factors nothing
+            (_GEOMETRY + ("scissors.factoring", "scissors.homology",
+                          "scissors.hochschild"),
+             ["phi", "--tensor", str(fixtures / "t.json"), "--tower", TOWER]),
+            (_HOMOLOGY + no_linalg, ["polytope-info", cube]),
+            (_HOMOLOGY + no_linalg, ["polytope-info", tetra]),
+            (_HOMOLOGY + no_linalg, ["compare", cube, rot]),
             (_HOMOLOGY, ["compare", "--recheck", vol1, cube]),
             # the nonzero-dehn, volume-mismatch, dehn-block and
             # angle-relations certificates recheck with no geometry, the
             # first two without `dehn` and the volume-mismatch without
-            # `angles`
-            (_HOMOLOGY + ("scissors.geom", "scissors.dehn"),
+            # `angles`; the nonzero-dehn one needs no elimination
+            (_HOMOLOGY + no_linalg + ("scissors.geom", "scissors.dehn"),
              ["recheck", str(report)]),
             (_HOMOLOGY + ("scissors.geom", "scissors.dehn", "scissors.angles"),
              ["recheck", str(mismatch)]),
@@ -1183,10 +1196,10 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
             (_HOMOLOGY + ("scissors.geom",), ["recheck", str(relation)]),
             (rational, ["polytope-info", cube]),
             (rational, ["polytope-info", tetra]),
-            (rational, ["polytope-info", octa]),
+            (rational + no_linalg, ["polytope-info", octa]),
             (rational, ["polytope-info", "--exact-strict", tall]),
             (rational, ["compare", cube, rot]),
-            (rational, ["compare", cube, tall]),
+            (rational + no_linalg, ["compare", cube, tall]),
             # the block (5, 5) of the pair holds two angles: its search
             # loads mpmath
             (_HOMOLOGY + _ALGEBRAIC, ["compare", t1, t2])):
@@ -1230,6 +1243,78 @@ def _modules_after(code):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def _parse(parser, argv):
+    """(stdout, stderr, exit code, namespace) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, namespace
+
+
+def test_one_command_parser_matches_the_full_parser(monkeypatch):
+    from scissors import cli
+
+    top = cli.build_parser()
+    sub = next(a for a in top._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli.COMMANDS
+    given = {"polytope-info": ["a.json"], "compare": ["a.json", "b.json"],
+             "verify": ["torus"], "hochschild": ["--algebra", "Q"],
+             "homology": ["--group", "S3"],
+             "phi": ["--tensor", "t.json", "--tower", "t"],
+             "recheck": ["r.json"]}
+    assert tuple(given) == cli.COMMANDS
+    lines = [["polytope-info", "a.json", "--height-bound", "0"],
+             ["compare", "a.json", "b.json", "--height-bound", "0"],
+             ["verify", "tau", "--cases", "0"],
+             ["hochschild", "--algebra", "Q", "--max-degree", "-1"],
+             ["homology", "--group", "S3", "--max-degree", "-1"]]
+    for command, args in given.items():
+        lines += [[command, "--help"], [command], [command, *args],
+                  [command, *args, "--bogus"], [command, *args, "extra"]]
+    for argv in lines:
+        full = _parse(cli.build_parser(), argv)
+        assert _parse(cli.build_parser(argv[0]), argv) == full, argv
+        # help exits 0 and a usage error 2 with one line; the rest parse
+        if "--help" in argv:
+            assert full[2] == 0 and full[0].startswith(
+                f"usage: scissors {argv[0]} "), argv
+        elif full[2] is not None:
+            assert full[2] == cli.EXIT_INPUT, argv
+            assert full[1].startswith("input error: ") and \
+                full[1].count("\n") == 1, argv
+    # `main` builds the one parser only for a line that starts with a
+    # command; the top-level help and errors name every command
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or
+                        build(command))
+    for argv, command in ((["homology"], "homology"), ([], None),
+                          (["nope"], None), (["--help"], None),
+                          (["--help", "polytope-info"], None),
+                          (["--format", "text", "homology"], None)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert built.pop() == command, argv
+        assert code == (0 if "--help" in argv else cli.EXIT_INPUT), argv
+        if argv in (["nope"], ["--help"], ["--help", "polytope-info"]):
+            assert all(c in out.getvalue() + err.getvalue()
+                       for c in cli.COMMANDS), argv
+        elif argv == []:
+            assert err.getvalue() == ("input error: the following arguments "
+                                      "are required: command\n")
 
 
 def test_package_root_resolves_names_on_use():

@@ -11,7 +11,7 @@ from scissors.homology.flags import (
     subspace_pool,
     verify_flag_nullhomotopy,
 )
-from scissors.linalg import net_faces
+from scissors.intvec import net_faces
 from scissors.rng import SplitMix64
 from oracles import (
     augmentation_complex,

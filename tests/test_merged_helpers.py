@@ -23,7 +23,8 @@ from scissors.hochschild import algebra_from_json, matrix_algebra, quaternions
 from scissors.geom import to_homog
 from scissors.homology.flags import subspace_pool
 from scissors.homology.simplicial import affine_span_dim
-from scissors.linalg import det_small, echelon_int, primitive
+from scissors.intvec import primitive
+from scissors.linalg import det_small, echelon_int
 from scissors.numberfield import SimpleField
 from scissors.rng import SplitMix64
 from oracles import span_of_points

@@ -24,7 +24,8 @@ from scissors.geom.predicates import (
     plane_key,
     side,
 )
-from scissors.linalg import det_small, primitive
+from scissors.intvec import primitive
+from scissors.linalg import det_small
 from scissors.rng import SplitMix64
 
 CASES = 40

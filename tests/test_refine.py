@@ -39,7 +39,7 @@ from scissors.geom.refine import (
     _group_by_plane,
     _refine_cell,
 )
-from scissors.linalg import primitive
+from scissors.intvec import primitive
 from scissors.rng import SplitMix64
 from scissors.numbers import scalar_sign
 from scissors.suites import (

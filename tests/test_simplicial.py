@@ -19,7 +19,6 @@ from scissors.geom import (
     vertex_key,
 )
 from scissors.homology import ChainComplex, SparseIntMatrix, tuple_complex
-from scissors.linalg import net_faces
 from scissors.homology.simplicial import (
     affine_span_dim,
     barycentric_sd,
@@ -28,6 +27,7 @@ from scissors.homology.simplicial import (
     torus_complex,
     torus_homology,
 )
+from scissors.intvec import net_faces
 from scissors.numberfield import Num
 from scissors.numbers import format_number, parse_number
 from scissors.rng import SplitMix64
