@@ -116,6 +116,8 @@ class AlgebraicReal:
         return len(self._poly) - 1
 
     def interval(self):
+        """The working isolating interval, which `refine` narrows; what is
+        written is `poly.canonical_interval`'s."""
         return (self._lo, self._hi)
 
     # -- refinement ------------------------------------------------------
@@ -154,12 +156,13 @@ class AlgebraicReal:
     # -- sign and comparison ----------------------------------------------
 
     def sign(self) -> int:
+        # 0 is rational, hence no end of the interval is the value: a
+        # written interval such as (0, B] or (−B, 0] needs no bisection
         while True:
-            if self._lo > 0:
+            if self._lo >= 0:
                 return 1
-            if self._hi < 0:
+            if self._hi <= 0:
                 return -1
-            # 0 is rational hence not a root; keep bisecting
             self.refine()
 
     def compare(self, other) -> int:
@@ -173,9 +176,10 @@ class AlgebraicReal:
                 return _sign(self.root_index() - other.root_index())
         while True:
             lo, hi = (other, other) if rational else other.interval()
-            if self._hi < lo:
+            # the values differ, so touching intervals separate them
+            if self._hi <= lo:
                 return -1
-            if hi < self._lo:
+            if hi <= self._lo:
                 return 1
             self.refine()
             if not rational:

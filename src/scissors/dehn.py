@@ -38,6 +38,7 @@ from .numbers import (
     format_number,
     format_surd,
     parse_number,
+    parse_square,
     scalar_sign,
     surd,
 )
@@ -342,18 +343,6 @@ def block_certificate(t: DehnTensor):
     return None
 
 
-def _rational_square(value):
-    """(x², sign of x) for the literal x when x² is rational, else None:
-    x is rational, or its minimal polynomial is qX² − p."""
-    x = parse_number(value)
-    if isinstance(x, Fraction):
-        return x * x, (x > 0) - (x < 0)
-    f = x.minpoly()
-    if len(f) != 3 or f[1]:
-        return None
-    return Fraction(-f[0], f[2]), x.sign()
-
-
 def block_holds(m, s, term, terms) -> bool:
     """The recheck of a "dehn-block" certificate from the literals its
     recheck has read: the classes m and s, and the named term and every
@@ -367,7 +356,7 @@ def block_holds(m, s, term, terms) -> bool:
         return False
     in_block = []
     for t in terms:
-        parts = [_rational_square(x) for x in t]
+        parts = [parse_square(x) for x in t]
         if None in parts:
             return False
         (c2, c_sign), (s2, s_sign), (l2, _) = parts

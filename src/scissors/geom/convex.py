@@ -9,8 +9,8 @@ dissection is conforming (no hanging interfaces between cells).
 
 from fractions import Fraction
 
-from ..algebraic import lift
 from ..intvec import primitive
+from ..numbers import one_field
 from . import (
     InvalidPolytope,
     Polytope,
@@ -258,7 +258,7 @@ def _image(p: Polytope, extra, move, name: str) -> Polytope:
     `extra`, all lifted into one number field; the cells keep their order."""
     t = p.chain.table
     points = list(map(t.point, range(len(t.keys))))
-    flat = iter(lift(list(extra) + [x for v in points for x in v]))
+    flat = iter(one_field(list(extra) + [x for v in points for x in v]))
     extra = [next(flat) for _ in extra]
     table = VertexTable()
     ids = [table.add(move([next(flat) for _ in v], extra)) for v in points]

@@ -14,7 +14,11 @@ comes from the extended Euclidean algorithm on f and the element.  The sign
 of a + b√r follows from the signs of a, b and a² − b²r in F; in ℚ(α) it
 comes from interval evaluation at α, refined by Newton steps with a
 sign-change check.  The minimal polynomial over ℚ is the first linear
-relation among 1, x, x², …, so nothing is factored.
+relation among 1, x, x², …, so nothing is factored.  An element's identity
+is its minimal polynomial and the index of its real root, which an
+isolating interval from its field's enclosures fixes; it is written by
+those two alone (`numbers.format_number`), so the field it was computed in
+does not show on the wire.
 
 A square root of r in F is found exactly or certified absent (F(√r) is then
 built once per radicand, up to MAX_DEGREE).  In ℚ(α), r is no square when its
@@ -436,8 +440,9 @@ class Num:
         return self._poly
 
     def interval(self):
-        """Rational bounds that isolate this root of the minimal polynomial;
-        a function of the element, not of the order of computation."""
+        """Rational bounds that isolate this root of the minimal polynomial,
+        from an enclosure in the element's field: they fix `root_index`,
+        and are not what is written (`poly.canonical_interval`)."""
         if self._iv is None:
             poly, bits = self.minpoly(), 4
             while True:

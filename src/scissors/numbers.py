@@ -12,11 +12,15 @@ All JSON files use one of two forms for exact numbers:
 * ``{"minpoly": ["c0", "c1", ...], "lo": "p/q", "hi": "p/q"}``
                      -- a real algebraic number, constant coefficient first
 
-A root of a linear factor reads as that rational.  Only an algebraic
-literal loads `algebraic`: reading and writing rationals and number-field
-elements needs none of it.  The square roots of rationals that the report
-of a rational polytope prints are written here (`format_surd`), without
-building a number field.
+A root of a linear factor reads as that rational, and any interval that
+holds one root of the polynomial is read.  One value has one written form:
+its minimal polynomial and the interval `poly.canonical_interval` derives
+from (minimal polynomial, root index), whatever field the value was
+computed in.  Only an algebraic literal loads `algebraic`: reading and
+writing rationals and number-field elements needs none of it.  The square
+roots of rationals that the report of a rational polytope prints are
+written here (`format_surd`) by the same rule in closed form, and read
+back (`parse_square`), without building a number field or loading `poly`.
 """
 
 from fractions import Fraction
@@ -100,10 +104,39 @@ def parse_number(value):
     raise ParseError(f"unknown number literal {value!r}")
 
 
+def parse_square(value):
+    """(x², the sign of x) for the number literal x when x² is rational,
+    else None.  A literal {"minpoly": [c0, 0, c2], "lo", "hi"} with c2 > 0
+    and a = −c0/c2 > 0 no rational square is read here, with no number
+    field: x is √a or −√a, whichever of them alone lies in (lo, hi], which
+    exact rational comparisons decide, as √a is irrational.  Any other
+    literal, an interval that holds both roots or neither included, goes
+    through `parse_number`, as do its errors."""
+    if isinstance(value, dict):
+        f, lo, hi = _algebraic_parts(value)
+        if len(f) == 3 and not f[1] and f[2] > 0 > f[0] and lo < hi:
+            a = Fraction(-f[0], f[2])
+            p, q = a.numerator, a.denominator
+            if isqrt(p) ** 2 != p or isqrt(q) ** 2 != q:
+                # √a ∈ (lo, hi] and −√a ∈ (lo, hi]
+                up = (lo < 0 or lo * lo < a) and hi > 0 and a < hi * hi
+                down = lo < 0 and a < lo * lo and (hi > 0 or hi * hi < a)
+                if up != down:
+                    return a, 1 if up else -1
+    x = parse_number(value)
+    if isinstance(x, Fraction):
+        return x * x, (x > 0) - (x < 0)
+    f = x.minpoly()
+    if len(f) != 3 or f[1]:
+        return None
+    return Fraction(-f[0], f[2]), x.sign()
+
+
 def one_field(values) -> list:
     """The scalars `values` written in one number field, as by
-    `algebraic.lift`, which is loaded only when some value is no Fraction."""
-    values = list(values)
+    `algebraic.lift`, which is loaded only when some value is irrational:
+    a rational one comes back a Fraction."""
+    values = [as_scalar(v) for v in values]
     if all(type(v) is Fraction for v in values):
         return values
     from .algebraic import lift
@@ -118,9 +151,12 @@ def format_number(x):
     if isinstance(x, Fraction):
         return "rat:" + format_fraction(x)
     if hasattr(x, "minpoly"):  # a Num or an AlgebraicReal
-        lo, hi = x.interval()
+        from .poly import canonical_interval
+
+        f = x.minpoly()
+        lo, hi = canonical_interval(f, x.root_index())
         return {
-            "minpoly": [str(c) for c in x.minpoly()],
+            "minpoly": [str(c) for c in f],
             "lo": format_fraction(lo),
             "hi": format_fraction(hi),
         }
@@ -148,17 +184,19 @@ def surd(x):
 
 def format_surd(c: Fraction, m: int):
     """The literal of c·√m, for a rational c and an integer m that is 1 or
-    no square, as `format_number` writes the element of ℚ(√m) that
-    `numberfield.sqrt_over` makes of it: the minimal polynomial QX² − P of
-    c²m = P/Q, and the enclosure of c·√m from √m ∈ (r/16, (r + 1)/16),
-    r = ⌊√(256m)⌋, which already isolates it."""
+    no square: the minimal polynomial QX² − P of c²m = P/Q, and the
+    interval of `poly.canonical_interval` in closed form.  Its Cauchy bound
+    B is the least power of two with B ≥ 1 + P/Q, and halving (−B, B] once
+    at 0 isolates the root: (0, B] for c > 0, (−B, 0] for c < 0.  So it is
+    the literal `format_number` writes of the same value, in any field."""
     if m == 1 or not c:
         return "rat:" + format_fraction(c * m)
     a = c * c * m
-    r = isqrt(m << 8)
-    lo, hi = sorted((c * Fraction(r, 16), c * Fraction(r + 1, 16)))
+    top = -(-(a.numerator + a.denominator) // a.denominator)  # ⌈1 + P/Q⌉
+    bound = 1 << (top - 1).bit_length()
+    lo, hi = (0, bound) if c > 0 else (-bound, 0)
     return {"minpoly": [str(-a.numerator), "0", str(a.denominator)],
-            "lo": format_fraction(lo), "hi": format_fraction(hi)}
+            "lo": f"{lo}/1", "hi": f"{hi}/1"}
 
 
 def format_sqrt(x, sign: int = 1):

@@ -6,11 +6,13 @@ through `intvec.primitive`), an exact gcd (Char, Geddes and Gonnet's GCDHEU,
 then a primitive remainder sequence capped at PRS_BITS_CAP coefficient
 bits) and square roots; and, on dense coefficient tuples in one variable
 (constant first), the Sturm chains that isolate and order real roots.
-`kahler`'s towers, the printing of number-field elements and `algebraic`
-compute here.  Factoring over ℤ and the resultant are in `factoring`, which
-a command on rational input never loads.
+`kahler`'s towers, the written interval of an irrational literal
+(`canonical_interval`) and `algebraic` compute here.  Factoring over ℤ and
+the resultant are in `factoring`, which a command on rational input never
+loads.
 """
 
+from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import isqrt
@@ -410,3 +412,33 @@ def root_index(coeffs, lo) -> int:
     isolated by an interval with left end lo."""
     chain = _chain_for(tuple(coeffs))
     return _sturm_at_neg_inf(chain) - _sturm_at(chain, lo)
+
+
+@lru_cache(maxsize=4096)
+def canonical_interval(coeffs, index) -> tuple:
+    """The interval a literal is written with, for the real root of index
+    `index` of the primitive irreducible polynomial `coeffs` of degree ≥ 2
+    with a positive leading coefficient, constant first.  B is the least
+    power of two with B ≥ 1 + max |cᵢ|/cₙ (i < n), so every root has
+    |x| < B (Cauchy).  From (−B, B] the interval halves on the dyadic grid,
+    keeping the half (lo, mid] or (mid, hi] that holds the root, and the
+    first (lo, hi) that holds no other real root is returned.  It depends
+    on the value alone: each side is decided by Sturm counts, one per
+    halving, and a dyadic mid is never a root.  `numbers.format_surd` has
+    it in closed form for a square root."""
+    chain = _chain_for(coeffs)
+    *rest, lead = coeffs
+    top = -(-(lead + max(map(abs, rest))) // lead)  # ⌈1 + max |cᵢ|/cₙ⌉
+    hi = Fraction(1 << (top - 1).bit_length())
+    lo = -hi
+    # Sturm counts at lo and hi; the roots in (lo, hi] are v_lo − v_hi, and
+    # `index` counts those of them left of the root
+    v_lo, v_hi = _sturm_at_neg_inf(chain), _sturm_at(chain, hi)
+    while v_lo - v_hi > 1:
+        mid = (lo + hi) / 2
+        v_mid = _sturm_at(chain, mid)
+        if index < v_lo - v_mid:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo, index = mid, v_mid, index - (v_lo - v_mid)
+    return lo, hi

@@ -1150,6 +1150,8 @@ def test_rational_tetrahedron_pair_certificate_rechecks(fixtures, tmp_path):
 # what a command on rational input leaves unloaded: the literals, the growth
 # of number fields, and the factoring and resultants behind them
 _ALGEBRAIC = ("scissors.algebraic", "scissors.factoring", "sympy")
+_NUMBER_FIELDS = _ALGEBRAIC + ("scissors.numberfield", "scissors.poly",
+                               "scissors.rng")
 
 
 def test_commands_load_only_their_layers(fixtures, tmp_path):
@@ -1192,7 +1194,10 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
              ["recheck", str(report)]),
             (_HOMOLOGY + ("scissors.geom", "scissors.dehn", "scissors.angles"),
              ["recheck", str(mismatch)]),
-            (_HOMOLOGY + ("scissors.geom",), ["recheck", str(pair)]),
+            # and the dehn-block one reads its quadratic literals with no
+            # number field (`numbers.parse_square`)
+            (_HOMOLOGY + _NUMBER_FIELDS + ("scissors.geom",),
+             ["recheck", str(pair)]),
             (_HOMOLOGY + ("scissors.geom",), ["recheck", str(relation)]),
             (rational, ["polytope-info", cube]),
             (rational, ["polytope-info", tetra]),
@@ -1200,6 +1205,9 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
             (rational, ["polytope-info", "--exact-strict", tall]),
             (rational, ["compare", cube, rot]),
             (rational + no_linalg, ["compare", cube, tall]),
+            # the dissection suite's hulls and cuts are rational
+            (_ALGEBRAIC + ("mpmath", "scissors.hochschild", "scissors.kahler"),
+             ["verify", "dissection", "--cases", "25", "--seed", "303"]),
             # the block (5, 5) of the pair holds two angles: its search
             # loads mpmath
             (_HOMOLOGY + _ALGEBRAIC, ["compare", t1, t2])):
@@ -1394,23 +1402,6 @@ def test_placement_keeps_volume_verdict_and_congruence(tmp_path, capsys):
         assert verdict["tag"] == "Congruent_DSJ"
 
 
-def _dehn_terms(results):
-    """Dehn terms as (length, cos, sin), algebraic literals as (minimal
-    polynomial, root index): the form that does not depend on placement."""
-    from fractions import Fraction
-
-    from scissors.numbers import parse_number
-
-    def canon(literal):
-        x = parse_number(literal)
-        if isinstance(x, Fraction):
-            return str(x)
-        return x.minpoly(), x.root_index()
-
-    return sorted((canon(t["length"]), canon(t["cos"]), canon(t["sin"]))
-                  for t in results["dehn_invariant"]["terms"])
-
-
 def test_stock_shapes_keep_invariants_under_placement(tmp_path, capsys):
     # metamorphic: each stock shape, tetra_vol1 in ℚ(∛(3/8)) included, and
     # its image under a seeded isometry
@@ -1440,11 +1431,35 @@ def test_stock_shapes_keep_invariants_under_placement(tmp_path, capsys):
             infos.append(report["results"])
         assert infos[0]["volume"] == infos[1]["volume"], name
         assert infos[0]["dehn_verdict"] == infos[1]["dehn_verdict"], name
-        assert _dehn_terms(infos[0]) == _dehn_terms(infos[1]), name
+        # a literal's text depends on its value alone, not on placement
+        terms = [json.dumps(info["dehn_invariant"]["terms"]) for info in infos]
+        assert terms[0] == terms[1], name
         for other in (a, b):
             report = run("compare", "--recheck", str(a), str(other))
             assert report["results"]["verdict"]["tag"] == "Congruent_DSJ"
             assert report["recheck"]["recheck_passed"]
+
+
+def test_resaving_a_polytope_is_a_fixed_point():
+    # read then write gives the file back: the hexagon prism over ℚ(√3), the
+    # tetrahedron over ℚ(∛(3/8)) and each stock shape placed by a seeded
+    # isometry, whose coordinates the reader lifts into one number field
+    from scissors.geom import prism
+    from scissors.rng import SplitMix64
+    from oracles import regular_hexagon
+
+    vol1 = make_algebraic([-3, 0, 0, 8], (0, 1))
+    shapes = {"cube": unit_cube(), "tetra": regular_tetrahedron(),
+              "tetra_vol1": scaled_simplices(regular_tetrahedron(), vol1),
+              "octa": regular_octahedron(),
+              "box112": box((0, 0, 0), (1, 1, 2)),
+              "prism_hex": prism(regular_hexagon(1), 1)}
+    for case, (name, shape) in enumerate(shapes.items()):
+        placed = transformed(shape, *_placement(SplitMix64.stream(4704, case)))
+        for p in (shape, placed):
+            written = polytope_to_json(p)
+            assert polytope_to_json(polytope_from_json(written)) == written, \
+                name
 
 
 # `digest` of `polytope-info` on each stock shape, written by
@@ -1453,17 +1468,17 @@ def test_stock_shapes_keep_invariants_under_placement(tmp_path, capsys):
 # change that alters any of them on purpose re-records these values.
 STOCK_INFO_DIGESTS = {
     "cube":
-        "e4b6faa3830cde0ad96e87dee7f59050de84a445625020a14738c0720118cc28",
+        "9dfb747b6360130c137064212c0a54385bf3f505a1519be8f8ec9155533a7c2f",
     "tetra":
-        "d39786c699d0ceade85b761205a4dd4337722b78054e5e8e22c57c6a2b5e8e42",
+        "c7943a1541d5533f425b6c7ae2bb4ea7a4b768dca6bd3c7cfdd9ac07c5e01ee7",
     "tetra_vol1":
-        "659108306c3003f6c0ce5bd793746a6cd2f4468646e2fb29719208c34c012975",
+        "e3f159c001b9377f5759614343b00ab9f29029a2c3c22d6f85597bd842f23279",
     "octa":
-        "a5dd0bbdf4fd13a255b06985bf9234ea6a25cb8cfb91779d46bddd4ad853e7de",
+        "162eb348af7ffb61f0e57bae153fa4d9493f3cf89ea1e8a15e9dde03c64bfbd1",
     "box112":
-        "8bf89f0d5a45141ce2c6175402800734296e6e9929033289755374807acf8f83",
+        "6823723055ec479919941de37f3fb21fbdebb196c82be8c741cd3c2b3b94af14",
     "prism_hex":
-        "67099ae22d7ecd8904c2dab146d9a4e1fb141e745a13b8e39777bf8d4cb3faf8",
+        "5bd280dd0d259767f634c2a1d6c66d76fc26dbbb6e145842c496a1ac376cb562",
 }
 
 
@@ -1498,7 +1513,7 @@ COMPARE_DIGESTS = {
     ("cube", "box112", "NotCongruent_Volume"):
         "2bb82f487a8f1a1f23fc0dcff3eafae91439ca836f978c475c5bc8c6fc8489e7",
     ("cube", "tetra_vol1", "NotCongruent_Dehn"):
-        "6f0bfd8cafbf62461c5c4d0285c810550324605503c23c3deeeba18f597d42fc",
+        "c3d2f253020e91edaa8ce33b0088b8fa8b752ba0a56128441af71b8b57472873",
     ("cube", "cube_moved", "Congruent_DSJ"):
         "375050b68c45d753a1b1efc372e94877a2d210bccc684bed996f96615a768b91",
 }
