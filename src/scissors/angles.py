@@ -112,6 +112,21 @@ class AnglePair:
     def __hash__(self):
         return hash(self.key())
 
+    def acute(self):
+        """(1, θ) when cos θ ≥ 0, else (−1, π − θ): ℓ ⊗ θ = −ℓ ⊗ (π − θ) in
+        ℝ ⊗ ℝ/ℚπ, as ℓ ⊗ π = 0.  The supplement flips the sign of cos and
+        keeps sin, so it is exact and needs no check."""
+        if self.cos2 is not None:
+            if self.cos_sign >= 0:
+                return 1, self
+            return -1, AnglePair.from_cos2(self.cos2, 1)
+        if scalar_sign(self._cos) >= 0:
+            return 1, self
+        pair = object.__new__(AnglePair)
+        pair._cos, pair._sin = -self._cos, self._sin
+        pair._key = pair.cos2 = pair.cos_sign = None
+        return -1, pair
+
     def is_straight(self) -> bool:
         """θ = 0 or θ = π (both vanish in the length⊗angle tensor)."""
         if self.cos2 is not None:

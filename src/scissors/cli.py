@@ -19,11 +19,6 @@ relations no `factoring`; `report` hashes with the interpreter's own
 SHA-256, not OpenSSL's.  `main` builds the subparser of the command its
 line starts with and no other; the full parser serves the top-level help,
 an unknown or missing command and a line that starts with `--format`.
-Building and parsing a `polytope-info` line went from 2.8 to 1.9 ms
-(medians of 15 alternating cold starts), and on the benchmark's `cli`
-workload these changes took `items_per_s` from 8.78 to 9.40 and
-`item_ms_p50` from 108.1 to 98.9 ms (medians of 20 alternating pairs of
-runs, better in each; 2-core Xeon, Python 3.11).
 
 A process enters by `run`, the `scissors` script and `python -m
 scissors.cli` alike: it calls `main`, flushes stdout and stderr, and ends
@@ -31,10 +26,10 @@ the process with `os._exit`, so the interpreter's teardown (full garbage
 collections over about 13,300 objects and the clearing of every module,
 7–10 ms) is skipped.  `main` itself returns the exit code and leaves the
 interpreter alone, so the tests and the benchmark's tracer, which call
-it inside a process that goes on running, keep the normal exit.  On the
-benchmark's `cli` workload this took `items_per_s` from 7.98 to 8.89 and
-`item_ms_p50` from 120.0 to 104.1 ms (medians of 10 alternating pairs of
-runs, 2-core Xeon, Python 3.11).
+it inside a process that goes on running, keep the normal exit.
+
+`polytope-info` and `compare` emit the certificates that `dehn` builds
+for their verdicts as they are.
 """
 
 import argparse
@@ -75,26 +70,8 @@ SUITE_NAMES = ("bar-shapiro", "dissection", "flag-nullhomotopy", "hkr",
                "spin", "tau", "torus")
 
 
-def _tensor_certificates(tensor):
-    certs = []
-    if tensor.rational_drops:
-        certs.append({"type": "rational-angles",
-                      "dropped": tensor.rational_drops})
-    if tensor.relations_used:
-        certs.append({"type": "angle-relations",
-                      "relations": [r.to_json()
-                                    for r in tensor.relations_used]})
-    return certs
-
-
-def _nonzero_certificate(cert: dict) -> dict:
-    """A nonzero certificate of `dehn` as a report's certificate: a block
-    certificate names its type, the lone-term one is "nonzero-dehn"."""
-    return {"type": cert.get("type", "nonzero-dehn"), **cert}
-
-
 def cmd_polytope_info(args) -> dict:
-    from .dehn import dehn_invariant, is_zero, nonzero_certificate
+    from .dehn import dehn_invariant, is_zero, tensor_certificates
     from .io import load_json, polytope_from_json
     from .numbers import as_scalar, format_number
 
@@ -110,13 +87,9 @@ def cmd_polytope_info(args) -> dict:
     if p.dim == 3:
         results["edges"] = [e.to_json() for e in p.edges()]
         tensor = dehn_invariant(p, args.height_bound)
-        verdict = is_zero(tensor)
         results["dehn_invariant"] = tensor.to_json()
-        results["dehn_verdict"] = verdict
-        certificates.extend(_tensor_certificates(tensor))
-        if verdict == "NonzeroCertified":
-            certificates.append(
-                _nonzero_certificate(nonzero_certificate(tensor)))
+        results["dehn_verdict"] = is_zero(tensor)
+        certificates = tensor_certificates(tensor)
     return {"results": results, "certificates": certificates,
             "inputs": [args.file]}
 
@@ -130,25 +103,8 @@ def cmd_compare(args) -> dict:
     b = polytope_from_json(load_json(args.file_b),
                            exact_strict=args.exact_strict)
     verdict = compare_polytopes(a, b, args.height_bound)
-    certificates = []
-    if verdict.tag == "NotCongruent_Volume":
-        certificates.append({"type": "volume-mismatch",
-                             "volume_a": verdict.witness["volume_a"],
-                             "volume_b": verdict.witness["volume_b"]})
-    elif verdict.tag == "NotCongruent_Dehn":
-        cert = verdict.witness.get("certificate")
-        if cert:
-            certificates.append(_nonzero_certificate(cert))
-        diff = verdict.witness.get("difference", {})
-        if diff.get("relations"):
-            certificates.append({"type": "angle-relations",
-                                 "relations": diff["relations"]})
-    elif verdict.tag == "Congruent_DSJ":
-        if verdict.witness.get("relations"):
-            certificates.append({"type": "angle-relations",
-                                 "relations": verdict.witness["relations"]})
     return {"results": {"verdict": verdict.to_json()},
-            "certificates": certificates,
+            "certificates": verdict.certificates,
             "inputs": [args.file_a, args.file_b]}
 
 

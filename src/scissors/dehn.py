@@ -1,12 +1,13 @@
-"""The length⊗angle invariant in ℝ⊗ℤ ℝ/ℤ, in certified normal form.
+"""The length⊗angle invariant in ℝ⊗ℤ ℝ/ℚπ, in certified normal form.
 
 A tensor is a list of terms (c, m, s, angle) in blocks (m, s).
-Normalization drops rational multiples of π (ℓ⊗(p/q)π = 0), merges equal
-angles by summing lengths, and eliminates angles block by block through
-certified integer relations ∑ m_j θ_j ≡ 0 (mod π): θ and π − θ given by
-one rational cos² are related exactly, and the others as PSLQ proposes
-them.  Solving for the pivot pushes rational coefficients through the
-length slot, which is legal because lengths form a ℚ-vector space.  Every
+Normalization drops rational multiples of π (ℓ⊗(p/q)π = 0) and writes a
+term whose cos θ is negative as −ℓ⊗(π − θ) (ℓ⊗π = 0), so every angle has
+cos θ > 0 and θ and π − θ merge with equal angles by summing lengths.  It
+then eliminates angles block by block through the integer relations
+∑ m_j θ_j ≡ 0 (mod π) that PSLQ proposes and an exact product certifies.
+Solving for the pivot pushes rational coefficients through the length
+slot, which is legal because lengths form a ℚ-vector space.  Every
 "nonzero" verdict is certified; "equal/zero" verdicts are conditional on
 the height bound of the relation search and say so.
 
@@ -19,7 +20,8 @@ of distinct classes are ℚ-independent, and so are angles of distinct
 classes modulo ℚπ, so the invariant vanishes exactly when every block
 does.  Any other polytope's term has m = s = None and its length as c, and
 all its terms form one block.  A block of one term is nonzero, as its
-angle is irrational, and needs no search.
+angle is irrational, and needs no search.  `tensor_certificates` writes
+the evidence of a normalized tensor's verdict.
 """
 
 from fractions import Fraction
@@ -27,7 +29,6 @@ from math import isqrt
 
 from .angles import (
     AnglePair,
-    certified_relation,
     find_angle_relations,
     is_rational_angle,
     two_cos_minpoly,
@@ -46,10 +47,11 @@ from .numbers import (
 
 class DehnTensor:
     """A normalized tensor: its `terms` (c, m, s, angle), sorted by the
-    angle's key, then m, the relations and the rational angles its
-    normalization used, and the height bound of its relation search.  A
-    term is c√m ⊗ angle in the block (m, s), or c ⊗ angle when m and s are
-    None; its JSON is written from those, with no number field."""
+    angle's key, then m, the relations its search found, the distinct
+    rational angles it dropped, and the height bound of its relation
+    search.  A term is c√m ⊗ angle in the block (m, s), or c ⊗ angle when
+    m and s are None, with cos θ > 0; its JSON is written from those, with
+    no number field."""
 
     __slots__ = ("terms", "relations_used", "height_bound", "rational_drops")
 
@@ -60,11 +62,6 @@ class DehnTensor:
         self.relations_used = [] if relations_used is None else relations_used
         self.height_bound = height_bound
         self.rational_drops = [] if rational_drops is None else rational_drops
-
-    @property
-    def rational(self) -> bool:
-        """Whether every term is a rational c√m ⊗ angle."""
-        return all(m is not None for _c, m, _s, _a in self.terms)
 
     def pairs(self) -> list:
         """The (length, angle) of each term, c√m built in `numberfield`."""
@@ -151,97 +148,77 @@ def same_square_class(a: Fraction, b: Fraction) -> bool:
     return n > 0 and isqrt(n) ** 2 == n
 
 
-class _SquareClasses:
-    """Square classes of positive rationals, each named by the radicand
-    (`scalars.surd`) of its first member."""
-
-    def __init__(self):
-        self.reps = []
-        self.memo = {}
-
-    def of(self, x: Fraction):
-        """(r, k): r names x's class and √x = k·√r, k rational."""
-        hit = self.memo.get(x)
-        if hit is None:
-            k, m = surd(x)
-            for r in self.reps:
-                if same_square_class(m, r):  # √m = √(mr)/√r
-                    hit = (r, k * Fraction(isqrt(m * r), r))
-                    break
-            else:
-                self.reps.append(m)
-                hit = (m, k)
-            self.memo[x] = hit
-        return hit
+def _square_classes(xs) -> dict:
+    """{x: (r, k)} for the positive rationals in `xs`: √x = k·√r, k rational,
+    where r, which names x's class, is the least radicand (`numbers.surd`)
+    of that class among `xs`, so the names do not depend on their order."""
+    radicands = {x: surd(x) for x in xs}
+    names = []  # one per class, the least radicand first
+    for m in sorted({m for _k, m in radicands.values()}):
+        if not any(same_square_class(m, r) for r in names):
+            names.append(m)
+    out = {}
+    for x, (k, m) in radicands.items():
+        r = next(r for r in names if same_square_class(m, r))
+        out[x] = (r, k * Fraction(isqrt(m * r), r))  # √m = √(mr)/√r
+    return out
 
 
 def _normalize(raw, height_bound) -> DehnTensor:
     """The normal form of the terms (c, x, angle) in `raw`: c√x ⊗ angle for
     rational c and x and an angle given by its rational cos², or, with x
     None in every term, c ⊗ angle for any exact length c."""
-    lengths, angles = _SquareClasses(), _SquareClasses()
-    acc, drops = {}, []
+    kept, drops = [], {}
     for c, x, angle in raw:
         if x == 0 or not c or angle.is_straight():
             continue  # ℓ = 0, or θ ∈ {0, π}
         q = is_rational_angle(angle)
         if q is not None:
-            drops.append(_drop(angle, q))
+            drops.setdefault(angle.key(), (angle, q))
             continue
+        sign, angle = angle.acute()
+        kept.append((sign * c, x, angle))
+    lengths = _square_classes({x for _c, x, _a in kept if x is not None})
+    acc = {}
+    for c, x, angle in kept:
         m = None
         if x is not None:
-            m, k = lengths.of(x)
+            m, k = lengths[x]
             c *= k
         key = (angle.key(), m)
         acc[key] = (acc[key][0] + c, angle) if key in acc else (c, angle)
+    # a merged length that cancels is Fraction(0)
+    merged = [(m, c, angle) for (_key, m), (c, angle) in sorted(acc.items())
+              if c]
+    angles = _square_classes({a.cos2 * (1 - a.cos2)
+                              for m, _c, a in merged if m is not None})
     blocks = {}  # each block's terms in the order of their angles' keys
-    for (_key, m), (c, angle) in sorted(acc.items()):
-        # a merged length that cancels is Fraction(0)
-        if c:
-            s = None if m is None else \
-                angles.of(angle.cos2 * (1 - angle.cos2))[0]
-            blocks.setdefault((m, s), []).append((c, angle))
+    for m, c, angle in merged:
+        s = None if m is None else angles[angle.cos2 * (1 - angle.cos2)][0]
+        blocks.setdefault((m, s), []).append((c, angle))
     used, terms = [], []
     for (m, s), block in sorted(blocks.items()):
         terms.extend((c, m, s, angle)
                      for c, angle in _reduce_block(block, height_bound, used))
     terms.sort(key=lambda t: (t[3].key(), t[1]))
-    return DehnTensor(terms, used, height_bound, drops)
+    return DehnTensor(terms, used, height_bound,
+                      [_drop(a, q) for _k, (a, q) in sorted(drops.items())])
 
 
 def _reduce_block(terms, height_bound, used):
     """The terms [(c, angle)] of one block, sorted by angle key, in normal
-    form: θ and π − θ are related exactly (θ + (π − θ) ≡ 0), then the
-    search runs on the block alone while it holds two or more angles.  The
-    relations used are appended to `used`.  Only angles certified
-    irrational over π are left, so a lone angle has no relation to find,
+    form: the search runs on the block alone while it holds two or more
+    angles, and the relations it finds are appended to `used`.  Only
+    angles certified irrational over π, each with cos θ > 0, are left, so
+    a lone angle has no relation to find, θ and π − θ have merged already,
     and a substitution brings in no angle that was not there before."""
     while len(terms) >= 2:
-        rel = _supplementary(terms)
-        if rel is None:
-            rels = find_angle_relations([a for _, a in terms], height_bound)
-            if not rels:
-                break
-            rel = rels[0]
-        used.append(rel)
-        terms = _merge(_substitute(terms, rel))
+        rels = find_angle_relations([a for _, a in terms], height_bound)
+        if not rels:
+            break
+        used.append(rels[0])
+        terms = _merge(_substitute(terms, rels[0]))
     return terms
-
-
-def _supplementary(terms):
-    """The certified relation θ + θ′ ≡ 0 (mod π) for the first two angles of
-    the block with one rational cos² and cosines of opposite signs, or
-    None."""
-    seen = {}
-    for j, (_c, angle) in enumerate(terms):
-        if angle.cos2 is None:
-            continue
-        i = seen.setdefault(angle.cos2, j)
-        if i != j:
-            ms = [0] * len(terms)
-            ms[i] = ms[j] = 1
-            return certified_relation([a for _, a in terms], ms)
-    return None
 
 
 def tensor_normalize(raw_terms,
@@ -253,7 +230,7 @@ def tensor_normalize(raw_terms,
 def tensor_add(a: DehnTensor, b: DehnTensor,
                height_bound=None) -> DehnTensor:
     hb = height_bound or max(a.height_bound, b.height_bound)
-    if a.rational and b.rational:
+    if all(m is not None for _c, m, _s, _a in a.terms + b.terms):
         raw = [(c, m, angle) for c, m, _s, angle in a.terms + b.terms]
     else:
         raw = [(l, None, angle) for l, angle in a.pairs() + b.pairs()]
@@ -300,10 +277,27 @@ def is_zero(t: DehnTensor) -> str:
     return "Unknown"
 
 
+def tensor_certificates(t: DehnTensor) -> list:
+    """Every certificate of a normalized tensor's verdict, each with its
+    "type": the distinct rational angles it dropped ("rational-angles"),
+    the relations its search found ("angle-relations"), and, when it is
+    NonzeroCertified, the evidence of `nonzero_certificate`."""
+    certs = []
+    if t.rational_drops:
+        certs.append({"type": "rational-angles", "dropped": t.rational_drops})
+    if t.relations_used:
+        certs.append({"type": "angle-relations",
+                      "relations": [r.to_json() for r in t.relations_used]})
+    nonzero = nonzero_certificate(t)
+    if nonzero is not None:
+        certs.append(nonzero)
+    return certs
+
+
 def nonzero_certificate(t: DehnTensor):
     """Re-checkable evidence for a NonzeroCertified verdict: the lone term
-    and the polynomial of 2cosθ when one term is left, else the block
-    certificate of a rational tensor."""
+    and the polynomial of 2cosθ when one term is left ("nonzero-dehn"),
+    else the block certificate of a rational tensor."""
     if is_zero(t) != "NonzeroCertified":
         return None
     if len(t.terms) != 1:
@@ -311,6 +305,7 @@ def nonzero_certificate(t: DehnTensor):
     (term,), angle = t.terms_json(), t.terms[0][3]
     minpoly = two_cos_minpoly(angle)
     return {
+        "type": "nonzero-dehn",
         "length": term["length"],
         "angle": angle.to_json(),
         "two_cos_minpoly": [str(c) for c in minpoly],
@@ -372,13 +367,19 @@ def block_holds(m, s, term, terms) -> bool:
 
 
 class CongruenceVerdict:
-    __slots__ = ("tag", "witness", "height_bound")
+    """A verdict's `tag`, its `witness` and the height bound of its search,
+    written in a report's results (`to_json`), and the `certificates` that
+    a report carries beside them."""
 
-    def __init__(self, tag: str, witness: dict, height_bound: int):
+    __slots__ = ("tag", "witness", "height_bound", "certificates")
+
+    def __init__(self, tag: str, witness: dict, height_bound: int,
+                 certificates: list):
         # NotCongruent_Volume | NotCongruent_Dehn | Congruent_DSJ | Unknown
         self.tag = tag
         self.witness = witness
         self.height_bound = height_bound
+        self.certificates = certificates
 
     def to_json(self):
         return {"tag": self.tag, "witness": self.witness,
@@ -398,34 +399,25 @@ class CongruenceVerdict:
                 f"height_bound={self.height_bound!r})")
 
 
+_TAGS = {"Zero": "Congruent_DSJ", "NonzeroCertified": "NotCongruent_Dehn",
+         "Unknown": "Unknown"}
+
+
 def compare_polytopes(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND
                       ) -> CongruenceVerdict:
     """Scissors-congruence verdict for the `geom.Polytope`s a and b from
-    volume and the edge-angle tensor D(a) − D(b), normalized once.  The
-    certificate of a rational NotCongruent_Dehn names its block."""
+    volume and the edge-angle tensor D(a) − D(b), normalized once.  Its
+    certificates are the volume mismatch, or those of `tensor_certificates`
+    for the difference."""
     va, vb = a.volume(), b.volume()
     if scalar_sign(va - vb) != 0:
-        return CongruenceVerdict(
-            "NotCongruent_Volume",
-            {"volume_a": format_number(as_scalar(va)),
-             "volume_b": format_number(as_scalar(vb))},
-            height_bound)
+        volumes = {"volume_a": format_number(as_scalar(va)),
+                   "volume_b": format_number(as_scalar(vb))}
+        return CongruenceVerdict("NotCongruent_Volume", volumes, height_bound,
+                                 [{"type": "volume-mismatch", **volumes}])
     diff = dehn_sum([(1, a), (-1, b)], height_bound)
-    verdict = is_zero(diff)
-    if verdict == "NonzeroCertified":
-        cert = block_certificate(diff) if diff.rational \
-            else nonzero_certificate(diff)
-        return CongruenceVerdict(
-            "NotCongruent_Dehn",
-            {"difference": diff.to_json(), "certificate": cert},
-            height_bound)
-    if verdict == "Zero":
-        return CongruenceVerdict(
-            "Congruent_DSJ",
-            {"volume": format_number(as_scalar(va)),
-             "relations": [r.to_json() for r in diff.relations_used]},
-            height_bound)
-    return CongruenceVerdict(
-        "Unknown",
-        {"difference": diff.to_json()},
-        height_bound)
+    tag = _TAGS[is_zero(diff)]
+    witness = {"volume": format_number(as_scalar(va))} \
+        if tag == "Congruent_DSJ" else {"difference": diff.to_json()}
+    return CongruenceVerdict(tag, witness, height_bound,
+                             tensor_certificates(diff))

@@ -672,8 +672,8 @@ def _edge(ends, pts, w, rational):
         angle = _STRAIGHT
         if bend:
             # cos² stays in the coordinates' field; cos and sin are square
-            # roots over it.  A rational cos² is kept, so that θ and π − θ
-            # stay related exactly
+            # roots over it.  A rational cos² is kept, so that π − θ is
+            # written exactly as the angle of that cos² with cos θ > 0
             cos2 = as_scalar(dot12 * dot12 / (_dot(n1, n1) * _dot(n2, n2)))
             if type(cos2) is Fraction:
                 angle = AnglePair.from_cos2(cos2, sign)

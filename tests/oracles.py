@@ -6,16 +6,16 @@ suite or benchmark item runs, so they live here and not in `src/`.
   oracle of the null-homotopy check `verify_flag_nullhomotopy`.
 - Affine spans of points and their containment, on the canonical form of
   `flags.AffineSubspace`.
-- Stock polygons, the rank over ℚ of a sparse matrix, and element tests
+- Stock polygons and Hill's tetrahedron, the rank over ℚ of a sparse matrix, and element tests
   in a field tower.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from scissors.algebraic import sqrt_nonneg
+from scissors.algebraic import make_algebraic, sqrt_nonneg
 from scissors.geom import make_point, to_homog
-from scissors.geom.convex import polygon_from_cycle
+from scissors.geom.convex import polygon_from_cycle, tetrahedron
 from scissors.homology import DoubleComplex, SparseIntMatrix, tuple_complex
 from scissors.homology.flags import AffineSubspace
 from scissors.intvec import net_faces
@@ -120,6 +120,20 @@ def regular_hexagon(side=1):
     half = Fraction(1, 2) * s
     cyc = [(s, 0), (half, h), (-half, h), (-s, 0), (-half, -h), (half, -h)]
     return polygon_from_cycle(cyc, name="regular hexagon")
+
+
+def hill_tetrahedron():
+    """Hill's tetrahedron with cos α = 1/3, scissors congruent to a cube:
+    the vertices 0, v₁, v₁ + v₂ and v₁ + v₂ + v₃ for v₁ = (1, 0, 0),
+    v₂ = (1/3, 2√2/3, 0) and v₃ = (1/3, √2/6, √30/6)."""
+    r2 = make_algebraic([-2, 0, 1], (1, 2))
+    r30 = make_algebraic([-30, 0, 1], (5, 6))
+    third = Fraction(1, 3)
+    points = [(0, 0, 0)]
+    for step in ((1, 0, 0), (third, 2 * r2 / 3, 0),
+                 (third, r2 / 6, r30 / 6)):
+        points.append(tuple(a + b for a, b in zip(points[-1], step)))
+    return tetrahedron(*points)
 
 
 # -- views of package objects -------------------------------------------------

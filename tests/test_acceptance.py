@@ -59,7 +59,8 @@ def test_criterion_01_hilbert_third_problem():
     assert scalar_sign(tet.volume() - 1) == 0
     verdict = compare_polytopes(cube, tet)
     elapsed = time.monotonic() - t0
-    cert = verdict.witness.get("certificate") or {}
+    cert = next((c for c in verdict.certificates
+                 if c["type"] == "nonzero-dehn"), {})
     ok = (verdict.tag == "NotCongruent_Dehn"
           and cert.get("two_cos_minpoly") == ["-2", "3"]
           and cert.get("monic") is False

@@ -1136,13 +1136,15 @@ def test_rational_tetrahedron_pair_certificate_rechecks(fixtures, tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["results"]["verdict"]["tag"] == "NotCongruent_Dehn"
-    assert [c["type"] for c in report["certificates"]] == ["dehn-block"]
+    assert [c["type"] for c in report["certificates"]] == [
+        "rational-angles", "dehn-block"]
     assert report["recheck"]["recheck_passed"]
     saved = tmp_path / "pair.json"
     saved.write_text(run_cli("compare", t1, t2).stdout)
     again = json.loads(run_cli("recheck", str(saved)).stdout)
     assert again["results"]["recheck_passed"]
     assert again["results"]["checks"] == [
+        {"certificate": "rational-angles", "cos": "rat:0/1", "pass": True},
         {"certificate": "dehn-block", "m": "rat:2/1", "s": "rat:2/1",
          "pass": True}]
 
@@ -1468,17 +1470,17 @@ def test_resaving_a_polytope_is_a_fixed_point():
 # change that alters any of them on purpose re-records these values.
 STOCK_INFO_DIGESTS = {
     "cube":
-        "9dfb747b6360130c137064212c0a54385bf3f505a1519be8f8ec9155533a7c2f",
+        "e0448e5b3c8e3f20a017a363ae71cb079e6c61adcc4ea94996bfe9b9a3228fbe",
     "tetra":
         "c7943a1541d5533f425b6c7ae2bb4ea7a4b768dca6bd3c7cfdd9ac07c5e01ee7",
     "tetra_vol1":
         "e3f159c001b9377f5759614343b00ab9f29029a2c3c22d6f85597bd842f23279",
     "octa":
-        "162eb348af7ffb61f0e57bae153fa4d9493f3cf89ea1e8a15e9dde03c64bfbd1",
+        "d7598d155df56ac92611fac106c1c1e076b1fa6cf01b6e6d6982b7da55b9fb5b",
     "box112":
-        "6823723055ec479919941de37f3fb21fbdebb196c82be8c741cd3c2b3b94af14",
+        "89480568e36fac260120c543aeb6d57ef40ab50b08f5a76604dd261cb1a95fe6",
     "prism_hex":
-        "5bd280dd0d259767f634c2a1d6c66d76fc26dbbb6e145842c496a1ac376cb562",
+        "c398b74b8d68058d8faa34430d92e9927b20b590864d7ce822b4ffa632afecb8",
 }
 
 
@@ -1513,9 +1515,9 @@ COMPARE_DIGESTS = {
     ("cube", "box112", "NotCongruent_Volume"):
         "2bb82f487a8f1a1f23fc0dcff3eafae91439ca836f978c475c5bc8c6fc8489e7",
     ("cube", "tetra_vol1", "NotCongruent_Dehn"):
-        "c3d2f253020e91edaa8ce33b0088b8fa8b752ba0a56128441af71b8b57472873",
+        "e1a17a6d72caf7466c467fe46ffa2c5222d8b261e8ea6b0ef1b306509d81d5fe",
     ("cube", "cube_moved", "Congruent_DSJ"):
-        "375050b68c45d753a1b1efc372e94877a2d210bccc684bed996f96615a768b91",
+        "1986b93b3d5359042bb319a4b7b5ebdf5e69b4fe4ee86a34e43c7e0819706260",
 }
 DISSECTION_DIGEST = \
     "3a77853cab267fa313452eaed0230ab9e25bd507a3a82cbf44d22b01917ba4e1"
@@ -1589,3 +1591,34 @@ def test_homology_report_digests_are_pinned(tmp_path, monkeypatch, capsys):
         assert verify_report_digest(report)
         digests[argv] = report["digest"]
     assert digests == HOMOLOGY_DIGESTS
+
+
+def test_hill_tetrahedron_vanishes_by_one_searched_relation(
+        tmp_path, monkeypatch, capsys):
+    # Hill's tetrahedron with cos α = 1/3 is scissors congruent to a cube:
+    # its angles of cos √(5/8) and cos 1/4 (the obtuse one of cos −1/4
+    # written as its supplement) satisfy 2θ₁ ≡ θ₂, which one search finds;
+    # the report names that relation and the dropped right angle
+    import scissors.dehn as dehn
+    from oracles import hill_tetrahedron
+    from scissors.cli import main
+
+    searches = []
+    search = dehn.find_angle_relations
+
+    def recorded(angles, *args):
+        searches.append(len(angles))
+        return search(angles, *args)
+
+    monkeypatch.setattr(dehn, "find_angle_relations", recorded)
+    path = tmp_path / "hill.json"
+    path.write_text(json.dumps(polytope_to_json(hill_tetrahedron())))
+    assert main(["polytope-info", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    tensor = report["results"]["dehn_invariant"]
+    assert report["results"]["dehn_verdict"] == "Zero"
+    assert searches == [2]
+    assert tensor["terms"] == [] and len(tensor["relations"]) == 1
+    assert [c["type"] for c in report["certificates"]] == [
+        "rational-angles", "angle-relations"]
+    assert recheck_certificates(report)["recheck_passed"]

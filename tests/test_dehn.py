@@ -1,3 +1,5 @@
+import functools
+import json
 from fractions import Fraction
 
 from scissors.algebraic import make_algebraic, scalar_sign
@@ -25,6 +27,12 @@ from oracles import regular_hexagon, right_triangle
 
 def angle(c):
     return AnglePair.from_cos(c)
+
+
+def _certificate(verdict, kind):
+    """The one certificate of the type `kind` among the verdict's."""
+    (cert,) = [c for c in verdict.certificates if c["type"] == kind]
+    return cert
 
 
 def test_rational_angle_dies():
@@ -59,8 +67,8 @@ def test_double_angle_elimination():
 def test_each_substitution_takes_one_proposal(monkeypatch):
     # θ1 + θ2 = π and 2θ1 + θ3 = π for cos 1/3, −1/3, 7/9; the angle of
     # cos 1/5 has no relation with them, so the last search finds none;
-    # θ1 + θ2 = π is related exactly, so PSLQ runs once for 2θ1 + θ3 = π
-    # and once to find none
+    # θ2 is written as π − θ1 with its length negated, so PSLQ runs once
+    # for 2θ1 + θ3 = π, the one relation used, and once to find none
     import mpmath
 
     from scissors.angles import find_angle_relations
@@ -75,7 +83,7 @@ def test_each_substitution_takes_one_proposal(monkeypatch):
     monkeypatch.setattr(mpmath, "pslq", counted)
     angles = [angle(Fraction(c)) for c in ("1/3", "-1/3", "7/9", "1/5")]
     t = tensor_normalize([(2 ** i, a) for i, a in enumerate(angles)])
-    assert len(t.terms) == 2 and len(t.relations_used) == 2
+    assert len(t.terms) == 2 and len(t.relations_used) == 1
     assert len(calls) == 2
     calls.clear()
     assert len(find_angle_relations(angles[:3])) == 1
@@ -134,7 +142,8 @@ def test_compare_cube_vs_scaled_tetra():
     assert scalar_sign(tet.volume() - 1) == 0
     verdict = compare_polytopes(cube, tet)
     assert verdict.tag == "NotCongruent_Dehn"
-    assert verdict.witness["certificate"]["two_cos_minpoly"] == ["-2", "3"]
+    assert _certificate(verdict, "nonzero-dehn")["two_cos_minpoly"] == \
+        ["-2", "3"]
 
 
 def test_compare_cube_vs_rotated_cube():
@@ -263,7 +272,7 @@ def test_block_decision_is_invariant_on_rational_hulls():
         rng = SplitMix64.stream(2502, case)
         pts, p = _rational_hull(rng)
         d = dehn_invariant(p)
-        assert d.rational
+        assert all(m is not None for _c, m, _s, _a in d.terms)  # rational
         for _ in range(2):
             q = transformed(p, *_motion(rng))
             dq = dehn_invariant(q)
@@ -311,7 +320,7 @@ def test_rational_tetrahedron_pair_is_not_congruent_by_a_block():
     t1, t2 = _tetra_pair()
     verdict = compare_polytopes(t1, t2)
     assert verdict.tag == "NotCongruent_Dehn"
-    cert = verdict.witness["certificate"]
+    cert = _certificate(verdict, "dehn-block")
     assert (cert["type"], cert["m"], cert["s"]) == \
         ("dehn-block", "rat:2/1", "rat:2/1")
     assert cert["terms"] == verdict.witness["difference"]["terms"]
@@ -340,7 +349,7 @@ def test_block_recheck_fails_on_mutated_certificates():
     from scissors.report import recheck_certificates
 
     t1, t2 = _tetra_pair()
-    cert = compare_polytopes(t1, t2).witness["certificate"]
+    cert = _certificate(compare_polytopes(t1, t2), "dehn-block")
 
     def passes(c):
         return recheck_certificates({"certificates": [c]})["checks"][0][
@@ -382,7 +391,7 @@ def test_block_recheck_fails_on_mutated_certificates():
 def test_single_term_blocks_make_no_search(monkeypatch):
     # every search runs on one block of two or more angles
     import scissors.dehn as dehn
-    from scissors.dehn import _SquareClasses
+    from scissors.dehn import _square_classes
     from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
     from scissors.rng import SplitMix64
     from scissors.suites import random_box_corners, random_cutting_plane
@@ -391,10 +400,9 @@ def test_single_term_blocks_make_no_search(monkeypatch):
     search = dehn.find_angle_relations
 
     def recorded(angles, height_bound=20):
-        classes = _SquareClasses()
+        classes = _square_classes({a.cos2 * (1 - a.cos2) for a in angles})
         assert len(angles) >= 2
-        assert len({classes.of(a.cos2 * (1 - a.cos2))[0]
-                    for a in angles}) == 1
+        assert len({r for r, _k in classes.values()}) == 1
         searched.append(len(angles))
         return search(angles, height_bound)
 
@@ -479,8 +487,8 @@ def test_scaled_redissection_shares_one_field(monkeypatch):
     # metamorphic: dissection cases 0–3 at seed 303, each piece scaled by
     # ∛(3/8) on its own, keep W − A − B = 0 on the algebraic path; the three
     # polytopes share one ℚ(∛(3/8)), so no length sum leaves the field, and
-    # every dihedral angle keeps its rational cos², so θ and π − θ pair
-    # exactly and no PSLQ search runs
+    # every dihedral angle keeps its rational cos², so π − θ is written as
+    # θ with its length negated and no PSLQ search runs
     import scissors.dehn as dehn
     from scissors import numberfield
     from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
@@ -520,3 +528,124 @@ def test_scaled_redissection_shares_one_field(monkeypatch):
         assert is_zero(dehn_sum([(1, whole), (-1, a), (-1, b)])) == "Zero"
     assert fallbacks == []
     assert searches == []
+
+
+# -- the normal form writes every angle with cos θ > 0 ------------------------
+
+@functools.lru_cache(maxsize=None)
+def _dissection_cases(scaled):
+    """(W, A, B) of each of the 25 dissection cases at seed 303: the whole
+    and its two parts, as rational polytopes or each scaled by ∛(3/8)."""
+    from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
+    from scissors.rng import SplitMix64
+    from scissors.suites import (
+        random_box_corners,
+        random_cutting_plane,
+        random_tet_corners,
+    )
+
+    s = make_algebraic([-3, 0, 0, 8], (0, 1))
+    out = []
+    for case in range(25):
+        rng = SplitMix64.stream(303, case)
+        corners = (random_box_corners(rng) if case % 2 == 0
+                   else random_tet_corners(rng))
+        halves = split_convex_points_3d(
+            corners, random_cutting_plane(rng, corners))
+        parts = [convex_polytope_3d(p) for p in (corners, *halves)]
+        out.append(tuple(scaled_simplices(p, s) if scaled else p
+                         for p in parts))
+    return out
+
+
+def _raw_terms(signed):
+    """The raw terms (c, x, θ) of Σ k·D(P) over the (k, P) of `signed`, as
+    `dehn_sum` hands them to the normalization."""
+    edges = [(k, e) for k, p in signed for e in p.edges()]
+    if all(e.length2 is not None for _, e in edges):
+        return [(k, e.length2, e.angle) for k, e in edges]
+    return [(k * e.length, None, e.angle) for k, e in edges]
+
+
+def _supplement(angle):
+    """π − θ, built from θ's cos² and sign of cos or from −cos and sin."""
+    if angle.cos2 is not None:
+        return AnglePair.from_cos2(angle.cos2, -angle.cos_sign)
+    return AnglePair(-angle.cos, angle.sin)
+
+
+def _flipped(raw, rng):
+    """`raw` with a seeded subset of its terms (c, x, θ), θ no rational
+    multiple of π, written as (−c, x, π − θ).  A rational θ is dropped, and
+    its supplement is dropped as another rational angle."""
+    from scissors.angles import is_rational_angle
+
+    out = []
+    for c, x, angle in raw:
+        if is_rational_angle(angle) is None and rng.randint(0, 1):
+            c, angle = -c, _supplement(angle)
+        out.append((c, x, angle))
+    return out
+
+
+def _assert_acute_and_distinct(t):
+    """Every term of t has cos θ > 0, and no two terms of one block share
+    a cos²."""
+    from scissors.numbers import scalar_key
+
+    for block in t.blocks().values():
+        cos2 = []
+        for _c, angle in block:
+            if angle.cos2 is not None:
+                assert angle.cos_sign > 0
+                cos2.append(angle.cos2)
+            else:
+                assert scalar_sign(angle.cos) > 0
+                cos2.append(scalar_key(angle.cos * angle.cos))
+        assert len(set(cos2)) == len(cos2)
+
+
+def test_flipping_terms_keeps_the_normal_form():
+    # ℓ ⊗ θ = −ℓ ⊗ (π − θ): any subset of the raw terms so written gives the
+    # normal form's JSON back, on seeded rational hulls, on W − A of the 25
+    # dissection cases at seed 303 and on W − A − B of those cases scaled
+    # by ∛(3/8) (the algebraic path), and on W − A of four of them scaled
+    from scissors.dehn import _normalize
+    from scissors.rng import SplitMix64
+
+    rng = SplitMix64.stream(4808, 0)
+    hulls = (_rational_hull(SplitMix64.stream(4808, case))[1]
+             for case in range(1, 7))
+    raws = [_raw_terms([(1, p)]) for p in hulls]
+    raws += [_raw_terms([(1, w), (-1, a)])
+             for w, a, _b in _dissection_cases(False)]
+    scaled = _dissection_cases(True)
+    raws += [_raw_terms([(1, w), (-1, a), (-1, b)]) for w, a, b in scaled]
+    raws += [_raw_terms([(1, w), (-1, a)]) for w, a, _b in scaled[:4]]
+    nonempty = 0
+    for raw in raws:
+        t = _normalize(raw, 20)
+        _assert_acute_and_distinct(t)
+        nonempty += not t.is_empty()
+        want = json.dumps(t.to_json())
+        for _ in range(2):
+            assert json.dumps(_normalize(_flipped(raw, rng), 20).to_json()) \
+                == want
+    assert nonempty >= 20
+
+
+def test_redissection_cancels_with_no_search(monkeypatch):
+    # W − A − B of the 25 dissection cases at seed 303, rational and each
+    # polytope scaled by ∛(3/8), is Zero with no search and no relation:
+    # θ and π − θ merge when the terms are written with cos θ > 0
+    import scissors.dehn as dehn
+
+    searched = []
+    monkeypatch.setattr(dehn, "find_angle_relations",
+                        lambda *args: searched.append(args) or [])
+    for scaled in (False, True):
+        for w, a, b in _dissection_cases(scaled):
+            diff = dehn_sum([(1, w), (-1, a), (-1, b)])
+            assert is_zero(diff) == "Zero"
+            assert diff.relations_used == []
+    assert searched == []

@@ -272,7 +272,14 @@ def _commands(work, shapes, ran):
     with open(octa, "w") as fh:
         json.dump(polytope_to_json(scaled_simplices(
             regular_octahedron(), make_algebraic([-3, 0, 0, 4], (0, 1)))), fh)
+    # Hill's tetrahedron with cos α = 1/3: its invariant vanishes by one
+    # relation that the search finds
+    from oracles import hill_tetrahedron
+    hill = os.path.join(work, "hill.json")
+    with open(hill, "w") as fh:
+        json.dump(polytope_to_json(hill_tetrahedron()), fh)
     runs += [
+        ["polytope-info", hill],
         ["compare", shapes["tetra_vol1"], octa],
         ["polytope-info", "--exact-strict", "--height-bound", "5",
          shapes["octa"]],

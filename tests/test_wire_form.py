@@ -201,10 +201,11 @@ def test_equal_values_print_the_same_text():
 
 
 def test_tensor_add_json_is_commutative():
-    # D(A) + D(B) and D(B) + D(A) print the same, for the two parts of each
-    # of the 25 dissection cases at seed 303, rational and scaled by ∛(3/8):
-    # the name of a square class depends on the order of the terms, and the
-    # text of a length does not
+    # D(A) + D(B) and D(B) + D(A) are equal and print the same, for the two
+    # parts of each of the 25 dissection cases at seed 303, rational and
+    # scaled by ∛(3/8): a square class is named by the least radicand of
+    # its members, whatever their order, and a length's text depends on its
+    # value alone
     from scissors.dehn import dehn_invariant, tensor_add
     from scissors.geom.convex import (
         convex_polytope_3d,
@@ -227,8 +228,9 @@ def test_tensor_add_json_is_commutative():
         a, b = map(convex_polytope_3d, parts)
         for pair in ((a, b), (scaled_simplices(a, s), scaled_simplices(b, s))):
             da, db = map(dehn_invariant, pair)
-            assert json.dumps(tensor_add(da, db).to_json()) == \
-                json.dumps(tensor_add(db, da).to_json()), case
+            ab, ba = tensor_add(da, db), tensor_add(db, da)
+            assert ab == ba, case
+            assert json.dumps(ab.to_json()) == json.dumps(ba.to_json()), case
 
 
 def test_parse_square_agrees_with_parse_number():
