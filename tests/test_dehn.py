@@ -1,6 +1,7 @@
-import functools
 import json
 from fractions import Fraction
+
+import pytest
 
 from scissors.algebraic import make_algebraic, scalar_sign
 from scissors.angles import AnglePair
@@ -532,10 +533,11 @@ def test_scaled_redissection_shares_one_field(monkeypatch):
 
 # -- the normal form writes every angle with cos θ > 0 ------------------------
 
-@functools.lru_cache(maxsize=None)
-def _dissection_cases(scaled):
-    """(W, A, B) of each of the 25 dissection cases at seed 303: the whole
-    and its two parts, as rational polytopes or each scaled by ∛(3/8)."""
+@pytest.fixture(scope="module")
+def dissection_cases():
+    """{scaled: [(W, A, B), ...]}: the whole and its two parts of each of the
+    25 dissection cases at seed 303, as rational polytopes (scaled False)
+    and each scaled by ∛(3/8) (scaled True)."""
     from scissors.geom.convex import convex_polytope_3d, split_convex_points_3d
     from scissors.rng import SplitMix64
     from scissors.suites import (
@@ -545,7 +547,7 @@ def _dissection_cases(scaled):
     )
 
     s = make_algebraic([-3, 0, 0, 8], (0, 1))
-    out = []
+    out = {False: [], True: []}
     for case in range(25):
         rng = SplitMix64.stream(303, case)
         corners = (random_box_corners(rng) if case % 2 == 0
@@ -553,8 +555,8 @@ def _dissection_cases(scaled):
         halves = split_convex_points_3d(
             corners, random_cutting_plane(rng, corners))
         parts = [convex_polytope_3d(p) for p in (corners, *halves)]
-        out.append(tuple(scaled_simplices(p, s) if scaled else p
-                         for p in parts))
+        out[False].append(tuple(parts))
+        out[True].append(tuple(scaled_simplices(p, s) for p in parts))
     return out
 
 
@@ -605,12 +607,14 @@ def _assert_acute_and_distinct(t):
         assert len(set(cos2)) == len(cos2)
 
 
-def test_flipping_terms_keeps_the_normal_form():
+def test_flipping_terms_keeps_the_normal_form(dissection_cases):
     # ℓ ⊗ θ = −ℓ ⊗ (π − θ): any subset of the raw terms so written gives the
     # normal form's JSON back, on seeded rational hulls, on W − A of the 25
     # dissection cases at seed 303 and on W − A − B of those cases scaled
-    # by ∛(3/8) (the algebraic path), and on W − A of four of them scaled
+    # by ∛(3/8) (the algebraic path), on W − A of four of them scaled, and
+    # on two tetrahedra with angles of irrational cos², one of them obtuse
     from scissors.dehn import _normalize
+    from scissors.geom.convex import tetrahedron
     from scissors.rng import SplitMix64
 
     rng = SplitMix64.stream(4808, 0)
@@ -618,10 +622,15 @@ def test_flipping_terms_keeps_the_normal_form():
              for case in range(1, 7))
     raws = [_raw_terms([(1, p)]) for p in hulls]
     raws += [_raw_terms([(1, w), (-1, a)])
-             for w, a, _b in _dissection_cases(False)]
-    scaled = _dissection_cases(True)
+             for w, a, _b in dissection_cases[False]]
+    scaled = dissection_cases[True]
     raws += [_raw_terms([(1, w), (-1, a), (-1, b)]) for w, a, b in scaled]
     raws += [_raw_terms([(1, w), (-1, a)]) for w, a, _b in scaled[:4]]
+    r2 = make_algebraic([-2, 0, 1], (1, 2))
+    r3 = make_algebraic([-3, 0, 1], (1, 2))
+    for points in (((1, 0, 0), (0, 1, 0), (0, 0, 1 + r2)),
+                   ((2, 0, 0), (-1, r3, 0), (0, Fraction(1, 3), 1 + r2))):
+        raws.append(_raw_terms([(1, tetrahedron((0, 0, 0), *points))]))
     nonempty = 0
     for raw in raws:
         t = _normalize(raw, 20)
@@ -634,7 +643,8 @@ def test_flipping_terms_keeps_the_normal_form():
     assert nonempty >= 20
 
 
-def test_redissection_cancels_with_no_search(monkeypatch):
+def test_redissection_cancels_with_no_search(dissection_cases,
+                                            monkeypatch):
     # W − A − B of the 25 dissection cases at seed 303, rational and each
     # polytope scaled by ∛(3/8), is Zero with no search and no relation:
     # θ and π − θ merge when the terms are written with cos θ > 0
@@ -644,7 +654,7 @@ def test_redissection_cancels_with_no_search(monkeypatch):
     monkeypatch.setattr(dehn, "find_angle_relations",
                         lambda *args: searched.append(args) or [])
     for scaled in (False, True):
-        for w, a, b in _dissection_cases(scaled):
+        for w, a, b in dissection_cases[scaled]:
             diff = dehn_sum([(1, w), (-1, a), (-1, b)])
             assert is_zero(diff) == "Zero"
             assert diff.relations_used == []
