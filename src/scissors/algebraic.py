@@ -346,11 +346,7 @@ def sqrt_nonneg(x):
     (x,) = lift([x])
     if scalar_sign(x) < 0:
         raise NegativeSqrt(f"sqrt of negative value {x}")
-    root = numberfield.sqrt(x)
-    if root is None:
-        raise SizeCap(f"a square root in a number field of degree above "
-                      f"{numberfield.MAX_DEGREE}")
-    return root
+    return numberfield.sqrt(x)
 
 
 # -- scalar helpers: geometry works over Fraction | Num | AlgebraicReal ------

@@ -1,4 +1,4 @@
-"""Angles as exact (cos, sin) pairs and decision procedures on them.
+"""Angles as exact cos² and sign of cos, and decision procedures on them.
 
 ``is_rational_angle`` decides whether θ/π is rational: θ/π ∈ ℚ forces 2cosθ
 to be an algebraic integer, and the degrees of the minimal polynomials Ψ_n
@@ -10,9 +10,9 @@ certifies it by evaluating ∏ (cosθ_j + i·sinθ_j)^{2 m_j} exactly and checki
 it equals 1; an unverified proposal is discarded, so a returned relation is
 sound.  The Dehn normalization substitutes that relation and searches again.
 
-An angle with a rational cos² (every dihedral angle of a rational polytope)
-is decided from cos² alone: by Niven's theorem θ/π is rational exactly when
-cos²θ ∈ {0, ¼, ½, ¾, 1}.
+An angle with a rational cos² (every dihedral angle of a rational polytope,
+wherever it is placed) is decided from cos² alone: by Niven's theorem θ/π
+is rational exactly when cos²θ ∈ {0, ¼, ½, ¾, 1}.
 """
 
 from fractions import Fraction
@@ -20,9 +20,9 @@ from math import gcd
 
 from .errors import DEFAULT_HEIGHT_BOUND
 from .numbers import (
-    as_scalar,
     format_number,
     format_sqrt,
+    one_field,
     scalar_key,
     scalar_sign,
     surd,
@@ -33,32 +33,34 @@ MAX_PROPOSE_BITS = 4096
 
 
 class AnglePair:
-    """Canonical angle θ ∈ [0, π]: exact cos and sin with sin >= 0.
+    """Canonical angle θ ∈ [0, π], held as cos²θ and the sign of cosθ.
 
-    An angle with a rational cos² can be given by cos² and the sign of cos
-    alone (`from_cos2`, kept in `cos2` and `cos_sign`): its key, its
-    rational test, the polynomial of 2cosθ and its JSON come from those,
-    and cos and sin, square roots of rationals in `numberfield`, are built
-    when first read."""
+    cos² is a scalar of the coordinates' field, a Fraction whenever it is
+    rational.  An angle with a rational cos² has its key, its rational
+    test, the polynomial of 2cosθ and its JSON from those two alone.  cos
+    and sin ≥ 0, square roots over that field (`numberfield.sqrt`), are
+    built when first read, unless the pair was built from them."""
 
     __slots__ = ("_cos", "_sin", "_key", "cos2", "cos_sign")
 
     def __init__(self, cos, sin):
-        cos = as_scalar(cos)
-        sin = as_scalar(sin)
+        cos, sin = one_field([cos, sin])
         if scalar_sign(sin) < 0:
             raise ValueError("sin component must be nonnegative")
-        if scalar_sign(cos * cos + sin * sin - 1) != 0:
+        cos2 = cos * cos
+        if scalar_sign(cos2 + sin * sin - 1) != 0:
             raise ValueError("cos^2 + sin^2 != 1")
         self._cos = cos
         self._sin = sin
-        self._key = self.cos2 = self.cos_sign = None
+        self._key = None
+        self.cos2, self.cos_sign = cos2, scalar_sign(cos)
 
     @classmethod
-    def from_cos2(cls, cos2: Fraction, sign: int) -> "AnglePair":
+    def from_cos2(cls, cos2, sign: int) -> "AnglePair":
         """The angle with cos²θ = cos2 ∈ [0, 1] and cosθ of the given sign
         (−1, 0 or 1; 0 exactly when cos2 is 0)."""
-        if not 0 <= cos2 <= 1 or (sign == 0) != (cos2 == 0):
+        if scalar_sign(cos2) < 0 or scalar_sign(1 - cos2) < 0 or \
+                (sign == 0) != (not cos2):
             raise ValueError("cos^2 out of [0, 1] or sign mismatch")
         pair = object.__new__(cls)
         pair._cos = pair._sin = pair._key = None
@@ -67,13 +69,10 @@ class AnglePair:
 
     @classmethod
     def from_cos(cls, cos) -> "AnglePair":
-        cos = as_scalar(cos)
-        if isinstance(cos, Fraction):
-            return cls.from_cos2(cos * cos, scalar_sign(cos))
-        from .algebraic import lift, sqrt_nonneg
-
-        (cos,) = lift([cos])
-        return cls(cos, sqrt_nonneg(1 - cos * cos))
+        (cos,) = one_field([cos])
+        pair = cls.from_cos2(cos * cos, scalar_sign(cos))
+        pair._cos = cos
+        return pair
 
     @property
     def cos(self):
@@ -94,10 +93,10 @@ class AnglePair:
     def key(self):
         """scalar_key of cos, which orders and identifies angles."""
         if self._key is None:
-            if self.cos2 is None:
-                self._key = scalar_key(self._cos)
+            a = self.cos2
+            if type(a) is not Fraction:
+                self._key = scalar_key(self.cos)
             else:
-                a = self.cos2
                 c, m = surd(a)
                 # cos is rational, or ±√(p/q), the root of index 1 or 0 of
                 # qx² − p
@@ -114,24 +113,15 @@ class AnglePair:
 
     def acute(self):
         """(1, θ) when cos θ ≥ 0, else (−1, π − θ): ℓ ⊗ θ = −ℓ ⊗ (π − θ) in
-        ℝ ⊗ ℝ/ℚπ, as ℓ ⊗ π = 0.  The supplement flips the sign of cos and
-        keeps sin, so it is exact and needs no check."""
-        if self.cos2 is not None:
-            if self.cos_sign >= 0:
-                return 1, self
-            return -1, AnglePair.from_cos2(self.cos2, 1)
-        if scalar_sign(self._cos) >= 0:
+        ℝ ⊗ ℝ/ℚπ, as ℓ ⊗ π = 0.  The supplement keeps cos² and flips the
+        sign of cos, so it is exact and needs no check."""
+        if self.cos_sign >= 0:
             return 1, self
-        pair = object.__new__(AnglePair)
-        pair._cos, pair._sin = -self._cos, self._sin
-        pair._key = pair.cos2 = pair.cos_sign = None
-        return -1, pair
+        return -1, AnglePair.from_cos2(self.cos2, 1)
 
     def is_straight(self) -> bool:
         """θ = 0 or θ = π (both vanish in the length⊗angle tensor)."""
-        if self.cos2 is not None:
-            return self.cos2 == 1
-        return scalar_sign(self._sin) == 0
+        return self.cos2 == 1
 
     def radians(self, bits: int = 64) -> "mpmath.mpf":
         import mpmath as mp
@@ -143,11 +133,11 @@ class AnglePair:
             return mp.acos(mp.mpf(c.numerator) / c.denominator)
 
     def to_json(self):
-        if self.cos2 is not None:
+        if type(self.cos2) is Fraction:
             return {"cos": format_sqrt(self.cos2, self.cos_sign),
                     "sin": format_sqrt(1 - self.cos2)}
-        return {"cos": format_number(self._cos),
-                "sin": format_number(self._sin)}
+        return {"cos": format_number(self.cos),
+                "sin": format_number(self.sin)}
 
     def __repr__(self):
         return f"AnglePair(cos~{float(self.cos):.6g})"
@@ -251,17 +241,14 @@ _INTEGER_TWO_COS = {2: Fraction(0), 1: Fraction(1, 3), 0: Fraction(1, 2),
 def two_cos_minpoly(pair: AnglePair) -> tuple:
     """Constant-first minimal polynomial of 2cosθ over ℤ: primitive, with a
     positive leading coefficient."""
-    if pair.cos2 is not None:
+    if type(pair.cos2) is Fraction:
         c, m = surd(pair.cos2)
         if m == 1:
             two_cos = 2 * pair.cos_sign * c
             return (-two_cos.numerator, two_cos.denominator)
         four = 4 * pair.cos2  # (2cosθ)² = 4cos²θ = P/Q: QX² − P
         return (-four.numerator, 0, four.denominator)
-    two_cos = 2 * as_scalar(pair.cos)
-    if isinstance(two_cos, Fraction):
-        return (-two_cos.numerator, two_cos.denominator)
-    return two_cos.minpoly()
+    return (2 * pair.cos).minpoly()
 
 
 # θ/π for the angles whose cos² is rational and θ/π too (Niven's theorem),
@@ -285,7 +272,7 @@ def is_rational_angle(pair: AnglePair):
     root, which the root index of 2cosθ makes exactly.  An angle given by
     its rational cos² is looked up in the table of Niven's theorem.
     """
-    if pair.cos2 is not None:
+    if type(pair.cos2) is Fraction:
         return _NIVEN.get((pair.cos2, pair.cos_sign))
     m = two_cos_minpoly(pair)
     if m[-1] != 1:
@@ -299,7 +286,7 @@ def is_rational_angle(pair: AnglePair):
         # the roots of Ψ_n are 2cos(2πj/n) for the j < n/2 prime to n, all
         # real and decreasing in j; x ↦ 2x keeps the root index of cosθ
         js = [j for j in range(1, n // 2 + 1) if gcd(j, n) == 1]
-        return Fraction(2 * js[d - 1 - as_scalar(pair.cos).root_index()], n)
+        return Fraction(2 * js[d - 1 - pair.cos.root_index()], n)
     return None
 
 

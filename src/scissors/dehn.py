@@ -11,17 +11,19 @@ slot, which is legal because lengths form a ℚ-vector space.  Every
 "nonzero" verdict is certified; "equal/zero" verdicts are conditional on
 the height bound of the relation search and say so.
 
-A rational polytope's edges carry ℓ² and an angle given by cos² and the
-sign of cos (Conway, Radin and Sadun, "On angles whose squared
-trigonometric functions are rational", Discrete Comput. Geom. 22 (1999)),
-so its term stands for c√m ⊗ θ with c rational: m is the square class of
-ℓ², and s that of cos²θ·(1 − cos²θ), as e^{2iθ} lies in ℚ(√−s).  Lengths
-of distinct classes are ℚ-independent, and so are angles of distinct
-classes modulo ℚπ, so the invariant vanishes exactly when every block
-does.  Any other polytope's term has m = s = None and its length as c, and
-all its terms form one block.  A block of one term is nonzero, as its
-angle is irrational, and needs no search.  `tensor_certificates` writes
-the evidence of a normalized tensor's verdict.
+Every edge carries ℓ² and an angle given by cos² and the sign of cos.
+When every ℓ² and every cos² is rational, whatever the coordinates
+(`_raw_terms`: a rational polytope, or one moved by any isometry), a term
+stands for c√m ⊗ θ with c rational (Conway, Radin and Sadun, "On angles
+whose squared trigonometric functions are rational", Discrete Comput.
+Geom. 22 (1999)): m is the square class of ℓ², and s that of
+cos²θ·(1 − cos²θ), as e^{2iθ} lies in ℚ(√−s).  Lengths of distinct classes
+are ℚ-independent, and so are angles of distinct classes modulo ℚπ, so the
+invariant vanishes exactly when every block does.  Otherwise a term has
+m = s = None and its length as c, and all its terms form one block.  A
+block of one term is nonzero, as its angle is irrational, and needs no
+search.  `tensor_certificates` writes the evidence of a normalized
+tensor's verdict.
 """
 
 from fractions import Fraction
@@ -48,10 +50,10 @@ from .numbers import (
 class DehnTensor:
     """A normalized tensor: its `terms` (c, m, s, angle), sorted by the
     angle's key, then m, the relations its search found, the distinct
-    rational angles it dropped, and the height bound of its relation
-    search.  A term is c√m ⊗ angle in the block (m, s), or c ⊗ angle when
-    m and s are None, with cos θ > 0; its JSON is written from those, with
-    no number field."""
+    rational angles it dropped, as (angle, θ/π) in key order, and the
+    height bound of its relation search.  A term is c√m ⊗ angle in the
+    block (m, s), or c ⊗ angle when m and s are None, with cos θ > 0; its
+    JSON is written from those, with no number field."""
 
     __slots__ = ("terms", "relations_used", "height_bound", "rational_drops")
 
@@ -96,8 +98,12 @@ class DehnTensor:
             "terms": self.terms_json(),
             "height_bound": self.height_bound,
             "relations": [r.to_json() for r in self.relations_used],
-            "rational_angles_dropped": self.rational_drops,
+            "rational_angles_dropped": self.drops_json(),
         }
+
+    def drops_json(self) -> list:
+        return [{"q": format_number(q), "cos": angle.to_json()["cos"]}
+                for angle, q in self.rational_drops]
 
     def __repr__(self):
         return f"DehnTensor({len(self.terms)} terms, h<={self.height_bound})"
@@ -117,10 +123,6 @@ def _merge(raw):
         length, k = as_scalar(length), angle.key()
         acc[k] = (acc[k][0] + length, angle) if k in acc else (length, angle)
     return [acc[k] for k in sorted(acc) if acc[k][0]]
-
-
-def _drop(angle, q) -> dict:
-    return {"q": format_number(Fraction(q)), "cos": angle.to_json()["cos"]}
 
 
 def _substitute(terms, rel):
@@ -164,11 +166,13 @@ def _square_classes(xs) -> dict:
     return out
 
 
-def _normalize(raw, height_bound) -> DehnTensor:
+def _normalize(raw, height_bound, dropped=(), used=()) -> DehnTensor:
     """The normal form of the terms (c, x, angle) in `raw`: c√x ⊗ angle for
     rational c and x and an angle given by its rational cos², or, with x
-    None in every term, c ⊗ angle for any exact length c."""
-    kept, drops = [], {}
+    None in every term, c ⊗ angle for any exact length c.  The rational
+    angles `dropped` and the relations `used` that its operands' own
+    normalizations found are kept with its own."""
+    kept, drops = [], {angle.key(): (angle, q) for angle, q in dropped}
     for c, x, angle in raw:
         if x == 0 or not c or angle.is_straight():
             continue  # ℓ = 0, or θ ∈ {0, π}
@@ -196,13 +200,13 @@ def _normalize(raw, height_bound) -> DehnTensor:
     for m, c, angle in merged:
         s = None if m is None else angles[angle.cos2 * (1 - angle.cos2)][0]
         blocks.setdefault((m, s), []).append((c, angle))
-    used, terms = [], []
+    used, terms = list(used), []
     for (m, s), block in sorted(blocks.items()):
         terms.extend((c, m, s, angle)
                      for c, angle in _reduce_block(block, height_bound, used))
     terms.sort(key=lambda t: (t[3].key(), t[1]))
     return DehnTensor(terms, used, height_bound,
-                      [_drop(a, q) for _k, (a, q) in sorted(drops.items())])
+                      [drops[k] for k in sorted(drops)])
 
 
 def _reduce_block(terms, height_bound, used):
@@ -229,12 +233,15 @@ def tensor_normalize(raw_terms,
 
 def tensor_add(a: DehnTensor, b: DehnTensor,
                height_bound=None) -> DehnTensor:
+    """a + b in normal form, with the dropped angles and the relations of
+    both operands and those of its own normalization."""
     hb = height_bound or max(a.height_bound, b.height_bound)
     if all(m is not None for _c, m, _s, _a in a.terms + b.terms):
         raw = [(c, m, angle) for c, m, _s, angle in a.terms + b.terms]
     else:
         raw = [(l, None, angle) for l, angle in a.pairs() + b.pairs()]
-    return _normalize(raw, hb)
+    return _normalize(raw, hb, a.rational_drops + b.rational_drops,
+                      a.relations_used + b.relations_used)
 
 
 def tensor_neg(t: DehnTensor) -> DehnTensor:
@@ -253,12 +260,19 @@ def dehn_sum(signed, height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
     """Σ k·D(P) over the (k, P) of `signed`, in normal form.  The raw edge
     terms of all the polytopes are normalized once, so a block that cancels
     in the sum is never searched."""
+    return _normalize(_raw_terms(signed), height_bound)
+
+
+def _raw_terms(signed) -> list:
+    """The raw terms (c, x, angle) of Σ k·D(P) over the (k, P) of `signed`:
+    (k, ℓ², θ) for every edge when every ℓ² and every cos² is rational,
+    whatever the coordinates, as the blocks read only those values; else
+    (k·ℓ, None, θ), one block."""
     edges = [(k, e) for k, p in signed for e in p.edges()]
-    if all(e.length2 is not None for _, e in edges):
-        raw = [(k, e.length2, e.angle) for k, e in edges]
-    else:
-        raw = [(k * e.length, None, e.angle) for k, e in edges]
-    return _normalize(raw, height_bound)
+    if all(type(e.length2) is Fraction and type(e.angle.cos2) is Fraction
+           for _, e in edges):
+        return [(k, e.length2, e.angle) for k, e in edges]
+    return [(k * e.length, None, e.angle) for k, e in edges]
 
 
 def is_zero(t: DehnTensor) -> str:
@@ -284,7 +298,7 @@ def tensor_certificates(t: DehnTensor) -> list:
     NonzeroCertified, the evidence of `nonzero_certificate`."""
     certs = []
     if t.rational_drops:
-        certs.append({"type": "rational-angles", "dropped": t.rational_drops})
+        certs.append({"type": "rational-angles", "dropped": t.drops_json()})
     if t.relations_used:
         certs.append({"type": "angle-relations",
                       "relations": [r.to_json() for r in t.relations_used]})
@@ -297,7 +311,7 @@ def tensor_certificates(t: DehnTensor) -> list:
 def nonzero_certificate(t: DehnTensor):
     """Re-checkable evidence for a NonzeroCertified verdict: the lone term
     and the polynomial of 2cosθ when one term is left ("nonzero-dehn"),
-    else the block certificate of a rational tensor."""
+    else the block certificate of a tensor in block form."""
     if is_zero(t) != "NonzeroCertified":
         return None
     if len(t.terms) != 1:
@@ -316,10 +330,10 @@ def nonzero_certificate(t: DehnTensor):
 
 
 def block_certificate(t: DehnTensor):
-    """Re-checkable evidence that a rational tensor is nonzero: the first
-    block (m, s) that holds a single term, that term, and all the terms,
-    from which `recheck` recomputes every term's classes.  Its "type" is
-    "dehn-block"."""
+    """Re-checkable evidence that a tensor in block form is nonzero: the
+    first block (m, s) that holds a single term, that term, and all the
+    terms, from which `recheck` recomputes every term's classes.  Its
+    "type" is "dehn-block"."""
     for (m, s), block in t.blocks().items():
         if len(block) == 1:
             (c, angle), = block

@@ -24,7 +24,13 @@ from operator import mul
 from ..angles import AnglePair
 from ..errors import GeometryError
 from ..intvec import net_faces
-from ..numbers import as_scalar, format_number, format_sqrt, scalar_sign
+from ..numbers import (
+    as_scalar,
+    format_number,
+    format_sqrt,
+    one_field,
+    scalar_sign,
+)
 from . import predicates as hp
 
 
@@ -521,54 +527,45 @@ def boundary_facets(chain: SimplexChain):
 # -- dihedral edges -------------------------------------------------------------
 
 class DihedralEdge:
-    """An edge's endpoints, length and interior dihedral angle (an
-    AnglePair); `marker` is set on the extra full-π term emitted alongside
-    a reflex edge.
+    """An edge's endpoints, squared length `length2` and interior dihedral
+    angle (an AnglePair); `marker` is set on the extra full-π term emitted
+    alongside a reflex edge.
 
-    An edge of a rational polytope keeps its squared length `length2`, a
-    Fraction, and builds `length`, its square root in `numberfield`, only
-    when it is read (its JSON needs none); its angle is given by cos² and
-    the sign of cos (`AnglePair.from_cos2`).
-    """
+    ℓ² and the angle's cos² are scalars of the coordinates' field, each a
+    Fraction whenever it is rational, wherever the polytope is placed.  The
+    length, the square root of ℓ² (`numberfield.sqrt`), is built each time
+    it is read; the JSON of a rational ℓ² needs none."""
 
-    __slots__ = ("endpoints", "_length", "angle", "marker", "length2")
+    __slots__ = ("endpoints", "length2", "angle", "marker")
 
-    def __init__(self, endpoints, length, angle, marker=False,
-                 length2=None):
+    def __init__(self, endpoints, length2, angle, marker=False):
         self.endpoints = endpoints
-        self._length = length
+        self.length2 = length2
         self.angle = angle
         self.marker = marker
-        self.length2 = length2
 
     @property
     def length(self):
-        if self._length is None:
-            from ..numberfield import sqrt
+        from ..numberfield import sqrt
 
-            self._length = sqrt(self.length2)
-        return self._length
+        return sqrt(self.length2)
 
     def __eq__(self, other):
         if not isinstance(other, DihedralEdge):
             return NotImplemented
-        return (self.endpoints,
-                self.length if self.length2 is None else self.length2,
-                self.angle, self.marker) == \
-            (other.endpoints,
-             other.length if other.length2 is None else other.length2,
-             other.angle, other.marker)
+        return (self.endpoints, self.length2, self.angle, self.marker) == \
+            (other.endpoints, other.length2, other.angle, other.marker)
 
     __hash__ = None
 
     def __repr__(self):
         return (f"DihedralEdge(endpoints={self.endpoints!r}, "
-                f"length={self.length!r}, angle={self.angle!r}, "
+                f"length2={self.length2!r}, angle={self.angle!r}, "
                 f"marker={self.marker!r})")
 
     def to_json(self):
-        length = format_number(as_scalar(self.length)) \
-            if self.length2 is None else format_sqrt(self.length2)
+        length = format_sqrt(self.length2) \
+            if type(self.length2) is Fraction else format_number(self.length)
         return {
             "endpoints": [[format_number(as_scalar(c)) for c in p]
                           for p in self.endpoints],
@@ -576,10 +573,6 @@ class DihedralEdge:
             "angle": self.angle.to_json(),
             "marker": self.marker,
         }
-
-
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
 
 def _cross3(u, v):
@@ -594,10 +587,15 @@ def _sub(p, q):
 
 def _scaled_points(table: VertexTable):
     """(points, w): the table's points scaled once by the lcm w of their
-    weights, so the points of a rational table are all integer."""
+    weights, so the points of a rational table are all integer, and those
+    of any other written in one number field (`numbers.one_field`)."""
     points = [table.homog(i) for i in range(len(table.keys))]
     w = lcm(*[h[-1] for h in points])
-    return [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points], w
+    points = [tuple([x * (w // h[-1]) for x in h[:-1]]) for h in points]
+    if any(type(x) is not int for p in points for x in p):
+        flat = iter(one_field([x for p in points for x in p]))
+        points = [tuple([next(flat) for _ in p]) for p in points]
+    return points, w
 
 
 _STRAIGHT = AnglePair.from_cos2(Fraction(1), -1)  # θ = π
@@ -606,12 +604,10 @@ _STRAIGHT = AnglePair.from_cos2(Fraction(1), -1)  # θ = π
 def dihedral_edges(p: Polytope):
     """Edge lengths and interior dihedral angles of a 3-polytope boundary.
 
-    When the differences of the vertices to the first vertex are rational,
-    as on a rational polytope or one moved by an irrational translation,
-    which leaves them unchanged, each edge is computed from those
-    differences scaled to integers (`_scaled_points`) as its squared
-    length, the cos² of its angle between the integer facet normals and
-    the sign of the cosine: no square root is taken."""
+    Each edge is computed from the table's points scaled by the lcm of
+    their weights (`_scaled_points`), all integer on a rational polytope,
+    as its squared length, the cos² of its angle between the facet
+    normals and the sign of the cosine: no square root is taken."""
     if p.dim != 3:
         raise DimensionMismatch("dihedral edges need a 3-polytope")
     table = p.chain.table
@@ -623,17 +619,7 @@ def dihedral_edges(p: Polytope):
             key = (rank[a], rank[b]) if rank[a] < rank[b] else \
                 (rank[b], rank[a])
             incident.setdefault(key, []).append((a, b, f[(i + 2) % 3]))
-    points = [table.point(i) for i in range(len(table.keys))]
-    scaled = VertexTable()
-    for q in points:
-        d = tuple(map(as_scalar, _sub(q, points[0])))
-        if not all(type(c) is Fraction for c in d):
-            scaled = None
-            break
-        scaled.add(d)
-    rational, w = scaled is not None, 1
-    if rational:
-        points, w = _scaled_points(scaled)
+    points, w = _scaled_points(table)
     edges = []
     for key in sorted(incident):
         tris = incident[key]
@@ -641,17 +627,15 @@ def dihedral_edges(p: Polytope):
             raise NonManifoldBoundary("edge not shared by exactly 2 facets")
         (a1, b1, r1), (a2, b2, r2) = tris
         pts = [points[i] for i in (a1, b1, r1, a2, b2, r2)]
-        edges.extend(_edge((table.point(a1), table.point(b1)), pts, w,
-                           rational))
+        edges.extend(_edge((table.point(a1), table.point(b1)), pts, w))
     return edges
 
 
-def _edge(ends, pts, w, rational):
+def _edge(ends, pts, w):
     """The DihedralEdges of the edge a1b1 between the facets a1b1r1 and
-    a2b2r2, pts = [a1, b1, r1, a2, b2, r2]: integer points scaled by w on
-    the rational path, else points with w = 1.  θ is π minus the angle
-    between the facet normals at a convex edge; a reflex edge reports that
-    angle, θ − π, after a full-π marker term."""
+    a2b2r2, pts = [a1, b1, r1, a2, b2, r2], points scaled by w.  θ is π
+    minus the angle between the facet normals at a convex edge; a reflex
+    edge reports that angle, θ − π, after a full-π marker term."""
     a1, b1, r1, a2, b2, r2 = pts
     d = _sub(b1, a1)
     n1 = _cross3(d, _sub(r1, a1))
@@ -660,29 +644,14 @@ def _edge(ends, pts, w, rational):
     bend = scalar_sign(sum(map(mul, n1, _sub(r2, a1))))
     # the sign of cosθ; the cosine between the normals has that of dot12
     sign = scalar_sign(dot12) * (-1 if bend < 0 else 1)
-    if rational:
-        length, length2 = None, Fraction(sum(map(mul, d, d)), w * w)
-        cos2 = Fraction(dot12 * dot12,
-                        sum(map(mul, n1, n1)) * sum(map(mul, n2, n2)))
-        angle = AnglePair.from_cos2(cos2, sign) if bend else _STRAIGHT
-    else:
-        from ..algebraic import sqrt_nonneg
-
-        length, length2 = sqrt_nonneg(_dot(d, d)), None
-        angle = _STRAIGHT
-        if bend:
-            # cos² stays in the coordinates' field; cos and sin are square
-            # roots over it.  A rational cos² is kept, so that π − θ is
-            # written exactly as the angle of that cos² with cos θ > 0
-            cos2 = as_scalar(dot12 * dot12 / (_dot(n1, n1) * _dot(n2, n2)))
-            if type(cos2) is Fraction:
-                angle = AnglePair.from_cos2(cos2, sign)
-            else:
-                cos = sqrt_nonneg(cos2)
-                angle = AnglePair.from_cos(-cos if sign < 0 else cos)
-    edge = DihedralEdge(ends, length, angle, False, length2)
+    length2 = as_scalar(sum(map(mul, d, d))) / (w * w)
+    angle = _STRAIGHT
+    if bend:
+        angle = AnglePair.from_cos2(as_scalar(dot12 * dot12) / (
+            sum(map(mul, n1, n1)) * sum(map(mul, n2, n2))), sign)
+    edge = DihedralEdge(ends, length2, angle)
     if bend > 0:
-        return [DihedralEdge(ends, length, _STRAIGHT, True, length2), edge]
+        return [DihedralEdge(ends, length2, _STRAIGHT, True), edge]
     return [edge]
 
 

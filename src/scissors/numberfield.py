@@ -27,12 +27,13 @@ norm is no rational square; otherwise the roots of t² − r in ℚ(α) come fro
 when one tower can be rebuilt over the other's field one square root at a
 time.  Values whose towers do not combine are read as literals and lifted
 into one field ℚ(γ) by `algebraic.lift`.  A square root whose extension would
-be above MAX_DEGREE is not taken: `algebraic.sqrt_nonneg` raises SizeCap.
+be above MAX_DEGREE is not taken: `sqrt` raises SizeCap.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .errors import SizeCap
 from .intvec import primitive
 from .numbers import scalar_sign, surd
 from .poly import _canonical_single, count_roots, root_index
@@ -40,8 +41,8 @@ from .poly import _canonical_single, count_roots, root_index
 # a square root of r is taken as F(√r) only when this certifies r
 NONSQUARE = object()
 # no field above this degree over ℚ is built: `sqrt_over` returns None for a
-# square root that would need one, and `algebraic.lift` and
-# `algebraic.sqrt_nonneg` raise SizeCap
+# square root that would need one, and `sqrt` and `algebraic.lift` raise
+# SizeCap
 MAX_DEGREE = 32
 
 
@@ -668,8 +669,12 @@ def sqrt_over(F, r):
 
 def sqrt(x):
     """√x for a scalar x >= 0 in its own field: an element of that field or
-    of its quadratic extension; None when that extension would have a
-    degree above MAX_DEGREE."""
+    of its quadratic extension.  Raises SizeCap when that extension would
+    have a degree above MAX_DEGREE."""
     if not x:
         return Fraction(0)
-    return sqrt_over(x.field if isinstance(x, Num) else None, x)
+    root = sqrt_over(x.field if isinstance(x, Num) else None, x)
+    if root is None:
+        raise SizeCap(f"a square root in a number field of degree above "
+                      f"{MAX_DEGREE}")
+    return root

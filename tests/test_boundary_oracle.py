@@ -139,7 +139,7 @@ def reference_dihedral_edges(p):
         n1 = _cross3(_sub(b1, a1), _sub(r1, a1))
         n2 = _cross3(_sub(b2, a2), _sub(r2, a2))
         d = _sub(b1, a1)
-        length = sqrt_nonneg(_dot(d, d))
+        length2 = as_scalar(_dot(d, d))
         dot12 = _dot(n1, n2)
         cos_between = sqrt_nonneg(dot12 * dot12
                                   / (_dot(n1, n1) * _dot(n2, n2)))
@@ -152,10 +152,11 @@ def reference_dihedral_edges(p):
             cos_t = Fraction(-1)
         else:
             cos_t = as_scalar(cos_between)
-            edges.append(DihedralEdge((a1, b1), length,
+            edges.append(DihedralEdge((a1, b1), length2,
                                       AnglePair(Fraction(-1), Fraction(0)),
                                       marker=True))
-        edges.append(DihedralEdge((a1, b1), length, AnglePair.from_cos(cos_t)))
+        edges.append(DihedralEdge((a1, b1), length2,
+                                  AnglePair.from_cos(cos_t)))
     return edges
 
 
@@ -164,7 +165,7 @@ def _facet_keys(facets):
 
 
 def _edge_keys(edges):
-    return [(tuple(map(point_key, e.endpoints)), scalar_key(e.length),
+    return [(tuple(map(point_key, e.endpoints)), scalar_key(e.length2),
              e.angle.key(), e.marker) for e in edges]
 
 

@@ -1067,7 +1067,7 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
     prism_tri = str(fixtures / "prism_tri.json")
     prism_report = tmp_path / "prism_tri_info.json"
     prism_report.write_text(run_cli("polytope-info", prism_tri).stdout)
-    both, no_sympy = ("sympy", "mpmath"), ("sympy",)
+    both = ("sympy", "mpmath")
     for blocked_modules, argv in (
             (both, ["polytope-info", cube]), (both, ["compare", cube, rot]),
             (both, ["polytope-info", prism_tri]),
@@ -1083,9 +1083,10 @@ def test_rational_commands_run_without_sympy(fixtures, tmp_path):
                     "--tower", TOWER]),
             (both, ["recheck", str(report)]),
             (both, ["compare", "--recheck", vol1, cube]),
-            # two irrational angles: the relation search loads mpmath
-            (no_sympy, ["polytope-info", sqrt23]),
-            (no_sympy, ["compare", sqrt23, cube])):
+            # rational ℓ² and cos² on irrational coordinates: one-term
+            # blocks, with no relation search
+            (both, ["polytope-info", sqrt23]),
+            (both, ["compare", sqrt23, cube])):
         blocked = _run_blocking(blocked_modules, argv)
         assert blocked.returncode == 0, (argv, blocked.stderr)
         plain = run_cli(*argv)
@@ -1157,16 +1158,27 @@ _NUMBER_FIELDS = _ALGEBRAIC + ("scissors.numberfield", "scissors.poly",
 
 
 def test_commands_load_only_their_layers(fixtures, tmp_path):
-    cube, rot, tetra, vol1, octa, tall, t1, t2 = (
+    cube, rot, tetra, vol1, octa, tall, t1, t2, sqrt23 = (
         str(fixtures / name) for name in (
             "cube.json", "cube_rot.json", "tetra.json", "tetra_vol1.json",
-            "octa.json", "box112.json", "tetra_t1.json", "tetra_t2.json"))
-    report, mismatch, pair, relation = (tmp_path / name for name in (
-        "cube_vol1.json", "cube_tall.json", "t1_t2.json", "relation.json"))
+            "octa.json", "box112.json", "tetra_t1.json", "tetra_t2.json",
+            "tetra_sqrt23.json"))
+    report, mismatch, pair, relation, blocks = (
+        tmp_path / name for name in ("cube_vol1.json", "cube_tall.json",
+                                     "t1_t2.json", "relation.json",
+                                     "sqrt23.json"))
     report.write_text(run_cli("compare", cube, vol1).stdout)
     mismatch.write_text(run_cli("compare", cube, tall).stdout)
     pair.write_text(run_cli("compare", t1, t2).stdout)
     relation.write_text(json.dumps(_relation_report()))
+    # the (√2, √3) tetrahedron: its ℓ² and cos² are rational, so it is
+    # three one-term blocks, certified with no search
+    blocks.write_text(_run_blocking(_HOMOLOGY + ("mpmath",),
+                                    ["polytope-info", sqrt23]).stdout)
+    info = json.loads(blocks.read_text())
+    assert info["results"]["dehn_verdict"] == "NonzeroCertified"
+    (cert,) = [c for c in info["certificates"] if c["type"] == "dehn-block"]
+    assert (cert["m"], cert["s"]) == ("rat:1/1", "rat:6/1")
     no_geometry = _GEOMETRY + ("scissors.kahler", "scissors.poly",
                                "scissors.factoring")
     rational = _HOMOLOGY + _ALGEBRAIC + ("mpmath",)
@@ -1200,6 +1212,8 @@ def test_commands_load_only_their_layers(fixtures, tmp_path):
             # number field (`numbers.parse_square`)
             (_HOMOLOGY + _NUMBER_FIELDS + ("scissors.geom",),
              ["recheck", str(pair)]),
+            (_HOMOLOGY + _NUMBER_FIELDS + ("scissors.geom",),
+             ["recheck", str(blocks)]),
             (_HOMOLOGY + ("scissors.geom",), ["recheck", str(relation)]),
             (rational, ["polytope-info", cube]),
             (rational, ["polytope-info", tetra]),

@@ -315,19 +315,28 @@ def _tetra_pair():
 
 def test_rational_tetrahedron_pair_is_not_congruent_by_a_block():
     # equal volumes 1/6; the difference has the blocks (5, 5) twice,
-    # (17, 17) and (2, 2), and the first lone block certifies D ≠ 0
+    # (17, 17) and (2, 2), and the first lone block certifies D ≠ 0; t2
+    # rotated by π/4 about z and moved by (√2/2, 0, 1/3) keeps its ℓ² and
+    # cos², so it gives the same verdict and certificates
+    from scissors.geom.convex import transformed
     from scissors.report import recheck_certificates
 
     t1, t2 = _tetra_pair()
-    verdict = compare_polytopes(t1, t2)
-    assert verdict.tag == "NotCongruent_Dehn"
-    cert = _certificate(verdict, "dehn-block")
-    assert (cert["type"], cert["m"], cert["s"]) == \
-        ("dehn-block", "rat:2/1", "rat:2/1")
-    assert cert["terms"] == verdict.witness["difference"]["terms"]
-    assert len(cert["terms"]) == 4
-    checks = recheck_certificates({"certificates": [cert]})["checks"]
-    assert [c["pass"] for c in checks] == [True]
+    h = make_algebraic([-2, 0, 1], (1, 2)) / 2
+    moved = transformed(t2, ((h, -h, 0), (h, h, 0), (0, 0, 1)),
+                        (h, 0, Fraction(1, 3)))
+    verdicts = [compare_polytopes(t1, t2), compare_polytopes(t1, moved)]
+    for verdict in verdicts:
+        assert verdict.tag == "NotCongruent_Dehn"
+        cert = _certificate(verdict, "dehn-block")
+        assert (cert["type"], cert["m"], cert["s"]) == \
+            ("dehn-block", "rat:2/1", "rat:2/1")
+        assert cert["terms"] == verdict.witness["difference"]["terms"]
+        assert len(cert["terms"]) == 4
+        checks = recheck_certificates(
+            {"certificates": verdict.certificates})["checks"]
+        assert [c["pass"] for c in checks] == [True, True]
+    assert verdicts[1] == verdicts[0]
 
 
 def _negated(literal):
@@ -525,7 +534,8 @@ def test_scaled_redissection_shares_one_field(monkeypatch):
             corners, random_cutting_plane(rng, corners))
         whole, a, b = (scaled_simplices(convex_polytope_3d(p), s)
                        for p in (corners, *halves))
-        assert whole.edges()[0].length2 is None  # the algebraic path
+        # the one-block form: ℓ² is irrational
+        assert type(whole.edges()[0].length2) is not Fraction
         assert is_zero(dehn_sum([(1, whole), (-1, a), (-1, b)])) == "Zero"
     assert fallbacks == []
     assert searches == []
@@ -560,20 +570,9 @@ def dissection_cases():
     return out
 
 
-def _raw_terms(signed):
-    """The raw terms (c, x, θ) of Σ k·D(P) over the (k, P) of `signed`, as
-    `dehn_sum` hands them to the normalization."""
-    edges = [(k, e) for k, p in signed for e in p.edges()]
-    if all(e.length2 is not None for _, e in edges):
-        return [(k, e.length2, e.angle) for k, e in edges]
-    return [(k * e.length, None, e.angle) for k, e in edges]
-
-
 def _supplement(angle):
-    """π − θ, built from θ's cos² and sign of cos or from −cos and sin."""
-    if angle.cos2 is not None:
-        return AnglePair.from_cos2(angle.cos2, -angle.cos_sign)
-    return AnglePair(-angle.cos, angle.sin)
+    """π − θ, built from θ's cos² and the opposite sign of cos."""
+    return AnglePair.from_cos2(angle.cos2, -angle.cos_sign)
 
 
 def _flipped(raw, rng):
@@ -598,12 +597,8 @@ def _assert_acute_and_distinct(t):
     for block in t.blocks().values():
         cos2 = []
         for _c, angle in block:
-            if angle.cos2 is not None:
-                assert angle.cos_sign > 0
-                cos2.append(angle.cos2)
-            else:
-                assert scalar_sign(angle.cos) > 0
-                cos2.append(scalar_key(angle.cos * angle.cos))
+            assert angle.cos_sign > 0 and scalar_sign(angle.cos) > 0
+            cos2.append(scalar_key(angle.cos2))
         assert len(set(cos2)) == len(cos2)
 
 
@@ -613,7 +608,7 @@ def test_flipping_terms_keeps_the_normal_form(dissection_cases):
     # dissection cases at seed 303 and on W − A − B of those cases scaled
     # by ∛(3/8) (the algebraic path), on W − A of four of them scaled, and
     # on two tetrahedra with angles of irrational cos², one of them obtuse
-    from scissors.dehn import _normalize
+    from scissors.dehn import _normalize, _raw_terms
     from scissors.geom.convex import tetrahedron
     from scissors.rng import SplitMix64
 
@@ -659,3 +654,136 @@ def test_redissection_cancels_with_no_search(dissection_cases,
             assert is_zero(diff) == "Zero"
             assert diff.relations_used == []
     assert searched == []
+
+
+# -- one edge form: the blocks read ℓ² and cos², not the coordinates ---------
+
+def test_tensor_add_keeps_its_operands_evidence():
+    # D(cube) + D(box112) keeps the right angle both operands dropped, once,
+    # and a sum keeps its operands' relations ahead of its own
+    from oracles import hill_tetrahedron
+    from scissors.dehn import tensor_certificates
+
+    cube, tall = dehn_invariant(unit_cube()), dehn_invariant(
+        box((0, 0, 0), (1, 1, 2)))
+    total = tensor_add(cube, tall)
+    assert total.is_empty()
+    assert total.drops_json() == cube.drops_json() == [
+        {"q": "rat:1/2", "cos": "rat:0/1"}]
+    assert tensor_certificates(total) == [
+        {"type": "rational-angles", "dropped": cube.drops_json()}]
+    hill = dehn_invariant(hill_tetrahedron())
+    other = dehn_invariant(_tetra_pair()[0])
+    assert len(hill.relations_used) == 1 and other.relations_used == []
+    for a, b in ((hill, other), (other, hill)):
+        total = tensor_add(a, b)
+        assert total.relations_used[:1] == hill.relations_used
+        # π/2, which both dropped, and π/3 (Hill's alone), once each
+        assert total.drops_json() == hill.drops_json() == [
+            {"q": "rat:1/2", "cos": "rat:0/1"},
+            {"q": "rat:1/3", "cos": "rat:1/2"}]
+
+
+def _moved_hulls(count):
+    """(hull, moved) for seeded rational hulls at seed 4901, each moved by a
+    rotation by π/4 about z (entries in ℚ(√2)) and one by π/6 about x
+    (ℚ(√3)), each with the translation (√2/2, 0, 1/3)."""
+    from scissors.geom.convex import transformed
+    from scissors.rng import SplitMix64
+
+    r2 = make_algebraic([-2, 0, 1], (1, 2))
+    r3 = make_algebraic([-3, 0, 1], (1, 2))
+    h, half = r2 / 2, Fraction(1, 2)
+    shift = (h, 0, Fraction(1, 3))
+    rotations = (((h, -h, 0), (h, h, 0), (0, 0, 1)),
+                 ((1, 0, 0), (0, r3 / 2, -half), (0, half, r3 / 2)))
+    for case in range(count):
+        hull = _rational_hull(SplitMix64.stream(4901, case))[1]
+        for rotation in rotations:
+            yield hull, transformed(hull, rotation, shift)
+
+
+def _counting_searches(monkeypatch):
+    """The list that records the number of angles of each relation search
+    `dehn` makes from here on."""
+    import scissors.dehn as dehn
+
+    searched = []
+    search = dehn.find_angle_relations
+
+    def recorded(angles, *args):
+        searched.append(len(angles))
+        return search(angles, *args)
+
+    monkeypatch.setattr(dehn, "find_angle_relations", recorded)
+    return searched
+
+
+def test_isometries_keep_the_invariant(monkeypatch):
+    # metamorphic: a rational hull moved by a rotation with entries in
+    # ℚ(√2) or ℚ(√3) and an irrational translation keeps its ℓ² and cos²,
+    # so its invariant prints the same after the same searches
+    searched = _counting_searches(monkeypatch)
+    tags = set()
+    for hull, moved in _moved_hulls(12):
+        del searched[:]
+        want = dehn_invariant(hull)
+        count = len(searched)
+        got = dehn_invariant(moved)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert len(searched) == 2 * count
+        tags.add(is_zero(got))
+    assert "NonzeroCertified" in tags
+
+
+def _nonsquare(rng):
+    from math import isqrt
+
+    while True:
+        q = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        n = q.numerator * q.denominator
+        if isqrt(n) ** 2 != n:
+            return q
+
+
+def test_blocks_agree_with_the_one_block_form(monkeypatch):
+    # the block form on polytopes whose ℓ² and cos² are rational but whose
+    # coordinates are not, against the one-block form of the same edges:
+    # a decisive one-block verdict is the block verdict, and Hill's
+    # tetrahedron vanishes by one searched relation in either form
+    from oracles import hill_tetrahedron
+    from scissors.algebraic import sqrt_nonneg
+    from scissors.dehn import _normalize, _raw_terms
+    from scissors.geom.convex import tetrahedron, transformed
+    from scissors.rng import SplitMix64
+
+    r2 = make_algebraic([-2, 0, 1], (1, 2))
+    r3 = make_algebraic([-3, 0, 1], (1, 2))
+    h = r2 / 2
+    rotation = ((h, -h, 0), (h, h, 0), (0, 0, 1))
+    shapes = [moved for _hull, moved in _moved_hulls(4)]
+    shapes += [transformed(p, rotation, (h, 0, 0))
+               for p in (unit_cube(), _tetra_pair()[0])]
+    shapes.append(tetrahedron((0, 0, 0), (r2, 0, 0), (0, r3, 0), (0, 0, 1)))
+    for case in range(6):
+        rng = SplitMix64.stream(4902, case)
+        a, b, c = (sqrt_nonneg(_nonsquare(rng)) for _ in range(3))
+        shapes.append(tetrahedron((0, 0, 0), (a, 0, 0), (0, b, 0), (0, 0, c)))
+    hill = hill_tetrahedron()
+    shapes.append(hill)
+    decisive = 0
+    for p in shapes:
+        raw = _raw_terms([(1, p)])
+        assert all(x is not None for _c, x, _a in raw)  # the block form
+        block = is_zero(dehn_invariant(p))
+        one = is_zero(_normalize(
+            [(e.length, None, e.angle) for e in p.edges()], 20))
+        assert block != "Unknown"
+        if one != "Unknown":
+            decisive += 1
+            assert block == one
+    assert decisive >= 3
+    searched = _counting_searches(monkeypatch)
+    t = dehn_invariant(hill)
+    assert is_zero(t) == "Zero"
+    assert searched == [2] and len(t.relations_used) == 1
