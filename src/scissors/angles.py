@@ -1,18 +1,18 @@
 """Angles as exact cos² and sign of cos, and decision procedures on them.
 
-``is_rational_angle`` decides whether θ/π is rational: θ/π ∈ ℚ forces 2cosθ
-to be an algebraic integer, and the degrees of the minimal polynomials Ψ_n
-of 2cos(2πk/n) are φ(n)/2, so a monic minimal polynomial of degree d leaves
-finitely many n to test; the root index of 2cosθ then names k.  It runs on
-exact arithmetic alone, without mpmath or sympy.  ``find_angle_relations``
-proposes one integer relation ∑ m_j θ_j ≡ 0 (mod π) numerically (PSLQ) and
-certifies it by evaluating ∏ (cosθ_j + i·sinθ_j)^{2 m_j} exactly and checking
-it equals 1; an unverified proposal is discarded, so a returned relation is
-sound.  The Dehn normalization substitutes that relation and searches again.
-
-An angle with a rational cos² (every dihedral angle of a rational polytope,
-wherever it is placed) is decided from cos² alone: by Niven's theorem θ/π
-is rational exactly when cos²θ ∈ {0, ¼, ½, ¾, 1}.
+Every rule reads cos²θ and the sign σ of cosθ alone; cosθ and sinθ are
+square-rooted only to be written.  ``is_rational_angle`` reads
+x = 2cos2θ = 4cos²θ − 2 = 2cos α, α ∈ [0, π] being 2θ or 2π − 2θ: θ/π ∈ ℚ
+forces x to be an algebraic integer, one of −2 … 2 when rational (Niven),
+and the degrees of the minimal polynomials Ψ_n of 2cos(2πk/n) are φ(n)/2,
+so a monic minimal polynomial of degree d leaves finitely many n to test;
+the root index of x then names k.  It runs on exact arithmetic alone,
+without mpmath or sympy.  ``find_angle_relations`` proposes one integer
+relation ∑ m_j θ_j ≡ 0 (mod π) numerically (PSLQ) and certifies it by
+evaluating ∏ z_j^{m_j} exactly, z = e^{2iθ} = (2cos²θ − 1) +
+2iσ√(cos²θ·sin²θ) with one square root, and checking it equals 1; an
+unverified proposal is discarded, so a returned relation is sound.  The
+Dehn normalization substitutes that relation and searches again.
 """
 
 from fractions import Fraction
@@ -36,10 +36,11 @@ class AnglePair:
     """Canonical angle θ ∈ [0, π], held as cos²θ and the sign of cosθ.
 
     cos² is a scalar of the coordinates' field, a Fraction whenever it is
-    rational.  An angle with a rational cos² has its key, its rational
-    test, the polynomial of 2cosθ and its JSON from those two alone.  cos
-    and sin ≥ 0, square roots over that field (`numberfield.sqrt`), are
-    built when first read, unless the pair was built from them."""
+    rational.  The key, the rational test, the relation check and the
+    radians read those two alone.  cos and sin ≥ 0, square roots over that
+    field (`numberfield.sqrt`), are built when first read, unless the pair
+    was built from them: the JSON of an angle with an irrational cos² and
+    the polynomial of 2cosθ read them."""
 
     __slots__ = ("_cos", "_sin", "_key", "cos2", "cos_sign")
 
@@ -91,18 +92,11 @@ class AnglePair:
         return self._sin
 
     def key(self):
-        """scalar_key of cos, which orders and identifies angles."""
+        """(scalar_key of cos², sign of cos), which orders and identifies
+        angles: by cos², an irrational one (by its minimal polynomial and
+        root index) before a rational one, then by the sign of cos."""
         if self._key is None:
-            a = self.cos2
-            if type(a) is not Fraction:
-                self._key = scalar_key(self.cos)
-            else:
-                c, m = surd(a)
-                # cos is rational, or ±√(p/q), the root of index 1 or 0 of
-                # qx² − p
-                self._key = ("q", self.cos_sign * c) if m == 1 else \
-                    ("a", (-a.numerator, 0, a.denominator),
-                     int(self.cos_sign > 0))
+            self._key = (scalar_key(self.cos2), self.cos_sign)
         return self._key
 
     def __eq__(self, other):
@@ -124,13 +118,17 @@ class AnglePair:
         return self.cos2 == 1
 
     def radians(self, bits: int = 64) -> "mpmath.mpf":
+        """acos(σ√cos²θ), with cos² taken to 2·(bits + 16) bits so that its
+        root keeps bits + 16."""
         import mpmath as mp
 
-        with mp.workprec(bits + 16):
-            c = self.cos
-            if not isinstance(c, Fraction):
-                c = c.approx(bits + 16)
-            return mp.acos(mp.mpf(c.numerator) / c.denominator)
+        prec = bits + 16
+        c2 = self.cos2
+        if type(c2) is not Fraction:
+            c2 = c2.approx(2 * prec)
+        with mp.workprec(prec):
+            return mp.acos(self.cos_sign *
+                           mp.sqrt(mp.mpf(c2.numerator) / c2.denominator))
 
     def to_json(self):
         if type(self.cos2) is Fraction:
@@ -140,7 +138,7 @@ class AnglePair:
                 "sin": format_number(self.sin)}
 
     def __repr__(self):
-        return f"AnglePair(cos~{float(self.cos):.6g})"
+        return f"AnglePair(cos2~{float(self.cos2):.6g}, sign={self.cos_sign})"
 
 
 # -- cyclotomic polynomials and minimal polynomials of 2cos(2π/n) -----------
@@ -233,7 +231,8 @@ def _two_cos_minpoly(n: int) -> tuple:
     return poly
 
 
-# the integer values of 2cosθ and their θ/π
+# the integer values of 2cos α and their α/π, α ∈ [0, π]: by Niven's
+# theorem the only rational ones with α/π rational
 _INTEGER_TWO_COS = {2: Fraction(0), 1: Fraction(1, 3), 0: Fraction(1, 2),
                     -1: Fraction(2, 3), -2: Fraction(1)}
 
@@ -251,42 +250,32 @@ def two_cos_minpoly(pair: AnglePair) -> tuple:
     return (2 * pair.cos).minpoly()
 
 
-# θ/π for the angles whose cos² is rational and θ/π too (Niven's theorem),
-# by (cos²θ, sign of cosθ)
-_NIVEN = {(Fraction(0), 0): Fraction(1, 2),
-          (Fraction(1, 4), 1): Fraction(1, 3),
-          (Fraction(1, 4), -1): Fraction(2, 3),
-          (Fraction(1, 2), 1): Fraction(1, 4),
-          (Fraction(1, 2), -1): Fraction(3, 4),
-          (Fraction(3, 4), 1): Fraction(1, 6),
-          (Fraction(3, 4), -1): Fraction(5, 6),
-          (Fraction(1), 1): Fraction(0),
-          (Fraction(1), -1): Fraction(1)}
-
-
 def is_rational_angle(pair: AnglePair):
     """Return q = θ/π ∈ ℚ ∩ [0,1] when θ is a rational multiple of π, else None.
 
-    Sound and complete: the totient bound makes the candidate set finite,
-    and a match of the minimal polynomial with Ψ_n leaves only the choice of
-    root, which the root index of 2cosθ makes exactly.  An angle given by
-    its rational cos² is looked up in the table of Niven's theorem.
-    """
-    if type(pair.cos2) is Fraction:
-        return _NIVEN.get((pair.cos2, pair.cos_sign))
-    m = two_cos_minpoly(pair)
+    Sound and complete, on x = 2cos2θ = 2cos α for α = 2θ when cosθ ≥ 0,
+    else 2π − 2θ (see the module docstring)."""
+    x = 4 * pair.cos2 - 2
+    turn = _INTEGER_TWO_COS.get(x) if type(x) is Fraction else _turn(x)
+    if turn is None:
+        return None
+    return turn / 2 if pair.cos_sign >= 0 else 1 - turn / 2
+
+
+def _turn(x):
+    """α/π for the α ∈ [0, π] with 2cos α = x, an irrational real algebraic
+    x, when it is rational, else None: a match of x's minimal polynomial
+    with Ψ_n leaves only the choice of root, which x's root index makes."""
+    m = x.minpoly()
     if m[-1] != 1:
-        return None  # not monic: 2cosθ is no algebraic integer
+        return None  # not monic: x is no algebraic integer
     d = len(m) - 1
-    if d == 1:
-        return _INTEGER_TWO_COS.get(-m[0])
     for n in range(3, 4 * d * d + 8):
-        if _totient(n) != 2 * d or _two_cos_minpoly(n) != m:
-            continue
-        # the roots of Ψ_n are 2cos(2πj/n) for the j < n/2 prime to n, all
-        # real and decreasing in j; x ↦ 2x keeps the root index of cosθ
-        js = [j for j in range(1, n // 2 + 1) if gcd(j, n) == 1]
-        return Fraction(2 * js[d - 1 - pair.cos.root_index()], n)
+        if _totient(n) == 2 * d and _two_cos_minpoly(n) == m:
+            # the roots of Ψ_n are 2cos(2πj/n) for the j < n/2 prime to n,
+            # all real and decreasing in j
+            js = [j for j in range(1, n // 2 + 1) if gcd(j, n) == 1]
+            return Fraction(2 * js[d - 1 - x.root_index()], n)
     return None
 
 
@@ -302,15 +291,17 @@ class UnitComplex:
         self.im = im
 
     @classmethod
-    def from_angle(cls, pair: AnglePair) -> "UnitComplex":
-        return cls(pair.cos, pair.sin)
+    def doubled(cls, pair: AnglePair) -> "UnitComplex":
+        """e^{2iθ} = (2cos²θ − 1) + 2iσ√(cos²θ·sin²θ), σ the sign of cosθ:
+        the angles of one rational block (m, s) multiply in ℚ(√s)."""
+        from .numberfield import sqrt
+
+        c2 = pair.cos2
+        return cls(2 * c2 - 1, 2 * pair.cos_sign * sqrt(c2 * (1 - c2)))
 
     def __mul__(self, other: "UnitComplex") -> "UnitComplex":
         return UnitComplex(self.re * other.re - self.im * other.im,
                            self.re * other.im + self.im * other.re)
-
-    def square(self) -> "UnitComplex":
-        return UnitComplex(2 * self.re * self.re - 1, 2 * self.re * self.im)
 
     def pow(self, k: int) -> "UnitComplex":
         base = self if k >= 0 else UnitComplex(self.re, -self.im)
@@ -367,12 +358,12 @@ class IntegerRelation:
 
 
 def verify_relation(angles, coefficients) -> bool:
-    """Exact check of ∏ (cosθ+i·sinθ)^{2m} = 1 for the proposed relation."""
+    """Exact check of ∏ e^{2imθ} = 1 for the proposed relation."""
     acc = UnitComplex(Fraction(1), Fraction(0))
     for pair, m in zip(angles, coefficients):
         if m == 0:
             continue
-        acc = acc * UnitComplex.from_angle(pair).square().pow(m)
+        acc = acc * UnitComplex.doubled(pair).pow(m)
     return acc.is_one()
 
 

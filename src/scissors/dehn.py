@@ -11,19 +11,21 @@ slot, which is legal because lengths form a ℚ-vector space.  Every
 "nonzero" verdict is certified; "equal/zero" verdicts are conditional on
 the height bound of the relation search and say so.
 
-Every edge carries ℓ² and an angle given by cos² and the sign of cos.
-When every ℓ² and every cos² is rational, whatever the coordinates
-(`_raw_terms`: a rational polytope, or one moved by any isometry), a term
-stands for c√m ⊗ θ with c rational (Conway, Radin and Sadun, "On angles
-whose squared trigonometric functions are rational", Discrete Comput.
-Geom. 22 (1999)): m is the square class of ℓ², and s that of
-cos²θ·(1 − cos²θ), as e^{2iθ} lies in ℚ(√−s).  Lengths of distinct classes
-are ℚ-independent, and so are angles of distinct classes modulo ℚπ, so the
-invariant vanishes exactly when every block does.  Otherwise a term has
-m = s = None and its length as c, and all its terms form one block.  A
-block of one term is nonzero, as its angle is irrational, and needs no
-search.  `tensor_certificates` writes the evidence of a normalized
-tensor's verdict.
+Every edge is ℓ² and an angle given by cos² and the sign of cos, and
+`_normalize` alone picks the form, on the terms left once rational and
+straight angles drop: an edge at a rational angle never counts, whatever
+its length.  When every kept ℓ² and cos² is rational, whatever the
+coordinates, a term stands for c√m ⊗ θ with c rational (Conway, Radin and
+Sadun, "On angles whose squared trigonometric functions are rational",
+Discrete Comput. Geom. 22 (1999)): m is the square class of ℓ², and s
+that of cos²θ·(1 − cos²θ), as e^{2iθ} lies in ℚ(√−s).  Lengths of
+distinct classes are ℚ-independent, and so are angles of distinct classes
+modulo ℚπ, so the invariant vanishes exactly when every block does.
+Otherwise a term has m = s = None and its length as c, and all its terms
+form one block.  A block of one term is nonzero, as its angle is
+irrational, and needs no search.  Terms are in the order of their angles'
+keys (cos², irrational first, then the sign of cos).
+`tensor_certificates` writes the evidence of a normalized tensor's verdict.
 """
 
 from fractions import Fraction
@@ -167,11 +169,12 @@ def _square_classes(xs) -> dict:
 
 
 def _normalize(raw, height_bound, dropped=(), used=()) -> DehnTensor:
-    """The normal form of the terms (c, x, angle) in `raw`: c√x ⊗ angle for
-    rational c and x and an angle given by its rational cos², or, with x
-    None in every term, c ⊗ angle for any exact length c.  The rational
-    angles `dropped` and the relations `used` that its operands' own
-    normalizations found are kept with its own."""
+    """The normal form of the terms (c, x, angle) in `raw`, each c√x ⊗ angle
+    (c ⊗ angle when x is None), once rational and straight angles drop: in
+    blocks when every kept x (an ℓ², or a class m) and cos² is rational,
+    else one block with c√x built.  The rational angles `dropped` and the
+    relations `used` that its operands' own normalizations found are kept
+    with its own."""
     kept, drops = [], {angle.key(): (angle, q) for angle, q in dropped}
     for c, x, angle in raw:
         if x == 0 or not c or angle.is_straight():
@@ -182,18 +185,22 @@ def _normalize(raw, height_bound, dropped=(), used=()) -> DehnTensor:
             continue
         sign, angle = angle.acute()
         kept.append((sign * c, x, angle))
+    if not all(isinstance(x, (int, Fraction)) and type(a.cos2) is Fraction
+               for _c, x, a in kept):
+        from .numberfield import sqrt
+
+        kept = [(c if x is None else c * sqrt(as_scalar(x)), None, a)
+                for c, x, a in kept]
     lengths = _square_classes({x for _c, x, _a in kept if x is not None})
-    acc = {}
+    classes = {}  # each class m's terms
     for c, x, angle in kept:
         m = None
         if x is not None:
             m, k = lengths[x]
             c *= k
-        key = (angle.key(), m)
-        acc[key] = (acc[key][0] + c, angle) if key in acc else (c, angle)
-    # a merged length that cancels is Fraction(0)
-    merged = [(m, c, angle) for (_key, m), (c, angle) in sorted(acc.items())
-              if c]
+        classes.setdefault(m, []).append((c, angle))
+    merged = [(m, c, angle) for m, terms in classes.items()
+              for c, angle in _merge(terms)]
     angles = _square_classes({a.cos2 * (1 - a.cos2)
                               for m, _c, a in merged if m is not None})
     blocks = {}  # each block's terms in the order of their angles' keys
@@ -236,11 +243,8 @@ def tensor_add(a: DehnTensor, b: DehnTensor,
     """a + b in normal form, with the dropped angles and the relations of
     both operands and those of its own normalization."""
     hb = height_bound or max(a.height_bound, b.height_bound)
-    if all(m is not None for _c, m, _s, _a in a.terms + b.terms):
-        raw = [(c, m, angle) for c, m, _s, angle in a.terms + b.terms]
-    else:
-        raw = [(l, None, angle) for l, angle in a.pairs() + b.pairs()]
-    return _normalize(raw, hb, a.rational_drops + b.rational_drops,
+    return _normalize([(c, m, angle) for c, m, _s, angle in a.terms + b.terms],
+                      hb, a.rational_drops + b.rational_drops,
                       a.relations_used + b.relations_used)
 
 
@@ -264,15 +268,9 @@ def dehn_sum(signed, height_bound: int = DEFAULT_HEIGHT_BOUND) -> DehnTensor:
 
 
 def _raw_terms(signed) -> list:
-    """The raw terms (c, x, angle) of Σ k·D(P) over the (k, P) of `signed`:
-    (k, ℓ², θ) for every edge when every ℓ² and every cos² is rational,
-    whatever the coordinates, as the blocks read only those values; else
-    (k·ℓ, None, θ), one block."""
-    edges = [(k, e) for k, p in signed for e in p.edges()]
-    if all(type(e.length2) is Fraction and type(e.angle.cos2) is Fraction
-           for _, e in edges):
-        return [(k, e.length2, e.angle) for k, e in edges]
-    return [(k * e.length, None, e.angle) for k, e in edges]
+    """The raw terms (k, ℓ², θ) of Σ k·D(P), one per edge of each P of the
+    (k, P) in `signed`; `_normalize` picks their form."""
+    return [(k, e.length2, e.angle) for k, p in signed for e in p.edges()]
 
 
 def is_zero(t: DehnTensor) -> str:

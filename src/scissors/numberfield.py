@@ -20,14 +20,15 @@ isolating interval from its field's enclosures fixes; it is written by
 those two alone (`numbers.format_number`), so the field it was computed in
 does not show on the wire.
 
-A square root of r in F is found exactly or certified absent (F(√r) is then
-built once per radicand, up to MAX_DEGREE).  In ℚ(α), r is no square when its
-norm is no rational square; otherwise the roots of t² − r in ℚ(α) come from
-`algebraic.roots_in`, by a norm factored over ℤ.  Values of two towers combine
-when one tower can be rebuilt over the other's field one square root at a
-time.  Values whose towers do not combine are read as literals and lifted
-into one field ℚ(γ) by `algebraic.lift`.  A square root whose extension would
-be above MAX_DEGREE is not taken: `sqrt` raises SizeCap.
+A square root of r in F is found exactly or certified absent, once per
+radicand (F(√r) is then built, up to MAX_DEGREE).  In ℚ(α), r is no square
+when its norm is no rational square; otherwise the roots of t² − r in ℚ(α)
+come from `algebraic.roots_in`, by a norm factored over ℤ.  Values of two
+towers combine when one tower can be rebuilt over the other's field one
+square root at a time.  Values whose towers do not combine are read as
+literals and lifted into one field ℚ(γ) by `algebraic.lift`.  A square root
+whose extension would be above MAX_DEGREE is not taken: `sqrt` raises
+SizeCap.
 """
 
 from fractions import Fraction
@@ -106,7 +107,7 @@ class SimpleField:
         self.f = tuple(int(c) for c in f)
         self.n = self.degree = len(self.f) - 1
         self.chain = (self, None)
-        self.quads = {}
+        self.roots = {}  # see sqrt_over
         self._df = tuple(i * c for i, c in enumerate(self.f))[1:]
         self._lo, self._hi = Fraction(lo), Fraction(hi)
         self._left = _sign(_eval(self.f, self._lo))  # sign of f left of α
@@ -291,7 +292,7 @@ class QuadField:
         self.base, self.r = base, r
         self.chain = (self,) + (base.chain if base else (None,))
         self.degree = 2 * (base.degree if base else 1)
-        self.quads = {}
+        self.roots = {}  # see sqrt_over
         self.over = {}  # see _tower_over
 
     @staticmethod
@@ -646,25 +647,29 @@ _RATIONAL_QUADS: dict = {}
 
 def sqrt_over(F, r):
     """The positive √r for r > 0, a scalar of F or below: a scalar of F when
-    r is a square there, else an element of the extension F(√r), built once
-    per radicand; None when that extension would have a degree above
-    MAX_DEGREE."""
-    root = sqrt_in(F, r)
-    if root is not NONSQUARE:
-        return root if scalar_sign(root) > 0 else -root
+    r is a square there, else an element of the extension F(√r); None when
+    that extension would have a degree above MAX_DEGREE.  Over a field,
+    `F.roots` keeps the outcome per radicand, tested once by `sqrt_in`."""
     if F is None:
+        root = _rational_root(r, 2)
+        if root is not None:
+            return root
         c, m = surd(r)
         E = _RATIONAL_QUADS.get(m)
         if E is None:
             E = _RATIONAL_QUADS[m] = QuadField(None, Fraction(m))
         return Num(E, (Fraction(0), c))
-    if 2 * F.degree > MAX_DEGREE:
-        return None
     key = _structure_key(r)
-    E = F.quads.get(key)
-    if E is None:
-        E = F.quads[key] = QuadField(F, r)
-    return Num(E, (Fraction(0), Fraction(1)))
+    if key not in F.roots:
+        root = sqrt_in(F, r)
+        if root is not NONSQUARE:
+            root = abs(root)
+        elif 2 * F.degree <= MAX_DEGREE:
+            root = Num(QuadField(F, r), (Fraction(0), Fraction(1)))
+        else:
+            root = None
+        F.roots[key] = root
+    return F.roots[key]
 
 
 def sqrt(x):

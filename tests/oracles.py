@@ -8,12 +8,23 @@ suite or benchmark item runs, so they live here and not in `src/`.
   `flags.AffineSubspace`.
 - Stock polygons and Hill's tetrahedron, the rank over ℚ of a sparse matrix, and element tests
   in a field tower.
+- The rational-angle test and the relation check on an angle's cos and
+  sin: Niven's table by (cos²θ, sign of cosθ), the minimal polynomial of
+  2cosθ, and the product of (cosθ + i·sinθ)², the oracles of the rules of
+  `angles` that read cos²θ and the sign of cosθ alone.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from scissors.algebraic import make_algebraic, sqrt_nonneg
+from scissors.angles import (
+    UnitComplex,
+    _totient,
+    _two_cos_minpoly,
+    two_cos_minpoly,
+)
 from scissors.geom import make_point, to_homog
 from scissors.geom.convex import polygon_from_cycle, tetrahedron
 from scissors.homology import DoubleComplex, SparseIntMatrix, tuple_complex
@@ -150,3 +161,45 @@ def tower_is_zero(tower, x) -> bool:
 
 def tower_equal(tower, a, b) -> bool:
     return tower.reduce(a) == tower.reduce(b)
+
+
+# -- angle rules on cos and sin -----------------------------------------------
+
+# θ/π for the angles whose cos² is rational and θ/π too (Niven's theorem),
+# by (cos²θ, sign of cosθ)
+NIVEN = {(Fraction(0), 0): Fraction(1, 2),
+         (Fraction(1, 4), 1): Fraction(1, 3),
+         (Fraction(1, 4), -1): Fraction(2, 3),
+         (Fraction(1, 2), 1): Fraction(1, 4),
+         (Fraction(1, 2), -1): Fraction(3, 4),
+         (Fraction(3, 4), 1): Fraction(1, 6),
+         (Fraction(3, 4), -1): Fraction(5, 6),
+         (Fraction(1), 1): Fraction(0),
+         (Fraction(1), -1): Fraction(1)}
+
+
+def rational_angle_by_two_cos(pair):
+    """θ/π when it is rational, else None: Niven's table for a rational
+    cos², else the minimal polynomial of 2cosθ matched with Ψ_n, the root
+    named by the root index of cosθ."""
+    if type(pair.cos2) is Fraction:
+        return NIVEN.get((pair.cos2, pair.cos_sign))
+    m = two_cos_minpoly(pair)
+    if m[-1] != 1:
+        return None  # not monic: 2cosθ is no algebraic integer
+    d = len(m) - 1  # 2 or more, as cosθ is irrational
+    for n in range(3, 4 * d * d + 8):
+        if _totient(n) == 2 * d and _two_cos_minpoly(n) == m:
+            js = [j for j in range(1, n // 2 + 1) if gcd(j, n) == 1]
+            return Fraction(2 * js[d - 1 - pair.cos.root_index()], n)
+    return None
+
+
+def relation_by_cos_sin(angles, coefficients) -> bool:
+    """Whether ∏ (cosθ + i·sinθ)^{2m} = 1, squaring each cosθ + i·sinθ."""
+    acc = UnitComplex(Fraction(1), Fraction(0))
+    for pair, m in zip(angles, coefficients):
+        if m:
+            c, s = pair.cos, pair.sin
+            acc = acc * UnitComplex(2 * c * c - 1, 2 * c * s).pow(m)
+    return acc.is_one()

@@ -170,3 +170,101 @@ def test_rational_angle_detected_via_relations():
     # π/3 alone: 3θ = π is a (certifiable) relation
     t = angle_from_cos(Fraction(1, 2))
     assert verify_relation([t], (3,))
+
+
+# -- the rules on (cos², sign of cos) against their cos and sin oracles -------
+
+def _turns(n_max):
+    """{θ/π: cosθ} for every θ/π = k/n in (0, 1) with n <= n_max, cosθ
+    exact: θ = 2πj/N for j/N = k/2n in lowest terms."""
+    out = {}
+    for n in range(2, n_max + 1):
+        for k in range(1, n):
+            half = Fraction(k, 2 * n)
+            if 2 * half not in out:
+                out[2 * half] = _cos_of_turn(half.numerator, half.denominator)
+    return out
+
+
+def _seeded_tetrahedra(root, seed, count):
+    """`count` seeded tetrahedra whose coordinates are a + b·root, for
+    integers a and b in [−2, 2]."""
+    from scissors.geom import InvalidPolytope
+    from scissors.geom.convex import tetrahedron
+    from scissors.rng import SplitMix64
+
+    rng, out = SplitMix64.stream(seed, 0), []
+    while len(out) < count:
+        points = [tuple(rng.randint(-2, 2) + rng.randint(-2, 2) * root
+                        for _ in range(3)) for _ in range(4)]
+        try:
+            out.append(tetrahedron(*points))
+        except InvalidPolytope:
+            continue  # four coplanar points
+    return out
+
+
+def test_rational_angle_matches_its_cos_oracle():
+    # kπ/n for n <= 24 from exact cos, of both signs, with rational and
+    # irrational cos²; seeded rational cos² on and off Niven's table; and
+    # the dihedral angles of seeded tetrahedra over ℚ(√2) and ℚ(∛2)
+    from oracles import rational_angle_by_two_cos
+    from scissors.rng import SplitMix64
+
+    pairs = []
+    for q, cos in _turns(24).items():
+        pair = angle_from_cos(cos)
+        assert is_rational_angle(pair) == q, q
+        pairs.append(pair)
+    rng = SplitMix64.stream(5001, 0)
+    seeded = [Fraction(rng.randint(0, 40), rng.randint(1, 40))
+              for _ in range(30)]
+    for c2 in [Fraction(k, 4) for k in range(5)] + seeded:
+        if c2 <= 1:
+            pairs += [AnglePair.from_cos2(c2, sign)
+                      for sign in ((1, -1) if c2 else (0,))]
+    r2 = make_algebraic([-2, 0, 1], (1, 2))
+    cbrt2 = make_algebraic([-2, 0, 0, 1], (1, 2))
+    for root, seed, count in ((r2, 5002, 4), (cbrt2, 5003, 2)):
+        for p in _seeded_tetrahedra(root, seed, count):
+            pairs += [e.angle for e in p.edges()]
+    kinds = set()
+    for pair in pairs:
+        got = is_rational_angle(pair)
+        assert got == rational_angle_by_two_cos(pair), pair
+        kinds.add((type(pair.cos2) is Fraction, got is None))
+    assert len(kinds) == 4
+
+
+def test_relation_check_matches_its_cos_sin_oracle():
+    # Hill's relation, found by the search, and seeded coefficients on the
+    # angles of its block and on two angles of irrational cos² of a
+    # tetrahedron over ℚ(√2) (with three, the oracle's towers of cos and
+    # sin take seconds)
+    from oracles import hill_tetrahedron, relation_by_cos_sin
+    from scissors.rng import SplitMix64
+
+    hill = {}
+    for e in hill_tetrahedron().edges():
+        if is_rational_angle(e.angle) is None:
+            angle = e.angle.acute()[1]
+            hill[angle.key()] = angle
+    hill = list(hill.values())
+    (rel,) = find_angle_relations(hill, height_bound=10)
+    assert verify_relation(hill, rel.coefficients)
+    assert relation_by_cos_sin(hill, rel.coefficients)
+    (tet,) = _seeded_tetrahedra(make_algebraic([-2, 0, 1], (1, 2)), 5004, 1)
+    other = [e.angle for e in tet.edges()][:2]
+    assert all(type(a.cos2) is not Fraction for a in other)
+    rng = SplitMix64.stream(5005, 0)
+    tried = {True: 0, False: 0}
+    for angles in (hill, other):
+        for _ in range(12):
+            ms = [rng.randint(-4, 4) for _ in angles]
+            want = relation_by_cos_sin(angles, ms)
+            assert verify_relation(angles, ms) == want, ms
+            tried[want] += 1
+    for k in (2, -3):
+        ms = [k * m for m in rel.coefficients]
+        assert verify_relation(hill, ms) and relation_by_cos_sin(hill, ms)
+    assert tried[False] > 0

@@ -1150,6 +1150,52 @@ def test_rational_tetrahedron_pair_certificate_rechecks(fixtures, tmp_path):
          "pass": True}]
 
 
+def test_hull_against_a_box_at_right_angles_is_certified(tmp_path):
+    # H, the hull of (0,0,0), (2,0,0), (0,3,0), (0,0,1), (1,1,1), against
+    # the box of sides λ, λ², 44/9 for λ = ∛(3/8), both of volume 11/6:
+    # every edge of the box lies at π/2 and drops, so the form is picked on
+    # H's terms alone, whose ℓ² and cos² are rational
+    from fractions import Fraction
+    from scissors.geom.convex import convex_polytope_3d
+
+    lam = make_algebraic([-3, 0, 0, 8], (0, 1))
+    hull = tmp_path / "hull.json"
+    hull.write_text(json.dumps(polytope_to_json(convex_polytope_3d(
+        [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)]))))
+    flat = tmp_path / "flat_box.json"
+    flat.write_text(json.dumps(polytope_to_json(transformed(
+        box((0, 0, 0), (1, 1, Fraction(44, 9))),
+        ((lam, 0, 0), (0, lam * lam, 0), (0, 0, 1))))))
+    proc = run_cli("compare", "--recheck", str(hull), str(flat))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["results"]["verdict"]["tag"] == "NotCongruent_Dehn"
+    assert [c["type"] for c in report["certificates"]] == [
+        "rational-angles", "dehn-block"]
+    assert report["recheck"]["recheck_passed"]
+
+
+def test_each_radicand_is_tested_once(fixtures):
+    # `polytope-info` of the regular tetrahedron scaled by ∛(3/8), in a
+    # fresh interpreter: its six edges share one irrational ℓ², whose
+    # square test runs once, as `sqrt_over` keeps each outcome per field
+    # and radicand
+    code = (
+        "import contextlib, io, sys\n"
+        "import scissors.numberfield as nf\n"
+        "from scissors.cli import main\n"
+        "tested, sqrt_in = [], nf.sqrt_in\n"
+        "nf.sqrt_in = lambda F, r: tested.append(r) or sqrt_in(F, r)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['polytope-info', sys.argv[1]]) == 0\n"
+        "print(len(tested))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(fixtures / "tetra_vol1.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
 # what a command on rational input leaves unloaded: the literals, the growth
 # of number fields, and the factoring and resultants behind them
 _ALGEBRAIC = ("scissors.algebraic", "scissors.factoring", "sympy")
@@ -1493,8 +1539,10 @@ STOCK_INFO_DIGESTS = {
         "d7598d155df56ac92611fac106c1c1e076b1fa6cf01b6e6d6982b7da55b9fb5b",
     "box112":
         "89480568e36fac260120c543aeb6d57ef40ab50b08f5a76604dd261cb1a95fe6",
+    # its dropped angles in the order of (cos², sign of cos): π/2 first,
+    # then 2π/3
     "prism_hex":
-        "c398b74b8d68058d8faa34430d92e9927b20b590864d7ce822b4ffa632afecb8",
+        "4029e8485301ac663206f4eb9a367c1a8175d85f5ec4ec7e7ee8dac6bebbac89",
 }
 
 

@@ -753,7 +753,7 @@ def test_blocks_agree_with_the_one_block_form(monkeypatch):
     # tetrahedron vanishes by one searched relation in either form
     from oracles import hill_tetrahedron
     from scissors.algebraic import sqrt_nonneg
-    from scissors.dehn import _normalize, _raw_terms
+    from scissors.dehn import _normalize
     from scissors.geom.convex import tetrahedron, transformed
     from scissors.rng import SplitMix64
 
@@ -773,9 +773,9 @@ def test_blocks_agree_with_the_one_block_form(monkeypatch):
     shapes.append(hill)
     decisive = 0
     for p in shapes:
-        raw = _raw_terms([(1, p)])
-        assert all(x is not None for _c, x, _a in raw)  # the block form
-        block = is_zero(dehn_invariant(p))
+        t = dehn_invariant(p)
+        assert all(m is not None for _c, m, _s, _a in t.terms)  # block form
+        block = is_zero(t)
         one = is_zero(_normalize(
             [(e.length, None, e.angle) for e in p.edges()], 20))
         assert block != "Unknown"
@@ -787,3 +787,62 @@ def test_blocks_agree_with_the_one_block_form(monkeypatch):
     t = dehn_invariant(hill)
     assert is_zero(t) == "Zero"
     assert searched == [2] and len(t.relations_used) == 1
+
+
+# -- one form rule, on the terms left after the rational angles drop ----------
+
+def _hull_h():
+    """The hull of (0,0,0), (2,0,0), (0,3,0), (0,0,1), (1,1,1): its ℓ² and
+    cos² are rational, and its invariant is NonzeroCertified."""
+    from scissors.geom.convex import convex_polytope_3d
+
+    return convex_polytope_3d([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1),
+                               (1, 1, 1)])
+
+
+def test_sums_do_not_depend_on_the_route():
+    # D(P) + D(Q) as the sum of the two normalized tensors and as one
+    # normalization of both polytopes' edges, for P among five rational
+    # shapes and Q among their images scaled by ∛(3/8): the form is picked
+    # on the terms that survive, so both routes give one tensor
+    from scissors.geom.convex import regular_octahedron
+
+    lam = make_algebraic([-3, 0, 0, 8], (0, 1))
+    shapes = [unit_cube(), box((0, 0, 0), (1, 1, 2)), regular_tetrahedron(),
+              regular_octahedron(), _hull_h()]
+    scaled = [(q, dehn_invariant(q))
+              for q in (scaled_simplices(p, lam) for p in shapes)]
+    tags = set()
+    for p in shapes:
+        dp = dehn_invariant(p)
+        for q, dq in scaled:
+            added, summed = tensor_add(dp, dq), dehn_sum([(1, p), (1, q)])
+            assert added.terms_json() == summed.terms_json()
+            assert is_zero(added) == is_zero(summed)
+            tags.add(is_zero(summed))
+    assert {"Zero", "NonzeroCertified"} <= tags
+    # H plus a scaled box: every edge of the box lies at π/2 and drops, so
+    # H keeps its blocks and its certificate
+    assert is_zero(dehn_sum([(1, _hull_h()), (1, scaled[1][0])])) == \
+        is_zero(dehn_invariant(_hull_h())) == "NonzeroCertified"
+
+
+def test_invariants_read_no_cos_or_sin(monkeypatch):
+    # the rules of the normal form read cos² and the sign of cos alone: no
+    # cos or sin is built for Hill's tetrahedron (a relation is searched
+    # and checked) or for (0,0,0), (1,0,0), (0,1,0), (0,0,1+√2) (angles of
+    # irrational cos²)
+    from oracles import hill_tetrahedron
+    from scissors.geom.convex import tetrahedron
+
+    reads = []
+    for name in ("cos", "sin"):
+        read = getattr(AnglePair, name).fget
+        monkeypatch.setattr(AnglePair, name, property(
+            lambda pair, read=read, name=name:
+            reads.append(name) or read(pair)))
+    r2 = make_algebraic([-2, 0, 1], (1, 2))
+    shapes = (hill_tetrahedron(),
+              tetrahedron((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1 + r2)))
+    assert [is_zero(dehn_invariant(p)) for p in shapes] == ["Zero", "Unknown"]
+    assert reads == []

@@ -40,8 +40,7 @@ EXEMPT = {
     "scissors.algebraic.AlgebraicReal.approx":
         "only called by `__float__`, which `__repr__` reads",
     "scissors.dehn.DehnTensor.pairs":
-        "only called by `tensor_add` (a rational tensor with an irrational "
-        "one) and `phi_of_tensor`, which the tracer wraps",
+        "only called by `kahler.phi_of_tensor`, which the tracer wraps",
     "scissors.geom.Simplex.key": "only called by `__eq__` and `__hash__`",
     "scissors.geom.SimplexChain.terms": "only called by `__iter__`",
     "scissors.homology.DoubleComplex._get":
@@ -278,7 +277,22 @@ def _commands(work, shapes, ran):
     hill = os.path.join(work, "hill.json")
     with open(hill, "w") as fh:
         json.dump(polytope_to_json(hill_tetrahedron()), fh)
+    # the tetrahedron of volume 1 in two cells, cut at the point a third of
+    # the way along an edge: the halves of that edge, of lengths √y and
+    # √(4y), merge through the root of 4y that `sqrt_over` finds in F(√y),
+    # whose sign `QuadField.sign` takes
+    from scissors.io import polytope_from_json
+    corners = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    cut = polytope_from_json({
+        "dim": 3, "cells": [[0, 4, 2, 3], [4, 1, 2, 3]],
+        "vertices": [[_rat(c) for c in p] for p in corners]
+        + [[ONE, "rat:1/3", "rat:1/3"]]})
+    tetra_cut = os.path.join(work, "tetra_cut.json")
+    with open(tetra_cut, "w") as fh:
+        json.dump(polytope_to_json(scaled_simplices(
+            cut, make_algebraic([-3, 0, 0, 8], (0, 1)))), fh)
     runs += [
+        ["compare", tetra_cut, shapes["tetra_vol1"]],
         ["polytope-info", hill],
         ["compare", shapes["tetra_vol1"], octa],
         ["polytope-info", "--exact-strict", "--height-bound", "5",
